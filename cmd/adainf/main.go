@@ -68,6 +68,8 @@ func main() {
 	if err := cliflags.First(
 		cliflags.GPUAmount("-gpus", *gpus),
 		cliflags.Lanes("-ngpus", *ngpus),
+		cliflags.Rate("-rate", *rate, false),
+		cliflags.Horizon("-horizon", *horizon, false),
 		cliflags.Workers("-plan-workers", *planWorkers),
 		cliflags.Workers("-profile-workers", *profileWorkers),
 		faultErr,

@@ -94,6 +94,8 @@ func main() {
 		cliflags.Workers("-plan-workers", *planWorkers),
 		cliflags.Workers("-profile-workers", *profileWorkers),
 		cliflags.Lanes("-gpus", *gpus),
+		cliflags.Rate("-rate", *rate, true),
+		cliflags.Horizon("-horizon", *horizon, true),
 		faultErr,
 	); err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)

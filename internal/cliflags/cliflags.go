@@ -6,6 +6,8 @@ package cliflags
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"adainf/internal/faults"
 )
@@ -37,6 +39,35 @@ func GPUAmount(name string, v float64) error {
 		return fmt.Errorf("%s must be > 0, got %g", name, v)
 	}
 	return nil
+}
+
+// Rate validates a per-application request-rate flag (-rate, req/s):
+// it must be finite and positive. With zeroDefault, 0 is accepted too,
+// for commands where 0 selects the built-in default (repro); where the
+// flag's own default is the rate (adainf), 0 is rejected instead of
+// silently becoming the serving default.
+func Rate(name string, v float64, zeroDefault bool) error {
+	if math.IsInf(v, 0) || !(v > 0 || zeroDefault && v == 0) {
+		return fmt.Errorf("%s must be finite and %s, got %g", name, positiveBound(zeroDefault), v)
+	}
+	return nil
+}
+
+// Horizon validates a simulated-duration flag (-horizon) under the same
+// zeroDefault convention as Rate.
+func Horizon(name string, v time.Duration, zeroDefault bool) error {
+	if !(v > 0 || zeroDefault && v == 0) {
+		return fmt.Errorf("%s must be %s, got %v", name, positiveBound(zeroDefault), v)
+	}
+	return nil
+}
+
+// positiveBound phrases the range Rate and Horizon accept.
+func positiveBound(zeroDefault bool) string {
+	if zeroDefault {
+		return ">= 0 (0 = default)"
+	}
+	return "> 0"
 }
 
 // Faults validates and parses a fault-specification flag (-faults on

@@ -5,12 +5,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestValidators is the table-driven flag-validation suite the CLIs
 // rely on: worker flags accept zero (auto) and reject negatives, lane
-// counts must be at least one, and fractional GPU amounts must be
-// strictly positive (NaN included in the rejections).
+// counts must be at least one, fractional GPU amounts must be strictly
+// positive (NaN included in the rejections), and rates and horizons
+// must be finite and positive, with 0 accepted only where it selects
+// the default.
 func TestValidators(t *testing.T) {
 	tests := []struct {
 		name string
@@ -33,6 +36,26 @@ func TestValidators(t *testing.T) {
 		{"amount zero", GPUAmount("-gpus", 0), false},
 		{"amount negative", GPUAmount("-gpus", -1), false},
 		{"amount nan", GPUAmount("-gpus", math.NaN()), false},
+
+		{"rate positive", Rate("-rate", 80, false), true},
+		{"rate fractional", Rate("-rate", 0.5, false), true},
+		{"rate zero", Rate("-rate", 0, false), false},
+		{"rate negative", Rate("-rate", -5, false), false},
+		{"rate nan", Rate("-rate", math.NaN(), false), false},
+		{"rate inf", Rate("-rate", math.Inf(1), false), false},
+		{"rate -inf", Rate("-rate", math.Inf(-1), false), false},
+		{"rate zero default", Rate("-rate", 0, true), true},
+		{"rate positive zero-default", Rate("-rate", 250, true), true},
+		{"rate negative zero-default", Rate("-rate", -5, true), false},
+		{"rate nan zero-default", Rate("-rate", math.NaN(), true), false},
+		{"rate inf zero-default", Rate("-rate", math.Inf(1), true), false},
+
+		{"horizon positive", Horizon("-horizon", 60*time.Second, false), true},
+		{"horizon zero", Horizon("-horizon", 0, false), false},
+		{"horizon negative", Horizon("-horizon", -100*time.Second, false), false},
+		{"horizon zero default", Horizon("-horizon", 0, true), true},
+		{"horizon positive zero-default", Horizon("-horizon", time.Second, true), true},
+		{"horizon negative zero-default", Horizon("-horizon", -time.Nanosecond, true), false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -478,22 +478,19 @@ func (in *Injector) IncrementalRetrain(si int, app, node string) (fail, slow boo
 }
 
 // MemFail rolls a transient GPU memory allocation failure for the
-// app's job in session si.
-func (in *Injector) MemFail(si int, app string) bool {
-	return in.cfg.MemFail > 0 && in.hash("mem-fail").str(app).i64(int64(si)).u01() < in.cfg.MemFail
-}
-
-// MemFailGPU is MemFail on a multi-GPU server: the failure is a
-// property of the GPU lane actually serving the app, so the roll mixes
-// the lane in. Lane 0 is hash-identical to MemFail — a single-GPU run
-// through the lane-aware path injects exactly the faults the
-// single-lane path would.
-func (in *Injector) MemFailGPU(si int, app string, gpu int) bool {
-	if gpu == 0 {
-		return in.MemFail(si, app)
+// app's job in session si on GPU lane gpu: the failure is a property of
+// the lane actually serving the app, so lanes other than 0 mix the lane
+// into the roll. Lane 0 keeps the lane-free hash every single-GPU fault
+// schedule was recorded under.
+func (in *Injector) MemFail(si int, app string, gpu int) bool {
+	if in.cfg.MemFail <= 0 {
+		return false
 	}
-	return in.cfg.MemFail > 0 &&
-		in.hash("mem-fail").str(app).i64(int64(si)).i64(int64(gpu)).u01() < in.cfg.MemFail
+	h := in.hash("mem-fail").str(app).i64(int64(si))
+	if gpu != 0 {
+		h = h.i64(int64(gpu))
+	}
+	return h.u01() < in.cfg.MemFail
 }
 
 // Burst describes one arrival burst: sessions [Start, End) of the
@@ -591,22 +588,16 @@ func (in *Injector) LaneEvents(period, nLanes int, alive uint64) (uint64, []int,
 	return alive, crashed, recovered
 }
 
-// SessionWord packs the per-session fault decisions for one app into a
-// bitmask: bit 0 is the memory fault, bits 1+2j / 2+2j are the
-// incremental fail/slow decisions of node j. Sessions with identical
-// words behave identically under faults, which keeps the fast-forward
-// memo sound (the word is appended to the session key).
-func (in *Injector) SessionWord(si int, app string, nodes []string, retraining bool) uint64 {
-	return in.SessionWordGPU(si, app, nodes, retraining, 0)
-}
-
-// SessionWordGPU is SessionWord with the app's GPU lane: the memory
-// fault rolls per lane (MemFailGPU) while the incremental retraining
-// decisions stay lane-independent (they are properties of the model,
-// not the device). Lane 0 reproduces SessionWord bit for bit.
-func (in *Injector) SessionWordGPU(si int, app string, nodes []string, retraining bool, gpu int) uint64 {
+// SessionWord packs the per-session fault decisions for one app on GPU
+// lane gpu into a bitmask: bit 0 is the memory fault (rolled per lane,
+// see MemFail), bits 1+2j / 2+2j are the incremental fail/slow
+// decisions of node j (lane-independent: they are properties of the
+// model, not the device). Sessions with identical words behave
+// identically under faults, which keeps the fast-forward memo sound
+// (the word is appended to the session key).
+func (in *Injector) SessionWord(si int, app string, nodes []string, retraining bool, gpu int) uint64 {
 	var w uint64
-	if in.MemFailGPU(si, app, gpu) {
+	if in.MemFail(si, app, gpu) {
 		w |= 1
 	}
 	if retraining {

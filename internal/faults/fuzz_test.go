@@ -39,7 +39,7 @@ func FuzzFaultPlan(f *testing.F) {
 		// An accepted config must be safe to instantiate: New either
 		// declines (nothing can fire) or returns a usable injector.
 		if in := New(&c); in != nil {
-			in.SessionWord(0, "app", []string{"node"}, true)
+			in.SessionWord(0, "app", []string{"node"}, true, 0)
 		} else if c.Enabled() {
 			t.Fatalf("New declined the enabled config %q", rendered)
 		}

@@ -55,23 +55,31 @@ type runLoop struct {
 	nSessions         int
 	sessionsPerPeriod int
 
+	// ewmaTa is the run-wide EWMA of the session makespan (the slowest
+	// job across every lane); it sets the concurrency each lane's share
+	// is divided by.
 	ewmaTa time.Duration
 	ctx    *sched.SessionContext
 
-	// Multi-GPU lane state (NGPUs > 1 only; all nil/zero on the
-	// single-partition path, which stays byte-identical to a build
-	// without lanes).
-	topo      cluster.Topology
-	place     *cluster.Placement
-	appNames  []string
-	appIdx    map[string]int
-	wsBytes   []int64   // per-app profiled working set, fixed for the run
-	loadBuf   []float64 // scratch: per-app predicted load this period
-	lastRanks []int     // previous period's load ranking
-	laneOf    []int     // per-app lane under the current placement
-	laneApps  [][]int   // per-lane app indexes, states order
-	laneBusy  []float64 // scratch: per-lane retrain busy this session
-	laneShare []float64 // scratch: per-lane quantized share this session
+	// GPU lane state. Every server is a cluster of NGPUs lanes; NGPUs=1
+	// is the degenerate one-lane cluster: laneApps[0] holds every app in
+	// states order, laneOf is all zeros, placeDigest stays 0, and no
+	// capacity-checked placement ever runs (a single partition was never
+	// capacity-checked). The placement inputs (topo, wsBytes, loadBuf,
+	// lastRanks) and the per-GPU counters (gpuBusySec) exist only with
+	// NGPUs > 1, which keeps single-GPU results and traces free of
+	// placement events and per-lane series.
+	topo        cluster.Topology
+	placeDigest uint64 // current placement's digest (fast-forward key)
+	appNames    []string
+	appIdx      map[string]int
+	wsBytes     []int64   // per-app profiled working set, fixed for the run
+	loadBuf     []float64 // scratch: per-app predicted load this period
+	lastRanks   []int     // previous period's load ranking
+	laneOf      []int     // per-app lane under the current placement
+	laneApps    [][]int   // per-lane app indexes, states order
+	laneBusy    []float64 // scratch: per-lane retrain busy this session
+	laneShare   []float64 // scratch: per-lane quantized share this session
 	// gpuBusySec accumulates each lane's busy GPU-amount-seconds for
 	// Result.PerGPUUtilization; curLane tells runJob which lane the job
 	// it is executing runs on.
@@ -113,10 +121,10 @@ type runLoop struct {
 	// join the pending retrains in the session GPU-share computation.
 	faultBusy []busyWindow
 
-	// Lane-liveness and admission state (gpu-crash faults on a sharded
-	// server; admitCap is nil otherwise and every path below stays
-	// byte-identical to a build without lane faults). alive is the
-	// current liveness mask, maskDirty forces a failover re-pack at the
+	// Lane-liveness and admission state. alive is the current liveness
+	// mask (all lanes alive unless gpu-crash faults strike a sharded
+	// server; admitCap is nil without them and every path below stays
+	// byte-identical to a build without lane faults), maskDirty forces a failover re-pack at the
 	// boundary that changed it, unplacedIdx lists the state indexes the
 	// re-pack could not fit on any surviving lane (ascending), and the
 	// admit* slices carry the period's SLO-feasibility gate decisions:
@@ -165,24 +173,29 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 			Jobs: make([]sched.JobRequest, 0, len(states)),
 		},
 	}
-	for _, st := range states {
+	l.alive = cluster.AllAlive(cfg.NGPUs)
+	l.appNames = make([]string, len(states))
+	l.appIdx = make(map[string]int, len(states))
+	l.laneOf = make([]int, len(states))
+	l.laneApps = make([][]int, cfg.NGPUs)
+	l.laneBusy = make([]float64, cfg.NGPUs)
+	l.laneShare = make([]float64, cfg.NGPUs)
+	for i, st := range states {
 		l.byName[st.inst.App.Name] = st
+		l.appNames[i] = st.inst.App.Name
+		l.appIdx[st.inst.App.Name] = i
 	}
-	if cfg.NGPUs > 1 {
+	if cfg.NGPUs == 1 {
+		// The degenerate placement: one lane serving every app.
+		for i := range states {
+			l.laneApps[0] = append(l.laneApps[0], i)
+		}
+	} else {
 		l.topo = cluster.Topology{NGPUs: cfg.NGPUs, PerGPUBytes: gpu.V100().MemBytes}
-		l.alive = cluster.AllAlive(cfg.NGPUs)
-		l.appNames = make([]string, len(states))
-		l.appIdx = make(map[string]int, len(states))
 		l.wsBytes = make([]int64, len(states))
 		l.loadBuf = make([]float64, len(states))
-		l.laneOf = make([]int, len(states))
-		l.laneApps = make([][]int, cfg.NGPUs)
-		l.laneBusy = make([]float64, cfg.NGPUs)
-		l.laneShare = make([]float64, cfg.NGPUs)
 		l.gpuBusySec = make([]float64, cfg.NGPUs)
 		for i, st := range states {
-			l.appNames[i] = st.inst.App.Name
-			l.appIdx[st.inst.App.Name] = i
 			// The app's GPU working set: every node resident at its full
 			// structure plus its peak activation (the placement-relevant
 			// upper bound; serving may run smaller structures).
@@ -440,16 +453,15 @@ func (l *runLoop) periodStart(period int) {
 		}
 	}
 
+	// The one-lane cluster keeps its degenerate placement: no lane
+	// events, no capacity-checked re-pack, no admission gate.
 	if l.topo.NGPUs > 1 {
-		l.laneEvents(period, start)
-		if l.err != nil {
-			return
+		if l.laneEvents(period, start); l.err == nil {
+			l.placeApps(period, start, n)
 		}
-		l.placeApps(period, start, n)
-		if l.err != nil {
-			return
+		if l.err == nil {
+			l.admitPeriod(period, start, n)
 		}
-		l.admitPeriod(period, start, n)
 		if l.err != nil {
 			return
 		}
@@ -520,6 +532,9 @@ func (l *runLoop) periodStart(period int) {
 				l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: true})
 				continue
 			}
+			// Placement only changes at period boundaries, so the owning
+			// lane is fixed for the whole period.
+			lane := l.laneOf[l.appIdx[r.App]]
 			abandoned := false
 			if l.flt != nil && r.Busy > 0 && r.GPUFraction > 0 {
 				fate := l.flt.RetrainFate(period, i, r.App, r.Node, r.Completion, r.Busy, windowEnd)
@@ -535,17 +550,8 @@ func (l *runLoop) periodStart(period int) {
 					// GPU and then discarded its progress.
 					l.res.FaultRetrainFailures++
 					l.tel.RetrainFault(at.Completion, r.App, r.Node, "retrain-fail", ai)
-					l.rec.RecordBusy(at.Start, at.Completion, r.GPUFraction)
-					lane := l.laneOfApp(r.App)
-					if l.aud != nil && l.admitCap != nil {
-						if err := l.aud.OnRetrainCharge(r.App, lane); err != nil {
-							l.fail(err)
-							return
-						}
-					}
-					if l.gpuBusySec != nil {
-						l.gpuBusySec[lane] += r.GPUFraction * at.Completion.Sub(at.Start).Seconds()
-						l.tel.GPUBusy(lane, at.Completion.Sub(at.Start), r.GPUFraction)
+					if l.chargeRetrain(r.App, lane, at.Start, at.Completion, r.GPUFraction); l.err != nil {
+						return
 					}
 					l.faultBusy = append(l.faultBusy, busyWindow{
 						from: at.Start, to: at.Completion, fraction: r.GPUFraction, lane: lane,
@@ -567,19 +573,10 @@ func (l *runLoop) periodStart(period int) {
 					r.Busy = fate.Busy
 				}
 			}
-			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned})
+			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned, lane: lane})
 			if !abandoned && r.GPUFraction > 0 && r.Busy > 0 {
-				l.rec.RecordBusy(r.Completion.Add(-r.Busy), r.Completion, r.GPUFraction)
-				if l.aud != nil && l.admitCap != nil {
-					if err := l.aud.OnRetrainCharge(r.App, l.laneOfApp(r.App)); err != nil {
-						l.fail(err)
-						return
-					}
-				}
-				if l.gpuBusySec != nil {
-					lane := l.laneOfApp(r.App)
-					l.gpuBusySec[lane] += r.GPUFraction * r.Busy.Seconds()
-					l.tel.GPUBusy(lane, r.Busy, r.GPUFraction)
+				if l.chargeRetrain(r.App, lane, r.Completion.Add(-r.Busy), r.Completion, r.GPUFraction); l.err != nil {
+					return
 				}
 			}
 		}
@@ -632,6 +629,23 @@ func (l *runLoop) periodStart(period int) {
 	l.scheduleNextWork(first - 1)
 }
 
+// chargeRetrain books one whole-pool retraining window [from, to) at
+// the given GPU fraction: the recorder's busy time, the auditor's charge
+// check (under lane faults), and the owning lane's per-GPU counter.
+func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, fraction float64) {
+	l.rec.RecordBusy(from, to, fraction)
+	if l.aud != nil && l.admitCap != nil {
+		if err := l.aud.OnRetrainCharge(app, lane); err != nil {
+			l.fail(err)
+			return
+		}
+	}
+	if l.gpuBusySec != nil {
+		l.gpuBusySec[lane] += fraction * to.Sub(from).Seconds()
+		l.tel.GPUBusy(lane, to.Sub(from), fraction)
+	}
+}
+
 // laneEvents evolves the lane-liveness mask at a period boundary:
 // crash and recovery decisions are pure hashes of the fault seed and
 // (period, lane), so the mask's trajectory — and everything downstream
@@ -680,7 +694,7 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 		l.loadBuf[i] = float64(sum)
 	}
 	ranks := cluster.RankLoads(l.appNames, l.loadBuf)
-	if l.place != nil && !l.maskDirty && cluster.RanksEqual(ranks, l.lastRanks) {
+	if l.lastRanks != nil && !l.maskDirty && cluster.RanksEqual(ranks, l.lastRanks) {
 		return
 	}
 	forced := l.maskDirty
@@ -692,7 +706,7 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 	var pl *cluster.Placement
 	var unplaced []cluster.AppLoad
 	var err error
-	if l.alive == 0 || l.alive == cluster.AllAlive(l.topo.NGPUs) {
+	if l.alive == cluster.AllAlive(l.topo.NGPUs) {
 		pl, err = cluster.Place(l.topo, apps)
 	} else {
 		pl, unplaced, err = cluster.Replace(l.topo, l.alive, apps)
@@ -701,7 +715,7 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 		l.fail(err)
 		return
 	}
-	l.place = pl
+	l.placeDigest = pl.Digest()
 	l.lastRanks = append(l.lastRanks[:0], ranks...)
 	for g := range l.laneApps {
 		l.laneApps[g] = l.laneApps[g][:0]
@@ -849,16 +863,7 @@ func (l *runLoop) smallestLatency(st *appState) func(int, float64) (simtime.Dura
 		nBatches := (n + batch - 1) / batch
 		var total simtime.Duration
 		for _, np := range st.degradedNodes {
-			ti, ok := st.tableIdx[np.Node]
-			if !ok {
-				return 0, fmt.Errorf("serving: no latency table for node %q of %q", np.Node, st.inst.App.Name)
-			}
-			tb := st.costs.Tables()[ti]
-			si, err := tb.StructIdx(np.Structure)
-			if err != nil {
-				return 0, err
-			}
-			per, err := st.costs.PerBatch(ti, si, tb.BatchIdx(batch), f)
+			per, err := st.perBatch(np, batch, f)
 			if err != nil {
 				return 0, err
 			}
@@ -866,15 +871,6 @@ func (l *runLoop) smallestLatency(st *appState) func(int, float64) (simtime.Dura
 		}
 		return total, nil
 	}
-}
-
-// laneOfApp returns the lane the app currently runs on (0 on the
-// single-partition path).
-func (l *runLoop) laneOfApp(name string) int {
-	if l.laneOf == nil {
-		return 0
-	}
-	return l.laneOf[l.appIdx[name]]
 }
 
 // drainRetrains applies every heap entry due at or before maxSession,
@@ -930,7 +926,14 @@ func (l *runLoop) scheduleNextWork(after int) {
 
 // workSession executes one request-bearing session: session planning
 // followed by job execution, or a fast-forward replay when the
-// session's inputs repeat a memoized one.
+// session's inputs repeat a memoized one. Each GPU lane gets its own
+// share (from its own lane's retrain occupancy) and its own session
+// plan over only the apps placed on it, and its jobs execute before the
+// next lane plans — scheduler plans alias reusable arenas, so lane g's
+// plan must be consumed before lane g+1's PlanSession call may
+// overwrite it. The fast-forward memo covers the whole session across
+// lanes: its key carries the placement digest and every lane's share,
+// so a replay reproduces the same per-lane outcomes.
 func (l *runLoop) workSession(sess int) {
 	if l.err != nil {
 		return
@@ -955,202 +958,17 @@ func (l *runLoop) workSession(sess int) {
 			return
 		}
 	}
-	if l.place != nil {
-		l.laneSession(sess, start, si)
-		return
-	}
-
-	// GPU claimed by still-running whole-pool retrains, summed in plan
-	// order (floating-point addition order matters for bit-identity).
-	var retrainGPUBusy float64
-	for i := range l.retrains {
-		pr := &l.retrains[i]
-		if !pr.applied && !pr.abandoned && pr.GPUFraction > 0 && !start.Before(pr.Completion.Add(-pr.Busy)) {
-			retrainGPUBusy += pr.GPUFraction
-		}
-	}
-	// Failed retraining attempts occupy the GPU for their full windows
-	// too (plan order, after the pending list — a fixed summation order
-	// keeps faulted runs bit-identical across repeats).
-	for i := range l.faultBusy {
-		fb := &l.faultBusy[i]
-		if !start.Before(fb.from) && start.Before(fb.to) {
-			retrainGPUBusy += fb.fraction
-		}
-	}
-
-	avail := cfg.GPUs - retrainGPUBusy
-	if avail < 0.1 {
-		avail = 0.1
-	}
-	concurrency := math.Ceil(float64(l.ewmaTa) / float64(cfg.Clock.Session))
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	share := avail / concurrency
-	if share > avail {
-		share = avail
-	}
-	// Quantize for plan-cache friendliness.
-	share = math.Round(share*100) / 100
-	if share < 0.02 {
-		share = 0.02
-	}
-
-	if l.flt != nil {
-		// Per-app fault decisions for this session, computed before the
-		// fast-forward lookup so both the executed and the replayed path
-		// see (and count) the same decisions. The degraded-job counter
-		// and event key off the decision and the actual arrivals — both
-		// fast-forward key inputs — so they are identical with
-		// fast-forward on or off.
-		for i, st := range l.states {
-			l.faultWords[i] = l.flt.SessionWord(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining)
-			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
-				l.res.FaultDegradedJobs++
-				l.tel.Degrade(start, sess, st.inst.App.Name)
-			}
-		}
-	}
-
-	var key []byte
-	capture := false
-	if l.ff != nil {
-		key = l.ff.sessionKey(share, l.predicted, l.actual, si, l.states, l.faultWords)
-		m, c := l.ff.lookup(key)
-		l.tel.FF(m != nil)
-		if m != nil {
-			l.replay(m, start, sess)
-			return
-		}
-		capture = c
-	}
-
-	ctx := l.ctx
-	ctx.Session = sess
-	ctx.Start = start
-	ctx.GPUShare = share
-	ctx.Jobs = ctx.Jobs[:0]
-	for i, st := range l.states {
-		ctx.Jobs = append(ctx.Jobs, sched.JobRequest{
-			Instance: st.inst,
-			Profile:  st.prof,
-			Requests: l.predicted[i][si],
-		})
-	}
-	wall := time.Now()
-	plan, err := cfg.Method.PlanSession(ctx)
-	dt := time.Since(wall)
-	l.res.MeasuredSessionPlanning += dt
-	l.tel.PlanningObserve(dt)
-	if err != nil {
-		l.fail(err)
-		return
-	}
-	if plan.Overhead > l.res.SessionOverhead {
-		// Report the method's solve cost, not a cache hit's zero.
-		l.res.SessionOverhead = plan.Overhead
-	}
-	if l.aud != nil {
-		if err := l.aud.OnSessionPlan(ctx, plan); err != nil {
-			l.fail(err)
-			return
-		}
-	}
-	if l.tel.Tracing() {
-		l.tel.SessionPlan(start, sess, share, plan.Overhead, len(plan.Jobs))
-		for i := range plan.Jobs {
-			jp := &plan.Jobs[i]
-			l.tel.JobPlan(start, sess, jp.App, jp.Fraction, jp.Batch, jp.InferTime, jp.RetrainTime)
-		}
-	}
-
-	var memo *sessionMemo
-	if capture {
-		memo = &sessionMemo{overhead: plan.Overhead}
-	}
-	mutated := false
-	var sessionMakespan simtime.Duration
-	for i, st := range l.states {
-		if l.actual[i][si] == 0 {
-			continue
-		}
-		jp := jobPlanFor(plan, st.inst.App.Name)
-		var degraded sched.JobPlan
-		if l.flt != nil && l.faultWords[i]&1 != 0 {
-			// Transient GPU-memory allocation failure: the planned (or
-			// fallback) structures cannot be made resident this session.
-			// Serve with the smallest profiled structure of every node
-			// and no retraining slice — the stale model at a strictly
-			// lower latency, never an SLO violation.
-			degraded = sched.JobPlan{
-				App:      st.inst.App.Name,
-				Fraction: 0.02,
-				Batch:    fallbackBatch(l.actual[i][si]),
-				Nodes:    st.degradedNodes,
-			}
-			if jp != nil && jp.Fraction > 0 && jp.Batch > 0 {
-				degraded.Fraction, degraded.Batch = jp.Fraction, jp.Batch
-			}
-			if l.aud != nil {
-				if err := l.aud.OnFaultDegrade(ctx, i, jp, &degraded); err != nil {
-					l.fail(err)
-					return
-				}
-			}
-			jp = &degraded
-		}
-		dur, mut, err := l.runJob(st, jp, plan.Overhead, start, l.actual[i][si], memo)
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		if l.aud != nil {
-			// Same SLO comparison runJob scored the requests with.
-			if err := l.aud.OnServed(st.inst.App.Name, l.actual[i][si], dur <= st.inst.App.SLO); err != nil {
-				l.fail(err)
-				return
-			}
-		}
-		mutated = mutated || mut
-		if dur > sessionMakespan {
-			sessionMakespan = dur
-		}
-	}
-	if sessionMakespan > 0 {
-		l.ewmaTa = time.Duration(0.1*float64(sessionMakespan) + 0.9*float64(l.ewmaTa))
-	}
-	if sessionMakespan > l.maxSpan {
-		l.maxSpan = sessionMakespan
-	}
-	if memo != nil && !mutated {
-		// Only mutation-free sessions memoize: a hit must leave the
-		// simulation in exactly the state the full execution would.
-		memo.makespan = sessionMakespan
-		l.ff.store(key, memo)
-	}
-}
-
-// laneSession is workSession on a sharded server: each GPU lane gets
-// its own share (from its own lane's retrain occupancy), its own
-// session plan over only the apps placed on it, and its jobs execute
-// before the next lane plans — scheduler plans alias reusable arenas,
-// so lane g's plan must be consumed before lane g+1's PlanSession call
-// may overwrite it. The fast-forward memo covers the whole session
-// across lanes: its key carries the placement digest and every lane's
-// share, so a replay reproduces the same per-lane outcomes.
-func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
-	cfg := l.cfg
-
-	// Retrain occupancy per lane, in plan order within each lane (the
-	// summation order is fixed by the plan, keeping runs bit-identical).
+	// GPU claimed per lane by still-running whole-pool retrains, then by
+	// failed retraining attempts (which occupy the GPU for their full
+	// windows), each in plan order: the fixed floating-point summation
+	// order keeps runs bit-identical across repeats.
 	for g := range l.laneBusy {
 		l.laneBusy[g] = 0
 	}
 	for i := range l.retrains {
 		pr := &l.retrains[i]
 		if !pr.applied && !pr.abandoned && pr.GPUFraction > 0 && !start.Before(pr.Completion.Add(-pr.Busy)) {
-			l.laneBusy[l.laneOfApp(pr.App)] += pr.GPUFraction
+			l.laneBusy[pr.lane] += pr.GPUFraction
 		}
 	}
 	for i := range l.faultBusy {
@@ -1173,6 +991,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 		if share > avail {
 			share = avail
 		}
+		// Quantize for plan-cache friendliness.
 		share = math.Round(share*100) / 100
 		if share < 0.02 {
 			share = 0.02
@@ -1183,10 +1002,13 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 	if l.flt != nil {
 		// Per-app fault decisions, keyed by the owning lane so a
 		// placement change re-rolls them (two lanes never share a memory
-		// partition); computed before the fast-forward lookup exactly as
-		// on the single-partition path.
+		// partition). They are computed before the fast-forward lookup so
+		// both the executed and the replayed path see (and count) the same
+		// decisions. The degraded-job counter and event key off the
+		// decision and the actual arrivals — both fast-forward key inputs —
+		// so they are identical with fast-forward on or off.
 		for i, st := range l.states {
-			l.faultWords[i] = l.flt.SessionWordGPU(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining, l.laneOf[i])
+			l.faultWords[i] = l.flt.SessionWord(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining, l.laneOf[i])
 			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
 				l.res.FaultDegradedJobs++
 				l.tel.Degrade(start, sess, st.inst.App.Name)
@@ -1197,7 +1019,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 	var key []byte
 	capture := false
 	if l.ff != nil {
-		key = l.ff.laneKey(l.place.Digest(), l.alive, l.laneShare, l.predicted, l.actual, si, l.states, l.faultWords, l.admitWords)
+		key = l.ff.laneKey(l.placeDigest, l.alive, l.laneShare, l.predicted, l.actual, si, l.states, l.faultWords, l.admitWords)
 		m, c := l.ff.lookup(key)
 		l.tel.FF(m != nil)
 		if m != nil {
@@ -1251,6 +1073,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 			return
 		}
 		if plan.Overhead > l.res.SessionOverhead {
+			// Report the method's solve cost, not a cache hit's zero.
 			l.res.SessionOverhead = plan.Overhead
 		}
 		if memo != nil && plan.Overhead > memo.overhead {
@@ -1312,6 +1135,11 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 				}
 				jp = &degraded
 			} else if l.flt != nil && l.faultWords[i]&1 != 0 {
+				// Transient GPU-memory allocation failure: the planned (or
+				// fallback) structures cannot be made resident this
+				// session. Serve with the smallest profiled structure of
+				// every node and no retraining slice — the stale model at a
+				// strictly lower latency, never an SLO violation.
 				degraded = sched.JobPlan{
 					App:      st.inst.App.Name,
 					Fraction: 0.02,
@@ -1335,6 +1163,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 				return
 			}
 			if l.aud != nil {
+				// Same SLO comparison runJob scored the requests with.
 				if err := l.aud.OnServed(st.inst.App.Name, served, dur <= st.inst.App.SLO); err != nil {
 					l.fail(err)
 					return
@@ -1346,13 +1175,10 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 			}
 		}
 	}
-	if sessionMakespan > 0 {
-		l.ewmaTa = time.Duration(0.1*float64(sessionMakespan) + 0.9*float64(l.ewmaTa))
-	}
-	if sessionMakespan > l.maxSpan {
-		l.maxSpan = sessionMakespan
-	}
+	l.noteMakespan(sessionMakespan)
 	if memo != nil && !mutated {
+		// Only mutation-free sessions memoize: a hit must leave the
+		// simulation in exactly the state the full execution would.
 		memo.makespan = sessionMakespan
 		l.ff.store(key, memo)
 	}
@@ -1436,11 +1262,17 @@ func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) {
 			}
 		}
 	}
-	if m.makespan > 0 {
-		l.ewmaTa = time.Duration(0.1*float64(m.makespan) + 0.9*float64(l.ewmaTa))
+	l.noteMakespan(m.makespan)
+}
+
+// noteMakespan folds a session's makespan (its slowest job across every
+// lane) into the run-wide EWMA and the longest-span bound.
+func (l *runLoop) noteMakespan(d simtime.Duration) {
+	if d > 0 {
+		l.ewmaTa = time.Duration(0.1*float64(d) + 0.9*float64(l.ewmaTa))
 	}
-	if m.makespan > l.maxSpan {
-		l.maxSpan = m.makespan
+	if d > l.maxSpan {
+		l.maxSpan = d
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 )
 
 // fastForward is the steady-state session memo: when a session's
-// planning inputs — the quantized GPU share, every app's predicted and
-// actual request counts, and a digest of every app's mutable
-// planning-relevant state — exactly repeat an earlier session of the
-// same period, the earlier session's executed outcome is replayed
-// instead of planning and executing again. Only sessions that mutated
-// nothing (no retraining progress) are memoized, so a hit is guaranteed
-// to leave the simulation in the same state the full execution would
-// have. The table is cleared at every period boundary because the
+// planning inputs — the placement, every lane's quantized GPU share,
+// every app's predicted and actual request counts, and a digest of
+// every app's mutable planning-relevant state — exactly repeat an
+// earlier session of the same period, the earlier session's executed
+// outcome is replayed instead of planning and executing again. Only
+// sessions that mutated nothing (no retraining progress) are memoized,
+// so a hit is guaranteed to leave the simulation in the same state the
+// full execution would have. The table is cleared at every period boundary because the
 // period plan, the pool/live distributions, and the scheduler's
 // per-period caches all change there.
 //
@@ -69,34 +69,18 @@ func (f *fastForward) reset() {
 	clear(f.table)
 }
 
-// sessionKey builds the lookup key into f.buf (reused across sessions)
-// and returns it. The caller must copy before storing. faultWords is
-// empty with faults disabled (leaving the key bytes untouched) and
-// otherwise carries each app's session fault decisions, so a replay
-// can only match an execution that ran under identical injections.
-func (f *fastForward) sessionKey(share float64, predicted, actual [][]int, si int, states []*appState, faultWords []uint64) []byte {
-	b := f.buf[:0]
-	b = appendU64(b, math.Float64bits(share))
-	for i, st := range states {
-		b = appendU64(b, uint64(predicted[i][si]))
-		b = appendU64(b, uint64(actual[i][si]))
-		b = appendU64(b, st.digest())
-	}
-	for _, w := range faultWords {
-		b = appendU64(b, w)
-	}
-	f.buf = b
-	return b
-}
-
-// laneKey is sessionKey for a sharded server: the placement digest and
-// every lane's quantized share replace the single global share. A
-// replay can therefore only match an execution that ran under the same
-// app→GPU assignment and the same per-lane compute splits. alive is
-// the lane-liveness mask and admitWords the per-app admission-gate
-// decisions (nil without gpu-crash faults, adding no key bytes): a
-// degraded session can only replay an execution that ran under the
-// identical mask and admission state.
+// laneKey builds the lookup key into f.buf (reused across sessions)
+// and returns it; the caller must copy before storing. The placement
+// digest and every lane's quantized share make a replay match only an
+// execution that ran under the same app→GPU assignment and the same
+// per-lane compute splits (on the one-lane cluster the digest is a
+// constant and there is one share). alive is the lane-liveness mask.
+// faultWords is empty with faults disabled and otherwise carries each
+// app's session fault decisions; admitWords carries the per-app
+// admission-gate decisions and is nil without gpu-crash faults. Both add
+// no key bytes when off, and otherwise a degraded or faulted session can
+// only replay an execution that ran under identical injections and
+// admission state.
 func (f *fastForward) laneKey(placement, alive uint64, shares []float64, predicted, actual [][]int, si int, states []*appState, faultWords, admitWords []uint64) []byte {
 	b := f.buf[:0]
 	b = appendU64(b, placement)

@@ -16,6 +16,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,13 +44,13 @@ type Config struct {
 	Method sched.Method
 	// GPUs is the edge server's GPU count (default 4).
 	GPUs float64
-	// NGPUs shards the server into that many GPU lanes (default 1: the
-	// single shared partition every earlier configuration ran on, with
-	// byte-identical results). With NGPUs > 1, apps are bin-packed onto
-	// lanes by profiled working-set bytes and predicted load
-	// (internal/cluster), each lane runs its own session planning over
-	// its GPUs/NGPUs share of the compute, and retraining is charged to
-	// the owning lane.
+	// NGPUs shards the server into that many GPU lanes. Each lane runs
+	// its own session planning over its GPUs/NGPUs share of the compute,
+	// and retraining is charged to the owning lane. The default 1 is the
+	// one-lane cluster: every app shares the single partition, with no
+	// per-GPU capacity check, no placement events and no per-GPU
+	// utilization series. With NGPUs > 1, apps are bin-packed onto lanes
+	// by profiled working-set bytes and predicted load (internal/cluster).
 	NGPUs int
 	// Horizon is the simulated duration (default 1000 s as §2).
 	Horizon simtime.Duration
@@ -127,7 +128,7 @@ func (c *Config) fillDefaults() error {
 	if c.GPUs == 0 {
 		c.GPUs = 4
 	}
-	if c.GPUs < 0 {
+	if !(c.GPUs > 0) || math.IsInf(c.GPUs, 0) {
 		return fmt.Errorf("serving: %g GPUs", c.GPUs)
 	}
 	if c.NGPUs == 0 {
@@ -156,6 +157,19 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.PredictAlpha == 0 {
 		c.PredictAlpha = 0.4
+	}
+	// Defaulting only replaces zeros: reject what is left out of range
+	// before it can hang the arrival generator (NaN rate) or size the
+	// metric series negatively (negative horizon).
+	switch {
+	case c.Horizon <= 0:
+		return fmt.Errorf("serving: horizon %v not positive", c.Horizon)
+	case !(c.RatePerApp > 0) || math.IsInf(c.RatePerApp, 0):
+		return fmt.Errorf("serving: rate %g req/s not finite and positive", c.RatePerApp)
+	case c.PoolSamples < 0 || c.BootstrapSamples < 0:
+		return fmt.Errorf("serving: negative sample count (pool %d, bootstrap %d)", c.PoolSamples, c.BootstrapSamples)
+	case !(c.PredictAlpha > 0 && c.PredictAlpha <= 1):
+		return fmt.Errorf("serving: predictor alpha %g outside (0, 1]", c.PredictAlpha)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -344,6 +358,9 @@ type pendingRetrain struct {
 	// applies, claims no GPU beyond its failed attempts, and the stale
 	// model keeps serving.
 	abandoned bool
+	// lane is the GPU lane the owning app was placed on when the period
+	// plan was built; its GPU claim is charged there.
+	lane int
 }
 
 // ProfileBuildOptions tunes BuildProfilesWith beyond the memory
@@ -705,19 +722,8 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 				}
 			}
 		}
-		// Inference at the realized request count, through the
-		// flattened-table probe memo (same fitted laws as the map-walk
-		// profile API, so latencies are bit-identical).
-		ti, ok := st.tableIdx[np.Node]
-		if !ok {
-			return 0, false, fmt.Errorf("serving: no latency table for node %q of %q", np.Node, a.Name)
-		}
-		tb := st.costs.Tables()[ti]
-		si, err := tb.StructIdx(np.Structure)
-		if err != nil {
-			return 0, false, err
-		}
-		per, err := st.costs.PerBatch(ti, si, tb.BatchIdx(batch), fraction)
+		// Inference at the realized request count.
+		per, err := st.perBatch(np, batch, fraction)
 		if err != nil {
 			return 0, false, err
 		}
@@ -795,6 +801,23 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		})
 	}
 	return latency, mutated, nil
+}
+
+// perBatch is one node's per-batch inference latency under the node
+// plan's structure at the given batch size and GPU fraction, through the
+// flattened-table probe memo (same fitted laws as the map-walk profile
+// API, so latencies are bit-identical).
+func (st *appState) perBatch(np sched.NodePlan, batch int, fraction float64) (simtime.Duration, error) {
+	ti, ok := st.tableIdx[np.Node]
+	if !ok {
+		return 0, fmt.Errorf("serving: no latency table for node %q of %q", np.Node, st.inst.App.Name)
+	}
+	tb := st.costs.Tables()[ti]
+	si, err := tb.StructIdx(np.Structure)
+	if err != nil {
+		return 0, err
+	}
+	return st.costs.PerBatch(ti, si, tb.BatchIdx(batch), fraction)
 }
 
 func fallbackBatch(actual int) int {

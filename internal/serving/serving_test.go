@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -185,12 +186,43 @@ func TestBuildProfilesWithParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestConfigValidation pins that every out-of-range Config value left
+// after defaulting is rejected with an error before the run starts —
+// never a hang (NaN rate) or a panic (negative horizon).
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("nil method accepted")
 	}
-	if _, err := Run(Config{Method: core.New(core.Options{}), GPUs: -1}); err == nil {
-		t.Fatal("negative GPUs accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"negative GPUs", func(c *Config) { c.GPUs = -1 }},
+		{"NaN GPUs", func(c *Config) { c.GPUs = nan }},
+		{"infinite GPUs", func(c *Config) { c.GPUs = inf }},
+		{"-infinite GPUs", func(c *Config) { c.GPUs = -inf }},
+		{"negative horizon", func(c *Config) { c.Horizon = -100 * time.Second }},
+		{"negative rate", func(c *Config) { c.RatePerApp = -5 }},
+		{"NaN rate", func(c *Config) { c.RatePerApp = nan }},
+		{"infinite rate", func(c *Config) { c.RatePerApp = inf }},
+		{"negative pool samples", func(c *Config) { c.PoolSamples = -1 }},
+		{"negative bootstrap samples", func(c *Config) { c.BootstrapSamples = -1 }},
+		{"negative alpha", func(c *Config) { c.PredictAlpha = -0.1 }},
+		{"alpha above one", func(c *Config) { c.PredictAlpha = 1.5 }},
+		{"NaN alpha", func(c *Config) { c.PredictAlpha = nan }},
+		{"negative lanes", func(c *Config) { c.NGPUs = -1 }},
+	} {
+		cfg := Config{Method: core.New(core.Options{})}
+		tc.mod(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	// The edge of the alpha range is valid: defaulting must not reject it.
+	cfg := Config{Method: core.New(core.Options{}), PredictAlpha: 1}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Errorf("alpha 1 rejected: %v", err)
 	}
 }
 
