@@ -46,10 +46,6 @@ func main() {
 		chromePath = flag.String("trace-chrome", "", "also convert the trace to a Chrome trace_event file for chrome://tracing or Perfetto (requires -trace)")
 		histOn     = flag.Bool("hist", false, "collect latency histograms and report p50/p90/p99/p99.9")
 
-		planWorkers = flag.Int("plan-workers", 0,
-			"scheduler candidate-search workers per session plan (0 = one per CPU, 1 = serial; metrics are byte-identical either way)")
-		planMemo = flag.Bool("plan-memo", true,
-			"memoize session plans across periods (metrics are byte-identical either way)")
 		profileWorkers = flag.Int("profile-workers", 0,
 			"offline-profiler work units measured concurrently (0 = one per CPU, 1 = serial; profiles are byte-identical either way)")
 		faultSpec = flag.String("faults", "",
@@ -70,18 +66,11 @@ func main() {
 		cliflags.Lanes("-ngpus", *ngpus),
 		cliflags.Rate("-rate", *rate, false),
 		cliflags.Horizon("-horizon", *horizon, false),
-		cliflags.Workers("-plan-workers", *planWorkers),
 		cliflags.Workers("-profile-workers", *profileWorkers),
 		faultErr,
 	); err != nil {
 		fatal(err)
 	}
-	pw := *planWorkers
-	if pw == 0 {
-		pw = runtime.GOMAXPROCS(0)
-	}
-	core.SetDefaultPlanWorkers(pw)
-	core.SetDefaultPlanMemo(*planMemo)
 
 	apps, err := app.CatalogN(*nApps)
 	if err != nil {
@@ -163,10 +152,6 @@ func main() {
 	fmt.Printf("  inference/job:   %.1f ms\n", res.MeanInferLatencyMs)
 	fmt.Printf("  retraining/job:  %.1f ms\n", res.MeanRetrainLatencyMs)
 	fmt.Printf("  requests served: %d in %d jobs\n", res.Requests, res.Jobs)
-	if res.PlanMemoHits+res.PlanMemoMisses > 0 {
-		fmt.Printf("  plan memo:       %d hits / %d misses / %d invalidated\n",
-			res.PlanMemoHits, res.PlanMemoMisses, res.PlanMemoInvalidated)
-	}
 	if res.EdgeCloudBytes > 0 {
 		fmt.Printf("  edge-cloud:      %.1f GB in %.1fs per period\n",
 			float64(res.EdgeCloudBytes)/1e9, res.EdgeCloudTransfer.Seconds())

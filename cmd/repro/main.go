@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"adainf/internal/cliflags"
-	"adainf/internal/core"
 	"adainf/internal/experiments"
 	"adainf/internal/profile"
 )
@@ -68,10 +67,6 @@ func main() {
 			"collect latency histograms per arm; latency tables gain p50/p99/p99.9 columns (metrics are bit-identical either way)")
 		traceDir = flag.String("trace", "",
 			"write one JSONL decision trace per simulation arm into this directory (validate/convert with tracecheck)")
-		planWorkers = flag.Int("plan-workers", 0,
-			"scheduler candidate-search workers per session plan (0 = one per CPU, 1 = serial; plans are byte-identical either way)")
-		planMemo = flag.Bool("plan-memo", true,
-			"memoize session plans across periods (plans are byte-identical either way)")
 		profileWorkers = flag.Int("profile-workers", 0,
 			"offline-profiler work units measured concurrently (0 = one per CPU, 1 = serial; profiles are byte-identical either way)")
 		profClear = flag.Bool("profile-cache-clear", false,
@@ -91,7 +86,6 @@ func main() {
 	faultCfg, faultErr := cliflags.Faults("-faults", *faultSpec, *faultSeed)
 	if err := cliflags.First(
 		cliflags.Workers("-parallel", *parallel),
-		cliflags.Workers("-plan-workers", *planWorkers),
 		cliflags.Workers("-profile-workers", *profileWorkers),
 		cliflags.Lanes("-gpus", *gpus),
 		cliflags.Rate("-rate", *rate, true),
@@ -101,12 +95,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
-	pw := *planWorkers
-	if pw == 0 {
-		pw = runtime.GOMAXPROCS(0)
-	}
-	core.SetDefaultPlanWorkers(pw)
-	core.SetDefaultPlanMemo(*planMemo)
 	pfw := *profileWorkers
 	if pfw == 0 {
 		pfw = runtime.GOMAXPROCS(0)

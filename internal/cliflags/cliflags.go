@@ -1,5 +1,5 @@
-// Package cliflags validates the numeric flags shared by the adainf,
-// repro, and bench commands, so every binary rejects nonsensical
+// Package cliflags validates the numeric flags shared by the adainf
+// and repro commands, so every binary rejects nonsensical
 // worker and GPU counts with the same message instead of silently
 // clamping them (or worse, passing them through to the engine).
 package cliflags
@@ -9,11 +9,12 @@ import (
 	"math"
 	"time"
 
+	"adainf/internal/cluster"
 	"adainf/internal/faults"
 )
 
 // Workers validates a worker-count flag whose zero value means "one
-// per CPU" (-plan-workers, -profile-workers, -parallel, -workers).
+// per CPU" (-profile-workers, -parallel).
 // Only negative values are invalid.
 func Workers(name string, v int) error {
 	if v < 0 {
@@ -22,11 +23,11 @@ func Workers(name string, v int) error {
 	return nil
 }
 
-// Lanes validates a GPU lane-count flag (-gpus on repro and bench,
-// -ngpus on adainf): a server shards into at least one lane.
+// Lanes validates a GPU lane-count flag (-gpus on repro, -ngpus on
+// adainf): a server shards into 1..cluster.MaxGPUs lanes.
 func Lanes(name string, v int) error {
-	if v < 1 {
-		return fmt.Errorf("%s must be >= 1, got %d", name, v)
+	if v < 1 || v > cluster.MaxGPUs {
+		return fmt.Errorf("%s must be in 1..%d, got %d", name, cluster.MaxGPUs, v)
 	}
 	return nil
 }

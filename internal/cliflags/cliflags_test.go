@@ -20,14 +20,16 @@ func TestValidators(t *testing.T) {
 		err  error
 		ok   bool
 	}{
-		{"workers auto", Workers("-plan-workers", 0), true},
-		{"workers serial", Workers("-plan-workers", 1), true},
+		{"workers auto", Workers("-parallel", 0), true},
+		{"workers serial", Workers("-parallel", 1), true},
 		{"workers many", Workers("-profile-workers", 64), true},
-		{"workers negative", Workers("-plan-workers", -1), false},
+		{"workers negative", Workers("-parallel", -1), false},
 		{"workers very negative", Workers("-profile-workers", -100), false},
 
 		{"lanes one", Lanes("-gpus", 1), true},
 		{"lanes many", Lanes("-gpus", 8), true},
+		{"lanes max", Lanes("-gpus", 64), true},
+		{"lanes beyond mask", Lanes("-ngpus", 65), false},
 		{"lanes zero", Lanes("-gpus", 0), false},
 		{"lanes negative", Lanes("-ngpus", -2), false},
 
@@ -77,8 +79,8 @@ func TestValidators(t *testing.T) {
 // TestErrorNamesFlag pins the message contract: the user sees which
 // flag failed and the value they passed.
 func TestErrorNamesFlag(t *testing.T) {
-	err := Workers("-plan-workers", -3)
-	if err == nil || !strings.Contains(err.Error(), "-plan-workers") ||
+	err := Workers("-profile-workers", -3)
+	if err == nil || !strings.Contains(err.Error(), "-profile-workers") ||
 		!strings.Contains(err.Error(), "-3") {
 		t.Errorf("unhelpful error: %v", err)
 	}

@@ -20,11 +20,15 @@ import (
 	"sort"
 )
 
+// MaxGPUs is the most lanes a Topology can describe: lane liveness is
+// a 64-bit mask, so lane 64 and above could never be alive.
+const MaxGPUs = 64
+
 // Topology describes the edge server's accelerator layout: how many
 // discrete GPUs it has and how much memory each one offers for model
 // residency.
 type Topology struct {
-	// NGPUs is the number of discrete GPU lanes (≥ 1).
+	// NGPUs is the number of discrete GPU lanes (1..MaxGPUs).
 	NGPUs int
 	// PerGPUBytes is each GPU's memory capacity in bytes (> 0).
 	PerGPUBytes int64
@@ -70,8 +74,8 @@ func (t Topology) NAlive() int {
 
 // Validate checks the topology's well-formedness.
 func (t Topology) Validate() error {
-	if t.NGPUs < 1 {
-		return fmt.Errorf("cluster: %d GPUs", t.NGPUs)
+	if t.NGPUs < 1 || t.NGPUs > MaxGPUs {
+		return fmt.Errorf("cluster: %d GPUs, want 1..%d", t.NGPUs, MaxGPUs)
 	}
 	if t.PerGPUBytes <= 0 {
 		return fmt.Errorf("cluster: %d bytes per GPU", t.PerGPUBytes)

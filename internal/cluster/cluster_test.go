@@ -26,6 +26,26 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+// TestTopologyMaxGPUs pins the lane-mask bound: MaxGPUs lanes are all
+// alive and valid, one more is rejected rather than leaving a lane
+// that the 64-bit liveness mask can never mark alive.
+func TestTopologyMaxGPUs(t *testing.T) {
+	full := Topology{NGPUs: MaxGPUs, PerGPUBytes: 1}
+	if err := full.Validate(); err != nil {
+		t.Fatalf("%d lanes: %v", MaxGPUs, err)
+	}
+	if n := full.NAlive(); n != MaxGPUs {
+		t.Fatalf("NAlive = %d, want %d", n, MaxGPUs)
+	}
+	if !full.LaneAlive(MaxGPUs - 1) {
+		t.Fatalf("lane %d dead", MaxGPUs-1)
+	}
+	over := Topology{NGPUs: MaxGPUs + 1, PerGPUBytes: 1}
+	if err := over.Validate(); err == nil {
+		t.Fatalf("%d lanes accepted; NAlive = %d", over.NGPUs, over.NAlive())
+	}
+}
+
 func randomCatalog(rng *rand.Rand, n int) []AppLoad {
 	loads := make([]float64, n)
 	names := make([]string, n)

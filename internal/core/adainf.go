@@ -19,24 +19,21 @@
 // the memory-strategy variants (/M1 /M2) live in the serving engine's
 // execution configuration, and /U in its DAG-update policy.
 //
-// PlanSession's candidate searches can run on a bounded worker pool and
-// whole plans are memoized across periods; see planner.go for the
-// determinism and soundness arguments.
+// PlanSession plans every session in full, serially; only the
+// per-period caches described on Scheduler let it skip work.
 package core
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"adainf/internal/app"
+	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/drift"
 	"adainf/internal/profile"
 	"adainf/internal/sched"
 	"adainf/internal/simtime"
-	"adainf/internal/telemetry"
 )
 
 // DefaultMinFraction is the smallest GPU-space slice a job can be
@@ -71,15 +68,13 @@ type Options struct {
 	Overhead simtime.Duration
 	// Label overrides Name() for variant reporting.
 	Label string
-	// PlanWorkers bounds the worker pool that evaluates independent
-	// per-job candidate searches inside PlanSession. Zero takes the
-	// process-wide default (SetDefaultPlanWorkers); 1 plans serially.
-	// Plans are byte-identical at any worker count.
-	PlanWorkers int
-	// DisablePlanMemo turns off cross-period session-plan memoization
-	// for this scheduler regardless of the process-wide default.
-	DisablePlanMemo bool
 }
+
+// SetDefaultPlanWorkers does nothing: PlanSession is serial.
+//
+// Deprecated: the planner's worker pool was removed; the call remains
+// only so existing callers compile.
+func SetDefaultPlanWorkers(int) {}
 
 // Scheduler is the AdaInf session scheduler.
 type Scheduler struct {
@@ -87,52 +82,27 @@ type Scheduler struct {
 	dags        map[string]*sched.RIDag
 	lastReports map[string]map[string]drift.Report
 
-	// Planner configuration resolved in New (planner.go).
-	workers    int
-	memoOn     bool
-	memoVerify bool
-	tel        *telemetry.Collector
-
-	// Memoization, coarsest to finest:
-	//
-	// memo holds whole session plans keyed on every input they depend
-	// on; it survives period boundaries because the key does (planner.go).
+	// Caches, coarsest to finest:
 	//
 	// reqFracCache holds the §3.3.1 SLO-space inversion per (app,
 	// padded requests). It is computed at full structures from the
-	// immutable profile only, so it too survives periods.
+	// immutable profile only, so it survives periods.
 	//
 	// jobBaseCache holds the per-job structure/batch choice per (app,
 	// requests, quantized fraction). Structure choice reads the model
 	// states and the retraining pools, so it is dropped every
-	// OnPeriodStart — and deliberately not refreshed within a period
-	// (that staleness is what jobBase.stateTag guards the plan memo
-	// against).
+	// OnPeriodStart — and deliberately not refreshed within a period.
+	//
+	// poolDists holds each node's retraining-pool distribution, which
+	// structure choice reads; the pool only changes at AdvancePeriod, so
+	// it too is dropped every OnPeriodStart.
 	//
 	// costs memoizes individual latency probes per application profile
 	// and backs all of the above.
-	memo         planMemo
 	reqFracCache map[reqKey]float64
 	jobBaseCache map[baseKey]*jobBase
+	poolDists    map[*app.NodeInstance]*dist.Categorical
 	costs        map[*profile.AppProfile]*profile.LatencyCache
-
-	// Per-period pool-distribution cache (planner.go); mutex-guarded
-	// because pool workers probe it concurrently.
-	poolDistMu sync.Mutex
-	poolDists  map[*app.NodeInstance]poolDistEntry
-
-	memoHits        uint64
-	memoMisses      uint64
-	memoInvalidated uint64
-	// missStreak counts consecutive memo misses. Once it reaches
-	// memoMissStreakLimit the memo goes dormant for the rest of the
-	// period (memoSkip): with FIFO eviction a streak twice the capacity
-	// proves every stored entry cycled out unused, so under the current
-	// drift conditions keys cannot recur fast enough to hit — keying is
-	// pure overhead. OnPeriodStart re-arms the memo, since drift (and
-	// with it key churn) changes at period boundaries.
-	missStreak int
-	memoSkip   bool
 
 	// Reusable planning storage. PlanSession runs every 5 ms session;
 	// these arenas keep its steady state allocation-free. The returned
@@ -143,20 +113,10 @@ type Scheduler struct {
 	plan      sched.SessionPlan
 	nodeBuf   []sched.NodePlan
 
-	// Staging for the parallel candidate searches: workers write only
-	// their own index; merges happen serially in index order.
-	reqMissIdx  []int
-	reqMissVal  []float64
-	reqMissErr  []error
-	baseMissIdx []int
-	baseMissVal []*jobBase
-	baseMissErr []error
-	usedBases   []*jobBase
-	keyBuf      []byte
-
-	// basePool recycles jobBase values evicted at period boundaries
-	// (their slices dominate the planner's steady-state allocations).
-	basePool sync.Pool
+	// spareBases recycles the jobBase values dropped at period
+	// boundaries (their slices dominate the planner's steady-state
+	// allocations).
+	spareBases []*jobBase
 }
 
 type reqKey struct {
@@ -177,16 +137,14 @@ func fracKey(fraction float64) int {
 	return int(math.Round(fraction * 1000))
 }
 
-// resizeFloats returns a zeroed float slice of length n, reusing the
-// given backing array when it is large enough.
-func resizeFloats(s []float64, n int) []float64 {
+// resizeSlice returns a zeroed slice of length n, reusing the backing
+// array when large enough.
+func resizeSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -198,10 +156,6 @@ type jobBase struct {
 	structs    []dnn.Structure
 	inferTimes []simtime.Duration
 	inferTotal simtime.Duration
-	// stateTag folds the model-state versions the structure choice read
-	// (jobStateTag); the plan memo refuses to store plans assembled
-	// from a base whose states have since moved.
-	stateTag uint64
 }
 
 // New returns an AdaInf scheduler with the options.
@@ -212,26 +166,15 @@ func New(opts Options) *Scheduler {
 	if opts.Overhead == 0 {
 		opts.Overhead = DefaultOverhead
 	}
-	workers := opts.PlanWorkers
-	if workers == 0 {
-		workers = int(defaultPlanWorkers.Load())
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s := &Scheduler{
+	return &Scheduler{
 		opts:         opts,
-		workers:      workers,
-		memoOn:       !opts.DisablePlanMemo && !defaultPlanMemoOff.Load(),
 		dags:         make(map[string]*sched.RIDag),
 		lastReports:  make(map[string]map[string]drift.Report),
 		reqFracCache: make(map[reqKey]float64),
 		jobBaseCache: make(map[baseKey]*jobBase),
+		poolDists:    make(map[*app.NodeInstance]*dist.Categorical),
 		costs:        make(map[*profile.AppProfile]*profile.LatencyCache),
-		poolDists:    make(map[*app.NodeInstance]poolDistEntry),
 	}
-	s.basePool.New = func() any { return new(jobBase) }
-	return s
 }
 
 // Name implements sched.Scheduler.
@@ -250,9 +193,7 @@ func (s *Scheduler) SteadyStatePlanning() {}
 
 // PlanSession implements sched.Scheduler. The returned plan aliases the
 // scheduler's reusable storage and is valid until the next PlanSession
-// call (see sched.Scheduler). When memoization is on and the session's
-// full input fingerprint matches a stored plan, that plan is returned
-// without recomputation (planner.go).
+// call (see sched.Scheduler).
 func (s *Scheduler) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
 	s.plan = sched.SessionPlan{
 		Session:  ctx.Session,
@@ -278,76 +219,13 @@ func (s *Scheduler) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, 
 		}
 		totalNodes += len(jr.Instance.Nodes())
 	}
-	if !s.memoOn || s.memoSkip {
-		return s.planFull(ctx, totalNodes)
-	}
-	key, err := s.memoKey(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// The digest is pure telemetry identity (the map keys on the full
-	// bytes); don't pay for it when nothing collects it.
-	var digest uint64
-	if s.tel != nil {
-		digest = fnvDigest(key)
-	}
-	if e := s.memo.get(key); e != nil {
-		s.missStreak = 0
-		s.notePlanMemo(ctx.Start, "hit", digest)
-		if !s.memoVerify {
-			e.plan.Session = ctx.Session
-			return &e.plan, nil
-		}
-		plan, err := s.planFull(ctx, totalNodes)
-		if err != nil {
-			return nil, err
-		}
-		if !plansEquivalent(plan, &e.plan) {
-			return nil, fmt.Errorf("core: plan memo verification failed (session %d, digest %x)", ctx.Session, digest)
-		}
-		return plan, nil
-	}
-	plan, err := s.planFull(ctx, totalNodes)
-	if err != nil {
-		return nil, err
-	}
-	s.notePlanMemo(ctx.Start, "miss", digest)
-	if s.missStreak++; s.missStreak >= memoMissStreakLimit {
-		s.memoSkip = true
-		return plan, nil
-	}
-	if s.planMemoizable(ctx) {
-		if evDigest, evicted := s.memo.put(key, digest, plan); evicted {
-			s.notePlanMemo(ctx.Start, "invalidated", evDigest)
-		}
-	}
-	return plan, nil
+	return s.planFull(ctx, totalNodes)
 }
 
-// planMemoizable reports whether the plan just assembled reflects a
-// fresh computation under the session's memo key: every jobBase it used
-// must have been derived from the model states the key fingerprints.
-// See jobStateTag.
-func (s *Scheduler) planMemoizable(ctx *sched.SessionContext) bool {
-	for i := range ctx.Jobs {
-		base := s.usedBases[i]
-		if base == nil {
-			continue
-		}
-		if base.stateTag != s.jobStateTag(&ctx.Jobs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// planFull computes the session plan from scratch (modulo the
-// per-period caches). Candidate searches for jobs missing a cache entry
-// run on the worker pool; all cache writes and plan assembly stay
-// serial, in job-index order.
+// planFull computes the session plan from the bound jobs, filling the
+// per-period caches on a miss.
 func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.SessionPlan, error) {
 	plan := &s.plan
-	plan.Jobs = plan.Jobs[:0]
 	// Pre-grow the node arena: once sliced, the per-job sub-slices must
 	// not be invalidated by a later append's reallocation.
 	if cap(s.nodeBuf) < totalNodes {
@@ -359,56 +237,33 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 	}
 
 	// Step 1 (§3.3.1): per job, optimal batch at full GPU and the GPU
-	// space required to meet the SLO. Cache misses are independent pure
-	// computations — fan them out.
-	s.required = resizeFloats(s.required, len(ctx.Jobs))
+	// space required to meet the SLO.
+	s.required = resizeSlice(s.required, len(ctx.Jobs))
 	required := s.required
-	s.reqMissIdx = s.reqMissIdx[:0]
+	var totalRequired float64
+	active := 0
 	for i := range ctx.Jobs {
 		jr := &ctx.Jobs[i]
 		if jr.Requests <= 0 {
 			continue
 		}
 		key := reqKey{app: jr.Instance.App.Name, requests: jr.Requests}
-		if req, ok := s.reqFracCache[key]; ok {
-			required[i] = req
-		} else {
-			s.reqMissIdx = append(s.reqMissIdx, i)
-		}
-	}
-	if n := len(s.reqMissIdx); n > 0 {
-		s.reqMissVal = resizeSlice(s.reqMissVal, n)
-		s.reqMissErr = resizeSlice(s.reqMissErr, n)
-		s.parallelFor(n, func(k int) {
-			s.reqMissVal[k], s.reqMissErr[k] = requiredFractionFor(&ctx.Jobs[s.reqMissIdx[k]], s.opts.MinFraction)
-		})
-		for k, i := range s.reqMissIdx {
-			if err := s.reqMissErr[k]; err != nil {
+		req, ok := s.reqFracCache[key]
+		if !ok {
+			var err error
+			if req, err = requiredFractionFor(jr, s.opts.MinFraction); err != nil {
 				return nil, err
 			}
-			jr := &ctx.Jobs[i]
-			s.reqFracCache[reqKey{app: jr.Instance.App.Name, requests: jr.Requests}] = s.reqMissVal[k]
-			required[i] = s.reqMissVal[k]
+			s.reqFracCache[key] = req
 		}
-	}
-	// Sum in job-index order, exactly as the serial loop did — float
-	// addition is not associative.
-	var totalRequired float64
-	for i := range ctx.Jobs {
-		if ctx.Jobs[i].Requests > 0 {
-			totalRequired += required[i]
-		}
+		required[i] = req
+		totalRequired += req
+		active++
 	}
 
 	// Step 2: split the session's GPU amount.
-	s.fractions = resizeFloats(s.fractions, len(ctx.Jobs))
+	s.fractions = resizeSlice(s.fractions, len(ctx.Jobs))
 	fractions := s.fractions
-	active := 0
-	for i := range ctx.Jobs {
-		if ctx.Jobs[i].Requests > 0 {
-			active++
-		}
-	}
 	var totalAllocated float64
 	for i := range ctx.Jobs {
 		if ctx.Jobs[i].Requests <= 0 {
@@ -455,63 +310,33 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 
 	// Steps 3–5 (§3.3.2): per job, choose structures, re-adjust batch,
 	// and divide SLO time between inference and retraining. The
-	// structure/batch search (jobBase) is the expensive, pure part —
-	// cache misses fan out; retraining assignment reads the draining
-	// pools and stays serial.
-	s.usedBases = resizeSlice(s.usedBases, len(ctx.Jobs))
-	s.baseMissIdx = s.baseMissIdx[:0]
-	for i := range ctx.Jobs {
-		jr := &ctx.Jobs[i]
-		if jr.Requests <= 0 {
-			continue
-		}
-		key := baseKey{app: jr.Instance.App.Name, requests: jr.Requests, fracMilli: fracKey(fractions[i])}
-		if base, ok := s.jobBaseCache[key]; ok {
-			s.usedBases[i] = base
-		} else {
-			s.baseMissIdx = append(s.baseMissIdx, i)
-		}
-	}
-	if n := len(s.baseMissIdx); n > 0 {
-		s.baseMissVal = resizeSlice(s.baseMissVal, n)
-		s.baseMissErr = resizeSlice(s.baseMissErr, n)
-		s.parallelFor(n, func(k int) {
-			i := s.baseMissIdx[k]
-			s.baseMissVal[k], s.baseMissErr[k] = s.computeJobBase(&ctx.Jobs[i], fractions[i])
-		})
-		for k, i := range s.baseMissIdx {
-			if err := s.baseMissErr[k]; err != nil {
-				return nil, err
-			}
-			jr := &ctx.Jobs[i]
-			key := baseKey{app: jr.Instance.App.Name, requests: jr.Requests, fracMilli: fracKey(fractions[i])}
-			if prev, ok := s.jobBaseCache[key]; ok {
-				// Two jobs shared a key and both computed it: the values
-				// are identical (pure function of the key's inputs); keep
-				// the first, recycle the duplicate.
-				s.basePool.Put(s.baseMissVal[k])
-				s.usedBases[i] = prev
-			} else {
-				s.jobBaseCache[key] = s.baseMissVal[k]
-				s.usedBases[i] = s.baseMissVal[k]
-			}
-		}
-	}
+	// structure/batch search (jobBase) is the expensive part and is
+	// cached; the retraining assignment reads the draining pools and is
+	// recomputed every session.
 	for i := range ctx.Jobs {
 		jr := &ctx.Jobs[i]
 		if jr.Requests <= 0 {
 			plan.Jobs = append(plan.Jobs, sched.JobPlan{App: jr.Instance.App.Name})
 			continue
 		}
+		key := baseKey{app: jr.Instance.App.Name, requests: jr.Requests, fracMilli: fracKey(fractions[i])}
+		base, ok := s.jobBaseCache[key]
+		if !ok {
+			var err error
+			if base, err = s.computeJobBase(jr, fractions[i]); err != nil {
+				return nil, err
+			}
+			s.jobBaseCache[key] = base
+		}
 		plan.Jobs = append(plan.Jobs, sched.JobPlan{})
-		s.finishJob(jr, fractions[i], s.usedBases[i], &plan.Jobs[len(plan.Jobs)-1])
+		s.finishJob(jr, fractions[i], base, &plan.Jobs[len(plan.Jobs)-1])
 	}
 	return plan, nil
 }
 
 // requiredFractionFor is the step-1 cache-miss computation: optimal
 // batch at a whole GPU, then the SLO-space inversion. Pure function of
-// the job's profile and padded request count — safe on the worker pool.
+// the job's profile and padded request count.
 func requiredFractionFor(jr *sched.JobRequest, minFraction float64) (float64, error) {
 	structs := sched.FullStructures(jr)
 	batch, _, err := sched.BestBatch(jr, structs, 1.0)
@@ -555,26 +380,24 @@ func (s *Scheduler) finishJob(jr *sched.JobRequest, fraction float64, base *jobB
 }
 
 // computeJobBase is the step-3 cache-miss computation: structure per
-// node, batch size, inference times at the fraction. Reentrant — it
-// only touches the mutex-guarded latency memo and pool-distribution
-// cache, so misses for different jobs run concurrently. The caller
-// owns the cache insert.
+// node, batch size, inference times at the fraction. The caller owns
+// the cache insert.
 func (s *Scheduler) computeJobBase(jr *sched.JobRequest, fraction float64) (*jobBase, error) {
 	tables := jr.Costs.Tables()
-	base, _ := s.basePool.Get().(*jobBase)
-	if base == nil {
+	var base *jobBase
+	if n := len(s.spareBases); n > 0 {
+		base, s.spareBases = s.spareBases[n-1], s.spareBases[:n-1]
+	} else {
 		base = new(jobBase)
 	}
 	base.structs = resizeSlice(base.structs, len(tables))
 	base.inferTimes = resizeSlice(base.inferTimes, len(tables))
 	base.inferTotal = 0
 	if err := s.chooseStructures(jr, fraction, base.structs); err != nil {
-		s.basePool.Put(base)
 		return nil, err
 	}
 	batch, _, err := sched.BestBatch(jr, base.structs, fraction)
 	if err != nil {
-		s.basePool.Put(base)
 		return nil, err
 	}
 	base.batch = batch
@@ -584,19 +407,16 @@ func (s *Scheduler) computeJobBase(jr *sched.JobRequest, fraction float64) (*job
 	for i, t := range tables {
 		si, err := t.StructIdx(base.structs[i])
 		if err != nil {
-			s.basePool.Put(base)
 			return nil, err
 		}
 		per, err := jr.Costs.PerBatch(i, si, t.BatchIdx(batch), fraction)
 		if err != nil {
-			s.basePool.Put(base)
 			return nil, err
 		}
 		it := per * simtime.Duration(nBatches)
 		base.inferTimes[i] = it
 		base.inferTotal += it
 	}
-	base.stateTag = s.jobStateTag(jr)
 	return base, nil
 }
 
@@ -659,7 +479,7 @@ func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out
 			out[i] = full
 			continue
 		}
-		poolDist, _, err := s.poolDistFor(ni)
+		poolDist, err := s.poolDistFor(ni)
 		if err != nil {
 			return err
 		}
@@ -700,3 +520,39 @@ func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out
 // referenceBatch is the batch size used to compare structure latencies
 // before the final batch re-adjustment.
 const referenceBatch = 8
+
+// nodeStateMatters reports whether the node's model state enters the
+// plan — exactly when chooseStructures consults AccuracyWith for it.
+func (s *Scheduler) nodeStateMatters(jr *sched.JobRequest, ni *app.NodeInstance) bool {
+	if s.opts.FullStructureOnly {
+		return false
+	}
+	return s.opts.PreferEarlyExit || (jr.Dag != nil && jr.Dag.NeedsRetrain(ni.Node.Name))
+}
+
+// poolDistFor returns the node's retraining-pool distribution, computed
+// at most once per period (NodeInstance.PoolDist allocates a fresh
+// distribution per call, and the pool only changes at AdvancePeriod).
+func (s *Scheduler) poolDistFor(ni *app.NodeInstance) (*dist.Categorical, error) {
+	if d, ok := s.poolDists[ni]; ok {
+		return d, nil
+	}
+	d, err := ni.PoolDist()
+	if err != nil {
+		return nil, err
+	}
+	s.poolDists[ni] = d
+	return d, nil
+}
+
+// costsFor returns the scheduler's memoizing latency cache for the
+// profile, creating it on first use. Caches persist for the
+// scheduler's lifetime — the profile is immutable.
+func (s *Scheduler) costsFor(ap *profile.AppProfile) *profile.LatencyCache {
+	if c, ok := s.costs[ap]; ok {
+		return c
+	}
+	c := profile.NewLatencyCache(ap)
+	s.costs[ap] = c
+	return c
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -408,5 +409,105 @@ func TestOversubscriptionPreservesFloors(t *testing.T) {
 	if plan.Jobs[0].Fraction <= plan.Jobs[1].Fraction {
 		t.Fatalf("heavy job %g should keep more space than light job %g",
 			plan.Jobs[0].Fraction, plan.Jobs[1].Fraction)
+	}
+}
+
+// bindPeriod runs a second scheduler's period hook against the fixture
+// instance sessionCtx just planned for, with the same parameters, so
+// two schedulers can plan the same jobs. Sharing the instance keeps
+// plans comparable with plansEquivalent (dnn.Structure compares by
+// architecture identity).
+func bindPeriod(t *testing.T, s *Scheduler) {
+	t.Helper()
+	pctx := &sched.PeriodContext{
+		Period: fxInstance.Period(),
+		Length: 50 * time.Second,
+		GPUs:   4,
+		Rand:   dist.NewRNG(3),
+		Jobs:   []sched.JobRequest{{Instance: fxInstance, Profile: fxProfile}},
+	}
+	if _, err := s.OnPeriodStart(pctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cloneCtx copies a session context so each PlanSession call starts
+// from pristine request counts (planning pads Requests in place).
+func cloneCtx(ctx *sched.SessionContext) *sched.SessionContext {
+	c := *ctx
+	c.Jobs = append([]sched.JobRequest(nil), ctx.Jobs...)
+	return &c
+}
+
+// plansEquivalent compares two plans field for field. Floats compare
+// exactly: a cache may skip work but must never change a value.
+func plansEquivalent(a, b *sched.SessionPlan) bool {
+	if a.Session != b.Session || a.Overhead != b.Overhead || len(a.Jobs) != len(b.Jobs) {
+		return false
+	}
+	for i := range a.Jobs {
+		x, y := &a.Jobs[i], &b.Jobs[i]
+		if x.App != y.App || x.Fraction != y.Fraction || x.Batch != y.Batch ||
+			x.InferTime != y.InferTime || x.RetrainTime != y.RetrainTime ||
+			!slices.Equal(x.Nodes, y.Nodes) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWarmCachesMatchFreshScheduler plans a seven-job session, in which
+// several jobs share (app, requests) cache keys, on one scheduler for
+// four rounds at alternating GPU shares. Every round must match a fresh
+// scheduler bound to the same period: the per-period caches skip work
+// but never change a plan.
+func TestWarmCachesMatchFreshScheduler(t *testing.T) {
+	warm := New(Options{})
+	ctx := sessionCtx(t, warm, 8)
+	base := ctx.Jobs[0]
+	for _, r := range []int{3, 8, 12, 3, 18, 8} {
+		j := base
+		j.Requests = r
+		ctx.Jobs = append(ctx.Jobs, j)
+	}
+	for round := 0; round < 4; round++ {
+		ctx.GPUShare = []float64{0.5, 0.8}[round%2]
+		got, err := warm.PlanSession(cloneCtx(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := New(Options{})
+		bindPeriod(t, fresh)
+		want, err := fresh.PlanSession(cloneCtx(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plansEquivalent(got, want) {
+			t.Fatalf("round %d: warm plan diverged from a fresh scheduler's:\n  warm:  %+v\n  fresh: %+v", round, got, want)
+		}
+	}
+	if len(warm.jobBaseCache) == 0 || len(warm.reqFracCache) == 0 {
+		t.Fatal("equivalence check is vacuous: the caches stayed empty")
+	}
+}
+
+// TestDefaultPlanWorkers checks that the deprecated process-wide worker
+// setting, which the benchmark still calls, leaves plans unchanged.
+func TestDefaultPlanWorkers(t *testing.T) {
+	plain := New(Options{})
+	ctx := sessionCtx(t, plain, 8)
+	want, err := plain.PlanSession(cloneCtx(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetDefaultPlanWorkers(4)
+	s := New(Options{})
+	bindPeriod(t, s)
+	got, err := s.PlanSession(cloneCtx(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plansEquivalent(got, want) {
+		t.Fatal("SetDefaultPlanWorkers changed a plan")
 	}
 }

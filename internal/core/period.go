@@ -26,7 +26,7 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 	// inversion runs at full structures against the immutable profile,
 	// so period boundaries cannot change its answers. The maps are
 	// cleared in place, not remade — they regrow to the same size every
-	// period; evicted jobBase values are recycled through the pool.
+	// period; dropped jobBase values are kept for reuse.
 	if s.reqFracCache == nil {
 		s.reqFracCache = make(map[reqKey]float64)
 	}
@@ -34,16 +34,10 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 		s.jobBaseCache = make(map[baseKey]*jobBase)
 	}
 	for _, base := range s.jobBaseCache {
-		s.basePool.Put(base)
+		s.spareBases = append(s.spareBases, base)
 	}
 	clear(s.jobBaseCache)
-	s.poolDistMu.Lock()
 	clear(s.poolDists)
-	s.poolDistMu.Unlock()
-	// Re-arm a dormant plan memo: key churn is a function of this
-	// period's drift, which is about to be re-detected.
-	s.memoSkip = false
-	s.missStreak = 0
 	for i := range ctx.Jobs {
 		jr := &ctx.Jobs[i]
 		name := jr.Instance.App.Name

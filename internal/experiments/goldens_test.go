@@ -188,43 +188,6 @@ func TestServingGoldens(t *testing.T) {
 	reportGoldenDiff(t, want, labels, got)
 }
 
-// TestPlannerMatrixMatchesGoldens reruns the full golden arm set under
-// every other planner configuration — 4 workers and/or memoization off
-// — and requires byte-identical metrics against the committed goldens
-// (which TestServingGoldens checks at 1 worker with memoization on).
-// Audit stays on, so memo hits are additionally recomputed and
-// cross-checked by the scheduler itself (SetPlanMemoVerify).
-func TestPlannerMatrixMatchesGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick fig18/fig22 arm set three times")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "serving_goldens.json"))
-	if err != nil {
-		t.Fatalf("missing goldens (re-record with -update): %v", err)
-	}
-	configs := []struct {
-		name    string
-		workers int
-		memo    bool
-	}{
-		{"pw4-memo", 4, true},
-		{"pw1-nomemo", 1, false},
-		{"pw4-nomemo", 4, false},
-	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			core.SetDefaultPlanWorkers(cfg.workers)
-			core.SetDefaultPlanMemo(cfg.memo)
-			defer core.SetDefaultPlanWorkers(0)
-			defer core.SetDefaultPlanMemo(true)
-			buf, labels, got := goldenSnapshot(t, goldenOptions())
-			if string(want) != string(buf) {
-				reportGoldenDiff(t, want, labels, got)
-			}
-		})
-	}
-}
-
 // fig18QuickArms rebuilds the arm list of the quick fig18/fig19
 // comparison sweep (see comparisonSweep).
 func fig18QuickArms(t *testing.T) []arm {

@@ -25,7 +25,7 @@
 // Every decision is a pure hash of (seed, fault kind, stable
 // coordinates such as period/session/app/node) — no shared RNG stream
 // is consumed — so injection at a fixed seed is byte-identical across
-// repeats, `-plan-workers` settings, and fast-forward on/off.
+// repeats, worker counts, and fast-forward on/off.
 package faults
 
 import (

@@ -5,7 +5,7 @@
 // application's models — not on the experiment seed or workload. The
 // cache stores each built AppProfile content-addressed under a key
 // covering everything that can change the measurements, so repeated
-// cmd/repro, cmd/bench, and CI invocations skip BuildAppProfile
+// cmd/repro, benchmark, and CI invocations skip BuildAppProfile
 // entirely. Clearing the cache is always safe: delete the directory.
 package profile
 

@@ -312,10 +312,10 @@ func (ap *AppProfile) StructureProfileFor(node string, st dnn.Structure) (*Struc
 	return nil, fmt.Errorf("profile: app %q node %q has no profile for %v", ap.App.Name, node, st)
 }
 
-// Package-wide profiler default, mirroring core.SetDefaultPlanWorkers:
-// experiment drivers build profiles deep inside method closures and the
-// serving engine, so binaries configure profiling concurrency through
-// this rather than threading a worker count through every call site.
+// Package-wide profiler default: experiment code builds profiles deep
+// inside method closures and the serving engine, so binaries configure
+// profiling concurrency through this rather than threading a worker
+// count through every call site.
 // Read once per build; atomic because experiment arms build profiles
 // concurrently.
 var defaultWorkers atomic.Int64

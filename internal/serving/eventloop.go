@@ -240,19 +240,6 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 			StrictShare: steady,
 		})
 	}
-	// Methods with planner instrumentation get the run's collector, and
-	// audited runs additionally recompute every memoized session plan to
-	// prove the reuse equivalent (core.Scheduler.SetPlanMemoVerify).
-	if t, ok := cfg.Method.(interface {
-		SetTelemetry(*telemetry.Collector)
-	}); ok {
-		t.SetTelemetry(cfg.Telemetry)
-	}
-	if l.aud != nil {
-		if v, ok := cfg.Method.(interface{ SetPlanMemoVerify(bool) }); ok {
-			v.SetPlanMemoVerify(true)
-		}
-	}
 	return l
 }
 
@@ -283,11 +270,6 @@ func (l *runLoop) run() error {
 			l.fail(err)
 		}
 		l.res.AuditChecks = l.aud.Checks()
-	}
-	if m, ok := l.cfg.Method.(interface {
-		PlanMemoStats() (uint64, uint64, uint64)
-	}); ok {
-		l.res.PlanMemoHits, l.res.PlanMemoMisses, l.res.PlanMemoInvalidated = m.PlanMemoStats()
 	}
 	if l.gpuBusySec != nil {
 		laneSec := l.cfg.Horizon.Seconds() * l.cfg.GPUs / float64(l.cfg.NGPUs)

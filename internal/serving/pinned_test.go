@@ -17,20 +17,24 @@ import (
 // became the degenerate one-lane cluster, so they hold the serving loop
 // to the exact results and traces the dedicated single-partition path
 // produced — under faults and with fast-forward on and off, which the
-// committed experiment goldens do not cover.
+// committed experiment goldens do not cover. The trace digests were
+// later derived, not re-recorded, when the session-plan memo was
+// removed: each is the hash of the earlier trace with every plan_memo
+// line dropped and the plan_hits, plan_misses and plan_invalidated
+// fields cut from every counters line.
 var pinnedSingleGPU = map[string][2]uint64{
-	"adainf/ff/none":       {0x5ae2262530bdf7d4, 0x36e79306c26ae638},
-	"adainf/ff/default":    {0x9b4b6205ce949ce8, 0xd6420bce6174ba96},
-	"adainf/noff/none":     {0x5ae2262530bdf7d4, 0xa2296b2a62f9e48},
-	"adainf/noff/default":  {0x9b4b6205ce949ce8, 0x6af486211ec93895},
-	"ekya/ff/none":         {0x69778ec69f9dfa41, 0x222bad99c2ae6eb2},
-	"ekya/ff/default":      {0xc3b333fc196cbb77, 0x9e0e97c6bd76de8b},
-	"ekya/noff/none":       {0x69778ec69f9dfa41, 0x234361d6b1fa117e},
-	"ekya/noff/default":    {0xc3b333fc196cbb77, 0x33387b5fe2fa5f1c},
-	"scrooge/ff/none":      {0x361d40160431a03c, 0xceaca18a21f5aa4d},
-	"scrooge/ff/default":   {0xd7a92e076b8b555e, 0xf5315544e12baeb2},
-	"scrooge/noff/none":    {0x361d40160431a03c, 0xceaca18a21f5aa4d},
-	"scrooge/noff/default": {0xd7a92e076b8b555e, 0xf5315544e12baeb2},
+	"adainf/ff/none":       {0x5ae2262530bdf7d4, 0xb8289556e409a8ae},
+	"adainf/ff/default":    {0x9b4b6205ce949ce8, 0x7c13ff361d298d39},
+	"adainf/noff/none":     {0x5ae2262530bdf7d4, 0x9fcc948bc8d87373},
+	"adainf/noff/default":  {0x9b4b6205ce949ce8, 0xb3596c45d55e94c1},
+	"ekya/ff/none":         {0x69778ec69f9dfa41, 0xa517259b93002e83},
+	"ekya/ff/default":      {0xc3b333fc196cbb77, 0xd66058bd4a3b1072},
+	"ekya/noff/none":       {0x69778ec69f9dfa41, 0xb335ecffada2bd8f},
+	"ekya/noff/default":    {0xc3b333fc196cbb77, 0xb80aaf4d84190a53},
+	"scrooge/ff/none":      {0x361d40160431a03c, 0x9239852b380d8a0e},
+	"scrooge/ff/default":   {0xd7a92e076b8b555e, 0xbe0dd0010d2802c7},
+	"scrooge/noff/none":    {0x361d40160431a03c, 0x9239852b380d8a0e},
+	"scrooge/noff/default": {0xd7a92e076b8b555e, 0xbe0dd0010d2802c7},
 }
 
 func fnv64(b []byte) uint64 {

@@ -102,9 +102,6 @@ func normalize(r *Result) Result {
 	n.InferLatency = telemetry.Summary{}
 	n.RetrainLatency = telemetry.Summary{}
 	n.QueueDelay = telemetry.Summary{}
-	n.PlanMemoHits = 0
-	n.PlanMemoMisses = 0
-	n.PlanMemoInvalidated = 0
 	n.PlanningTime = telemetry.Summary{}
 	return n
 }

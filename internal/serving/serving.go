@@ -23,6 +23,7 @@ import (
 
 	"adainf/internal/app"
 	"adainf/internal/audit"
+	"adainf/internal/cluster"
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/faults"
@@ -134,8 +135,8 @@ func (c *Config) fillDefaults() error {
 	if c.NGPUs == 0 {
 		c.NGPUs = 1
 	}
-	if c.NGPUs < 1 {
-		return fmt.Errorf("serving: %d GPU lanes", c.NGPUs)
+	if c.NGPUs < 1 || c.NGPUs > cluster.MaxGPUs {
+		return fmt.Errorf("serving: %d GPU lanes, want 1..%d", c.NGPUs, cluster.MaxGPUs)
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 1000 * time.Second
@@ -253,9 +254,8 @@ type Result struct {
 	RetrainLatency telemetry.Summary
 	QueueDelay     telemetry.Summary
 
-	// PlanMemo* count the method's session-plan memo outcomes
-	// (diagnostic; zero for methods without plan memoization — a memo
-	// hit produces the byte-identical plan a recomputation would).
+	// Deprecated: PlanMemo* are always zero, because no method memoizes
+	// session plans. They remain only so existing readers compile.
 	PlanMemoHits        uint64
 	PlanMemoMisses      uint64
 	PlanMemoInvalidated uint64

@@ -212,6 +212,7 @@ func TestConfigValidation(t *testing.T) {
 		{"alpha above one", func(c *Config) { c.PredictAlpha = 1.5 }},
 		{"NaN alpha", func(c *Config) { c.PredictAlpha = nan }},
 		{"negative lanes", func(c *Config) { c.NGPUs = -1 }},
+		{"lanes beyond the mask", func(c *Config) { c.NGPUs = 65 }},
 	} {
 		cfg := Config{Method: core.New(core.Options{})}
 		tc.mod(&cfg)

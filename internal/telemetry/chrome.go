@@ -26,8 +26,7 @@ var requiredFields = map[string][]string{
 	EvCacheCorrupt:   {"app"},
 	EvProfileBuild:   {"app", "wall_ms", "workers", "units", "cached"},
 	EvProfileUnit:    {"app", "node", "unit", "wall_ms"},
-	EvPlanMemo:       {"outcome", "digest"},
-	EvCounters:       {"ff_hits", "ff_misses", "cache_hits", "cache_misses", "cache_corrupt", "plan_hits", "plan_misses", "plan_invalidated"},
+	EvCounters:       {"ff_hits", "ff_misses", "cache_hits", "cache_misses", "cache_corrupt"},
 	EvRetrainFault:   {"app", "node", "kind", "attempt"},
 	EvRetrainAbandon: {"app", "node", "attempts", "samples"},
 	EvDegrade:        {"session", "app"},
@@ -232,10 +231,6 @@ func ExportChrome(r io.Reader, w io.Writer) error {
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
 				Name: "fast-forward", Phase: "C", TS: ts, PID: pidControl, TID: 0,
 				Args: map[string]any{"hits": m["ff_hits"], "misses": m["ff_misses"]},
-			})
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "plan-memo", Phase: "C", TS: ts, PID: pidControl, TID: 0,
-				Args: map[string]any{"hits": m["plan_hits"], "misses": m["plan_misses"]},
 			})
 		}
 	}

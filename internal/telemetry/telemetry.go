@@ -29,8 +29,7 @@ const (
 	EvCacheCorrupt   = "profile_cache_corrupt" // undecodable cache entry deleted: app
 	EvProfileBuild   = "profile_build"         // one app's profile build: app, wall_ms, workers, units, cached
 	EvProfileUnit    = "profile_unit"          // one profiling work unit: app, node, unit, wall_ms
-	EvPlanMemo       = "plan_memo"             // session-plan memo lookup: outcome, digest
-	EvCounters       = "counters"              // running counters: ff_hits, ff_misses, cache_hits, cache_misses, cache_corrupt, plan_hits, plan_misses, plan_invalidated
+	EvCounters       = "counters"              // running counters: ff_hits, ff_misses, cache_hits, cache_misses, cache_corrupt
 	EvRetrainFault   = "retrain_fault"         // injected retraining fault: app, node, kind, attempt
 	EvRetrainAbandon = "retrain_abandon"       // retraining abandoned after retries: app, node, attempts, samples
 	EvDegrade        = "degrade"               // GPU-mem fault degraded a job: session, app
@@ -80,10 +79,9 @@ type Collector struct {
 	buf []byte
 	err error
 
-	ffHits, ffMisses                      uint64
-	cacheHits, cacheMisses                uint64
-	cacheCorrupt                          uint64
-	planHits, planMisses, planInvalidated uint64
+	ffHits, ffMisses       uint64
+	cacheHits, cacheMisses uint64
+	cacheCorrupt           uint64
 
 	// gpuBusyMs accumulates busy GPU-milliseconds per GPU lane
 	// (fraction × duration). Nil unless EnableGPUCounters sized it —
@@ -448,32 +446,6 @@ func (c *Collector) ProfileUnit(app, node, unit string, wall time.Duration) {
 	c.end()
 }
 
-// PlanMemo counts one session-plan memo lookup outcome ("hit", "miss",
-// or "invalidated" for an evicted entry) and emits it. The digest
-// identifies the plan key (hex, so the full 64 bits survive JSON).
-func (c *Collector) PlanMemo(ts simtime.Instant, outcome string, digest uint64) {
-	if c == nil {
-		return
-	}
-	switch outcome {
-	case "hit":
-		c.planHits++
-	case "miss":
-		c.planMisses++
-	case "invalidated":
-		c.planInvalidated++
-	}
-	if c.w == nil {
-		return
-	}
-	c.begin(ts, EvPlanMemo)
-	c.fStr("outcome", outcome)
-	c.buf = append(c.buf, `,"digest":"`...)
-	c.buf = strconv.AppendUint(c.buf, digest, 16)
-	c.buf = append(c.buf, '"')
-	c.end()
-}
-
 // --- fault-injection events ----------------------------------------
 
 // RetrainFault emits one injected retraining fault. kind is
@@ -667,14 +639,6 @@ func (c *Collector) PlanningObserve(d time.Duration) {
 	c.Planning.ObserveMs(float64(d.Nanoseconds()) * 1e-6)
 }
 
-// PlanMemoCounts returns the session-plan memo counters.
-func (c *Collector) PlanMemoCounts() (hits, misses, invalidated uint64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.planHits, c.planMisses, c.planInvalidated
-}
-
 // FF counts one fast-forward memo lookup outcome.
 func (c *Collector) FF(hit bool) {
 	if c == nil {
@@ -715,9 +679,6 @@ func (c *Collector) Counters(ts simtime.Instant) {
 	c.fInt("cache_hits", int64(c.cacheHits))
 	c.fInt("cache_misses", int64(c.cacheMisses))
 	c.fInt("cache_corrupt", int64(c.cacheCorrupt))
-	c.fInt("plan_hits", int64(c.planHits))
-	c.fInt("plan_misses", int64(c.planMisses))
-	c.fInt("plan_invalidated", int64(c.planInvalidated))
 	// Per-GPU busy time, only on multi-GPU runs (EnableGPUCounters):
 	// extra fields are schema-legal, and single-GPU traces stay
 	// byte-identical.

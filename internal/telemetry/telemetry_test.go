@@ -136,9 +136,6 @@ func emitAll(c *Collector) {
 	c.ProfileBuild("social-media", 7*time.Millisecond, 4, 13, false)
 	c.FF(true)
 	c.FF(false)
-	c.PlanMemo(ts, "miss", 0xdeadbeef)
-	c.PlanMemo(ts, "hit", 0xdeadbeef)
-	c.PlanMemo(ts, "invalidated", 0xfeedface)
 	c.PlanningObserve(120 * time.Microsecond)
 	c.RetrainFault(ts, "video-surveillance", "vehicle-type", "retrain-fail", 1)
 	c.RetrainAbandon(ts, "video-surveillance", "vehicle-type", 3, 4000)
@@ -274,9 +271,6 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 	}
 	if h, m := c.CacheCounts(); h != 1 || m != 1 {
 		t.Errorf("cache counts = %d/%d", h, m)
-	}
-	if h, m, inv := c.PlanMemoCounts(); h != 1 || m != 1 || inv != 1 {
-		t.Errorf("plan memo counts = %d/%d/%d", h, m, inv)
 	}
 	if c.Planning.Count() != 1 {
 		t.Error("planning histogram did not observe")
