@@ -456,6 +456,40 @@ func plansEquivalent(a, b *sched.SessionPlan) bool {
 	return true
 }
 
+// requireMatchesFresh plans ctx on warm and on a fresh scheduler bound to
+// the same period, and fails unless the two plans are equivalent.
+func requireMatchesFresh(t *testing.T, warm *Scheduler, ctx *sched.SessionContext, round int) {
+	t.Helper()
+	got, err := warm.PlanSession(cloneCtx(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Options{})
+	bindPeriod(t, fresh)
+	want, err := fresh.PlanSession(cloneCtx(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plansEquivalent(got, want) {
+		t.Fatalf("round %d: warm plan diverged from a fresh scheduler's:\n  warm:  %+v\n  fresh: %+v", round, got, want)
+	}
+	if len(warm.jobBaseCache) == 0 || len(warm.reqFracCache) == 0 {
+		t.Fatal("equivalence check is vacuous: the caches stayed empty")
+	}
+}
+
+// TestRepeatedSessionMatchesFreshScheduler plans the same session on one
+// scheduler four times. Every round must match a fresh scheduler bound
+// to the same period: planning a session again reuses the per-period
+// caches but never changes the plan.
+func TestRepeatedSessionMatchesFreshScheduler(t *testing.T) {
+	warm := New(Options{})
+	ctx := sessionCtx(t, warm, 8)
+	for round := 0; round < 4; round++ {
+		requireMatchesFresh(t, warm, ctx, round)
+	}
+}
+
 // TestWarmCachesMatchFreshScheduler plans a seven-job session, in which
 // several jobs share (app, requests) cache keys, on one scheduler for
 // four rounds at alternating GPU shares. Every round must match a fresh
@@ -472,22 +506,7 @@ func TestWarmCachesMatchFreshScheduler(t *testing.T) {
 	}
 	for round := 0; round < 4; round++ {
 		ctx.GPUShare = []float64{0.5, 0.8}[round%2]
-		got, err := warm.PlanSession(cloneCtx(ctx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := New(Options{})
-		bindPeriod(t, fresh)
-		want, err := fresh.PlanSession(cloneCtx(ctx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plansEquivalent(got, want) {
-			t.Fatalf("round %d: warm plan diverged from a fresh scheduler's:\n  warm:  %+v\n  fresh: %+v", round, got, want)
-		}
-	}
-	if len(warm.jobBaseCache) == 0 || len(warm.reqFracCache) == 0 {
-		t.Fatal("equivalence check is vacuous: the caches stayed empty")
+		requireMatchesFresh(t, warm, ctx, round)
 	}
 }
 
