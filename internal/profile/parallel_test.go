@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,6 +27,17 @@ type canonicalDump struct {
 	MemDigest uint64
 	Nodes     []dumpNode
 	Reuse     []dumpReuse
+}
+
+// gob numbers a type the first time any encoder in the process meets
+// it, so the dump's bytes would otherwise depend on which tests encoded
+// other types (cache entries) first. Encoding the dump type at init
+// fixes its numbering for every test selection and order, which lets
+// TestPinnedProfileDigests hash the bytes.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(&canonicalDump{}); err != nil {
+		panic(err)
+	}
 }
 
 type dumpNode struct {
