@@ -167,8 +167,9 @@ func (e *Executor) inferLayerSync(now simtime.Instant, t InferenceTask, res *Tas
 	seq := e.seq
 	var prevOut gpumem.ContentID
 	var prevBytes int64
+	var buf [3]gpumem.Access // a layer touches at most 3 contents
 	for i, layer := range layers {
-		accs := []gpumem.Access{{
+		accs := append(buf[:0], gpumem.Access{
 			Content: gpumem.Content{
 				ID:    gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindParam},
 				Bytes: layer.ParamBytes + 1, // +1 keeps zero-param layers representable
@@ -177,7 +178,7 @@ func (e *Executor) inferLayerSync(now simtime.Instant, t InferenceTask, res *Tas
 			Phase: gpumem.PhaseInference,
 			Model: model,
 			JobID: t.JobID,
-		}}
+		})
 		if i > 0 {
 			accs = append(accs, gpumem.Access{
 				Content: gpumem.Content{ID: prevOut, Bytes: prevBytes, SLOms: t.SLOms, ProducedOnGPU: true},
@@ -225,13 +226,14 @@ func (e *Executor) inferPerRequest(now simtime.Instant, t InferenceTask, res *Ta
 	mem := e.part.Mem()
 	var lastOut gpumem.ContentID
 	var lastBytes int64
+	var buf [3]gpumem.Access // a layer touches at most 3 contents
 	for r := 0; r < t.Batch; r++ {
 		e.seq++
 		seq := e.seq
 		var prevOut gpumem.ContentID
 		var prevBytes int64
 		for i, layer := range layers {
-			accs := []gpumem.Access{{
+			accs := append(buf[:0], gpumem.Access{
 				Content: gpumem.Content{
 					ID:    gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindParam},
 					Bytes: layer.ParamBytes + 1,
@@ -240,7 +242,7 @@ func (e *Executor) inferPerRequest(now simtime.Instant, t InferenceTask, res *Ta
 				Phase: gpumem.PhaseInference,
 				Model: model,
 				JobID: t.JobID,
-			}}
+			})
 			if i > 0 {
 				accs = append(accs, gpumem.Access{
 					Content: gpumem.Content{ID: prevOut, Bytes: prevBytes, SLOms: t.SLOms, ProducedOnGPU: true},

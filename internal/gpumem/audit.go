@@ -1,6 +1,9 @@
 package gpumem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckInvariants validates the manager's §3.4 memory accounting:
 //
@@ -17,7 +20,8 @@ import "fmt"
 //   - when Config.Audit is set, no earlier makeRoom call violated the
 //     eviction order (victims taken highest priority score first,
 //     S_c = (1−α)·R_c + α·L_s under the priority policy, with the
-//     working set exempt).
+//     working set exempt), and every call's selected victims equal
+//     the prefix of a full reference sort of its candidates.
 //
 // It returns nil when every invariant holds. The walk is read-only
 // and deterministic (aggregates only — no map-order dependence).
@@ -74,6 +78,34 @@ func (m *Manager) CheckInvariants() error {
 		return fmt.Errorf("gpumem: PIN bytes %d exceed PIN capacity %d", m.pinUsed, m.cfg.PinBytes)
 	}
 	return nil
+}
+
+// auditSelection cross-checks one makeRoom call's victim selection
+// against a full sort: it sorts a copy of the candidates by
+// evictionCmp, audits that order, and requires the victims (held in
+// ascending eviction priority, first victim last) to equal the sorted
+// prefix element for element. The first mismatch is stashed in
+// auditErr for CheckInvariants to surface.
+func (m *Manager) auditSelection(candidates, victims []scoredEntry) {
+	if m.auditErr != nil {
+		return
+	}
+	sorted := append(m.auditScratch[:0], candidates...)
+	slices.SortFunc(sorted, evictionCmp)
+	m.auditScratch = sorted
+	m.auditEvictionOrder(sorted)
+	if m.auditErr != nil {
+		return
+	}
+	for i := range victims {
+		got, want := victims[len(victims)-1-i], sorted[i]
+		if got.e != want.e {
+			m.auditErr = fmt.Errorf(
+				"gpumem: eviction selection took %v (score %g, seq %d) as victim %d, sorted order has %v (score %g, seq %d)",
+				got.e.content.ID, got.score, got.e.seq, i, want.e.content.ID, want.score, want.e.seq)
+			return
+		}
+	}
 }
 
 // auditEvictionOrder verifies one makeRoom call's sorted candidate

@@ -3,6 +3,7 @@ package gpumem
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +95,91 @@ func TestRandomOperationInvariants(t *testing.T) {
 	}
 }
 
+// TestAuditedSelectionMatchesUnaudited drives identical random acquire
+// and release sequences through an audited and an unaudited manager
+// under both policies, with capacities large enough that 50–200
+// residents compete for eviction and many scores tie (shared SLOs,
+// shared access instants). The audit cross-checks every call's heap
+// selection against a full sort; the two managers must also agree on
+// state and statistics after every step, since auditing is read-only.
+func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
+	const kb = mb / 1024
+	seeds := []int64{11, 12}
+	if testing.Short() {
+		seeds = seeds[:1] // the per-step digests dominate; halve them under -short
+	}
+	for _, pol := range []Policy{LRUPolicy{}, PriorityPolicy{Alpha: 0.4}} {
+		for _, seed := range seeds {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := Config{
+				GPUBytes: int64(24+rng.Intn(24)) * mb,
+				PinBytes: int64(rng.Intn(8)) * mb,
+				Policy:   pol,
+			}
+			plain := NewManager(cfg)
+			cfg.Audit = true
+			audited := NewManager(cfg)
+			now := simtime.Instant(0)
+			var live []ContentID
+			maxResidents := 0
+			for step := 0; step < 1500; step++ {
+				now = now.Add(time.Duration(rng.Intn(3)) * 100 * time.Microsecond)
+				if len(live) > 0 && rng.Intn(8) == 0 {
+					i := rng.Intn(len(live))
+					plain.Release(live[i])
+					audited.Release(live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				} else {
+					accs := make([]Access, 1+rng.Intn(3))
+					for j := range accs {
+						kind := Kind(rng.Intn(2))
+						id := ContentID{App: "app", Model: []string{"a", "b", "c"}[rng.Intn(3)], Layer: rng.Intn(20), Kind: kind}
+						if kind == KindIntermediate {
+							id.Seq = uint64(rng.Intn(12))
+						}
+						accs[j] = Access{
+							Content: Content{
+								ID:            id,
+								Bytes:         int64(1+rng.Intn(8)) * 64 * kb,
+								SLOms:         float64(400 + 100*rng.Intn(3)),
+								ProducedOnGPU: kind == KindIntermediate,
+							},
+							Phase: Phase(rng.Intn(2)),
+							Model: id.Model,
+							JobID: uint64(step / 50),
+						}
+						live = append(live, id)
+					}
+					dp, errP := plain.Acquire(now, accs)
+					da, errA := audited.Acquire(now, accs)
+					if errP != nil || errA != nil {
+						t.Fatalf("%s seed %d step %d: %v / %v", pol.Name(), seed, step, errP, errA)
+					}
+					if dp != da {
+						t.Fatalf("%s seed %d step %d: comm %v unaudited, %v audited", pol.Name(), seed, step, dp, da)
+					}
+				}
+				if plain.StateDigest() != audited.StateDigest() || plain.Stats() != audited.Stats() {
+					t.Fatalf("%s seed %d step %d: audited manager diverged: %+v vs %+v",
+						pol.Name(), seed, step, plain.Stats(), audited.Stats())
+				}
+				if err := audited.CheckInvariants(); err != nil {
+					t.Fatalf("%s seed %d step %d: %v", pol.Name(), seed, step, err)
+				}
+				if err := plain.CheckInvariants(); err != nil {
+					t.Fatalf("%s seed %d step %d: unaudited: %v", pol.Name(), seed, step, err)
+				}
+				maxResidents = max(maxResidents, len(audited.residents))
+			}
+			if st := audited.Stats(); st.Evictions == 0 || maxResidents < 50 {
+				t.Fatalf("%s seed %d: vacuous run: %d evictions, at most %d residents",
+					pol.Name(), seed, st.Evictions, maxResidents)
+			}
+		}
+	}
+}
+
 // TestCheckInvariantsDetectsCorruption proves the auditor is not
 // vacuous: hand-corrupting the accounting in each way it guards must
 // produce an error.
@@ -123,27 +209,44 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	corruptions := []struct {
 		name string
 		do   func(*Manager)
+		want string // error substring; empty accepts any error
 	}{
-		{"gpuUsed drift", func(m *Manager) { m.gpuUsed++ }},
-		{"pinUsed drift", func(m *Manager) { m.pinUsed = mb }},
+		{"gpuUsed drift", func(m *Manager) { m.gpuUsed++ }, ""},
+		{"pinUsed drift", func(m *Manager) { m.pinUsed = mb }, ""},
 		{"stale residents index", func(m *Manager) {
 			m.residents[0].resIdx = len(m.residents) - 1
 			m.residents[len(m.residents)-1].resIdx = 0
-		}},
-		{"residents list truncated", func(m *Manager) { m.residents = m.residents[:len(m.residents)-1] }},
+		}, ""},
+		{"residents list truncated", func(m *Manager) { m.residents = m.residents[:len(m.residents)-1] }, ""},
 		{"capacity overrun", func(m *Manager) {
 			m.cfg.GPUBytes = m.gpuUsed - 1
-		}},
+		}, ""},
 		{"stashed eviction-order violation", func(m *Manager) {
 			m.auditErr = fmt.Errorf("stashed")
-		}},
+		}, ""},
+		{"victim list differs from sorted prefix", func(m *Manager) {
+			m.stampGen++ // a fresh call: no resident is in the working set
+			cands := []scoredEntry{
+				{e: m.residents[0], score: 3},
+				{e: m.residents[1], score: 2},
+				{e: m.residents[2], score: 1},
+			}
+			// The sort takes score 3 then score 2; hand the audit the
+			// right count with the second victim swapped for score 1,
+			// first victim last as makeRoom holds them.
+			m.auditSelection(cands, []scoredEntry{cands[2], cands[0]})
+		}, "eviction selection"},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
 			m := build(t)
 			c.do(m)
-			if err := m.CheckInvariants(); err == nil {
+			err := m.CheckInvariants()
+			if err == nil {
 				t.Fatal("corruption went undetected")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not report %q", err, c.want)
 			}
 		})
 	}

@@ -33,9 +33,11 @@ type Config struct {
 	// Policy chooses eviction victims; nil defaults to LRU.
 	Policy Policy
 	// Audit verifies every makeRoom call's eviction order (victims
-	// sorted by descending policy score, seq ascending on ties, the
-	// working set exempt). The first violation is reported by
-	// CheckInvariants. Read-only: auditing never changes behaviour.
+	// taken by descending policy score, seq ascending on ties, the
+	// working set exempt): it also sorts the call's candidates in full
+	// and requires the selected victims to equal the sorted prefix.
+	// The first violation is reported by CheckInvariants. Read-only:
+	// auditing never changes behaviour.
 	Audit bool
 	// Trace, when non-nil, receives an eviction event per victim
 	// (victim identity, policy score, PIN placement). Read-only
@@ -118,14 +120,17 @@ type Manager struct {
 
 	// residents lists exactly the entries with loc == locGPU, so
 	// makeRoom scans eviction candidates without walking the whole
-	// entries map. Order is arbitrary (swap-removal); determinism comes
-	// from the candidate sort, which is a strict total order via seq.
+	// entries map. Order is arbitrary (swap-removal, map-order
+	// releases); determinism comes from evictionCmp, a strict total
+	// order via seq, so the victims never depend on this order.
 	residents []*entry
 	// stampGen marks the current Acquire call; entries whose stamp
 	// matches are in the working set and exempt from eviction.
 	stampGen uint64
-	// scratch is makeRoom's reusable candidate buffer.
-	scratch []scoredEntry
+	// scratch is makeRoom's reusable candidate buffer; auditScratch
+	// holds the audit's reference sort of it.
+	scratch      []scoredEntry
+	auditScratch []scoredEntry
 
 	reuse map[ReuseClass][]float64
 	cross map[CrossKind][]float64
@@ -392,6 +397,11 @@ func (m *Manager) recordReuse(now simtime.Instant, e *entry, a Access) {
 // second return value is false when even evicting every candidate
 // cannot make the bytes fit (nothing is evicted in that case — the
 // caller streams instead).
+//
+// Victims are the prefix of the candidates sorted by evictionCmp, but
+// no sort runs: the scoring pass tracks the first victim, and only when
+// it alone does not make room are the rest popped off a max-heap. A
+// call takes ~2 victims out of 100+ candidates under /M1 profiling.
 func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, bool) {
 	if m.gpuUsed+bytes <= m.cfg.GPUBytes {
 		return 0, true
@@ -404,6 +414,8 @@ func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, 
 		reuseSeen [2][2]bool
 	)
 	candidates := m.scratch[:0]
+	freeable := int64(0)
+	best := -1
 	for _, e := range m.residents {
 		if e.stamp == m.stampGen {
 			continue
@@ -413,44 +425,41 @@ func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, 
 			reuseMs[k][p] = m.TypeReuseMeanMs(ReuseClass{Kind: k, Phase: p})
 			reuseSeen[k][p] = true
 		}
-		candidates = append(candidates, scoredEntry{e: e, score: m.cfg.Policy.Score(e, now, reuseMs[k][p])})
-	}
-	// Highest score evicted first; seq breaks ties deterministically.
-	// (score desc, seq asc) is a strict total order — seq is unique —
-	// so the sorted order is independent of the candidate order above.
-	slices.SortFunc(candidates, func(a, b scoredEntry) int {
-		switch {
-		case a.score > b.score:
-			return -1
-		case a.score < b.score:
-			return 1
-		case a.e.seq < b.e.seq:
-			return -1
-		default:
-			return 1
+		c := scoredEntry{e: e, score: m.cfg.Policy.Score(e, now, reuseMs[k][p])}
+		if best < 0 || evictionCmp(c, candidates[best]) < 0 {
+			best = len(candidates)
 		}
-	})
+		candidates = append(candidates, c)
+		freeable += e.content.Bytes
+	}
 	m.scratch = candidates // keep the grown buffer for the next call
-	if m.cfg.Audit {
-		m.auditEvictionOrder(candidates)
-	}
-	nVictims := 0
-	freed := int64(0)
-	for _, c := range candidates {
-		if m.gpuUsed-freed+bytes <= m.cfg.GPUBytes {
-			break
-		}
-		nVictims++
-		freed += c.e.content.Bytes
-	}
-	if m.gpuUsed-freed+bytes > m.cfg.GPUBytes {
+	if m.gpuUsed-freeable+bytes > m.cfg.GPUBytes {
 		return 0, false
 	}
+	// Victims collect at the tail of candidates, first victim last:
+	// candidates[:n] is the unselected rest, candidates[n:] the
+	// victims in ascending eviction priority.
+	n := len(candidates) - 1
+	candidates[best], candidates[n] = candidates[n], candidates[best]
+	freed := candidates[n].e.content.Bytes
+	if m.gpuUsed-freed+bytes > m.cfg.GPUBytes {
+		heapifyEviction(candidates[:n])
+		for m.gpuUsed-freed+bytes > m.cfg.GPUBytes {
+			n--
+			candidates[0], candidates[n] = candidates[n], candidates[0]
+			siftDownEviction(candidates[:n], 0)
+			freed += candidates[n].e.content.Bytes
+		}
+	}
+	victims := candidates[n:]
+	if m.cfg.Audit {
+		m.auditSelection(candidates, victims)
+	}
 	// Lower-scoring victims (reused sooner / tighter SLO) go to PIN.
-	// Victims are sorted by descending score, so walk them backwards.
+	// Victims are in ascending eviction priority, so walk them forwards.
 	var comm simtime.Duration
-	for i := nVictims - 1; i >= 0; i-- {
-		v := candidates[i].e
+	for _, c := range victims {
+		v := c.e
 		t := bytesTime(v.content.Bytes, m.cfg.D2HBps)
 		comm += t
 		m.stats.D2HTime += t
@@ -468,9 +477,55 @@ func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, 
 		m.residentRemove(v)
 		m.cfg.Trace.Evict(now, v.content.ID.App, v.content.ID.Model,
 			int(v.content.ID.Layer), int(v.content.ID.Kind),
-			v.content.Bytes, candidates[i].score, pinned)
+			v.content.Bytes, c.score, pinned)
 	}
 	return comm, true
+}
+
+// evictionCmp is the eviction order: negative when a is evicted before
+// b. Highest score goes first; seq breaks ties. Because seq is unique,
+// (score desc, seq asc) is a strict total order, so the victims of a
+// call do not depend on the order candidates were gathered in. The
+// heap selection and the audit's reference sort both use it.
+func evictionCmp(a, b scoredEntry) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
+	case a.e.seq < b.e.seq:
+		return -1
+	case a.e.seq > b.e.seq:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// heapifyEviction arranges h as a binary heap whose root is the entry
+// evicted first under evictionCmp.
+func heapifyEviction(h []scoredEntry) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownEviction(h, i)
+	}
+}
+
+// siftDownEviction restores the heap property below index i.
+func siftDownEviction(h []scoredEntry, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && evictionCmp(h[r], h[c]) < 0 {
+			c = r
+		}
+		if evictionCmp(h[i], h[c]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Release drops a content entirely (GPU, PIN, or pageable), freeing its
@@ -511,16 +566,14 @@ func (m *Manager) FlushAll() (entries int, bytes int64) {
 // ReleaseMatching drops every content whose ID satisfies pred and
 // returns how many were dropped.
 func (m *Manager) ReleaseMatching(pred func(ContentID) bool) int {
-	var ids []ContentID
+	n := 0
 	for id := range m.entries {
 		if pred(id) {
-			ids = append(ids, id)
+			m.Release(id) // deleting the current key mid-range is safe
+			n++
 		}
 	}
-	for _, id := range ids {
-		m.Release(id)
-	}
-	return len(ids)
+	return n
 }
 
 func bytesTime(bytes int64, bps float64) simtime.Duration {

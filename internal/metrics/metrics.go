@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"fmt"
 	"time"
 
 	"adainf/internal/mathx"
@@ -66,9 +67,10 @@ type Overflow struct {
 func (r *Recorder) Overflow() Overflow { return r.overflow }
 
 // NewRecorder sizes the metric buckets for a run of the given horizon.
-func NewRecorder(horizon, period simtime.Duration, gpus float64) *Recorder {
-	if horizon <= 0 || period <= 0 || gpus <= 0 {
-		panic("metrics: non-positive recorder configuration")
+// It rejects a non-positive horizon, period or GPU count.
+func NewRecorder(horizon, period simtime.Duration, gpus float64) (*Recorder, error) {
+	if horizon <= 0 || period <= 0 || !(gpus > 0) {
+		return nil, fmt.Errorf("metrics: recorder needs positive horizon, period and GPUs (got %v, %v, %g)", horizon, period, gpus)
 	}
 	nPeriods := int((horizon + period - 1) / period)
 	nSeconds := int(horizon/time.Second) + 1
@@ -85,7 +87,7 @@ func NewRecorder(horizon, period simtime.Duration, gpus float64) *Recorder {
 		retrainTimeS:   make([]float64, nPeriods),
 		retrainSamples: make([]int, nPeriods),
 		poolSamples:    make([]int, nPeriods),
-	}
+	}, nil
 }
 
 // periodIndex maps t to its period bucket, or -1 when t falls outside

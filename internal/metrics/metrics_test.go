@@ -14,27 +14,31 @@ func sec(s float64) simtime.Instant {
 
 func newRec(t *testing.T) *Recorder {
 	t.Helper()
-	return NewRecorder(100*time.Second, 50*time.Second, 4)
+	r, err := NewRecorder(100*time.Second, 50*time.Second, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestNewRecorderValidation(t *testing.T) {
-	for _, cfg := range [][3]interface{}{} {
-		_ = cfg
+	bad := []struct {
+		name            string
+		horizon, period simtime.Duration
+		gpus            float64
+	}{
+		{"zero horizon", 0, time.Second, 1},
+		{"negative horizon", -100 * time.Second, time.Second, 1},
+		{"zero period", time.Second, 0, 1},
+		{"zero GPUs", time.Second, time.Second, 0},
+		{"negative GPUs", time.Second, time.Second, -1},
+		{"NaN GPUs", time.Second, time.Second, math.NaN()},
 	}
-	bad := []func(){
-		func() { NewRecorder(0, time.Second, 1) },
-		func() { NewRecorder(time.Second, 0, 1) },
-		func() { NewRecorder(time.Second, time.Second, 0) },
-	}
-	for i, fn := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			fn()
-		}()
+	for _, c := range bad {
+		r, err := NewRecorder(c.horizon, c.period, c.gpus)
+		if err == nil || r != nil {
+			t.Errorf("%s: got (%v, %v), want an error", c.name, r, err)
+		}
 	}
 }
 

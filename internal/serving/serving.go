@@ -577,7 +577,10 @@ func Run(cfg Config) (*Result, error) {
 		states[i] = st
 	}
 
-	rec := metrics.NewRecorder(cfg.Horizon, cfg.Clock.Period, cfg.GPUs)
+	rec, err := metrics.NewRecorder(cfg.Horizon, cfg.Clock.Period, cfg.GPUs)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Method: cfg.Method.Name()}
 	rng := dist.NewRNG(cfg.Seed ^ 0x5eed)
 
