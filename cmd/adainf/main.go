@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -46,8 +45,6 @@ func main() {
 		chromePath = flag.String("trace-chrome", "", "also convert the trace to a Chrome trace_event file for chrome://tracing or Perfetto (requires -trace)")
 		histOn     = flag.Bool("hist", false, "collect latency histograms and report p50/p90/p99/p99.9")
 
-		profileWorkers = flag.Int("profile-workers", 0,
-			"offline-profiler work units measured concurrently (0 = one per CPU, 1 = serial; profiles are byte-identical either way)")
 		faultSpec = flag.String("faults", "",
 			"deterministic fault injection: \"default\" or comma-separated k=v "+
 				"(retrain-fail, retrain-slow, slow-factor, retries, backoff, mem-fail, "+
@@ -66,7 +63,7 @@ func main() {
 		cliflags.Lanes("-ngpus", *ngpus),
 		cliflags.Rate("-rate", *rate, false),
 		cliflags.Horizon("-horizon", *horizon, false),
-		cliflags.Workers("-profile-workers", *profileWorkers),
+		cliflags.Alpha("-alpha", *alpha),
 		faultErr,
 	); err != nil {
 		fatal(err)
@@ -96,15 +93,10 @@ func main() {
 		tel = telemetry.New(topt)
 	}
 
-	pfw := *profileWorkers
-	if pfw == 0 {
-		pfw = runtime.GOMAXPROCS(0)
-	}
 	fmt.Printf("profiling %d applications offline...\n", len(apps))
 	start := time.Now()
 	profiles, err := serving.BuildProfilesWith(apps, strat, policy, serving.ProfileBuildOptions{
 		Telemetry: tel,
-		Workers:   pfw,
 	})
 	if err != nil {
 		fatal(err)

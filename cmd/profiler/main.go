@@ -13,10 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"adainf/internal/app"
+	"adainf/internal/cliflags"
 	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
 	"adainf/internal/profile"
@@ -24,15 +24,17 @@ import (
 
 func main() {
 	var (
-		appName = flag.String("app", "video-surveillance", "application to profile")
-		list    = flag.Bool("list", false, "list available applications and exit")
-		alpha   = flag.Float64("alpha", 0.4, "priority-eviction weight α")
-		workers = flag.Int("workers", 0,
-			"profiling work units measured concurrently (0 = one per CPU, 1 = serial; profiles are byte-identical either way)")
+		appName  = flag.String("app", "video-surveillance", "application to profile")
+		list     = flag.Bool("list", false, "list available applications and exit")
+		alpha    = flag.Float64("alpha", 0.4, "priority-eviction weight α")
 		cacheDir = flag.String("profile-cache", "results/profiles",
 			"directory for cached offline profiles (empty = always rebuild)")
 	)
 	flag.Parse()
+	if err := cliflags.Alpha("-alpha", *alpha); err != nil {
+		fmt.Fprintln(os.Stderr, "profiler:", err)
+		os.Exit(2)
+	}
 
 	catalog := app.Catalog()
 	if *list {
@@ -52,14 +54,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	w := *workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	ap, info, err := profile.BuildAppProfileCachedInfo(target, profile.Config{
 		Strategy:  gpu.Strategy{MaximizeUsage: true},
 		NewPolicy: func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: *alpha} },
-		Workers:   w,
 	}, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "profiler:", err)

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -67,8 +66,6 @@ func main() {
 			"collect latency histograms per arm; latency tables gain p50/p99/p99.9 columns (metrics are bit-identical either way)")
 		traceDir = flag.String("trace", "",
 			"write one JSONL decision trace per simulation arm into this directory (validate/convert with tracecheck)")
-		profileWorkers = flag.Int("profile-workers", 0,
-			"offline-profiler work units measured concurrently (0 = one per CPU, 1 = serial; profiles are byte-identical either way)")
 		profClear = flag.Bool("profile-cache-clear", false,
 			"clear the profile cache directory before running (forces a cold rebuild)")
 		faultSpec = flag.String("faults", "",
@@ -86,7 +83,6 @@ func main() {
 	faultCfg, faultErr := cliflags.Faults("-faults", *faultSpec, *faultSeed)
 	if err := cliflags.First(
 		cliflags.Workers("-parallel", *parallel),
-		cliflags.Workers("-profile-workers", *profileWorkers),
 		cliflags.Lanes("-gpus", *gpus),
 		cliflags.Rate("-rate", *rate, true),
 		cliflags.Horizon("-horizon", *horizon, true),
@@ -95,11 +91,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
-	pfw := *profileWorkers
-	if pfw == 0 {
-		pfw = runtime.GOMAXPROCS(0)
-	}
-	profile.SetDefaultWorkers(pfw)
 	if *profClear && *profDir != "" {
 		if _, err := profile.CleanCache(*profDir, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: clearing profile cache: %v\n", err)
@@ -116,7 +107,7 @@ func main() {
 	}
 	opts := experiments.Options{
 		Seed: *seed, Horizon: *horizon, Rate: *rate, Quick: *quick,
-		Workers: *parallel, ProfileCache: *profDir, ProfileWorkers: pfw,
+		Workers: *parallel, ProfileCache: *profDir,
 		Audit: *auditOn, Hist: *histOn, TraceDir: *traceDir,
 		NGPUs: *gpus,
 	}

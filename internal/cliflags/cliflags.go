@@ -1,6 +1,6 @@
-// Package cliflags validates the numeric flags shared by the adainf
-// and repro commands, so every binary rejects nonsensical
-// worker and GPU counts with the same message instead of silently
+// Package cliflags validates the numeric flags shared by the adainf,
+// repro and profiler commands, so every binary rejects nonsensical
+// counts, rates and weights with the same message instead of silently
 // clamping them (or worse, passing them through to the engine).
 package cliflags
 
@@ -14,11 +14,20 @@ import (
 )
 
 // Workers validates a worker-count flag whose zero value means "one
-// per CPU" (-profile-workers, -parallel).
-// Only negative values are invalid.
+// per CPU" (repro's -parallel). Only negative values are invalid.
 func Workers(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("%s must be >= 0 (0 = one per CPU), got %d", name, v)
+	}
+	return nil
+}
+
+// Alpha validates a priority-eviction weight flag (-alpha on adainf and
+// profiler): α is the convex weight of §3.4.2's S_c = (1-α)·R_c + α·L_s,
+// so it must lie in [0, 1]. NaN is rejected too.
+func Alpha(name string, v float64) error {
+	if !(v >= 0 && v <= 1) {
+		return fmt.Errorf("%s must be in [0, 1], got %g", name, v)
 	}
 	return nil
 }

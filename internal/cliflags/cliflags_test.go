@@ -9,8 +9,9 @@ import (
 )
 
 // TestValidators is the table-driven flag-validation suite the CLIs
-// rely on: worker flags accept zero (auto) and reject negatives, lane
-// counts must be at least one, fractional GPU amounts must be strictly
+// rely on: worker flags accept zero (auto) and reject negatives, the
+// eviction weight α must lie in [0, 1] (NaN rejected), lane counts
+// must be at least one, fractional GPU amounts must be strictly
 // positive (NaN included in the rejections), and rates and horizons
 // must be finite and positive, with 0 accepted only where it selects
 // the default.
@@ -22,9 +23,17 @@ func TestValidators(t *testing.T) {
 	}{
 		{"workers auto", Workers("-parallel", 0), true},
 		{"workers serial", Workers("-parallel", 1), true},
-		{"workers many", Workers("-profile-workers", 64), true},
+		{"workers many", Workers("-parallel", 64), true},
 		{"workers negative", Workers("-parallel", -1), false},
-		{"workers very negative", Workers("-profile-workers", -100), false},
+		{"workers very negative", Workers("-parallel", -100), false},
+
+		{"alpha zero", Alpha("-alpha", 0), true},
+		{"alpha default", Alpha("-alpha", 0.4), true},
+		{"alpha one", Alpha("-alpha", 1), true},
+		{"alpha negative", Alpha("-alpha", -3), false},
+		{"alpha above one", Alpha("-alpha", 1.5), false},
+		{"alpha nan", Alpha("-alpha", math.NaN()), false},
+		{"alpha inf", Alpha("-alpha", math.Inf(1)), false},
 
 		{"lanes one", Lanes("-gpus", 1), true},
 		{"lanes many", Lanes("-gpus", 8), true},
@@ -79,8 +88,8 @@ func TestValidators(t *testing.T) {
 // TestErrorNamesFlag pins the message contract: the user sees which
 // flag failed and the value they passed.
 func TestErrorNamesFlag(t *testing.T) {
-	err := Workers("-profile-workers", -3)
-	if err == nil || !strings.Contains(err.Error(), "-profile-workers") ||
+	err := Workers("-parallel", -3)
+	if err == nil || !strings.Contains(err.Error(), "-parallel") ||
 		!strings.Contains(err.Error(), "-3") {
 		t.Errorf("unhelpful error: %v", err)
 	}

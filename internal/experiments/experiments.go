@@ -54,12 +54,6 @@ type Options struct {
 	// ProfileCache is a directory holding cached offline profiles
 	// (profile.BuildAppProfileCached). Empty profiles from scratch.
 	ProfileCache string
-	// ProfileWorkers bounds the offline profiler's concurrency
-	// (profile.Config.Workers): work units within one app's build and
-	// distinct apps across a catalog. 0 takes the package default
-	// (profile.SetDefaultWorkers); profiles are byte-identical at
-	// every value, so the figures never depend on it.
-	ProfileWorkers int
 	// Audit runs every simulation arm (and any profile build an arm
 	// triggers) under the runtime invariant auditor in fail-fast mode:
 	// the first violation fails the artifact. Metrics are bit-identical
@@ -256,12 +250,9 @@ type profileEntry struct {
 }
 
 // profilesFor builds (or reuses) the profiles for one memory
-// configuration. workers tunes only how fast the first caller builds —
-// it deliberately stays out of the single-flight key, since profiles
-// are byte-identical at every worker count.
-func profilesFor(apps []*app.App, mem memoryConfig, cacheDir string, audit bool,
-	workers int) (map[string]*profile.AppProfile, error) {
-
+// configuration. The first caller builds them; concurrent arms asking
+// for the same key wait for that build and share its result.
+func profilesFor(apps []*app.App, mem memoryConfig, cacheDir string, audit bool) (map[string]*profile.AppProfile, error) {
 	key := mem.name + "|" + appSetKey(apps)
 	if audit {
 		// Audited builds run extra (behaviour-preserving) checks; keep
@@ -275,7 +266,6 @@ func profilesFor(apps []*app.App, mem memoryConfig, cacheDir string, audit bool,
 		e.p, e.err = serving.BuildProfilesWith(apps, mem.strategy, mem.policy, serving.ProfileBuildOptions{
 			CacheDir: cacheDir,
 			Audit:    audit,
-			Workers:  workers,
 		})
 	})
 	return e.p, e.err
@@ -287,7 +277,7 @@ func profilesFor(apps []*app.App, mem memoryConfig, cacheDir string, audit bool,
 func run(o Options, apps []*app.App, m sched.Method, gpus float64,
 	retrain, divergent bool, mem memoryConfig) (*serving.Result, error) {
 
-	profs, err := profilesFor(apps, mem, o.ProfileCache, o.Audit, o.ProfileWorkers)
+	profs, err := profilesFor(apps, mem, o.ProfileCache, o.Audit)
 	if err != nil {
 		return nil, err
 	}

@@ -146,7 +146,7 @@ func sum(xs []float64) float64 {
 // vsFullProfiles returns the video-surveillance profile under AdaInf's
 // memory configuration.
 func vsFullProfiles() (*profile.AppProfile, error) {
-	profs, err := profilesFor([]*app.App{app.VideoSurveillance()}, adaMemory(0.4), "", false, 0)
+	profs, err := profilesFor([]*app.App{app.VideoSurveillance()}, adaMemory(0.4), "", false)
 	if err != nil {
 		return nil, err
 	}

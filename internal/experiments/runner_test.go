@@ -164,7 +164,7 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := profilesFor(apps, mem, "", false, 0)
+			p, err := profilesFor(apps, mem, "", false)
 			if err != nil {
 				t.Error(err)
 				return

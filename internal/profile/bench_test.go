@@ -12,10 +12,10 @@ import (
 // cost. One op is one cold build.
 func BenchmarkBuildAppProfileM1(b *testing.B) {
 	a := app.BikeRackOccupancy()
-	cfg := Config{Strategy: pinnedM1.strategy, NewPolicy: pinnedM1.newPolicy, Workers: 1}
+	cfg := Config{Strategy: pinnedM1.strategy, NewPolicy: pinnedM1.newPolicy}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildAppProfile(a, cfg); err != nil {
+		if _, err := buildAppProfile(a, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -306,8 +306,8 @@ type BuildInfo struct {
 	// CorruptEvicted reports whether an undecodable cache file was
 	// found (and deleted) during the lookup.
 	CorruptEvicted bool
-	// Workers is the resolved work-unit worker count the build ran (or
-	// would have run) with.
+	// Workers is the work-unit worker count the build ran (or would
+	// have run) with.
 	Workers int
 	// Units is the number of profiling work units the app decomposes
 	// into.

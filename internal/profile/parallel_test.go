@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -136,23 +137,19 @@ func dumpProfile(t *testing.T, a *app.App, ap *AppProfile) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelBuildBitIdentity is the tentpole's contract: a profile
-// built with any worker count is bit-identical to the serial build —
-// same canonical gob bytes, same MemDigest, same TypeReuse means.
+// TestParallelBuildBitIdentity pins the staged merge: a profile built
+// on any number of workers is bit-identical to the serial build — same
+// canonical gob bytes, same MemDigest, same TypeReuse means.
 func TestParallelBuildBitIdentity(t *testing.T) {
 	a := testApp(t)
-	cfg := fastConfig()
-	cfg.Workers = 1
-	serial, err := BuildAppProfile(a, cfg)
+	serial, err := buildAppProfile(a, fastConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := dumpProfile(t, a, serial)
 
 	for _, workers := range []int{2, 8} {
-		pcfg := fastConfig()
-		pcfg.Workers = workers
-		got, err := BuildAppProfile(a, pcfg)
+		got, err := buildAppProfile(a, fastConfig(), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -169,23 +166,46 @@ func TestParallelBuildBitIdentity(t *testing.T) {
 }
 
 // The full default grid is the configuration the figures actually
-// profile under; one parallel run at the package-default entry point
-// guards it too (heavier, so only two worker counts).
+// profile under, so it is guarded too (heavier, so only two worker
+// counts).
 func TestParallelBuildBitIdentityDefaultGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid identity check skipped in -short")
 	}
 	a := testApp(t)
-	serial, err := BuildAppProfile(a, Config{Workers: 1})
+	serial, err := buildAppProfile(a, Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildAppProfile(a, Config{Workers: 4})
+	par, err := buildAppProfile(a, Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dumpProfile(t, a, serial), dumpProfile(t, a, par)) {
 		t.Error("4-worker full-grid build differs from serial")
+	}
+}
+
+// TestBuildWorkersFollowCPUAndTracing pins the pool size a build
+// reports: one worker per CPU, and exactly one under a tracing
+// collector, whose JSONL event order must stay deterministic.
+func TestBuildWorkersFollowCPUAndTracing(t *testing.T) {
+	a := testApp(t)
+	_, info, err := BuildAppProfileCachedInfo(a, fastConfig(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := runtime.GOMAXPROCS(0); info.Workers != want {
+		t.Errorf("untraced build ran on %d workers, want GOMAXPROCS = %d", info.Workers, want)
+	}
+	cfg := fastConfig()
+	cfg.Telemetry = telemetry.New(telemetry.Options{Trace: io.Discard})
+	_, info, err = BuildAppProfileCachedInfo(a, cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Workers != 1 {
+		t.Errorf("traced build ran on %d workers, want 1", info.Workers)
 	}
 }
 

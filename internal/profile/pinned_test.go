@@ -32,7 +32,9 @@ var (
 // MemDigest over the profiled managers' final states. Any change to
 // eviction choice, PIN placement or transfer accounting in gpumem or
 // the executor moves at least one of them. The constants were derived
-// before the eviction-selection rewrite and must hold unchanged.
+// from serial builds before the eviction-selection rewrite and must
+// hold unchanged; building through the default entry point pins the
+// parallel unit pool to them as well.
 func TestPinnedProfileDigests(t *testing.T) {
 	cases := []struct {
 		app             func() *app.App
@@ -50,7 +52,6 @@ func TestPinnedProfileDigests(t *testing.T) {
 			ap, err := BuildAppProfile(a, Config{
 				Strategy:  c.mem.strategy,
 				NewPolicy: c.mem.newPolicy,
-				Workers:   1,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -14,6 +14,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,17 +73,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives eviction events from the
 	// profiled partitions and cache hit/miss events from cached builds.
 	// Pure observability: it never changes the built profile and does
-	// not enter the on-disk cache key.
+	// not enter the on-disk cache key. A tracing collector makes the
+	// build serial so the JSONL event order stays deterministic.
 	Telemetry *telemetry.Collector
-	// Workers bounds how many profiling work units — one per (node,
-	// structure) measurement grid plus one retraining unit per node —
-	// are measured concurrently. 0 takes the package default
-	// (SetDefaultWorkers); values ≤ 1 profile serially. The built
-	// profile is byte-identical at every worker count (see the staged
-	// merge in BuildAppProfile). A tracing telemetry collector forces
-	// serial execution so the JSONL event order stays deterministic;
-	// Workers does not enter the on-disk cache key.
-	Workers int
 }
 
 func (c *Config) fillDefaults() {
@@ -312,39 +305,23 @@ func (ap *AppProfile) StructureProfileFor(node string, st dnn.Structure) (*Struc
 	return nil, fmt.Errorf("profile: app %q node %q has no profile for %v", ap.App.Name, node, st)
 }
 
-// Package-wide profiler default: experiment code builds profiles deep
-// inside method closures and the serving engine, so binaries configure
-// profiling concurrency through this rather than threading a worker
-// count through every call site.
-// Read once per build; atomic because experiment arms build profiles
-// concurrently.
-var defaultWorkers atomic.Int64
+// SetDefaultWorkers does nothing: a build always runs its work units on
+// one worker per CPU (runtime.GOMAXPROCS), or serially when tracing.
+//
+// Deprecated: the profiler's worker count is no longer configurable;
+// the call remains only so existing callers compile.
+func SetDefaultWorkers(int) {}
 
-// SetDefaultWorkers sets the profiling work-unit worker count used by
-// builds whose Config leaves Workers zero. n ≤ 1 restores the serial
-// default. Profiles are byte-identical at any worker count.
-func SetDefaultWorkers(n int) { defaultWorkers.Store(int64(n)) }
-
-// workerCount resolves Config.Workers against the package default and
-// the tracing constraint (a shared JSONL sink is single-goroutine and
-// its event order must stay deterministic).
+// workerCount is the number of work units a build under this config
+// measures concurrently: one per CPU, or one when tracing, because a
+// shared JSONL sink is single-goroutine and its event order must stay
+// deterministic.
 func (c *Config) workerCount() int {
-	w := c.Workers
-	if w == 0 {
-		w = int(defaultWorkers.Load())
+	if c.Telemetry.Tracing() {
+		return 1
 	}
-	if w < 1 || c.Telemetry.Tracing() {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
-
-// ResolvedWorkers reports the worker count a build under this config
-// runs with: Config.Workers resolved against the package default
-// (SetDefaultWorkers) and the tracing constraint. Callers layering
-// their own concurrency on top of the profiler (e.g. cross-app builds)
-// use it so every level obeys the same serial-when-tracing rule.
-func (c *Config) ResolvedWorkers() int { return c.workerCount() }
 
 // buildUnit is one independent measurement task of an app build: the
 // full batch × fraction grid of one (node, structure) pair, or — with
@@ -461,11 +438,17 @@ func parallelUnits(workers, n int, fn func(k int)) {
 
 // BuildAppProfile profiles every structure of every node of the
 // application under the config by executing them on fresh simulated
-// partitions. With Config.Workers > 1 the independent work units run
-// concurrently; results are staged per unit and merged serially in
-// canonical node/structure order, so the output is byte-identical to a
-// serial build (gob bytes, MemDigest, and TypeReuse alike).
+// partitions. The independent work units run on one worker per CPU,
+// or serially under a tracing collector; results are staged per unit
+// and merged serially in canonical node/structure order, so the output
+// is byte-identical to a serial build (gob bytes, MemDigest, and
+// TypeReuse alike).
 func BuildAppProfile(a *app.App, cfg Config) (*AppProfile, error) {
+	return buildAppProfile(a, cfg, cfg.workerCount())
+}
+
+// buildAppProfile is BuildAppProfile on the given number of workers.
+func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	cfg.fillDefaults()
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -484,7 +467,7 @@ func BuildAppProfile(a *app.App, cfg Config) (*AppProfile, error) {
 	}
 	units := appUnits(a, arches)
 	results := make([]unitResult, len(units))
-	parallelUnits(cfg.workerCount(), len(units), func(k int) {
+	parallelUnits(workers, len(units), func(k int) {
 		u := &units[k]
 		r := &results[k]
 		start := time.Now()

@@ -275,17 +275,17 @@ func TestMetamorphicProfileCache(t *testing.T) {
 	policy := func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: 0.4} }
 	dir := t.TempDir()
 
-	cold, err := BuildProfilesCached(one, strat, policy, dir)
+	cold, err := BuildProfilesWith(one, strat, policy, ProfileBuildOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := BuildProfilesCached(one, strat, policy, dir)
+	warm, err := BuildProfilesWith(one, strat, policy, ProfileBuildOptions{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An audited build shares cache keys with an unaudited one: the
 	// audit never changes the profile, so the warm cache satisfies it.
-	warmAudited, err := BuildProfilesAudited(one, strat, policy, dir)
+	warmAudited, err := BuildProfilesWith(one, strat, policy, ProfileBuildOptions{CacheDir: dir, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,6 @@ package serving
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"adainf/internal/app"
@@ -379,14 +377,6 @@ type ProfileBuildOptions struct {
 	// profiled partitions' eviction events. Neither enters the cache
 	// key.
 	Telemetry *telemetry.Collector
-	// Workers is the profiling concurrency (profile.Config.Workers):
-	// it bounds both the work units inside one app's build and how many
-	// distinct apps build at once. 0 takes the package default
-	// (profile.SetDefaultWorkers); ≤ 1 is serial. Profiles are
-	// byte-identical at any value, and a tracing telemetry collector
-	// forces serial execution so the trace's event order stays
-	// deterministic.
-	Workers int
 }
 
 // BuildProfiles builds the per-app offline profiles for the memory
@@ -395,33 +385,15 @@ func BuildProfiles(apps []*app.App, strat gpu.Strategy, newPolicy func() gpumem.
 	return BuildProfilesWith(apps, strat, newPolicy, ProfileBuildOptions{})
 }
 
-// BuildProfilesCached is BuildProfiles backed by the on-disk profile
-// cache in cacheDir; an empty cacheDir profiles from scratch.
-func BuildProfilesCached(apps []*app.App, strat gpu.Strategy, newPolicy func() gpumem.Policy,
-	cacheDir string) (map[string]*profile.AppProfile, error) {
-	return BuildProfilesWith(apps, strat, newPolicy, ProfileBuildOptions{CacheDir: cacheDir})
-}
-
-// BuildProfilesAudited is BuildProfilesCached with the GPU-memory
-// invariant checks enabled during profiling.
-func BuildProfilesAudited(apps []*app.App, strat gpu.Strategy, newPolicy func() gpumem.Policy,
-	cacheDir string) (map[string]*profile.AppProfile, error) {
-	return BuildProfilesWith(apps, strat, newPolicy, ProfileBuildOptions{CacheDir: cacheDir, Audit: true})
-}
-
 // BuildProfilesWith builds (or loads from cache) the per-app offline
 // profiles for the memory configuration under the given options.
 //
 // CatalogN clones share profiles with their base app — same models,
-// same SLO band — so the catalog is first deduplicated on
-// profileKeyOf (single-flight: each distinct shape profiles exactly
-// once, however many clones reference it). With Workers > 1 the
-// distinct apps build concurrently; each worker builds without the
-// shared telemetry collector (it is single-goroutine) and the per-app
-// cache and build events are re-emitted serially in catalog order
-// afterwards, so a traced or hist-enabled run observes the same event
-// sequence at any worker count. Errors also surface deterministically:
-// the first distinct app's error in catalog order wins.
+// same SLO band — so apps are deduplicated on profileKeyOf: each
+// distinct shape profiles exactly once, however many clones reference
+// it. Distinct apps build one after another in catalog order, and the
+// first failing build's error is returned. Each build runs its own work
+// units concurrently (see profile.BuildAppProfile).
 func BuildProfilesWith(apps []*app.App, strat gpu.Strategy, newPolicy func() gpumem.Policy,
 	opts ProfileBuildOptions) (map[string]*profile.AppProfile, error) {
 
@@ -430,73 +402,20 @@ func BuildProfilesWith(apps []*app.App, strat gpu.Strategy, newPolicy func() gpu
 		NewPolicy: newPolicy,
 		Audit:     opts.Audit,
 		Telemetry: opts.Telemetry,
-		Workers:   opts.Workers,
 	}
-	// Distinct profile shapes in first-appearance order.
-	keyIdx := make(map[string]int)
-	var distinct []*app.App
-	for _, a := range apps {
-		k := profileKeyOf(a)
-		if _, ok := keyIdx[k]; !ok {
-			keyIdx[k] = len(distinct)
-			distinct = append(distinct, a)
-		}
-	}
-
-	profiles := make([]*profile.AppProfile, len(distinct))
-	if workers := cfg.ResolvedWorkers(); workers > 1 && len(distinct) > 1 {
-		wcfg := cfg
-		wcfg.Telemetry = nil
-		infos := make([]profile.BuildInfo, len(distinct))
-		errs := make([]error, len(distinct))
-		if workers > len(distinct) {
-			workers = len(distinct)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		build := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(distinct) {
-					return
-				}
-				profiles[i], infos[i], errs[i] = profile.BuildAppProfileCachedInfo(distinct[i], wcfg, opts.CacheDir)
-			}
-		}
-		wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			go func() { defer wg.Done(); build() }()
-		}
-		build()
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for i, a := range distinct {
-			info := infos[i]
-			if info.CorruptEvicted {
-				opts.Telemetry.CacheCorrupt(a.Name)
-			}
-			if opts.CacheDir != "" {
-				opts.Telemetry.Cache(a.Name, info.CacheHit)
-			}
-			opts.Telemetry.ProfileBuild(a.Name, info.Wall, info.Workers, info.Units, info.CacheHit)
-		}
-	} else {
-		for i, a := range distinct {
-			p, _, err := profile.BuildAppProfileCachedInfo(a, cfg, opts.CacheDir)
-			if err != nil {
-				return nil, err
-			}
-			profiles[i] = p
-		}
-	}
-
+	built := make(map[string]*profile.AppProfile)
 	out := make(map[string]*profile.AppProfile, len(apps))
 	for _, a := range apps {
-		out[a.Name] = profiles[keyIdx[profileKeyOf(a)]]
+		k := profileKeyOf(a)
+		p, ok := built[k]
+		if !ok {
+			var err error
+			if p, err = profile.BuildAppProfileCached(a, cfg, opts.CacheDir); err != nil {
+				return nil, err
+			}
+			built[k] = p
+		}
+		out[a.Name] = p
 	}
 	return out, nil
 }

@@ -150,39 +150,34 @@ func TestBuildProfilesSharedAcrossClones(t *testing.T) {
 	}
 }
 
-// TestBuildProfilesWithParallelMatchesSerial pins the cross-app
-// parallel path: distinct apps built concurrently produce the same
-// profiles as the serial walk, and clone dedup still shares the built
-// profile by pointer.
-func TestBuildProfilesWithParallelMatchesSerial(t *testing.T) {
+// TestBuildProfilesWithDedup pins the catalog dedup: a clone shares
+// its base app's profile by pointer, and every distinct app's profile
+// matches a direct profile.BuildAppProfile of that app.
+func TestBuildProfilesWithDedup(t *testing.T) {
 	clone := *app.VideoSurveillance()
 	clone.Name = "video-surveillance-2"
 	apps := []*app.App{app.VideoSurveillance(), app.BikeRackOccupancy(), &clone}
 	strat := gpu.Strategy{MaximizeUsage: true}
 	policy := func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: 0.4} }
 
-	serial, err := BuildProfilesWith(apps, strat, policy, ProfileBuildOptions{Workers: 1})
+	profs, err := BuildProfilesWith(apps, strat, policy, ProfileBuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildProfilesWith(apps, strat, policy, ProfileBuildOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if len(profs) != len(apps) {
+		t.Fatalf("built %d profiles for %d apps", len(profs), len(apps))
 	}
-	if len(par) != len(serial) {
-		t.Fatalf("parallel built %d profiles, serial %d", len(par), len(serial))
+	if profs["video-surveillance-2"] != profs["video-surveillance"] {
+		t.Error("clone does not share its base app's profile")
 	}
-	for name, sp := range serial {
-		pp, ok := par[name]
-		if !ok {
-			t.Fatalf("parallel build missing %q", name)
+	for _, a := range apps[:2] {
+		direct, err := profile.BuildAppProfile(a, profile.Config{Strategy: strat, NewPolicy: policy})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pp.MemDigest != sp.MemDigest {
-			t.Errorf("%s: MemDigest %#x (parallel) vs %#x (serial)", name, pp.MemDigest, sp.MemDigest)
+		if got := profs[a.Name].MemDigest; got != direct.MemDigest {
+			t.Errorf("%s: MemDigest %#x, direct build %#x", a.Name, got, direct.MemDigest)
 		}
-	}
-	if par["video-surveillance-2"] != par["video-surveillance"] {
-		t.Error("clone no longer shares its base app's profile under the parallel build")
 	}
 }
 

@@ -54,6 +54,11 @@ done
 echo "== go test -race (experiments, serving, faults, profile, eventsim, core, sched, gpumem, audit, cluster, admit) =="
 go test -race -short ./internal/experiments/... ./internal/serving/... ./internal/faults/... ./internal/profile/... ./internal/eventsim/... ./internal/core/... ./internal/sched/... ./internal/gpumem/... ./internal/audit/... ./internal/cluster/... ./internal/admit/...
 
+# The profiler's work-unit pool runs in every build (one worker per
+# CPU), so its staged merge gets repeated race runs of its own.
+echo "== profiler pool race =="
+go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
+
 # Fuzz smoke: a few seconds per target catches regressions in the
 # properties the fuzz corpora pin (regression-fit robustness, profile
 # cache-key identity, fault-schedule decode/encode round trips, and
