@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 
 var fxProfile *profile.AppProfile
 
-func fixture(t *testing.T) (*app.Instance, *profile.AppProfile) {
+func fixture(t testing.TB) (*app.Instance, *profile.AppProfile) {
 	t.Helper()
 	if fxProfile == nil {
 		p, err := profile.BuildAppProfile(app.VideoSurveillance(), profile.Config{
@@ -129,6 +130,33 @@ func TestEkyaSessionPlanEqualSplit(t *testing.T) {
 	}
 }
 
+// TestEkyaSessionMemoExactFraction plans at two fractions that round to
+// the same 1/1000: the memo must not hand the second one the first
+// one's timings.
+func TestEkyaSessionMemoExactFraction(t *testing.T) {
+	inst, prof := fixture(t)
+	planAt := func(e *Ekya, share float64) sched.JobPlan {
+		t.Helper()
+		p, err := e.PlanSession(&sched.SessionContext{
+			GPUShare: share,
+			Jobs:     []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 32}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jp := p.Jobs[0]
+		jp.Nodes = append([]sched.NodePlan(nil), jp.Nodes...)
+		return jp
+	}
+	e := NewEkya()
+	planAt(e, 0.4)
+	got := planAt(e, 0.4004)
+	want := planAt(NewEkya(), 0.4004)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("memoized plan at 0.4004 = %+v, a fresh Ekya plans %+v", got, want)
+	}
+}
+
 func TestScroogeName(t *testing.T) {
 	if NewScrooge(false).Name() != "Scrooge" || NewScrooge(true).Name() != "Scrooge*" {
 		t.Fatal("names")
@@ -195,6 +223,73 @@ func TestScroogeSolveCacheWindow(t *testing.T) {
 	}
 }
 
+// TestScroogeSolveCachePerLane plans four lanes in turn, as a sharded
+// server does: each lane solves once per 100 ms window and replays its
+// own solve for the window's later sessions.
+func TestScroogeSolveCachePerLane(t *testing.T) {
+	inst, prof := fixture(t)
+	const lanes = 4
+	s := NewScrooge(false)
+	// Lane g serves one job with a distinct load, so a plan replayed on
+	// the wrong lane is visible.
+	plan := func(sess, g, njobs int) *sched.SessionPlan {
+		t.Helper()
+		jobs := make([]sched.JobRequest, njobs)
+		for i := range jobs {
+			jobs[i] = sched.JobRequest{Instance: inst, Profile: prof, Requests: 8 << g}
+		}
+		p, err := s.PlanSession(&sched.SessionContext{
+			Session: sess, Start: simtime.Instant(time.Duration(sess) * 5 * time.Millisecond),
+			GPU: g, GPUShare: 0.5, Jobs: jobs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	solved := make([][]sched.JobPlan, lanes)
+	for g := 0; g < lanes; g++ {
+		p := plan(0, g, 1)
+		if p.Overhead != ScroogeOverhead {
+			t.Fatalf("lane %d first plan overhead = %v, want a solve", g, p.Overhead)
+		}
+		solved[g] = p.Jobs
+	}
+	for g := 1; g < lanes; g++ {
+		if reflect.DeepEqual(solved[g], solved[0]) {
+			t.Fatalf("lanes 0 and %d solved alike; the replay check is vacuous", g)
+		}
+	}
+	for g := 0; g < lanes; g++ {
+		p := plan(1, g, 1)
+		if p.Overhead != 0 {
+			t.Errorf("lane %d re-solved inside its window", g)
+		}
+		if p.Session != 1 || !reflect.DeepEqual(p.Jobs, solved[g]) {
+			t.Errorf("lane %d replayed %+v, want its own solve %+v", g, p.Jobs, solved[g])
+		}
+	}
+	// A changed job count re-solves only that lane.
+	for g := 0; g < lanes; g++ {
+		njobs := 1
+		if g == 2 {
+			njobs = 2
+		}
+		if got, want := plan(2, g, njobs).Overhead > 0, g == 2; got != want {
+			t.Errorf("lane %d after lane 2's job count changed: solved = %v, want %v", g, got, want)
+		}
+	}
+	// A new period re-solves every lane, still inside window 0.
+	if _, err := s.OnPeriodStart(periodCtx(t, inst, prof)); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < lanes; g++ {
+		if plan(3, g, 1).Overhead != ScroogeOverhead {
+			t.Errorf("lane %d kept its solve across a period start", g)
+		}
+	}
+}
+
 func TestScroogeStarProportionalScaling(t *testing.T) {
 	inst, prof := fixture(t)
 	inst2, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 8, PoolSamples: 2000})
@@ -224,5 +319,31 @@ func TestScroogeStarProportionalScaling(t *testing.T) {
 	}
 	if greedy.Jobs[0].Fraction < greedy.Jobs[1].Fraction {
 		t.Fatalf("greedy Scrooge fractions: %v vs %v", greedy.Jobs[0].Fraction, greedy.Jobs[1].Fraction)
+	}
+}
+
+// BenchmarkScroogePlanSessionLanes plans four lanes per 5 ms session,
+// as a sharded server does, so each lane solves once per 100 ms window
+// and replays its solve for the other 19 sessions.
+func BenchmarkScroogePlanSessionLanes(b *testing.B) {
+	inst, prof := fixture(b)
+	const lanes = 4
+	jobs := make([][]sched.JobRequest, lanes)
+	for g := range jobs {
+		jobs[g] = []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 8 << g}}
+	}
+	s := NewScrooge(false)
+	ctx := &sched.SessionContext{GPUShare: 0.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.Session = i
+		ctx.Start = simtime.Instant(time.Duration(i) * 5 * time.Millisecond)
+		for g := 0; g < lanes; g++ {
+			ctx.GPU, ctx.Jobs = g, jobs[g]
+			if _, err := s.PlanSession(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

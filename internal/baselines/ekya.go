@@ -51,10 +51,13 @@ type Ekya struct {
 	costs map[*profile.AppProfile]*profile.LatencyCache
 }
 
+// ekyaKey keys the session memo on the exact fraction's bits: the
+// memoized timings were computed at that fraction, so two fractions
+// that merely round alike must not share an entry.
 type ekyaKey struct {
-	app       string
-	requests  int
-	fracMilli int
+	app      string
+	requests int
+	fracBits uint64
 }
 
 // ekyaBase is the memoized inference plan of one job: batch size and
@@ -276,9 +279,9 @@ func (e *Ekya) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error
 // fraction.
 func (e *Ekya) jobBaseFor(jr *sched.JobRequest, f float64) (*ekyaBase, error) {
 	key := ekyaKey{
-		app:       jr.Instance.App.Name,
-		requests:  jr.Requests,
-		fracMilli: int(math.Round(f * 1000)),
+		app:      jr.Instance.App.Name,
+		requests: jr.Requests,
+		fracBits: math.Float64bits(f),
 	}
 	if e.sessionCache == nil {
 		e.sessionCache = make(map[ekyaKey]*ekyaBase)

@@ -27,19 +27,23 @@ type Scrooge struct {
 	Trainer     cloud.Trainer
 	minFraction float64
 
-	// cached plan, reused for the sessions inside one solve window.
-	// cachedGPU pins the cache to the GPU lane it solved for: on a
-	// sharded server the same Scrooge instance plans every lane in turn,
-	// and two lanes with equal job counts must not trade plans.
-	cachedWindow int
-	cachedGPU    int
-	cached       *sched.SessionPlan
+	// slots[g] is GPU lane g's solve cache, reused for the sessions
+	// inside one solve window. On a sharded server the same Scrooge
+	// instance plans every lane in turn, so each lane keeps its own slot
+	// and solves once per window; a single-GPU server uses slot 0.
+	slots        []scroogeSlot
 	transferTime simtime.Duration
 	transferred  int64
 
 	// costs holds the per-profile latency-probe memos installed on
 	// every solved session's jobs (see installCosts).
 	costs map[*profile.AppProfile]*profile.LatencyCache
+}
+
+// scroogeSlot is one lane's last solve and the window it was solved in.
+type scroogeSlot struct {
+	window int
+	plan   *sched.SessionPlan
 }
 
 // NewScrooge returns the Scrooge baseline (set star for Scrooge*).
@@ -93,17 +97,22 @@ func (s *Scrooge) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, er
 			Completion: r.Completion, OnCloud: true,
 		})
 	}
-	s.cached = nil // new period invalidates the solve cache
+	clear(s.slots) // new period invalidates every lane's solve cache
 	return plan, nil
 }
 
 // PlanSession implements sched.Scheduler. The optimization solve runs
 // once per 100 ms window (20 sessions) and its allocation is reused for
-// every session in the window, since the solve itself takes ~100 ms.
+// every session of the same lane in the window, since the solve itself
+// takes ~100 ms.
 func (s *Scrooge) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
 	window := int(ctx.Start.Duration() / ScroogeOverhead)
-	if s.cached != nil && window == s.cachedWindow && s.cachedGPU == ctx.GPU && len(s.cached.Jobs) == len(ctx.Jobs) {
-		plan := *s.cached
+	for len(s.slots) <= ctx.GPU {
+		s.slots = append(s.slots, scroogeSlot{})
+	}
+	slot := &s.slots[ctx.GPU]
+	if slot.plan != nil && slot.window == window && len(slot.plan.Jobs) == len(ctx.Jobs) {
+		plan := *slot.plan
 		plan.Session = ctx.Session
 		plan.Overhead = 0 // already paid at the window's first session
 		return &plan, nil
@@ -112,9 +121,7 @@ func (s *Scrooge) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, er
 	if err != nil {
 		return nil, err
 	}
-	s.cached = plan
-	s.cachedWindow = window
-	s.cachedGPU = ctx.GPU
+	*slot = scroogeSlot{window: window, plan: plan}
 	return plan, nil
 }
 

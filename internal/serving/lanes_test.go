@@ -166,3 +166,52 @@ func TestLaneTrace(t *testing.T) {
 		t.Error("counters lack per-GPU busy fields")
 	}
 }
+
+// solveCounter wraps a Method and counts the session plans that carry a
+// solve overhead, i.e. the plans the method actually solved.
+type solveCounter struct {
+	sched.Method
+	solves int
+}
+
+func (c *solveCounter) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	plan, err := c.Method.PlanSession(ctx)
+	if err == nil && plan.Overhead > 0 {
+		c.solves++
+	}
+	return plan, err
+}
+
+// TestScroogeSolvesOncePerLaneWindow runs Scrooge on a sharded server
+// under audit and counts its solves: each lane solves at most once per
+// 100 ms window, plus once more per period when the period start drops
+// every lane's cache. A single lane's solve count is pinned.
+func TestScroogeSolvesOncePerLaneWindow(t *testing.T) {
+	for _, ngpus := range []int{1, 4} {
+		var rep audit.Report
+		cfg := laneConfig(t, ngpus)
+		counter := &solveCounter{Method: baselines.NewScrooge(false)}
+		cfg.Method = counter
+		cfg.AuditReport = &rep
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("ngpus=%d: %v", ngpus, err)
+		}
+		if rep.Total != 0 {
+			t.Errorf("ngpus=%d: %v", ngpus, rep.Err())
+		}
+		windows := int(cfg.Horizon / baselines.ScroogeOverhead)
+		bound := ngpus * (windows + len(res.PeriodAccuracy))
+		if counter.solves < windows || counter.solves > bound {
+			t.Errorf("ngpus=%d: %d solves, want within [%d, %d]", ngpus, counter.solves, windows, bound)
+		}
+		if ngpus == 1 && counter.solves != scroogeSingleLaneSolves {
+			t.Errorf("ngpus=1: %d solves, want %d", counter.solves, scroogeSingleLaneSolves)
+		}
+	}
+}
+
+// scroogeSingleLaneSolves is the one-lane solve count of
+// TestScroogeSolvesOncePerLaneWindow: one solve per 100 ms window of
+// the 100 s run, the cadence the one-lane server has always had.
+const scroogeSingleLaneSolves = 1000

@@ -72,13 +72,14 @@ go test -run='^$' -fuzz=FuzzPlace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
-# loop and a serial /M1 profile build, so both keep compiling and
-# running. Allocations are reported; there is no timing gate, since
-# wall time on shared machines is noise (compare with -count and
-# benchstat on one machine instead).
+# loop, a serial /M1 profile build and Scrooge planning four lanes, so
+# all three keep compiling and running. Allocations are reported; there
+# is no timing gate, since wall time on shared machines is noise
+# (compare with -count and benchstat on one machine instead).
 echo "== microbenchmark smoke =="
 go test -run '^$' -bench BenchmarkAcquirePerRequest -benchtime 1x ./internal/gpumem
 go test -run '^$' -bench BenchmarkBuildAppProfileM1 -benchtime 1x ./internal/profile
+go test -run '^$' -bench BenchmarkScroogePlanSessionLanes -benchtime 1x ./internal/baselines
 
 # Telemetry smoke: the no-op collector must stay allocation-free on
 # the serving hot path, and a traced run must emit a schema-valid
