@@ -16,7 +16,9 @@
 package drift
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -42,7 +44,25 @@ type Config struct {
 	ImpactMargin float64
 }
 
-func (c *Config) fillDefaults() {
+// fillDefaults rejects out-of-range fields and replaces zero fields by
+// the defaults.
+func (c *Config) fillDefaults() error {
+	// The negated comparisons also reject NaN.
+	if !(c.InitialS >= 0 && c.InitialS <= 1) {
+		return fmt.Errorf("drift: Config.InitialS = %v, want a fraction in [0, 1]", c.InitialS)
+	}
+	if !(c.StepS >= 0 && c.StepS <= 1) {
+		return fmt.Errorf("drift: Config.StepS = %v, want a fraction in [0, 1]", c.StepS)
+	}
+	if c.StableRounds < 0 {
+		return fmt.Errorf("drift: Config.StableRounds = %d, want >= 0", c.StableRounds)
+	}
+	if c.PCAComponents < 0 {
+		return fmt.Errorf("drift: Config.PCAComponents = %d, want >= 0", c.PCAComponents)
+	}
+	if !(c.ImpactMargin >= 0) {
+		return fmt.Errorf("drift: Config.ImpactMargin = %v, want >= 0", c.ImpactMargin)
+	}
 	if c.InitialS == 0 {
 		c.InitialS = 0.03
 	}
@@ -58,6 +78,7 @@ func (c *Config) fillDefaults() {
 	if c.ImpactMargin == 0 {
 		c.ImpactMargin = 0.01
 	}
+	return nil
 }
 
 // Round records one S-growth step of the detection loop (Table 2 rows).
@@ -86,11 +107,32 @@ type Report struct {
 	Rounds []Round
 }
 
-// RankByDivergence orders pool sample indices by decreasing divergence
-// from the old training data: cosine distance of the PCA-reduced
-// feature vector to the old data's mean reduced feature vector. The
-// PCA basis is fitted on the old samples.
-func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
+// scored is one pool sample's divergence from the old training data.
+type scored struct {
+	idx  int
+	dist float64
+}
+
+// rankCmp is the divergence order: distance descending, then pool
+// index ascending. scorePool admits only finite distances and indices
+// are unique, so the order is total, and it is exactly the order a
+// stable sort on decreasing distance alone produces. Any correct sort
+// or selection on it therefore yields the same ranking.
+func rankCmp(a, b scored) int {
+	if c := cmp.Compare(b.dist, a.dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// scorePool computes every pool sample's divergence from the old
+// training data: cosine distance of the PCA-reduced feature vector to
+// the old data's mean reduced feature vector, with the PCA basis
+// fitted on the old samples. It allocates the result and one
+// projection buffer, nothing per sample. A sample whose feature length
+// differs from the old data's, or whose distance is not finite (a NaN
+// or Inf feature), is an error naming its pool index.
+func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
 	if old == nil || len(old.Samples) == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")
 	}
@@ -104,27 +146,33 @@ func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, e
 	// Project without centering: cosine distance is origin-sensitive,
 	// and centering on the old data's mean would map that mean to the
 	// zero vector.
-	oldMean := pca.Project(old.MeanFeature())
-	type scored struct {
-		idx  int
-		dist float64
-	}
+	oldMean := pca.Project(pca.Mean())
+	proj := make([]float64, pca.Components())
 	xs := make([]scored, len(pool.Samples))
 	for i, s := range pool.Samples {
-		xs[i] = scored{idx: i, dist: mathx.CosineDistance(pca.Project(s.Features), oldMean)}
-	}
-	// Typed stable sort: same ordering semantics as sort.SliceStable
-	// with a decreasing-distance less, minus the reflection-based
-	// swapper on the hot period-start path.
-	slices.SortStableFunc(xs, func(a, b scored) int {
-		switch {
-		case a.dist > b.dist:
-			return -1
-		case a.dist < b.dist:
-			return 1
+		if len(s.Features) != pca.Dim() {
+			return nil, fmt.Errorf("drift: pool sample %d has %d features, old samples have %d",
+				i, len(s.Features), pca.Dim())
 		}
-		return 0
-	})
+		pca.ProjectInto(proj, s.Features)
+		d := mathx.CosineDistance(proj, oldMean)
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return nil, fmt.Errorf("drift: pool sample %d has non-finite divergence %v", i, d)
+		}
+		xs[i] = scored{idx: i, dist: d}
+	}
+	return xs, nil
+}
+
+// RankByDivergence orders pool sample indices by decreasing divergence
+// from the old training data (see scorePool), ties broken by pool
+// index.
+func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
+	xs, err := scorePool(old, pool, pcaComponents)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(xs, rankCmp)
 	out := make([]int, len(xs))
 	for i, s := range xs {
 		out[i] = s.idx
@@ -132,13 +180,55 @@ func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, e
 	return out, nil
 }
 
+// rankHeap is a binary heap whose root is the first sample in rankCmp
+// order. Building it is O(n) and each pop O(log n), so reading the top
+// k of n samples costs O(n + k log n) instead of a full sort. It is
+// typed rather than a container/heap so that pops do not box.
+type rankHeap []scored
+
+func newRankHeap(xs []scored) rankHeap {
+	h := rankHeap(xs)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+	return h
+}
+
+func (h rankHeap) siftDown(i int) {
+	for {
+		first, l := i, 2*i+1
+		if l < len(h) && rankCmp(h[l], h[first]) < 0 {
+			first = l
+		}
+		if r := l + 1; r < len(h) && rankCmp(h[r], h[first]) < 0 {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
+}
+
+// pop removes and returns the first remaining sample.
+func (h *rankHeap) pop() scored {
+	top, last := (*h)[0], len(*h)-1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	h.siftDown(0)
+	return top
+}
+
 // DetectNode runs the S-growth detection loop for one node. The rng
 // parameter is kept for API stability; the probe itself is
 // deterministic given the pool.
 func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error) {
-	cfg.fillDefaults()
 	rep := Report{Node: ni.Node.Name, InitialAccuracy: ni.InitialAccuracy}
-	ranked, err := RankByDivergence(ni.OldData, ni.Pool, cfg.PCAComponents)
+	if err := cfg.fillDefaults(); err != nil {
+		return rep, err
+	}
+	xs, err := scorePool(ni.OldData, ni.Pool, cfg.PCAComponents)
 	if err != nil {
 		return rep, err
 	}
@@ -158,16 +248,20 @@ func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error
 
 	stable := 0
 	var last bool
-	// covered/sum extend the probe sum incrementally: n never shrinks
-	// across rounds, and appending to a left-to-right running sum is
-	// bit-identical to re-summing ranked[:n] from scratch.
+	// A round reads only the n most divergent samples, so the pool is
+	// heapified once and each round pops just the samples its S growth
+	// adds. covered/sum extend the probe sum incrementally: n never
+	// shrinks across rounds, and appending to a left-to-right running
+	// sum in rank order is bit-identical to re-summing the top n of a
+	// full ranking from scratch.
+	ranked := newRankHeap(xs)
 	covered := 0
 	var sum float64
 	for s := cfg.InitialS; ; s += cfg.StepS {
 		if s > 1 {
 			s = 1
 		}
-		n := int(s * float64(len(ranked)))
+		n := int(s * float64(len(xs)))
 		if n < 1 {
 			n = 1
 		}
@@ -177,7 +271,7 @@ func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error
 		// given the samples, so the Bernoulli abstraction would only
 		// add artificial noise here.
 		for ; covered < n; covered++ {
-			sum += probByClass[ni.Pool.Samples[ranked[covered]].Class]
+			sum += probByClass[ni.Pool.Samples[ranked.pop().idx].Class]
 		}
 		acc := sum / float64(n)
 		impacted := acc < rep.InitialAccuracy-cfg.ImpactMargin

@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"math"
 	"testing"
 
 	"adainf/internal/app"
@@ -44,10 +45,19 @@ func singleClassWindow(t *testing.T, seed int64, n int) *synthdata.Dataset {
 	return out
 }
 
+// withFeatures returns a copy of ds whose sample i has the given
+// feature vector.
+func withFeatures(ds *synthdata.Dataset, i int, feat []float64) *synthdata.Dataset {
+	out := &synthdata.Dataset{Task: ds.Task, Samples: append([]synthdata.Sample(nil), ds.Samples...)}
+	out.Samples[i].Features = feat
+	return out
+}
+
 // TestRankByDivergenceEdgeCases covers the degenerate windows the
-// period-start ranking must survive: empty windows error cleanly,
+// period-start ranking must survive: empty windows and malformed
+// samples (wrong feature length, NaN or Inf features) error cleanly,
 // single-class and all-identical windows rank every sample exactly
-// once, and equal divergence preserves pool order (the sort is stable).
+// once, and equal divergence keeps pool order (ties rank by index).
 func TestRankByDivergenceEdgeCases(t *testing.T) {
 	monoOld := singleClassWindow(t, 21, 60)
 	monoPool := singleClassWindow(t, 22, 40)
@@ -63,6 +73,11 @@ func TestRankByDivergenceEdgeCases(t *testing.T) {
 		{name: "empty old window", old: &synthdata.Dataset{}, pool: monoPool, wantErr: true},
 		{name: "nil pool window", old: monoOld, pool: nil, wantErr: true},
 		{name: "empty pool window", old: monoOld, pool: &synthdata.Dataset{}, wantErr: true},
+		{name: "ragged pool sample", old: monoOld, pool: withFeatures(monoPool, 7, []float64{1, 2}), wantErr: true},
+		{name: "NaN pool feature", old: monoOld,
+			pool: withFeatures(monoPool, 3, []float64{1, 2, math.NaN(), 4, 5, 6}), wantErr: true},
+		{name: "Inf pool feature", old: monoOld,
+			pool: withFeatures(monoPool, 5, []float64{1, math.Inf(-1), 3, 4, 5, 6}), wantErr: true},
 		{name: "single class", old: monoOld, pool: monoPool, wantLen: 40},
 		{name: "single-sample pool", old: monoOld, pool: &synthdata.Dataset{
 			Task: "mono", Samples: monoPool.Samples[:1]}, wantLen: 1, identity: true},
@@ -75,6 +90,17 @@ func TestRankByDivergenceEdgeCases(t *testing.T) {
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("degenerate window accepted")
+				}
+				if tc.pool != nil && len(tc.pool.Samples) > 0 && tc.old != nil && len(tc.old.Samples) > 0 {
+					// A malformed sample fails detection and retrain
+					// selection the same way, without panicking.
+					ni := &app.NodeInstance{Node: &app.Node{Name: "n"}, OldData: tc.old, Pool: tc.pool}
+					if _, err := DetectNode(ni, Config{}, nil); err == nil {
+						t.Fatal("DetectNode accepted the window")
+					}
+					if _, err := SelectRetrainSamples(ni, 5, 4); err == nil {
+						t.Fatal("SelectRetrainSamples accepted the window")
+					}
 				}
 				return
 			}
@@ -180,5 +206,37 @@ func TestDetectNodeEdgeCases(t *testing.T) {
 				t.Fatal("detection not deterministic on a degenerate pool")
 			}
 		})
+	}
+}
+
+// TestConfigValidation rejects out-of-range detector settings before
+// any probing; zero fields still take the defaults.
+func TestConfigValidation(t *testing.T) {
+	bad := map[string]Config{
+		"NaN InitialS":          {InitialS: math.NaN()},
+		"negative InitialS":     {InitialS: -0.1},
+		"InitialS above 1":      {InitialS: 1.5},
+		"NaN StepS":             {StepS: math.NaN()},
+		"negative StepS":        {StepS: -0.03, StableRounds: 1 << 40},
+		"StepS above 1":         {StepS: math.Inf(1)},
+		"negative StableRounds": {StableRounds: -1},
+		"negative PCA":          {PCAComponents: -2},
+		"NaN ImpactMargin":      {ImpactMargin: math.NaN()},
+		"negative ImpactMargin": {ImpactMargin: -0.01},
+	}
+	inst := surveillanceInstance(t, 19, 1)
+	ni := inst.ByName["vehicle-type"]
+	for name, cfg := range bad {
+		if _, err := DetectNode(ni, cfg, nil); err == nil {
+			t.Errorf("%s: DetectNode accepted %+v", name, cfg)
+		}
+		if _, err := DetectApp(inst, cfg, nil); err == nil {
+			t.Errorf("%s: DetectApp accepted %+v", name, cfg)
+		}
+	}
+	for _, cfg := range []Config{{}, {InitialS: 1, StepS: 1, StableRounds: 1}, {ImpactMargin: 0.2, PCAComponents: 2}} {
+		if _, err := DetectNode(ni, cfg, nil); err != nil {
+			t.Errorf("valid %+v rejected: %v", cfg, err)
+		}
 	}
 }

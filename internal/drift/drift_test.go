@@ -9,7 +9,7 @@ import (
 	"adainf/internal/synthdata"
 )
 
-func surveillanceInstance(t *testing.T, seed int64, periods int) *app.Instance {
+func surveillanceInstance(t testing.TB, seed int64, periods int) *app.Instance {
 	t.Helper()
 	inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: seed})
 	if err != nil {

@@ -41,17 +41,22 @@ func FitPCA(data [][]float64, k int) (*PCA, error) {
 
 	mean := Mean(data)
 	// Covariance matrix (d×d). Feature dimensions here are small
-	// (tens), so the dense O(n·d²) build is fine.
+	// (tens), so the dense O(n·d²) build is fine. Each row is centered
+	// once into a buffer; the products read the same doubles as
+	// centering inside the loop would, so the sums are unchanged.
 	cov := make([][]float64, d)
 	for i := range cov {
 		cov[i] = make([]float64, d)
 	}
+	centered := make([]float64, d)
 	for _, r := range data {
-		for i := 0; i < d; i++ {
-			ci := r[i] - mean[i]
+		for i, x := range r {
+			centered[i] = x - mean[i]
+		}
+		for i, ci := range centered {
 			row := cov[i]
 			for j := i; j < d; j++ {
-				row[j] += ci * (r[j] - mean[j])
+				row[j] += ci * centered[j]
 			}
 		}
 	}
@@ -62,7 +67,13 @@ func FitPCA(data [][]float64, k int) (*PCA, error) {
 			cov[j][i] = cov[i][j]
 		}
 	}
+	return fromCovariance(mean, cov, k), nil
+}
 
+// fromCovariance eigendecomposes the covariance matrix cov (modified in
+// place) and keeps the k components of largest variance.
+func fromCovariance(mean []float64, cov [][]float64, k int) *PCA {
+	d := len(cov)
 	vals, vecs := jacobiEigen(cov)
 	// Sort eigenpairs by decreasing eigenvalue (selection sort; d small).
 	for i := 0; i < d; i++ {
@@ -80,11 +91,14 @@ func FitPCA(data [][]float64, k int) (*PCA, error) {
 		mean:       mean,
 		components: vecs[:k],
 		variances:  vals[:k],
-	}, nil
+	}
 }
 
 // Dim returns the input feature dimension the PCA was fitted on.
 func (p *PCA) Dim() int { return len(p.mean) }
+
+// Mean returns the per-feature mean of the data the PCA was fitted on.
+func (p *PCA) Mean() []float64 { return Clone(p.mean) }
 
 // Components returns the number of principal components retained.
 func (p *PCA) Components() int { return len(p.components) }
@@ -113,14 +127,24 @@ func (p *PCA) Transform(v []float64) []float64 {
 // data's mean would collapse that mean to the zero vector and destroy
 // the angles. It panics on a dimension mismatch.
 func (p *PCA) Project(v []float64) []float64 {
+	out := make([]float64, len(p.components))
+	p.ProjectInto(out, v)
+	return out
+}
+
+// ProjectInto is Project writing into dst, which must have length
+// Components(); it lets a caller projecting many vectors reuse one
+// buffer. It panics on a dimension mismatch.
+func (p *PCA) ProjectInto(dst, v []float64) {
 	if len(v) != len(p.mean) {
 		panic(fmt.Sprintf("mathx: PCA.Project dim %d != fitted %d", len(v), len(p.mean)))
 	}
-	out := make([]float64, len(p.components))
-	for i, c := range p.components {
-		out[i] = Dot(v, c)
+	if len(dst) != len(p.components) {
+		panic(fmt.Sprintf("mathx: PCA.ProjectInto dst len %d != %d components", len(dst), len(p.components)))
 	}
-	return out
+	for i, c := range p.components {
+		dst[i] = Dot(v, c)
+	}
 }
 
 // TransformAll projects every row of data.

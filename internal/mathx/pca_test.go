@@ -3,6 +3,7 @@ package mathx
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,4 +146,86 @@ func TestPCATransformPanicsOnDimMismatch(t *testing.T) {
 		}
 	}()
 	p.Transform([]float64{1, 2, 3})
+}
+
+// TestFitPCAMatchesNaiveCovariance pins FitPCA's row-centering buffer
+// to the covariance built by centering every product's operands in
+// place: both read the same doubles, so the fit must be bit-identical.
+func TestFitPCAMatchesNaiveCovariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range []struct{ n, d, k int }{{1, 1, 1}, {5, 3, 2}, {200, 6, 4}, {1000, 17, 4}} {
+		data := make([][]float64, shape.n)
+		for i := range data {
+			data[i] = make([]float64, shape.d)
+			for j := range data[i] {
+				data[i][j] = rng.NormFloat64()*float64(j+1) + rng.ExpFloat64()*1e3
+			}
+		}
+		mean := Mean(data)
+		cov := make([][]float64, shape.d)
+		for i := range cov {
+			cov[i] = make([]float64, shape.d)
+		}
+		for _, r := range data {
+			for i := 0; i < shape.d; i++ {
+				for j := i; j < shape.d; j++ {
+					cov[i][j] += (r[i] - mean[i]) * (r[j] - mean[j])
+				}
+			}
+		}
+		invN := 1 / float64(shape.n)
+		for i := 0; i < shape.d; i++ {
+			for j := i; j < shape.d; j++ {
+				cov[i][j] *= invN
+				cov[j][i] = cov[i][j]
+			}
+		}
+		want := fromCovariance(mean, cov, shape.k)
+		got, err := FitPCA(data, shape.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := func(rows ...[]float64) (out []uint64) {
+			for _, r := range rows {
+				for _, x := range r {
+					out = append(out, math.Float64bits(x))
+				}
+			}
+			return out
+		}
+		if !slices.Equal(bits(got.mean), bits(want.mean)) ||
+			!slices.Equal(bits(got.variances), bits(want.variances)) ||
+			!slices.Equal(bits(got.components...), bits(want.components...)) {
+			t.Fatalf("%+v: FitPCA differs from the naive covariance fit", shape)
+		}
+	}
+}
+
+func TestPCAProjectIntoAndMean(t *testing.T) {
+	data := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}, {0, 1, 0}}
+	p, err := FitPCA(data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, p.Components())
+	for _, r := range data {
+		p.ProjectInto(dst, r)
+		if !slices.Equal(dst, p.Project(r)) {
+			t.Fatalf("ProjectInto %v != Project %v", dst, p.Project(r))
+		}
+	}
+	m := p.Mean()
+	if !slices.Equal(m, Mean(data)) {
+		t.Fatalf("Mean() = %v, want %v", m, Mean(data))
+	}
+	m[0] = 99
+	if p.Mean()[0] == 99 {
+		t.Fatal("Mean() aliases the fitted mean")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on a short destination")
+		}
+	}()
+	p.ProjectInto(dst[:1], data[0])
 }

@@ -61,8 +61,9 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 
 # Fuzz smoke: a few seconds per target catches regressions in the
 # properties the fuzz corpora pin (regression-fit robustness, profile
-# cache-key identity, fault-schedule decode/encode round trips, and
-# the bin-packing invariants of the placer and its failover re-pack).
+# cache-key identity, fault-schedule decode/encode round trips, the
+# bin-packing invariants of the placer and its failover re-pack, and
+# the drift probe's top-k ranking against a full stable sort).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzFitScaling -fuzztime=5s ./internal/mathx
@@ -70,16 +71,19 @@ go test -run='^$' -fuzz=FuzzCacheKey -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/faults
 go test -run='^$' -fuzz=FuzzPlace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
+go test -run='^$' -fuzz=FuzzDetectNodeRanking -fuzztime=5s ./internal/drift
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
-# loop, a serial /M1 profile build and Scrooge planning four lanes, so
-# all three keep compiling and running. Allocations are reported; there
+# loop, a serial /M1 profile build, Scrooge planning four lanes and
+# drift detection over the catalog's 8000-sample pools, so all four
+# keep compiling and running. Allocations are reported; there
 # is no timing gate, since wall time on shared machines is noise
 # (compare with -count and benchstat on one machine instead).
 echo "== microbenchmark smoke =="
 go test -run '^$' -bench BenchmarkAcquirePerRequest -benchtime 1x ./internal/gpumem
 go test -run '^$' -bench BenchmarkBuildAppProfileM1 -benchtime 1x ./internal/profile
 go test -run '^$' -bench BenchmarkScroogePlanSessionLanes -benchtime 1x ./internal/baselines
+go test -run '^$' -bench BenchmarkDetectApp -benchtime 1x ./internal/drift
 
 # Telemetry smoke: the no-op collector must stay allocation-free on
 # the serving hot path, and a traced run must emit a schema-valid
