@@ -17,7 +17,7 @@ import (
 
 // The serving goldens pin the exact metric values the seed's
 // session-stepping loop produced for the quick fig18/fig22 arm
-// configurations. The event-driven serving core must reproduce them
+// configurations. The serving loop must reproduce them
 // bit for bit (same seed, same trace, same rounding); any divergence
 // is a correctness bug, not noise. Regenerate (only when a behaviour
 // change is intended) with:

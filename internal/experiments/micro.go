@@ -9,7 +9,6 @@ import (
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/drift"
-	"adainf/internal/eventsim"
 	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
 	"adainf/internal/mathx"
@@ -312,10 +311,10 @@ func Fig11(Options) (*Result, error) {
 
 // memTrace executes a few video-surveillance jobs (incremental
 // retraining followed by the three inference tasks, then the next job)
-// on one simulated partition, so reuse-time samples accumulate. Jobs
-// arrive as discrete events: each job's completion schedules the next
-// arrival 60 ms later on the event engine. The trace is deterministic
-// and read-only once built, so Fig. 12 and Fig. 13 share one run.
+// on one simulated partition, so reuse-time samples accumulate. Each
+// job arrives 60 ms after the previous one finishes. The trace is
+// deterministic and read-only once built, so Fig. 12 and Fig. 13 share
+// one run.
 var memTrace = sync.OnceValues(buildMemTrace)
 
 func buildMemTrace() (*gpumem.Manager, error) {
@@ -329,7 +328,7 @@ func buildMemTrace() (*gpumem.Manager, error) {
 	actArch, _ := dnn.ByName("ShuffleNet")
 
 	// runJob executes one job's retraining-inference chain starting at
-	// the event's instant and returns its end time.
+	// its arrival instant and returns its end time.
 	runJob := func(start simtime.Instant, job uint64) (simtime.Instant, error) {
 		now := start
 		for _, arch := range []*dnn.Arch{vehArch, actArch} {
@@ -363,30 +362,15 @@ func buildMemTrace() (*gpumem.Manager, error) {
 		return now, nil
 	}
 
-	engine := eventsim.New()
-	var firstErr error
-	var arrival eventsim.Handler
-	job := uint64(0)
-	arrival = func(now simtime.Instant) {
-		if firstErr != nil {
-			return
-		}
-		job++
+	now := simtime.Instant(0)
+	for job := uint64(1); job <= 6; job++ {
 		end, err := runJob(now, job)
 		if err != nil {
-			firstErr = err
-			return
+			return nil, err
 		}
-		if job < 6 {
-			// The application's next job arrives 60 ms after this one
-			// finishes (Fig. 13's cross-job gap).
-			engine.Schedule(end.Add(60*time.Millisecond), "vs-job", arrival)
-		}
-	}
-	engine.Schedule(0, "vs-job", arrival)
-	engine.Run()
-	if firstErr != nil {
-		return nil, firstErr
+		// The application's next job arrives 60 ms after this one
+		// finishes (Fig. 13's cross-job gap).
+		now = end.Add(60 * time.Millisecond)
 	}
 	return part.Mem(), nil
 }

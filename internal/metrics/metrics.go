@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"adainf/internal/mathx"
 	"adainf/internal/simtime"
 )
 
@@ -26,11 +25,15 @@ type Recorder struct {
 	updated []int
 
 	// Finish rate per 1 s window.
-	finished  []int
-	arrived   []int
-	busyPerS  []float64 // busy GPU-seconds per 1 s bucket
-	inferMs   []float64
-	retrainMs []float64
+	finished []int
+	arrived  []int
+	busyPerS []float64 // busy GPU-seconds per 1 s bucket
+
+	// Job latency running sums (ms) and counts, summed in job order so
+	// the means match a slice average bit for bit. Retraining counts
+	// only jobs that retrained.
+	inferMsSum, retrainMsSum float64
+	inferJobs, retrainJobs   int
 
 	// Per-period retraining effort (Fig. 7b).
 	retrainTimeS   []float64
@@ -152,9 +155,13 @@ func (r *Recorder) RecordRequest(arrival simtime.Instant, metSLO bool) {
 
 // RecordJob records one executed job's latency decomposition.
 func (r *Recorder) RecordJob(inferLat, retrainLat simtime.Duration) {
-	r.inferMs = append(r.inferMs, inferLat.Seconds()*1e3)
+	// The float64 conversions round each product before the add, so no
+	// architecture fuses them into an FMA that would change the sums.
+	r.inferMsSum += float64(inferLat.Seconds() * 1e3)
+	r.inferJobs++
 	if retrainLat > 0 {
-		r.retrainMs = append(r.retrainMs, retrainLat.Seconds()*1e3)
+		r.retrainMsSum += float64(retrainLat.Seconds() * 1e3)
+		r.retrainJobs++
 	}
 }
 
@@ -350,11 +357,21 @@ func (r *Recorder) UtilizationOvershoot() (max float64, windows int) {
 }
 
 // MeanInferLatencyMs returns the mean job inference latency.
-func (r *Recorder) MeanInferLatencyMs() float64 { return mathx.MeanOf(r.inferMs) }
+func (r *Recorder) MeanInferLatencyMs() float64 { return meanOfSum(r.inferMsSum, r.inferJobs) }
 
 // MeanRetrainLatencyMs returns the mean per-job retraining latency
 // among jobs that retrained.
-func (r *Recorder) MeanRetrainLatencyMs() float64 { return mathx.MeanOf(r.retrainMs) }
+func (r *Recorder) MeanRetrainLatencyMs() float64 {
+	return meanOfSum(r.retrainMsSum, r.retrainJobs)
+}
+
+// meanOfSum is mathx.MeanOf over a running sum: 0 for no samples.
+func meanOfSum(sum float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
 
 // RetrainTimePerPeriodS returns retraining seconds per period (Fig. 7b).
 func (r *Recorder) RetrainTimePerPeriodS() []float64 {

@@ -1,17 +1,14 @@
 package serving
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"adainf/internal/admit"
 	"adainf/internal/audit"
 	"adainf/internal/cluster"
-	"adainf/internal/eventsim"
 	"adainf/internal/faults"
 	"adainf/internal/gpu"
 	"adainf/internal/metrics"
@@ -20,29 +17,11 @@ import (
 	"adainf/internal/telemetry"
 )
 
-// runLoop drives one serving simulation on the discrete-event engine.
-// Instead of visiting every 5 ms session, it schedules exactly three
-// kinds of events: period boundaries, whole-pool retraining
-// completions, and request-bearing ("work") sessions. Empty sessions —
-// the overwhelming majority at realistic request rates — are never
-// visited; their only observable effect in the session loop was
-// advancing the per-app arrival generators and predictors, which the
-// period-boundary handler precomputes in one pass.
-//
-// Event ordering reproduces the session loop bit for bit:
-//
-//   - A retraining completion applies at the first session whose start
-//     is not before the completion instant, in period-plan order among
-//     completions landing in the same session (see retrainHeap). The
-//     completion event is scheduled at that session's start and, being
-//     scheduled earlier, fires before the work event at the same
-//     instant (the engine is FIFO within an instant).
-//   - Retrains whose apply session falls beyond their period's last
-//     session are discarded at the next boundary, exactly as the
-//     session loop's cleared pending list never applied them.
-//   - The shared RNG is drawn only at period starts (drift detection)
-//     and inside work sessions (request scoring), so skipping empty
-//     sessions leaves the stream untouched.
+// runLoop drives one serving simulation: for each period, the boundary,
+// then every session that carries work, then the period's remaining
+// retrains. Empty sessions are skipped, because the boundary precomputes
+// the period's arrivals and predictions per app. Whole-pool retrains
+// apply in (applySession, planIdx) order (see retrainItem).
 type runLoop struct {
 	cfg    *Config
 	states []*appState
@@ -51,7 +30,6 @@ type runLoop struct {
 	res    *Result
 	rng    *rand.Rand
 
-	eng               *eventsim.Engine
 	nSessions         int
 	sessionsPerPeriod int
 
@@ -96,13 +74,13 @@ type runLoop struct {
 	periodFirst int
 	periodLast  int
 	retrains    []pendingRetrain // the period plan's retrains, plan order
-	heap        retrainHeap
+	applies     []retrainItem    // the ones that apply this period, apply order
+	nextApply   int              // cursor: applies[:nextApply] have applied
 	// actual/predicted hold the whole period's arrivals per app
 	// ([app][session-in-period]); work marks sessions with any work.
 	actual    [][]int
 	predicted [][]int
 	work      []bool
-	drainAt   []int // scratch: sessions with pending retrain applications
 
 	ff *fastForward
 
@@ -150,10 +128,6 @@ type runLoop struct {
 	// Like the auditor it is strictly read-only: a traced run produces
 	// bit-identical metrics to an untraced one.
 	tel *telemetry.Collector
-
-	// err stashes the first failure: engine handlers cannot return
-	// errors, so every handler no-ops once it is set.
-	err error
 }
 
 func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Result, rng *rand.Rand) *runLoop {
@@ -164,7 +138,6 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		rec:               rec,
 		res:               res,
 		rng:               rng,
-		eng:               eventsim.New(),
 		nSessions:         int(cfg.Horizon / cfg.Clock.Session),
 		sessionsPerPeriod: cfg.Clock.SessionsPerPeriod(),
 		ewmaTa:            50 * time.Millisecond,
@@ -243,31 +216,37 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 	return l
 }
 
-func (l *runLoop) fail(err error) {
-	if l.err == nil {
-		l.err = err
-	}
-}
-
 func (l *runLoop) run() error {
 	nPeriods := (l.nSessions + l.sessionsPerPeriod - 1) / l.sessionsPerPeriod
 	for p := 0; p < nPeriods; p++ {
-		p := p
-		l.eng.Schedule(l.cfg.Clock.PeriodStart(p), "period",
-			func(simtime.Instant) { l.periodStart(p) })
+		if err := l.periodStart(p); err != nil {
+			return err
+		}
+		for sess := l.periodFirst; sess <= l.periodLast; sess++ {
+			if !l.work[sess-l.periodFirst] {
+				continue
+			}
+			if err := l.workSession(sess); err != nil {
+				return err
+			}
+		}
+		// Applying reads this period's poolDists, so the leftovers must
+		// apply before the next boundary rebuilds them.
+		if err := l.drainRetrains(l.periodLast); err != nil {
+			return err
+		}
 	}
-	l.eng.RunUntil(l.cfg.Clock.SessionStart(l.nSessions))
 	if l.ff != nil {
 		l.res.FastForwardHits = l.ff.hits
 	}
 	if l.aud != nil {
 		if err := l.aud.Finish(); err != nil {
-			l.fail(err)
+			return err
 		}
 		over, windows := l.rec.UtilizationOvershoot()
 		overlap := int(l.maxSpan/l.cfg.Clock.Session) + 1
 		if err := l.aud.OnUtilization(over, windows, overlap); err != nil {
-			l.fail(err)
+			return err
 		}
 		l.res.AuditChecks = l.aud.Checks()
 	}
@@ -281,18 +260,14 @@ func (l *runLoop) run() error {
 		}
 	}
 	l.tel.Counters(l.cfg.Clock.SessionStart(l.nSessions))
-	return l.err
+	return nil
 }
 
-// periodStart handles one period boundary: it settles the previous
-// period's retrains, advances pools, rebuilds the per-period
-// distribution maps, precomputes the period's arrivals and predictions
-// app by app, runs the method's period planning, and schedules the
-// period's retraining completions and work sessions.
-func (l *runLoop) periodStart(period int) {
-	if l.err != nil {
-		return
-	}
+// periodStart handles one period boundary: it advances pools, rebuilds
+// the per-period distribution maps, precomputes the period's arrivals
+// and predictions app by app, runs the method's period planning, and
+// sorts the period's retrains into apply order.
+func (l *runLoop) periodStart(period int) error {
 	cfg := l.cfg
 	first := period * l.sessionsPerPeriod
 	last := first + l.sessionsPerPeriod - 1
@@ -301,32 +276,18 @@ func (l *runLoop) periodStart(period int) {
 	}
 	if l.aud != nil {
 		if err := l.aud.OnEvent(cfg.Clock.PeriodStart(period)); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
-	}
-
-	// Settle the old period before touching its state: completions due
-	// at sessions up to first-1 were already applied by their own
-	// events; the remainder is discarded, as the session loop's cleared
-	// pending list never applied it. Applying uses the old poolDists,
-	// so this must precede the map rebuild below.
-	l.drainRetrains(first - 1)
-	if l.err != nil {
-		return
-	}
-	if l.aud != nil {
 		// The old period's retrains are settled and its last work
 		// session has run: its conservation equation closes here.
 		if err := l.aud.BeginPeriod(period); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	start := cfg.Clock.SessionStart(first)
 	if l.tel.Tracing() {
-		// Retrains still pending at the boundary never applied: the
-		// session loop's cleared pending list discarded them.
+		// Retrains still pending at the boundary would have applied
+		// after their period's last session: they are discarded.
 		for i := range l.retrains {
 			if pr := &l.retrains[i]; !pr.applied && !pr.abandoned {
 				l.tel.RetrainDiscard(start, pr.App, pr.Node, pr.Samples)
@@ -336,7 +297,8 @@ func (l *runLoop) periodStart(period int) {
 		l.tel.Counters(start)
 	}
 	l.retrains = l.retrains[:0]
-	l.heap = l.heap[:0]
+	l.applies = l.applies[:0]
+	l.nextApply = 0
 	l.periodFirst, l.periodLast = first, last
 	if period > 0 {
 		if cfg.Debug {
@@ -380,8 +342,7 @@ func (l *runLoop) periodStart(period int) {
 			st.liveDists[ni.Node.Name] = ni.LiveDist()
 			pd, err := ni.PoolDist()
 			if err != nil {
-				l.fail(err)
-				return
+				return err
 			}
 			st.poolDists[ni.Node.Name] = pd
 			l.rec.SetPoolSize(period, len(ni.Pool.Samples))
@@ -438,14 +399,14 @@ func (l *runLoop) periodStart(period int) {
 	// The one-lane cluster keeps its degenerate placement: no lane
 	// events, no capacity-checked re-pack, no admission gate.
 	if l.topo.NGPUs > 1 {
-		if l.laneEvents(period, start); l.err == nil {
-			l.placeApps(period, start, n)
+		if err := l.laneEvents(period, start); err != nil {
+			return err
 		}
-		if l.err == nil {
-			l.admitPeriod(period, start, n)
+		if err := l.placeApps(period, start, n); err != nil {
+			return err
 		}
-		if l.err != nil {
-			return
+		if err := l.admitPeriod(period, start, n); err != nil {
+			return err
 		}
 	}
 
@@ -463,16 +424,14 @@ func (l *runLoop) periodStart(period int) {
 	pplan, err := cfg.Method.OnPeriodStart(pctx)
 	l.res.MeasuredPeriodPlanning += time.Since(wall)
 	if err != nil {
-		l.fail(err)
-		return
+		return err
 	}
 	l.res.PeriodOverhead = pplan.Overhead
 	l.res.EdgeCloudTransfer = pplan.EdgeCloudTransfer
 	l.res.EdgeCloudBytes = pplan.EdgeCloudBytes
 	if l.aud != nil {
 		if err := l.aud.OnPeriodPlan(pctx, pplan); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	if l.tel.Tracing() {
@@ -532,8 +491,8 @@ func (l *runLoop) periodStart(period int) {
 					// GPU and then discarded its progress.
 					l.res.FaultRetrainFailures++
 					l.tel.RetrainFault(at.Completion, r.App, r.Node, "retrain-fail", ai)
-					if l.chargeRetrain(r.App, lane, at.Start, at.Completion, r.GPUFraction); l.err != nil {
-						return
+					if err := l.chargeRetrain(r.App, lane, at.Start, at.Completion, r.GPUFraction); err != nil {
+						return err
 					}
 					l.faultBusy = append(l.faultBusy, busyWindow{
 						from: at.Start, to: at.Completion, fraction: r.GPUFraction, lane: lane,
@@ -542,8 +501,7 @@ func (l *runLoop) periodStart(period int) {
 				if l.aud != nil {
 					if err := l.aud.OnFaultRetrain(i, len(fate.Attempts),
 						l.flt.Config().MaxRetries, fate.Completion, windowEnd, fate.Abandoned); err != nil {
-						l.fail(err)
-						return
+						return err
 					}
 				}
 				if fate.Abandoned {
@@ -557,75 +515,49 @@ func (l *runLoop) periodStart(period int) {
 			}
 			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned, lane: lane})
 			if !abandoned && r.GPUFraction > 0 && r.Busy > 0 {
-				if l.chargeRetrain(r.App, lane, r.Completion.Add(-r.Busy), r.Completion, r.GPUFraction); l.err != nil {
-					return
+				if err := l.chargeRetrain(r.App, lane, r.Completion.Add(-r.Busy), r.Completion, r.GPUFraction); err != nil {
+					return err
 				}
 			}
 		}
-		// Completions enter the heap and get an event at their apply
-		// session's start (pointers into l.retrains are stable: the
-		// slice is fully built above). One event per distinct session.
-		l.drainAt = l.drainAt[:0]
+		// Completions that apply within the period join the apply order
+		// (pointers into l.retrains are stable: the slice is fully built
+		// above).
 		for i := range l.retrains {
 			pr := &l.retrains[i]
 			if pr.abandoned {
 				continue // never completes; the stale model keeps serving
 			}
-			as := applySessionOf(pr.Completion, cfg.Clock.Session)
-			if as < first {
-				as = first
-			}
+			as := max(applySessionOf(pr.Completion, cfg.Clock.Session), first)
 			if as > last {
 				continue // never applies; discarded at the next boundary
 			}
-			heap.Push(&l.heap, retrainItem{pr: pr, applySession: as, planIdx: i})
-			l.drainAt = append(l.drainAt, as)
+			l.applies = append(l.applies, retrainItem{pr: pr, applySession: as, planIdx: i})
 		}
-		sort.Ints(l.drainAt)
-		prev := -1
-		for _, as := range l.drainAt {
-			if as == prev {
-				continue
-			}
-			prev = as
-			as := as
-			l.eng.Schedule(cfg.Clock.SessionStart(as), "retrain",
-				func(at simtime.Instant) {
-					if l.err != nil {
-						return
-					}
-					if l.aud != nil {
-						if err := l.aud.OnEvent(at); err != nil {
-							l.fail(err)
-							return
-						}
-					}
-					l.drainRetrains(as)
-				})
-		}
+		sortApplyOrder(l.applies)
 	}
 
 	if l.ff != nil {
 		l.ff.reset()
 	}
-	l.scheduleNextWork(first - 1)
+	return nil
 }
 
 // chargeRetrain books one whole-pool retraining window [from, to) at
 // the given GPU fraction: the recorder's busy time, the auditor's charge
 // check (under lane faults), and the owning lane's per-GPU counter.
-func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, fraction float64) {
+func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, fraction float64) error {
 	l.rec.RecordBusy(from, to, fraction)
 	if l.aud != nil && l.admitCap != nil {
 		if err := l.aud.OnRetrainCharge(app, lane); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	if l.gpuBusySec != nil {
 		l.gpuBusySec[lane] += fraction * to.Sub(from).Seconds()
 		l.tel.GPUBusy(lane, to.Sub(from), fraction)
 	}
+	return nil
 }
 
 // laneEvents evolves the lane-liveness mask at a period boundary:
@@ -634,15 +566,14 @@ func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, 
 // of it — is identical across repeats, planner parallelism, and
 // fast-forward. A change arms the failover re-pack placeApps performs
 // before any session plans against the new mask.
-func (l *runLoop) laneEvents(period int, start simtime.Instant) {
+func (l *runLoop) laneEvents(period int, start simtime.Instant) error {
 	if l.admitCap == nil {
-		return
+		return nil
 	}
 	alive, crashed, recovered := l.flt.LaneEvents(period, l.topo.NGPUs, l.alive)
 	if l.aud != nil {
 		if err := l.aud.OnLaneEvents(period, l.topo.NGPUs, alive, crashed, recovered); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	for _, g := range recovered {
@@ -657,6 +588,7 @@ func (l *runLoop) laneEvents(period int, start simtime.Instant) {
 		l.alive = alive
 		l.maskDirty = true
 	}
+	return nil
 }
 
 // placeApps recomputes the app→GPU placement at a period boundary.
@@ -667,7 +599,7 @@ func (l *runLoop) laneEvents(period int, start simtime.Instant) {
 // fast-forward memo keys stay repeatable across periods. With a dead
 // lane the pack runs over the surviving lanes only; apps that fit
 // nowhere are left unplaced for the admission gate to shed.
-func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
+func (l *runLoop) placeApps(period int, start simtime.Instant, n int) error {
 	for i := range l.states {
 		sum := 0
 		for s := 0; s < n; s++ {
@@ -677,7 +609,7 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 	}
 	ranks := cluster.RankLoads(l.appNames, l.loadBuf)
 	if l.lastRanks != nil && !l.maskDirty && cluster.RanksEqual(ranks, l.lastRanks) {
-		return
+		return nil
 	}
 	forced := l.maskDirty
 	l.maskDirty = false
@@ -694,8 +626,7 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 		pl, unplaced, err = cluster.Replace(l.topo, l.alive, apps)
 	}
 	if err != nil {
-		l.fail(err)
-		return
+		return err
 	}
 	l.placeDigest = pl.Digest()
 	l.lastRanks = append(l.lastRanks[:0], ranks...)
@@ -735,10 +666,9 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 		}
 	}
 	if l.aud != nil {
-		if err := l.aud.OnReplace(period, pl, l.appNames, unplacedNames); err != nil {
-			l.fail(err)
-		}
+		return l.aud.OnReplace(period, pl, l.appNames, unplacedNames)
 	}
+	return nil
 }
 
 // admitPeriod runs the SLO-feasibility gate after a (possibly
@@ -751,9 +681,9 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
 // applications shed everything. The gate runs every period while any
 // lane is down (its inputs are the period's predictions, so decisions
 // are deterministic and constant within the period).
-func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
+func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 	if l.admitCap == nil {
-		return
+		return nil
 	}
 	for i := range l.admitCap {
 		l.admitCap[i] = -1
@@ -763,7 +693,7 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
 		l.admitWords[i] = 0
 	}
 	if l.alive == cluster.AllAlive(l.topo.NGPUs) && len(l.unplacedIdx) == 0 {
-		return
+		return nil
 	}
 	cfg := l.cfg
 	var unplacedNames []string
@@ -798,8 +728,7 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
 		}
 		out, err := admit.Evaluate(laneAmount, apps)
 		if err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 		l.tel.Admit(start, period, g, out.Feasible, out.TotalFraction(), out.TotalShed())
 		if !out.Feasible {
@@ -819,8 +748,7 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
 	}
 	if l.aud != nil {
 		if err := l.aud.OnAdmission(period, laneAmount, audLanes, unplacedNames); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	for i := range l.admitCap {
@@ -833,6 +761,7 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
 		}
 		l.admitWords[i] = w
 	}
+	return nil
 }
 
 // smallestLatency builds the admission gate's latency probe for one
@@ -855,22 +784,22 @@ func (l *runLoop) smallestLatency(st *appState) func(int, float64) (simtime.Dura
 	}
 }
 
-// drainRetrains applies every heap entry due at or before maxSession,
-// in (applySession, planIdx) order — exactly the order the session
-// loop's plan-order scan applied them across sessions.
-func (l *runLoop) drainRetrains(maxSession int) {
-	for len(l.heap) > 0 && l.heap[0].applySession <= maxSession {
-		it := heap.Pop(&l.heap).(retrainItem)
+// drainRetrains applies every retrain due at or before maxSession, in
+// (applySession, planIdx) order.
+func (l *runLoop) drainRetrains(maxSession int) error {
+	for l.nextApply < len(l.applies) && l.applies[l.nextApply].applySession <= maxSession {
+		it := &l.applies[l.nextApply]
+		l.nextApply++
 		if l.aud != nil {
 			if err := l.aud.OnRetrainApply(it.applySession, it.planIdx); err != nil {
-				l.fail(err)
-				return
+				return err
 			}
 		}
 		l.tel.RetrainApply(it.pr.Completion, it.pr.App, it.pr.Node,
 			it.pr.Samples, it.applySession, it.planIdx)
 		l.applyRetrain(it.pr)
 	}
+	return nil
 }
 
 func (l *runLoop) applyRetrain(pr *pendingRetrain) {
@@ -892,20 +821,6 @@ func (l *runLoop) applyRetrain(pr *pendingRetrain) {
 	}
 }
 
-// scheduleNextWork schedules the first work session after `after`
-// within the current period. Work sessions form a chain — each
-// schedules its successor — keeping the engine's heap small.
-func (l *runLoop) scheduleNextWork(after int) {
-	for sess := after + 1; sess <= l.periodLast; sess++ {
-		if l.work[sess-l.periodFirst] {
-			sess := sess
-			l.eng.Schedule(l.cfg.Clock.SessionStart(sess), "session",
-				func(simtime.Instant) { l.workSession(sess) })
-			return
-		}
-	}
-}
-
 // workSession executes one request-bearing session: session planning
 // followed by job execution, or a fast-forward replay when the
 // session's inputs repeat a memoized one. Each GPU lane gets its own
@@ -916,28 +831,18 @@ func (l *runLoop) scheduleNextWork(after int) {
 // overwrite it. The fast-forward memo covers the whole session across
 // lanes: its key carries the placement digest and every lane's share,
 // so a replay reproduces the same per-lane outcomes.
-func (l *runLoop) workSession(sess int) {
-	if l.err != nil {
-		return
-	}
-	defer func() {
-		if l.err == nil {
-			l.scheduleNextWork(sess)
-		}
-	}()
+func (l *runLoop) workSession(sess int) error {
 	cfg := l.cfg
-	// Completion events due at this instant fired before this event;
-	// the defensive drain keeps the invariant explicit.
-	l.drainRetrains(sess)
-	if l.err != nil {
-		return
+	// Retrains that completed by this session's start apply before it
+	// plans.
+	if err := l.drainRetrains(sess); err != nil {
+		return err
 	}
 	start := cfg.Clock.SessionStart(sess)
 	si := sess - l.periodFirst
 	if l.aud != nil {
 		if err := l.aud.OnEvent(start); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	// GPU claimed per lane by still-running whole-pool retrains, then by
@@ -1005,8 +910,7 @@ func (l *runLoop) workSession(sess int) {
 		m, c := l.ff.lookup(key)
 		l.tel.FF(m != nil)
 		if m != nil {
-			l.replay(m, start, sess)
-			return
+			return l.replay(m, start, sess)
 		}
 		capture = c
 	}
@@ -1021,9 +925,8 @@ func (l *runLoop) workSession(sess int) {
 	// no lane can hold their working set until one recovers.
 	for _, i := range l.unplacedIdx {
 		if a := l.actual[i][si]; a > 0 {
-			l.shedRequests(start, sess, l.states[i], a, memo)
-			if l.err != nil {
-				return
+			if err := l.shedRequests(start, sess, l.states[i], a, memo); err != nil {
+				return err
 			}
 		}
 	}
@@ -1051,8 +954,7 @@ func (l *runLoop) workSession(sess int) {
 		l.res.MeasuredSessionPlanning += dt
 		l.tel.PlanningObserve(dt)
 		if err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 		if plan.Overhead > l.res.SessionOverhead {
 			// Report the method's solve cost, not a cache hit's zero.
@@ -1063,8 +965,7 @@ func (l *runLoop) workSession(sess int) {
 		}
 		if l.aud != nil {
 			if err := l.aud.OnSessionPlan(ctx, plan); err != nil {
-				l.fail(err)
-				return
+				return err
 			}
 		}
 		if l.tel.Tracing() {
@@ -1091,9 +992,8 @@ func (l *runLoop) workSession(sess int) {
 				// Degraded admission: the excess over the gate's cap is
 				// shed (recorded missed, so conservation closes) before
 				// the admitted remainder is served.
-				l.shedRequests(start, sess, st, shed, memo)
-				if l.err != nil {
-					return
+				if err := l.shedRequests(start, sess, st, shed, memo); err != nil {
+					return err
 				}
 			}
 			if served == 0 {
@@ -1133,22 +1033,19 @@ func (l *runLoop) workSession(sess int) {
 				}
 				if l.aud != nil {
 					if err := l.aud.OnFaultDegrade(ctx, li, jp, &degraded); err != nil {
-						l.fail(err)
-						return
+						return err
 					}
 				}
 				jp = &degraded
 			}
 			dur, mut, err := l.runJob(st, jp, plan.Overhead, start, served, memo)
 			if err != nil {
-				l.fail(err)
-				return
+				return err
 			}
 			if l.aud != nil {
 				// Same SLO comparison runJob scored the requests with.
 				if err := l.aud.OnServed(st.inst.App.Name, served, dur <= st.inst.App.SLO); err != nil {
-					l.fail(err)
-					return
+					return err
 				}
 			}
 			mutated = mutated || mut
@@ -1164,6 +1061,7 @@ func (l *runLoop) workSession(sess int) {
 		memo.makespan = sessionMakespan
 		l.ff.store(key, memo)
 	}
+	return nil
 }
 
 // shedRequests records n requests of one app shed by the admission
@@ -1172,16 +1070,14 @@ func (l *runLoop) workSession(sess int) {
 // stream is untouched), traced, audited, and captured into the session
 // memo (when one is being built) so a fast-forward replay re-sheds
 // identically.
-func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n int, memo *sessionMemo) {
+func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n int, memo *sessionMemo) error {
 	name := st.inst.App.Name
 	if l.aud != nil {
 		if err := l.aud.OnShed(sess, name, n); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 		if err := l.aud.OnServed(name, n, false); err != nil {
-			l.fail(err)
-			return
+			return err
 		}
 	}
 	l.tel.Shed(start, sess, name, n)
@@ -1193,6 +1089,7 @@ func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n 
 	if memo != nil {
 		memo.jobs = append(memo.jobs, ffJob{st: st, shed: n})
 	}
+	return nil
 }
 
 // replay re-emits a memoized session's outcome. The recorder calls and
@@ -1201,7 +1098,7 @@ func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n 
 // RNG stream identical for everything downstream. Telemetry job spans
 // are emitted exactly as the full execution would, marked replayed
 // (memoized sessions are mutation-free, so retraining time is zero).
-func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) {
+func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) error {
 	l.ff.hits++
 	if m.overhead > l.res.SessionOverhead {
 		l.res.SessionOverhead = m.overhead
@@ -1211,16 +1108,14 @@ func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) {
 		if j.shed > 0 {
 			// A shed record: re-emit it exactly as the execution did
 			// (shed entries precede the same app's served job, if any).
-			l.shedRequests(start, sess, j.st, j.shed, nil)
-			if l.err != nil {
-				return
+			if err := l.shedRequests(start, sess, j.st, j.shed, nil); err != nil {
+				return err
 			}
 			continue
 		}
 		if l.aud != nil {
 			if err := l.aud.OnServed(j.st.inst.App.Name, j.actual, j.met); err != nil {
-				l.fail(err)
-				return
+				return err
 			}
 		}
 		l.rec.RecordJob(j.inferTotal, 0)
@@ -1245,6 +1140,7 @@ func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) {
 		}
 	}
 	l.noteMakespan(m.makespan)
+	return nil
 }
 
 // noteMakespan folds a session's makespan (its slowest job across every

@@ -121,6 +121,18 @@ func (c *Config) fillDefaults() error {
 	if len(c.Apps) == 0 {
 		c.Apps = app.Catalog()
 	}
+	// Apps are keyed by name throughout the run (plans, profiles,
+	// retrains), so every entry must exist and carry its own name.
+	seen := make(map[string]int, len(c.Apps))
+	for i, a := range c.Apps {
+		if a == nil {
+			return fmt.Errorf("serving: app %d is nil", i)
+		}
+		if j, dup := seen[a.Name]; dup {
+			return fmt.Errorf("serving: apps %d and %d share the name %q", j, i, a.Name)
+		}
+		seen[a.Name] = i
+	}
 	if c.Method == nil {
 		return fmt.Errorf("serving: no method")
 	}

@@ -21,7 +21,7 @@ var (
 	vsProfiles map[string]*profile.AppProfile
 )
 
-func fixtures(t *testing.T) ([]*app.App, map[string]*profile.AppProfile) {
+func fixtures(t testing.TB) ([]*app.App, map[string]*profile.AppProfile) {
 	t.Helper()
 	if vsProfiles == nil {
 		vsApps = []*app.App{app.VideoSurveillance(), app.BikeRackOccupancy()}
@@ -208,6 +208,8 @@ func TestConfigValidation(t *testing.T) {
 		{"NaN alpha", func(c *Config) { c.PredictAlpha = nan }},
 		{"negative lanes", func(c *Config) { c.NGPUs = -1 }},
 		{"lanes beyond the mask", func(c *Config) { c.NGPUs = 65 }},
+		{"nil app", func(c *Config) { c.Apps = []*app.App{app.VideoSurveillance(), nil} }},
+		{"duplicate app names", func(c *Config) { c.Apps = []*app.App{app.VideoSurveillance(), app.VideoSurveillance()} }},
 	} {
 		cfg := Config{Method: core.New(core.Options{})}
 		tc.mod(&cfg)
@@ -249,5 +251,27 @@ func TestMemoryVariantProfilesDiffer(t *testing.T) {
 	}
 	if m1Lat <= adaLat {
 		t.Fatalf("/M1 per-batch %v not slower than AdaInf %v", m1Lat, adaLat)
+	}
+}
+
+// BenchmarkRun is one unaudited AdaInf serving run of one app for one
+// 50 s period at the default rate, profiles prebuilt.
+func BenchmarkRun(b *testing.B) {
+	apps, profs := fixtures(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := Run(Config{
+			Apps:               apps[:1],
+			Method:             core.New(core.Options{}),
+			Horizon:            50 * time.Second,
+			Seed:               1,
+			Retraining:         true,
+			DivergentSelection: true,
+			Profiles:           profs,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -44,8 +44,9 @@ done
 
 # The race detector covers the concurrent pieces: the experiment
 # worker pool, the shared profile cache, the parallel offline
-# profiler, the event engine, the serving loop that consumes
-# scheduler plans (now also under fault injection), the fault
+# profiler, the serving runs the experiment pool executes side by
+# side, each consuming scheduler plans (also under fault injection),
+# the discrete-event engine the bench module still measures, the fault
 # injector's pure-hash decisions, the cluster placer behind sharded
 # lanes, the admission gate that sheds load after lane crashes, and
 # the memory manager and auditor those runs exercise. -short skips
@@ -74,9 +75,10 @@ go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzDetectNodeRanking -fuzztime=5s ./internal/drift
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
-# loop, a serial /M1 profile build, Scrooge planning four lanes and
-# drift detection over the catalog's 8000-sample pools, so all four
-# keep compiling and running. Allocations are reported; there
+# loop, a serial /M1 profile build, Scrooge planning four lanes, drift
+# detection over the catalog's 8000-sample pools and one 50 s
+# single-app AdaInf serving run, so all five keep compiling and
+# running. Allocations are reported; there
 # is no timing gate, since wall time on shared machines is noise
 # (compare with -count and benchstat on one machine instead).
 echo "== microbenchmark smoke =="
@@ -84,6 +86,7 @@ go test -run '^$' -bench BenchmarkAcquirePerRequest -benchtime 1x ./internal/gpu
 go test -run '^$' -bench BenchmarkBuildAppProfileM1 -benchtime 1x ./internal/profile
 go test -run '^$' -bench BenchmarkScroogePlanSessionLanes -benchtime 1x ./internal/baselines
 go test -run '^$' -bench BenchmarkDetectApp -benchtime 1x ./internal/drift
+go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/serving
 
 # Telemetry smoke: the no-op collector must stay allocation-free on
 # the serving hot path, and a traced run must emit a schema-valid
