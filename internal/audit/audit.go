@@ -372,7 +372,7 @@ func (a *Auditor) ExpectArrivals(app string, n int) {
 	t.arrivals += n
 }
 
-// OnServed observes requests of one executed (or replayed) job:
+// OnServed observes requests of one executed job:
 // either all met the SLO or all missed it, as the whole batch shares
 // one completion time.
 func (a *Auditor) OnServed(app string, requests int, met bool) error {

@@ -79,9 +79,10 @@ func (e *Ekya) Name() string { return "Ekya" }
 // SteadyStatePlanning implements sched.SteadyStatePlanner: PlanSession
 // is an even split of the GPU share over the jobs with requests,
 // memoized per (app, requests, share) — independent of the session
-// index and start instant. (Scrooge deliberately does not implement
-// the marker: its plan cache is keyed by a window derived from the
-// session start, and cache misses charge a solve overhead.)
+// index and start instant, so its fractions audit against the current
+// share strictly. (Scrooge deliberately does not implement the marker:
+// its plan cache is keyed by a window derived from the session start,
+// so a cached plan may carry fractions sized for an earlier share.)
 func (e *Ekya) SteadyStatePlanning() {}
 
 // OnPeriodStart implements sched.Method: the resource-transfer

@@ -9,10 +9,7 @@
 // Placement is a pure function of its inputs — the topology, each
 // application's profiled working-set bytes, and its predicted-load
 // *rank* (not the raw load, so ordinary request fluctuations cannot
-// reshuffle applications between GPUs mid-run). That keeps period
-// plans memoizable: the serving fast-forward memo extends its key with
-// Placement.Digest, and two sessions with equal keys are guaranteed to
-// have run under the identical placement.
+// reshuffle applications between GPUs mid-run).
 package cluster
 
 import (
@@ -129,8 +126,8 @@ func Place(topo Topology, apps []AppLoad) (*Placement, error) {
 // surviving lane is returned in the second value (assignment order)
 // instead of failing the packing — admission control decides its fate.
 // The placement's digest mixes the alive mask whenever some lane is
-// dead, so the fast-forward memo can never confuse a degraded placement
-// with the healthy one it shadows.
+// dead, so a degraded placement never digests like the healthy one it
+// shadows.
 func Replace(topo Topology, alive uint64, apps []AppLoad) (*Placement, []AppLoad, error) {
 	topo.Alive = alive
 	return pack(topo, apps, true)
@@ -256,8 +253,7 @@ func (p *Placement) GPUAt(i int) int { return p.gpu[i] }
 
 // Digest fingerprints the placement: the topology, every application's
 // placement inputs, and its assigned GPU. Equal digests mean (modulo
-// hashing) equal placements, which is what the serving fast-forward
-// memo keys on.
+// hashing) equal placements.
 func (p *Placement) Digest() uint64 { return p.digest }
 
 func (p *Placement) computeDigest() uint64 {

@@ -188,7 +188,8 @@ func (s *Scheduler) Name() string {
 // SteadyStatePlanning implements sched.SteadyStatePlanner: PlanSession
 // depends only on the GPU share, the jobs' request counts, and the
 // per-period caches filled in OnPeriodStart — never on the session
-// index or start instant.
+// index or start instant — so its fractions audit against the current
+// share strictly.
 func (s *Scheduler) SteadyStatePlanning() {}
 
 // PlanSession implements sched.Scheduler. The returned plan aliases the

@@ -81,10 +81,6 @@ type Options struct {
 	// lanes (serving.Config.NGPUs); 0 or 1 is the single shared
 	// partition. The Scaling artifact sweeps it per arm.
 	NGPUs int
-	// NoFastForward disables the steady-state fast-forward memo on
-	// every arm (serving.Config.DisableFastForward): the metamorphic
-	// knob — metrics are bit-identical either way.
-	NoFastForward bool
 
 	// tracePath is the resolved per-arm trace file, set by runArms.
 	tracePath string
@@ -300,7 +296,6 @@ func run(o Options, apps []*app.App, m sched.Method, gpus float64,
 		Method:             m,
 		GPUs:               gpus,
 		NGPUs:              o.NGPUs,
-		DisableFastForward: o.NoFastForward,
 		Horizon:            o.Horizon,
 		Seed:               o.Seed,
 		RatePerApp:         o.Rate,

@@ -46,8 +46,8 @@ func TestScalingArtifact(t *testing.T) {
 
 // TestMetamorphicSingleLaneGoldens pins the NGPUs=1 compatibility
 // contract at the strongest available bar: a golden arm re-run with
-// the lane count explicitly set to 1 — with and without fast-forward —
-// must reproduce the committed golden metrics byte for byte.
+// the lane count explicitly set to 1 must reproduce the committed
+// golden metrics byte for byte.
 func TestMetamorphicSingleLaneGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reruns golden arms")
@@ -68,30 +68,26 @@ func TestMetamorphicSingleLaneGoldens(t *testing.T) {
 		"fig18/AdaInf apps=8 gpus=1": true,
 	}
 	checked := 0
-	for _, noFF := range []bool{false, true} {
-		for i := range arms {
-			if !picks[labels[i]] {
-				continue
-			}
-			a := &arms[i]
-			o := goldenOptions()
-			o.NGPUs = 1
-			o.NoFastForward = noFF
-			o.Seed = armSeed(o.Seed, a.workloadKey())
-			r, err := a.m.run(o, a.apps, a.gpus)
-			if err != nil {
-				t.Fatalf("%s (noFF=%v): %v", labels[i], noFF, err)
-			}
-			g, _ := json.Marshal(goldenOf(r))
-			w, _ := json.Marshal(wantMap[labels[i]])
-			if string(g) != string(w) {
-				t.Errorf("%s (noFF=%v) diverged from golden\n got: %s\nwant: %s",
-					labels[i], noFF, g, w)
-			}
-			checked++
+	for i := range arms {
+		if !picks[labels[i]] {
+			continue
 		}
+		a := &arms[i]
+		o := goldenOptions()
+		o.NGPUs = 1
+		o.Seed = armSeed(o.Seed, a.workloadKey())
+		r, err := a.m.run(o, a.apps, a.gpus)
+		if err != nil {
+			t.Fatalf("%s: %v", labels[i], err)
+		}
+		g, _ := json.Marshal(goldenOf(r))
+		w, _ := json.Marshal(wantMap[labels[i]])
+		if string(g) != string(w) {
+			t.Errorf("%s diverged from golden\n got: %s\nwant: %s", labels[i], g, w)
+		}
+		checked++
 	}
-	if checked != 6 {
-		t.Fatalf("checked %d arm runs, want 6 (golden arm set changed?)", checked)
+	if checked != 3 {
+		t.Fatalf("checked %d arm runs, want 3 (golden arm set changed?)", checked)
 	}
 }

@@ -78,9 +78,10 @@ type Method interface {
 // depend on the session index, the session start instant, or any hidden
 // state that evolves across calls (internal memoization is fine as long
 // as a hit returns exactly what the miss would have computed). The
-// serving loop uses the marker to gate steady-state fast-forward:
-// sessions whose inputs repeat replay the previously executed outcome
-// without calling PlanSession at all.
+// marker gates the auditor's strict share-sum check
+// (audit.Params.StrictShare): such a method's fractions must sum within
+// the current session's share, since no plan carries over from an
+// earlier, larger one.
 type SteadyStatePlanner interface {
 	// SteadyStatePlanning is a no-op marker method.
 	SteadyStatePlanning()

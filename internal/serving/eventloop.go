@@ -41,23 +41,22 @@ type runLoop struct {
 
 	// GPU lane state. Every server is a cluster of NGPUs lanes; NGPUs=1
 	// is the degenerate one-lane cluster: laneApps[0] holds every app in
-	// states order, laneOf is all zeros, placeDigest stays 0, and no
-	// capacity-checked placement ever runs (a single partition was never
-	// capacity-checked). The placement inputs (topo, wsBytes, loadBuf,
-	// lastRanks) and the per-GPU counters (gpuBusySec) exist only with
-	// NGPUs > 1, which keeps single-GPU results and traces free of
-	// placement events and per-lane series.
-	topo        cluster.Topology
-	placeDigest uint64 // current placement's digest (fast-forward key)
-	appNames    []string
-	appIdx      map[string]int
-	wsBytes     []int64   // per-app profiled working set, fixed for the run
-	loadBuf     []float64 // scratch: per-app predicted load this period
-	lastRanks   []int     // previous period's load ranking
-	laneOf      []int     // per-app lane under the current placement
-	laneApps    [][]int   // per-lane app indexes, states order
-	laneBusy    []float64 // scratch: per-lane retrain busy this session
-	laneShare   []float64 // scratch: per-lane quantized share this session
+	// states order, laneOf is all zeros, and no capacity-checked
+	// placement ever runs (a single partition was never capacity-checked).
+	// The placement inputs (topo, wsBytes, loadBuf, lastRanks) and the
+	// per-GPU counters (gpuBusySec) exist only with NGPUs > 1, which keeps
+	// single-GPU results and traces free of placement events and per-lane
+	// series.
+	topo      cluster.Topology
+	appNames  []string
+	appIdx    map[string]int
+	wsBytes   []int64   // per-app profiled working set, fixed for the run
+	loadBuf   []float64 // scratch: per-app predicted load this period
+	lastRanks []int     // previous period's load ranking
+	laneOf    []int     // per-app lane under the current placement
+	laneApps  [][]int   // per-lane app indexes, states order
+	laneBusy  []float64 // scratch: per-lane retrain busy this session
+	laneShare []float64 // scratch: per-lane quantized share this session
 	// gpuBusySec accumulates each lane's busy GPU-amount-seconds for
 	// Result.PerGPUUtilization; curLane tells runJob which lane the job
 	// it is executing runs on.
@@ -82,18 +81,14 @@ type runLoop struct {
 	predicted [][]int
 	work      []bool
 
-	ff *fastForward
-
 	// flt, when non-nil, is the deterministic fault injector
 	// (Config.Faults). Every decision it hands out is a pure hash of
 	// the fault seed and stable coordinates, so the loop consults it
 	// freely without perturbing the shared RNG stream.
 	flt *faults.Injector
-	// faultWords holds the current session's per-app fault-decision
-	// bitmasks (see faults.Injector.SessionWord); they extend the
-	// fast-forward key so a replay always matches the decisions the
-	// memoized execution ran under.
-	faultWords []uint64
+	// memFault marks the apps whose GPU memory allocation fails this
+	// session (see faults.Injector.MemFail).
+	memFault []bool
 	// faultBusy records the GPU busy windows of failed whole-pool
 	// retraining attempts for the current period, in plan order; they
 	// join the pending retrains in the session GPU-share computation.
@@ -108,8 +103,7 @@ type runLoop struct {
 	// admit* slices carry the period's SLO-feasibility gate decisions:
 	// per-app per-session request caps (-1 = uncapped), the admitted GPU
 	// fraction, the degraded-serving flag (smallest structures, no
-	// retraining slice), suspended whole-pool retraining, and the packed
-	// words extending the fast-forward key.
+	// retraining slice) and suspended whole-pool retraining.
 	alive          uint64
 	maskDirty      bool
 	unplacedIdx    []int
@@ -117,7 +111,6 @@ type runLoop struct {
 	admitFrac      []float64
 	admitDegraded  []bool
 	suspendRetrain []bool
-	admitWords     []uint64
 
 	// aud, when non-nil, validates every event against the invariant
 	// catalog (see internal/audit). It is read-only: it never touches
@@ -186,24 +179,20 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		l.predicted[i] = make([]int, l.sessionsPerPeriod)
 	}
 	l.work = make([]bool, l.sessionsPerPeriod)
-	_, steady := cfg.Method.(sched.SteadyStatePlanner)
-	if steady && !cfg.DisableFastForward {
-		l.ff = newFastForward()
-	}
 	if l.flt = faults.New(cfg.Faults); l.flt != nil {
-		l.faultWords = make([]uint64, len(states))
+		l.memFault = make([]bool, len(states))
 		if cfg.NGPUs > 1 && l.flt.Config().GPUCrash > 0 {
 			l.admitCap = make([]int, len(states))
 			l.admitFrac = make([]float64, len(states))
 			l.admitDegraded = make([]bool, len(states))
 			l.suspendRetrain = make([]bool, len(states))
-			l.admitWords = make([]uint64, len(states))
 			for i := range l.admitCap {
 				l.admitCap[i] = -1
 			}
 		}
 	}
 	if cfg.Audit || cfg.AuditReport != nil {
+		_, steady := cfg.Method.(sched.SteadyStatePlanner)
 		l.aud = audit.New(cfg.AuditReport, audit.Params{
 			GPUs:        cfg.GPUs,
 			NGPUs:       cfg.NGPUs,
@@ -235,9 +224,6 @@ func (l *runLoop) run() error {
 		if err := l.drainRetrains(l.periodLast); err != nil {
 			return err
 		}
-	}
-	if l.ff != nil {
-		l.res.FastForwardHits = l.ff.hits
 	}
 	if l.aud != nil {
 		if err := l.aud.Finish(); err != nil {
@@ -301,17 +287,6 @@ func (l *runLoop) periodStart(period int) error {
 	l.nextApply = 0
 	l.periodFirst, l.periodLast = first, last
 	if period > 0 {
-		if cfg.Debug {
-			for _, st := range l.states {
-				for _, ni := range st.inst.Nodes() {
-					live := ni.LiveDist()
-					pd, _ := ni.PoolDist()
-					fmt.Printf("debug p%d %s/%s: used=%d/%d trained=%v liveAcc=%.3f poolAcc=%.3f\n",
-						period-1, st.inst.App.Name, ni.Node.Name, ni.UsedSamples, len(ni.Pool.Samples),
-						ni.TrainedThisPeriod(), ni.State.Accuracy(live), ni.State.Accuracy(pd))
-				}
-			}
-		}
 		for _, st := range l.states {
 			st.inst.AdvancePeriod(cfg.PoolSamples)
 		}
@@ -332,7 +307,6 @@ func (l *runLoop) periodStart(period int) error {
 		}
 	}
 	for _, st := range l.states {
-		st.digestOK = false
 		clear(st.liveDists)
 		clear(st.poolDists)
 		clear(st.updatedAt)
@@ -466,7 +440,14 @@ func (l *runLoop) periodStart(period int) error {
 		windowEnd := cfg.Clock.SessionStart(last)
 		for i := range pplan.Retrains {
 			r := pplan.Retrains[i]
-			if l.suspendRetrain != nil && l.suspendRetrain[l.appIdx[r.App]] {
+			ai, ok := l.appIdx[r.App]
+			if !ok {
+				return fmt.Errorf("serving: period %d plan retrains unknown app %q", period, r.App)
+			}
+			if l.states[ai].inst.ByName[r.Node] == nil {
+				return fmt.Errorf("serving: period %d plan retrains unknown node %q of %q", period, r.Node, r.App)
+			}
+			if l.suspendRetrain != nil && l.suspendRetrain[ai] {
 				// The admission gate suspended this app's retraining: the
 				// job never starts, charges no GPU time, and the stale
 				// model keeps serving (the abandoned-job mechanics).
@@ -475,7 +456,7 @@ func (l *runLoop) periodStart(period int) error {
 			}
 			// Placement only changes at period boundaries, so the owning
 			// lane is fixed for the whole period.
-			lane := l.laneOf[l.appIdx[r.App]]
+			lane := l.laneOf[ai]
 			abandoned := false
 			if l.flt != nil && r.Busy > 0 && r.GPUFraction > 0 {
 				fate := l.flt.RetrainFate(period, i, r.App, r.Node, r.Completion, r.Busy, windowEnd)
@@ -537,9 +518,6 @@ func (l *runLoop) periodStart(period int) error {
 		sortApplyOrder(l.applies)
 	}
 
-	if l.ff != nil {
-		l.ff.reset()
-	}
 	return nil
 }
 
@@ -563,9 +541,9 @@ func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, 
 // laneEvents evolves the lane-liveness mask at a period boundary:
 // crash and recovery decisions are pure hashes of the fault seed and
 // (period, lane), so the mask's trajectory — and everything downstream
-// of it — is identical across repeats, planner parallelism, and
-// fast-forward. A change arms the failover re-pack placeApps performs
-// before any session plans against the new mask.
+// of it — is identical across repeats. A change arms the failover
+// re-pack placeApps performs before any session plans against the new
+// mask.
 func (l *runLoop) laneEvents(period int, start simtime.Instant) error {
 	if l.admitCap == nil {
 		return nil
@@ -595,8 +573,7 @@ func (l *runLoop) laneEvents(period int, start simtime.Instant) error {
 // Apps are ranked by the period's predicted load; the placement only
 // changes when the ranking does (or an app's working set would — those
 // are fixed for the run) or a lane-liveness change forces a failover
-// re-pack, so steady workloads keep a stable placement and the
-// fast-forward memo keys stay repeatable across periods. With a dead
+// re-pack, so steady workloads keep a stable placement. With a dead
 // lane the pack runs over the surviving lanes only; apps that fit
 // nowhere are left unplaced for the admission gate to shed.
 func (l *runLoop) placeApps(period int, start simtime.Instant, n int) error {
@@ -628,7 +605,6 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) error {
 	if err != nil {
 		return err
 	}
-	l.placeDigest = pl.Digest()
 	l.lastRanks = append(l.lastRanks[:0], ranks...)
 	for g := range l.laneApps {
 		l.laneApps[g] = l.laneApps[g][:0]
@@ -690,7 +666,6 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 		l.admitFrac[i] = 0
 		l.admitDegraded[i] = false
 		l.suspendRetrain[i] = false
-		l.admitWords[i] = 0
 	}
 	if l.alive == cluster.AllAlive(l.topo.NGPUs) && len(l.unplacedIdx) == 0 {
 		return nil
@@ -751,15 +726,10 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 			return err
 		}
 	}
-	for i := range l.admitCap {
-		if l.suspendRetrain[i] {
+	for _, suspended := range l.suspendRetrain {
+		if suspended {
 			l.res.FaultSuspendedRetrainPeriods++
 		}
-		w := uint64(l.admitCap[i]+1) << 1
-		if l.admitDegraded[i] {
-			w |= 1
-		}
-		l.admitWords[i] = w
 	}
 	return nil
 }
@@ -802,35 +772,26 @@ func (l *runLoop) drainRetrains(maxSession int) error {
 	return nil
 }
 
+// applyRetrain trains one node on its period pool. periodStart has
+// checked that the app and node exist.
 func (l *runLoop) applyRetrain(pr *pendingRetrain) {
 	pr.applied = true
 	st := l.byName[pr.App]
-	if st == nil {
-		return
-	}
-	st.digestOK = false
 	ni := st.inst.ByName[pr.Node]
-	target := st.poolDists[pr.Node]
-	if ni != nil && target != nil {
-		used := ni.ConsumeSamples(pr.Samples)
-		ni.State.Train(target, float64(used))
-		ni.NoteTrained()
-		st.updatedAt[pr.Node] = pr.Completion
-		st.updated[pr.Node] = true
-		l.rec.RecordRetrainEffort(pr.Completion, pr.Busy, used)
-	}
+	used := ni.ConsumeSamples(pr.Samples)
+	ni.State.Train(st.poolDists[pr.Node], float64(used))
+	ni.NoteTrained()
+	st.updatedAt[pr.Node] = pr.Completion
+	st.updated[pr.Node] = true
+	l.rec.RecordRetrainEffort(pr.Completion, pr.Busy, used)
 }
 
 // workSession executes one request-bearing session: session planning
-// followed by job execution, or a fast-forward replay when the
-// session's inputs repeat a memoized one. Each GPU lane gets its own
-// share (from its own lane's retrain occupancy) and its own session
-// plan over only the apps placed on it, and its jobs execute before the
-// next lane plans — scheduler plans alias reusable arenas, so lane g's
-// plan must be consumed before lane g+1's PlanSession call may
-// overwrite it. The fast-forward memo covers the whole session across
-// lanes: its key carries the placement digest and every lane's share,
-// so a replay reproduces the same per-lane outcomes.
+// followed by job execution. Each GPU lane gets its own share (from its
+// own lane's retrain occupancy) and its own session plan over only the
+// apps placed on it, and its jobs execute before the next lane plans —
+// scheduler plans alias reusable arenas, so lane g's plan must be
+// consumed before lane g+1's PlanSession call may overwrite it.
 func (l *runLoop) workSession(sess int) error {
 	cfg := l.cfg
 	// Retrains that completed by this session's start apply before it
@@ -887,45 +848,25 @@ func (l *runLoop) workSession(sess int) error {
 	}
 
 	if l.flt != nil {
-		// Per-app fault decisions, keyed by the owning lane so a
-		// placement change re-rolls them (two lanes never share a memory
-		// partition). They are computed before the fast-forward lookup so
-		// both the executed and the replayed path see (and count) the same
-		// decisions. The degraded-job counter and event key off the
-		// decision and the actual arrivals — both fast-forward key inputs —
-		// so they are identical with fast-forward on or off.
+		// Per-app memory faults, keyed by the owning lane so a placement
+		// change re-rolls them (two lanes never share a memory
+		// partition). Every app with arrivals counts its degraded job
+		// here, before any lane plans.
 		for i, st := range l.states {
-			l.faultWords[i] = l.flt.SessionWord(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining, l.laneOf[i])
-			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
+			l.memFault[i] = l.flt.MemFail(sess, st.inst.App.Name, l.laneOf[i])
+			if l.memFault[i] && l.actual[i][si] > 0 {
 				l.res.FaultDegradedJobs++
 				l.tel.Degrade(start, sess, st.inst.App.Name)
 			}
 		}
 	}
 
-	var key []byte
-	capture := false
-	if l.ff != nil {
-		key = l.ff.laneKey(l.placeDigest, l.alive, l.laneShare, l.predicted, l.actual, si, l.states, l.faultWords, l.admitWords)
-		m, c := l.ff.lookup(key)
-		l.tel.FF(m != nil)
-		if m != nil {
-			return l.replay(m, start, sess)
-		}
-		capture = c
-	}
-
-	var memo *sessionMemo
-	if capture {
-		memo = &sessionMemo{}
-	}
-	mutated := false
 	var sessionMakespan simtime.Duration
 	// Apps the failover re-pack could not place shed every arrival:
 	// no lane can hold their working set until one recovers.
 	for _, i := range l.unplacedIdx {
 		if a := l.actual[i][si]; a > 0 {
-			if err := l.shedRequests(start, sess, l.states[i], a, memo); err != nil {
+			if err := l.shedRequests(start, sess, l.states[i], a); err != nil {
 				return err
 			}
 		}
@@ -960,9 +901,6 @@ func (l *runLoop) workSession(sess int) error {
 			// Report the method's solve cost, not a cache hit's zero.
 			l.res.SessionOverhead = plan.Overhead
 		}
-		if memo != nil && plan.Overhead > memo.overhead {
-			memo.overhead = plan.Overhead
-		}
 		if l.aud != nil {
 			if err := l.aud.OnSessionPlan(ctx, plan); err != nil {
 				return err
@@ -992,7 +930,7 @@ func (l *runLoop) workSession(sess int) error {
 				// Degraded admission: the excess over the gate's cap is
 				// shed (recorded missed, so conservation closes) before
 				// the admitted remainder is served.
-				if err := l.shedRequests(start, sess, st, shed, memo); err != nil {
+				if err := l.shedRequests(start, sess, st, shed); err != nil {
 					return err
 				}
 			}
@@ -1016,7 +954,7 @@ func (l *runLoop) workSession(sess int) error {
 					Nodes:    st.degradedNodes,
 				}
 				jp = &degraded
-			} else if l.flt != nil && l.faultWords[i]&1 != 0 {
+			} else if l.flt != nil && l.memFault[i] {
 				// Transient GPU-memory allocation failure: the planned (or
 				// fallback) structures cannot be made resident this
 				// session. Serve with the smallest profiled structure of
@@ -1038,7 +976,7 @@ func (l *runLoop) workSession(sess int) error {
 				}
 				jp = &degraded
 			}
-			dur, mut, err := l.runJob(st, jp, plan.Overhead, start, served, memo)
+			dur, err := l.runJob(st, jp, plan.Overhead, start, served)
 			if err != nil {
 				return err
 			}
@@ -1048,29 +986,20 @@ func (l *runLoop) workSession(sess int) error {
 					return err
 				}
 			}
-			mutated = mutated || mut
 			if dur > sessionMakespan {
 				sessionMakespan = dur
 			}
 		}
 	}
 	l.noteMakespan(sessionMakespan)
-	if memo != nil && !mutated {
-		// Only mutation-free sessions memoize: a hit must leave the
-		// simulation in exactly the state the full execution would.
-		memo.makespan = sessionMakespan
-		l.ff.store(key, memo)
-	}
 	return nil
 }
 
 // shedRequests records n requests of one app shed by the admission
 // gate: counted as SLO-missed (request conservation still closes),
 // never scored (nothing was served, so no prediction draws — the RNG
-// stream is untouched), traced, audited, and captured into the session
-// memo (when one is being built) so a fast-forward replay re-sheds
-// identically.
-func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n int, memo *sessionMemo) error {
+// stream is untouched), traced and audited.
+func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n int) error {
 	name := st.inst.App.Name
 	if l.aud != nil {
 		if err := l.aud.OnShed(sess, name, n); err != nil {
@@ -1086,60 +1015,6 @@ func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n 
 		l.res.Requests++
 	}
 	l.res.FaultShedRequests += n
-	if memo != nil {
-		memo.jobs = append(memo.jobs, ffJob{st: st, shed: n})
-	}
-	return nil
-}
-
-// replay re-emits a memoized session's outcome. The recorder calls and
-// RNG draws are issued in exactly the order the full execution issued
-// them; only the per-request random draws run live, keeping the shared
-// RNG stream identical for everything downstream. Telemetry job spans
-// are emitted exactly as the full execution would, marked replayed
-// (memoized sessions are mutation-free, so retraining time is zero).
-func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) error {
-	l.ff.hits++
-	if m.overhead > l.res.SessionOverhead {
-		l.res.SessionOverhead = m.overhead
-	}
-	for i := range m.jobs {
-		j := &m.jobs[i]
-		if j.shed > 0 {
-			// A shed record: re-emit it exactly as the execution did
-			// (shed entries precede the same app's served job, if any).
-			if err := l.shedRequests(start, sess, j.st, j.shed, nil); err != nil {
-				return err
-			}
-			continue
-		}
-		if l.aud != nil {
-			if err := l.aud.OnServed(j.st.inst.App.Name, j.actual, j.met); err != nil {
-				return err
-			}
-		}
-		l.rec.RecordJob(j.inferTotal, 0)
-		l.rec.RecordBusy(start.Add(j.lead), start.Add(j.latency), j.fraction)
-		if l.gpuBusySec != nil {
-			l.gpuBusySec[j.lane] += j.fraction * (j.latency - j.lead).Seconds()
-			l.tel.GPUBusy(j.lane, j.latency-j.lead, j.fraction)
-		}
-		l.tel.Job(start, sess, j.st.inst.App.Name, j.actual,
-			j.lead, j.inferTotal, 0, j.latency, j.met, true)
-		l.res.Jobs++
-		for r := 0; r < j.actual; r++ {
-			l.rec.RecordRequest(start, j.met)
-			l.res.Requests++
-		}
-		for _, leaf := range j.leaves {
-			for r := 0; r < j.actual; r++ {
-				class := leaf.live.Sample(l.rng)
-				correct := l.rng.Float64() < leaf.probs[class]
-				l.rec.RecordPrediction(start, correct, leaf.usedUpdated)
-			}
-		}
-	}
-	l.noteMakespan(m.makespan)
 	return nil
 }
 

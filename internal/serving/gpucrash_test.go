@@ -80,60 +80,44 @@ func TestGPUCrashRecoveryUnderAudit(t *testing.T) {
 
 // TestMetamorphicGPUCrashDeterminism asserts the whole failover path —
 // crash schedule, re-pack, admission gate, shedding — is a pure
-// function of the seeds: repeated runs are bit-identical, and the
-// fast-forward memo (whose lane key now carries the alive mask and the
-// admission words) stays a pure optimization, non-vacuously.
+// function of the seeds: repeated runs are bit-identical, non-vacuously.
 func TestMetamorphicGPUCrashDeterminism(t *testing.T) {
 	fc := &faults.Config{Seed: 5, GPUCrash: 1, GPUCrashMax: 1}
-	run := func(disableFF bool) *Result {
+	run := func() *Result {
 		t.Helper()
 		cfg := crashConfig(t, 2, fc)
 		cfg.Method = core.New(core.Options{})
 		cfg.Audit = true
-		cfg.DisableFastForward = disableFF
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	a, b := run(false), run(false)
+	a, b := run(), run()
 	sameResult(t, "same crash schedule, repeated", a, b)
 	if a.FaultGPUCrashes == 0 {
 		t.Error("no crash fired; determinism check is vacuous")
 	}
-
-	noFF := run(true)
-	if a.FastForwardHits == 0 {
-		t.Error("no sessions replayed under a lane crash; fast-forward check is vacuous")
-	}
-	sameResult(t, "crashed ff vs no-ff", a, noFF)
 }
 
 // TestGPUCrashSheddingUnderAudit overloads a small sharded server so
 // the post-crash feasibility gate must fail: requests are shed and
 // retraining suspended, yet the run stays audit-clean — shedding only
 // in the degraded-admission state, admitted fractions within the lane
-// capacity, conservation closed (shed requests counted missed) — and
-// the whole degraded regime replays bit-identically under fast-forward.
+// capacity, conservation closed (shed requests counted missed).
 func TestGPUCrashSheddingUnderAudit(t *testing.T) {
 	fc := &faults.Config{Seed: 5, GPUCrash: 1, GPUCrashMax: 1}
-	run := func(disableFF bool, rep *audit.Report) *Result {
-		t.Helper()
-		cfg := crashConfig(t, 2, fc)
-		cfg.GPUs = 0.5 // two 0.25-amount lanes: one cannot absorb both apps
-		cfg.RatePerApp = 600
-		cfg.Method = core.New(core.Options{})
-		cfg.AuditReport = rep
-		cfg.DisableFastForward = disableFF
-		r, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
 	var rep audit.Report
-	res := run(false, &rep)
+	cfg := crashConfig(t, 2, fc)
+	cfg.GPUs = 0.5 // two 0.25-amount lanes: one cannot absorb both apps
+	cfg.RatePerApp = 600
+	cfg.Method = core.New(core.Options{})
+	cfg.AuditReport = &rep
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Total != 0 {
 		t.Error(rep.Err())
 	}
@@ -143,9 +127,6 @@ func TestGPUCrashSheddingUnderAudit(t *testing.T) {
 	if res.FaultSuspendedRetrainPeriods == 0 {
 		t.Error("infeasible lane suspended no retraining")
 	}
-	var rep2 audit.Report
-	noFF := run(true, &rep2)
-	sameResult(t, "shedding ff vs no-ff", res, noFF)
 }
 
 // TestGPUCrashSingleLaneInvisible pins the NGPUs = 1 contract: a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,8 +85,7 @@ func TestRetrainApplyOrder(t *testing.T) {
 
 // lateRetrains wraps a method, moves every planned whole-pool retrain's
 // completion to the start of its period's last session, and records the
-// sessions it planned. The wrapper hides SteadyStatePlanning, so every
-// work session plans.
+// sessions it planned.
 type lateRetrains struct {
 	sched.Method
 	session simtime.Duration
@@ -195,5 +195,53 @@ func TestPeriodEndDrainAppliesLateRetrains(t *testing.T) {
 	}
 	if len(applied) != m.planned {
 		t.Errorf("%d retrains applied, %d planned", len(applied), m.planned)
+	}
+}
+
+// phantomRetrain wraps a method and appends one whole-pool retrain for
+// the given app and node to every period plan.
+type phantomRetrain struct {
+	sched.Method
+	app, node string
+}
+
+func (m *phantomRetrain) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error) {
+	plan, err := m.Method.OnPeriodStart(ctx)
+	if err != nil {
+		return nil, err
+	}
+	plan.Retrains = append(plan.Retrains, sched.PeriodRetrain{
+		App: m.app, Node: m.node, Samples: 10,
+		Completion: ctx.Start.Add(time.Second), GPUFraction: 0.1, Busy: time.Second,
+	})
+	return plan, nil
+}
+
+// TestPeriodPlanRetrainUnknownTarget checks that a period plan naming an
+// app or node the server does not run fails the run with an error that
+// names it, instead of charging the phantom job to some lane and
+// dropping it at apply time.
+func TestPeriodPlanRetrainUnknownTarget(t *testing.T) {
+	apps, profs := fixtures(t)
+	realApp, realNode := apps[0].Name, apps[0].Nodes[0].Name
+	for _, c := range []struct{ app, node, want string }{
+		{"nope", realNode, `"nope"`},
+		{realApp, "nonode", `"nonode"`},
+	} {
+		_, err := Run(Config{
+			Apps:        apps,
+			Method:      &phantomRetrain{Method: baselines.NewEkya(), app: c.app, node: c.node},
+			GPUs:        4,
+			Horizon:     50 * time.Second,
+			Seed:        1,
+			RatePerApp:  50,
+			Retraining:  true,
+			PoolSamples: 2000,
+			Profiles:    profs,
+			Audit:       true,
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("retrain of %s/%s: error %v, want one naming %s", c.app, c.node, err, c.want)
+		}
 	}
 }

@@ -93,11 +93,6 @@ type Config struct {
 	// AuditReport, when non-nil, enables auditing in accumulate mode:
 	// violations collect here and the run completes. Implies Audit.
 	AuditReport *audit.Report
-	// DisableFastForward forces full planning and execution of every
-	// work session, even for steady-state planners. Metrics are
-	// identical either way (the metamorphic-test knob for the
-	// fast-forward memo; also a debugging aid).
-	DisableFastForward bool
 	// Telemetry, when non-nil, collects the run's latency histograms
 	// and/or JSONL decision trace (see internal/telemetry). Telemetry
 	// is strictly read-only observability: it never draws from the RNG
@@ -113,8 +108,6 @@ type Config struct {
 	// and every metric is byte-identical to a build without the
 	// injector.
 	Faults *faults.Config
-	// Debug prints per-period per-node adaptation state to stdout.
-	Debug bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -221,10 +214,9 @@ type Result struct {
 	Requests int
 	Jobs     int
 
-	// FastForwardHits counts sessions served by steady-state
-	// fast-forward replay instead of full planning and execution
-	// (diagnostic; identical runs produce identical metrics whether a
-	// session replayed or executed).
+	// Deprecated: FastForwardHits is always zero, because every work
+	// session plans and executes. It remains only so existing readers
+	// compile.
 	FastForwardHits int
 
 	// AuditChecks counts the invariant evaluations the auditor
@@ -276,7 +268,7 @@ type Result struct {
 	// Fault* count the injections a faulted run (Config.Faults) actually
 	// fired; all zero with faults disabled. They are deterministic —
 	// pure functions of the fault seed and the workload — so repeated
-	// runs and fast-forward on/off report identical counts.
+	// runs report identical counts.
 	FaultRetrainSlowed     int // whole-pool retrains stretched by the slow factor
 	FaultRetrainFailures   int // failed whole-pool attempts (retries included)
 	FaultRetrainAbandoned  int // whole-pool retrains given up on (stale model serves)
@@ -327,9 +319,6 @@ type appState struct {
 	// planned structure set, so a degraded job never violates the
 	// latency SLO its plan was built for.
 	degradedNodes []sched.NodePlan
-	// nodeNames lists the instance's nodes in order, for per-node fault
-	// decisions.
-	nodeNames []string
 	// probMemo caches each leaf's per-class correctness probabilities,
 	// keyed by everything that can change them: the period's live-dist
 	// snapshot (a fresh immutable clone each period, so pointer
@@ -343,14 +332,10 @@ type appState struct {
 	costs *profile.LatencyCache
 	// tableIdx maps node name → costs table index (App.Nodes order).
 	tableIdx map[string]int
-	// digestCache/digestOK memoize digest() between mutations.
-	digestCache uint64
-	digestOK    bool
 }
 
 // leafProbs is one probMemo entry: the cached correctness vector and
-// the inputs it was computed from. probs is never mutated after
-// construction, so consumers may alias it.
+// the inputs it was computed from.
 type leafProbs struct {
 	live    *dist.Categorical
 	version uint64
@@ -503,7 +488,6 @@ func Run(cfg Config) (*Result, error) {
 			st.degradedNodes = append(st.degradedNodes, sched.NodePlan{
 				Node: ni.Node.Name, Structure: ni.SmallestStructure(),
 			})
-			st.nodeNames = append(st.nodeNames, ni.Node.Name)
 		}
 		states[i] = st
 	}
@@ -555,19 +539,14 @@ func jobPlanFor(plan *sched.SessionPlan, appName string) *sched.JobPlan {
 // runJob executes one job against the cost model: incremental
 // retraining (when planned) followed by inference per DAG node, scoring
 // every request's predictions and SLO outcome. It returns the job's
-// completion offset from the session start and whether it mutated any
-// simulation state beyond the metrics (i.e. made retraining progress) —
-// sessions whose jobs all report false are eligible for fast-forward
-// memoization into memo (which may be nil).
+// completion offset from the session start.
 func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
-	lead simtime.Duration, start simtime.Instant, actual int,
-	memo *sessionMemo) (simtime.Duration, bool, error) {
+	lead simtime.Duration, start simtime.Instant, actual int) (simtime.Duration, error) {
 
 	cfg := l.cfg
 	rec := l.rec
 	rng := l.rng
 	res := l.res
-	mutated := false
 	a := st.inst.App
 	fraction := 0.0
 	batch := 0
@@ -593,7 +572,7 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 	for _, np := range nodes {
 		ni := st.inst.ByName[np.Node]
 		if ni == nil {
-			return 0, false, fmt.Errorf("serving: plan for unknown node %q of %q", np.Node, a.Name)
+			return 0, fmt.Errorf("serving: plan for unknown node %q of %q", np.Node, a.Name)
 		}
 		// Incremental retraining before the node's inference (§3.2):
 		// the job trains for its allocated slice, with fractional
@@ -613,13 +592,9 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 					// Incremental slice faults: a failure discards the
 					// slice's samples, a slowdown trains 1/factor of them.
 					// The planned slice latency stands either way, so the
-					// session's latency SLO is untouched. Marking the
-					// session mutated keeps it out of the fast-forward
-					// memo, so faulted slices always execute (and count)
-					// identically with fast-forward on or off.
+					// session's latency SLO is untouched.
 					fail, slow := l.flt.IncrementalRetrain(l.ctx.Session, a.Name, np.Node)
 					if fail {
-						mutated = true
 						res.FaultIncrementalFailed++
 						l.tel.RetrainFault(start, a.Name, np.Node, "increm-fail", 0)
 						t = t.Add(lat)
@@ -627,15 +602,12 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 						rec.RecordRetrainEffort(start, lat, 0)
 						samplesF = 0
 					} else if slow {
-						mutated = true
 						res.FaultIncrementalSlowed++
 						l.tel.RetrainFault(start, a.Name, np.Node, "increm-slow", 0)
 						samplesF /= l.flt.Config().RetrainSlowFactor
 					}
 				}
 				if samplesF > 0 {
-					mutated = true
-					st.digestOK = false
 					st.carry[np.Node] += samplesF
 					whole := int(st.carry[np.Node])
 					if whole > 0 {
@@ -659,7 +631,7 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		// Inference at the realized request count.
 		per, err := st.perBatch(np, batch, fraction)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		inferLat := per * simtime.Duration(nBatches)
 		t = t.Add(inferLat)
@@ -684,7 +656,6 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		rec.RecordRequest(start, met)
 		res.Requests++
 	}
-	var mleaves []ffLeaf
 	for _, leaf := range st.leaves {
 		ni := st.inst.ByName[leaf]
 		live := st.liveDists[leaf]
@@ -706,35 +677,13 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		}
 		probs := pm.probs
 		usedUpdated := st.updated[leaf]
-		if memo != nil {
-			// pm.probs is immutable once built, so the fast-forward
-			// memo can alias it instead of copying.
-			mleaves = append(mleaves, ffLeaf{
-				live:        live,
-				probs:       probs,
-				usedUpdated: usedUpdated,
-			})
-		}
 		for r := 0; r < actual; r++ {
 			class := live.Sample(rng)
 			correct := rng.Float64() < probs[class]
 			rec.RecordPrediction(start, correct, usedUpdated)
 		}
 	}
-	if memo != nil {
-		memo.jobs = append(memo.jobs, ffJob{
-			st:         st,
-			lane:       l.curLane,
-			actual:     actual,
-			fraction:   fraction,
-			lead:       lead,
-			latency:    latency,
-			inferTotal: inferTotal,
-			met:        met,
-			leaves:     mleaves,
-		})
-	}
-	return latency, mutated, nil
+	return latency, nil
 }
 
 // perBatch is one node's per-batch inference latency under the node

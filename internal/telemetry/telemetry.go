@@ -21,7 +21,7 @@ const (
 	EvPeriodPlan     = "period_plan"           // period, retrains, overhead_ns, cloud_bytes
 	EvSessionPlan    = "session_plan"          // session, share, overhead_ns, jobs
 	EvJobPlan        = "job_plan"              // session, app, fraction, batch, infer_ns, retrain_ns
-	EvJob            = "job"                   // executed/replayed job: app, session, requests, …
+	EvJob            = "job"                   // executed job: app, session, requests, …
 	EvRetrainApply   = "retrain_apply"         // app, node, samples, apply_session, plan_idx
 	EvRetrainDiscard = "retrain_discard"       // app, node, samples
 	EvEvict          = "evict"                 // gpumem eviction: app, model, layer, kind, bytes, score, pin
@@ -288,9 +288,10 @@ func (c *Collector) JobPlan(ts simtime.Instant, session int, app string, fractio
 	c.end()
 }
 
-// Job records one executed (or fast-forward-replayed) job: it feeds
-// the latency histograms and emits the job span. ts is the session
-// start; latency is measured from it (so it includes lead).
+// Job records one executed job: it feeds the latency histograms and
+// emits the job span. ts is the session start; latency is measured from
+// it (so it includes lead). replay is always false now that serving
+// executes every session; the field stays so traces keep their schema.
 func (c *Collector) Job(ts simtime.Instant, session int, app string, requests int,
 	lead, infer, retrain, latency simtime.Duration, met, replay bool) {
 	if c == nil {
@@ -640,6 +641,9 @@ func (c *Collector) PlanningObserve(d time.Duration) {
 }
 
 // FF counts one fast-forward memo lookup outcome.
+//
+// Deprecated: serving no longer has a fast-forward memo and never calls
+// FF, so the ff_hits and ff_misses counters stay zero.
 func (c *Collector) FF(hit bool) {
 	if c == nil {
 		return
@@ -652,6 +656,8 @@ func (c *Collector) FF(hit bool) {
 }
 
 // FFCounts returns the fast-forward hit/miss counters.
+//
+// Deprecated: both are always zero (see FF).
 func (c *Collector) FFCounts() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
@@ -667,8 +673,8 @@ func (c *Collector) CacheCounts() (hits, misses uint64) {
 	return c.cacheHits, c.cacheMisses
 }
 
-// Counters emits the running hit/miss counters (fast-forward memo and
-// profile cache) as one event.
+// Counters emits the running hit/miss counters (the always-zero
+// fast-forward pair and the profile cache) as one event.
 func (c *Collector) Counters(ts simtime.Instant) {
 	if c == nil || c.w == nil {
 		return

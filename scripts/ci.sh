@@ -63,8 +63,9 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 # Fuzz smoke: a few seconds per target catches regressions in the
 # properties the fuzz corpora pin (regression-fit robustness, profile
 # cache-key identity, fault-schedule decode/encode round trips, the
-# bin-packing invariants of the placer and its failover re-pack, and
-# the drift probe's top-k ranking against a full stable sort).
+# bin-packing invariants of the placer and its failover re-pack, the
+# drift probe's top-k ranking against a full stable sort, and serving.Run
+# rejecting bad configs and finishing good ones audit-clean).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzFitScaling -fuzztime=5s ./internal/mathx
@@ -73,6 +74,7 @@ go test -run='^$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/faults
 go test -run='^$' -fuzz=FuzzPlace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzDetectNodeRanking -fuzztime=5s ./internal/drift
+go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
 # loop, a serial /M1 profile build, Scrooge planning four lanes, drift
