@@ -1,6 +1,8 @@
 package app
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,7 +172,11 @@ func TestInstanceAdvancePeriod(t *testing.T) {
 	}
 	ni := inst.ByName["vehicle-type"]
 	firstPool := ni.Pool
+	firstSamples := cloneSamples(firstPool.Samples)
 	bootstrap := ni.OldData
+	det := inst.ByName["object-detection"]
+	detPool, detOld := det.Pool, det.OldData
+	bootStorage, detStorage := &bootstrap.Samples[0], &detPool.Samples[0]
 	ni.ConsumeSamples(100)
 	ni.NoteTrained()
 	inst.AdvancePeriod(0)
@@ -180,16 +186,29 @@ func TestInstanceAdvancePeriod(t *testing.T) {
 	if ni.OldData != firstPool {
 		t.Fatal("retrained node's pool did not become OldData")
 	}
+	if !sameSamples(ni.OldData.Samples, firstSamples) {
+		t.Fatal("retrained node's old pool changed on becoming OldData")
+	}
+	// Each node drops one dataset per boundary: a retrained node its
+	// old reference, any other node its old pool. The dropped dataset's
+	// storage backs the new pool, and the dataset itself is left empty.
+	if len(bootstrap.Samples) != 0 {
+		t.Fatalf("retrained node's dropped reference still holds %d samples", len(bootstrap.Samples))
+	}
+	if &ni.Pool.Samples[0] != bootStorage || &det.Pool.Samples[0] != detStorage {
+		t.Fatal("new pools do not reuse the dropped datasets' storage")
+	}
 	if ni.TrainedThisPeriod() {
 		t.Fatal("trained flag not reset at period boundary")
 	}
 	// An un-retrained node keeps its old reference, so accumulated
 	// drift stays visible to the detector.
-	det := inst.ByName["object-detection"]
-	if det.OldData == det.Pool {
-		t.Fatal("un-retrained node advanced its OldData")
+	if det.OldData != detOld || len(detOld.Samples) != 2000 {
+		t.Fatal("un-retrained node advanced or emptied its OldData")
 	}
-	_ = bootstrap
+	if det.Pool == detPool || len(detPool.Samples) != 0 {
+		t.Fatalf("un-retrained node's dropped pool still holds %d samples", len(detPool.Samples))
+	}
 	if ni.UsedSamples != 0 {
 		t.Fatal("UsedSamples not reset")
 	}
@@ -249,5 +268,115 @@ func TestDriftAccumulatesAccuracyLoss(t *testing.T) {
 	}
 	if detAcc < det.InitialAccuracy-1e-6 {
 		t.Fatalf("drift-free detector lost accuracy: %v < %v", detAcc, det.InitialAccuracy)
+	}
+}
+
+func cloneSamples(xs []synthdata.Sample) []synthdata.Sample {
+	out := make([]synthdata.Sample, len(xs))
+	for i, x := range xs {
+		out[i] = x
+		out[i].Features = append([]float64(nil), x.Features...)
+	}
+	return out
+}
+
+func sameSamples(a, b []synthdata.Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Class != b[i].Class || a[i].Period != b[i].Period || len(a[i].Features) != len(b[i].Features) {
+			return false
+		}
+		for j, x := range a[i].Features {
+			if math.Float64bits(x) != math.Float64bits(b[i].Features[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestNewInstanceRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		cfg   InstanceConfig
+		field string
+	}{
+		{InstanceConfig{PoolSamples: -5}, "PoolSamples"},
+		{InstanceConfig{BootstrapSamples: -1}, "BootstrapSamples"},
+		{InstanceConfig{ExitStride: -1}, "ExitStride"},
+		{InstanceConfig{Kappa: -3}, "Kappa"},
+		{InstanceConfig{Kappa: math.NaN()}, "Kappa"},
+		{InstanceConfig{Kappa: math.Inf(1)}, "Kappa"},
+	} {
+		_, err := NewInstance(VideoSurveillance(), c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, c.field)
+		}
+	}
+	// Zero fields still take their defaults.
+	if _, err := NewInstance(VideoSurveillance(), InstanceConfig{}); err != nil {
+		t.Fatalf("zero config: %v", err)
+	}
+}
+
+// advanceAllocs measures one steady-state period boundary of a
+// catalog application at the given pool size: two warm-up boundaries
+// retire the bootstrap data, then every node is retrained (or none is)
+// each period.
+func advanceAllocs(t *testing.T, pool int, retrain bool) float64 {
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 6, PoolSamples: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundary := func(retrain bool) {
+		if retrain {
+			for _, ni := range inst.Nodes() {
+				ni.NoteTrained()
+			}
+		}
+		inst.AdvancePeriod(0)
+	}
+	boundary(true)
+	boundary(retrain)
+	return testing.AllocsPerRun(20, func() { boundary(retrain) })
+}
+
+// TestAdvancePeriodAllocsIndependentOfPoolSize guards pool recycling:
+// once warm, a period boundary reuses the dropped dataset's storage,
+// so an 8000-sample pool costs no more allocations than a 1000-sample
+// one, whether nodes were retrained or not.
+func TestAdvancePeriodAllocsIndependentOfPoolSize(t *testing.T) {
+	for _, retrain := range []bool{false, true} {
+		small, large := advanceAllocs(t, 1000, retrain), advanceAllocs(t, 8000, retrain)
+		if small != large {
+			t.Errorf("retrain=%v: AdvancePeriod allocs %v at pool 1000, %v at pool 8000", retrain, small, large)
+		}
+	}
+}
+
+// BenchmarkAdvancePeriod runs one period boundary of every catalog
+// application with 8000-sample pools, the serving workloads' pool
+// size, retraining every other node in turn.
+func BenchmarkAdvancePeriod(b *testing.B) {
+	var insts []*Instance
+	for i, a := range Catalog() {
+		inst, err := NewInstance(a, InstanceConfig{Seed: int64(i + 1), PoolSamples: 8000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, inst := range insts {
+			for k, ni := range inst.Nodes() {
+				if (i+k)%2 == 0 {
+					ni.NoteTrained()
+				}
+			}
+			inst.AdvancePeriod(0)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"math"
 
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
@@ -35,6 +36,11 @@ type NodeInstance struct {
 	OldData *synthdata.Dataset
 	// Pool are the labelled samples collected during the previous
 	// period — the current period's retraining data.
+	//
+	// Pool and OldData are owned by the instance: a dataset read from
+	// either stays valid until the AdvancePeriod that drops it, which
+	// empties it and reuses its storage for the next pool. Keep what
+	// must outlive that boundary as a copy, not as the dataset.
 	Pool *synthdata.Dataset
 	// UsedSamples counts retraining samples consumed this period so
 	// concurrent jobs do not retrain on the same samples (§3.3.2).
@@ -132,6 +138,26 @@ type InstanceConfig struct {
 	Kappa float64
 }
 
+// validate rejects negative sizes and strides and a negative or
+// non-finite Kappa; zero fields take their defaults.
+func (c *InstanceConfig) validate() error {
+	if c.BootstrapSamples < 0 {
+		return fmt.Errorf("app: InstanceConfig.BootstrapSamples = %d, want >= 0", c.BootstrapSamples)
+	}
+	if c.PoolSamples < 0 {
+		return fmt.Errorf("app: InstanceConfig.PoolSamples = %d, want >= 0", c.PoolSamples)
+	}
+	if c.ExitStride < 0 {
+		return fmt.Errorf("app: InstanceConfig.ExitStride = %d, want >= 0", c.ExitStride)
+	}
+	// The negated comparison also rejects NaN; +Inf would turn every
+	// learning curve into a step that never moves.
+	if !(c.Kappa >= 0) || math.IsInf(c.Kappa, 1) {
+		return fmt.Errorf("app: InstanceConfig.Kappa = %v, want a finite value >= 0", c.Kappa)
+	}
+	return nil
+}
+
 func (c *InstanceConfig) fillDefaults() {
 	if c.BootstrapSamples == 0 {
 		c.BootstrapSamples = 2000
@@ -152,6 +178,9 @@ func (c *InstanceConfig) fillDefaults() {
 // retraining pool is collected.
 func NewInstance(a *App, cfg InstanceConfig) (*Instance, error) {
 	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg.fillDefaults()
@@ -213,23 +242,30 @@ func (i *Instance) Period() int { return i.period }
 // adopts its pool as the new "old training samples", a fresh pool is
 // sampled from the closing period's distribution, and the streams
 // drift into the new period. poolSamples ≤ 0 keeps each node's
-// previous pool size.
+// previous pool size. Each node drops one dataset — its old OldData
+// if it was retrained, its old pool otherwise — and the new pool
+// reuses that dataset's storage, leaving it empty.
 func (i *Instance) AdvancePeriod(poolSamples int) {
 	for _, ni := range i.ordered {
 		n := poolSamples
 		if n <= 0 {
 			n = len(ni.Pool.Samples)
 		}
+		dropped := ni.Pool
 		if ni.trainedThisPeriod {
 			// The model now reflects this pool: it becomes the drift
 			// detector's reference. An un-retrained model keeps its
 			// older reference so accumulated drift stays visible.
+			dropped = ni.OldData
 			ni.OldData = ni.Pool
 			ni.trainedThisPeriod = false
 		}
+		if dropped == ni.OldData {
+			dropped = nil // one dataset set as both pool and reference
+		}
 		// The new pool is drawn from the period that is ending — the
 		// requests "collected during the previous time period" (§1).
-		ni.Pool = synthdata.Collect(ni.Stream, n)
+		ni.Pool = synthdata.Recollect(ni.Stream, n, dropped)
 		ni.UsedSamples = 0
 		ni.Stream.AdvancePeriod()
 	}

@@ -31,7 +31,7 @@ type Topology struct {
 	PerGPUBytes int64
 	// Alive is the lane-liveness bitmask (bit g set ⇒ lane g healthy).
 	// The zero value means every lane is alive, so topologies built
-	// before lane faults existed keep their meaning (and their digests).
+	// before lane faults existed keep their meaning.
 	Alive uint64
 }
 
@@ -100,13 +100,12 @@ type AppLoad struct {
 // Placement is an immutable assignment of every application to exactly
 // one GPU lane.
 type Placement struct {
-	topo   Topology
-	apps   []AppLoad // assignment order (heaviest load first)
-	gpu    []int     // apps[i] runs on GPU gpu[i]
-	index  map[string]int
-	bytes  []int64 // residency per GPU
-	load   []float64
-	digest uint64
+	topo  Topology
+	apps  []AppLoad // assignment order (heaviest load first)
+	gpu   []int     // apps[i] runs on GPU gpu[i]
+	index map[string]int
+	bytes []int64 // residency per GPU
+	load  []float64
 }
 
 // Place bin-packs the applications onto the topology's alive GPUs:
@@ -125,9 +124,6 @@ func Place(topo Topology, apps []AppLoad) (*Placement, error) {
 // alive in the mask, but an application whose working set fits on no
 // surviving lane is returned in the second value (assignment order)
 // instead of failing the packing — admission control decides its fate.
-// The placement's digest mixes the alive mask whenever some lane is
-// dead, so a degraded placement never digests like the healthy one it
-// shadows.
 func Replace(topo Topology, alive uint64, apps []AppLoad) (*Placement, []AppLoad, error) {
 	topo.Alive = alive
 	return pack(topo, apps, true)
@@ -202,7 +198,6 @@ func pack(topo Topology, apps []AppLoad, partial bool) (*Placement, []AppLoad, e
 		// irrelevant, only the deterministic balancing it induces.
 		p.load[best] += float64(n - a.LoadRank)
 	}
-	p.digest = p.computeDigest()
 	return p, unplaced, nil
 }
 
@@ -250,41 +245,6 @@ func (p *Placement) Apps() []AppLoad { return p.apps }
 
 // GPUAt returns the lane of the i-th application in assignment order.
 func (p *Placement) GPUAt(i int) int { return p.gpu[i] }
-
-// Digest fingerprints the placement: the topology, every application's
-// placement inputs, and its assigned GPU. Equal digests mean (modulo
-// hashing) equal placements.
-func (p *Placement) Digest() uint64 { return p.digest }
-
-func (p *Placement) computeDigest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) { h = (h ^ v) * prime64 }
-	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		mix(uint64(len(s)))
-	}
-	mix(uint64(p.topo.NGPUs))
-	mix(uint64(p.topo.PerGPUBytes))
-	// The liveness mask joins the digest only when a lane is dead, so
-	// every digest recorded before lane faults existed is preserved.
-	if alive := p.topo.AliveMask(); alive != AllAlive(p.topo.NGPUs) {
-		mix(alive)
-	}
-	for i := range p.apps {
-		a := &p.apps[i]
-		mixStr(a.Name)
-		mix(uint64(a.WorkingSetBytes))
-		mix(uint64(a.LoadRank))
-		mix(uint64(p.gpu[i]))
-	}
-	return h
-}
 
 // RankLoads converts raw predicted loads into the LoadRank inputs of
 // Place: rank 0 is the heaviest load, ties broken by name ascending.

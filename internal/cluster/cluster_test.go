@@ -86,9 +86,8 @@ func TestPlaceProperties(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d ngpus %d repeat: %v", trial, ngpus, err)
 			}
-			if p1.Digest() != p2.Digest() {
-				t.Fatalf("trial %d ngpus %d: repeat digests differ: %x vs %x",
-					trial, ngpus, p1.Digest(), p2.Digest())
+			if !samePlacement(p1, p2) {
+				t.Fatalf("trial %d ngpus %d: repeat placements differ", trial, ngpus)
 			}
 			// Independent of input order.
 			shuffled := append([]AppLoad(nil), apps...)
@@ -99,7 +98,7 @@ func TestPlaceProperties(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d ngpus %d shuffled: %v", trial, ngpus, err)
 			}
-			if p1.Digest() != p3.Digest() {
+			if !samePlacement(p1, p3) {
 				t.Fatalf("trial %d ngpus %d: shuffled input changed the placement", trial, ngpus)
 			}
 			for _, a := range apps {
@@ -246,8 +245,8 @@ func TestPlaceOversizedAppError(t *testing.T) {
 
 // TestReplaceFailover pins the Replace contract: apps displaced by a
 // dead lane re-pack onto survivors, apps that fit nowhere come back
-// unplaced instead of failing, and the degraded digest differs from
-// the healthy one.
+// unplaced instead of failing, and the degraded placement differs
+// from the healthy one.
 func TestReplaceFailover(t *testing.T) {
 	topo := Topology{NGPUs: 2, PerGPUBytes: 1000}
 	apps := []AppLoad{
@@ -271,16 +270,16 @@ func TestReplaceFailover(t *testing.T) {
 	if unplaced[0].Name != "b" {
 		t.Errorf("unplaced app %q, want the lighter-ranked b", unplaced[0].Name)
 	}
-	if p.Digest() == full.Digest() {
-		t.Error("degraded placement digest equals the healthy one")
+	if samePlacement(p, full) {
+		t.Error("degraded placement equals the healthy one")
 	}
-	// All-alive Replace is byte-identical to Place (legacy digests).
+	// All-alive Replace is exactly Place.
 	p2, unplaced2, err := Replace(topo, AllAlive(2), apps)
 	if err != nil || len(unplaced2) != 0 {
 		t.Fatalf("all-alive Replace: %v, unplaced %v", err, unplaced2)
 	}
-	if p2.Digest() != full.Digest() {
-		t.Error("all-alive Replace digest differs from Place")
+	if !samePlacement(p2, full) {
+		t.Error("all-alive Replace differs from Place")
 	}
 }
 
@@ -306,7 +305,10 @@ func TestRankLoads(t *testing.T) {
 	}
 }
 
-func TestDigestSensitivity(t *testing.T) {
+// TestPlacementSensitivity asserts that the load ranking and the
+// topology are placement inputs: swapping two apps' ranks or adding
+// lanes yields a different placement.
+func TestPlacementSensitivity(t *testing.T) {
 	topo := Topology{NGPUs: 2, PerGPUBytes: 1000}
 	base := []AppLoad{
 		{Name: "a", WorkingSetBytes: 100, LoadRank: 0},
@@ -316,7 +318,8 @@ func TestDigestSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rank swap changes the digest even when membership is unchanged.
+	// A rank swap changes the placement even when membership is
+	// unchanged.
 	swapped := []AppLoad{
 		{Name: "a", WorkingSetBytes: 100, LoadRank: 1},
 		{Name: "b", WorkingSetBytes: 200, LoadRank: 0},
@@ -325,14 +328,14 @@ func TestDigestSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Digest() == p2.Digest() {
-		t.Error("rank swap left the digest unchanged")
+	if samePlacement(p1, p2) {
+		t.Error("rank swap left the placement unchanged")
 	}
 	p3, err := Place(Topology{NGPUs: 4, PerGPUBytes: 1000}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Digest() == p3.Digest() {
-		t.Error("topology change left the digest unchanged")
+	if samePlacement(p1, p3) {
+		t.Error("topology change left the placement unchanged")
 	}
 }

@@ -117,6 +117,11 @@ type Scheduler struct {
 	// boundaries (their slices dominate the planner's steady-state
 	// allocations).
 	spareBases []*jobBase
+
+	// detect holds the period-start drift detection's PCA rows and
+	// score buffer; each run builds its own scheduler, so it is never
+	// shared across goroutines.
+	detect drift.Scratch
 }
 
 type reqKey struct {

@@ -125,21 +125,36 @@ func rankCmp(a, b scored) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
+// Scratch holds the buffers period-start detection reuses across
+// nodes and periods: the old samples' feature rows the PCA is fitted
+// on and the pool's scores. Its zero value is ready to use. It is not
+// safe for concurrent use, and nothing a detection returns aliases it.
+type Scratch struct {
+	rows   [][]float64
+	scores []scored
+}
+
 // scorePool computes every pool sample's divergence from the old
 // training data: cosine distance of the PCA-reduced feature vector to
 // the old data's mean reduced feature vector, with the PCA basis
-// fitted on the old samples. It allocates the result and one
-// projection buffer, nothing per sample. A sample whose feature length
-// differs from the old data's, or whose distance is not finite (a NaN
-// or Inf feature), is an error naming its pool index.
-func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
+// fitted on the old samples. The scores live in the scratch's buffer,
+// valid until its next use; nothing is allocated per sample. A sample
+// whose feature length differs from the old data's, or whose distance
+// is not finite (a NaN or Inf feature), is an error naming its pool
+// index.
+func (sc *Scratch) scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
 	if old == nil || len(old.Samples) == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")
 	}
 	if pool == nil || len(pool.Samples) == 0 {
 		return nil, fmt.Errorf("drift: empty pool")
 	}
-	pca, err := mathx.FitPCA(old.FeatureMatrix(), pcaComponents)
+	sc.rows = sc.rows[:0]
+	for i := range old.Samples {
+		sc.rows = append(sc.rows, old.Samples[i].Features)
+	}
+	pca, err := mathx.FitPCA(sc.rows, pcaComponents)
+	clear(sc.rows) // drop the references to the old samples
 	if err != nil {
 		return nil, fmt.Errorf("drift: PCA fit: %w", err)
 	}
@@ -147,15 +162,23 @@ func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error
 	// and centering on the old data's mean would map that mean to the
 	// zero vector.
 	oldMean := pca.Project(pca.Mean())
+	// mathx.CosineDistance with the old mean's norm taken once: the
+	// same expression, zero-norm rule and clamp, so the same bits.
+	nb := mathx.Norm(oldMean)
 	proj := make([]float64, pca.Components())
-	xs := make([]scored, len(pool.Samples))
+	xs := slices.Grow(sc.scores[:0], len(pool.Samples))[:len(pool.Samples)]
+	sc.scores = xs
 	for i, s := range pool.Samples {
 		if len(s.Features) != pca.Dim() {
 			return nil, fmt.Errorf("drift: pool sample %d has %d features, old samples have %d",
 				i, len(s.Features), pca.Dim())
 		}
 		pca.ProjectInto(proj, s.Features)
-		d := mathx.CosineDistance(proj, oldMean)
+		var sim float64
+		if na := mathx.Norm(proj); na != 0 && nb != 0 {
+			sim = math.Max(-1, math.Min(1, mathx.Dot(proj, oldMean)/(na*nb)))
+		}
+		d := 1 - sim
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			return nil, fmt.Errorf("drift: pool sample %d has non-finite divergence %v", i, d)
 		}
@@ -168,7 +191,7 @@ func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error
 // from the old training data (see scorePool), ties broken by pool
 // index.
 func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
-	xs, err := scorePool(old, pool, pcaComponents)
+	xs, err := new(Scratch).scorePool(old, pool, pcaComponents)
 	if err != nil {
 		return nil, err
 	}
@@ -220,15 +243,21 @@ func (h *rankHeap) pop() scored {
 	return top
 }
 
-// DetectNode runs the S-growth detection loop for one node. The rng
-// parameter is kept for API stability; the probe itself is
-// deterministic given the pool.
+// DetectNode runs the S-growth detection loop for one node with fresh
+// buffers. The rng parameter is kept for API stability; the probe
+// itself is deterministic given the pool.
 func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error) {
+	return new(Scratch).DetectNode(ni, cfg, rng)
+}
+
+// DetectNode is the package-level DetectNode reusing the scratch's
+// buffers.
+func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error) {
 	rep := Report{Node: ni.Node.Name, InitialAccuracy: ni.InitialAccuracy}
 	if err := cfg.fillDefaults(); err != nil {
 		return rep, err
 	}
-	xs, err := scorePool(ni.OldData, ni.Pool, cfg.PCAComponents)
+	xs, err := sc.scorePool(ni.OldData, ni.Pool, cfg.PCAComponents)
 	if err != nil {
 		return rep, err
 	}
@@ -303,9 +332,15 @@ func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error
 // DetectApp runs detection for every node of an instance, returning
 // reports keyed by node name.
 func DetectApp(inst *app.Instance, cfg Config, rng *rand.Rand) (map[string]Report, error) {
+	return new(Scratch).DetectApp(inst, cfg, rng)
+}
+
+// DetectApp is the package-level DetectApp reusing the scratch's
+// buffers across the instance's nodes.
+func (sc *Scratch) DetectApp(inst *app.Instance, cfg Config, rng *rand.Rand) (map[string]Report, error) {
 	out := make(map[string]Report, len(inst.Nodes()))
 	for _, ni := range inst.Nodes() {
-		rep, err := DetectNode(ni, cfg, rng)
+		rep, err := sc.DetectNode(ni, cfg, rng)
 		if err != nil {
 			return nil, fmt.Errorf("drift: app %q node %q: %w", inst.App.Name, ni.Node.Name, err)
 		}

@@ -3,6 +3,7 @@ package drift
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -230,6 +231,68 @@ func TestDetectNodeAllocsIndependentOfPoolSize(t *testing.T) {
 	large := allocs(big)
 	if small != large {
 		t.Fatalf("DetectNode allocs: %v on 2000 samples, %v on 8000", small, large)
+	}
+}
+
+// TestScratchDetectAppAllocsIndependentOfPoolSize guards the reused
+// detection buffers: once a Scratch is warm, detecting over an
+// 8000-sample pool costs no more allocations than over a 1000-sample
+// one, and fewer than fresh buffers, which allocate the PCA rows and
+// the scores for every node.
+func TestScratchDetectAppAllocsIndependentOfPoolSize(t *testing.T) {
+	cfg := Config{InitialS: 0.25, StepS: 0.25, StableRounds: 4}
+	instance := func(pool int) *app.Instance {
+		inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 31, PoolSamples: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.AdvancePeriod(0)
+		inst.AdvancePeriod(0)
+		return inst
+	}
+	allocs := func(inst *app.Instance, detect func(*app.Instance, Config, *rand.Rand) (map[string]Report, error)) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := detect(inst, cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	var sc Scratch
+	small, large := instance(1000), instance(8000)
+	warmSmall, warmLarge := allocs(small, sc.DetectApp), allocs(large, sc.DetectApp)
+	if warmSmall != warmLarge {
+		t.Fatalf("warm Scratch.DetectApp allocs: %v on 1000-sample pools, %v on 8000", warmSmall, warmLarge)
+	}
+	if fresh := allocs(large, DetectApp); warmLarge >= fresh {
+		t.Fatalf("warm Scratch.DetectApp allocs %v, fresh DetectApp %v", warmLarge, fresh)
+	}
+}
+
+// TestScratchReuseMatchesFresh runs one Scratch over pools that shrink
+// and grow, across applications and periods: every report must equal
+// the one fresh buffers give, so nothing left in the scratch by an
+// earlier, larger pool leaks into a later detection.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	var sc Scratch
+	for i, pool := range []int{8000, 1000, 3000} {
+		for _, a := range []*app.App{app.VideoSurveillance(), app.BikeRackOccupancy()} {
+			inst, err := app.NewInstance(a, app.InstanceConfig{Seed: int64(40 + i), PoolSamples: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst.AdvancePeriod(0)
+			got, err := sc.DetectApp(inst, Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := DetectApp(inst, Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pool %d: reused scratch %+v, fresh %+v", a.Name, pool, got, want)
+			}
+		}
 	}
 }
 

@@ -585,28 +585,3 @@ func (in *Injector) LaneEvents(period, nLanes int, alive uint64) (uint64, []int,
 	}
 	return alive, crashed, recovered
 }
-
-// SessionWord packs the per-session fault decisions for one app on GPU
-// lane gpu into a bitmask: bit 0 is the memory fault (rolled per lane,
-// see MemFail), bits 1+2j / 2+2j are the incremental fail/slow
-// decisions of node j (lane-independent: they are properties of the
-// model, not the device). Sessions with identical words behave
-// identically under faults.
-func (in *Injector) SessionWord(si int, app string, nodes []string, retraining bool, gpu int) uint64 {
-	var w uint64
-	if in.MemFail(si, app, gpu) {
-		w |= 1
-	}
-	if retraining {
-		for j, node := range nodes {
-			fail, slow := in.IncrementalRetrain(si, app, node)
-			if fail {
-				w |= 1 << (1 + 2*uint(j))
-			}
-			if slow {
-				w |= 1 << (2 + 2*uint(j))
-			}
-		}
-	}
-	return w
-}

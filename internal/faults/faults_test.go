@@ -157,53 +157,83 @@ func TestRetrainFate(t *testing.T) {
 // probe without consuming the trial RNG.
 func rng2coords(trial int) int { return trial % 7 }
 
-// TestSessionWord asserts the packed per-session word agrees with the
-// individual decision functions bit for bit, and that retraining-off
-// sessions carry only the memory bit.
+// TestSessionWord checks the per-session fault decisions a work
+// session draws, its "word": every decision is a pure function of its
+// coordinates, so replaying the sessions in reverse order reproduces
+// them; an incremental slice that fails is never also slowed; and a
+// long sweep sees every decision both ways.
 func TestSessionWord(t *testing.T) {
 	cfg := Default()
 	cfg.Seed = 3
 	in := New(&cfg)
 	nodes := []string{"det", "cls", "seg"}
-	for si := 0; si < 500; si++ {
-		w := in.SessionWord(si, "app", nodes, true, 0)
-		var want uint64
-		if in.MemFail(si, "app", 0) {
-			want |= 1
-		}
+	type word struct {
+		mem        bool
+		fail, slow [3]bool
+	}
+	draw := func(si int) word {
+		var w word
+		w.mem = in.MemFail(si, "app", 0)
 		for j, node := range nodes {
-			fail, slow := in.IncrementalRetrain(si, "app", node)
-			if fail {
-				want |= 1 << (1 + 2*uint(j))
+			w.fail[j], w.slow[j] = in.IncrementalRetrain(si, "app", node)
+		}
+		return w
+	}
+	const n = 500
+	words := make([]word, n)
+	var mem, fail, slow int
+	for si := 0; si < n; si++ {
+		w := draw(si)
+		words[si] = w
+		if w.mem {
+			mem++
+		}
+		for j := range nodes {
+			if w.fail[j] && w.slow[j] {
+				t.Fatalf("session %d node %s: incremental slice both failed and slowed", si, nodes[j])
 			}
-			if slow {
-				want |= 1 << (2 + 2*uint(j))
+			if w.fail[j] {
+				fail++
+			}
+			if w.slow[j] {
+				slow++
 			}
 		}
-		if w != want {
-			t.Fatalf("session %d: word %b != recomputed %b", si, w, want)
+	}
+	for si := n - 1; si >= 0; si-- {
+		if w := draw(si); w != words[si] {
+			t.Fatalf("session %d: decisions %+v on replay, %+v first", si, w, words[si])
 		}
-		if noRt := in.SessionWord(si, "app", nodes, false, 0); noRt != w&1 {
-			t.Fatalf("session %d: retraining-off word %b has non-memory bits", si, noRt)
+	}
+	for _, c := range []struct {
+		name         string
+		fired, rolls int
+	}{{"MemFail", mem, n}, {"incremental fail", fail, n * len(nodes)}, {"incremental slow", slow, n * len(nodes)}} {
+		if c.fired == 0 || c.fired == c.rolls {
+			t.Errorf("%s fired %d of %d times; want both outcomes", c.name, c.fired, c.rolls)
 		}
 	}
 }
 
-// TestSessionWordGPU freezes the fault words against future hash
-// edits: a table of (session, app, lane) → word recorded when the
-// per-lane roll was introduced. Lane 0 carries every single-GPU fault
-// schedule, so a change there silently rewrites every faulted NGPUs=1
-// run. Beyond the table, other lanes must roll the memory fault per
-// lane while keeping the retraining bits lane-independent.
+// TestSessionWordGPU freezes the per-session fault decisions against
+// future hash edits: a table of (session, app, lane) → word recorded
+// when the per-lane memory roll was introduced. Bit 0 of a
+// word is MemFail on the lane; bits 1+2j and 2+2j are the incremental
+// fail and slow decisions of node j, which take no lane because they
+// are properties of the model, not the device. Lane 0 carries every
+// single-GPU fault schedule, so a change there silently rewrites every
+// faulted NGPUs=1 run. Beyond the table, other lanes must roll the
+// memory fault per lane.
 func TestSessionWordGPU(t *testing.T) {
 	cfg := Config{Seed: 3, MemFail: 0.5, RetrainFail: 0.3, RetrainSlow: 0.3}
 	in := New(&cfg)
 	nodes := []string{"det", "cls"}
+	bit := func(w uint64, i int) bool { return w&(1<<uint(i)) != 0 }
 	for _, c := range []struct {
 		si   int
 		app  string
 		lane int
-		want uint64
+		word uint64
 	}{
 		{0, "app", 0, 0b11}, {0, "app", 1, 0b11}, {0, "app", 2, 0b11},
 		{1, "app", 0, 0b101}, {1, "app", 1, 0b100}, {1, "app", 2, 0b101},
@@ -218,23 +248,27 @@ func TestSessionWordGPU(t *testing.T) {
 		{311, "cam", 0, 0b10000}, {311, "cam", 1, 0b10001}, {311, "cam", 2, 0b10000},
 		{4999, "cam", 0, 0b0}, {4999, "cam", 1, 0b1}, {4999, "cam", 2, 0b0},
 	} {
-		if w := in.SessionWord(c.si, c.app, nodes, true, c.lane); w != c.want {
-			t.Errorf("session %d app %s lane %d: word %#b, recorded %#b", c.si, c.app, c.lane, w, c.want)
+		if got, want := in.MemFail(c.si, c.app, c.lane), bit(c.word, 0); got != want {
+			t.Errorf("session %d app %s lane %d: MemFail %v, recorded %v", c.si, c.app, c.lane, got, want)
+		}
+		for j, node := range nodes {
+			fail, slow := in.IncrementalRetrain(c.si, c.app, node)
+			if wantFail, wantSlow := bit(c.word, 1+2*j), bit(c.word, 2+2*j); fail != wantFail || slow != wantSlow {
+				t.Errorf("session %d app %s node %s: fail/slow %v/%v, recorded %v/%v",
+					c.si, c.app, node, fail, slow, wantFail, wantSlow)
+			}
 		}
 	}
 
 	diff := 0
 	for si := 0; si < 500; si++ {
-		base := in.SessionWord(si, "app", nodes, true, 0)
+		base := in.MemFail(si, "app", 0)
 		for g := 1; g < 4; g++ {
-			w := in.SessionWord(si, "app", nodes, true, g)
-			if w>>1 != base>>1 {
-				t.Fatalf("session %d lane %d: retraining bits changed: %b vs %b", si, g, w, base)
+			m := in.MemFail(si, "app", g)
+			if m != in.MemFail(si, "app", g) {
+				t.Fatalf("session %d lane %d: memory fault not deterministic", si, g)
 			}
-			if w != in.SessionWord(si, "app", nodes, true, g) {
-				t.Fatalf("session %d lane %d: word not deterministic", si, g)
-			}
-			if w&1 != base&1 {
+			if m != base {
 				diff++
 			}
 		}
@@ -322,12 +356,14 @@ func TestSeedIndependence(t *testing.T) {
 	a, b := mk(1), mk(2)
 	same := true
 	for si := 0; si < 200 && same; si++ {
-		if a.SessionWord(si, "app", []string{"n"}, true, 0) != b.SessionWord(si, "app", []string{"n"}, true, 0) {
+		failA, slowA := a.IncrementalRetrain(si, "app", "n")
+		failB, slowB := b.IncrementalRetrain(si, "app", "n")
+		if a.MemFail(si, "app", 0) != b.MemFail(si, "app", 0) || failA != failB || slowA != slowB {
 			same = false
 		}
 	}
 	if same {
-		t.Error("seeds 1 and 2 agree on 200 session words; seed may be ignored")
+		t.Error("seeds 1 and 2 agree on 200 sessions' fault decisions; seed may be ignored")
 	}
 }
 

@@ -39,7 +39,8 @@ func FuzzFaultPlan(f *testing.F) {
 		// An accepted config must be safe to instantiate: New either
 		// declines (nothing can fire) or returns a usable injector.
 		if in := New(&c); in != nil {
-			in.SessionWord(0, "app", []string{"node"}, true, 0)
+			in.MemFail(0, "app", 0)
+			in.IncrementalRetrain(0, "app", "node")
 		} else if c.Enabled() {
 			t.Fatalf("New declined the enabled config %q", rendered)
 		}

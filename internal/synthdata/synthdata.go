@@ -275,17 +275,7 @@ func (s *Stream) Shock(rng *rand.Rand, intensity float64) {
 
 // Sample draws n labelled samples from the current period's process.
 func (s *Stream) Sample(n int) []Sample {
-	out := make([]Sample, n)
-	for i := range out {
-		c := s.labelDist.Sample(s.rng)
-		f := make([]float64, s.spec.FeatureDim)
-		mean := s.classMeans[c]
-		for j := range f {
-			f[j] = mean[j] + s.rng.NormFloat64()*s.noise
-		}
-		out[i] = Sample{Class: c, Features: f, Period: s.period}
-	}
-	return out
+	return Recollect(s, n, nil).Samples
 }
 
 // PeriodDivergence returns the Jensen–Shannon divergence between the
@@ -304,6 +294,9 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 type Dataset struct {
 	Task    string
 	Samples []Sample
+	// block backs every sample's Features when the dataset was drawn
+	// by Recollect; a later Recollect may take it over.
+	block []float64
 }
 
 // FeatureMatrix returns the samples' feature vectors as rows.
@@ -332,6 +325,40 @@ func (d *Dataset) LabelDistribution(k int) []float64 {
 }
 
 // Collect draws n samples from the stream into a Dataset.
-func Collect(s *Stream, n int) *Dataset {
-	return &Dataset{Task: s.Spec().Name, Samples: s.Sample(n)}
+func Collect(s *Stream, n int) *Dataset { return Recollect(s, n, nil) }
+
+// Recollect is Collect reusing the storage of spare, a dataset its
+// caller no longer reads: the new dataset takes over spare's sample
+// slice and feature block when their capacity suffices and allocates
+// them once otherwise. spare (which may be nil) is left empty, so a
+// stale holder of it sees no samples rather than another period's.
+// The draws, and therefore the samples, are exactly Collect's.
+func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
+	var samples []Sample
+	var block []float64
+	if spare != nil {
+		samples, block = spare.Samples, spare.block
+		spare.Samples, spare.block = nil, nil
+	}
+	if cap(samples) < n {
+		samples = make([]Sample, n)
+	}
+	dim := s.spec.FeatureDim
+	if cap(block) < n*dim {
+		block = make([]float64, n*dim)
+	}
+	samples, block = samples[:n], block[:n*dim]
+	// One class then FeatureDim noise draws per sample. Sample i's
+	// features are the row view block[i*dim:(i+1)*dim] capped at its
+	// end, so appending to one sample cannot overwrite the next.
+	for i := range samples {
+		c := s.labelDist.Sample(s.rng)
+		f := block[i*dim : (i+1)*dim : (i+1)*dim]
+		mean := s.classMeans[c]
+		for j := range f {
+			f[j] = mean[j] + s.rng.NormFloat64()*s.noise
+		}
+		samples[i] = Sample{Class: c, Features: f, Period: s.period}
+	}
+	return &Dataset{Task: s.spec.Name, Samples: samples, block: block}
 }

@@ -196,3 +196,78 @@ func TestPeriodDivergencePanicsOutOfRange(t *testing.T) {
 	}()
 	s.PeriodDivergence(1) // period 1 not yet advanced
 }
+
+// collectReference draws n samples the way Collect does, but with one
+// freshly allocated feature slice per sample: the draw order Recollect
+// must reproduce bit for bit.
+func collectReference(s *Stream, n int) []Sample {
+	out := make([]Sample, n)
+	for i := range out {
+		c := s.labelDist.Sample(s.rng)
+		f := make([]float64, s.spec.FeatureDim)
+		for j := range f {
+			f[j] = s.classMeans[c][j] + s.rng.NormFloat64()*s.noise
+		}
+		out[i] = Sample{Class: c, Features: f, Period: s.period}
+	}
+	return out
+}
+
+// TestRecollectMatchesCollect recycles datasets over several periods,
+// starting from a nil spare, a smaller one, a larger one and a
+// hand-built one without a feature block. Every dataset must equal a
+// twin stream's fresh draws bit for bit, every spare must be left
+// empty, and a large enough spare's storage must be the one reused.
+func TestRecollectMatchesCollect(t *testing.T) {
+	const n = 100
+	other, _ := NewStream(vehicleSpec(), 99)
+	for _, c := range []struct {
+		name  string
+		spare func() *Dataset
+	}{
+		{"nil", func() *Dataset { return nil }},
+		{"smaller", func() *Dataset { return Collect(other, n/2) }},
+		{"larger", func() *Dataset { return Collect(other, 2*n) }},
+		{"no-block", func() *Dataset { return &Dataset{Samples: make([]Sample, n)} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := NewStream(vehicleSpec(), 11)
+			twin, _ := NewStream(vehicleSpec(), 11)
+			spare := c.spare()
+			for p := 0; p < 4; p++ {
+				var reused *Sample
+				if spare != nil && cap(spare.Samples) >= n && cap(spare.block) >= n*8 {
+					reused = &spare.Samples[:1][0]
+				}
+				got := Recollect(s, n, spare)
+				want := collectReference(twin, n)
+				if spare != nil && (spare.Samples != nil || spare.block != nil) {
+					t.Fatalf("period %d: spare not emptied: %d samples", p, len(spare.Samples))
+				}
+				if reused != nil && &got.Samples[0] != reused {
+					t.Fatalf("period %d: a spare of capacity %d was not reused", p, cap(got.Samples))
+				}
+				if got.Task != "vehicle-type" || len(got.Samples) != n {
+					t.Fatalf("period %d: dataset %q/%d", p, got.Task, len(got.Samples))
+				}
+				for i, g := range got.Samples {
+					w := want[i]
+					if g.Class != w.Class || g.Period != w.Period || len(g.Features) != len(w.Features) {
+						t.Fatalf("period %d sample %d: %+v, want %+v", p, i, g, w)
+					}
+					if cap(g.Features) != len(g.Features) {
+						t.Fatalf("period %d sample %d: feature row has spare capacity %d", p, i, cap(g.Features))
+					}
+					for j := range g.Features {
+						if math.Float64bits(g.Features[j]) != math.Float64bits(w.Features[j]) {
+							t.Fatalf("period %d sample %d feature %d: %v, want %v", p, i, j, g.Features[j], w.Features[j])
+						}
+					}
+				}
+				spare = got
+				s.AdvancePeriod()
+				twin.AdvancePeriod()
+			}
+		})
+	}
+}

@@ -48,12 +48,13 @@ done
 # side, each consuming scheduler plans (also under fault injection),
 # the discrete-event engine the bench module still measures, the fault
 # injector's pure-hash decisions, the cluster placer behind sharded
-# lanes, the admission gate that sheds load after lane crashes, and
-# the memory manager and auditor those runs exercise. -short skips
+# lanes, the admission gate that sheds load after lane crashes, the
+# memory manager and auditor those runs exercise, and the period
+# boundary's recycled sample pools and drift buffers. -short skips
 # the multi-minute determinism sweeps; the full suite above already
 # runs them race-free.
-echo "== go test -race (experiments, serving, faults, profile, eventsim, core, sched, gpumem, audit, cluster, admit) =="
-go test -race -short ./internal/experiments/... ./internal/serving/... ./internal/faults/... ./internal/profile/... ./internal/eventsim/... ./internal/core/... ./internal/sched/... ./internal/gpumem/... ./internal/audit/... ./internal/cluster/... ./internal/admit/...
+echo "== go test -race (experiments, serving, faults, profile, eventsim, core, sched, gpumem, audit, cluster, admit, drift, app, synthdata) =="
+go test -race -short ./internal/experiments/... ./internal/serving/... ./internal/faults/... ./internal/profile/... ./internal/eventsim/... ./internal/core/... ./internal/sched/... ./internal/gpumem/... ./internal/audit/... ./internal/cluster/... ./internal/admit/... ./internal/drift/... ./internal/app/... ./internal/synthdata/...
 
 # The profiler's work-unit pool runs in every build (one worker per
 # CPU), so its staged merge gets repeated race runs of its own.
@@ -78,9 +79,9 @@ go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
 # loop, a serial /M1 profile build, Scrooge planning four lanes, drift
-# detection over the catalog's 8000-sample pools and one 50 s
-# single-app AdaInf serving run, so all five keep compiling and
-# running. Allocations are reported; there
+# detection over the catalog's 8000-sample pools, one period boundary
+# resampling those pools and one 50 s single-app AdaInf serving run,
+# so all six keep compiling and running. Allocations are reported; there
 # is no timing gate, since wall time on shared machines is noise
 # (compare with -count and benchstat on one machine instead).
 echo "== microbenchmark smoke =="
@@ -88,6 +89,7 @@ go test -run '^$' -bench BenchmarkAcquirePerRequest -benchtime 1x ./internal/gpu
 go test -run '^$' -bench BenchmarkBuildAppProfileM1 -benchtime 1x ./internal/profile
 go test -run '^$' -bench BenchmarkScroogePlanSessionLanes -benchtime 1x ./internal/baselines
 go test -run '^$' -bench BenchmarkDetectApp -benchtime 1x ./internal/drift
+go test -run '^$' -bench BenchmarkAdvancePeriod -benchtime 1x ./internal/app
 go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/serving
 
 # Telemetry smoke: the no-op collector must stay allocation-free on
