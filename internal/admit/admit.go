@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 
+	"adainf/internal/cluster"
 	"adainf/internal/simtime"
 )
 
@@ -28,9 +29,9 @@ import (
 // grid, matching the serving loop's share quantization.
 const FractionStep = 0.01
 
-// MinFraction is the smallest schedulable GPU fraction, matching the
-// serving loop's floor.
-const MinFraction = 0.02
+// MinFraction is the smallest schedulable GPU fraction, the serving
+// loop's floor.
+const MinFraction = cluster.MinFraction
 
 // App is one application's admission inputs for a lane-period.
 type App struct {

@@ -189,9 +189,9 @@ type Params struct {
 	// session plan's fraction sum when StrictShare is off.
 	GPUs float64
 	// MinFraction is the per-job GPU-space floor (the MPS minimum;
-	// zero defaults to 0.02). The floor may legitimately oversubscribe
-	// a small share by up to MinFraction per active job, which the
-	// share-sum bound tolerates.
+	// zero defaults to cluster.MinFraction). The floor may legitimately
+	// oversubscribe a small share by up to MinFraction per active job,
+	// which the share-sum bound tolerates.
 	MinFraction float64
 	// StrictShare tightens the share-sum bound to the current
 	// session's GPUShare. Sound only for sched.SteadyStatePlanner
@@ -268,7 +268,7 @@ type Auditor struct {
 // accumulate mode: hooks record violations and return nil.
 func New(report *Report, p Params) *Auditor {
 	if p.MinFraction == 0 {
-		p.MinFraction = 0.02
+		p.MinFraction = cluster.MinFraction
 	}
 	if p.UtilSlack == 0 {
 		p.UtilSlack = 0.25

@@ -1,11 +1,13 @@
 package baselines
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"adainf/internal/app"
+	"adainf/internal/cluster"
 	"adainf/internal/dist"
 	"adainf/internal/gpu"
 	"adainf/internal/profile"
@@ -253,7 +255,7 @@ func TestScroogeSolveCachePerLane(t *testing.T) {
 		if p.Overhead != ScroogeOverhead {
 			t.Fatalf("lane %d first plan overhead = %v, want a solve", g, p.Overhead)
 		}
-		solved[g] = p.Jobs
+		solved[g] = copyJobPlans(p.Jobs) // p's storage is reused by later calls
 	}
 	for g := 1; g < lanes; g++ {
 		if reflect.DeepEqual(solved[g], solved[0]) {
@@ -286,6 +288,140 @@ func TestScroogeSolveCachePerLane(t *testing.T) {
 	for g := 0; g < lanes; g++ {
 		if plan(3, g, 1).Overhead != ScroogeOverhead {
 			t.Errorf("lane %d kept its solve across a period start", g)
+		}
+	}
+}
+
+// copyJobPlans deep-copies job plans, Nodes included: a scheduler may
+// reuse a returned plan's storage on its next call.
+func copyJobPlans(jobs []sched.JobPlan) []sched.JobPlan {
+	out := append([]sched.JobPlan(nil), jobs...)
+	for i := range out {
+		out[i].Nodes = append([]sched.NodePlan(nil), out[i].Nodes...)
+	}
+	return out
+}
+
+// TestScroogePlanSessionLeavesJobsUnchanged plans the same jobs over
+// several windows: Scrooge pads its own copy of the request counts, so
+// the caller's jobs, requests and cost memos included, never move.
+func TestScroogePlanSessionLeavesJobsUnchanged(t *testing.T) {
+	inst, prof := fixture(t)
+	for _, star := range []bool{false, true} {
+		s := NewScrooge(star)
+		jobs := []sched.JobRequest{
+			{Instance: inst, Profile: prof, Requests: 8},
+			{Instance: inst, Profile: prof, Requests: 0},
+		}
+		want := append([]sched.JobRequest(nil), jobs...)
+		for w := 0; w < 4; w++ {
+			p, err := s.PlanSession(&sched.SessionContext{
+				Session: 20 * w, Start: simtime.Instant(time.Duration(w) * ScroogeOverhead),
+				GPUShare: 0.5, Jobs: jobs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Overhead != ScroogeOverhead {
+				t.Fatalf("star=%v window %d: no solve", star, w)
+			}
+			if !reflect.DeepEqual(jobs, want) {
+				t.Fatalf("star=%v window %d: caller's jobs moved to %+v, want %+v", star, w, jobs, want)
+			}
+		}
+	}
+}
+
+// TestScroogeRejectsBadLane checks that a lane outside [0, MaxGPUs) is
+// an error, returned before any lane storage is grown.
+func TestScroogeRejectsBadLane(t *testing.T) {
+	inst, prof := fixture(t)
+	s := NewScrooge(false)
+	for _, g := range []int{-1, cluster.MaxGPUs} {
+		_, err := s.PlanSession(&sched.SessionContext{
+			GPU: g, GPUShare: 0.5,
+			Jobs: []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 8}},
+		})
+		if err == nil {
+			t.Errorf("lane %d: no error", g)
+		}
+	}
+	if len(s.slots) != 0 {
+		t.Errorf("bad lanes grew %d solve slots", len(s.slots))
+	}
+}
+
+// TestScroogeStorageReuseMatchesFresh drives one Scrooge (and one
+// Scrooge*) through a long seeded sequence of sessions that vary the
+// job count, requests, share, lane and window, with period starts in
+// between. Every solve must deep-equal a fresh instance's solve of the
+// same context, and every cache hit must replay the lane's last solve:
+// reusing the per-lane plan storage never leaks one solve into another.
+func TestScroogeStorageReuseMatchesFresh(t *testing.T) {
+	inst, prof := fixture(t)
+	const lanes = 4
+	for _, star := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(31))
+		s := NewScrooge(star)
+		last := make([][]sched.JobPlan, lanes)
+		sess, njobs, solves, hits := 0, 1, 0, 0
+		for step := 0; step < 600; step++ {
+			if rng.Intn(10) == 0 {
+				njobs = 1 + rng.Intn(4) // a changed job count re-solves
+			}
+			switch r := rng.Intn(20); {
+			case r == 0:
+				if _, err := s.OnPeriodStart(periodCtx(t, inst, prof)); err != nil {
+					t.Fatal(err)
+				}
+				for g := range last {
+					last[g] = nil
+				}
+			case r < 4:
+				sess += 20 * (1 + rng.Intn(3)) // jump to a later window
+			default:
+				sess += rng.Intn(2)
+			}
+			jobs := make([]sched.JobRequest, njobs)
+			for i := range jobs {
+				jobs[i] = sched.JobRequest{Instance: inst, Profile: prof, Requests: rng.Intn(120)}
+			}
+			ctx := func() *sched.SessionContext {
+				return &sched.SessionContext{
+					Session: sess, Start: simtime.Instant(time.Duration(sess) * 5 * time.Millisecond),
+					GPU: rng.Intn(lanes), GPUShare: 0.05 + 0.95*rng.Float64(),
+					Jobs: append([]sched.JobRequest(nil), jobs...),
+				}
+			}()
+			got, err := s.PlanSession(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Session != sess {
+				t.Fatalf("star=%v step %d: plan for session %d, want %d", star, step, got.Session, sess)
+			}
+			if got.Overhead == 0 {
+				hits++
+				if last[ctx.GPU] == nil || !reflect.DeepEqual(got.Jobs, last[ctx.GPU]) {
+					t.Fatalf("star=%v step %d lane %d: replayed %+v, want the lane's last solve %+v",
+						star, step, ctx.GPU, got.Jobs, last[ctx.GPU])
+				}
+				continue
+			}
+			solves++
+			fresh := *ctx
+			fresh.Jobs = append([]sched.JobRequest(nil), jobs...)
+			want, err := NewScrooge(star).PlanSession(&fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("star=%v step %d lane %d: reused solve %+v, fresh %+v", star, step, ctx.GPU, got, want)
+			}
+			last[ctx.GPU] = copyJobPlans(got.Jobs)
+		}
+		if solves < 100 || hits < 100 {
+			t.Fatalf("star=%v: %d solves and %d hits; the sequence does not exercise both", star, solves, hits)
 		}
 	}
 }

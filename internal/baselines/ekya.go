@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"adainf/internal/cluster"
 	"adainf/internal/profile"
 	"adainf/internal/sched"
 	"adainf/internal/simtime"
@@ -70,7 +71,7 @@ type ekyaBase struct {
 
 // NewEkya returns an Ekya baseline.
 func NewEkya() *Ekya {
-	return &Ekya{minFraction: 0.02, sessionCache: make(map[ekyaKey]*ekyaBase)}
+	return &Ekya{minFraction: cluster.MinFraction, sessionCache: make(map[ekyaKey]*ekyaBase)}
 }
 
 // Name implements sched.Scheduler.

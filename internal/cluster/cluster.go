@@ -21,6 +21,12 @@ import (
 // a 64-bit mask, so lane 64 and above could never be alive.
 const MaxGPUs = 64
 
+// MinFraction is the smallest GPU fraction a job or a session share is
+// ever handed on a lane: below it MPS scheduling becomes meaningless.
+// Every method's per-job floor, serving's fallback and degraded jobs,
+// the admission gate and the auditor use this one value.
+const MinFraction = 0.02
+
 // Topology describes the edge server's accelerator layout: how many
 // discrete GPUs it has and how much memory each one offers for model
 // residency.

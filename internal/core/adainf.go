@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"adainf/internal/app"
+	"adainf/internal/cluster"
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/drift"
@@ -37,8 +38,8 @@ import (
 )
 
 // DefaultMinFraction is the smallest GPU-space slice a job can be
-// handed; below this MPS scheduling becomes meaningless.
-const DefaultMinFraction = 0.02
+// handed (see cluster.MinFraction).
+const DefaultMinFraction = cluster.MinFraction
 
 // DefaultOverhead is the scheduling lead the paper measures for AdaInf
 // (Table 1): plans made at τ apply to [τ+2, τ+7) ms.

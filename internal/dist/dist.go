@@ -106,19 +106,34 @@ func (c *Categorical) JSDivergence(other *Categorical) float64 {
 	return mathx.JSDivergence(c.probs, other.probs)
 }
 
-// Blend moves c's probabilities toward target by fraction t ∈ [0, 1] and
-// returns the blended distribution: (1−t)·c + t·target. It panics if the
-// class counts differ.
-func (c *Categorical) Blend(target *Categorical, t float64) *Categorical {
+// BlendInPlace moves c's probabilities toward target by fraction
+// t ∈ [0, 1], overwriting c with (1−t)·c + t·target renormalized. t is
+// clamped into [0, 1]. It panics if the class counts differ or a
+// blended weight is negative; an all-zero blend becomes uniform.
+func (c *Categorical) BlendInPlace(target *Categorical, t float64) {
 	if c.K() != target.K() {
-		panic(fmt.Sprintf("dist: Blend class mismatch %d != %d", c.K(), target.K()))
+		panic(fmt.Sprintf("dist: BlendInPlace class mismatch %d != %d", c.K(), target.K()))
 	}
 	t = mathx.Clamp(t, 0, 1)
-	p := make([]float64, c.K())
-	for i := range p {
-		p[i] = (1-t)*c.probs[i] + t*target.probs[i]
+	var sum float64
+	for i := range c.probs {
+		x := (1-t)*c.probs[i] + t*target.probs[i]
+		if x < 0 {
+			panic(fmt.Sprintf("dist: BlendInPlace negative weight %g at %d", x, i))
+		}
+		c.probs[i] = x
+		sum += x
 	}
-	return &Categorical{labels: c.labels, probs: mathx.Normalize(p)}
+	if sum == 0 {
+		u := 1 / float64(len(c.probs))
+		for i := range c.probs {
+			c.probs[i] = u
+		}
+		return
+	}
+	for i, x := range c.probs {
+		c.probs[i] = x / sum
+	}
 }
 
 // LabelDrift is a stochastic process evolving a categorical distribution

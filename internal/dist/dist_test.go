@@ -113,21 +113,104 @@ func TestJSDivergenceOfCategoricals(t *testing.T) {
 }
 
 func TestBlend(t *testing.T) {
-	a := mustCat(t, []string{"x", "y"}, []float64{1, 0})
-	b := mustCat(t, []string{"x", "y"}, []float64{0, 1})
-	m := a.Blend(b, 0.5)
-	if math.Abs(m.Prob(0)-0.5) > 1e-12 {
+	blend := func(tt float64) *Categorical {
+		a := mustCat(t, []string{"x", "y"}, []float64{1, 0})
+		a.BlendInPlace(mustCat(t, []string{"x", "y"}, []float64{0, 1}), tt)
+		return a
+	}
+	if m := blend(0.5); math.Abs(m.Prob(0)-0.5) > 1e-12 {
 		t.Fatalf("Blend(0.5) = %v", m.Probs())
 	}
-	if got := a.Blend(b, 0); got.Prob(0) != 1 {
+	if got := blend(0); got.Prob(0) != 1 {
 		t.Fatalf("Blend(0) = %v", got.Probs())
 	}
-	if got := a.Blend(b, 1); got.Prob(1) != 1 {
+	if got := blend(1); got.Prob(1) != 1 {
 		t.Fatalf("Blend(1) = %v", got.Probs())
 	}
 	// Clamped outside [0,1].
-	if got := a.Blend(b, 2); got.Prob(1) != 1 {
+	if got := blend(2); got.Prob(1) != 1 {
 		t.Fatalf("Blend(2) = %v", got.Probs())
+	}
+}
+
+// referenceBlend is the allocating blend BlendInPlace replaced: clamp
+// t, blend into a fresh vector, then mathx.Normalize it.
+func referenceBlend(c, target []float64, t float64) []float64 {
+	t = mathx.Clamp(t, 0, 1)
+	p := make([]float64, len(c))
+	for i := range p {
+		p[i] = (1-t)*c[i] + t*target[i]
+	}
+	return mathx.Normalize(p)
+}
+
+// TestBlendInPlaceMatchesReference checks the in-place blend bit for
+// bit against the allocating blend-then-normalize sequence, over random
+// class counts, weights (some zero) and fractions, including the
+// clamped and subnormal ends and the all-zero → uniform rule.
+func TestBlendInPlaceMatchesReference(t *testing.T) {
+	rng := NewRNG(23)
+	fractions := []float64{-1, 0, 1e-300, 0.5, 1, 2}
+	randomWeights := func(k int) []float64 {
+		w := make([]float64, k)
+		for i := range w {
+			if rng.Intn(4) > 0 {
+				w[i] = rng.ExpFloat64()
+			}
+		}
+		w[rng.Intn(k)] += rng.Float64() + 1e-3 // never all zero
+		return w
+	}
+	check := func(c, target *Categorical, tt float64) {
+		t.Helper()
+		want := referenceBlend(c.probs, target.probs, tt)
+		c.BlendInPlace(target, tt)
+		for i := range want {
+			if math.Float64bits(c.probs[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("K=%d t=%g class %d: %v, want %v", c.K(), tt, i, c.probs[i], want[i])
+			}
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		k := 2 + rng.Intn(11)
+		labels := make([]string, k)
+		for i := range labels {
+			labels[i] = string(rune('a' + i))
+		}
+		c := mustCat(t, labels, randomWeights(k))
+		target := mustCat(t, labels, randomWeights(k))
+		for _, tt := range append(fractions, rng.Float64(), rng.NormFloat64()) {
+			check(c, target, tt)
+		}
+		// A self-blend reads and writes the same storage.
+		check(c, c, rng.Float64())
+	}
+	zero := &Categorical{labels: []string{"a", "b", "c"}, probs: make([]float64, 3)}
+	check(zero, &Categorical{labels: zero.labels, probs: make([]float64, 3)}, 0.5)
+	if zero.Prob(0) != 1.0/3 {
+		t.Fatalf("all-zero blend = %v, want uniform", zero.probs)
+	}
+}
+
+func TestBlendInPlacePanics(t *testing.T) {
+	for name, blend := range map[string]func(){
+		"class mismatch": func() {
+			a := mustCat(t, []string{"x", "y"}, []float64{1, 1})
+			a.BlendInPlace(mustCat(t, []string{"x"}, []float64{1}), 0.5)
+		},
+		"negative weight": func() {
+			a := &Categorical{labels: []string{"x", "y"}, probs: []float64{-1, 2}}
+			a.BlendInPlace(a, 0.5)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			blend()
+		}()
 	}
 }
 

@@ -145,12 +145,13 @@ func (s *State) LearningFraction(effectiveSamples float64) float64 {
 // Incremental retraining is exactly repeated Train calls with small
 // sample counts — the knowledge converges the same place continual
 // whole-pool retraining does, but every intermediate inference already
-// benefits.
+// benefits. The knowledge is updated in place; snapshots taken with
+// Knowledge or Clone are copies and do not move.
 func (s *State) Train(target *dist.Categorical, effectiveSamples float64) {
 	if effectiveSamples <= 0 {
 		return
 	}
-	s.knowledge = s.knowledge.Blend(target, s.LearningFraction(effectiveSamples))
+	s.knowledge.BlendInPlace(target, s.LearningFraction(effectiveSamples))
 	s.version++
 }
 

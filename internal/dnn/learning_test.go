@@ -200,6 +200,36 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestTrainLeavesSnapshotsUnchanged pins what makes Train's in-place
+// blend safe: a Knowledge snapshot, a Clone and the initial and target
+// distributions taken before Train do not move when it blends.
+func TestTrainLeavesSnapshotsUnchanged(t *testing.T) {
+	initial := mustDist(t, vehicleLabels, []float64{8, 1, 0.5, 0.5})
+	live := mustDist(t, vehicleLabels, []float64{1, 1, 4, 4})
+	s := NewState(MobileNetV2(), initial)
+	s.Train(live, 50)
+	knowledge, clone := s.Knowledge(), s.Clone()
+	want, initialWant, liveWant := knowledge.Probs(), initial.Probs(), live.Probs()
+	s.Train(live, 200)
+	if s.Knowledge().JSDivergence(knowledge) == 0 {
+		t.Fatal("Train did not move the knowledge")
+	}
+	for name, tc := range map[string]struct {
+		got, want []float64
+	}{
+		"Knowledge snapshot": {knowledge.Probs(), want},
+		"Clone":              {clone.Knowledge().Probs(), want},
+		"initial":            {initial.Probs(), initialWant},
+		"target":             {live.Probs(), liveWant},
+	} {
+		for i := range tc.want {
+			if tc.got[i] != tc.want[i] {
+				t.Fatalf("%s moved: %v, want %v", name, tc.got, tc.want)
+			}
+		}
+	}
+}
+
 func TestRetrainSetting(t *testing.T) {
 	r := RetrainSetting{Samples: 100, BatchSize: 32, Epochs: 2}
 	if got := r.EffectiveSamples(false); got != 200 {

@@ -841,8 +841,8 @@ func (l *runLoop) workSession(sess int) error {
 		}
 		// Quantize for plan-cache friendliness.
 		share = math.Round(share*100) / 100
-		if share < 0.02 {
-			share = 0.02
+		if share < cluster.MinFraction {
+			share = cluster.MinFraction
 		}
 		l.laneShare[g] = share
 	}
@@ -944,8 +944,8 @@ func (l *runLoop) workSession(sess int) error {
 				// structures, within the fraction the gate admitted, with
 				// no retraining slice.
 				frac := l.admitFrac[i]
-				if frac < 0.02 {
-					frac = 0.02
+				if frac < cluster.MinFraction {
+					frac = cluster.MinFraction
 				}
 				degraded = sched.JobPlan{
 					App:      st.inst.App.Name,
@@ -962,7 +962,7 @@ func (l *runLoop) workSession(sess int) error {
 				// strictly lower latency, never an SLO violation.
 				degraded = sched.JobPlan{
 					App:      st.inst.App.Name,
-					Fraction: 0.02,
+					Fraction: cluster.MinFraction,
 					Batch:    fallbackBatch(actual),
 					Nodes:    st.degradedNodes,
 				}

@@ -12,7 +12,8 @@ import (
 	"adainf/internal/sched"
 )
 
-// faultMethods are the three scheduling families the fault suite covers.
+// faultMethods are the three scheduling families the fault suite and
+// BenchmarkRun cover.
 func faultMethods() []struct {
 	name  string
 	build func() sched.Method

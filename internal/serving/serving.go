@@ -559,7 +559,7 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		// requests): serve with a minimal fallback allocation. The
 		// precomputed full-structure plan is used as-is — appending into
 		// jp.Nodes would scribble over the scheduler's plan arena.
-		fraction = 0.02
+		fraction = cluster.MinFraction
 		batch = fallbackBatch(actual)
 		nodes = st.fallbackNodes
 	}
@@ -667,13 +667,21 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 			}
 		}
 		pm := st.probMemo[leaf]
-		if pm == nil || pm.live != live || pm.version != ni.State.Version() || pm.stct != stct {
-			probs := make([]float64, live.K())
-			for c := range probs {
-				probs[c] = ni.State.CorrectProb(c, live, stct)
-			}
-			pm = &leafProbs{live: live, version: ni.State.Version(), stct: stct, probs: probs}
+		if pm == nil {
+			pm = &leafProbs{}
 			st.probMemo[leaf] = pm
+		}
+		if pm.probs == nil || pm.live != live || pm.version != ni.State.Version() || pm.stct != stct {
+			// Overwrite the entry in place: a retrained leaf misses on
+			// every job, so the vector is reused rather than reallocated.
+			pm.live, pm.version, pm.stct = live, ni.State.Version(), stct
+			if cap(pm.probs) < live.K() {
+				pm.probs = make([]float64, live.K())
+			}
+			pm.probs = pm.probs[:live.K()]
+			for c := range pm.probs {
+				pm.probs[c] = ni.State.CorrectProb(c, live, stct)
+			}
 		}
 		probs := pm.probs
 		usedUpdated := st.updated[leaf]

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -254,24 +255,81 @@ func TestMemoryVariantProfilesDiffer(t *testing.T) {
 	}
 }
 
-// BenchmarkRun is one unaudited AdaInf serving run of one app for one
-// 50 s period at the default rate, profiles prebuilt.
-func BenchmarkRun(b *testing.B) {
-	apps, profs := fixtures(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := Run(Config{
-			Apps:               apps[:1],
-			Method:             core.New(core.Options{}),
-			Horizon:            50 * time.Second,
-			Seed:               1,
+// TestWorkSessionAllocsPerJob guards the allocation-free session path:
+// for every method, the objects a 200 s run allocates beyond a 100 s
+// run, divided by the jobs it serves beyond it, stay below 0.1. The
+// per-run setup cancels in the difference, so what is left is the
+// steady-state cost of planning and executing sessions (plus two period
+// boundaries, which recycle their storage).
+func TestWorkSessionAllocsPerJob(t *testing.T) {
+	apps, profs := fixtures(t)
+	run := func(m sched.Method, horizon time.Duration) (mallocs uint64, jobs int) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(Config{
+			Apps:               apps,
+			Method:             m,
+			GPUs:               4,
+			Horizon:            horizon,
+			Seed:               7,
+			RatePerApp:         250,
 			Retraining:         true,
 			DivergentSelection: true,
+			PoolSamples:        1000,
 			Profiles:           profs,
 		})
+		runtime.ReadMemStats(&after)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+		return after.Mallocs - before.Mallocs, res.Jobs
+	}
+	for _, m := range []struct {
+		name  string
+		build func() sched.Method
+	}{
+		{"AdaInf", func() sched.Method { return core.New(core.Options{}) }},
+		{"Ekya", func() sched.Method { return baselines.NewEkya() }},
+		{"Scrooge", func() sched.Method { return baselines.NewScrooge(false) }},
+		{"Scrooge*", func() sched.Method { return baselines.NewScrooge(true) }},
+	} {
+		shortAllocs, shortJobs := run(m.build(), 100*time.Second)
+		longAllocs, longJobs := run(m.build(), 200*time.Second)
+		if longJobs <= shortJobs {
+			t.Fatalf("%s: %d jobs in 200 s, %d in 100 s", m.name, longJobs, shortJobs)
+		}
+		perJob := (float64(longAllocs) - float64(shortAllocs)) / float64(longJobs-shortJobs)
+		t.Logf("%s: %.3f allocations per job over %d extra jobs", m.name, perJob, longJobs-shortJobs)
+		if perJob >= 0.1 {
+			t.Errorf("%s: %.3f allocations per served job, want < 0.1", m.name, perJob)
+		}
+	}
+}
+
+// BenchmarkRun is one unaudited serving run of one app for one 50 s
+// period at the default rate, profiles prebuilt, per method: its
+// allocs/op is each method's session path plus the run's setup.
+func BenchmarkRun(b *testing.B) {
+	apps, profs := fixtures(b)
+	for _, m := range faultMethods() {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := Run(Config{
+					Apps:               apps[:1],
+					Method:             m.build(),
+					Horizon:            50 * time.Second,
+					Seed:               1,
+					Retraining:         true,
+					DivergentSelection: true,
+					Profiles:           profs,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

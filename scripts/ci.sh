@@ -80,8 +80,9 @@ go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
 # loop, a serial /M1 profile build, Scrooge planning four lanes, drift
 # detection over the catalog's 8000-sample pools, one period boundary
-# resampling those pools and one 50 s single-app AdaInf serving run,
-# so all six keep compiling and running. Allocations are reported; there
+# resampling those pools and one 50 s single-app serving run each of
+# AdaInf, Ekya and Scrooge, so all of them keep compiling and running
+# and every method's session path reports its allocations. There
 # is no timing gate, since wall time on shared machines is noise
 # (compare with -count and benchstat on one machine instead).
 echo "== microbenchmark smoke =="
