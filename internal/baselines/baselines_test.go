@@ -426,6 +426,73 @@ func TestScroogeStorageReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestBaselinePlansWithMemoMatchNilCosts drives two instances of each
+// baseline through one seeded sequence of sessions that vary the job
+// count, requests, share, lane and window, with period starts in
+// between. One instance plans jobs that carry a latency memo, the other
+// the same jobs with nil Costs. Every plan must deep-equal, Nodes
+// included: the memo skips work but never changes an answer.
+func TestBaselinePlansWithMemoMatchNilCosts(t *testing.T) {
+	inst, prof := fixture(t)
+	cache := profile.NewLatencyCache(prof)
+	for _, m := range []struct {
+		name  string
+		build func() sched.Method
+	}{
+		{"Ekya", func() sched.Method { return NewEkya() }},
+		{"Scrooge", func() sched.Method { return NewScrooge(false) }},
+		{"Scrooge*", func() sched.Method { return NewScrooge(true) }},
+	} {
+		memo, direct := m.build(), m.build()
+		rng := rand.New(rand.NewSource(41))
+		sess, planned := 0, 0
+		for step := 0; step < 400; step++ {
+			if rng.Intn(40) == 0 {
+				for _, s := range []sched.Method{memo, direct} {
+					if _, err := s.OnPeriodStart(periodCtx(t, inst, prof)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sess += rng.Intn(8)
+			jobs := make([]sched.JobRequest, 1+rng.Intn(4))
+			for i := range jobs {
+				jobs[i] = sched.JobRequest{Instance: inst, Profile: prof, Requests: rng.Intn(120)}
+			}
+			cached := append([]sched.JobRequest(nil), jobs...)
+			for i := range cached {
+				cached[i].Costs = cache
+			}
+			lane, share := rng.Intn(4), 0.05+0.95*rng.Float64()
+			ctx := func(jobs []sched.JobRequest) *sched.SessionContext {
+				return &sched.SessionContext{
+					Session: sess, Start: simtime.Instant(time.Duration(sess) * 5 * time.Millisecond),
+					GPU: lane, GPUShare: share, Jobs: jobs,
+				}
+			}
+			got, err := memo.PlanSession(ctx(cached))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := direct.PlanSession(ctx(jobs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s step %d: memo plan %+v, nil-Costs plan %+v", m.name, step, got, want)
+			}
+			for i := range got.Jobs {
+				if len(got.Jobs[i].Nodes) > 0 {
+					planned++
+				}
+			}
+		}
+		if planned == 0 {
+			t.Fatalf("%s: no job was planned", m.name)
+		}
+	}
+}
+
 func TestScroogeStarProportionalScaling(t *testing.T) {
 	inst, prof := fixture(t)
 	inst2, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 8, PoolSamples: 2000})
@@ -460,13 +527,15 @@ func TestScroogeStarProportionalScaling(t *testing.T) {
 
 // BenchmarkScroogePlanSessionLanes plans four lanes per 5 ms session,
 // as a sharded server does, so each lane solves once per 100 ms window
-// and replays its solve for the other 19 sessions.
+// and replays its solve for the other 19 sessions. Like the serving
+// runtime, it gives every job the profile's one latency memo.
 func BenchmarkScroogePlanSessionLanes(b *testing.B) {
 	inst, prof := fixture(b)
 	const lanes = 4
+	costs := profile.NewLatencyCache(prof)
 	jobs := make([][]sched.JobRequest, lanes)
 	for g := range jobs {
-		jobs[g] = []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 8 << g}}
+		jobs[g] = []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 8 << g, Costs: costs}}
 	}
 	s := NewScrooge(false)
 	ctx := &sched.SessionContext{GPUShare: 0.5}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"adainf/internal/cluster"
-	"adainf/internal/profile"
 	"adainf/internal/sched"
 	"adainf/internal/simtime"
 )
@@ -44,12 +43,7 @@ type Ekya struct {
 	sessionCache map[ekyaKey]*ekyaBase
 	// Reusable plan storage (see sched.Scheduler: a plan is valid only
 	// until the next PlanSession call).
-	plan    sched.SessionPlan
-	nodeBuf []sched.NodePlan
-
-	// costs holds the per-profile latency-probe memos installed on
-	// every session's jobs (see installCosts).
-	costs map[*profile.AppProfile]*profile.LatencyCache
+	plan sched.SessionPlan
 }
 
 // ekyaKey keys the session memo on the exact fraction's bits: the
@@ -242,7 +236,6 @@ func (e *Ekya) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error
 	if cap(plan.Jobs) < len(ctx.Jobs) {
 		plan.Jobs = make([]sched.JobPlan, 0, len(ctx.Jobs))
 	}
-	e.costs = installCosts(e.costs, ctx.Jobs)
 	active := 0
 	for i := range ctx.Jobs {
 		if ctx.Jobs[i].Requests > 0 {
@@ -297,21 +290,8 @@ func (e *Ekya) jobBaseFor(jr *sched.JobRequest, f float64) (*ekyaBase, error) {
 		return nil, fmt.Errorf("baselines: ekya batch: %w", err)
 	}
 	base := &ekyaBase{batch: batch}
-	nBatches := (jr.Requests + batch - 1) / batch
-	for i, np := range jr.Profile.Index() {
-		sp, err := np.ForStructure(structs[i])
-		if err != nil {
-			return nil, err
-		}
-		per, err := sp.PerBatch(batch, f)
-		if err != nil {
-			return nil, err
-		}
-		it := per * simtime.Duration(nBatches)
-		base.inferTotal += it
-		base.nodes = append(base.nodes, sched.NodePlan{
-			Node: np.Node, Structure: structs[i], InferTime: it,
-		})
+	if base.nodes, base.inferTotal, err = sched.AppendNodePlans(nil, jr, structs, batch, f); err != nil {
+		return nil, err
 	}
 	e.sessionCache[key] = base
 	return base, nil

@@ -7,7 +7,6 @@ import (
 	"adainf/internal/cloud"
 	"adainf/internal/cluster"
 	"adainf/internal/dnn"
-	"adainf/internal/profile"
 	"adainf/internal/sched"
 	"adainf/internal/simtime"
 )
@@ -46,10 +45,6 @@ type Scrooge struct {
 	jobs      []sched.JobRequest
 	fractions []float64
 	structs   []dnn.Structure
-
-	// costs holds the per-profile latency-probe memos installed on
-	// every solved session's jobs (see installCosts).
-	costs map[*profile.AppProfile]*profile.LatencyCache
 }
 
 // scroogeSlot is one lane's last solve and the window it was solved in.
@@ -158,7 +153,6 @@ func (s *Scrooge) solve(ctx *sched.SessionContext, slot *scroogeSlot) error {
 	for i := range s.jobs {
 		s.jobs[i].Requests = sched.PadRequests(s.jobs[i].Requests)
 	}
-	s.costs = installCosts(s.costs, s.jobs)
 	if cap(s.fractions) < len(s.jobs) {
 		s.fractions = make([]float64, len(s.jobs))
 	}
@@ -171,11 +165,7 @@ func (s *Scrooge) solve(ctx *sched.SessionContext, slot *scroogeSlot) error {
 			continue
 		}
 		s.structs = sched.AppendFullStructures(s.structs[:0], jr)
-		batch, _, err := sched.BestBatch(jr, s.structs, 1.0)
-		if err != nil {
-			return err
-		}
-		f, err := sched.RequiredFraction(jr, s.structs, batch, s.minFraction)
+		f, err := sched.RequiredFraction(jr, s.structs, s.minFraction)
 		if err != nil {
 			return err
 		}
@@ -221,22 +211,9 @@ func (s *Scrooge) solve(ctx *sched.SessionContext, slot *scroogeSlot) error {
 			return err
 		}
 		jp := sched.JobPlan{App: jr.Instance.App.Name, Fraction: f, Batch: batch}
-		nBatches := (jr.Requests + batch - 1) / batch
 		first := len(nodes)
-		for ni, np := range jr.Profile.Index() {
-			sp, err := np.ForStructure(s.structs[ni])
-			if err != nil {
-				return err
-			}
-			per, err := sp.PerBatch(batch, f)
-			if err != nil {
-				return err
-			}
-			it := per * simtime.Duration(nBatches)
-			jp.InferTime += it
-			nodes = append(nodes, sched.NodePlan{
-				Node: np.Node, Structure: s.structs[ni], InferTime: it,
-			})
+		if nodes, jp.InferTime, err = sched.AppendNodePlans(nodes, jr, s.structs, batch, f); err != nil {
+			return err
 		}
 		// A job keeps a view of the arena it was appended to; when a
 		// later append grows the arena, the earlier views still hold

@@ -32,7 +32,6 @@ import (
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/drift"
-	"adainf/internal/profile"
 	"adainf/internal/sched"
 	"adainf/internal/simtime"
 )
@@ -98,17 +97,20 @@ type Scheduler struct {
 	// structure choice reads; the pool only changes at AdvancePeriod, so
 	// it too is dropped every OnPeriodStart.
 	//
-	// costs memoizes individual latency probes per application profile
-	// and backs all of the above.
+	// Individual latency probes go through the jobs' Costs memo, which
+	// the serving runtime supplies.
 	reqFracCache map[reqKey]float64
 	jobBaseCache map[baseKey]*jobBase
 	poolDists    map[*app.NodeInstance]*dist.Categorical
-	costs        map[*profile.AppProfile]*profile.LatencyCache
 
 	// Reusable planning storage. PlanSession runs every 5 ms session;
 	// these arenas keep its steady state allocation-free. The returned
 	// plan aliases them, which is why sched.Scheduler documents that a
-	// plan is only valid until the next PlanSession call.
+	// plan is only valid until the next PlanSession call. jobs is the
+	// padded, DAG-bound copy of the session's jobs, so the caller's jobs
+	// stay untouched; structs is structure-choice scratch.
+	jobs      []sched.JobRequest
+	structs   []dnn.Structure
 	required  []float64
 	fractions []float64
 	plan      sched.SessionPlan
@@ -156,11 +158,11 @@ func resizeSlice[T any](s []T, n int) []T {
 
 // jobBase is the cached inference-side plan of a job: everything
 // except the retraining assignment, which depends on the (draining)
-// sample pool and is recomputed every session.
+// sample pool and is recomputed every session. nodes carry each node's
+// structure and inference time, with no retraining.
 type jobBase struct {
 	batch      int
-	structs    []dnn.Structure
-	inferTimes []simtime.Duration
+	nodes      []sched.NodePlan
 	inferTotal simtime.Duration
 }
 
@@ -179,7 +181,6 @@ func New(opts Options) *Scheduler {
 		reqFracCache: make(map[reqKey]float64),
 		jobBaseCache: make(map[baseKey]*jobBase),
 		poolDists:    make(map[*app.NodeInstance]*dist.Categorical),
-		costs:        make(map[*profile.AppProfile]*profile.LatencyCache),
 	}
 }
 
@@ -210,28 +211,26 @@ func (s *Scheduler) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, 
 	if len(ctx.Jobs) == 0 {
 		return &s.plan, nil
 	}
-	// Bind each job to its current retraining-inference DAG (built by
-	// OnPeriodStart) unless the caller supplied one explicitly, plan
-	// against a conservative request quantile, and install the latency
-	// memo.
+	// Copy the jobs into reused storage, bind each copy to its current
+	// retraining-inference DAG (built by OnPeriodStart) unless the caller
+	// supplied one explicitly, and plan against a conservative request
+	// quantile. The caller's jobs are never written.
+	s.jobs = append(s.jobs[:0], ctx.Jobs...)
 	totalNodes := 0
-	for i := range ctx.Jobs {
-		jr := &ctx.Jobs[i]
+	for i := range s.jobs {
+		jr := &s.jobs[i]
 		if jr.Dag == nil {
 			jr.Dag = s.dags[jr.Instance.App.Name]
 		}
 		jr.Requests = sched.PadRequests(jr.Requests)
-		if jr.Costs == nil {
-			jr.Costs = s.costsFor(jr.Profile)
-		}
 		totalNodes += len(jr.Instance.Nodes())
 	}
-	return s.planFull(ctx, totalNodes)
+	return s.planFull(s.jobs, ctx.GPUShare, totalNodes)
 }
 
-// planFull computes the session plan from the bound jobs, filling the
-// per-period caches on a miss.
-func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.SessionPlan, error) {
+// planFull computes the session plan from the bound jobs at the
+// session's GPU share, filling the per-period caches on a miss.
+func (s *Scheduler) planFull(jobs []sched.JobRequest, share float64, totalNodes int) (*sched.SessionPlan, error) {
 	plan := &s.plan
 	// Pre-grow the node arena: once sliced, the per-job sub-slices must
 	// not be invalidated by a later append's reallocation.
@@ -239,18 +238,18 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 		s.nodeBuf = make([]sched.NodePlan, 0, totalNodes)
 	}
 	s.nodeBuf = s.nodeBuf[:0]
-	if cap(plan.Jobs) < len(ctx.Jobs) {
-		plan.Jobs = make([]sched.JobPlan, 0, len(ctx.Jobs))
+	if cap(plan.Jobs) < len(jobs) {
+		plan.Jobs = make([]sched.JobPlan, 0, len(jobs))
 	}
 
 	// Step 1 (§3.3.1): per job, optimal batch at full GPU and the GPU
 	// space required to meet the SLO.
-	s.required = resizeSlice(s.required, len(ctx.Jobs))
+	s.required = resizeSlice(s.required, len(jobs))
 	required := s.required
 	var totalRequired float64
 	active := 0
-	for i := range ctx.Jobs {
-		jr := &ctx.Jobs[i]
+	for i := range jobs {
+		jr := &jobs[i]
 		if jr.Requests <= 0 {
 			continue
 		}
@@ -258,7 +257,8 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 		req, ok := s.reqFracCache[key]
 		if !ok {
 			var err error
-			if req, err = requiredFractionFor(jr, s.opts.MinFraction); err != nil {
+			s.structs = sched.AppendFullStructures(s.structs[:0], jr)
+			if req, err = sched.RequiredFraction(jr, s.structs, s.opts.MinFraction); err != nil {
 				return nil, err
 			}
 			s.reqFracCache[key] = req
@@ -269,18 +269,18 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 	}
 
 	// Step 2: split the session's GPU amount.
-	s.fractions = resizeSlice(s.fractions, len(ctx.Jobs))
+	s.fractions = resizeSlice(s.fractions, len(jobs))
 	fractions := s.fractions
 	var totalAllocated float64
-	for i := range ctx.Jobs {
-		if ctx.Jobs[i].Requests <= 0 {
+	for i := range jobs {
+		if jobs[i].Requests <= 0 {
 			continue
 		}
 		var f float64
 		if s.opts.EqualSpaceSplit || totalRequired == 0 {
-			f = ctx.GPUShare / float64(active)
+			f = share / float64(active)
 		} else {
-			f = ctx.GPUShare * required[i] / totalRequired
+			f = share * required[i] / totalRequired
 		}
 		if f > 1 {
 			f = 1
@@ -296,19 +296,19 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 	// headroom above the floors so Σ fractions ≤ GPUShare again; when
 	// even the floors alone oversubscribe, fall back to an equal split
 	// of the share (the floor is unsatisfiable this session).
-	if ctx.GPUShare > 0 && totalAllocated > ctx.GPUShare {
+	if share > 0 && totalAllocated > share {
 		floorTotal := float64(active) * s.opts.MinFraction
-		if floorTotal >= ctx.GPUShare {
-			f := ctx.GPUShare / float64(active)
-			for i := range ctx.Jobs {
-				if ctx.Jobs[i].Requests > 0 {
+		if floorTotal >= share {
+			f := share / float64(active)
+			for i := range jobs {
+				if jobs[i].Requests > 0 {
 					fractions[i] = f
 				}
 			}
 		} else {
-			scale := (ctx.GPUShare - floorTotal) / (totalAllocated - floorTotal)
-			for i := range ctx.Jobs {
-				if ctx.Jobs[i].Requests > 0 {
+			scale := (share - floorTotal) / (totalAllocated - floorTotal)
+			for i := range jobs {
+				if jobs[i].Requests > 0 {
 					fractions[i] = s.opts.MinFraction + (fractions[i]-s.opts.MinFraction)*scale
 				}
 			}
@@ -320,8 +320,8 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 	// structure/batch search (jobBase) is the expensive part and is
 	// cached; the retraining assignment reads the draining pools and is
 	// recomputed every session.
-	for i := range ctx.Jobs {
-		jr := &ctx.Jobs[i]
+	for i := range jobs {
+		jr := &jobs[i]
 		if jr.Requests <= 0 {
 			plan.Jobs = append(plan.Jobs, sched.JobPlan{App: jr.Instance.App.Name})
 			continue
@@ -341,18 +341,6 @@ func (s *Scheduler) planFull(ctx *sched.SessionContext, totalNodes int) (*sched.
 	return plan, nil
 }
 
-// requiredFractionFor is the step-1 cache-miss computation: optimal
-// batch at a whole GPU, then the SLO-space inversion. Pure function of
-// the job's profile and padded request count.
-func requiredFractionFor(jr *sched.JobRequest, minFraction float64) (float64, error) {
-	structs := sched.FullStructures(jr)
-	batch, _, err := sched.BestBatch(jr, structs, 1.0)
-	if err != nil {
-		return 0, err
-	}
-	return sched.RequiredFraction(jr, structs, batch, minFraction)
-}
-
 // finishJob fills jp from the job's cached inference-side base and
 // assigns retraining time. Node plans are sliced out of the scheduler's
 // pre-grown arena.
@@ -364,15 +352,8 @@ func (s *Scheduler) finishJob(jr *sched.JobRequest, fraction float64, base *jobB
 		InferTime: base.inferTotal,
 	}
 	start := len(s.nodeBuf)
-	s.nodeBuf = s.nodeBuf[:start+len(base.structs)]
-	nodePlans := s.nodeBuf[start : start+len(base.structs) : start+len(base.structs)]
-	for i, ni := range jr.Instance.Nodes() {
-		nodePlans[i] = sched.NodePlan{
-			Node:      ni.Node.Name,
-			Structure: base.structs[i],
-			InferTime: base.inferTimes[i],
-		}
-	}
+	s.nodeBuf = append(s.nodeBuf, base.nodes...)
+	nodePlans := s.nodeBuf[start:len(s.nodeBuf):len(s.nodeBuf)]
 
 	// Spare time within the SLO goes to retraining:
 	// T_r = L_s − Σ l_k − scheduling lead, with a small safety margin
@@ -390,39 +371,26 @@ func (s *Scheduler) finishJob(jr *sched.JobRequest, fraction float64, base *jobB
 // node, batch size, inference times at the fraction. The caller owns
 // the cache insert.
 func (s *Scheduler) computeJobBase(jr *sched.JobRequest, fraction float64) (*jobBase, error) {
-	tables := jr.Costs.Tables()
 	var base *jobBase
 	if n := len(s.spareBases); n > 0 {
 		base, s.spareBases = s.spareBases[n-1], s.spareBases[:n-1]
 	} else {
 		base = new(jobBase)
 	}
-	base.structs = resizeSlice(base.structs, len(tables))
-	base.inferTimes = resizeSlice(base.inferTimes, len(tables))
-	base.inferTotal = 0
-	if err := s.chooseStructures(jr, fraction, base.structs); err != nil {
+	s.structs = resizeSlice(s.structs, len(jr.Instance.Nodes()))
+	if err := s.chooseStructures(jr, fraction, s.structs); err != nil {
 		return nil, err
 	}
-	batch, _, err := sched.BestBatch(jr, base.structs, fraction)
+	batch, _, err := sched.BestBatch(jr, s.structs, fraction)
 	if err != nil {
 		return nil, err
 	}
 	base.batch = batch
-	nBatches := (jr.Requests + batch - 1) / batch
 	// Inference time: parallel DAG tasks are time-sliced in the job's
 	// space, so the job's inference time is the sum over tasks (§3.3.2).
-	for i, t := range tables {
-		si, err := t.StructIdx(base.structs[i])
-		if err != nil {
-			return nil, err
-		}
-		per, err := jr.Costs.PerBatch(i, si, t.BatchIdx(batch), fraction)
-		if err != nil {
-			return nil, err
-		}
-		it := per * simtime.Duration(nBatches)
-		base.inferTimes[i] = it
-		base.inferTotal += it
+	base.nodes, base.inferTotal, err = sched.AppendNodePlans(base.nodes[:0], jr, s.structs, batch, fraction)
+	if err != nil {
+		return nil, err
 	}
 	return base, nil
 }
@@ -477,9 +445,9 @@ func (s *Scheduler) assignRetraining(jr *sched.JobRequest, nodePlans []sched.Nod
 // node order): the full structure when the node does not retrain this
 // period (or under /E), otherwise the fastest structure whose accuracy
 // clears the node threshold A_m. Latency comparisons go through the
-// job's flattened tables and probe memo.
+// job's flattened tables and its probe memo, when supplied.
 func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out []dnn.Structure) error {
-	tables := jr.Costs.Tables()
+	tables := jr.Tables()
 	for i, ni := range jr.Instance.Nodes() {
 		full := ni.FullStructure()
 		if s.opts.FullStructureOnly || !s.nodeStateMatters(jr, ni) {
@@ -493,7 +461,7 @@ func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out
 		t := tables[i]
 		refBi := t.BatchIdx(referenceBatch)
 		best := full
-		bestPer, err := jr.Costs.PerBatch(i, t.FullIdx(), refBi, fraction)
+		bestPer, err := jr.PerBatch(i, t.FullIdx(), refBi, fraction)
 		if err != nil {
 			return err
 		}
@@ -511,7 +479,7 @@ func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out
 			if err != nil {
 				return err
 			}
-			per, err := jr.Costs.PerBatch(i, si, refBi, fraction)
+			per, err := jr.PerBatch(i, si, refBi, fraction)
 			if err != nil {
 				return err
 			}
@@ -550,16 +518,4 @@ func (s *Scheduler) poolDistFor(ni *app.NodeInstance) (*dist.Categorical, error)
 	}
 	s.poolDists[ni] = d
 	return d, nil
-}
-
-// costsFor returns the scheduler's memoizing latency cache for the
-// profile, creating it on first use. Caches persist for the
-// scheduler's lifetime — the profile is immutable.
-func (s *Scheduler) costsFor(ap *profile.AppProfile) *profile.LatencyCache {
-	if c, ok := s.costs[ap]; ok {
-		return c
-	}
-	c := profile.NewLatencyCache(ap)
-	s.costs[ap] = c
-	return c
 }

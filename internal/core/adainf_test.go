@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -431,14 +433,6 @@ func bindPeriod(t *testing.T, s *Scheduler) {
 	}
 }
 
-// cloneCtx copies a session context so each PlanSession call starts
-// from pristine request counts (planning pads Requests in place).
-func cloneCtx(ctx *sched.SessionContext) *sched.SessionContext {
-	c := *ctx
-	c.Jobs = append([]sched.JobRequest(nil), ctx.Jobs...)
-	return &c
-}
-
 // plansEquivalent compares two plans field for field. Floats compare
 // exactly: a cache may skip work but must never change a value.
 func plansEquivalent(a, b *sched.SessionPlan) bool {
@@ -460,13 +454,13 @@ func plansEquivalent(a, b *sched.SessionPlan) bool {
 // the same period, and fails unless the two plans are equivalent.
 func requireMatchesFresh(t *testing.T, warm *Scheduler, ctx *sched.SessionContext, round int) {
 	t.Helper()
-	got, err := warm.PlanSession(cloneCtx(ctx))
+	got, err := warm.PlanSession(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := New(Options{})
 	bindPeriod(t, fresh)
-	want, err := fresh.PlanSession(cloneCtx(ctx))
+	want, err := fresh.PlanSession(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,18 +509,103 @@ func TestWarmCachesMatchFreshScheduler(t *testing.T) {
 func TestDefaultPlanWorkers(t *testing.T) {
 	plain := New(Options{})
 	ctx := sessionCtx(t, plain, 8)
-	want, err := plain.PlanSession(cloneCtx(ctx))
+	want, err := plain.PlanSession(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetDefaultPlanWorkers(4)
 	s := New(Options{})
 	bindPeriod(t, s)
-	got, err := s.PlanSession(cloneCtx(ctx))
+	got, err := s.PlanSession(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plansEquivalent(got, want) {
 		t.Fatal("SetDefaultPlanWorkers changed a plan")
+	}
+}
+
+// TestAdaInfPlanSessionLeavesJobsUnchanged plans one jobs slice several
+// times: AdaInf pads and binds its own copy of the jobs, so the
+// caller's jobs, request counts and DAGs included, never move.
+func TestAdaInfPlanSessionLeavesJobsUnchanged(t *testing.T) {
+	s := New(Options{})
+	ctx := sessionCtx(t, s, 8)
+	ctx.Jobs = append(ctx.Jobs, sched.JobRequest{Instance: fxInstance, Profile: fxProfile})
+	want := append([]sched.JobRequest(nil), ctx.Jobs...)
+	for round := 0; round < 4; round++ {
+		plan, err := s.PlanSession(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Jobs[0].Batch < 1 {
+			t.Fatalf("round %d: the 8-request job was not planned", round)
+		}
+		if !reflect.DeepEqual(ctx.Jobs, want) {
+			t.Fatalf("round %d: caller's jobs moved to %+v, want %+v", round, ctx.Jobs, want)
+		}
+	}
+}
+
+// TestAdaInfPlansWithMemoMatchNilCosts drives two schedulers through
+// one seeded sequence of sessions that vary the job count, requests and
+// share, with period starts in between. One plans jobs that carry a
+// latency memo, the other the same jobs with nil Costs. Every plan must
+// deep-equal, Nodes included: the memo skips work but never changes an
+// answer.
+func TestAdaInfPlansWithMemoMatchNilCosts(t *testing.T) {
+	inst, prof := fixture(t)
+	cache := profile.NewLatencyCache(prof)
+	memo, direct := New(Options{}), New(Options{})
+	startPeriod := func() {
+		t.Helper()
+		for _, s := range []*Scheduler{memo, direct} {
+			if _, err := s.OnPeriodStart(&sched.PeriodContext{
+				Period: inst.Period(),
+				Length: 50 * time.Second,
+				GPUs:   4,
+				Rand:   dist.NewRNG(int64(inst.Period())),
+				Jobs:   []sched.JobRequest{{Instance: inst, Profile: prof}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	startPeriod()
+	rng := rand.New(rand.NewSource(23))
+	retrains := 0
+	for step := 0; step < 400; step++ {
+		if rng.Intn(40) == 0 {
+			inst.AdvancePeriod(0)
+			startPeriod()
+		}
+		jobs := make([]sched.JobRequest, 1+rng.Intn(4))
+		for i := range jobs {
+			jobs[i] = sched.JobRequest{Instance: inst, Profile: prof, Requests: rng.Intn(60)}
+		}
+		cached := append([]sched.JobRequest(nil), jobs...)
+		for i := range cached {
+			cached[i].Costs = cache
+		}
+		share := 0.05 + 0.95*rng.Float64()
+		got, err := memo.PlanSession(&sched.SessionContext{Session: step, GPUShare: share, Jobs: cached})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := direct.PlanSession(&sched.SessionContext{Session: step, GPUShare: share, Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: memo plan %+v, nil-Costs plan %+v", step, got, want)
+		}
+		for i := range got.Jobs {
+			if got.Jobs[i].RetrainTime > 0 {
+				retrains++
+			}
+		}
+	}
+	if retrains == 0 {
+		t.Fatal("no plan assigned retraining; the sequence does not exercise structure choice")
 	}
 }

@@ -118,18 +118,6 @@ func (a *Arch) TrainFLOPs() float64 {
 // relative to inference.
 const FineTuneBackwardFraction = 0.4
 
-// RetrainFLOPsPerSample returns the per-sample cost of one continual
-// fine-tuning step: a full forward pass plus backward through the top
-// FineTuneBackwardFraction of layers.
-func (a *Arch) RetrainFLOPsPerSample() float64 {
-	f := a.ForwardFLOPs(a.NumLayers())
-	from := int(float64(a.NumLayers()) * (1 - FineTuneBackwardFraction))
-	for _, l := range a.Layers[from:] {
-		f += l.BwdFLOPs()
-	}
-	return f
-}
-
 // FineTuneFromLayer returns the index of the first layer whose
 // parameters are updated during continual fine-tuning.
 func (a *Arch) FineTuneFromLayer() int {

@@ -120,22 +120,6 @@ func (t *Table) PerBatch(si, bi int, fraction float64) (simtime.Duration, error)
 	return simtime.Duration(t.laws[cell].At(fraction)), nil
 }
 
-// WorstCase returns the worst-case latency of nRequests through
-// structure si at batch index bi: ceil(n/batch) request batches at the
-// per-batch latency (§3.3.1). Mirrors StructureProfile.WorstCase.
-func (t *Table) WorstCase(si, bi, nRequests int, fraction float64) (simtime.Duration, error) {
-	if nRequests <= 0 {
-		return 0, nil
-	}
-	per, err := t.PerBatch(si, bi, fraction)
-	if err != nil {
-		return 0, err
-	}
-	batch := t.batchAxis[bi]
-	nBatches := (nRequests + batch - 1) / batch
-	return per * simtime.Duration(nBatches), nil
-}
-
 // newTable flattens one node's profiles.
 func newTable(np *NodeProfiles) *Table {
 	t := &Table{node: np.Node, structures: np.Structures}
@@ -235,8 +219,8 @@ type latKey struct {
 // periods. The underlying power laws are pure functions of the
 // immutable profile, so entries never need invalidating; errors are
 // never cached (they re-derive on every probe, preserving error order).
-// Not safe for concurrent use: each scheduler and serving run owns its
-// caches.
+// Not safe for concurrent use: each serving run owns one per profile
+// and passes it to its method on sched.JobRequest.Costs.
 type LatencyCache struct {
 	tables []*Table
 	m      map[latKey]simtime.Duration

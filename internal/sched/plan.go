@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"adainf/internal/dnn"
 	"adainf/internal/profile"
@@ -38,40 +39,25 @@ func FullStructures(jr *JobRequest) []dnn.Structure {
 	return AppendFullStructures(make([]dnn.Structure, 0, len(jr.Instance.Nodes())), jr)
 }
 
-// AppendSmallestStructures appends every node's smallest (shallowest
-// exit) structure to dst, positionally aligned with Instance.Nodes().
-// This is the graceful-degradation candidate: the cheapest profiled
-// configuration a job can drop to when its planned structures cannot be
-// made resident (see serving's GPU-memory fault handling).
-func AppendSmallestStructures(dst []dnn.Structure, jr *JobRequest) []dnn.Structure {
-	for _, ni := range jr.Instance.Nodes() {
-		dst = append(dst, ni.SmallestStructure())
-	}
-	return dst
-}
-
-// SmallestStructures returns every node's smallest structure,
-// positionally aligned with Instance.Nodes().
-func SmallestStructures(jr *JobRequest) []dnn.Structure {
-	return AppendSmallestStructures(make([]dnn.Structure, 0, len(jr.Instance.Nodes())), jr)
-}
-
-// tables resolves the job's flattened latency tables, through its
-// memoizing cost cache when the caller installed one.
-func (jr *JobRequest) tables() []*profile.Table {
+// Tables returns the job's flattened latency tables in node order
+// (Instance.Nodes() = Profile.Index() order), through its Costs memo
+// when one is supplied.
+func (jr *JobRequest) Tables() []*profile.Table {
 	if jr.Costs != nil {
 		return jr.Costs.Tables()
 	}
 	return jr.Profile.Tables()
 }
 
-// perBatch probes one (node, structure, batch) latency at the fraction,
-// through the job's cost cache when present.
-func (jr *JobRequest) perBatch(t *profile.Table, node, si, bi int, fraction float64) (simtime.Duration, error) {
+// PerBatch probes the per-batch latency of the node-th table's
+// structure si at batch index bi and the fraction, through the job's
+// Costs memo when one is supplied and straight from the table
+// otherwise. Both paths return the same latency bit for bit.
+func (jr *JobRequest) PerBatch(node, si, bi int, fraction float64) (simtime.Duration, error) {
 	if jr.Costs != nil {
 		return jr.Costs.PerBatch(node, si, bi, fraction)
 	}
-	return t.PerBatch(si, bi, fraction)
+	return jr.Profile.Tables()[node].PerBatch(si, bi, fraction)
 }
 
 // JobWorstCase sums the worst-case inference latency over the job's
@@ -79,26 +65,54 @@ func (jr *JobRequest) perBatch(t *profile.Table, node, si, bi int, fraction floa
 // GPU fraction — the DAG's tasks time-share the job's space, so the
 // job's latency is the sum (§3.3.2).
 func JobWorstCase(jr *JobRequest, structs []dnn.Structure, batch int, fraction float64) (simtime.Duration, error) {
+	return nodeLatencies(jr, structs, batch, fraction, nil)
+}
+
+// AppendNodePlans appends one NodePlan per node of the job to dst: the
+// node's structure (structs is positional, node order) and its
+// worst-case inference time at the batch size and fraction,
+// ceil(Requests/batch) batches at the per-batch latency. It returns the
+// extended slice and the job's inference time, the sum over its nodes,
+// which is JobWorstCase's value. On error dst is returned unextended.
+func AppendNodePlans(dst []NodePlan, jr *JobRequest, structs []dnn.Structure, batch int, fraction float64) ([]NodePlan, simtime.Duration, error) {
+	start := len(dst)
+	n := len(jr.Tables())
+	dst = slices.Grow(dst, n)[:start+n]
+	total, err := nodeLatencies(jr, structs, batch, fraction, dst[start:])
+	if err != nil {
+		return dst[:start], 0, err
+	}
+	return dst, total, nil
+}
+
+// nodeLatencies is the one per-node latency loop: it returns the job's
+// worst-case inference time and, when out is non-nil (one entry per
+// node), fills out with each node's plan.
+func nodeLatencies(jr *JobRequest, structs []dnn.Structure, batch int, fraction float64, out []NodePlan) (simtime.Duration, error) {
 	var total simtime.Duration
 	nBatches := 0
 	if jr.Requests > 0 {
 		nBatches = (jr.Requests + batch - 1) / batch
 	}
-	for n, t := range jr.tables() {
+	for n, t := range jr.Tables() {
 		si, err := t.StructIdx(structs[n])
 		if err != nil {
 			return 0, err
 		}
-		if nBatches == 0 {
-			// No requests: zero latency, and (as with the map-walk
-			// implementation) no batch/fraction validation.
-			continue
+		// A job with no requests takes no time, and its batch and
+		// fraction go unvalidated.
+		var it simtime.Duration
+		if nBatches > 0 {
+			per, err := jr.PerBatch(n, si, t.BatchIdx(batch), fraction)
+			if err != nil {
+				return 0, err
+			}
+			it = per * simtime.Duration(nBatches)
 		}
-		per, err := jr.perBatch(t, n, si, t.BatchIdx(batch), fraction)
-		if err != nil {
-			return 0, err
+		if out != nil {
+			out[n] = NodePlan{Node: t.Node(), Structure: structs[n], InferTime: it}
 		}
-		total += per * simtime.Duration(nBatches)
+		total += it
 	}
 	return total, nil
 }
@@ -114,7 +128,7 @@ func JobWorstCase(jr *JobRequest, structs []dnn.Structure, batch int, fraction f
 // linear scan over every profiled batch set.
 func BestBatch(jr *JobRequest, structs []dnn.Structure, fraction float64) (int, simtime.Duration, error) {
 	batches := profile.DefaultBatchSizes
-	if tables := jr.tables(); len(tables) > 0 && tables[0].NumStructs() > 0 {
+	if tables := jr.Tables(); len(tables) > 0 && tables[0].NumStructs() > 0 {
 		batches = tables[0].Batches()
 	}
 	var (
@@ -148,11 +162,13 @@ func BestBatch(jr *JobRequest, structs []dnn.Structure, fraction float64) (int, 
 
 // RequiredFraction finds the GPU space at which the job's worst-case
 // latency meets its SLO, by bisection over the fitted scaling laws
-// (the §3.3.1 "non-linear regression model" inversion). minFraction
+// (the §3.3.1 "non-linear regression model" inversion), at the batch
+// size that is best on a whole GPU for the structures (positional,
+// node order; the callers pass the full structures). minFraction
 // floors the answer.
-func RequiredFraction(jr *JobRequest, structs []dnn.Structure, batch int, minFraction float64) (float64, error) {
+func RequiredFraction(jr *JobRequest, structs []dnn.Structure, minFraction float64) (float64, error) {
 	slo := simtime.Duration(jr.Instance.App.SLO)
-	atFull, err := JobWorstCase(jr, structs, batch, 1.0)
+	batch, atFull, err := BestBatch(jr, structs, 1.0)
 	if err != nil {
 		return 0, err
 	}

@@ -101,12 +101,14 @@ type JobRequest struct {
 	// Requests is the (predicted) number of inference requests in the
 	// session.
 	Requests int
-	// Costs, when non-nil, memoizes the job's latency probes
-	// (JobWorstCase/BestBatch/RequiredFraction evaluate thousands of
-	// power-law points per plan; the underlying profile is immutable,
-	// so probes are cacheable across sessions and periods). Schedulers
-	// install a per-application cache; a nil Costs evaluates the
-	// profile tables directly.
+	// Costs memoizes the job's latency probes (JobWorstCase, BestBatch,
+	// RequiredFraction and AppendNodePlans evaluate thousands of
+	// power-law points per plan, and the profile is immutable, so a
+	// probe's answer never changes). The serving runtime supplies the
+	// run's one memo per profile, shared by every application with that
+	// profile, on every job of both the period and the session contexts;
+	// methods never build their own. A nil Costs evaluates the profile's
+	// tables directly, with bit-identical results.
 	Costs *profile.LatencyCache
 }
 

@@ -188,18 +188,20 @@ func TestJobWorstCaseMonotoneInRequests(t *testing.T) {
 func TestRequiredFraction(t *testing.T) {
 	jr := jobReq(t, 16)
 	structs := FullStructures(jr)
-	batch, _, err := BestBatch(jr, structs, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := RequiredFraction(jr, structs, batch, 0.02)
+	f, err := RequiredFraction(jr, structs, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f <= 0 || f > 1 {
 		t.Fatalf("required fraction = %v", f)
 	}
-	// The fraction actually meets the SLO (within bisection tolerance).
+	// The fraction actually meets the SLO (within bisection tolerance)
+	// at the batch that is best on a whole GPU, the one RequiredFraction
+	// inverts at.
+	batch, _, err := BestBatch(jr, structs, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wc, err := JobWorstCase(jr, structs, batch, f)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +211,7 @@ func TestRequiredFraction(t *testing.T) {
 	}
 	// A heavier job needs more space.
 	heavy := jobReq(t, 200)
-	fh, err := RequiredFraction(heavy, structs, batch, 0.02)
+	fh, err := RequiredFraction(heavy, structs, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

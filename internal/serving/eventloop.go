@@ -309,7 +309,6 @@ func (l *runLoop) periodStart(period int) error {
 	for _, st := range l.states {
 		clear(st.liveDists)
 		clear(st.poolDists)
-		clear(st.updatedAt)
 		clear(st.updated)
 		clear(st.carry)
 		for _, ni := range st.inst.Nodes() {
@@ -392,7 +391,7 @@ func (l *runLoop) periodStart(period int) error {
 		Rand:   l.rng,
 	}
 	for _, st := range l.states {
-		pctx.Jobs = append(pctx.Jobs, sched.JobRequest{Instance: st.inst, Profile: st.prof})
+		pctx.Jobs = append(pctx.Jobs, sched.JobRequest{Instance: st.inst, Profile: st.prof, Costs: st.costs})
 	}
 	wall := time.Now()
 	pplan, err := cfg.Method.OnPeriodStart(pctx)
@@ -408,24 +407,30 @@ func (l *runLoop) periodStart(period int) error {
 			return err
 		}
 	}
+	// Methods that build the retraining-inference DAG expose it
+	// (core.Scheduler does). Each app's session jobs carry the period's
+	// DAG, so the auditor checks retraining splits against it.
+	dp, hasDags := cfg.Method.(interface{ DagFor(string) *sched.RIDag })
+	for _, st := range l.states {
+		st.dag = nil
+		if hasDags {
+			st.dag = dp.DagFor(st.inst.App.Name)
+		}
+	}
 	if l.tel.Tracing() {
 		l.tel.PeriodPlan(start, period, len(pplan.Retrains), pplan.Overhead, pplan.EdgeCloudBytes)
-		// Methods that build the retraining-inference DAG expose it
-		// (core.Scheduler does); emit each app's impact degrees.
-		if dp, ok := cfg.Method.(interface{ DagFor(string) *sched.RIDag }); ok {
-			for _, st := range l.states {
-				dag := dp.DagFor(st.inst.App.Name)
-				if dag == nil {
+		// Emit each app's impact degrees.
+		for _, st := range l.states {
+			if st.dag == nil {
+				continue
+			}
+			for i := range st.dag.Vertices {
+				v := &st.dag.Vertices[i]
+				if v.Phase != sched.PhaseRetrain {
 					continue
 				}
-				for i := range dag.Vertices {
-					v := &dag.Vertices[i]
-					if v.Phase != sched.PhaseRetrain {
-						continue
-					}
-					l.tel.Impact(start, period, st.inst.App.Name, v.Node,
-						v.ImpactDegree, true)
-				}
+				l.tel.Impact(start, period, st.inst.App.Name, v.Node,
+					v.ImpactDegree, true)
 			}
 		}
 	}
@@ -781,7 +786,6 @@ func (l *runLoop) applyRetrain(pr *pendingRetrain) {
 	used := ni.ConsumeSamples(pr.Samples)
 	ni.State.Train(st.poolDists[pr.Node], float64(used))
 	ni.NoteTrained()
-	st.updatedAt[pr.Node] = pr.Completion
 	st.updated[pr.Node] = true
 	l.rec.RecordRetrainEffort(pr.Completion, pr.Busy, used)
 }
@@ -886,7 +890,9 @@ func (l *runLoop) workSession(sess int) error {
 			ctx.Jobs = append(ctx.Jobs, sched.JobRequest{
 				Instance: l.states[i].inst,
 				Profile:  l.states[i].prof,
+				Dag:      l.states[i].dag,
 				Requests: l.predicted[i][si],
+				Costs:    l.states[i].costs,
 			})
 		}
 		wall := time.Now()

@@ -299,10 +299,9 @@ type appState struct {
 	// liveDists caches each node's live distribution for the period.
 	liveDists map[string]*dist.Categorical
 	poolDists map[string]*dist.Categorical
-	// updatedAt marks when each node's model was last retrained within
-	// the current period (zero instant+false = not yet).
-	updatedAt map[string]simtime.Instant
-	updated   map[string]bool
+	// updated marks the nodes whose model was retrained within the
+	// current period.
+	updated map[string]bool
 	// carry holds fractional incremental-retraining progress per node:
 	// a short slice at a small GPU fraction may train less than one
 	// whole sample; the remainder carries to the app's next job.
@@ -326,9 +325,15 @@ type appState struct {
 	// effective Train), and the served structure. Scoring reuses the
 	// vector until one of those moves.
 	probMemo map[string]*leafProbs
+	// dag is the method's retraining-inference DAG for the current
+	// period (nil when the method builds none), bound to every session
+	// job of the app.
+	dag *sched.RIDag
 	// costs memoizes (node, structure, batch, fraction) latency probes
-	// behind the profile's flattened tables; runJob's inference-latency
-	// evaluation goes through it instead of the map-walk profile API.
+	// behind the profile's flattened tables. It is the run's one memo
+	// for the profile, shared by every app with that profile: runJob's
+	// inference latencies and the method's planning probes (as
+	// JobRequest.Costs) both go through it.
 	costs *profile.LatencyCache
 	// tableIdx maps node name → costs table index (App.Nodes order).
 	tableIdx map[string]int
@@ -445,6 +450,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	states := make([]*appState, len(cfg.Apps))
+	costs := make(map[*profile.AppProfile]*profile.LatencyCache)
 	for i, a := range cfg.Apps {
 		inst, err := app.NewInstance(a, app.InstanceConfig{
 			Seed:             cfg.Seed + int64(i)*104729,
@@ -463,6 +469,9 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if costs[prof] == nil {
+			costs[prof] = profile.NewLatencyCache(prof)
+		}
 		st := &appState{
 			inst:      inst,
 			prof:      prof,
@@ -470,11 +479,10 @@ func Run(cfg Config) (*Result, error) {
 			pred:      pred,
 			liveDists: make(map[string]*dist.Categorical, len(a.Nodes)),
 			poolDists: make(map[string]*dist.Categorical, len(a.Nodes)),
-			updatedAt: make(map[string]simtime.Instant, len(a.Nodes)),
 			updated:   make(map[string]bool, len(a.Nodes)),
 			carry:     make(map[string]float64, len(a.Nodes)),
 			leaves:    a.Leaves(),
-			costs:     profile.NewLatencyCache(prof),
+			costs:     costs[prof],
 			tableIdx:  make(map[string]int, len(a.Nodes)),
 			probMemo:  make(map[string]*leafProbs, len(a.Nodes)),
 		}
@@ -622,7 +630,6 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 					ni.NoteTrained()
 					t = t.Add(lat)
 					retrainTotal += lat
-					st.updatedAt[np.Node] = t
 					st.updated[np.Node] = true
 					rec.RecordRetrainEffort(start, lat, whole)
 				}

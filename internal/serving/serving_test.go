@@ -255,6 +255,89 @@ func TestMemoryVariantProfilesDiffer(t *testing.T) {
 	}
 }
 
+// jobRecorder wraps AdaInf (its DagFor is promoted) and records every
+// job request serving hands it, in both the period and the session
+// contexts.
+type jobRecorder struct {
+	*core.Scheduler
+	period, session []sched.JobRequest
+	// dagMismatch counts session jobs whose Dag is not the method's
+	// current DAG for the app.
+	dagMismatch int
+}
+
+func (r *jobRecorder) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error) {
+	r.period = append(r.period, ctx.Jobs...)
+	return r.Scheduler.OnPeriodStart(ctx)
+}
+
+func (r *jobRecorder) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	for i := range ctx.Jobs {
+		if ctx.Jobs[i].Dag != r.DagFor(ctx.Jobs[i].Instance.App.Name) {
+			r.dagMismatch++
+		}
+	}
+	r.session = append(r.session, ctx.Jobs...)
+	return r.Scheduler.PlanSession(ctx)
+}
+
+// TestRunSuppliesOneLatencyMemoPerProfile checks the latency memo's
+// single owner: every job serving hands a method, in period and session
+// contexts alike, carries a non-nil Costs; apps that share a profile
+// (a catalog clone and its base) share one memo, and distinct profiles
+// get distinct memos. Session jobs also carry the method's current DAG.
+func TestRunSuppliesOneLatencyMemoPerProfile(t *testing.T) {
+	apps, profs := fixtures(t)
+	clone := *apps[0]
+	clone.Name = apps[0].Name + "-2"
+	clone.Nodes = append([]app.Node(nil), apps[0].Nodes...)
+	withClone := append(append([]*app.App(nil), apps...), &clone)
+	shared := map[string]*profile.AppProfile{clone.Name: profs[apps[0].Name]}
+	for name, p := range profs {
+		shared[name] = p
+	}
+	rec := &jobRecorder{Scheduler: core.New(core.Options{})}
+	if _, err := Run(Config{
+		Apps:        withClone,
+		Method:      rec,
+		GPUs:        4,
+		Horizon:     100 * time.Second,
+		Seed:        3,
+		RatePerApp:  50,
+		Retraining:  true,
+		PoolSamples: 1000,
+		Profiles:    shared,
+		Audit:       true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.period) == 0 || len(rec.session) == 0 {
+		t.Fatalf("recorded %d period and %d session jobs", len(rec.period), len(rec.session))
+	}
+	memo := make(map[*profile.AppProfile]*profile.LatencyCache)
+	for ctx, jobs := range map[string][]sched.JobRequest{"period": rec.period, "session": rec.session} {
+		for _, jr := range jobs {
+			name := jr.Instance.App.Name
+			if jr.Costs == nil {
+				t.Fatalf("%s job %q: nil Costs", ctx, name)
+			}
+			if want, ok := memo[jr.Profile]; ok && jr.Costs != want {
+				t.Fatalf("%s job %q: a second memo for its profile", ctx, name)
+			}
+			memo[jr.Profile] = jr.Costs
+		}
+	}
+	if len(memo) != 2 {
+		t.Fatalf("%d profiles seen, want 2", len(memo))
+	}
+	if memo[profs[apps[0].Name]] == memo[profs[apps[1].Name]] {
+		t.Fatal("distinct profiles share one memo")
+	}
+	if rec.dagMismatch != 0 {
+		t.Fatalf("%d session jobs carry a DAG other than the method's current one", rec.dagMismatch)
+	}
+}
+
 // TestWorkSessionAllocsPerJob guards the allocation-free session path:
 // for every method, the objects a 200 s run allocates beyond a 100 s
 // run, divided by the jobs it serves beyond it, stay below 0.1. The

@@ -31,9 +31,6 @@ const (
 	// DefaultPeriod is the time-period length: drift detection and DAG
 	// regeneration happen every 50 s (§3.2).
 	DefaultPeriod = 50 * time.Second
-	// DefaultScheduleLead is how far ahead of a session the scheduler
-	// runs: at timestamp τ AdaInf schedules for [τ+2, τ+7) ms (§3.1).
-	DefaultScheduleLead = 2 * time.Millisecond
 )
 
 // Add returns the instant d after t.

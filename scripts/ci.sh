@@ -20,6 +20,18 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The latency-probe memo has one owner: serving.Run builds one per
+# profile and hands it to every method on JobRequest.Costs. A method
+# or tool building its own would split the memo again.
+echo "== one latency-memo owner =="
+owners=$(grep -rl --include='*.go' --exclude='*_test.go' 'profile\.NewLatencyCache' internal cmd examples |
+    grep -v -e '^internal/serving/' -e '^internal/profile/' || true)
+if [ -n "$owners" ]; then
+    echo "profile.NewLatencyCache called outside internal/serving:" >&2
+    echo "$owners" >&2
+    exit 1
+fi
+
 # The internal packages run under a coverage floor: the threshold is
 # recorded below the 83.7% measured when the gate landed, so honest
 # refactoring has headroom but a suite losing tests fails loudly.
