@@ -55,7 +55,7 @@ func V100() Spec {
 
 // Validate reports an error on a malformed spec.
 func (s Spec) Validate() error {
-	if s.FLOPS <= 0 || s.MemBytes <= 0 || s.Launch < 0 || s.BatchHalf <= 0 {
+	if !(s.FLOPS > 0) || s.MemBytes <= 0 || s.Launch < 0 || !(s.BatchHalf > 0) {
 		return fmt.Errorf("gpu: invalid spec %+v", s)
 	}
 	return nil
@@ -98,34 +98,72 @@ type PartitionConfig struct {
 	Trace *telemetry.Collector
 }
 
-// NewPartition carves fraction ∈ (0, 1] of the device. It panics on an
-// invalid spec or fraction.
+// NewPartition carves fraction ∈ (0, 1] of the device. It panics on a
+// combination ValidatePartition rejects.
 func NewPartition(spec Spec, fraction float64, cfg PartitionConfig) *Partition {
-	if err := spec.Validate(); err != nil {
+	p := new(Partition)
+	if err := p.Reset(spec, fraction, cfg); err != nil {
 		panic(err)
 	}
-	if fraction <= 0 || fraction > 1 {
-		panic(fmt.Sprintf("gpu: partition fraction %g out of (0,1]", fraction))
+	return p
+}
+
+// Reset re-carves the partition as NewPartition(spec, fraction, cfg)
+// would, keeping its memory manager's storage (gpumem.Manager.Reset);
+// a zero Partition is ready for it. On an invalid combination it
+// returns ValidatePartition's error and leaves the partition unchanged.
+func (p *Partition) Reset(spec Spec, fraction float64, cfg PartitionConfig) error {
+	mcfg, err := memConfig(spec, fraction, cfg)
+	if err != nil {
+		return err
+	}
+	if p.mem == nil {
+		p.mem = new(gpumem.Manager)
+	}
+	if err := p.mem.Reset(mcfg); err != nil {
+		return err
+	}
+	p.spec, p.fraction = spec, fraction
+	return nil
+}
+
+// ValidatePartition reports an error for a spec, fraction or config
+// NewPartition rejects: an invalid spec, a fraction or MemShare
+// outside (0, 1] (MemShare 0 takes the default 1), or a memory-manager
+// config gpumem.Config.Validate rejects.
+func ValidatePartition(spec Spec, fraction float64, cfg PartitionConfig) error {
+	_, err := memConfig(spec, fraction, cfg)
+	return err
+}
+
+// memConfig validates a partition and returns its memory manager's
+// config.
+func memConfig(spec Spec, fraction float64, cfg PartitionConfig) (gpumem.Config, error) {
+	if err := spec.Validate(); err != nil {
+		return gpumem.Config{}, err
+	}
+	if !(fraction > 0 && fraction <= 1) {
+		return gpumem.Config{}, fmt.Errorf("gpu: partition fraction %g out of (0,1]", fraction)
 	}
 	share := cfg.MemShare
 	if share == 0 {
 		share = 1
 	}
-	if share < 0 || share > 1 {
-		panic(fmt.Sprintf("gpu: memory share %g out of (0,1]", share))
+	if !(share > 0 && share <= 1) {
+		return gpumem.Config{}, fmt.Errorf("gpu: MemShare %g out of (0,1]", share)
 	}
 	memBytes := int64(float64(spec.MemBytes) * fraction * share)
 	if memBytes < 1<<20 {
 		memBytes = 1 << 20
 	}
-	mem := gpumem.NewManager(gpumem.Config{
+	mcfg := gpumem.Config{
 		GPUBytes: memBytes,
 		PinBytes: cfg.PinBytes,
 		Policy:   cfg.Policy,
 		Audit:    cfg.Audit,
 		Trace:    cfg.Trace,
-	})
-	return &Partition{spec: spec, fraction: fraction, mem: mem}
+	}
+	return mcfg, mcfg.Validate()
 }
 
 // Spec returns the underlying device spec.

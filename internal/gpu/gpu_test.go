@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -45,15 +46,66 @@ func TestEfficiencyMonotone(t *testing.T) {
 }
 
 func TestPartitionValidation(t *testing.T) {
-	for _, f := range []float64{0, -0.5, 1.5} {
+	bad := []struct {
+		spec     Spec
+		fraction float64
+		cfg      PartitionConfig
+	}{
+		{V100(), 0, PartitionConfig{}},
+		{V100(), -0.5, PartitionConfig{}},
+		{V100(), 1.5, PartitionConfig{}},
+		{V100(), math.NaN(), PartitionConfig{}},
+		{V100(), 1, PartitionConfig{MemShare: -0.1}},
+		{V100(), 1, PartitionConfig{MemShare: 1.5}},
+		{V100(), 1, PartitionConfig{MemShare: math.NaN()}},
+		{V100(), 1, PartitionConfig{PinBytes: -1}},
+		{V100(), 1, PartitionConfig{Policy: gpumem.PriorityPolicy{Alpha: 2}}},
+		{Spec{Name: "broken", FLOPS: math.NaN(), MemBytes: 1 << 30, BatchHalf: 1}, 1, PartitionConfig{}},
+	}
+	for _, c := range bad {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("no panic for fraction %v", f)
+					t.Errorf("no panic for fraction %v config %+v", c.fraction, c.cfg)
 				}
 			}()
-			NewPartition(V100(), f, PartitionConfig{})
+			NewPartition(c.spec, c.fraction, c.cfg)
 		}()
+		if err := ValidatePartition(c.spec, c.fraction, c.cfg); err == nil {
+			t.Errorf("ValidatePartition accepted fraction %v config %+v", c.fraction, c.cfg)
+		}
+		p := NewPartition(V100(), 0.5, PartitionConfig{})
+		if err := p.Reset(c.spec, c.fraction, c.cfg); err == nil {
+			t.Errorf("Reset accepted fraction %v config %+v", c.fraction, c.cfg)
+		}
+		if p.Fraction() != 0.5 || p.Mem().Capacity() != V100().MemBytes/2 {
+			t.Errorf("rejected Reset changed the partition")
+		}
+	}
+}
+
+func TestPartitionResetMatchesNew(t *testing.T) {
+	p := NewPartition(V100(), 1, PartitionConfig{MemShare: 0.5})
+	e := NewExecutor(p, Strategy{})
+	if _, err := e.RunInference(0, InferenceTask{App: "a", JobID: 1, Structure: dnn.FullStructure(dnn.MobileNetV2()), Batch: 8, SLOms: 400}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := PartitionConfig{MemShare: 0.04, PinBytes: 1 << 20, Policy: gpumem.PriorityPolicy{Alpha: 0.4}}
+	if err := p.Reset(V100(), 0.25, cfg); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewPartition(V100(), 0.25, cfg)
+	task := InferenceTask{App: "a", JobID: 1, Structure: dnn.FullStructure(dnn.MobileNetV2()), Batch: 16, SLOms: 400}
+	got, err := NewExecutor(p, Strategy{}).RunInference(0, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewExecutor(fresh, Strategy{}).RunInference(0, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || p.Fraction() != fresh.Fraction() || p.Mem().StateDigest() != fresh.Mem().StateDigest() {
+		t.Fatalf("reset partition ran %+v, fresh one %+v", got, want)
 	}
 }
 

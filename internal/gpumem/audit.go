@@ -3,6 +3,8 @@ package gpumem
 import (
 	"fmt"
 	"slices"
+
+	"adainf/internal/simtime"
 )
 
 // CheckInvariants validates the manager's §3.4 memory accounting:
@@ -11,12 +13,10 @@ import (
 //     exceeds the GPU capacity;
 //   - pinUsed equals the byte sum of PIN entries and stays within the
 //     PIN capacity;
-//   - the residents list and the entries map agree (every locGPU
-//     entry is listed exactly once at its recorded index; nothing
-//     else is listed);
-//   - a content whose last allocation was denied by Config.FailAlloc
-//     is not resident (the fault-recovery invariant: denial sticks
-//     until a later acquire succeeds);
+//   - the eviction index and the entries map agree: every locGPU entry
+//     sits at its recorded heap slot of the bucket its kind, last
+//     phase and SLO name, nothing else is indexed, and each bucket's
+//     heap is in the order its reuse class currently calls for;
 //   - when Config.Audit is set, no earlier makeRoom call violated the
 //     eviction order (victims taken highest priority score first,
 //     S_c = (1−α)·R_c + α·L_s under the priority policy, with the
@@ -42,28 +42,36 @@ func (m *Manager) CheckInvariants() error {
 		case locGPU:
 			gpu += e.content.Bytes
 			nResident++
-			if e.resIdx < 0 || e.resIdx >= len(m.residents) || m.residents[e.resIdx] != e {
-				return fmt.Errorf("gpumem: resident entry %v has stale residents index %d", id, e.resIdx)
+			b := e.bkt
+			if b == nil || e.hidx < 0 || e.hidx >= len(b.heap) || b.heap[e.hidx] != e {
+				return fmt.Errorf("gpumem: resident entry %v has stale index slot %d", id, e.hidx)
 			}
-			// Recovery invariant: a denied allocation keeps the content
-			// out of GPU memory until a later acquire succeeds (which
-			// clears the fault mark).
-			if e.faulted {
-				return fmt.Errorf("gpumem: entry %v resident despite unrecovered allocation fault", id)
-			}
-		case locPinned:
-			pin += e.content.Bytes
-			if e.resIdx != -1 {
-				return fmt.Errorf("gpumem: pinned entry %v has residents index %d", id, e.resIdx)
+			if b.key != keyOf(e) {
+				return fmt.Errorf("gpumem: resident entry %v filed under bucket %+v", id, b.key)
 			}
 		default:
-			if e.resIdx != -1 {
-				return fmt.Errorf("gpumem: pageable entry %v has residents index %d", id, e.resIdx)
+			if e.loc == locPinned {
+				pin += e.content.Bytes
+			}
+			if e.bkt != nil || e.hidx != -1 {
+				return fmt.Errorf("gpumem: non-resident entry %v has index slot %d", id, e.hidx)
 			}
 		}
 	}
-	if nResident != len(m.residents) {
-		return fmt.Errorf("gpumem: %d resident entries, residents list has %d", nResident, len(m.residents))
+	nIndexed := 0
+	for _, b := range m.buckets {
+		nIndexed += len(b.heap)
+		if want := m.cfg.Policy.ageOrdered(m.TypeReuseMeanMs(ReuseClass{Kind: b.key.kind, Phase: b.key.phase})); b.byAge != want {
+			return fmt.Errorf("gpumem: bucket %+v age-ordered %v, its class calls for %v", b.key, b.byAge, want)
+		}
+		for i := 1; i < len(b.heap); i++ {
+			if b.less(i, (i-1)/2) {
+				return fmt.Errorf("gpumem: bucket %+v heap order broken at %d", b.key, i)
+			}
+		}
+	}
+	if nResident != nIndexed {
+		return fmt.Errorf("gpumem: %d resident entries, eviction index holds %d", nResident, nIndexed)
 	}
 	if gpu != m.gpuUsed {
 		return fmt.Errorf("gpumem: gpuUsed %d, resident bytes sum to %d", m.gpuUsed, gpu)
@@ -80,12 +88,27 @@ func (m *Manager) CheckInvariants() error {
 	return nil
 }
 
+// auditCandidates scores every resident outside the working set: the
+// candidate set auditSelection sorts in full.
+func (m *Manager) auditCandidates(now simtime.Instant) []scoredEntry {
+	cands := m.scratch[:0]
+	for _, b := range m.buckets {
+		for _, e := range b.heap {
+			if e.stamp != m.stampGen {
+				cands = append(cands, scoredEntry{e: e, score: m.score(e, now)})
+			}
+		}
+	}
+	m.scratch = cands
+	return cands
+}
+
 // auditSelection cross-checks one makeRoom call's victim selection
 // against a full sort: it sorts a copy of the candidates by
-// evictionCmp, audits that order, and requires the victims (held in
-// ascending eviction priority, first victim last) to equal the sorted
-// prefix element for element. The first mismatch is stashed in
-// auditErr for CheckInvariants to surface.
+// evictionCmp, audits that order, and requires the victims (in
+// selection order) to equal the sorted prefix element for element,
+// scores included. The first mismatch is stashed in auditErr for
+// CheckInvariants to surface.
 func (m *Manager) auditSelection(candidates, victims []scoredEntry) {
 	if m.auditErr != nil {
 		return
@@ -97,9 +120,9 @@ func (m *Manager) auditSelection(candidates, victims []scoredEntry) {
 	if m.auditErr != nil {
 		return
 	}
-	for i := range victims {
-		got, want := victims[len(victims)-1-i], sorted[i]
-		if got.e != want.e {
+	for i, got := range victims {
+		want := sorted[i]
+		if got.e != want.e || got.score != want.score {
 			m.auditErr = fmt.Errorf(
 				"gpumem: eviction selection took %v (score %g, seq %d) as victim %d, sorted order has %v (score %g, seq %d)",
 				got.e.content.ID, got.score, got.e.seq, i, want.e.content.ID, want.score, want.e.seq)

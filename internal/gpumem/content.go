@@ -13,8 +13,9 @@
 // Concurrency: the package holds no package-level mutable state, and a
 // Manager (like the Partition wrapping it) is single-goroutine — it is
 // neither locked nor atomic. Concurrent use is by ownership: the
-// parallel profiler (internal/profile) gives every work unit its own
-// partitions and managers, and only immutable inputs are shared.
+// parallel profiler (internal/profile) gives each worker goroutine one
+// partition and manager, reset for every measured cell, and only
+// immutable inputs are shared.
 package gpumem
 
 import (
@@ -116,6 +117,10 @@ func (c ReuseClass) String() string {
 	return c.Kind.String() + "/" + c.Phase.String()
 }
 
+func (c ReuseClass) valid() bool {
+	return c.Kind <= KindIntermediate && c.Phase <= PhaseRetraining
+}
+
 // CrossKind classifies a reuse observation that crosses a task or job
 // boundary (Figs. 12b and 13).
 type CrossKind uint8
@@ -169,14 +174,11 @@ type entry struct {
 	hasAccess bool
 	// seq orders entries for deterministic tie-breaking.
 	seq uint64
-	// resIdx is the entry's position in the manager's residents list
-	// while loc == locGPU, -1 otherwise.
-	resIdx int
+	// bkt and hidx place the entry in the eviction index while
+	// loc == locGPU (nil and -1 otherwise).
+	bkt  *bucket
+	hidx int
 	// stamp marks membership in the current Acquire call's working set
 	// (compared against the manager's stamp generation).
 	stamp uint64
-	// faulted marks that the entry's last allocation attempt was denied
-	// by Config.FailAlloc; it must stay non-resident until a later
-	// acquire succeeds (the recovery invariant CheckInvariants guards).
-	faulted bool
 }

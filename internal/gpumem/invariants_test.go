@@ -2,7 +2,10 @@ package gpumem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -95,87 +98,265 @@ func TestRandomOperationInvariants(t *testing.T) {
 	}
 }
 
-// TestAuditedSelectionMatchesUnaudited drives identical random acquire
-// and release sequences through an audited and an unaudited manager
-// under both policies, with capacities large enough that 50–200
-// residents compete for eviction and many scores tie (shared SLOs,
-// shared access instants). The audit cross-checks every call's heap
-// selection against a full sort; the two managers must also agree on
-// state and statistics after every step, since auditing is read-only.
-func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
+// lockstep applies one random stream of acquires, releases, clock
+// steps and seeded reuse means to several managers alike. Capacities
+// in the tests below let 50–200 residents compete for eviction, and
+// many scores tie (shared SLOs, shared access instants).
+type lockstep struct {
+	rng  *rand.Rand
+	now  simtime.Instant
+	live []ContentID
+	slos []float64
+	// step returns the clock change before operation i.
+	step func(rng *rand.Rand, i int) time.Duration
+	// seed, when non-nil, may seed reuse means before operation i.
+	seed func(m *Manager, i int)
+	i    int
+}
+
+// next applies one operation to every manager and fails the test if
+// their communication charges differ.
+func (d *lockstep) next(t *testing.T, ms ...*Manager) {
+	t.Helper()
+	d.now = d.now.Add(d.step(d.rng, d.i))
+	if d.seed != nil {
+		for _, m := range ms {
+			d.seed(m, d.i)
+		}
+	}
+	d.i++
+	if len(d.live) > 0 && d.rng.Intn(8) == 0 {
+		i := d.rng.Intn(len(d.live))
+		for _, m := range ms {
+			m.Release(d.live[i])
+		}
+		d.live[i] = d.live[len(d.live)-1]
+		d.live = d.live[:len(d.live)-1]
+		return
+	}
 	const kb = mb / 1024
+	accs := make([]Access, 1+d.rng.Intn(3))
+	for j := range accs {
+		kind := Kind(d.rng.Intn(2))
+		id := ContentID{App: "app", Model: []string{"a", "b", "c"}[d.rng.Intn(3)], Layer: d.rng.Intn(20), Kind: kind}
+		if kind == KindIntermediate {
+			id.Seq = uint64(d.rng.Intn(12))
+		}
+		accs[j] = Access{
+			Content: Content{
+				ID:            id,
+				Bytes:         int64(1+d.rng.Intn(8)) * 64 * kb,
+				SLOms:         d.slos[d.rng.Intn(len(d.slos))],
+				ProducedOnGPU: kind == KindIntermediate,
+			},
+			Phase: Phase(d.rng.Intn(2)),
+			Model: id.Model,
+			JobID: uint64(d.i / 50),
+		}
+		d.live = append(d.live, id)
+	}
+	var first simtime.Duration
+	for k, m := range ms {
+		c, err := m.Acquire(d.now, accs)
+		if err != nil {
+			t.Fatalf("op %d: %v", d.i, err)
+		}
+		if k == 0 {
+			first = c
+		} else if c != first {
+			t.Fatalf("op %d: manager %d charged %v, manager 0 %v", d.i, k, c, first)
+		}
+	}
+}
+
+// resident counts the entries in the eviction index.
+func resident(m *Manager) int {
+	n := 0
+	for _, b := range m.buckets {
+		n += len(b.heap)
+	}
+	return n
+}
+
+// lruTies counts pairs of residents with distinct last accesses whose
+// LRU scores at now are equal (adjacent in access order).
+func lruTies(m *Manager, now simtime.Instant) int {
+	var es []*entry
+	for _, b := range m.buckets {
+		es = append(es, b.heap...)
+	}
+	slices.SortFunc(es, func(a, b *entry) int { return int(a.lastAccess - b.lastAccess) })
+	n := 0
+	for i := 1; i < len(es); i++ {
+		a, b := es[i-1], es[i]
+		if a.lastAccess != b.lastAccess && (LRUPolicy{}).Score(a, now, -1) == (LRUPolicy{}).Score(b, now, -1) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAuditedSelectionMatchesUnaudited drives identical random streams
+// through an audited and an unaudited manager. The audit checks every
+// makeRoom call's index selection against a full sort of all
+// candidates; the two managers must also agree on state and
+// statistics after every step, since auditing is read-only. The rows
+// cover each order the index keeps a bucket in and each way a score
+// can tie or a class can change order.
+func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
+	hundredMicros := func(lo, hi int) func(*rand.Rand, int) time.Duration {
+		return func(rng *rand.Rand, _ int) time.Duration {
+			return time.Duration(lo+rng.Intn(hi-lo+1)) * 100 * time.Microsecond
+		}
+	}
+	slos := []float64{400, 500, 600}
+	rows := []struct {
+		name   string
+		policy Policy
+		slos   []float64
+		step   func(*rand.Rand, int) time.Duration
+		seed   func(m *Manager, i int)
+		// wantTies requires distinct access times to tie on the LRU
+		// score while the row runs.
+		wantTies bool
+	}{
+		{name: "lru", policy: LRUPolicy{}, slos: slos, step: hundredMicros(0, 2)},
+		{name: "alpha0", policy: PriorityPolicy{Alpha: 0}, slos: slos, step: hundredMicros(0, 2)},
+		{name: "alpha0.4", policy: PriorityPolicy{Alpha: 0.4}, slos: slos, step: hundredMicros(0, 2)},
+		{name: "alpha1", policy: PriorityPolicy{Alpha: 1}, slos: slos, step: hundredMicros(0, 2)},
+		{name: "sub-ulp-slos", policy: PriorityPolicy{Alpha: 0.4},
+			slos: []float64{400, math.Nextafter(400, 500)}, step: hundredMicros(0, 2)},
+		{name: "clock-backwards/lru", policy: LRUPolicy{}, slos: slos, step: hundredMicros(-2, 3)},
+		{name: "clock-backwards/alpha0.4", policy: PriorityPolicy{Alpha: 0.4}, slos: slos, step: hundredMicros(-2, 3)},
+		{name: "negative-seeded-mean", policy: PriorityPolicy{Alpha: 0.4}, slos: slos, step: hundredMicros(0, 2),
+			// Every 100 operations one class's mean turns negative (the
+			// fallback order) and then back, in turn.
+			seed: func(m *Manager, i int) {
+				if i%100 != 0 {
+					return
+				}
+				class := ReuseClass{Kind: Kind(i / 100 % 2), Phase: Phase(i / 200 % 2)}
+				mean := -1e6
+				if i/100%4 >= 2 {
+					mean = 1e6
+				}
+				if err := m.SeedTypeReuse(class, mean, 1); err != nil {
+					panic(err)
+				}
+			}},
+		{name: "lru-score-ties-at-1e16ns", policy: LRUPolicy{}, slos: slos, wantTies: true,
+			// Nanosecond steps, with a 1e16 ns jump every 100
+			// operations: the gaps then reach the range where
+			// Duration.Seconds maps neighbouring instants to one value.
+			step: func(rng *rand.Rand, i int) time.Duration {
+				if i%100 == 99 {
+					return 1e16
+				}
+				return time.Duration(rng.Intn(3))
+			}},
+	}
 	seeds := []int64{11, 12}
 	if testing.Short() {
-		seeds = seeds[:1] // the per-step digests dominate; halve them under -short
+		seeds = seeds[:1]
 	}
-	for _, pol := range []Policy{LRUPolicy{}, PriorityPolicy{Alpha: 0.4}} {
+	for _, row := range rows {
 		for _, seed := range seeds {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := Config{
 				GPUBytes: int64(24+rng.Intn(24)) * mb,
 				PinBytes: int64(rng.Intn(8)) * mb,
-				Policy:   pol,
+				Policy:   row.policy,
 			}
 			plain := NewManager(cfg)
 			cfg.Audit = true
 			audited := NewManager(cfg)
-			now := simtime.Instant(0)
-			var live []ContentID
-			maxResidents := 0
+			d := &lockstep{rng: rng, slos: row.slos, step: row.step, seed: row.seed}
+			maxResidents, ties := 0, 0
 			for step := 0; step < 1500; step++ {
-				now = now.Add(time.Duration(rng.Intn(3)) * 100 * time.Microsecond)
-				if len(live) > 0 && rng.Intn(8) == 0 {
-					i := rng.Intn(len(live))
-					plain.Release(live[i])
-					audited.Release(live[i])
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-				} else {
-					accs := make([]Access, 1+rng.Intn(3))
-					for j := range accs {
-						kind := Kind(rng.Intn(2))
-						id := ContentID{App: "app", Model: []string{"a", "b", "c"}[rng.Intn(3)], Layer: rng.Intn(20), Kind: kind}
-						if kind == KindIntermediate {
-							id.Seq = uint64(rng.Intn(12))
-						}
-						accs[j] = Access{
-							Content: Content{
-								ID:            id,
-								Bytes:         int64(1+rng.Intn(8)) * 64 * kb,
-								SLOms:         float64(400 + 100*rng.Intn(3)),
-								ProducedOnGPU: kind == KindIntermediate,
-							},
-							Phase: Phase(rng.Intn(2)),
-							Model: id.Model,
-							JobID: uint64(step / 50),
-						}
-						live = append(live, id)
-					}
-					dp, errP := plain.Acquire(now, accs)
-					da, errA := audited.Acquire(now, accs)
-					if errP != nil || errA != nil {
-						t.Fatalf("%s seed %d step %d: %v / %v", pol.Name(), seed, step, errP, errA)
-					}
-					if dp != da {
-						t.Fatalf("%s seed %d step %d: comm %v unaudited, %v audited", pol.Name(), seed, step, dp, da)
-					}
+				if row.wantTies {
+					ties += lruTies(audited, d.now.Add(row.step(rand.New(rand.NewSource(0)), d.i)))
 				}
-				if plain.StateDigest() != audited.StateDigest() || plain.Stats() != audited.Stats() {
+				d.next(t, plain, audited)
+				// Digests are the slow part: every tenth step suffices,
+				// since a divergence in state persists.
+				if (step%10 == 9 && plain.StateDigest() != audited.StateDigest()) || plain.Stats() != audited.Stats() {
 					t.Fatalf("%s seed %d step %d: audited manager diverged: %+v vs %+v",
-						pol.Name(), seed, step, plain.Stats(), audited.Stats())
+						row.name, seed, step, plain.Stats(), audited.Stats())
 				}
 				if err := audited.CheckInvariants(); err != nil {
-					t.Fatalf("%s seed %d step %d: %v", pol.Name(), seed, step, err)
+					t.Fatalf("%s seed %d step %d: %v", row.name, seed, step, err)
 				}
 				if err := plain.CheckInvariants(); err != nil {
-					t.Fatalf("%s seed %d step %d: unaudited: %v", pol.Name(), seed, step, err)
+					t.Fatalf("%s seed %d step %d: unaudited: %v", row.name, seed, step, err)
 				}
-				maxResidents = max(maxResidents, len(audited.residents))
+				maxResidents = max(maxResidents, resident(audited))
 			}
 			if st := audited.Stats(); st.Evictions == 0 || maxResidents < 50 {
 				t.Fatalf("%s seed %d: vacuous run: %d evictions, at most %d residents",
-					pol.Name(), seed, st.Evictions, maxResidents)
+					row.name, seed, st.Evictions, maxResidents)
 			}
+			if row.wantTies && ties == 0 {
+				t.Fatalf("%s seed %d: no LRU score ties between distinct access times", row.name, seed)
+			}
+		}
+	}
+}
+
+// TestResetMatchesNewManager checks that a reset manager is a new one:
+// after a random history under another config, Reset(cfg) followed by
+// a random stream must track NewManager(cfg) on the same stream in
+// state digest, statistics, reuse CDFs and index consistency.
+func TestResetMatchesNewManager(t *testing.T) {
+	policies := []Policy{LRUPolicy{}, PriorityPolicy{Alpha: 0.4}, PriorityPolicy{Alpha: 1}}
+	randomConfig := func(rng *rand.Rand) Config {
+		return Config{
+			GPUBytes: int64(16+rng.Intn(32)) * mb,
+			PinBytes: int64(rng.Intn(8)) * mb,
+			Policy:   policies[rng.Intn(len(policies))],
+			Audit:    rng.Intn(2) == 0,
+		}
+	}
+	step := func(rng *rand.Rand, _ int) time.Duration {
+		return time.Duration(rng.Intn(3)) * 100 * time.Microsecond
+	}
+	slos := []float64{400, 500}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		used := NewManager(randomConfig(rng))
+		history := &lockstep{rng: rng, slos: slos, step: step}
+		for i := 0; i < 400+rng.Intn(400); i++ {
+			history.next(t, used)
+		}
+		cfg := randomConfig(rng)
+		if err := used.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewManager(cfg)
+		d := &lockstep{rng: rng, slos: slos, step: step}
+		for i := 0; i < 800; i++ {
+			d.next(t, fresh, used)
+			if (i%10 == 9 && fresh.StateDigest() != used.StateDigest()) || fresh.Stats() != used.Stats() {
+				t.Fatalf("seed %d op %d: reset manager diverged: %+v vs %+v", seed, i, used.Stats(), fresh.Stats())
+			}
+			if err := used.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, i, err)
+			}
+		}
+		for _, k := range []Kind{KindParam, KindIntermediate} {
+			for _, p := range []Phase{PhaseInference, PhaseRetraining} {
+				c := ReuseClass{Kind: k, Phase: p}
+				if !reflect.DeepEqual(fresh.ReuseCDF(c), used.ReuseCDF(c)) || fresh.TypeReuseMeanMs(c) != used.TypeReuseMeanMs(c) {
+					t.Fatalf("seed %d: %v reuse samples differ after Reset", seed, c)
+				}
+			}
+		}
+		for _, ck := range []CrossKind{CrossTaskIntermediate, CrossTaskParam, CrossJobParam} {
+			if !reflect.DeepEqual(fresh.CrossCDF(ck), used.CrossCDF(ck)) {
+				t.Fatalf("seed %d: %v samples differ after Reset", seed, ck)
+			}
+		}
+		if fresh.Stats().Evictions == 0 {
+			t.Fatalf("seed %d: vacuous run: no evictions", seed)
 		}
 	}
 }
@@ -214,10 +395,24 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"gpuUsed drift", func(m *Manager) { m.gpuUsed++ }, ""},
 		{"pinUsed drift", func(m *Manager) { m.pinUsed = mb }, ""},
 		{"stale residents index", func(m *Manager) {
-			m.residents[0].resIdx = len(m.residents) - 1
-			m.residents[len(m.residents)-1].resIdx = 0
-		}, ""},
-		{"residents list truncated", func(m *Manager) { m.residents = m.residents[:len(m.residents)-1] }, ""},
+			h := m.buckets[0].heap
+			h[0].hidx, h[len(h)-1].hidx = len(h)-1, 0
+		}, "stale index slot"},
+		{"residents list truncated", func(m *Manager) {
+			b := m.buckets[0]
+			b.heap = b.heap[:len(b.heap)-1]
+		}, "stale index slot"},
+		{"bucket heap order broken", func(m *Manager) {
+			// LRU keeps the bucket age-ordered: put the newest first.
+			b := m.buckets[0]
+			b.swap(0, len(b.heap)-1)
+		}, "heap order"},
+		{"bucket order stale after class change", func(m *Manager) {
+			m.buckets[0].byAge = false
+		}, "age-ordered"},
+		{"entry filed under the wrong bucket", func(m *Manager) {
+			m.buckets[0].heap[0].content.SLOms++
+		}, "filed under"},
 		{"capacity overrun", func(m *Manager) {
 			m.cfg.GPUBytes = m.gpuUsed - 1
 		}, ""},
@@ -226,15 +421,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}, ""},
 		{"victim list differs from sorted prefix", func(m *Manager) {
 			m.stampGen++ // a fresh call: no resident is in the working set
+			h := m.buckets[0].heap
 			cands := []scoredEntry{
-				{e: m.residents[0], score: 3},
-				{e: m.residents[1], score: 2},
-				{e: m.residents[2], score: 1},
+				{e: h[0], score: 3},
+				{e: h[1], score: 2},
+				{e: h[2], score: 1},
 			}
 			// The sort takes score 3 then score 2; hand the audit the
-			// right count with the second victim swapped for score 1,
-			// first victim last as makeRoom holds them.
-			m.auditSelection(cands, []scoredEntry{cands[2], cands[0]})
+			// right count with the second victim swapped for score 1.
+			m.auditSelection(cands, []scoredEntry{cands[0], cands[2]})
 		}, "eviction selection"},
 	}
 	for _, c := range corruptions {

@@ -2,7 +2,6 @@ package gpumem
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"time"
@@ -43,14 +42,6 @@ type Config struct {
 	// (victim identity, policy score, PIN placement). Read-only
 	// observability: tracing never changes behaviour.
 	Trace *telemetry.Collector
-	// FailAlloc, when non-nil, is consulted before each allocation that
-	// would make a content resident: returning true injects a transient
-	// allocation failure — no eviction runs, the access streams from
-	// CPU memory instead (the same graceful out-of-core path an
-	// over-capacity working set takes), and the content stays
-	// non-resident until a later acquire succeeds. Deterministic fault
-	// injectors plug in here; nil never fails.
-	FailAlloc func(id ContentID) bool
 }
 
 func (c *Config) fillDefaults() {
@@ -66,6 +57,22 @@ func (c *Config) fillDefaults() {
 	if c.Policy == nil {
 		c.Policy = LRUPolicy{}
 	}
+}
+
+// Validate reports an error for a config NewManager rejects: a
+// non-positive GPU capacity, a negative PIN capacity, or a policy
+// parameter out of range.
+func (c Config) Validate() error {
+	if c.GPUBytes <= 0 {
+		return fmt.Errorf("gpumem: GPUBytes %d must be positive", c.GPUBytes)
+	}
+	if c.PinBytes < 0 {
+		return fmt.Errorf("gpumem: PinBytes %d must not be negative", c.PinBytes)
+	}
+	if c.Policy != nil {
+		return c.Policy.validate()
+	}
+	return nil
 }
 
 // Stats aggregates the manager's communication and cache behaviour.
@@ -86,10 +93,6 @@ type Stats struct {
 	// unified-memory out-of-core DNN execution.
 	StreamedBytes int64
 	StreamedTime  simtime.Duration
-	// AllocFaults counts allocations denied by Config.FailAlloc; each
-	// denial degraded to a streamed access. Always zero without an
-	// installed failure hook.
-	AllocFaults uint64
 }
 
 // CommTime returns total CPU–GPU communication time, including
@@ -118,25 +121,35 @@ type Manager struct {
 	stats   Stats
 	seq     uint64
 
-	// residents lists exactly the entries with loc == locGPU, so
-	// makeRoom scans eviction candidates without walking the whole
-	// entries map. Order is arbitrary (swap-removal, map-order
-	// releases); determinism comes from evictionCmp, a strict total
-	// order via seq, so the victims never depend on this order.
-	residents []*entry
+	// buckets is the eviction index over exactly the entries with
+	// loc == locGPU (see index.go); byAge is each reuse class's
+	// current bucket order.
+	buckets []*bucket
+	byAge   [2][2]bool
 	// stampGen marks the current Acquire call; entries whose stamp
-	// matches are in the working set and exempt from eviction.
+	// matches are in the working set and exempt from eviction. ws
+	// lists them, so makeRoom can total their resident bytes.
 	stampGen uint64
-	// scratch is makeRoom's reusable candidate buffer; auditScratch
-	// holds the audit's reference sort of it.
+	ws       []*entry
+
+	reuse [2][2][]float64
+	cross [3][]float64
+	// Running per-type reuse means feed the priority policy's R_c.
+	typeSum [2][2]float64
+	typeN   [2][2]int
+
+	// Storage recycled across calls and across Reset: released
+	// entries, emptied buckets, and makeRoom's buffers (victims,
+	// set-aside working-set heads, the tie-run stack, and the audit's
+	// candidates and reference sort).
+	free         []*entry
+	spareBuckets []*bucket
+	victims      []scoredEntry
+	aside        []*entry
+	stack        []int
 	scratch      []scoredEntry
 	auditScratch []scoredEntry
-
-	reuse map[ReuseClass][]float64
-	cross map[CrossKind][]float64
-	// Running per-type reuse means feed the priority policy's R_c.
-	typeSum map[ReuseClass]float64
-	typeN   map[ReuseClass]int
+	digestOrder  []*entry
 
 	// auditErr holds the first eviction-order violation found under
 	// Config.Audit (see CheckInvariants).
@@ -148,38 +161,54 @@ type scoredEntry struct {
 	score float64
 }
 
-func (m *Manager) residentAdd(e *entry) {
-	e.resIdx = len(m.residents)
-	m.residents = append(m.residents, e)
-}
-
-func (m *Manager) residentRemove(e *entry) {
-	last := len(m.residents) - 1
-	m.residents[e.resIdx] = m.residents[last]
-	m.residents[e.resIdx].resIdx = e.resIdx
-	m.residents[last] = nil
-	m.residents = m.residents[:last]
-	e.resIdx = -1
-}
-
-// NewManager returns a manager over the config. It panics on a
-// non-positive GPU capacity or negative PIN capacity.
+// NewManager returns a manager over the config. It panics on a config
+// Config.Validate rejects.
 func NewManager(cfg Config) *Manager {
+	m := new(Manager)
+	if err := m.Reset(cfg); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// Reset returns the manager to the state NewManager(cfg) builds while
+// keeping its storage, so one manager can serve many measurements. On
+// an invalid config it returns Config.Validate's error and leaves the
+// manager unchanged.
+func (m *Manager) Reset(cfg Config) error {
 	cfg.fillDefaults()
-	if cfg.GPUBytes <= 0 {
-		panic(fmt.Sprintf("gpumem: GPU capacity %d must be positive", cfg.GPUBytes))
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if cfg.PinBytes < 0 {
-		panic(fmt.Sprintf("gpumem: negative PIN capacity %d", cfg.PinBytes))
+	if m.entries == nil {
+		m.entries = make(map[ContentID]*entry)
 	}
-	return &Manager{
-		cfg:     cfg,
-		entries: make(map[ContentID]*entry),
-		reuse:   make(map[ReuseClass][]float64),
-		cross:   make(map[CrossKind][]float64),
-		typeSum: make(map[ReuseClass]float64),
-		typeN:   make(map[ReuseClass]int),
+	for _, e := range m.entries {
+		m.free = append(m.free, e)
 	}
+	clear(m.entries)
+	for _, b := range m.buckets {
+		clear(b.heap)
+		b.heap, b.head = b.heap[:0], nil
+		m.spareBuckets = append(m.spareBuckets, b)
+	}
+	m.buckets = m.buckets[:0]
+	for k := range m.reuse {
+		for p := range m.reuse[k] {
+			m.reuse[k][p] = m.reuse[k][p][:0]
+			m.byAge[k][p] = cfg.Policy.ageOrdered(-1)
+		}
+	}
+	for c := range m.cross {
+		m.cross[c] = m.cross[c][:0]
+	}
+	m.cfg = cfg
+	m.gpuUsed, m.pinUsed, m.seq, m.stampGen = 0, 0, 0, 0
+	m.stats = Stats{}
+	m.typeSum, m.typeN = [2][2]float64{}, [2][2]int{}
+	m.ws = m.ws[:0]
+	m.auditErr = nil
+	return nil
 }
 
 // Capacity returns the GPU memory capacity in bytes.
@@ -204,33 +233,49 @@ func (m *Manager) Resident(id ContentID) bool {
 }
 
 // SeedTypeReuse installs an offline-profiled mean reuse latency (ms)
-// for a reuse class, as AdaInf does before serving starts (§3.4.2).
-func (m *Manager) SeedTypeReuse(class ReuseClass, meanMs float64, weight int) {
+// for a reuse class, as AdaInf does before serving starts (§3.4.2). A
+// non-positive weight counts as 1. It rejects an unknown class and a
+// non-finite mean.
+func (m *Manager) SeedTypeReuse(class ReuseClass, meanMs float64, weight int) error {
+	if !class.valid() {
+		return fmt.Errorf("gpumem: unknown reuse class %v", class)
+	}
+	if math.IsNaN(meanMs) || math.IsInf(meanMs, 0) {
+		return fmt.Errorf("gpumem: reuse mean %g for %v is not finite", meanMs, class)
+	}
 	if weight <= 0 {
 		weight = 1
 	}
-	m.typeSum[class] += meanMs * float64(weight)
-	m.typeN[class] += weight
+	m.typeSum[class.Kind][class.Phase] += meanMs * float64(weight)
+	m.typeN[class.Kind][class.Phase] += weight
+	m.refreshClass(class.Kind, class.Phase)
+	return nil
 }
 
 // TypeReuseMeanMs returns the manager's current mean reuse latency (ms)
 // of the class, or -1 if no observation exists yet.
 func (m *Manager) TypeReuseMeanMs(class ReuseClass) float64 {
-	if m.typeN[class] == 0 {
+	if !class.valid() || m.typeN[class.Kind][class.Phase] == 0 {
 		return -1
 	}
-	return m.typeSum[class] / float64(m.typeN[class])
+	return m.typeSum[class.Kind][class.Phase] / float64(m.typeN[class.Kind][class.Phase])
 }
 
 // ReuseCDF returns the empirical CDF (milliseconds) of reuse times
 // observed for the class (Fig. 12a).
 func (m *Manager) ReuseCDF(class ReuseClass) *mathx.CDF {
-	return mathx.NewCDF(m.reuse[class])
+	if !class.valid() {
+		return mathx.NewCDF(nil)
+	}
+	return mathx.NewCDF(m.reuse[class.Kind][class.Phase])
 }
 
 // CrossCDF returns the empirical CDF (milliseconds) of cross-task or
 // cross-job reuse times (Figs. 12b, 13).
 func (m *Manager) CrossCDF(kind CrossKind) *mathx.CDF {
+	if int(kind) >= len(m.cross) {
+		return mathx.NewCDF(nil)
+	}
 	return mathx.NewCDF(m.cross[kind])
 }
 
@@ -243,31 +288,55 @@ func (m *Manager) CrossCDF(kind CrossKind) *mathx.CDF {
 // latency back up at large batch sizes (Fig. 8). It returns the total
 // communication time of the call.
 func (m *Manager) Acquire(now simtime.Instant, accs []Access) (simtime.Duration, error) {
-	// Stamp the working set instead of building a per-call lookup map.
-	// Entries created mid-call are stamped at creation (acquireOne).
-	m.stampGen++
 	for _, a := range accs {
 		if a.Content.Bytes <= 0 {
 			return 0, fmt.Errorf("gpumem: content %v has size %d", a.Content.ID, a.Content.Bytes)
 		}
-		if e, ok := m.entries[a.Content.ID]; ok {
+		if math.IsNaN(a.Content.SLOms) || math.IsInf(a.Content.SLOms, 0) {
+			return 0, fmt.Errorf("gpumem: content %v has SLO %g ms", a.Content.ID, a.Content.SLOms)
+		}
+		if !(ReuseClass{Kind: a.Content.ID.Kind, Phase: a.Phase}).valid() {
+			return 0, fmt.Errorf("gpumem: content %v accessed as %v/%v", a.Content.ID, a.Content.ID.Kind, a.Phase)
+		}
+	}
+	// Stamp the working set instead of building a per-call lookup map.
+	// Entries created mid-call are stamped at creation (acquireOne).
+	m.stampGen++
+	m.ws = m.ws[:0]
+	for _, a := range accs {
+		if e, ok := m.entries[a.Content.ID]; ok && e.stamp != m.stampGen {
 			e.stamp = m.stampGen
+			m.ws = append(m.ws, e)
 		}
 	}
 	var comm simtime.Duration
-	for _, a := range accs {
-		comm += m.acquireOne(now, a)
+	for i := range accs {
+		comm += m.acquireOne(now, &accs[i])
 	}
 	return comm, nil
 }
 
-func (m *Manager) acquireOne(now simtime.Instant, a Access) simtime.Duration {
-	id := a.Content.ID
-	e, ok := m.entries[id]
+// newEntry returns a fresh non-resident entry for the content, reusing
+// a released one when there is any.
+func (m *Manager) newEntry(c Content) *entry {
+	var e *entry
+	if n := len(m.free); n > 0 {
+		e = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		e = new(entry)
+	}
+	*e = entry{content: c, loc: locPageable, seq: m.seq, hidx: -1, stamp: m.stampGen}
+	m.seq++
+	m.entries[c.ID] = e
+	m.ws = append(m.ws, e)
+	return e
+}
+
+func (m *Manager) acquireOne(now simtime.Instant, a *Access) simtime.Duration {
+	e, ok := m.entries[a.Content.ID]
 	if !ok {
-		e = &entry{content: a.Content, loc: locPageable, seq: m.seq, resIdx: -1, stamp: m.stampGen}
-		m.seq++
-		m.entries[id] = e
+		e = m.newEntry(a.Content)
 	} else if e.content.Bytes != a.Content.Bytes {
 		// The content was re-materialized at a different size (e.g. an
 		// intermediate re-produced for a different batch). Retire the
@@ -275,7 +344,7 @@ func (m *Manager) acquireOne(now simtime.Instant, a Access) simtime.Duration {
 		switch e.loc {
 		case locGPU:
 			m.gpuUsed -= e.content.Bytes
-			m.residentRemove(e)
+			e.bkt.remove(e.hidx)
 		case locPinned:
 			m.pinUsed -= e.content.Bytes
 		}
@@ -284,25 +353,12 @@ func (m *Manager) acquireOne(now simtime.Instant, a Access) simtime.Duration {
 	}
 
 	var comm simtime.Duration
-	switch {
-	case e.loc == locGPU:
+	if e.loc == locGPU {
 		m.stats.Hits++
-	default:
+	} else {
 		m.stats.Misses++
-		// A transient allocation failure denies residency before any
-		// eviction runs; the access degrades to the streaming path below
-		// and the content stays non-resident until a later acquire
-		// succeeds.
-		var fits bool
-		if m.cfg.FailAlloc != nil && m.cfg.FailAlloc(id) {
-			m.stats.AllocFaults++
-			e.faulted = true
-		} else {
-			// Make room first.
-			var d simtime.Duration
-			d, fits = m.makeRoom(now, a.Content.Bytes)
-			comm += d
-		}
+		d, fits := m.makeRoom(now, a.Content.Bytes)
+		comm += d
 		if !fits {
 			// Out-of-core: stream the content through GPU memory for
 			// this access only. Born-on-GPU contents stream out, CPU
@@ -313,12 +369,7 @@ func (m *Manager) acquireOne(now simtime.Instant, a Access) simtime.Duration {
 			m.stats.StreamedBytes += a.Content.Bytes
 			e.everLoaded = true
 			m.recordReuse(now, e, a)
-			e.lastAccess = now
-			e.lastPhase = a.Phase
-			e.lastModel = a.Model
-			e.lastJob = a.JobID
-			e.hasAccess = true
-			e.content.SLOms = a.Content.SLOms
+			m.touch(now, e, a)
 			return comm
 		}
 		// Charge the host-to-device transfer. Contents produced by GPU
@@ -343,13 +394,22 @@ func (m *Manager) acquireOne(now simtime.Instant, a Access) simtime.Duration {
 			}
 		}
 		e.loc = locGPU
-		e.faulted = false // a successful allocation recovers the entry
 		m.gpuUsed += a.Content.Bytes
-		m.residentAdd(e)
 	}
 	e.everLoaded = true
-
 	m.recordReuse(now, e, a)
+	m.touch(now, e, a)
+	return comm
+}
+
+// touch records the access on the entry and, for a resident entry,
+// puts it back in index order: an entry whose bucket key changed moves
+// bucket, one in an age-ordered bucket moves within it, and one in a
+// seq-ordered bucket stays put.
+func (m *Manager) touch(now simtime.Instant, e *entry, a *Access) {
+	if e.hidx >= 0 && (e.lastPhase != a.Phase || e.content.SLOms != a.Content.SLOms) {
+		e.bkt.remove(e.hidx)
+	}
 	e.lastAccess = now
 	e.lastPhase = a.Phase
 	e.lastModel = a.Model
@@ -357,12 +417,18 @@ func (m *Manager) acquireOne(now simtime.Instant, a Access) simtime.Duration {
 	e.hasAccess = true
 	// Refresh mutable attributes (e.g. SLO changes across jobs).
 	e.content.SLOms = a.Content.SLOms
-	return comm
+	switch {
+	case e.loc != locGPU:
+	case e.hidx < 0:
+		m.index(e)
+	case e.bkt.byAge:
+		e.bkt.fix(e.hidx)
+	}
 }
 
 // recordReuse classifies and stores the reuse gap since the entry's
 // previous access.
-func (m *Manager) recordReuse(now simtime.Instant, e *entry, a Access) {
+func (m *Manager) recordReuse(now simtime.Instant, e *entry, a *Access) {
 	if !e.hasAccess {
 		return
 	}
@@ -370,12 +436,13 @@ func (m *Manager) recordReuse(now simtime.Instant, e *entry, a Access) {
 	if gapMs < 0 {
 		return
 	}
-	class := ReuseClass{Kind: e.content.ID.Kind, Phase: a.Phase}
-	m.reuse[class] = append(m.reuse[class], gapMs)
-	m.typeSum[class] += gapMs
-	m.typeN[class]++
+	k, p := e.content.ID.Kind, a.Phase
+	m.reuse[k][p] = append(m.reuse[k][p], gapMs)
+	m.typeSum[k][p] += gapMs
+	m.typeN[k][p]++
+	m.refreshClass(k, p)
 
-	switch e.content.ID.Kind {
+	switch k {
 	case KindParam:
 		if e.lastPhase == PhaseRetraining && a.Phase == PhaseInference && e.lastModel == a.Model {
 			m.cross[CrossTaskParam] = append(m.cross[CrossTaskParam], gapMs)
@@ -392,73 +459,64 @@ func (m *Manager) recordReuse(now simtime.Instant, e *entry, a Access) {
 
 // makeRoom evicts resident contents (outside the working set) until
 // bytes fit, charging device-to-host time. Victims are chosen by the
-// policy, highest score first; within one round, the lowest-scoring
-// victims are placed in PIN memory while it has room (§3.4.2). The
-// second return value is false when even evicting every candidate
-// cannot make the bytes fit (nothing is evicted in that case — the
-// caller streams instead).
+// policy, highest score first with seq breaking ties (evictionCmp);
+// within one call, the lowest-scoring victims are placed in PIN memory
+// while it has room (§3.4.2). The second return value is false when
+// even evicting every candidate cannot make the bytes fit (nothing is
+// evicted in that case — the caller streams instead).
 //
-// Victims are the prefix of the candidates sorted by evictionCmp, but
-// no sort runs: the scoring pass tracks the first victim, and only when
-// it alone does not make room are the rest popped off a max-heap. A
-// call takes ~2 victims out of 100+ candidates under /M1 profiling.
+// Each victim is the best of the eviction index's bucket heads (see
+// index.go), so a call scores one entry per bucket plus the entries
+// it takes, never the whole resident set.
 func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, bool) {
 	if m.gpuUsed+bytes <= m.cfg.GPUBytes {
 		return 0, true
 	}
-	// Per-type reuse means are constant within one makeRoom call (no
-	// reuse observation lands mid-eviction); resolve each of the four
-	// classes at most once instead of per candidate.
-	var (
-		reuseMs   [2][2]float64
-		reuseSeen [2][2]bool
-	)
-	candidates := m.scratch[:0]
-	freeable := int64(0)
-	best := -1
-	for _, e := range m.residents {
-		if e.stamp == m.stampGen {
-			continue
+	var held int64 // the working set's resident bytes, exempt from eviction
+	for _, e := range m.ws {
+		if e.loc == locGPU {
+			held += e.content.Bytes
 		}
-		k, p := e.content.ID.Kind, e.lastPhase
-		if !reuseSeen[k][p] {
-			reuseMs[k][p] = m.TypeReuseMeanMs(ReuseClass{Kind: k, Phase: p})
-			reuseSeen[k][p] = true
-		}
-		c := scoredEntry{e: e, score: m.cfg.Policy.Score(e, now, reuseMs[k][p])}
-		if best < 0 || evictionCmp(c, candidates[best]) < 0 {
-			best = len(candidates)
-		}
-		candidates = append(candidates, c)
-		freeable += e.content.Bytes
 	}
-	m.scratch = candidates // keep the grown buffer for the next call
-	if m.gpuUsed-freeable+bytes > m.cfg.GPUBytes {
+	if held+bytes > m.cfg.GPUBytes {
 		return 0, false
 	}
-	// Victims collect at the tail of candidates, first victim last:
-	// candidates[:n] is the unselected rest, candidates[n:] the
-	// victims in ascending eviction priority.
-	n := len(candidates) - 1
-	candidates[best], candidates[n] = candidates[n], candidates[best]
-	freed := candidates[n].e.content.Bytes
-	if m.gpuUsed-freed+bytes > m.cfg.GPUBytes {
-		heapifyEviction(candidates[:n])
-		for m.gpuUsed-freed+bytes > m.cfg.GPUBytes {
-			n--
-			candidates[0], candidates[n] = candidates[n], candidates[0]
-			siftDownEviction(candidates[:n], 0)
-			freed += candidates[n].e.content.Bytes
-		}
+	var candidates []scoredEntry
+	if m.cfg.Audit {
+		candidates = m.auditCandidates(now)
 	}
-	victims := candidates[n:]
+	for _, b := range m.buckets {
+		m.resolveHead(b, now)
+	}
+	victims := m.victims[:0]
+	freed := int64(0)
+	for m.gpuUsed-freed+bytes > m.cfg.GPUBytes {
+		var best *bucket
+		for _, b := range m.buckets {
+			if b.head != nil && (best == nil ||
+				evictionCmp(scoredEntry{b.head, b.score}, scoredEntry{best.head, best.score}) < 0) {
+				best = b
+			}
+		}
+		v := best.head
+		victims = append(victims, scoredEntry{e: v, score: best.score})
+		freed += v.content.Bytes
+		best.remove(v.hidx)
+		m.resolveHead(best, now)
+	}
+	for _, e := range m.aside {
+		m.index(e)
+	}
+	m.aside = m.aside[:0]
+	m.victims = victims
 	if m.cfg.Audit {
 		m.auditSelection(candidates, victims)
 	}
-	// Lower-scoring victims (reused sooner / tighter SLO) go to PIN.
-	// Victims are in ascending eviction priority, so walk them forwards.
+	// Lower-scoring victims (reused sooner / tighter SLO) go to PIN:
+	// walk the victims last-chosen first.
 	var comm simtime.Duration
-	for _, c := range victims {
+	for i := len(victims) - 1; i >= 0; i-- {
+		c := victims[i]
 		v := c.e
 		t := bytesTime(v.content.Bytes, m.cfg.D2HBps)
 		comm += t
@@ -474,7 +532,6 @@ func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, 
 			v.loc = locPageable
 		}
 		m.gpuUsed -= v.content.Bytes
-		m.residentRemove(v)
 		m.cfg.Trace.Evict(now, v.content.ID.App, v.content.ID.Model,
 			int(v.content.ID.Layer), int(v.content.ID.Kind),
 			v.content.Bytes, c.score, pinned)
@@ -486,7 +543,7 @@ func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, 
 // b. Highest score goes first; seq breaks ties. Because seq is unique,
 // (score desc, seq asc) is a strict total order, so the victims of a
 // call do not depend on the order candidates were gathered in. The
-// heap selection and the audit's reference sort both use it.
+// index selection and the audit's reference sort both use it.
 func evictionCmp(a, b scoredEntry) int {
 	switch {
 	case a.score > b.score:
@@ -502,32 +559,6 @@ func evictionCmp(a, b scoredEntry) int {
 	}
 }
 
-// heapifyEviction arranges h as a binary heap whose root is the entry
-// evicted first under evictionCmp.
-func heapifyEviction(h []scoredEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownEviction(h, i)
-	}
-}
-
-// siftDownEviction restores the heap property below index i.
-func siftDownEviction(h []scoredEntry, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && evictionCmp(h[r], h[c]) < 0 {
-			c = r
-		}
-		if evictionCmp(h[i], h[c]) <= 0 {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
 // Release drops a content entirely (GPU, PIN, or pageable), freeing its
 // space without any transfer. AdaInf uses this for a completed job's
 // intermediate outputs, which are never reused (Observation 9).
@@ -539,28 +570,13 @@ func (m *Manager) Release(id ContentID) bool {
 	switch e.loc {
 	case locGPU:
 		m.gpuUsed -= e.content.Bytes
-		m.residentRemove(e)
+		e.bkt.remove(e.hidx)
 	case locPinned:
 		m.pinUsed -= e.content.Bytes
 	}
 	delete(m.entries, id)
+	m.free = append(m.free, e)
 	return true
-}
-
-// FlushAll drops every resident content at once — GPU, pinned, and
-// pageable — and returns how many entries and how many bytes were
-// lost. It models a lane crash: device memory on a failed GPU is gone,
-// so everything the manager tracked must be treated as cold. Transfer
-// statistics and reuse-time accumulators survive (they describe the
-// past, which the crash cannot unhappen); only residency is cleared.
-// After a flush the manager is immediately reusable, e.g. for the lane
-// the app fails over to.
-func (m *Manager) FlushAll() (entries int, bytes int64) {
-	for _, e := range m.entries {
-		bytes += e.content.Bytes
-	}
-	entries = m.ReleaseMatching(func(ContentID) bool { return true })
-	return entries, bytes
 }
 
 // ReleaseMatching drops every content whose ID satisfies pred and
@@ -587,42 +603,24 @@ func bytesTime(bytes int64, bps float64) simtime.Duration {
 // identically on any future access sequence, which is what lets cached
 // session outcomes and cached profiles stand in for re-execution.
 func (m *Manager) StateDigest() uint64 {
-	h := fnv.New64a()
-	hashU64 := func(v uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	hashF64 := func(v float64) { hashU64(math.Float64bits(v)) }
-	hashStr := func(s string) {
-		hashU64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-
-	hashU64(uint64(m.cfg.GPUBytes))
-	hashU64(uint64(m.cfg.PinBytes))
-	hashU64(uint64(m.gpuUsed))
-	hashU64(uint64(m.pinUsed))
-	hashU64(uint64(m.stats.H2DBytes))
-	hashU64(uint64(m.stats.D2HBytes))
-	hashU64(uint64(m.stats.H2DTime))
-	hashU64(uint64(m.stats.D2HTime))
-	hashU64(m.stats.Hits)
-	hashU64(m.stats.Misses)
-	hashU64(m.stats.Evictions)
-	hashU64(uint64(m.stats.StreamedBytes))
-	hashU64(uint64(m.stats.StreamedTime))
-	// Fault state is hashed only when present, so fault-free managers
-	// keep the digests recorded before the failure hook existed.
-	if m.stats.AllocFaults != 0 {
-		hashU64(m.stats.AllocFaults)
-	}
+	h := fnv64a(14695981039346656037)
+	h.u64(uint64(m.cfg.GPUBytes))
+	h.u64(uint64(m.cfg.PinBytes))
+	h.u64(uint64(m.gpuUsed))
+	h.u64(uint64(m.pinUsed))
+	h.u64(uint64(m.stats.H2DBytes))
+	h.u64(uint64(m.stats.D2HBytes))
+	h.u64(uint64(m.stats.H2DTime))
+	h.u64(uint64(m.stats.D2HTime))
+	h.u64(m.stats.Hits)
+	h.u64(m.stats.Misses)
+	h.u64(m.stats.Evictions)
+	h.u64(uint64(m.stats.StreamedBytes))
+	h.u64(uint64(m.stats.StreamedTime))
 
 	// Entries in creation order (seq is unique and deterministic), so
 	// the digest does not depend on map iteration order.
-	ordered := make([]*entry, 0, len(m.entries))
+	ordered := m.digestOrder[:0]
 	for _, e := range m.entries {
 		ordered = append(ordered, e)
 	}
@@ -633,32 +631,50 @@ func (m *Manager) StateDigest() uint64 {
 		return 1
 	})
 	for _, e := range ordered {
-		hashU64(e.seq)
-		hashStr(e.content.ID.App)
-		hashStr(e.content.ID.Model)
-		hashU64(uint64(e.content.ID.Layer))
-		hashU64(uint64(e.content.ID.Kind))
-		hashU64(e.content.ID.Seq)
-		hashU64(uint64(e.loc))
-		hashU64(uint64(e.content.Bytes))
-		hashF64(e.content.SLOms)
-		hashU64(uint64(e.lastAccess))
-		hashU64(uint64(e.lastPhase))
-		hashU64(e.lastJob)
-		hashStr(e.lastModel)
-		if e.faulted {
-			hashU64(1)
-		}
+		h.u64(e.seq)
+		h.str(e.content.ID.App)
+		h.str(e.content.ID.Model)
+		h.u64(uint64(e.content.ID.Layer))
+		h.u64(uint64(e.content.ID.Kind))
+		h.u64(e.content.ID.Seq)
+		h.u64(uint64(e.loc))
+		h.u64(uint64(e.content.Bytes))
+		h.u64(math.Float64bits(e.content.SLOms))
+		h.u64(uint64(e.lastAccess))
+		h.u64(uint64(e.lastPhase))
+		h.u64(e.lastJob)
+		h.str(e.lastModel)
 	}
+	clear(ordered)
+	m.digestOrder = ordered[:0]
 
 	// Reuse accumulators by fixed class enumeration.
 	for _, k := range []Kind{KindParam, KindIntermediate} {
 		for _, p := range []Phase{PhaseInference, PhaseRetraining} {
-			c := ReuseClass{Kind: k, Phase: p}
-			hashF64(m.typeSum[c])
-			hashU64(uint64(m.typeN[c]))
-			hashU64(uint64(len(m.reuse[c])))
+			h.u64(math.Float64bits(m.typeSum[k][p]))
+			h.u64(uint64(m.typeN[k][p]))
+			h.u64(uint64(len(m.reuse[k][p])))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// fnv64a is an FNV-1a 64-bit hash (hash/fnv's New64a) that takes
+// integers little-endian and strings length-prefixed without
+// allocating.
+type fnv64a uint64
+
+func (h *fnv64a) byte(b byte) { *h = (*h ^ fnv64a(b)) * 1099511628211 }
+
+func (h *fnv64a) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.byte(byte(v >> (8 * i)))
+	}
+}
+
+func (h *fnv64a) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
 }

@@ -1,6 +1,7 @@
 package gpumem
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +33,13 @@ func intermediateContent(app, model string, layer int, seq uint64, bytes int64) 
 }
 
 func TestNewManagerValidation(t *testing.T) {
-	for _, cfg := range []Config{{GPUBytes: 0}, {GPUBytes: 10, PinBytes: -1}} {
+	for _, cfg := range []Config{
+		{GPUBytes: 0},
+		{GPUBytes: 10, PinBytes: -1},
+		{GPUBytes: 10, Policy: PriorityPolicy{Alpha: math.NaN()}},
+		{GPUBytes: 10, Policy: PriorityPolicy{Alpha: 1.5}},
+		{GPUBytes: 10, Policy: PriorityPolicy{Alpha: -0.1}},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -41,6 +48,23 @@ func TestNewManagerValidation(t *testing.T) {
 			}()
 			NewManager(cfg)
 		}()
+		// Reset rejects the same configs and leaves the manager as it was.
+		m := NewManager(Config{GPUBytes: 10 * mb})
+		if _, err := m.Acquire(ms(0), []Access{{Content: paramContent("a", "m", 0, mb), Phase: PhaseInference}}); err != nil {
+			t.Fatal(err)
+		}
+		before := m.StateDigest()
+		if err := m.Reset(cfg); err == nil {
+			t.Errorf("Reset accepted config %+v", cfg)
+		}
+		if m.StateDigest() != before || m.Capacity() != 10*mb {
+			t.Errorf("rejected Reset(%+v) changed the manager", cfg)
+		}
+	}
+	for _, alpha := range []float64{0, 0.4, 1} {
+		if err := (Config{GPUBytes: 10, Policy: PriorityPolicy{Alpha: alpha}}).Validate(); err != nil {
+			t.Errorf("alpha %g rejected: %v", alpha, err)
+		}
 	}
 }
 
@@ -133,6 +157,38 @@ func TestInvalidContentSizeFails(t *testing.T) {
 	_, err := m.Acquire(ms(0), []Access{{Content: Content{ID: ContentID{App: "a"}, Bytes: 0}}})
 	if err == nil {
 		t.Fatal("zero-byte content accepted")
+	}
+	// A non-finite SLO or an unknown kind or phase has no eviction
+	// bucket; the call fails before touching any content.
+	for _, a := range []Access{
+		{Content: Content{ID: ContentID{App: "a"}, Bytes: mb, SLOms: math.NaN()}},
+		{Content: Content{ID: ContentID{App: "a"}, Bytes: mb, SLOms: math.Inf(1)}},
+		{Content: Content{ID: ContentID{App: "a", Kind: 2}, Bytes: mb}},
+		{Content: Content{ID: ContentID{App: "a"}, Bytes: mb}, Phase: 2},
+	} {
+		ok := Access{Content: paramContent("a", "m", 0, mb), Phase: PhaseInference}
+		if _, err := m.Acquire(ms(0), []Access{ok, a}); err == nil {
+			t.Errorf("access %+v accepted", a)
+		}
+	}
+	if m.Stats() != (Stats{}) || len(m.entries) != 0 {
+		t.Fatalf("rejected calls touched the manager: %+v", m.Stats())
+	}
+}
+
+func TestSeedTypeReuseRejectsBadInput(t *testing.T) {
+	m := NewManager(Config{GPUBytes: mb})
+	class := ReuseClass{Kind: KindParam, Phase: PhaseInference}
+	for _, mean := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := m.SeedTypeReuse(class, mean, 1); err == nil {
+			t.Errorf("mean %g accepted", mean)
+		}
+	}
+	if err := m.SeedTypeReuse(ReuseClass{Kind: 2}, 1, 1); err == nil {
+		t.Error("unknown class accepted")
+	}
+	if got := m.TypeReuseMeanMs(class); got != -1 {
+		t.Fatalf("rejected seeds moved the mean to %g", got)
 	}
 }
 
@@ -330,44 +386,6 @@ func TestRelease(t *testing.T) {
 	}
 	if m.GPUUsed() != 0 {
 		t.Fatalf("GPUUsed = %d after ReleaseMatching", m.GPUUsed())
-	}
-}
-
-func TestFlushAllModelsLaneCrash(t *testing.T) {
-	m := NewManager(Config{GPUBytes: 10 * mb})
-	a := Access{Content: paramContent("a", "m", 0, 3*mb), Phase: PhaseInference, Model: "m"}
-	b := Access{Content: intermediateContent("a", "m", 1, 1, 4*mb), Phase: PhaseInference, Model: "m"}
-	if _, err := m.Acquire(ms(0), []Access{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	statsBefore := m.Stats()
-	n, bytes := m.FlushAll()
-	if n != 2 || bytes != 7*mb {
-		t.Fatalf("FlushAll = (%d, %d), want (2, %d)", n, bytes, 7*mb)
-	}
-	if m.GPUUsed() != 0 || m.PinUsed() != 0 {
-		t.Fatalf("residency survives crash: gpu=%d pin=%d", m.GPUUsed(), m.PinUsed())
-	}
-	if m.Resident(a.Content.ID) || m.Resident(b.Content.ID) {
-		t.Fatal("content still resident after FlushAll")
-	}
-	if m.Stats() != statsBefore {
-		t.Fatalf("crash rewrote history: %+v != %+v", m.Stats(), statsBefore)
-	}
-	if n, bytes = m.FlushAll(); n != 0 || bytes != 0 {
-		t.Fatalf("second FlushAll = (%d, %d), want (0, 0)", n, bytes)
-	}
-	// The manager stays usable for the failover lane: the flushed
-	// parameter reloads cold, paying transfer again.
-	d, err := m.Acquire(ms(10), []Access{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatal("reload after crash was free; residency leaked")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

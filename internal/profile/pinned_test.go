@@ -24,6 +24,12 @@ var (
 		func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: 0.4} }}
 	pinnedM2 = pinnedMem{"m2", gpu.Strategy{MaximizeUsage: true},
 		func() gpumem.Policy { return gpumem.LRUPolicy{} }}
+	// At α = 1 the priority score is the SLO alone, so every eviction
+	// bucket is in seq order from the first access on.
+	pinnedAdaAlpha1 = pinnedMem{"ada-alpha1", gpu.Strategy{MaximizeUsage: true},
+		func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: 1} }}
+	pinnedM1Alpha1 = pinnedMem{"m1-alpha1", gpu.Strategy{MaximizeUsage: false},
+		func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: 1} }}
 )
 
 // TestPinnedProfileDigests freezes the bytes of full-grid profiles
@@ -45,6 +51,8 @@ func TestPinnedProfileDigests(t *testing.T) {
 		{app.BikeRackOccupancy, pinnedM1, 0x05ac612d2110a14c, 0x0abdc499f776d71e},
 		{app.BikeRackOccupancy, pinnedM2, 0x13ea47f8a006bcdf, 0x1b4944ad7f9644d2},
 		{app.VideoSurveillance, pinnedAda, 0xcee819189b944c26, 0xc940ed01f26d04e2},
+		{app.BikeRackOccupancy, pinnedAdaAlpha1, 0xdf8850b5cf282deb, 0x86fd6f165e845997},
+		{app.BikeRackOccupancy, pinnedM1Alpha1, 0x36e7dbed7cb79cd0, 0x21de6051e28f8140},
 	}
 	for _, c := range cases {
 		a := c.app()

@@ -55,8 +55,8 @@ type Config struct {
 	// strategies change the profiles, so each variant profiles its
 	// own).
 	Strategy gpu.Strategy
-	// NewPolicy creates a fresh eviction policy per profiled
-	// partition; nil profiles under LRU.
+	// NewPolicy creates a fresh eviction policy per profiled cell;
+	// nil profiles under LRU.
 	NewPolicy func() gpumem.Policy
 	// PinBytes is the PIN memory per partition.
 	PinBytes int64
@@ -104,6 +104,31 @@ func (c *Config) policy() gpumem.Policy {
 		return gpumem.LRUPolicy{}
 	}
 	return c.NewPolicy()
+}
+
+// partition returns the partition config every profiled cell uses.
+func (c *Config) partition() gpu.PartitionConfig {
+	return gpu.PartitionConfig{
+		MemShare: c.MemShare,
+		PinBytes: c.PinBytes,
+		Policy:   c.policy(),
+		Audit:    c.Audit,
+		Trace:    c.Telemetry,
+	}
+}
+
+// validate rejects, before any unit runs, a defaults-filled config
+// whose cells gpu.NewPartition would reject: a bad Spec, a Fractions
+// entry outside (0, 1], a MemShare outside (0, 1], a negative
+// PinBytes, or a policy parameter out of range.
+func (c *Config) validate() error {
+	pc := c.partition()
+	for i, f := range c.Fractions {
+		if err := gpu.ValidatePartition(c.Spec, f, pc); err != nil {
+			return fmt.Errorf("profile: invalid Config for Fractions[%d] = %g: %w", i, f, err)
+		}
+	}
+	return nil
 }
 
 // Point is one measured (batch, fraction) cell.
@@ -327,7 +352,7 @@ func (c *Config) workerCount() int {
 // full batch × fraction grid of one (node, structure) pair, or — with
 // structIdx == -1 — one node's retraining sweep. Units share only
 // immutable inputs (the app, the resolved architectures, the config);
-// every partition and manager a unit profiles on is its own.
+// a unit profiles on the partition of the worker running it.
 type buildUnit struct {
 	nodeIdx   int
 	structIdx int
@@ -398,47 +423,47 @@ func UnitCount(a *app.App) int {
 	return n
 }
 
-// parallelUnits runs fn(0..n-1) over a bounded pool, the calling
-// goroutine included. Iterations must be independent: they may only
-// write state owned by their index. Serial when workers ≤ 1.
-func parallelUnits(workers, n int, fn func(k int)) {
+// parallelUnits runs fn(w, 0..n-1) over a bounded pool of workers
+// w ∈ [0, workers), the calling goroutine being worker 0. Iterations
+// must be independent: they may only write state owned by their index
+// k or by their worker w. Serial when workers ≤ 1.
+func parallelUnits(workers, n int, fn func(w, k int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for k := 0; k < n; k++ {
-			fn(k)
+			fn(0, k)
 		}
 		return
 	}
 	var next atomic.Int64
+	run := func(w int) {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= n {
+				return
+			}
+			fn(w, k)
+		}
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				fn(k)
-			}
-		}()
+			run(w)
+		}(w)
 	}
-	for {
-		k := int(next.Add(1)) - 1
-		if k >= n {
-			break
-		}
-		fn(k)
-	}
+	run(0)
 	wg.Wait()
 }
 
 // BuildAppProfile profiles every structure of every node of the
-// application under the config by executing them on fresh simulated
-// partitions. The independent work units run on one worker per CPU,
+// application under the config by executing them on simulated
+// partitions, each cell on one reset to a fresh state. It returns an
+// error for an invalid app or config. The independent work units run
+// on one worker per CPU,
 // or serially under a tracing collector; results are staged per unit
 // and merged serially in canonical node/structure order, so the output
 // is byte-identical to a serial build (gob bytes, MemDigest, and
@@ -451,6 +476,9 @@ func BuildAppProfile(a *app.App, cfg Config) (*AppProfile, error) {
 func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	cfg.fillDefaults()
 	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	// Resolve every node's architecture up front, serially in node
@@ -467,14 +495,16 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	}
 	units := appUnits(a, arches)
 	results := make([]unitResult, len(units))
-	parallelUnits(workers, len(units), func(k int) {
+	// One partition per worker, reset for every measured cell.
+	parts := make([]gpu.Partition, max(workers, 1))
+	parallelUnits(workers, len(units), func(w, k int) {
 		u := &units[k]
 		r := &results[k]
 		start := time.Now()
 		if u.structIdx < 0 {
-			r.rp, r.err = profileRetraining(a, &a.Nodes[u.nodeIdx], u.arch, cfg, &r.stage)
+			r.rp, r.err = profileRetraining(a, &a.Nodes[u.nodeIdx], u.arch, cfg, &parts[w], &r.stage)
 		} else {
-			r.sp, r.err = profileStructure(a, &a.Nodes[u.nodeIdx], u.st, cfg, &r.stage)
+			r.sp, r.err = profileStructure(a, &a.Nodes[u.nodeIdx], u.st, cfg, &parts[w], &r.stage)
 		}
 		r.wall = time.Since(start)
 	})
@@ -517,7 +547,7 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 }
 
 func profileStructure(a *app.App, node *app.Node, st dnn.Structure, cfg Config,
-	stage *unitStage) (*StructureProfile, error) {
+	part *gpu.Partition, stage *unitStage) (*StructureProfile, error) {
 
 	sp := &StructureProfile{
 		Structure: st,
@@ -530,13 +560,9 @@ func profileStructure(a *app.App, node *app.Node, st dnn.Structure, cfg Config,
 		sp.Points[batch] = make(map[float64]Point, len(cfg.Fractions))
 		var fr, lat []float64
 		for _, f := range cfg.Fractions {
-			part := gpu.NewPartition(cfg.Spec, f, gpu.PartitionConfig{
-				MemShare: cfg.MemShare,
-				PinBytes: cfg.PinBytes,
-				Policy:   cfg.policy(),
-				Audit:    cfg.Audit,
-				Trace:    cfg.Telemetry,
-			})
+			if err := part.Reset(cfg.Spec, f, cfg.partition()); err != nil {
+				return nil, fmt.Errorf("profile: %s/%v: %w", node.Name, st, err)
+			}
 			ex := gpu.NewExecutor(part, cfg.Strategy)
 			task := gpu.InferenceTask{
 				App: a.Name, JobID: 1, Structure: st, Batch: batch, SLOms: a.SLOms(),
@@ -574,18 +600,14 @@ func profileStructure(a *app.App, node *app.Node, st dnn.Structure, cfg Config,
 }
 
 func profileRetraining(a *app.App, node *app.Node, arch *dnn.Arch, cfg Config,
-	stage *unitStage) (*RetrainProfile, error) {
+	part *gpu.Partition, stage *unitStage) (*RetrainProfile, error) {
 
 	rp := &RetrainProfile{Arch: arch, PerSample: make(map[float64]simtime.Duration, len(cfg.Fractions))}
 	var fr, lat []float64
 	for _, f := range cfg.Fractions {
-		part := gpu.NewPartition(cfg.Spec, f, gpu.PartitionConfig{
-			MemShare: cfg.MemShare,
-			PinBytes: cfg.PinBytes,
-			Policy:   cfg.policy(),
-			Audit:    cfg.Audit,
-			Trace:    cfg.Telemetry,
-		})
+		if err := part.Reset(cfg.Spec, f, cfg.partition()); err != nil {
+			return nil, fmt.Errorf("profile: %s retraining: %w", node.Name, err)
+		}
 		ex := gpu.NewExecutor(part, cfg.Strategy)
 		res, _, err := ex.RunRetraining(0, gpu.RetrainTask{
 			App: a.Name, JobID: 1, Arch: arch,

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,6 +241,45 @@ func TestTypeReuseSeeds(t *testing.T) {
 	// inference params (which wait for the next job).
 	if intInf >= parInf {
 		t.Fatalf("reuse ordering broken: intermediates %vms vs params %vms", intInf, parInf)
+	}
+}
+
+// TestBuildAppProfileRejectsBadConfig: a config no partition can be
+// carved from must fail the build with an error naming the field,
+// before any work unit runs (a panic inside a worker goroutine would
+// kill the process).
+func TestBuildAppProfileRejectsBadConfig(t *testing.T) {
+	alpha := func(a float64) func() gpumem.Policy {
+		return func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: a} }
+	}
+	rows := []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"fraction above 1", Config{Fractions: []float64{0.5, 1.5}}, "fraction"},
+		{"fraction 0", Config{Fractions: []float64{0}}, "fraction"},
+		{"fraction NaN", Config{Fractions: []float64{math.NaN()}}, "fraction"},
+		{"negative MemShare", Config{MemShare: -0.1}, "MemShare"},
+		{"MemShare above 1", Config{MemShare: 2}, "MemShare"},
+		{"MemShare NaN", Config{MemShare: math.NaN()}, "MemShare"},
+		{"MemShare +Inf", Config{MemShare: math.Inf(1)}, "MemShare"},
+		{"negative PinBytes", Config{PinBytes: -1}, "PinBytes"},
+		{"bad Spec", Config{Spec: gpu.Spec{Name: "broken"}}, "spec"},
+		{"alpha above 1", Config{NewPolicy: alpha(1.5)}, "Alpha"},
+		{"alpha NaN", Config{NewPolicy: alpha(math.NaN())}, "Alpha"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			r.cfg.BatchSizes = []int{1}
+			_, err := buildAppProfile(app.BikeRackOccupancy(), r.cfg, 2)
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), r.field) {
+				t.Fatalf("error %q does not name %s", err, r.field)
+			}
+		})
 	}
 }
 

@@ -77,8 +77,10 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 # properties the fuzz corpora pin (regression-fit robustness, profile
 # cache-key identity, fault-schedule decode/encode round trips, the
 # bin-packing invariants of the placer and its failover re-pack, the
-# drift probe's top-k ranking against a full stable sort, and serving.Run
-# rejecting bad configs and finishing good ones audit-clean).
+# drift probe's top-k ranking against a full stable sort, serving.Run
+# rejecting bad configs and finishing good ones audit-clean, and the
+# GPU-memory eviction index matching a full sort under any operation
+# stream).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzFitScaling -fuzztime=5s ./internal/mathx
@@ -88,6 +90,7 @@ go test -run='^$' -fuzz=FuzzPlace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzDetectNodeRanking -fuzztime=5s ./internal/drift
 go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
+go test -run='^$' -fuzz=FuzzEvictionIndex -fuzztime=5s ./internal/gpumem
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
 # loop, a serial /M1 profile build, Scrooge planning four lanes, drift
