@@ -99,7 +99,7 @@ type PartitionConfig struct {
 }
 
 // NewPartition carves fraction ∈ (0, 1] of the device. It panics on a
-// combination ValidatePartition rejects.
+// combination Reset rejects.
 func NewPartition(spec Spec, fraction float64, cfg PartitionConfig) *Partition {
 	p := new(Partition)
 	if err := p.Reset(spec, fraction, cfg); err != nil {
@@ -110,8 +110,10 @@ func NewPartition(spec Spec, fraction float64, cfg PartitionConfig) *Partition {
 
 // Reset re-carves the partition as NewPartition(spec, fraction, cfg)
 // would, keeping its memory manager's storage (gpumem.Manager.Reset);
-// a zero Partition is ready for it. On an invalid combination it
-// returns ValidatePartition's error and leaves the partition unchanged.
+// a zero Partition is ready for it. It returns an error, leaving the
+// partition unchanged, for an invalid spec, a fraction or MemShare
+// outside (0, 1] (MemShare 0 takes the default 1), or a memory-manager
+// config gpumem.Config.Validate rejects.
 func (p *Partition) Reset(spec Spec, fraction float64, cfg PartitionConfig) error {
 	mcfg, err := memConfig(spec, fraction, cfg)
 	if err != nil {
@@ -125,15 +127,6 @@ func (p *Partition) Reset(spec Spec, fraction float64, cfg PartitionConfig) erro
 	}
 	p.spec, p.fraction = spec, fraction
 	return nil
-}
-
-// ValidatePartition reports an error for a spec, fraction or config
-// NewPartition rejects: an invalid spec, a fraction or MemShare
-// outside (0, 1] (MemShare 0 takes the default 1), or a memory-manager
-// config gpumem.Config.Validate rejects.
-func ValidatePartition(spec Spec, fraction float64, cfg PartitionConfig) error {
-	_, err := memConfig(spec, fraction, cfg)
-	return err
 }
 
 // memConfig validates a partition and returns its memory manager's

@@ -71,9 +71,6 @@ func TestPartitionValidation(t *testing.T) {
 			}()
 			NewPartition(c.spec, c.fraction, c.cfg)
 		}()
-		if err := ValidatePartition(c.spec, c.fraction, c.cfg); err == nil {
-			t.Errorf("ValidatePartition accepted fraction %v config %+v", c.fraction, c.cfg)
-		}
 		p := NewPartition(V100(), 0.5, PartitionConfig{})
 		if err := p.Reset(c.spec, c.fraction, c.cfg); err == nil {
 			t.Errorf("Reset accepted fraction %v config %+v", c.fraction, c.cfg)

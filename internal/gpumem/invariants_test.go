@@ -255,11 +255,18 @@ func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
 				return time.Duration(rng.Intn(3))
 			}},
 	}
-	seeds := []int64{11, 12}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
 	for _, row := range rows {
+		// The per-step digests dominate the run time. The lru and
+		// alpha0.4 rows run two seeds, the others one; -short runs
+		// the lru and alpha0.4 rows on one seed only.
+		basic := row.name == "lru" || row.name == "alpha0.4"
+		seeds := []int64{11}
+		switch {
+		case basic && !testing.Short():
+			seeds = append(seeds, 12)
+		case !basic && testing.Short():
+			continue
+		}
 		for _, seed := range seeds {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := Config{
@@ -277,9 +284,7 @@ func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
 					ties += lruTies(audited, d.now.Add(row.step(rand.New(rand.NewSource(0)), d.i)))
 				}
 				d.next(t, plain, audited)
-				// Digests are the slow part: every tenth step suffices,
-				// since a divergence in state persists.
-				if (step%10 == 9 && plain.StateDigest() != audited.StateDigest()) || plain.Stats() != audited.Stats() {
+				if plain.StateDigest() != audited.StateDigest() || plain.Stats() != audited.Stats() {
 					t.Fatalf("%s seed %d step %d: audited manager diverged: %+v vs %+v",
 						row.name, seed, step, plain.Stats(), audited.Stats())
 				}
@@ -320,7 +325,11 @@ func TestResetMatchesNewManager(t *testing.T) {
 		return time.Duration(rng.Intn(3)) * 100 * time.Microsecond
 	}
 	slos := []float64{400, 500}
-	for seed := int64(1); seed <= 4; seed++ {
+	seeds := int64(4)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		used := NewManager(randomConfig(rng))
 		history := &lockstep{rng: rng, slos: slos, step: step}
@@ -335,7 +344,7 @@ func TestResetMatchesNewManager(t *testing.T) {
 		d := &lockstep{rng: rng, slos: slos, step: step}
 		for i := 0; i < 800; i++ {
 			d.next(t, fresh, used)
-			if (i%10 == 9 && fresh.StateDigest() != used.StateDigest()) || fresh.Stats() != used.Stats() {
+			if fresh.StateDigest() != used.StateDigest() || fresh.Stats() != used.Stats() {
 				t.Fatalf("seed %d op %d: reset manager diverged: %+v vs %+v", seed, i, used.Stats(), fresh.Stats())
 			}
 			if err := used.CheckInvariants(); err != nil {

@@ -233,9 +233,10 @@ func (m *Manager) Resident(id ContentID) bool {
 }
 
 // SeedTypeReuse installs an offline-profiled mean reuse latency (ms)
-// for a reuse class, as AdaInf does before serving starts (§3.4.2). A
-// non-positive weight counts as 1. It rejects an unknown class and a
-// non-finite mean.
+// for a reuse class, the way §3.4.2 primes the priority policy before
+// serving starts. Only tests call it: serving plans from profiles and
+// runs no Manager. A non-positive weight counts as 1. It rejects an
+// unknown class and a non-finite mean.
 func (m *Manager) SeedTypeReuse(class ReuseClass, meanMs float64, weight int) error {
 	if !class.valid() {
 		return fmt.Errorf("gpumem: unknown reuse class %v", class)

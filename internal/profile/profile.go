@@ -117,20 +117,6 @@ func (c *Config) partition() gpu.PartitionConfig {
 	}
 }
 
-// validate rejects, before any unit runs, a defaults-filled config
-// whose cells gpu.NewPartition would reject: a bad Spec, a Fractions
-// entry outside (0, 1], a MemShare outside (0, 1], a negative
-// PinBytes, or a policy parameter out of range.
-func (c *Config) validate() error {
-	pc := c.partition()
-	for i, f := range c.Fractions {
-		if err := gpu.ValidatePartition(c.Spec, f, pc); err != nil {
-			return fmt.Errorf("profile: invalid Config for Fractions[%d] = %g: %w", i, f, err)
-		}
-	}
-	return nil
-}
-
 // Point is one measured (batch, fraction) cell.
 type Point struct {
 	Batch    int
@@ -476,9 +462,6 @@ func BuildAppProfile(a *app.App, cfg Config) (*AppProfile, error) {
 func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	cfg.fillDefaults()
 	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	// Resolve every node's architecture up front, serially in node

@@ -245,9 +245,8 @@ func TestTypeReuseSeeds(t *testing.T) {
 }
 
 // TestBuildAppProfileRejectsBadConfig: a config no partition can be
-// carved from must fail the build with an error naming the field,
-// before any work unit runs (a panic inside a worker goroutine would
-// kill the process).
+// carved from must fail the build with an error naming the field (a
+// panic inside a worker goroutine would kill the process).
 func TestBuildAppProfileRejectsBadConfig(t *testing.T) {
 	alpha := func(a float64) func() gpumem.Policy {
 		return func() gpumem.Policy { return gpumem.PriorityPolicy{Alpha: a} }
