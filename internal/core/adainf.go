@@ -417,8 +417,8 @@ func (s *Scheduler) assignRetraining(jr *sched.JobRequest, nodePlans []sched.Nod
 		} else {
 			budget = simtime.Duration(float64(spare) * impact / totalImpact)
 		}
-		rp := jr.Profile.Retrain[np.Node]
-		remaining := jr.Instance.ByName[np.Node].RemainingSamples()
+		rp := jr.Profile.Index()[np.Index].Retrain
+		remaining := jr.Instance.Nodes()[np.Index].RemainingSamples()
 		if remaining <= 0 || budget <= 0 {
 			continue
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"adainf/internal/mathx"
 )
@@ -83,13 +84,28 @@ func (c *Categorical) Sample(rng *rand.Rand) int {
 	return len(c.probs) - 1 // guard against rounding
 }
 
-// SampleN draws n class indices.
-func (c *Categorical) SampleN(rng *rand.Rand, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = c.Sample(rng)
+// AppendCDF appends c's cumulative probabilities to dst, summed in
+// Sample's order, for SampleCDF.
+func (c *Categorical) AppendCDF(dst []float64) []float64 {
+	dst = slices.Grow(dst, len(c.probs))
+	var cum float64
+	for _, p := range c.probs {
+		cum += p
+		dst = append(dst, cum)
 	}
-	return out
+	return dst
+}
+
+// SampleCDF draws a class index from AppendCDF's vector: one rng draw,
+// and exactly the class Sample would return for it.
+func SampleCDF(rng *rand.Rand, cdf []float64) int {
+	u := rng.Float64()
+	for i, cum := range cdf {
+		if u < cum {
+			return i
+		}
+	}
+	return len(cdf) - 1 // guard against rounding
 }
 
 // Clone returns an independent copy.

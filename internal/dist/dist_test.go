@@ -70,15 +70,38 @@ func TestSampleMatchesDistribution(t *testing.T) {
 	}
 }
 
-func TestSampleN(t *testing.T) {
-	c := mustCat(t, []string{"a", "b"}, []float64{1, 1})
-	out := c.SampleN(NewRNG(1), 50)
-	if len(out) != 50 {
-		t.Fatalf("len = %d", len(out))
-	}
-	for _, v := range out {
-		if v < 0 || v > 1 {
-			t.Fatalf("out-of-range class %d", v)
+// TestSampleCDFMatchesSample checks that drawing from AppendCDF's
+// vector returns exactly Sample's class, draw for draw, on random
+// distributions that include zero-probability classes (leading, inner
+// and trailing), and that AppendCDF keeps dst's prefix.
+func TestSampleCDFMatchesSample(t *testing.T) {
+	gen := NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + gen.Intn(12)
+		labels := make([]string, k)
+		w := make([]float64, k)
+		for i := range w {
+			labels[i] = string(rune('a' + i))
+			if gen.Intn(3) > 0 {
+				w[i] = gen.Float64()
+			}
+		}
+		w[gen.Intn(k)] += 0.01 // at least one class carries mass
+		c := mustCat(t, labels, w)
+		cdf := c.AppendCDF([]float64{-1})
+		if len(cdf) != k+1 || cdf[0] != -1 || cdf[1] != c.Prob(0) {
+			t.Fatalf("trial %d: cdf %v for probs %v", trial, cdf, c.Probs())
+		}
+		cdf = cdf[1:]
+		seed := gen.Int63()
+		a, b := NewRNG(seed), NewRNG(seed)
+		for d := 0; d < 500; d++ {
+			if got, want := SampleCDF(b, cdf), c.Sample(a); got != want {
+				t.Fatalf("trial %d draw %d: SampleCDF %d, Sample %d (probs %v)", trial, d, got, want, c.Probs())
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("trial %d: the two streams drifted apart", trial)
 		}
 	}
 }

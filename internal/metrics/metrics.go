@@ -114,42 +114,38 @@ func (r *Recorder) secondIndex(t simtime.Instant) int {
 	return i
 }
 
-// RecordPrediction records one leaf-model prediction of a request.
-func (r *Recorder) RecordPrediction(t simtime.Instant, correct, usedUpdatedModel bool) {
-	p := r.periodIndex(t)
-	if p < 0 {
-		r.overflow.Predictions++
-		if correct {
-			r.overflow.Correct++
-		}
-		if usedUpdatedModel {
-			r.overflow.Updated++
-		}
+// RecordPredictions records n leaf-model predictions made at t, correct
+// of them correct (0 ≤ correct ≤ n), all by an updated model or none:
+// exactly what n one-prediction records would count. n ≤ 0 records
+// nothing.
+func (r *Recorder) RecordPredictions(t simtime.Instant, n, correct int, usedUpdatedModel bool) {
+	if n <= 0 {
 		return
 	}
-	r.total[p]++
-	if correct {
-		r.correct[p]++
+	total, corr, upd := &r.overflow.Predictions, &r.overflow.Correct, &r.overflow.Updated
+	if p := r.periodIndex(t); p >= 0 {
+		total, corr, upd = &r.total[p], &r.correct[p], &r.updated[p]
 	}
+	*total += n
+	*corr += correct
 	if usedUpdatedModel {
-		r.updated[p]++
+		*upd += n
 	}
 }
 
-// RecordRequest records one request's SLO outcome in its arrival
-// window.
-func (r *Recorder) RecordRequest(arrival simtime.Instant, metSLO bool) {
-	w := r.secondIndex(arrival)
-	if w < 0 {
-		r.overflow.Arrived++
-		if metSLO {
-			r.overflow.Finished++
-		}
+// RecordRequests records the SLO outcome of n requests arriving at t in
+// their arrival window: all met or all missed. n ≤ 0 records nothing.
+func (r *Recorder) RecordRequests(arrival simtime.Instant, metSLO bool, n int) {
+	if n <= 0 {
 		return
 	}
-	r.arrived[w]++
+	arrived, finished := &r.overflow.Arrived, &r.overflow.Finished
+	if w := r.secondIndex(arrival); w >= 0 {
+		arrived, finished = &r.arrived[w], &r.finished[w]
+	}
+	*arrived += n
 	if metSLO {
-		r.finished[w]++
+		*finished += n
 	}
 }
 

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -45,12 +47,9 @@ func TestNewRecorderValidation(t *testing.T) {
 func TestAccuracyPerPeriod(t *testing.T) {
 	r := newRec(t)
 	// Period 0: 3 correct of 4. Period 1: 1 of 2.
-	for i := 0; i < 3; i++ {
-		r.RecordPrediction(sec(10), true, false)
-	}
-	r.RecordPrediction(sec(10), false, false)
-	r.RecordPrediction(sec(60), true, true)
-	r.RecordPrediction(sec(60), false, false)
+	r.RecordPredictions(sec(10), 4, 3, false)
+	r.RecordPredictions(sec(60), 1, 1, true)
+	r.RecordPredictions(sec(60), 1, 0, false)
 	acc := r.PeriodAccuracy()
 	if len(acc) != 2 {
 		t.Fatalf("periods = %d", len(acc))
@@ -69,15 +68,50 @@ func TestAccuracyPerPeriod(t *testing.T) {
 
 func TestFinishRate(t *testing.T) {
 	r := newRec(t)
-	r.RecordRequest(sec(1.2), true)
-	r.RecordRequest(sec(1.7), false)
-	r.RecordRequest(sec(2.3), true)
+	r.RecordRequests(sec(1.2), true, 1)
+	r.RecordRequests(sec(1.7), false, 1)
+	r.RecordRequests(sec(2.3), true, 1)
 	fr := r.FinishRateWindows()
 	if fr[1] != 0.5 || fr[2] != 1 {
 		t.Fatalf("finish rate windows = [%v %v]", fr[1], fr[2])
 	}
 	if got := r.MeanFinishRate(); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("MeanFinishRate = %v", got)
+	}
+}
+
+// TestBatchedRecordsEqualSingleRecords checks that one batched record
+// of n events counts exactly what n one-event records count, for
+// instants inside the horizon, before it and past it, and that n ≤ 0
+// records nothing.
+func TestBatchedRecordsEqualSingleRecords(t *testing.T) {
+	batched, single := newRec(t), newRec(t)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		at := sec(rng.Float64()*140 - 20) // horizon is [0, 100 s)
+		n := rng.Intn(12) - 2
+		met, upd := rng.Intn(2) == 0, rng.Intn(2) == 0
+		correct := 0
+		if n > 0 {
+			correct = rng.Intn(n + 1)
+		}
+		batched.RecordRequests(at, met, n)
+		batched.RecordPredictions(at, n, correct, upd)
+		for k := 0; k < n; k++ {
+			single.RecordRequests(at, met, 1)
+			c := 0
+			if k < correct {
+				c = 1
+			}
+			single.RecordPredictions(at, 1, c, upd)
+		}
+	}
+	if !reflect.DeepEqual(batched, single) {
+		t.Fatalf("batched recorder %+v\nsingle recorder %+v", batched, single)
+	}
+	o := batched.Overflow()
+	if o.Predictions == 0 || o.Arrived == 0 {
+		t.Fatalf("stream never left the horizon: %+v", o)
 	}
 }
 
@@ -161,8 +195,8 @@ func TestOutOfHorizonGoesToOverflow(t *testing.T) {
 	r := newRec(t)
 	// Events beyond the horizon land in the overflow bucket; they must
 	// not pollute the last period/window of the series.
-	r.RecordPrediction(sec(500), true, true)
-	r.RecordRequest(sec(500), true)
+	r.RecordPredictions(sec(500), 1, 1, true)
+	r.RecordRequests(sec(500), true, 1)
 	acc := r.PeriodAccuracy()
 	if acc[len(acc)-1] != 0 {
 		t.Fatalf("overflow prediction leaked into last period: %v", acc)
@@ -206,8 +240,8 @@ func TestRetrainEffortPastHorizon(t *testing.T) {
 
 func TestValidityMasks(t *testing.T) {
 	r := newRec(t)
-	r.RecordPrediction(sec(10), true, false)
-	r.RecordRequest(sec(10), true)
+	r.RecordPredictions(sec(10), 1, 1, false)
+	r.RecordRequests(sec(10), true, 1)
 	pm := r.PeriodsWithPredictions()
 	if !pm[0] || pm[1] {
 		t.Fatalf("period mask = %v", pm)

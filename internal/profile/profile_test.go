@@ -15,7 +15,7 @@ import (
 // package (profiling sweeps ~100 executor runs).
 var vsProfile *AppProfile
 
-func vs(t *testing.T) *AppProfile {
+func vs(t testing.TB) *AppProfile {
 	t.Helper()
 	if vsProfile == nil {
 		ap, err := BuildAppProfile(app.VideoSurveillance(), Config{

@@ -10,8 +10,11 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"adainf/internal/dnn"
 	"adainf/internal/mathx"
@@ -54,10 +57,6 @@ func (t *Table) Node() string { return t.node }
 // NumStructs returns the number of profiled structures.
 func (t *Table) NumStructs() int { return len(t.structures) }
 
-// Structure returns the si-th structure (shallowest exit first, full
-// structure last — the NodeInstance.Structures order).
-func (t *Table) Structure(si int) dnn.Structure { return t.structures[si].Structure }
-
 // FullIdx returns the index of the full structure (the last one), or -1
 // for a node with no profiled structures.
 func (t *Table) FullIdx() int { return len(t.structures) - 1 }
@@ -92,11 +91,16 @@ func (t *Table) BatchIdx(batch int) int {
 // PerBatch returns the per-batch latency of structure si at batch index
 // bi and the GPU fraction: the measured point when the fraction lies on
 // the profiled grid, the fitted power law otherwise. Errors (unprofiled
-// batch, non-positive fraction) match StructureProfile.PerBatch.
+// batch, non-positive fraction) match StructureProfile.PerBatch; a
+// structure index out of range is an error too, and a batch index out
+// of range reports batch -1.
 func (t *Table) PerBatch(si, bi int, fraction float64) (simtime.Duration, error) {
-	if bi < 0 || !t.lawOK[si*t.nB+bi] {
+	if si < 0 || si >= len(t.structures) {
+		return 0, fmt.Errorf("profile: node %q has no structure index %d", t.node, si)
+	}
+	if bi < 0 || bi >= t.nB || !t.lawOK[si*t.nB+bi] {
 		batch := -1
-		if bi >= 0 {
+		if bi >= 0 && bi < t.nB {
 			batch = t.batchAxis[bi]
 		}
 		return 0, fmt.Errorf("profile: batch %d not profiled for %v", batch, t.structures[si].Structure)
@@ -140,8 +144,8 @@ func newTable(np *NodeProfiles) *Table {
 	if len(np.Structures) > 0 {
 		t.bestBatches = np.Structures[0].Batches()
 	}
-	t.batchAxis = sortedIntKeys(batchSet)
-	t.fracs = sortedFloatKeys(fracSet)
+	t.batchAxis = sortedKeys(batchSet)
+	t.fracs = sortedKeys(fracSet)
 	t.nB = len(t.batchAxis)
 	t.nF = len(t.fracs)
 	nCells := len(np.Structures) * t.nB
@@ -167,29 +171,12 @@ func newTable(np *NodeProfiles) *Table {
 	return t
 }
 
-func sortedIntKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
+func sortedKeys[K cmp.Ordered](set map[K]bool) []K {
+	out := make([]K, 0, len(set))
 	for k := range set {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func sortedFloatKeys(set map[float64]bool) []float64 {
-	out := make([]float64, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -206,15 +193,6 @@ func (ap *AppProfile) Tables() []*Table {
 	return ap.tables
 }
 
-// latKey identifies one (node, structure, batch, fraction) probe. The
-// fraction enters as its exact bit pattern, so two probes share an
-// entry only when they would evaluate the identical power law at the
-// identical argument — the cache can never change a planned latency.
-type latKey struct {
-	node, si, bi int
-	fracBits     uint64
-}
-
 // LatencyCache memoizes Table.PerBatch evaluations across sessions and
 // periods. The underlying power laws are pure functions of the
 // immutable profile, so entries never need invalidating; errors are
@@ -223,36 +201,105 @@ type latKey struct {
 // and passes it to its method on sched.JobRequest.Costs.
 type LatencyCache struct {
 	tables []*Table
-	m      map[latKey]simtime.Duration
+	cells  [][]latCell // [node][si*nB+bi]
+	// slab is the unused tail of the current slot chunk; cells carve
+	// their slot arrays from it, so a growing cell rarely allocates.
+	slab []latSlot
 }
+
+// latCell is one (node, structure, batch) cell's open-addressed table,
+// keyed on the fraction's exact bits: two probes share an entry only
+// when they would evaluate the identical power law at the identical
+// argument, so the memo can never change a latency. Slots are a power
+// of two, probed linearly from a multiplicative hash, doubled when half
+// full. Key 0 (the +0 fraction) marks an empty slot and is never stored.
+type latCell struct {
+	slots []latSlot
+	n     int
+}
+
+type latSlot struct {
+	bits uint64
+	d    simtime.Duration
+}
+
+const (
+	latCellMinSlots = 16
+	latSlabSlots    = 1024
+)
 
 // NewLatencyCache creates a cache over the profile's tables.
 func NewLatencyCache(ap *AppProfile) *LatencyCache {
-	return &LatencyCache{
-		tables: ap.Tables(),
-		m:      make(map[latKey]simtime.Duration, 256),
+	c := &LatencyCache{tables: ap.Tables(), cells: make([][]latCell, len(ap.Tables()))}
+	for i, t := range c.tables {
+		c.cells[i] = make([]latCell, len(t.structures)*t.nB)
 	}
+	return c
 }
 
 // Tables returns the cached profile's flattened tables.
 func (c *LatencyCache) Tables() []*Table { return c.tables }
 
 // PerBatch is Table.PerBatch through the memo: node-th table, structure
-// si, batch index bi, at the fraction.
+// si, batch index bi, at the fraction. A node index out of range is an
+// error.
 func (c *LatencyCache) PerBatch(node, si, bi int, fraction float64) (simtime.Duration, error) {
+	if node < 0 || node >= len(c.tables) {
+		return 0, fmt.Errorf("profile: node index %d out of range [0, %d)", node, len(c.tables))
+	}
+	t := c.tables[node]
 	if fraction > 1 {
 		// Clamp before keying so a clamped and an exact probe share an
 		// entry (the table clamps identically).
 		fraction = 1
 	}
-	key := latKey{node: node, si: si, bi: bi, fracBits: math.Float64bits(fraction)}
-	if d, ok := c.m[key]; ok {
-		return d, nil
+	key := math.Float64bits(fraction)
+	if key == 0 || si < 0 || si >= len(t.structures) || bi < 0 || bi >= t.nB {
+		// The empty-slot key and cells out of range go to the table,
+		// which rejects them.
+		return t.PerBatch(si, bi, fraction)
 	}
-	d, err := c.tables[node].PerBatch(si, bi, fraction)
+	cell := &c.cells[node][si*t.nB+bi]
+	if len(cell.slots) > 0 {
+		if s := cell.slot(key); s.bits == key {
+			return s.d, nil
+		}
+	}
+	d, err := t.PerBatch(si, bi, fraction)
 	if err != nil {
 		return 0, err
 	}
-	c.m[key] = d
+	if 2*(cell.n+1) > len(cell.slots) {
+		c.grow(cell)
+	}
+	*cell.slot(key) = latSlot{key, d}
+	cell.n++
 	return d, nil
+}
+
+// slot returns the slot holding key, or the empty slot where it goes.
+// The cell has slots.
+func (cell *latCell) slot(key uint64) *latSlot {
+	mask := len(cell.slots) - 1
+	shift := bits.LeadingZeros64(uint64(mask)) // keep log2(len) top bits
+	for i := int((key * 0x9e3779b97f4a7c15) >> shift); ; i = (i + 1) & mask {
+		if s := &cell.slots[i]; s.bits == key || s.bits == 0 {
+			return s
+		}
+	}
+}
+
+// grow doubles the cell's slots (or gives it its first ones) and
+// rehashes its entries.
+func (c *LatencyCache) grow(cell *latCell) {
+	old, n := cell.slots, max(2*len(cell.slots), latCellMinSlots)
+	if len(c.slab) < n {
+		c.slab = make([]latSlot, max(n, latSlabSlots))
+	}
+	cell.slots, c.slab = c.slab[:n:n], c.slab[n:]
+	for _, s := range old {
+		if s.bits != 0 {
+			*cell.slot(s.bits) = s
+		}
+	}
 }

@@ -69,8 +69,8 @@ func JobWorstCase(jr *JobRequest, structs []dnn.Structure, batch int, fraction f
 }
 
 // AppendNodePlans appends one NodePlan per node of the job to dst: the
-// node's structure (structs is positional, node order) and its
-// worst-case inference time at the batch size and fraction,
+// node's position, its structure (structs is positional, node order)
+// and its worst-case inference time at the batch size and fraction,
 // ceil(Requests/batch) batches at the per-batch latency. It returns the
 // extended slice and the job's inference time, the sum over its nodes,
 // which is JobWorstCase's value. On error dst is returned unextended.
@@ -110,7 +110,7 @@ func nodeLatencies(jr *JobRequest, structs []dnn.Structure, batch int, fraction 
 			it = per * simtime.Duration(nBatches)
 		}
 		if out != nil {
-			out[n] = NodePlan{Node: t.Node(), Structure: structs[n], InferTime: it}
+			out[n] = NodePlan{Node: t.Node(), Index: n, Structure: structs[n], InferTime: it}
 		}
 		total += it
 	}

@@ -80,9 +80,9 @@ func TestJobWorstCaseMatchesReference(t *testing.T) {
 
 // TestAppendNodePlansMatchesReference checks the one per-node loop
 // against the map-walk oracle: each appended node plan carries the
-// node's name, structure and StructureProfile.WorstCase time, the
-// returned total is JobWorstCase's, the slice's existing prefix is kept,
-// and a supplied memo changes nothing.
+// node's name, position, structure and StructureProfile.WorstCase time,
+// the returned total is JobWorstCase's, the slice's existing prefix is
+// kept, and a supplied memo changes nothing.
 func TestAppendNodePlansMatchesReference(t *testing.T) {
 	_, prof := fixture(t)
 	cache := profile.NewLatencyCache(prof)
@@ -108,7 +108,7 @@ func TestAppendNodePlansMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got[1+n] != (NodePlan{Node: np.Node, Structure: structs[n], InferTime: want}) {
+						if got[1+n] != (NodePlan{Node: np.Node, Index: n, Structure: structs[n], InferTime: want}) {
 							t.Fatalf("req=%d b=%d f=%g node %d: %+v, want %v at %v", req, b, f, n, got[1+n], np.Node, want)
 						}
 					}
@@ -131,6 +131,27 @@ func TestAppendNodePlansMatchesReference(t *testing.T) {
 	got, _, err := AppendNodePlans(prefix, jr, FullStructures(jr), 3, 0.5)
 	if err == nil || len(got) != len(prefix) {
 		t.Fatalf("unprofiled batch: %d plans, err %v", len(got), err)
+	}
+}
+
+// TestAppendNodePlansSetsIndex checks that each appended plan's Index
+// is its node's position in the job's app, not its position in dst, and
+// that the position names the same node as the plan.
+func TestAppendNodePlansSetsIndex(t *testing.T) {
+	jr := jobReq(t, 17)
+	prefix := []NodePlan{{Node: "a", Index: 7}, {Node: "b", Index: 9}}
+	got, _, err := AppendNodePlans(prefix, jr, FullStructures(jr), jr.Tables()[0].Batches()[0], 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := jr.Instance.Nodes()
+	if len(got) != len(prefix)+len(nodes) || got[0].Index != 7 || got[1].Index != 9 {
+		t.Fatalf("prefix or length lost: %+v", got)
+	}
+	for n, ni := range nodes {
+		if np := got[len(prefix)+n]; np.Index != n || np.Node != ni.Node.Name {
+			t.Fatalf("plan %d = %+v, want node %q at index %d", len(prefix)+n, np, ni.Node.Name, n)
+		}
 	}
 }
 

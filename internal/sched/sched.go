@@ -136,6 +136,10 @@ type SessionContext struct {
 type NodePlan struct {
 	// Node is the application DAG node.
 	Node string
+	// Index is the node's position in App.Nodes (= Instance.Nodes() =
+	// Profile.Tables() order). The runtime looks node state up by it and
+	// rejects a plan whose Index names another node than Node.
+	Index int
 	// Structure is the chosen deployable structure.
 	Structure dnn.Structure
 	// InferTime is the predicted inference time of the node's task.

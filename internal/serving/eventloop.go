@@ -25,7 +25,6 @@ import (
 type runLoop struct {
 	cfg    *Config
 	states []*appState
-	byName map[string]*appState
 	rec    *metrics.Recorder
 	res    *Result
 	rng    *rand.Rand
@@ -127,7 +126,6 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 	l := &runLoop{
 		cfg:               cfg,
 		states:            states,
-		byName:            make(map[string]*appState, len(states)),
 		rec:               rec,
 		res:               res,
 		rng:               rng,
@@ -147,7 +145,6 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 	l.laneBusy = make([]float64, cfg.NGPUs)
 	l.laneShare = make([]float64, cfg.NGPUs)
 	for i, st := range states {
-		l.byName[st.inst.App.Name] = st
 		l.appNames[i] = st.inst.App.Name
 		l.appIdx[st.inst.App.Name] = i
 	}
@@ -307,17 +304,16 @@ func (l *runLoop) periodStart(period int) error {
 		}
 	}
 	for _, st := range l.states {
-		clear(st.liveDists)
-		clear(st.poolDists)
 		clear(st.updated)
 		clear(st.carry)
-		for _, ni := range st.inst.Nodes() {
-			st.liveDists[ni.Node.Name] = ni.LiveDist()
+		for k, ni := range st.inst.Nodes() {
+			st.liveDists[k] = ni.LiveDist()
+			st.liveCDFs[k] = st.liveDists[k].AppendCDF(st.liveCDFs[k][:0])
 			pd, err := ni.PoolDist()
 			if err != nil {
 				return err
 			}
-			st.poolDists[ni.Node.Name] = pd
+			st.poolDists[k] = pd
 			l.rec.SetPoolSize(period, len(ni.Pool.Samples))
 		}
 	}
@@ -449,14 +445,15 @@ func (l *runLoop) periodStart(period int) error {
 			if !ok {
 				return fmt.Errorf("serving: period %d plan retrains unknown app %q", period, r.App)
 			}
-			if l.states[ai].inst.ByName[r.Node] == nil {
+			node := nodeIndex(l.states[ai].inst, r.Node)
+			if node < 0 {
 				return fmt.Errorf("serving: period %d plan retrains unknown node %q of %q", period, r.Node, r.App)
 			}
 			if l.suspendRetrain != nil && l.suspendRetrain[ai] {
 				// The admission gate suspended this app's retraining: the
 				// job never starts, charges no GPU time, and the stale
 				// model keeps serving (the abandoned-job mechanics).
-				l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: true})
+				l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: true, app: ai, node: node})
 				continue
 			}
 			// Placement only changes at period boundaries, so the owning
@@ -499,7 +496,7 @@ func (l *runLoop) periodStart(period int) error {
 					r.Busy = fate.Busy
 				}
 			}
-			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned, lane: lane})
+			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned, lane: lane, app: ai, node: node})
 			if !abandoned && r.GPUFraction > 0 && r.Busy > 0 {
 				if err := l.chargeRetrain(r.App, lane, r.Completion.Add(-r.Busy), r.Completion, r.GPUFraction); err != nil {
 					return err
@@ -778,15 +775,15 @@ func (l *runLoop) drainRetrains(maxSession int) error {
 }
 
 // applyRetrain trains one node on its period pool. periodStart has
-// checked that the app and node exist.
+// resolved the app and node positions.
 func (l *runLoop) applyRetrain(pr *pendingRetrain) {
 	pr.applied = true
-	st := l.byName[pr.App]
-	ni := st.inst.ByName[pr.Node]
+	st := l.states[pr.app]
+	ni := st.inst.Nodes()[pr.node]
 	used := ni.ConsumeSamples(pr.Samples)
-	ni.State.Train(st.poolDists[pr.Node], float64(used))
+	ni.State.Train(st.poolDists[pr.node], float64(used))
 	ni.NoteTrained()
-	st.updated[pr.Node] = true
+	st.updated[pr.node] = true
 	l.rec.RecordRetrainEffort(pr.Completion, pr.Busy, used)
 }
 
@@ -943,7 +940,7 @@ func (l *runLoop) workSession(sess int) error {
 			if served == 0 {
 				continue
 			}
-			jp := jobPlanFor(plan, st.inst.App.Name)
+			jp := jobPlanFor(plan, li, st.inst.App.Name)
 			var degraded sched.JobPlan
 			if l.admitDegraded != nil && l.admitDegraded[i] {
 				// Degraded admission serves at the smallest profiled
@@ -1016,10 +1013,8 @@ func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n 
 		}
 	}
 	l.tel.Shed(start, sess, name, n)
-	for r := 0; r < n; r++ {
-		l.rec.RecordRequest(start, false)
-		l.res.Requests++
-	}
+	l.rec.RecordRequests(start, false, n)
+	l.res.Requests += n
 	l.res.FaultShedRequests += n
 	return nil
 }

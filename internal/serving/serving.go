@@ -17,6 +17,7 @@ package serving
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"adainf/internal/app"
@@ -296,17 +297,21 @@ type appState struct {
 	prof *profile.AppProfile
 	gen  *trace.Generator
 	pred *trace.Predictor
-	// liveDists caches each node's live distribution for the period.
-	liveDists map[string]*dist.Categorical
-	poolDists map[string]*dist.Categorical
+	// Per-node state is indexed by node position (App.Nodes order, as
+	// in Instance.Nodes(), the profile's Tables() and NodePlan.Index).
+	// liveDists caches each node's live distribution for the period and
+	// liveCDFs its cumulative vector (dist.Categorical.AppendCDF).
+	liveDists []*dist.Categorical
+	liveCDFs  [][]float64
+	poolDists []*dist.Categorical
 	// updated marks the nodes whose model was retrained within the
 	// current period.
-	updated map[string]bool
+	updated []bool
 	// carry holds fractional incremental-retraining progress per node:
 	// a short slice at a small GPU fraction may train less than one
 	// whole sample; the remainder carries to the app's next job.
-	carry  map[string]float64
-	leaves []string
+	carry  []float64
+	leaves []int
 	// fallbackNodes is the precomputed full-structure plan used when the
 	// scheduler did not plan for the app. It must be its own storage:
 	// scheduler plans alias reusable arenas that a fallback job must not
@@ -323,8 +328,8 @@ type appState struct {
 	// snapshot (a fresh immutable clone each period, so pointer
 	// identity suffices), the model-state version (bumped by every
 	// effective Train), and the served structure. Scoring reuses the
-	// vector until one of those moves.
-	probMemo map[string]*leafProbs
+	// vector until one of those moves. Only leaves' entries are used.
+	probMemo []leafProbs
 	// dag is the method's retraining-inference DAG for the current
 	// period (nil when the method builds none), bound to every session
 	// job of the app.
@@ -335,8 +340,6 @@ type appState struct {
 	// inference latencies and the method's planning probes (as
 	// JobRequest.Costs) both go through it.
 	costs *profile.LatencyCache
-	// tableIdx maps node name → costs table index (App.Nodes order).
-	tableIdx map[string]int
 }
 
 // leafProbs is one probMemo entry: the cached correctness vector and
@@ -361,6 +364,9 @@ type pendingRetrain struct {
 	// lane is the GPU lane the owning app was placed on when the period
 	// plan was built; its GPU claim is charged there.
 	lane int
+	// app and node are the retrain's app (states order) and node
+	// positions.
+	app, node int
 }
 
 // ProfileBuildOptions tunes BuildProfilesWith beyond the memory
@@ -464,6 +470,11 @@ func Run(cfg Config) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("serving: no profile for app %q", a.Name)
 		}
+		// Per-node state is positional: the profile must list the app's
+		// nodes in order.
+		if !slices.EqualFunc(prof.Index(), a.Nodes, func(np *profile.NodeProfiles, n app.Node) bool { return np.Node == n.Name }) {
+			return nil, fmt.Errorf("serving: profile for app %q does not list its nodes in order", a.Name)
+		}
 		curve := trace.DefaultTwitterLike(cfg.RatePerApp, cfg.Horizon, cfg.Seed+int64(i)*31)
 		pred, err := trace.NewPredictor(cfg.PredictAlpha)
 		if err != nil {
@@ -472,29 +483,29 @@ func Run(cfg Config) (*Result, error) {
 		if costs[prof] == nil {
 			costs[prof] = profile.NewLatencyCache(prof)
 		}
+		n := len(a.Nodes)
 		st := &appState{
 			inst:      inst,
 			prof:      prof,
 			gen:       trace.NewGenerator(curve, cfg.Seed+int64(i)*17+1),
 			pred:      pred,
-			liveDists: make(map[string]*dist.Categorical, len(a.Nodes)),
-			poolDists: make(map[string]*dist.Categorical, len(a.Nodes)),
-			updated:   make(map[string]bool, len(a.Nodes)),
-			carry:     make(map[string]float64, len(a.Nodes)),
-			leaves:    a.Leaves(),
+			liveDists: make([]*dist.Categorical, n),
+			liveCDFs:  make([][]float64, n),
+			poolDists: make([]*dist.Categorical, n),
+			updated:   make([]bool, n),
+			carry:     make([]float64, n),
 			costs:     costs[prof],
-			tableIdx:  make(map[string]int, len(a.Nodes)),
-			probMemo:  make(map[string]*leafProbs, len(a.Nodes)),
+			probMemo:  make([]leafProbs, n),
 		}
-		for ti, tb := range st.costs.Tables() {
-			st.tableIdx[tb.Node()] = ti
+		for _, leaf := range a.Leaves() {
+			st.leaves = append(st.leaves, nodeIndex(inst, leaf))
 		}
-		for _, ni := range inst.Nodes() {
+		for ni, nd := range inst.Nodes() {
 			st.fallbackNodes = append(st.fallbackNodes, sched.NodePlan{
-				Node: ni.Node.Name, Structure: ni.FullStructure(),
+				Node: nd.Node.Name, Index: ni, Structure: nd.FullStructure(),
 			})
 			st.degradedNodes = append(st.degradedNodes, sched.NodePlan{
-				Node: ni.Node.Name, Structure: ni.SmallestStructure(),
+				Node: nd.Node.Name, Index: ni, Structure: nd.SmallestStructure(),
 			})
 		}
 		states[i] = st
@@ -535,7 +546,12 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func jobPlanFor(plan *sched.SessionPlan, appName string) *sched.JobPlan {
+// jobPlanFor returns the plan's job for the app, which a method
+// normally plans at the app's position li in the session's jobs.
+func jobPlanFor(plan *sched.SessionPlan, li int, appName string) *sched.JobPlan {
+	if li < len(plan.Jobs) && plan.Jobs[li].App == appName {
+		return &plan.Jobs[li]
+	}
 	for i := range plan.Jobs {
 		if plan.Jobs[i].App == appName {
 			return &plan.Jobs[i]
@@ -577,17 +593,19 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 	nBatches := (actual + batch - 1) / batch
 	var inferTotal, retrainTotal simtime.Duration
 
+	insts := st.inst.Nodes()
 	for _, np := range nodes {
-		ni := st.inst.ByName[np.Node]
-		if ni == nil {
-			return 0, fmt.Errorf("serving: plan for unknown node %q of %q", np.Node, a.Name)
+		k := np.Index
+		if k < 0 || k >= len(insts) || insts[k].Node.Name != np.Node {
+			return 0, fmt.Errorf("serving: plan for unknown node %q (index %d) of %q", np.Node, k, a.Name)
 		}
+		ni := insts[k]
 		// Incremental retraining before the node's inference (§3.2):
 		// the job trains for its allocated slice, with fractional
 		// sample progress carried to the app's next job.
 		if cfg.Retraining && np.RetrainTime > 0 {
 			remaining := ni.RemainingSamples()
-			rp := st.prof.Retrain[np.Node]
+			rp := st.prof.Index()[k].Retrain
 			if remaining > 0 && rp != nil {
 				samplesF := rp.SamplesWithinF(np.RetrainTime, fraction)
 				lat := np.RetrainTime
@@ -616,21 +634,21 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 					}
 				}
 				if samplesF > 0 {
-					st.carry[np.Node] += samplesF
-					whole := int(st.carry[np.Node])
+					st.carry[k] += samplesF
+					whole := int(st.carry[k])
 					if whole > 0 {
-						st.carry[np.Node] -= float64(whole)
+						st.carry[k] -= float64(whole)
 						ni.ConsumeSamples(whole)
 					}
 					eff := samplesF
 					if cfg.DivergentSelection {
 						eff *= dnn.DivergentSelectionBoost
 					}
-					ni.State.Train(st.poolDists[np.Node], eff)
+					ni.State.Train(st.poolDists[k], eff)
 					ni.NoteTrained()
 					t = t.Add(lat)
 					retrainTotal += lat
-					st.updated[np.Node] = true
+					st.updated[k] = true
 					rec.RecordRetrainEffort(start, lat, whole)
 				}
 			}
@@ -658,26 +676,21 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 	res.Jobs++
 
 	// Score every request: one SLO outcome per request and one
-	// prediction per leaf model.
-	for r := 0; r < actual; r++ {
-		rec.RecordRequest(start, met)
-		res.Requests++
-	}
+	// prediction per leaf model. Each prediction draws its class from
+	// the live distribution's CDF, then its correctness.
+	rec.RecordRequests(start, met, actual)
+	res.Requests += actual
 	for _, leaf := range st.leaves {
-		ni := st.inst.ByName[leaf]
-		live := st.liveDists[leaf]
+		ni := insts[leaf]
+		live, cdf := st.liveDists[leaf], st.liveCDFs[leaf]
 		stct := ni.FullStructure()
 		for i := range nodes {
-			if nodes[i].Node == leaf {
+			if nodes[i].Index == leaf {
 				stct = nodes[i].Structure
 				break
 			}
 		}
-		pm := st.probMemo[leaf]
-		if pm == nil {
-			pm = &leafProbs{}
-			st.probMemo[leaf] = pm
-		}
+		pm := &st.probMemo[leaf]
 		if pm.probs == nil || pm.live != live || pm.version != ni.State.Version() || pm.stct != stct {
 			// Overwrite the entry in place: a retrained leaf misses on
 			// every job, so the vector is reused rather than reallocated.
@@ -691,12 +704,14 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 			}
 		}
 		probs := pm.probs
-		usedUpdated := st.updated[leaf]
+		correct := 0
 		for r := 0; r < actual; r++ {
-			class := live.Sample(rng)
-			correct := rng.Float64() < probs[class]
-			rec.RecordPrediction(start, correct, usedUpdated)
+			class := dist.SampleCDF(rng, cdf)
+			if rng.Float64() < probs[class] {
+				correct++
+			}
 		}
+		rec.RecordPredictions(start, actual, correct, st.updated[leaf])
 	}
 	return latency, nil
 }
@@ -704,18 +719,25 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 // perBatch is one node's per-batch inference latency under the node
 // plan's structure at the given batch size and GPU fraction, through the
 // flattened-table probe memo (same fitted laws as the map-walk profile
-// API, so latencies are bit-identical).
+// API, so latencies are bit-identical). np.Index must be in range.
 func (st *appState) perBatch(np sched.NodePlan, batch int, fraction float64) (simtime.Duration, error) {
-	ti, ok := st.tableIdx[np.Node]
-	if !ok {
-		return 0, fmt.Errorf("serving: no latency table for node %q of %q", np.Node, st.inst.App.Name)
-	}
-	tb := st.costs.Tables()[ti]
+	tb := st.costs.Tables()[np.Index]
 	si, err := tb.StructIdx(np.Structure)
 	if err != nil {
 		return 0, err
 	}
-	return st.costs.PerBatch(ti, si, tb.BatchIdx(batch), fraction)
+	return st.costs.PerBatch(np.Index, si, tb.BatchIdx(batch), fraction)
+}
+
+// nodeIndex returns the position of the named node in the instance, or
+// -1 when it has none.
+func nodeIndex(inst *app.Instance, name string) int {
+	for i, ni := range inst.Nodes() {
+		if ni.Node.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 func fallbackBatch(actual int) int {

@@ -3,6 +3,7 @@ package serving
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,6 +223,65 @@ func TestConfigValidation(t *testing.T) {
 	cfg := Config{Method: core.New(core.Options{}), PredictAlpha: 1}
 	if err := cfg.fillDefaults(); err != nil {
 		t.Errorf("alpha 1 rejected: %v", err)
+	}
+}
+
+// badIndexPlanner wraps AdaInf and overwrites the first node plan's
+// Index in every planned job.
+type badIndexPlanner struct {
+	*core.Scheduler
+	index func(nNodes int) int
+}
+
+func (b *badIndexPlanner) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	plan, err := b.Scheduler.PlanSession(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i := range plan.Jobs {
+		if nodes := plan.Jobs[i].Nodes; len(nodes) > 0 {
+			nodes[0].Index = b.index(len(nodes))
+		}
+	}
+	return plan, nil
+}
+
+// TestRunRejectsNodePlanWithBadIndex checks that a node plan whose
+// Index is out of range, or names another node than its Node, fails the
+// run with an error instead of a panic or a silent lookup of the wrong
+// node's state.
+func TestRunRejectsNodePlanWithBadIndex(t *testing.T) {
+	apps, profs := fixtures(t)
+	// Video surveillance alone: it has three nodes, so index 1 is a
+	// valid position naming another node than the first plan's.
+	apps = apps[:1]
+	for name, index := range map[string]func(int) int{
+		"negative":     func(int) int { return -1 },
+		"out of range": func(n int) int { return n },
+		"other node":   func(int) int { return 1 },
+	} {
+		_, err := Run(Config{
+			Apps: apps, Method: &badIndexPlanner{core.New(core.Options{}), index},
+			Horizon: 10 * time.Second, Seed: 1, Retraining: true, Profiles: profs,
+		})
+		if err == nil || !strings.Contains(err.Error(), "unknown node") {
+			t.Errorf("%s index: err = %v, want an unknown-node error", name, err)
+		}
+	}
+}
+
+// TestRunRejectsProfileOfOtherNodes checks that a supplied profile must
+// list the app's nodes in the app's order, since per-node state is
+// positional.
+func TestRunRejectsProfileOfOtherNodes(t *testing.T) {
+	apps, profs := fixtures(t)
+	swapped := map[string]*profile.AppProfile{
+		apps[0].Name: profs[apps[1].Name],
+		apps[1].Name: profs[apps[0].Name],
+	}
+	_, err := Run(Config{Apps: apps, Method: core.New(core.Options{}), Horizon: 10 * time.Second, Profiles: swapped})
+	if err == nil || !strings.Contains(err.Error(), "profile for app") {
+		t.Fatalf("err = %v, want a profile mismatch", err)
 	}
 }
 

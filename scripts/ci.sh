@@ -78,9 +78,10 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 # cache-key identity, fault-schedule decode/encode round trips, the
 # bin-packing invariants of the placer and its failover re-pack, the
 # drift probe's top-k ranking against a full stable sort, serving.Run
-# rejecting bad configs and finishing good ones audit-clean, and the
+# rejecting bad configs and finishing good ones audit-clean, the
 # GPU-memory eviction index matching a full sort under any operation
-# stream).
+# stream, and the latency memo answering every probe as the profile
+# table does).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzFitScaling -fuzztime=5s ./internal/mathx
@@ -91,18 +92,21 @@ go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzDetectNodeRanking -fuzztime=5s ./internal/drift
 go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
 go test -run='^$' -fuzz=FuzzEvictionIndex -fuzztime=5s ./internal/gpumem
+go test -run='^$' -fuzz=FuzzLatencyCache -fuzztime=5s ./internal/profile
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
-# loop, a serial /M1 profile build, Scrooge planning four lanes, drift
-# detection over the catalog's 8000-sample pools, one period boundary
-# resampling those pools and one 50 s single-app serving run each of
-# AdaInf, Ekya and Scrooge, so all of them keep compiling and running
-# and every method's session path reports its allocations. There
-# is no timing gate, since wall time on shared machines is noise
-# (compare with -count and benchstat on one machine instead).
+# loop, a serial /M1 profile build, a latency-memo hit, Scrooge
+# planning four lanes, drift detection over the catalog's 8000-sample
+# pools, one period boundary resampling those pools and one 50 s
+# single-app serving run each of AdaInf, Ekya and Scrooge, so all of
+# them keep compiling and running and every method's session path
+# reports its allocations. There is no timing gate, since wall time on
+# shared machines is noise (compare with -count and benchstat on one
+# machine instead).
 echo "== microbenchmark smoke =="
 go test -run '^$' -bench BenchmarkAcquirePerRequest -benchtime 1x ./internal/gpumem
 go test -run '^$' -bench BenchmarkBuildAppProfileM1 -benchtime 1x ./internal/profile
+go test -run '^$' -bench BenchmarkLatencyCacheHit -benchtime 1x ./internal/profile
 go test -run '^$' -bench BenchmarkScroogePlanSessionLanes -benchtime 1x ./internal/baselines
 go test -run '^$' -bench BenchmarkDetectApp -benchtime 1x ./internal/drift
 go test -run '^$' -bench BenchmarkAdvancePeriod -benchtime 1x ./internal/app
