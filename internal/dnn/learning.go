@@ -201,42 +201,3 @@ func AverageStates(states []*State) *State {
 		sensitivity: first.sensitivity,
 	}
 }
-
-// RetrainSetting is one retraining configuration the scheduler can
-// choose: how many samples, the training batch size, and epochs
-// (§3.3.2, "retraining setting").
-type RetrainSetting struct {
-	Samples   int
-	BatchSize int
-	Epochs    int
-}
-
-// EffectiveSamples returns the training exposure of the setting:
-// samples × epochs, optionally boosted when the samples were chosen by
-// divergence rather than uniformly.
-func (r RetrainSetting) EffectiveSamples(divergentSelection bool) float64 {
-	eff := float64(r.Samples) * float64(r.Epochs)
-	if divergentSelection {
-		eff *= DivergentSelectionBoost
-	}
-	return eff
-}
-
-// TrainWork returns the total training FLOPs of running the setting on
-// the architecture.
-func (r RetrainSetting) TrainWork(arch *Arch) float64 {
-	return arch.TrainFLOPs() * float64(r.Samples) * float64(r.Epochs)
-}
-
-// DefaultRetrainSettings enumerates the setting grid the offline
-// profiler sweeps: sample counts × epochs at a fixed efficient batch
-// size.
-func DefaultRetrainSettings() []RetrainSetting {
-	var out []RetrainSetting
-	for _, samples := range []int{25, 50, 100, 200, 400, 800} {
-		for _, epochs := range []int{1, 2, 4} {
-			out = append(out, RetrainSetting{Samples: samples, BatchSize: 32, Epochs: epochs})
-		}
-	}
-	return out
-}

@@ -230,24 +230,6 @@ func TestTrainLeavesSnapshotsUnchanged(t *testing.T) {
 	}
 }
 
-func TestRetrainSetting(t *testing.T) {
-	r := RetrainSetting{Samples: 100, BatchSize: 32, Epochs: 2}
-	if got := r.EffectiveSamples(false); got != 200 {
-		t.Fatalf("EffectiveSamples = %v", got)
-	}
-	if got := r.EffectiveSamples(true); got != 200*DivergentSelectionBoost {
-		t.Fatalf("boosted EffectiveSamples = %v", got)
-	}
-	a := ShuffleNet()
-	if got := r.TrainWork(a); got != a.TrainFLOPs()*200 {
-		t.Fatalf("TrainWork = %v", got)
-	}
-	settings := DefaultRetrainSettings()
-	if len(settings) != 18 {
-		t.Fatalf("default settings = %d, want 18", len(settings))
-	}
-}
-
 func TestStatePanicsOnBadInputs(t *testing.T) {
 	live := mustDist(t, vehicleLabels, []float64{1, 1, 1, 1})
 	for name, fn := range map[string]func(){

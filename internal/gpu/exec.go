@@ -145,98 +145,42 @@ func (e *Executor) RunInference(start simtime.Instant, t InferenceTask) (Inferen
 		now = now.Add(comm)
 	}
 
-	var out gpumem.ContentID
-	var err error
-	if e.strat.MaximizeUsage {
-		out, now, err = e.inferLayerSync(now, t, &res)
-	} else {
-		out, now, err = e.inferPerRequest(now, t, &res)
-	}
+	out, now, err := e.inferLayers(now, t, &res)
 	if err != nil {
 		return InferenceResult{}, err
 	}
 	return InferenceResult{TaskResult: res, Output: out, End: now}, nil
 }
 
-// inferLayerSync runs each layer once for the whole batch.
-func (e *Executor) inferLayerSync(now simtime.Instant, t InferenceTask, res *TaskResult) (gpumem.ContentID, simtime.Instant, error) {
+// inferLayers runs the model's layers over the batch in request
+// groups. Under MaximizeUsage one group holds the whole batch: each
+// layer's kernel runs once for every request, so its parameters are
+// fully reused, and the previous layer's output is freed as soon as it
+// is consumed. Otherwise (the /M1 ablation) every request is its own
+// group, so under memory pressure the same parameters bounce between
+// CPU and GPU memory once per request. Because those requests run
+// without layer synchronization, no request knows when a layer output
+// is dead for the others, so intermediate outputs linger until the job
+// finishes — inflating the resident set exactly the way the paper's
+// uncoordinated baseline does.
+func (e *Executor) inferLayers(now simtime.Instant, t InferenceTask, res *TaskResult) (gpumem.ContentID, simtime.Instant, error) {
 	model := t.Structure.Arch().Name
 	layers := t.Structure.Layers()
 	mem := e.part.Mem()
-	e.seq++
-	seq := e.seq
-	var prevOut gpumem.ContentID
-	var prevBytes int64
-	var buf [3]gpumem.Access // a layer touches at most 3 contents
-	for i, layer := range layers {
-		accs := append(buf[:0], gpumem.Access{
-			Content: gpumem.Content{
-				ID:    gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindParam},
-				Bytes: layer.ParamBytes + 1, // +1 keeps zero-param layers representable
-				SLOms: t.SLOms,
-			},
-			Phase: gpumem.PhaseInference,
-			Model: model,
-			JobID: t.JobID,
-		})
-		if i > 0 {
-			accs = append(accs, gpumem.Access{
-				Content: gpumem.Content{ID: prevOut, Bytes: prevBytes, SLOms: t.SLOms, ProducedOnGPU: true},
-				Phase:   gpumem.PhaseInference,
-				Model:   model,
-				JobID:   t.JobID,
-			})
-		}
-		outID := gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindIntermediate, Seq: seq}
-		outBytes := layer.ActivationBytes*int64(t.Batch) + 1
-		accs = append(accs, gpumem.Access{
-			Content: gpumem.Content{ID: outID, Bytes: outBytes, SLOms: t.SLOms, ProducedOnGPU: true},
-			Phase:   gpumem.PhaseInference,
-			Model:   model,
-			JobID:   t.JobID,
-		})
-		comm, err := mem.Acquire(now, accs)
-		if err != nil {
-			return gpumem.ContentID{}, now, fmt.Errorf("gpu: inference %s layer %d: %w", model, i, err)
-		}
-		comp := e.part.KernelTime(layer.FwdFLOPs, t.Batch)
-		res.Comm += comm
-		res.Compute += comp
-		now = now.Add(comm + comp)
-		// The previous layer's output is dead once this layer consumed
-		// it; free it immediately to maximize usable memory.
-		if i > 0 {
-			mem.Release(prevOut)
-		}
-		prevOut, prevBytes = outID, outBytes
+	groups, n := 1, t.Batch
+	if !e.strat.MaximizeUsage {
+		groups, n = t.Batch, 1
 	}
-	return prevOut, now, nil
-}
-
-// inferPerRequest runs every request separately (the /M1 ablation):
-// the same layer parameters are touched once per request, so under
-// memory pressure they bounce between CPU and GPU memory. Because the
-// requests execute without layer synchronization, no request knows
-// when a layer output is dead for the others, so intermediate outputs
-// linger until the job finishes — inflating the resident set exactly
-// the way the paper's uncoordinated baseline does.
-func (e *Executor) inferPerRequest(now simtime.Instant, t InferenceTask, res *TaskResult) (gpumem.ContentID, simtime.Instant, error) {
-	model := t.Structure.Arch().Name
-	layers := t.Structure.Layers()
-	mem := e.part.Mem()
-	var lastOut gpumem.ContentID
-	var lastBytes int64
+	var prevOut gpumem.ContentID
 	var buf [3]gpumem.Access // a layer touches at most 3 contents
-	for r := 0; r < t.Batch; r++ {
+	for g := 0; g < groups; g++ {
 		e.seq++
-		seq := e.seq
-		var prevOut gpumem.ContentID
 		var prevBytes int64
 		for i, layer := range layers {
 			accs := append(buf[:0], gpumem.Access{
 				Content: gpumem.Content{
 					ID:    gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindParam},
-					Bytes: layer.ParamBytes + 1,
+					Bytes: layer.ParamBytes + 1, // +1 keeps zero-param layers representable
 					SLOms: t.SLOms,
 				},
 				Phase: gpumem.PhaseInference,
@@ -251,8 +195,8 @@ func (e *Executor) inferPerRequest(now simtime.Instant, t InferenceTask, res *Ta
 					JobID:   t.JobID,
 				})
 			}
-			outID := gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindIntermediate, Seq: seq}
-			outBytes := layer.ActivationBytes + 1
+			outID := gpumem.ContentID{App: t.App, Model: model, Layer: i, Kind: gpumem.KindIntermediate, Seq: e.seq}
+			outBytes := layer.ActivationBytes*int64(n) + 1
 			accs = append(accs, gpumem.Access{
 				Content: gpumem.Content{ID: outID, Bytes: outBytes, SLOms: t.SLOms, ProducedOnGPU: true},
 				Phase:   gpumem.PhaseInference,
@@ -261,18 +205,19 @@ func (e *Executor) inferPerRequest(now simtime.Instant, t InferenceTask, res *Ta
 			})
 			comm, err := mem.Acquire(now, accs)
 			if err != nil {
-				return gpumem.ContentID{}, now, fmt.Errorf("gpu: inference %s req %d layer %d: %w", model, r, i, err)
+				return gpumem.ContentID{}, now, fmt.Errorf("gpu: inference %s group %d layer %d: %w", model, g, i, err)
 			}
-			comp := e.part.KernelTime(layer.FwdFLOPs, 1)
+			comp := e.part.KernelTime(layer.FwdFLOPs, n)
 			res.Comm += comm
 			res.Compute += comp
 			now = now.Add(comm + comp)
+			if i > 0 && e.strat.MaximizeUsage {
+				mem.Release(prevOut)
+			}
 			prevOut, prevBytes = outID, outBytes
 		}
-		lastOut, lastBytes = prevOut, prevBytes
 	}
-	_ = lastBytes
-	return lastOut, now, nil
+	return prevOut, now, nil
 }
 
 // RetrainTask describes one retraining execution (a forward+backward
@@ -401,14 +346,5 @@ func (e *Executor) RunRetraining(start simtime.Instant, t RetrainTask) (TaskResu
 // next job of the application reuses them — Fig. 13) and dropped
 // otherwise.
 func (e *Executor) FinishJob(app string) {
-	mem := e.part.Mem()
-	mem.ReleaseMatching(func(id gpumem.ContentID) bool {
-		if id.App != app {
-			return false
-		}
-		if id.Kind == gpumem.KindIntermediate {
-			return true
-		}
-		return !e.strat.MaximizeUsage
-	})
+	e.part.Mem().ReleaseApp(app, e.strat.MaximizeUsage)
 }

@@ -286,33 +286,39 @@ func TestRetrainThenInferRecordsCrossTaskParam(t *testing.T) {
 	}
 }
 
+// TestFinishJobDropsIntermediatesKeepsParams runs one job each of two
+// apps and finishes only the first: its intermediates must go, its
+// params stay only under MaximizeUsage, and the other app's contents
+// must all survive.
 func TestFinishJobDropsIntermediatesKeepsParams(t *testing.T) {
-	e := newTestExecutor(1, Strategy{MaximizeUsage: true})
-	res, err := e.RunInference(0, InferenceTask{
-		App: "vs", JobID: 1, Structure: dnn.FullStructure(dnn.ShuffleNet()), Batch: 4, SLOms: 400,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.FinishJob("vs")
-	if e.Partition().Mem().Resident(res.Output) {
-		t.Fatal("intermediate output survived FinishJob")
-	}
-	paramID := gpumem.ContentID{App: "vs", Model: "ShuffleNet", Layer: 0, Kind: gpumem.KindParam}
-	if !e.Partition().Mem().Resident(paramID) {
-		t.Fatal("params dropped despite MaximizeUsage")
-	}
-
-	// Without MaximizeUsage, params are dropped too.
-	e2 := newTestExecutor(1, Strategy{MaximizeUsage: false})
-	if _, err := e2.RunInference(0, InferenceTask{
-		App: "vs", JobID: 1, Structure: dnn.FullStructure(dnn.ShuffleNet()), Batch: 4, SLOms: 400,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e2.FinishJob("vs")
-	if e2.Partition().Mem().Resident(paramID) {
-		t.Fatal("params survived FinishJob without MaximizeUsage")
+	for _, maximize := range []bool{true, false} {
+		e := newTestExecutor(1, Strategy{MaximizeUsage: maximize})
+		mem := e.Partition().Mem()
+		outs := map[string]gpumem.ContentID{}
+		for _, app := range []string{"vs", "other"} {
+			res, err := e.RunInference(0, InferenceTask{
+				App: app, JobID: 1, Structure: dnn.FullStructure(dnn.ShuffleNet()), Batch: 4, SLOms: 400,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mem.Resident(res.Output) {
+				t.Fatalf("maximize=%v: %s output not resident before FinishJob", maximize, app)
+			}
+			outs[app] = res.Output
+		}
+		e.FinishJob("vs")
+		if mem.Resident(outs["vs"]) {
+			t.Fatalf("maximize=%v: intermediate output survived FinishJob", maximize)
+		}
+		paramID := gpumem.ContentID{App: "vs", Model: "ShuffleNet", Layer: 0, Kind: gpumem.KindParam}
+		if got := mem.Resident(paramID); got != maximize {
+			t.Fatalf("maximize=%v: params resident after FinishJob = %v", maximize, got)
+		}
+		paramID.App = "other"
+		if !mem.Resident(outs["other"]) || !mem.Resident(paramID) {
+			t.Fatalf("maximize=%v: FinishJob(vs) dropped the other app's contents", maximize)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func (j *perRequestJob) run(m *Manager) error {
 			prev = out
 		}
 	}
-	m.ReleaseMatching(func(id ContentID) bool { return id.Kind == KindIntermediate })
+	m.ReleaseApp("app", true)
 	return nil
 }
 

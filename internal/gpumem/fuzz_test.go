@@ -9,11 +9,11 @@ import (
 )
 
 // FuzzEvictionIndex decodes bytes into a stream of acquires of one to
-// three contents, releases, clock steps in both directions, seeded
-// reuse means (negative ones included) and resets, and runs it on an
-// audited manager: after every operation CheckInvariants must pass, so
-// the eviction index stays consistent and every eviction matches a
-// full sort of its candidates.
+// three contents of two apps, releases, clock steps in both
+// directions, end-of-job releases of either app with or without its
+// params, and resets, and runs it on an audited manager: after every
+// operation CheckInvariants must pass, so the eviction index stays
+// consistent and every eviction matches a full sort of its candidates.
 func FuzzEvictionIndex(f *testing.F) {
 	f.Add([]byte{2, 8, 0, 3, 1, 2, 0, 5, 9, 0, 17, 33, 2, 200, 0, 1, 4, 3, 1, 2, 0, 7, 7, 7, 7, 7})
 	f.Add([]byte{0, 4, 0, 2, 3, 5, 7, 9, 2, 0x80, 0, 1, 1, 1, 0, 4, 6, 8, 1, 3, 4, 1})
@@ -39,11 +39,16 @@ func FuzzEvictionIndex(f *testing.F) {
 			}
 		}
 		slos := []float64{400, 500, math.Nextafter(400, 500)}
-		content := func(b byte) Content {
-			id := ContentID{App: "a", Model: "m", Layer: int(b >> 1 % 8), Kind: Kind(b & 1)}
+		apps := []string{"a", "b"}
+		contentID := func(b byte) ContentID {
+			id := ContentID{App: apps[b>>7], Model: "m", Layer: int(b >> 1 % 8), Kind: Kind(b & 1)}
 			if id.Kind == KindIntermediate {
 				id.Seq = uint64(b >> 4 % 4)
 			}
+			return id
+		}
+		content := func(b byte) Content {
+			id := contentID(b)
 			s := next()
 			return Content{
 				ID:            id,
@@ -66,20 +71,14 @@ func FuzzEvictionIndex(f *testing.F) {
 					t.Fatalf("op %d: %v", op, err)
 				}
 			case 1:
-				b := next()
-				id := ContentID{App: "a", Model: "m", Layer: int(b >> 1 % 8), Kind: Kind(b & 1)}
-				if id.Kind == KindIntermediate {
-					id.Seq = uint64(b >> 4 % 4)
-				}
-				m.Release(id)
+				m.Release(contentID(next()))
 			case 2:
 				now = now.Add(time.Duration(int8(next())) * 100 * time.Microsecond)
 			case 3:
 				b := next()
-				class := ReuseClass{Kind: Kind(b & 1), Phase: Phase(b >> 1 & 1)}
-				if err := m.SeedTypeReuse(class, float64(int8(next()))*10, int(b>>2)); err != nil {
-					t.Fatalf("op %d: %v", op, err)
-				}
+				app, keepParams := apps[b&1], b&2 != 0
+				m.ReleaseApp(app, keepParams)
+				requireReleased(t, m, app, keepParams)
 			case 4:
 				if err := m.Reset(config()); err != nil {
 					t.Fatalf("op %d: %v", op, err)

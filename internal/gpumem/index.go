@@ -141,8 +141,9 @@ func (m *Manager) index(e *entry) {
 }
 
 // refreshClass re-derives a reuse class's bucket order after its mean
-// changed, and re-heapifies the class's buckets when the order flipped
-// (a first mean appearing, or a seeded mean turning it negative).
+// changed, and re-heapifies the class's buckets when the order flipped.
+// A mean only goes from unknown to a value ≥ 0 (recordReuse skips
+// negative gaps), so that happens at most once per class between resets.
 func (m *Manager) refreshClass(kind Kind, phase Phase) {
 	byAge := m.cfg.Policy.ageOrdered(m.TypeReuseMeanMs(ReuseClass{Kind: kind, Phase: phase}))
 	if byAge == m.byAge[kind][phase] {

@@ -14,13 +14,14 @@ import (
 )
 
 // TestRandomOperationInvariants drives the manager with long random
-// sequences of acquires and releases and checks the accounting
-// invariants after every step:
+// sequences of acquires, releases and end-of-job releases of two apps
+// and checks the accounting invariants after every step:
 //
 //   - GPU usage never exceeds capacity;
 //   - PIN usage never exceeds the PIN capacity and never goes negative;
 //   - communication statistics only grow.
 func TestRandomOperationInvariants(t *testing.T) {
+	apps := []string{"app", "other"}
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		seed := seed
 		rng := rand.New(rand.NewSource(seed))
@@ -37,6 +38,10 @@ func TestRandomOperationInvariants(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			now = now.Add(time.Duration(1+rng.Intn(500)) * time.Microsecond)
 			switch {
+			case rng.Intn(100) == 0:
+				app, keepParams := apps[rng.Intn(len(apps))], rng.Intn(2) == 0
+				m.ReleaseApp(app, keepParams)
+				requireReleased(t, m, app, keepParams)
 			case len(live) > 0 && rng.Intn(4) == 0:
 				// Release a random live content.
 				i := rng.Intn(len(live))
@@ -46,7 +51,7 @@ func TestRandomOperationInvariants(t *testing.T) {
 			default:
 				kind := Kind(rng.Intn(2))
 				id := ContentID{
-					App:   "app",
+					App:   apps[rng.Intn(len(apps))],
 					Model: []string{"a", "b", "c"}[rng.Intn(3)],
 					Layer: rng.Intn(6),
 					Kind:  kind,
@@ -89,19 +94,33 @@ func TestRandomOperationInvariants(t *testing.T) {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
-		// Releasing everything must drain the accounting to zero.
-		m.ReleaseMatching(func(ContentID) bool { return true })
-		if m.GPUUsed() != 0 || m.PinUsed() != 0 {
+		// Releasing every app must drain the accounting to zero.
+		for _, app := range apps {
+			m.ReleaseApp(app, false)
+		}
+		if m.GPUUsed() != 0 || m.PinUsed() != 0 || len(m.entries) != 0 {
 			t.Fatalf("seed %d: usage after full release: gpu=%d pin=%d",
 				seed, m.GPUUsed(), m.PinUsed())
 		}
 	}
 }
 
+// requireReleased fails the test if the manager still holds a content
+// ReleaseApp(app, keepParams) should have dropped.
+func requireReleased(t *testing.T, m *Manager, app string, keepParams bool) {
+	t.Helper()
+	for id := range m.entries {
+		if id.App == app && (id.Kind == KindIntermediate || !keepParams) {
+			t.Fatalf("ReleaseApp(%q, %v) left %v", app, keepParams, id)
+		}
+	}
+}
+
 // lockstep applies one random stream of acquires, releases, clock
-// steps and seeded reuse means to several managers alike. Capacities
-// in the tests below let 50–200 residents compete for eviction, and
-// many scores tie (shared SLOs, shared access instants).
+// steps and end-of-job releases to several managers alike. Contents
+// belong to two apps, split by layer parity. Capacities in the tests
+// below let 50–200 residents compete for eviction, and many scores tie
+// (shared SLOs, shared access instants).
 type lockstep struct {
 	rng  *rand.Rand
 	now  simtime.Instant
@@ -109,19 +128,29 @@ type lockstep struct {
 	slos []float64
 	// step returns the clock change before operation i.
 	step func(rng *rand.Rand, i int) time.Duration
-	// seed, when non-nil, may seed reuse means before operation i.
-	seed func(m *Manager, i int)
-	i    int
+	// releaseApp, when non-nil, may name an app for every manager to
+	// release, with or without its params, before operation i.
+	releaseApp func(i int) (app string, keepParams, ok bool)
+	// released counts the contents those releases dropped.
+	released int
+	i        int
 }
+
+var lockstepApps = []string{"app", "other"}
 
 // next applies one operation to every manager and fails the test if
 // their communication charges differ.
 func (d *lockstep) next(t *testing.T, ms ...*Manager) {
 	t.Helper()
 	d.now = d.now.Add(d.step(d.rng, d.i))
-	if d.seed != nil {
-		for _, m := range ms {
-			d.seed(m, d.i)
+	if d.releaseApp != nil {
+		if app, keepParams, ok := d.releaseApp(d.i); ok {
+			for k, m := range ms {
+				if n := m.ReleaseApp(app, keepParams); k == 0 {
+					d.released += n
+				}
+				requireReleased(t, m, app, keepParams)
+			}
 		}
 	}
 	d.i++
@@ -138,7 +167,8 @@ func (d *lockstep) next(t *testing.T, ms ...*Manager) {
 	accs := make([]Access, 1+d.rng.Intn(3))
 	for j := range accs {
 		kind := Kind(d.rng.Intn(2))
-		id := ContentID{App: "app", Model: []string{"a", "b", "c"}[d.rng.Intn(3)], Layer: d.rng.Intn(20), Kind: kind}
+		id := ContentID{Model: []string{"a", "b", "c"}[d.rng.Intn(3)], Layer: d.rng.Intn(20), Kind: kind}
+		id.App = lockstepApps[id.Layer%2]
 		if kind == KindIntermediate {
 			id.Seq = uint64(d.rng.Intn(12))
 		}
@@ -211,11 +241,11 @@ func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
 	}
 	slos := []float64{400, 500, 600}
 	rows := []struct {
-		name   string
-		policy Policy
-		slos   []float64
-		step   func(*rand.Rand, int) time.Duration
-		seed   func(m *Manager, i int)
+		name       string
+		policy     Policy
+		slos       []float64
+		step       func(*rand.Rand, int) time.Duration
+		releaseApp func(i int) (string, bool, bool)
 		// wantTies requires distinct access times to tie on the LRU
 		// score while the row runs.
 		wantTies bool
@@ -228,21 +258,11 @@ func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
 			slos: []float64{400, math.Nextafter(400, 500)}, step: hundredMicros(0, 2)},
 		{name: "clock-backwards/lru", policy: LRUPolicy{}, slos: slos, step: hundredMicros(-2, 3)},
 		{name: "clock-backwards/alpha0.4", policy: PriorityPolicy{Alpha: 0.4}, slos: slos, step: hundredMicros(-2, 3)},
-		{name: "negative-seeded-mean", policy: PriorityPolicy{Alpha: 0.4}, slos: slos, step: hundredMicros(0, 2),
-			// Every 100 operations one class's mean turns negative (the
-			// fallback order) and then back, in turn.
-			seed: func(m *Manager, i int) {
-				if i%100 != 0 {
-					return
-				}
-				class := ReuseClass{Kind: Kind(i / 100 % 2), Phase: Phase(i / 200 % 2)}
-				mean := -1e6
-				if i/100%4 >= 2 {
-					mean = 1e6
-				}
-				if err := m.SeedTypeReuse(class, mean, 1); err != nil {
-					panic(err)
-				}
+		{name: "release-app", policy: PriorityPolicy{Alpha: 0.4}, slos: slos, step: hundredMicros(0, 2),
+			// Every 60 operations one app ends a job: each app in turn,
+			// keeping its params every other time.
+			releaseApp: func(i int) (string, bool, bool) {
+				return lockstepApps[i/60%2], i/120%2 == 0, i%60 == 59
 			}},
 		{name: "lru-score-ties-at-1e16ns", policy: LRUPolicy{}, slos: slos, wantTies: true,
 			// Nanosecond steps, with a 1e16 ns jump every 100
@@ -277,7 +297,7 @@ func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
 			plain := NewManager(cfg)
 			cfg.Audit = true
 			audited := NewManager(cfg)
-			d := &lockstep{rng: rng, slos: row.slos, step: row.step, seed: row.seed}
+			d := &lockstep{rng: rng, slos: row.slos, step: row.step, releaseApp: row.releaseApp}
 			maxResidents, ties := 0, 0
 			for step := 0; step < 1500; step++ {
 				if row.wantTies {
@@ -299,6 +319,9 @@ func TestAuditedSelectionMatchesUnaudited(t *testing.T) {
 			if st := audited.Stats(); st.Evictions == 0 || maxResidents < 50 {
 				t.Fatalf("%s seed %d: vacuous run: %d evictions, at most %d residents",
 					row.name, seed, st.Evictions, maxResidents)
+			}
+			if row.releaseApp != nil && d.released == 0 {
+				t.Fatalf("%s seed %d: vacuous run: no app release dropped a content", row.name, seed)
 			}
 			if row.wantTies && ties == 0 {
 				t.Fatalf("%s seed %d: no LRU score ties between distinct access times", row.name, seed)

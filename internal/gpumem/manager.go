@@ -232,27 +232,6 @@ func (m *Manager) Resident(id ContentID) bool {
 	return ok && e.loc == locGPU
 }
 
-// SeedTypeReuse installs an offline-profiled mean reuse latency (ms)
-// for a reuse class, the way §3.4.2 primes the priority policy before
-// serving starts. Only tests call it: serving plans from profiles and
-// runs no Manager. A non-positive weight counts as 1. It rejects an
-// unknown class and a non-finite mean.
-func (m *Manager) SeedTypeReuse(class ReuseClass, meanMs float64, weight int) error {
-	if !class.valid() {
-		return fmt.Errorf("gpumem: unknown reuse class %v", class)
-	}
-	if math.IsNaN(meanMs) || math.IsInf(meanMs, 0) {
-		return fmt.Errorf("gpumem: reuse mean %g for %v is not finite", meanMs, class)
-	}
-	if weight <= 0 {
-		weight = 1
-	}
-	m.typeSum[class.Kind][class.Phase] += meanMs * float64(weight)
-	m.typeN[class.Kind][class.Phase] += weight
-	m.refreshClass(class.Kind, class.Phase)
-	return nil
-}
-
 // TypeReuseMeanMs returns the manager's current mean reuse latency (ms)
 // of the class, or -1 if no observation exists yet.
 func (m *Manager) TypeReuseMeanMs(class ReuseClass) float64 {
@@ -561,13 +540,32 @@ func evictionCmp(a, b scoredEntry) int {
 }
 
 // Release drops a content entirely (GPU, PIN, or pageable), freeing its
-// space without any transfer. AdaInf uses this for a completed job's
-// intermediate outputs, which are never reused (Observation 9).
+// space without any transfer.
 func (m *Manager) Release(id ContentID) bool {
 	e, ok := m.entries[id]
-	if !ok {
-		return false
+	if ok {
+		m.drop(e)
 	}
+	return ok
+}
+
+// ReleaseApp applies the end-of-job policy (§3.4) to the app's
+// contents: its intermediate outputs, which are never reused
+// (Observation 9), are dropped, and so are its parameters unless
+// keepParams. It returns how many contents were dropped.
+func (m *Manager) ReleaseApp(app string, keepParams bool) int {
+	n := 0
+	for id, e := range m.entries {
+		if id.App == app && (id.Kind == KindIntermediate || !keepParams) {
+			m.drop(e) // deleting the current key mid-range is safe
+			n++
+		}
+	}
+	return n
+}
+
+// drop frees a content's space wherever it lives and recycles its entry.
+func (m *Manager) drop(e *entry) {
 	switch e.loc {
 	case locGPU:
 		m.gpuUsed -= e.content.Bytes
@@ -575,22 +573,8 @@ func (m *Manager) Release(id ContentID) bool {
 	case locPinned:
 		m.pinUsed -= e.content.Bytes
 	}
-	delete(m.entries, id)
+	delete(m.entries, e.content.ID)
 	m.free = append(m.free, e)
-	return true
-}
-
-// ReleaseMatching drops every content whose ID satisfies pred and
-// returns how many were dropped.
-func (m *Manager) ReleaseMatching(pred func(ContentID) bool) int {
-	n := 0
-	for id := range m.entries {
-		if pred(id) {
-			m.Release(id) // deleting the current key mid-range is safe
-			n++
-		}
-	}
-	return n
 }
 
 func bytesTime(bytes int64, bps float64) simtime.Duration {

@@ -176,22 +176,6 @@ func TestInvalidContentSizeFails(t *testing.T) {
 	}
 }
 
-func TestSeedTypeReuseRejectsBadInput(t *testing.T) {
-	m := NewManager(Config{GPUBytes: mb})
-	class := ReuseClass{Kind: KindParam, Phase: PhaseInference}
-	for _, mean := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := m.SeedTypeReuse(class, mean, 1); err == nil {
-			t.Errorf("mean %g accepted", mean)
-		}
-	}
-	if err := m.SeedTypeReuse(ReuseClass{Kind: 2}, 1, 1); err == nil {
-		t.Error("unknown class accepted")
-	}
-	if got := m.TypeReuseMeanMs(class); got != -1 {
-		t.Fatalf("rejected seeds moved the mean to %g", got)
-	}
-}
-
 func TestEvictionMakesRoomAndChargesD2H(t *testing.T) {
 	m := NewManager(Config{GPUBytes: 10 * mb})
 	a := Access{Content: paramContent("a", "m", 0, 6*mb), Phase: PhaseInference, Model: "m", JobID: 1}
@@ -272,14 +256,31 @@ func TestLRUPolicyEvictsOldest(t *testing.T) {
 	}
 }
 
+// primeReuse sets the kind's inference reuse mean to gapMs the way a
+// run does: a throwaway content of app "prime" is touched twice gapMs
+// apart, ending at instant 0, and then released.
+func primeReuse(t *testing.T, m *Manager, kind Kind, gapMs int) {
+	t.Helper()
+	c := Content{ID: ContentID{App: "prime", Model: "p", Kind: kind}, Bytes: 1, SLOms: 400, ProducedOnGPU: kind == KindIntermediate}
+	for _, at := range []simtime.Instant{ms(-gapMs), ms(0)} {
+		if _, err := m.Acquire(at, []Access{{Content: c, Phase: PhaseInference, Model: "p"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.ReleaseApp("prime", false)
+	if got := m.TypeReuseMeanMs(ReuseClass{Kind: kind, Phase: PhaseInference}); got != float64(gapMs) {
+		t.Fatalf("primed %v mean = %v, want %d", kind, got, gapMs)
+	}
+}
+
 func TestPriorityPolicyKeepsSoonReusedType(t *testing.T) {
 	// Intermediate outputs in inference are reused within ~1 ms;
 	// parameters in inference within ~68 ms (Fig. 12a). The priority
 	// policy must evict the params and keep the intermediates, even if
 	// the intermediates were touched less recently.
 	m := NewManager(Config{GPUBytes: 10 * mb, Policy: PriorityPolicy{Alpha: 0.4}})
-	m.SeedTypeReuse(ReuseClass{Kind: KindIntermediate, Phase: PhaseInference}, 1, 100)
-	m.SeedTypeReuse(ReuseClass{Kind: KindParam, Phase: PhaseInference}, 68, 100)
+	primeReuse(t, m, KindIntermediate, 1)
+	primeReuse(t, m, KindParam, 68)
 
 	inter := Access{Content: intermediateContent("a", "m", 0, 1, 4*mb), Phase: PhaseInference, Model: "m"}
 	param := Access{Content: paramContent("a", "m", 5, 4*mb), Phase: PhaseInference, Model: "m"}
@@ -299,7 +300,7 @@ func TestPriorityPolicySLOTieBreak(t *testing.T) {
 	// Same data type: the content belonging to the looser-SLO app is
 	// evicted first.
 	m := NewManager(Config{GPUBytes: 10 * mb, Policy: PriorityPolicy{Alpha: 0.4}})
-	m.SeedTypeReuse(ReuseClass{Kind: KindParam, Phase: PhaseInference}, 10, 100)
+	primeReuse(t, m, KindParam, 10)
 	tight := Access{Content: Content{ID: ContentID{App: "tight", Model: "m", Layer: 0, Kind: KindParam}, Bytes: 4 * mb, SLOms: 400}, Phase: PhaseInference, Model: "m"}
 	loose := Access{Content: Content{ID: ContentID{App: "loose", Model: "m", Layer: 0, Kind: KindParam}, Bytes: 4 * mb, SLOms: 600}, Phase: PhaseInference, Model: "m"}
 	m.Acquire(ms(0), []Access{tight})
@@ -380,12 +381,46 @@ func TestRelease(t *testing.T) {
 	if m.Release(a.Content.ID) {
 		t.Fatal("double release returned true")
 	}
-	n := m.ReleaseMatching(func(id ContentID) bool { return id.Kind == KindIntermediate })
-	if n != 1 {
-		t.Fatalf("ReleaseMatching dropped %d, want 1", n)
+}
+
+// TestReleaseApp checks the end-of-job release: only the named app's
+// contents go, its params only when not kept, wherever they live.
+func TestReleaseApp(t *testing.T) {
+	m := NewManager(Config{GPUBytes: 10 * mb, PinBytes: 8 * mb})
+	accs := []Access{
+		{Content: paramContent("a", "m", 0, 2*mb), Phase: PhaseInference, Model: "m"},
+		{Content: intermediateContent("a", "m", 0, 1, 2*mb), Phase: PhaseInference, Model: "m"},
+		{Content: paramContent("b", "m", 0, 2*mb), Phase: PhaseInference, Model: "m"},
+		{Content: intermediateContent("b", "m", 0, 1, 2*mb), Phase: PhaseInference, Model: "m"},
 	}
-	if m.GPUUsed() != 0 {
-		t.Fatalf("GPUUsed = %d after ReleaseMatching", m.GPUUsed())
+	m.Acquire(ms(0), accs)
+	// Push a's param out to PIN memory, so a release frees PIN bytes too.
+	m.Acquire(ms(1), []Access{{Content: paramContent("c", "m", 0, 4*mb), Phase: PhaseInference, Model: "m"}})
+	if m.PinUsed() == 0 {
+		t.Fatal("setup: nothing was evicted to PIN memory")
+	}
+	if n := m.ReleaseApp("a", true); n != 1 {
+		t.Fatalf("ReleaseApp(a, keep) dropped %d, want 1", n)
+	}
+	if n := m.ReleaseApp("a", false); n != 1 {
+		t.Fatalf("ReleaseApp(a, drop) dropped %d, want 1", n)
+	}
+	if n := m.ReleaseApp("a", false); n != 0 {
+		t.Fatalf("second ReleaseApp(a) dropped %d, want 0", n)
+	}
+	for _, a := range accs[2:] {
+		if _, ok := m.entries[a.Content.ID]; !ok {
+			t.Fatalf("ReleaseApp(a) dropped %v", a.Content.ID)
+		}
+	}
+	if n := m.ReleaseApp("b", false) + m.ReleaseApp("c", false); n != 3 {
+		t.Fatalf("releasing b and c dropped %d, want 3", n)
+	}
+	if m.GPUUsed() != 0 || m.PinUsed() != 0 || len(m.entries) != 0 {
+		t.Fatalf("after releasing every app: gpu=%d pin=%d entries=%d", m.GPUUsed(), m.PinUsed(), len(m.entries))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,9 +11,16 @@ import (
 // serially under the /M1 memory configuration, where every request
 // runs its layers on its own and GPU-memory eviction dominates the
 // cost. One op is one cold build.
-func BenchmarkBuildAppProfileM1(b *testing.B) {
+func BenchmarkBuildAppProfileM1(b *testing.B) { benchmarkBuild(b, pinnedM1) }
+
+// BenchmarkBuildAppProfileAda is the same build under AdaInf's own
+// memory configuration, where each layer runs once for the whole
+// batch.
+func BenchmarkBuildAppProfileAda(b *testing.B) { benchmarkBuild(b, pinnedAda) }
+
+func benchmarkBuild(b *testing.B, mem pinnedMem) {
 	a := app.BikeRackOccupancy()
-	cfg := Config{Strategy: pinnedM1.strategy, NewPolicy: pinnedM1.newPolicy}
+	cfg := Config{Strategy: mem.strategy, NewPolicy: mem.newPolicy}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := buildAppProfile(a, cfg, 1); err != nil {

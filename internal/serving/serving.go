@@ -429,11 +429,13 @@ func BuildProfilesWith(apps []*app.App, strat gpu.Strategy, newPolicy func() gpu
 }
 
 // profileKeyOf summarizes the profile-relevant identity of an app: its
-// models and SLO.
+// SLO and each node's name and model, in order. A profile's per-node
+// data is named and ordered by its app's nodes, so apps that differ in
+// a node name cannot share one.
 func profileKeyOf(a *app.App) string {
 	key := fmt.Sprintf("slo=%v", a.SLO)
 	for _, n := range a.Nodes {
-		key += "|" + n.Model
+		key += fmt.Sprintf("|%q:%q", n.Name, n.Model)
 	}
 	return key
 }

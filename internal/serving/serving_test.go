@@ -183,6 +183,39 @@ func TestBuildProfilesWithDedup(t *testing.T) {
 	}
 }
 
+// TestBuildProfilesKeysOnNodeNames runs video surveillance next to a
+// copy with one node renamed: equal models and SLO, but the profile's
+// per-node data is named, so each app needs its own, and the run must
+// finish audit-clean.
+func TestBuildProfilesKeysOnNodeNames(t *testing.T) {
+	renamed := *app.VideoSurveillance()
+	renamed.Name = "renamed"
+	renamed.Nodes = append([]app.Node(nil), renamed.Nodes...)
+	for i := range renamed.Nodes {
+		if renamed.Nodes[i].Name == "person-activity" {
+			renamed.Nodes[i].Name = "person-pose"
+		}
+	}
+	apps := []*app.App{app.VideoSurveillance(), &renamed}
+	profs, err := BuildProfilesWith(apps, gpu.Strategy{MaximizeUsage: true}, nil, ProfileBuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profs["renamed"] == profs["video-surveillance"] {
+		t.Fatal("apps with different node names share one profile")
+	}
+	if _, err := Run(Config{
+		Apps:     apps,
+		Method:   core.New(core.Options{}),
+		Horizon:  60 * time.Second,
+		Seed:     3,
+		Audit:    true,
+		Profiles: profs,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConfigValidation pins that every out-of-range Config value left
 // after defaulting is rejected with an error before the run starts —
 // never a hang (NaN rate) or a panic (negative horizon).

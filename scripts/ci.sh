@@ -79,8 +79,9 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 # bin-packing invariants of the placer and its failover re-pack, the
 # drift probe's top-k ranking against a full stable sort, serving.Run
 # rejecting bad configs and finishing good ones audit-clean, the
-# GPU-memory eviction index matching a full sort under any operation
-# stream, and the latency memo answering every probe as the profile
+# GPU-memory eviction index matching a full sort under any stream of
+# acquires, releases, clock steps, end-of-job releases of two apps and
+# resets, and the latency memo answering every probe as the profile
 # table does).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
@@ -95,7 +96,9 @@ go test -run='^$' -fuzz=FuzzEvictionIndex -fuzztime=5s ./internal/gpumem
 go test -run='^$' -fuzz=FuzzLatencyCache -fuzztime=5s ./internal/profile
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
-# loop, a serial /M1 profile build, a latency-memo hit, Scrooge
+# loop, a serial profile build under /M1 and under AdaInf's memory
+# configuration (between them, both kinds of request group the
+# executor's layer loop runs), a latency-memo hit, Scrooge
 # planning four lanes, drift detection over the catalog's 8000-sample
 # pools, one period boundary resampling those pools and one 50 s
 # single-app serving run each of AdaInf, Ekya and Scrooge, so all of
@@ -106,6 +109,7 @@ go test -run='^$' -fuzz=FuzzLatencyCache -fuzztime=5s ./internal/profile
 echo "== microbenchmark smoke =="
 go test -run '^$' -bench BenchmarkAcquirePerRequest -benchtime 1x ./internal/gpumem
 go test -run '^$' -bench BenchmarkBuildAppProfileM1 -benchtime 1x ./internal/profile
+go test -run '^$' -bench BenchmarkBuildAppProfileAda -benchtime 1x ./internal/profile
 go test -run '^$' -bench BenchmarkLatencyCacheHit -benchtime 1x ./internal/profile
 go test -run '^$' -bench BenchmarkScroogePlanSessionLanes -benchtime 1x ./internal/baselines
 go test -run '^$' -bench BenchmarkDetectApp -benchtime 1x ./internal/drift
