@@ -63,6 +63,7 @@ func main() {
 		cliflags.Lanes("-ngpus", *ngpus),
 		cliflags.Rate("-rate", *rate, false),
 		cliflags.Horizon("-horizon", *horizon, false),
+		cliflags.Count("-pool", *pool),
 		cliflags.Alpha("-alpha", *alpha),
 		faultErr,
 	); err != nil {

@@ -87,17 +87,6 @@ func (a *App) Node(name string) *Node {
 	return nil
 }
 
-// Roots returns the names of nodes with no dependencies.
-func (a *App) Roots() []string {
-	var out []string
-	for _, n := range a.Nodes {
-		if len(n.Deps) == 0 {
-			out = append(out, n.Name)
-		}
-	}
-	return out
-}
-
 // Leaves returns the names of nodes no other node depends on. The
 // paper's accuracy metric counts the predictions of these output
 // models.

@@ -29,9 +29,20 @@ func TestCatalogValid(t *testing.T) {
 	}
 }
 
+// roots returns the names of a's nodes with no dependencies.
+func roots(a *App) []string {
+	var out []string
+	for _, n := range a.Nodes {
+		if len(n.Deps) == 0 {
+			out = append(out, n.Name)
+		}
+	}
+	return out
+}
+
 func TestVideoSurveillanceShape(t *testing.T) {
 	vs := VideoSurveillance()
-	if got := vs.Roots(); len(got) != 1 || got[0] != "object-detection" {
+	if got := roots(vs); len(got) != 1 || got[0] != "object-detection" {
 		t.Fatalf("roots = %v", got)
 	}
 	leaves := vs.Leaves()
@@ -44,10 +55,15 @@ func TestVideoSurveillanceShape(t *testing.T) {
 	if vs.Node("vehicle-type") == nil || vs.Node("nope") != nil {
 		t.Fatal("Node lookup broken")
 	}
-	// Drift asymmetry of Fig. 6: detection static, vehicle > person.
-	det := vs.Node("object-detection").Task.LabelDrift.Magnitude()
-	veh := vs.Node("vehicle-type").Task.LabelDrift.Magnitude()
-	per := vs.Node("person-activity").Task.LabelDrift.Magnitude()
+	// Drift asymmetry of Fig. 6: detection static, vehicle > person,
+	// ordered by walk step plus expected shock per period.
+	magnitude := func(node string) float64 {
+		d := vs.Node(node).Task.LabelDrift
+		return d.WalkSigma + d.ShockProb*d.ShockScale
+	}
+	det := magnitude("object-detection")
+	veh := magnitude("vehicle-type")
+	per := magnitude("person-activity")
 	if det != 0 {
 		t.Errorf("object detection drifts: %v", det)
 	}
@@ -58,8 +74,8 @@ func TestVideoSurveillanceShape(t *testing.T) {
 
 func TestSocialMediaComplexDAG(t *testing.T) {
 	sm := SocialMedia()
-	if len(sm.Roots()) != 2 || len(sm.Nodes) != 4 {
-		t.Fatalf("social media DAG shape: roots=%v nodes=%d", sm.Roots(), len(sm.Nodes))
+	if len(roots(sm)) != 2 || len(sm.Nodes) != 4 {
+		t.Fatalf("social media DAG shape: roots=%v nodes=%d", roots(sm), len(sm.Nodes))
 	}
 }
 

@@ -289,10 +289,6 @@ func New(report *Report, p Params) *Auditor {
 // Checks returns the number of invariant evaluations performed.
 func (a *Auditor) Checks() int { return a.report.Checks }
 
-// Report returns the auditor's report (the caller-supplied one in
-// accumulate mode).
-func (a *Auditor) Report() *Report { return a.report }
-
 func (a *Auditor) violate(v Violation) error {
 	r := a.report
 	r.Total++
@@ -657,16 +653,11 @@ func (a *Auditor) OnLaneEvents(period, nLanes int, alive uint64, crashed, recove
 	return nil
 }
 
-// OnPlacement validates a multi-GPU placement: every expected
-// application on exactly one in-range GPU, and every GPU's placed
-// working-set bytes within its memory capacity.
-func (a *Auditor) OnPlacement(period int, pl *cluster.Placement, apps []string) error {
-	return a.OnReplace(period, pl, apps, nil)
-}
-
-// OnReplace is OnPlacement for failover re-packs: unplaced lists the
-// applications whose working set fits on no surviving lane (they enter
-// the degraded-admission state — allowed to shed, retraining
+// OnReplace validates a multi-GPU placement or failover re-pack: every
+// expected application on exactly one in-range GPU, and every GPU's
+// placed working-set bytes within its memory capacity. unplaced lists
+// the applications whose working set fits on no surviving lane (they
+// enter the degraded-admission state — allowed to shed, retraining
 // suspended). Every placed application must sit on an alive lane, and
 // the call discharges any pending re-placement obligation.
 func (a *Auditor) OnReplace(period int, pl *cluster.Placement, apps, unplaced []string) error {

@@ -447,7 +447,7 @@ func TestPlacementRule(t *testing.T) {
 	}
 
 	a := New(nil, Params{GPUs: 2, NGPUs: 2})
-	if err := a.OnPlacement(0, pl, []string{"a", "b"}); err != nil {
+	if err := a.OnReplace(0, pl, []string{"a", "b"}, nil); err != nil {
 		t.Fatalf("valid placement rejected: %v", err)
 	}
 	if a.Checks() == 0 {
@@ -456,23 +456,23 @@ func TestPlacementRule(t *testing.T) {
 
 	// Expected-app set disagrees with the placement.
 	a = New(nil, Params{GPUs: 2, NGPUs: 2})
-	if got := ruleOf(t, a.OnPlacement(0, pl, []string{"a"})); got != RulePlacement {
+	if got := ruleOf(t, a.OnReplace(0, pl, []string{"a"}, nil)); got != RulePlacement {
 		t.Fatalf("rule = %q, want %q", got, RulePlacement)
 	}
 	a = New(nil, Params{GPUs: 2, NGPUs: 2})
-	if got := ruleOf(t, a.OnPlacement(0, pl, []string{"a", "x"})); got != RulePlacement {
+	if got := ruleOf(t, a.OnReplace(0, pl, []string{"a", "x"}, nil)); got != RulePlacement {
 		t.Fatalf("rule = %q, want %q", got, RulePlacement)
 	}
 
 	// Lane count mismatch against the server's topology.
 	a = New(nil, Params{GPUs: 3, NGPUs: 3})
-	if got := ruleOf(t, a.OnPlacement(0, pl, []string{"a", "b"})); got != RulePlacement {
+	if got := ruleOf(t, a.OnReplace(0, pl, []string{"a", "b"}, nil)); got != RulePlacement {
 		t.Fatalf("rule = %q, want %q", got, RulePlacement)
 	}
 
 	// Tighter audited capacity than the placement topology's.
 	a = New(nil, Params{GPUs: 2, NGPUs: 2, PerGPUBytes: 55})
-	if got := ruleOf(t, a.OnPlacement(0, pl, []string{"a", "b"})); got != RulePlacement {
+	if got := ruleOf(t, a.OnReplace(0, pl, []string{"a", "b"}, nil)); got != RulePlacement {
 		t.Fatalf("rule = %q, want %q", got, RulePlacement)
 	}
 }

@@ -88,9 +88,6 @@ func TestEkyaPeriodPlanRetrainsEveryNode(t *testing.T) {
 	if len(nodes) != 3 {
 		t.Fatalf("Ekya retrained %d of 3 nodes", len(nodes))
 	}
-	if e.RetrainShare() <= 0 {
-		t.Fatal("no retrain share chosen")
-	}
 }
 
 func TestEkyaSessionPlanEqualSplit(t *testing.T) {
@@ -182,10 +179,6 @@ func TestScroogeCloudRetraining(t *testing.T) {
 	}
 	if plan.EdgeCloudBytes == 0 || plan.EdgeCloudTransfer == 0 {
 		t.Fatal("no WAN accounting (Table 1)")
-	}
-	tr, bytes := s.LastTransfer()
-	if tr != plan.EdgeCloudTransfer || bytes != plan.EdgeCloudBytes {
-		t.Fatal("LastTransfer mismatch")
 	}
 }
 

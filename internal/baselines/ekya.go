@@ -30,11 +30,7 @@ const EkyaOverhead = 8400 * time.Millisecond
 // session is divided evenly among jobs — Ekya maximizes accuracy, not
 // SLO fulfillment.
 type Ekya struct {
-	// RetrainShare is the GPU fraction of the server the heuristic
-	// dedicates to retraining at the start of each period. It is
-	// chosen by the accuracy hill-climb in OnPeriodStart.
-	retrainShare float64
-	minFraction  float64
+	minFraction float64
 
 	// sessionCache memoizes the per-job session decision. Ekya serves
 	// every request through the full structure and never retrains
@@ -189,7 +185,6 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 			bestShare, bestScore = share, sc
 		}
 	}
-	e.retrainShare = bestShare
 
 	// Ekya picks a retraining configuration (iteration count) per task
 	// so the whole retraining fits comfortably in the period — the
@@ -222,9 +217,6 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 	}
 	return plan, nil
 }
-
-// RetrainShare returns the share chosen by the last period's heuristic.
-func (e *Ekya) RetrainShare() float64 { return e.retrainShare }
 
 // PlanSession implements sched.Scheduler: GPU space is divided evenly
 // among the session's jobs; the request batch size is optimized per

@@ -8,7 +8,6 @@ import (
 	"adainf/internal/cluster"
 	"adainf/internal/dnn"
 	"adainf/internal/sched"
-	"adainf/internal/simtime"
 )
 
 // ScroogeOverhead is the optimization solve time (Table 1: 100 ms); the
@@ -32,9 +31,7 @@ type Scrooge struct {
 	// inside one solve window. On a sharded server the same Scrooge
 	// instance plans every lane in turn, so each lane keeps its own slot
 	// and solves once per window; a single-GPU server uses slot 0.
-	slots        []scroogeSlot
-	transferTime simtime.Duration
-	transferred  int64
+	slots []scroogeSlot
 
 	// Reusable solve storage (see sched.Scheduler: a plan is valid only
 	// until the next PlanSession call). out is the plan a cache hit
@@ -71,12 +68,6 @@ func (s *Scrooge) Name() string {
 	return "Scrooge"
 }
 
-// LastTransfer reports the WAN time and bytes of the last period's
-// cloud retraining (Table 1).
-func (s *Scrooge) LastTransfer() (simtime.Duration, int64) {
-	return s.transferTime, s.transferred
-}
-
 // OnPeriodStart implements sched.Method: ship every model's pool to the
 // cloud, retrain there, and download the updated weights. Requests
 // served before a model's round trip completes use the stale model.
@@ -95,7 +86,6 @@ func (s *Scrooge) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, er
 	if err != nil {
 		return nil, fmt.Errorf("baselines: scrooge cloud retrain: %w", err)
 	}
-	s.transferTime, s.transferred = transfer, bytes
 	plan := &sched.PeriodPlan{
 		EdgeCloudTransfer: transfer,
 		EdgeCloudBytes:    bytes,

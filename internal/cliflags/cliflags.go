@@ -22,6 +22,16 @@ func Workers(name string, v int) error {
 	return nil
 }
 
+// Count validates a count flag that has no "0 = default" meaning
+// (adainf's -pool): it must be at least 1, so 0 is rejected instead of
+// silently becoming the engine's default.
+func Count(name string, v int) error {
+	if v < 1 {
+		return fmt.Errorf("%s must be >= 1, got %d", name, v)
+	}
+	return nil
+}
+
 // Alpha validates a priority-eviction weight flag (-alpha on adainf and
 // profiler): α is the convex weight of §3.4.2's S_c = (1-α)·R_c + α·L_s,
 // so it must lie in [0, 1]. NaN is rejected too.

@@ -9,9 +9,9 @@ import (
 )
 
 // TestValidators is the table-driven flag-validation suite the CLIs
-// rely on: worker flags accept zero (auto) and reject negatives, the
-// eviction weight α must lie in [0, 1] (NaN rejected), lane counts
-// must be at least one, fractional GPU amounts must be strictly
+// rely on: worker flags accept zero (auto) and reject negatives, counts
+// must be at least one, the eviction weight α must lie in [0, 1] (NaN
+// rejected), lane counts must be at least one, fractional GPU amounts must be strictly
 // positive (NaN included in the rejections), and rates and horizons
 // must be finite and positive, with 0 accepted only where it selects
 // the default.
@@ -26,6 +26,11 @@ func TestValidators(t *testing.T) {
 		{"workers many", Workers("-parallel", 64), true},
 		{"workers negative", Workers("-parallel", -1), false},
 		{"workers very negative", Workers("-parallel", -100), false},
+
+		{"count one", Count("-pool", 1), true},
+		{"count default", Count("-pool", 8000), true},
+		{"count zero", Count("-pool", 0), false},
+		{"count negative", Count("-pool", -1), false},
 
 		{"alpha zero", Alpha("-alpha", 0), true},
 		{"alpha default", Alpha("-alpha", 0.4), true},

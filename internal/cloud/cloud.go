@@ -1,8 +1,7 @@
 // Package cloud simulates the cloud side of the serving system: the
-// wide-area link between the edge server and the cloud, the golden
-// model that labels retraining samples, and the remote retraining used
-// by the Scrooge baseline (§4: an AWS p3.16xlarge with ~20 Gbps to the
-// edge).
+// wide-area link between the edge server and the cloud and the remote
+// retraining used by the Scrooge baseline (§4: an AWS p3.16xlarge with
+// ~20 Gbps to the edge).
 package cloud
 
 import (
@@ -12,7 +11,6 @@ import (
 	"adainf/internal/dnn"
 	"adainf/internal/gpu"
 	"adainf/internal/simtime"
-	"adainf/internal/synthdata"
 )
 
 // Link models the edge↔cloud WAN.
@@ -35,25 +33,6 @@ func (l Link) TransferTime(bytes int64) simtime.Duration {
 		panic(fmt.Sprintf("cloud: link bandwidth %g", l.BandwidthBps))
 	}
 	return l.RTT/2 + simtime.Duration(float64(bytes)/l.BandwidthBps*float64(time.Second))
-}
-
-// GoldenModel is the cloud-hosted high-accuracy model that labels
-// retraining samples (§1). The synthetic data carries ground truth, so
-// the golden model is an oracle with a configurable per-batch labelling
-// latency.
-type GoldenModel struct {
-	// PerSample is the labelling time per sample on the cloud GPUs.
-	PerSample simtime.Duration
-}
-
-// Label returns the golden labels of the samples and the cloud time
-// spent producing them.
-func (g GoldenModel) Label(samples []synthdata.Sample) ([]int, simtime.Duration) {
-	out := make([]int, len(samples))
-	for i, s := range samples {
-		out[i] = s.Class
-	}
-	return out, g.PerSample * simtime.Duration(len(samples))
 }
 
 // RetrainJob is one model's remote retraining payload.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"adainf/internal/dnn"
-	"adainf/internal/synthdata"
 )
 
 func TestLinkTransferTime(t *testing.T) {
@@ -28,18 +27,6 @@ func TestLinkPanicsOnZeroBandwidth(t *testing.T) {
 		}
 	}()
 	Link{}.TransferTime(1)
-}
-
-func TestGoldenModelLabels(t *testing.T) {
-	g := GoldenModel{PerSample: time.Millisecond}
-	samples := []synthdata.Sample{{Class: 2}, {Class: 0}, {Class: 1}}
-	labels, d := g.Label(samples)
-	if len(labels) != 3 || labels[0] != 2 || labels[1] != 0 || labels[2] != 1 {
-		t.Fatalf("labels = %v", labels)
-	}
-	if d != 3*time.Millisecond {
-		t.Fatalf("labelling time = %v", d)
-	}
 }
 
 func TestDefaultTrainerTransferMatchesTable1(t *testing.T) {

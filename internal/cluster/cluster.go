@@ -61,11 +61,6 @@ func (t Topology) AliveMask() uint64 {
 	return t.Alive & AllAlive(t.NGPUs)
 }
 
-// LaneAlive reports whether lane g is healthy.
-func (t Topology) LaneAlive(g int) bool {
-	return g >= 0 && g < t.NGPUs && t.AliveMask()&(1<<uint(g)) != 0
-}
-
 // NAlive counts the healthy lanes.
 func (t Topology) NAlive() int {
 	n := 0
@@ -244,13 +239,6 @@ func (p *Placement) AppsOn(g int) []AppLoad {
 	}
 	return out
 }
-
-// Apps returns every placed application in assignment order. The
-// returned slice is the placement's own storage; do not mutate it.
-func (p *Placement) Apps() []AppLoad { return p.apps }
-
-// GPUAt returns the lane of the i-th application in assignment order.
-func (p *Placement) GPUAt(i int) int { return p.gpu[i] }
 
 // RankLoads converts raw predicted loads into the LoadRank inputs of
 // Place: rank 0 is the heaviest load, ties broken by name ascending.

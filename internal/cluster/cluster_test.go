@@ -37,7 +37,7 @@ func TestTopologyMaxGPUs(t *testing.T) {
 	if n := full.NAlive(); n != MaxGPUs {
 		t.Fatalf("NAlive = %d, want %d", n, MaxGPUs)
 	}
-	if !full.LaneAlive(MaxGPUs - 1) {
+	if full.AliveMask()&(1<<(MaxGPUs-1)) == 0 {
 		t.Fatalf("lane %d dead", MaxGPUs-1)
 	}
 	over := Topology{NGPUs: MaxGPUs + 1, PerGPUBytes: 1}
@@ -264,7 +264,7 @@ func TestReplaceFailover(t *testing.T) {
 	if p.Len() != 1 || len(unplaced) != 1 {
 		t.Fatalf("placed %d, unplaced %d, want 1 and 1", p.Len(), len(unplaced))
 	}
-	if g, ok := p.GPU(p.Apps()[0].Name); !ok || g != 0 {
+	if g, ok := p.GPU(p.apps[0].Name); !ok || g != 0 {
 		t.Fatalf("survivor app on GPU %d (ok=%v), want 0", g, ok)
 	}
 	if unplaced[0].Name != "b" {

@@ -36,7 +36,7 @@ func samePlacement(a, b *Placement) bool {
 		return false
 	}
 	for i := 0; i < a.Len(); i++ {
-		if a.Apps()[i] != b.Apps()[i] || a.GPUAt(i) != b.GPUAt(i) {
+		if a.apps[i] != b.apps[i] || a.gpu[i] != b.gpu[i] {
 			return false
 		}
 	}
@@ -50,12 +50,12 @@ func checkPlacement(t *testing.T, p *Placement, topo Topology) {
 	t.Helper()
 	alive := p.Topology().AliveMask()
 	for i := 0; i < p.Len(); i++ {
-		g := p.GPUAt(i)
+		g := p.gpu[i]
 		if g < 0 || g >= topo.NGPUs {
 			t.Fatalf("app %d on out-of-range GPU %d", i, g)
 		}
 		if alive&(1<<uint(g)) == 0 {
-			t.Fatalf("app %q placed on dead lane %d (alive %b)", p.Apps()[i].Name, g, alive)
+			t.Fatalf("app %q placed on dead lane %d (alive %b)", p.apps[i].Name, g, alive)
 		}
 	}
 	for g := 0; g < topo.NGPUs; g++ {

@@ -78,9 +78,8 @@ func SetDefaultPlanWorkers(int) {}
 
 // Scheduler is the AdaInf session scheduler.
 type Scheduler struct {
-	opts        Options
-	dags        map[string]*sched.RIDag
-	lastReports map[string]map[string]drift.Report
+	opts Options
+	dags map[string]*sched.RIDag
 
 	// Caches, coarsest to finest:
 	//
@@ -177,7 +176,6 @@ func New(opts Options) *Scheduler {
 	return &Scheduler{
 		opts:         opts,
 		dags:         make(map[string]*sched.RIDag),
-		lastReports:  make(map[string]map[string]drift.Report),
 		reqFracCache: make(map[reqKey]float64),
 		jobBaseCache: make(map[baseKey]*jobBase),
 		poolDists:    make(map[*app.NodeInstance]*dist.Categorical),

@@ -51,7 +51,6 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 			return nil, fmt.Errorf("core: drift detection for %q: %w", name, err)
 		}
 		s.dags[name] = sched.BuildRIDag(jr.Instance.App, reports)
-		s.lastReports[name] = reports
 	}
 	return &sched.PeriodPlan{
 		Overhead:          DAGUpdateOverhead,
@@ -62,9 +61,3 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 // DagFor returns the current retraining-inference DAG of an
 // application, or nil before the first period hook ran.
 func (s *Scheduler) DagFor(appName string) *sched.RIDag { return s.dags[appName] }
-
-// ReportsFor returns the latest drift reports of an application (for
-// Table 2 style introspection).
-func (s *Scheduler) ReportsFor(appName string) map[string]drift.Report {
-	return s.lastReports[appName]
-}

@@ -47,29 +47,14 @@ func NewCategorical(labels []string, weights []float64) (*Categorical, error) {
 	return c, nil
 }
 
-// Uniform returns a uniform distribution over the labels.
-func Uniform(labels []string) (*Categorical, error) {
-	w := make([]float64, len(labels))
-	for i := range w {
-		w[i] = 1
-	}
-	return NewCategorical(labels, w)
-}
-
 // K returns the number of classes.
 func (c *Categorical) K() int { return len(c.labels) }
-
-// Labels returns the class labels (shared slice; do not modify).
-func (c *Categorical) Labels() []string { return c.labels }
 
 // Probs returns a copy of the class probabilities.
 func (c *Categorical) Probs() []float64 { return mathx.Clone(c.probs) }
 
 // Prob returns the probability of class i.
 func (c *Categorical) Prob(i int) float64 { return c.probs[i] }
-
-// Label returns the label of class i.
-func (c *Categorical) Label(i int) string { return c.labels[i] }
 
 // Sample draws a class index using rng.
 func (c *Categorical) Sample(rng *rand.Rand) int {
@@ -184,13 +169,6 @@ func (d LabelDrift) Evolve(rng *rand.Rand, c *Categorical) *Categorical {
 		logits[rng.Intn(len(logits))] += d.ShockScale
 	}
 	return &Categorical{labels: c.labels, probs: softmax(logits)}
-}
-
-// Magnitude returns a scalar proxy for how strongly this process drifts,
-// used to order tasks by expected drift (vehicle > person > detection in
-// the paper's Fig. 6).
-func (d LabelDrift) Magnitude() float64 {
-	return d.WalkSigma + d.ShockProb*d.ShockScale
 }
 
 func softmax(logits []float64) []float64 {

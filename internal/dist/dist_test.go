@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,20 +38,8 @@ func TestCategoricalNormalizes(t *testing.T) {
 	if got := c.Prob(0); got != 0.75 {
 		t.Fatalf("Prob(0) = %v, want 0.75", got)
 	}
-	if c.K() != 2 || c.Label(1) != "bus" {
-		t.Fatalf("K/Label broken: %d %q", c.K(), c.Label(1))
-	}
-}
-
-func TestUniform(t *testing.T) {
-	c, err := Uniform([]string{"a", "b", "c", "d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if c.Prob(i) != 0.25 {
-			t.Fatalf("Prob(%d) = %v", i, c.Prob(i))
-		}
+	if c.K() != 2 {
+		t.Fatalf("K = %d, want 2", c.K())
 	}
 }
 
@@ -298,16 +287,6 @@ func TestLabelDriftProducesValidDistribution(t *testing.T) {
 	}
 }
 
-func TestLabelDriftMagnitudeOrdering(t *testing.T) {
-	none := LabelDrift{}
-	mild := LabelDrift{WalkSigma: 0.1}
-	strong := LabelDrift{WalkSigma: 0.3, ShockProb: 0.2, ShockScale: 2}
-	if !(none.Magnitude() < mild.Magnitude() && mild.Magnitude() < strong.Magnitude()) {
-		t.Fatalf("magnitudes not ordered: %v %v %v",
-			none.Magnitude(), mild.Magnitude(), strong.Magnitude())
-	}
-}
-
 func TestLabelDriftDeterministicForSeed(t *testing.T) {
 	c := mustCat(t, []string{"a", "b"}, []float64{1, 1})
 	d := LabelDrift{WalkSigma: 0.4, ShockProb: 0.5, ShockScale: 1}
@@ -328,7 +307,7 @@ func TestFeatureDrift(t *testing.T) {
 		}
 	}
 	moved := FeatureDrift{Sigma: 1}.Evolve(rng, mean)
-	if mathx.Norm(mathx.Sub(moved, mean)) == 0 {
+	if slices.Equal(moved, mean) {
 		t.Fatal("feature drift did not move the mean")
 	}
 	if mean[0] != 1 {

@@ -1,7 +1,7 @@
 // Package dnn models deep neural networks at the granularity the
 // AdaInf scheduler cares about: per-layer compute work, parameter and
-// activation footprints, early-exit structures, compression, and the
-// accuracy dynamics of continual retraining under data drift.
+// activation footprints, early-exit structures, and the accuracy
+// dynamics of continual retraining under data drift.
 //
 // No real training happens — repro substitution: the paper's
 // Keras/TensorFlow models are replaced by layer-graph descriptions
@@ -122,28 +122,6 @@ const FineTuneBackwardFraction = 0.4
 // parameters are updated during continual fine-tuning.
 func (a *Arch) FineTuneFromLayer() int {
 	return int(float64(a.NumLayers()) * (1 - FineTuneBackwardFraction))
-}
-
-// PeakActivationBytes returns the largest single-sample layer output,
-// a proxy for working-set pressure during inference.
-func (a *Arch) PeakActivationBytes() int64 {
-	var m int64
-	for _, l := range a.Layers {
-		if l.ActivationBytes > m {
-			m = l.ActivationBytes
-		}
-	}
-	return m
-}
-
-// TotalActivationBytes returns the sum of all single-sample layer
-// outputs: the footprint retained for a backward pass during training.
-func (a *Arch) TotalActivationBytes() int64 {
-	var n int64
-	for _, l := range a.Layers {
-		n += l.ActivationBytes
-	}
-	return n
 }
 
 // synthesize builds an architecture with the given aggregate footprint

@@ -8,18 +8,18 @@ import (
 	"adainf/internal/mathx"
 )
 
-// Default learning-dynamics constants. They are calibrated so one
-// period's retraining pool can recover most of a drift-induced accuracy
-// loss — the regime the paper operates in.
+// Learning-dynamics constants. They are calibrated so one period's
+// retraining pool can recover most of a drift-induced accuracy loss —
+// the regime the paper operates in.
 const (
 	// DefaultKappaSamples is the learning-curve constant κ: training on
 	// k effective samples closes fraction 1−exp(−k/κ) of the knowledge
 	// gap.
 	DefaultKappaSamples = 200.0
-	// DefaultDriftSensitivity is the exponent η shaping how fast
-	// accuracy falls as a class becomes unfamiliar. Compressed models
-	// generalize poorly to new distributions (§1), so η > 1.
-	DefaultDriftSensitivity = 1.5
+	// DriftSensitivity is the exponent η shaping how fast accuracy
+	// falls as a class becomes unfamiliar. Compressed models generalize
+	// poorly to new distributions (§1), so η > 1.
+	DriftSensitivity = 1.5
 	// DivergentSelectionBoost is the efficiency multiplier earned by
 	// retraining on the samples that deviate most from the old training
 	// data (§3.2), relative to uniformly chosen samples. The divergent
@@ -35,10 +35,9 @@ const (
 // knowledge matches the live distribution and falls as classes surge
 // beyond what the model has seen (data drift).
 type State struct {
-	arch        *Arch
-	knowledge   *dist.Categorical
-	kappa       float64
-	sensitivity float64
+	arch      *Arch
+	knowledge *dist.Categorical
+	kappa     float64
 	// version counts effective Train applications. Two states with the
 	// same construction history and equal versions hold identical
 	// knowledge, which lets callers fingerprint a state without hashing
@@ -56,19 +55,11 @@ func NewState(arch *Arch, initial *dist.Categorical) *State {
 		panic("dnn: NewState with nil initial distribution")
 	}
 	return &State{
-		arch:        arch,
-		knowledge:   initial.Clone(),
-		kappa:       DefaultKappaSamples,
-		sensitivity: DefaultDriftSensitivity,
+		arch:      arch,
+		knowledge: initial.Clone(),
+		kappa:     DefaultKappaSamples,
 	}
 }
-
-// Arch returns the model's architecture.
-func (s *State) Arch() *Arch { return s.arch }
-
-// Knowledge returns the class distribution the model currently
-// reflects (copy).
-func (s *State) Knowledge() *dist.Categorical { return s.knowledge.Clone() }
 
 // SetKappa overrides the learning-curve constant (samples to close
 // ~63% of a knowledge gap). It panics on a non-positive value.
@@ -77,14 +68,6 @@ func (s *State) SetKappa(kappa float64) {
 		panic(fmt.Sprintf("dnn: kappa %g must be positive", kappa))
 	}
 	s.kappa = kappa
-}
-
-// SetDriftSensitivity overrides the drift-sensitivity exponent η.
-func (s *State) SetDriftSensitivity(eta float64) {
-	if eta <= 0 {
-		panic(fmt.Sprintf("dnn: sensitivity %g must be positive", eta))
-	}
-	s.sensitivity = eta
 }
 
 // ClassAccuracy returns the probability the model classifies a sample
@@ -99,7 +82,7 @@ func (s *State) ClassAccuracy(c int, live *dist.Categorical) float64 {
 		return s.arch.BaseAccuracy
 	}
 	familiarity := math.Min(1, s.knowledge.Prob(c)/p)
-	f := math.Pow(familiarity, s.sensitivity)
+	f := math.Pow(familiarity, DriftSensitivity)
 	return s.arch.GuessAccuracy + (s.arch.BaseAccuracy-s.arch.GuessAccuracy)*f
 }
 
@@ -161,43 +144,9 @@ func (s *State) Version() uint64 { return s.version }
 // Clone returns an independent copy of the state (a model "version").
 func (s *State) Clone() *State {
 	return &State{
-		arch:        s.arch,
-		knowledge:   s.knowledge.Clone(),
-		kappa:       s.kappa,
-		sensitivity: s.sensitivity,
-		version:     s.version,
-	}
-}
-
-// AverageStates implements the paper's cross-job version averaging:
-// when a job starts retraining a model that other jobs have partially
-// retrained, it begins from the average of the versions' parameters
-// (§3.3.2). In knowledge space that is the mean of the versions' class
-// distributions. It panics on an empty input or mismatched
-// architectures.
-func AverageStates(states []*State) *State {
-	if len(states) == 0 {
-		panic("dnn: AverageStates of nothing")
-	}
-	first := states[0]
-	probs := make([]float64, first.knowledge.K())
-	for _, st := range states {
-		if st.arch.Name != first.arch.Name {
-			panic(fmt.Sprintf("dnn: AverageStates across architectures %q and %q",
-				first.arch.Name, st.arch.Name))
-		}
-		for i, p := range st.knowledge.Probs() {
-			probs[i] += p
-		}
-	}
-	avg, err := dist.NewCategorical(first.knowledge.Labels(), probs)
-	if err != nil {
-		panic(fmt.Sprintf("dnn: AverageStates produced invalid distribution: %v", err))
-	}
-	return &State{
-		arch:        first.arch,
-		knowledge:   avg,
-		kappa:       first.kappa,
-		sensitivity: first.sensitivity,
+		arch:      s.arch,
+		knowledge: s.knowledge.Clone(),
+		kappa:     s.kappa,
+		version:   s.version,
 	}
 }

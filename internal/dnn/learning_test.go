@@ -156,71 +156,37 @@ func TestCorrectProbBounds(t *testing.T) {
 	}
 }
 
-func TestAverageStates(t *testing.T) {
-	a := mustDist(t, vehicleLabels, []float64{1, 0, 0, 0})
-	b := mustDist(t, vehicleLabels, []float64{0, 1, 0, 0})
-	s1 := NewState(MobileNetV2(), a)
-	s2 := NewState(MobileNetV2(), b)
-	avg := AverageStates([]*State{s1, s2})
-	k := avg.Knowledge()
-	if math.Abs(k.Prob(0)-0.5) > 1e-9 || math.Abs(k.Prob(1)-0.5) > 1e-9 {
-		t.Fatalf("averaged knowledge = %v", k.Probs())
-	}
-}
-
-func TestAverageStatesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on empty average")
-		}
-	}()
-	AverageStates(nil)
-}
-
-func TestAverageStatesArchMismatchPanics(t *testing.T) {
-	d := mustDist(t, vehicleLabels, []float64{1, 1, 1, 1})
-	s1 := NewState(MobileNetV2(), d)
-	s2 := NewState(ShuffleNet(), d)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on arch mismatch")
-		}
-	}()
-	AverageStates([]*State{s1, s2})
-}
-
 func TestCloneIndependence(t *testing.T) {
 	initial := mustDist(t, vehicleLabels, []float64{1, 1, 1, 1})
 	live := mustDist(t, vehicleLabels, []float64{4, 1, 1, 1})
 	s := NewState(MobileNetV2(), initial)
 	c := s.Clone()
 	c.Train(live, 10000)
-	if s.Knowledge().JSDivergence(initial) != 0 {
+	if s.knowledge.JSDivergence(initial) != 0 {
 		t.Fatal("training a clone mutated the original")
 	}
 }
 
 // TestTrainLeavesSnapshotsUnchanged pins what makes Train's in-place
-// blend safe: a Knowledge snapshot, a Clone and the initial and target
-// distributions taken before Train do not move when it blends.
+// blend safe: a Clone and the initial and target distributions taken
+// before Train do not move when it blends.
 func TestTrainLeavesSnapshotsUnchanged(t *testing.T) {
 	initial := mustDist(t, vehicleLabels, []float64{8, 1, 0.5, 0.5})
 	live := mustDist(t, vehicleLabels, []float64{1, 1, 4, 4})
 	s := NewState(MobileNetV2(), initial)
 	s.Train(live, 50)
-	knowledge, clone := s.Knowledge(), s.Clone()
-	want, initialWant, liveWant := knowledge.Probs(), initial.Probs(), live.Probs()
+	clone := s.Clone()
+	want, initialWant, liveWant := s.knowledge.Probs(), initial.Probs(), live.Probs()
 	s.Train(live, 200)
-	if s.Knowledge().JSDivergence(knowledge) == 0 {
+	if s.knowledge.JSDivergence(clone.knowledge) == 0 {
 		t.Fatal("Train did not move the knowledge")
 	}
 	for name, tc := range map[string]struct {
 		got, want []float64
 	}{
-		"Knowledge snapshot": {knowledge.Probs(), want},
-		"Clone":              {clone.Knowledge().Probs(), want},
-		"initial":            {initial.Probs(), initialWant},
-		"target":             {live.Probs(), liveWant},
+		"Clone":   {clone.knowledge.Probs(), want},
+		"initial": {initial.Probs(), initialWant},
+		"target":  {live.Probs(), liveWant},
 	} {
 		for i := range tc.want {
 			if tc.got[i] != tc.want[i] {
@@ -236,7 +202,6 @@ func TestStatePanicsOnBadInputs(t *testing.T) {
 		"nil arch":  func() { NewState(nil, live) },
 		"nil dist":  func() { NewState(MobileNetV2(), nil) },
 		"bad kappa": func() { NewState(MobileNetV2(), live).SetKappa(0) },
-		"bad eta":   func() { NewState(MobileNetV2(), live).SetDriftSensitivity(-1) },
 	} {
 		func() {
 			defer func() {

@@ -20,10 +20,6 @@ type Structure struct {
 	accFactor float64
 }
 
-// exitHeadFLOPsFraction is the extra work of an early-exit
-// classification head, as a fraction of the truncated backbone's work.
-const exitHeadFLOPsFraction = 0.03
-
 // FullStructure returns the un-truncated structure of arch.
 func FullStructure(arch *Arch) Structure {
 	return Structure{arch: arch, exitAfter: arch.NumLayers(), accFactor: 1}
@@ -87,16 +83,6 @@ func (s Structure) AccuracyFactor() float64 { return s.accFactor }
 // not modify).
 func (s Structure) Layers() []Layer { return s.arch.Layers[:s.exitAfter] }
 
-// ForwardFLOPs returns the per-sample forward work of the structure,
-// including the early-exit head when truncated.
-func (s Structure) ForwardFLOPs() float64 {
-	w := s.arch.ForwardFLOPs(s.exitAfter)
-	if !s.IsFull() {
-		w *= 1 + exitHeadFLOPsFraction
-	}
-	return w
-}
-
 // ParamBytes returns the structure's parameter footprint.
 func (s Structure) ParamBytes() int64 {
 	var n int64
@@ -116,12 +102,6 @@ func (s Structure) PeakActivationBytes() int64 {
 		}
 	}
 	return m
-}
-
-// WorkFraction returns the structure's forward work as a fraction of
-// the full model's.
-func (s Structure) WorkFraction() float64 {
-	return s.ForwardFLOPs() / s.arch.ForwardFLOPs(s.arch.NumLayers())
 }
 
 // String implements fmt.Stringer, e.g. "TinyYOLOv3[exit@9/24]".

@@ -31,15 +31,6 @@ func ByName(name string) (*Arch, bool) {
 	return f(), true
 }
 
-// Names returns the model names available in the zoo.
-func Names() []string {
-	out := make([]string, 0, len(zoo))
-	for n := range zoo {
-		out = append(out, n)
-	}
-	return out
-}
-
 // TinyYOLOv3 is the object-detection model of the video-surveillance
 // app: ~5.6 GFLOPs, ~35 MB of weights, 24 layers.
 func TinyYOLOv3() *Arch {

@@ -36,7 +36,7 @@ func singleClassWindow(t *testing.T, seed int64, n int) *synthdata.Dataset {
 	}
 	out := &synthdata.Dataset{Task: "mono"}
 	for len(out.Samples) < n {
-		for _, smp := range s.Sample(n) {
+		for _, smp := range synthdata.Collect(s, n).Samples {
 			if smp.Class == 0 && len(out.Samples) < n {
 				out.Samples = append(out.Samples, smp)
 			}

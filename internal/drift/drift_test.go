@@ -51,7 +51,7 @@ func TestRankByDivergenceOrdersShiftedSamplesFirst(t *testing.T) {
 	pool := &synthdata.Dataset{Task: "t"}
 	var n0, n1 int
 	for n0 < 100 || n1 < 100 {
-		smp := s.Sample(1)[0]
+		smp := synthdata.Collect(s, 1).Samples[0]
 		if smp.Class == 0 && n0 < 100 {
 			pool.Samples = append(pool.Samples, smp)
 			n0++

@@ -15,18 +15,22 @@ import (
 
 // referenceRank is the full-sort ranking DetectNode's top-k heap
 // replaces: every sample projected into a fresh vector, the old mean
-// recomputed from the samples, and a stable sort on decreasing
-// distance alone.
+// recomputed from the samples, the cosine distance computed from
+// scratch, and a stable sort on decreasing distance alone.
 func referenceRank(t testing.TB, old, pool *synthdata.Dataset, pcaComponents int) []int {
 	t.Helper()
-	pca, err := mathx.FitPCA(old.FeatureMatrix(), pcaComponents)
+	rows := make([][]float64, len(old.Samples))
+	for i, s := range old.Samples {
+		rows[i] = s.Features
+	}
+	pca, err := mathx.FitPCA(rows, pcaComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldMean := pca.Project(old.MeanFeature())
+	oldMean := pca.Project(mathx.Mean(rows))
 	xs := make([]scored, len(pool.Samples))
 	for i, s := range pool.Samples {
-		xs[i] = scored{idx: i, dist: mathx.CosineDistance(pca.Project(s.Features), oldMean)}
+		xs[i] = scored{idx: i, dist: cosineDistance(pca.Project(s.Features), oldMean)}
 	}
 	slices.SortStableFunc(xs, func(a, b scored) int {
 		switch {
@@ -42,6 +46,16 @@ func referenceRank(t testing.TB, old, pool *synthdata.Dataset, pcaComponents int
 		out[i] = s.idx
 	}
 	return out
+}
+
+// cosineDistance is 1 − cos(a, b), with similarity 0 for a zero vector
+// and the cosine clamped to [−1, 1].
+func cosineDistance(a, b []float64) float64 {
+	na, nb := mathx.Norm(a), mathx.Norm(b)
+	if na == 0 || nb == 0 {
+		return 1
+	}
+	return 1 - math.Max(-1, math.Min(1, mathx.Dot(a, b)/(na*nb)))
 }
 
 // referenceDetectNode is DetectNode's S-growth loop over referenceRank,

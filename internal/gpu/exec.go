@@ -36,12 +36,6 @@ type TaskResult struct {
 // Total returns compute + communication time.
 func (r TaskResult) Total() simtime.Duration { return r.Compute + r.Comm }
 
-// Add accumulates another result.
-func (r *TaskResult) Add(o TaskResult) {
-	r.Compute += o.Compute
-	r.Comm += o.Comm
-}
-
 // Executor runs inference and retraining tasks on a partition, driving
 // the partition's memory manager so communication time and reuse-time
 // distributions emerge from actual content accesses.

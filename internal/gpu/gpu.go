@@ -159,9 +159,6 @@ func memConfig(spec Spec, fraction float64, cfg PartitionConfig) (gpumem.Config,
 	return mcfg, mcfg.Validate()
 }
 
-// Spec returns the underlying device spec.
-func (p *Partition) Spec() Spec { return p.spec }
-
 // Fraction returns the compute-space share.
 func (p *Partition) Fraction() float64 { return p.fraction }
 

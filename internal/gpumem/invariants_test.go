@@ -82,7 +82,8 @@ func TestRandomOperationInvariants(t *testing.T) {
 			if m.PinUsed() < 0 {
 				t.Fatalf("seed %d step %d: negative PIN usage %d", seed, step, m.PinUsed())
 			}
-			if comm := m.Stats().CommTime(); comm < lastComm {
+			st := m.Stats()
+			if comm := st.H2DTime + st.D2HTime + st.StreamedTime; comm < lastComm {
 				t.Fatalf("seed %d step %d: comm time went backwards", seed, step)
 			} else {
 				lastComm = comm

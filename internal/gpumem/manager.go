@@ -95,10 +95,6 @@ type Stats struct {
 	StreamedTime  simtime.Duration
 }
 
-// CommTime returns total CPU–GPU communication time, including
-// out-of-core streaming.
-func (s Stats) CommTime() simtime.Duration { return s.H2DTime + s.D2HTime + s.StreamedTime }
-
 // Access is one content touch within an Acquire call.
 type Access struct {
 	Content Content
@@ -222,9 +218,6 @@ func (m *Manager) PinUsed() int64 { return m.pinUsed }
 
 // Stats returns a snapshot of the communication statistics.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Policy returns the active eviction policy.
-func (m *Manager) Policy() Policy { return m.cfg.Policy }
 
 // Resident reports whether the content is currently in GPU memory.
 func (m *Manager) Resident(id ContentID) bool {

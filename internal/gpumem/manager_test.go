@@ -455,12 +455,3 @@ func TestTypeReuseMeanUnknown(t *testing.T) {
 		t.Fatalf("unknown type mean = %v, want -1", got)
 	}
 }
-
-func TestCommTimeAggregates(t *testing.T) {
-	var s Stats
-	s.H2DTime = 3 * time.Millisecond
-	s.D2HTime = 2 * time.Millisecond
-	if s.CommTime() != 5*time.Millisecond {
-		t.Fatal("CommTime broken")
-	}
-}

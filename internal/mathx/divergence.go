@@ -69,16 +69,3 @@ func Normalize(w []float64) []float64 {
 	}
 	return out
 }
-
-// TotalVariation returns half the L1 distance between the distributions
-// p and q, in [0, 1]. It panics if the lengths differ.
-func TotalVariation(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("mathx: TotalVariation length mismatch %d != %d", len(p), len(q)))
-	}
-	var d float64
-	for i := range p {
-		d += math.Abs(p[i] - q[i])
-	}
-	return d / 2
-}

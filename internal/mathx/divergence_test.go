@@ -110,12 +110,3 @@ func TestNormalizeSumsToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTotalVariation(t *testing.T) {
-	if got := TotalVariation([]float64{1, 0}, []float64{0, 1}); got != 1 {
-		t.Fatalf("TV disjoint = %v, want 1", got)
-	}
-	if got := TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5}); got != 0 {
-		t.Fatalf("TV equal = %v, want 0", got)
-	}
-}

@@ -12,7 +12,6 @@ import (
 type PCA struct {
 	mean       []float64   // per-feature mean of the fitted data
 	components [][]float64 // principal axes, row per component, unit norm
-	variances  []float64   // eigenvalue (variance) per component
 }
 
 // FitPCA fits k principal components to the rows of data using the
@@ -90,7 +89,6 @@ func fromCovariance(mean []float64, cov [][]float64, k int) *PCA {
 	return &PCA{
 		mean:       mean,
 		components: vecs[:k],
-		variances:  vals[:k],
 	}
 }
 
@@ -102,24 +100,6 @@ func (p *PCA) Mean() []float64 { return Clone(p.mean) }
 
 // Components returns the number of principal components retained.
 func (p *PCA) Components() int { return len(p.components) }
-
-// ExplainedVariance returns the eigenvalue (variance) captured by each
-// retained component, in decreasing order.
-func (p *PCA) ExplainedVariance() []float64 { return Clone(p.variances) }
-
-// Transform projects v onto the principal-component basis, returning a
-// vector of length Components(). It panics on a dimension mismatch.
-func (p *PCA) Transform(v []float64) []float64 {
-	if len(v) != len(p.mean) {
-		panic(fmt.Sprintf("mathx: PCA.Transform dim %d != fitted %d", len(v), len(p.mean)))
-	}
-	centered := Sub(v, p.mean)
-	out := make([]float64, len(p.components))
-	for i, c := range p.components {
-		out[i] = Dot(centered, c)
-	}
-	return out
-}
 
 // Project projects v onto the principal axes WITHOUT mean-centering.
 // Use this when downstream math is origin-sensitive — e.g. cosine
@@ -145,15 +125,6 @@ func (p *PCA) ProjectInto(dst, v []float64) {
 	for i, c := range p.components {
 		dst[i] = Dot(v, c)
 	}
-}
-
-// TransformAll projects every row of data.
-func (p *PCA) TransformAll(data [][]float64) [][]float64 {
-	out := make([][]float64, len(data))
-	for i, r := range data {
-		out[i] = p.Transform(r)
-	}
-	return out
 }
 
 // jacobiEigen computes eigenvalues and eigenvectors of the symmetric

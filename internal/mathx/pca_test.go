@@ -44,7 +44,7 @@ func TestPCARecoverDominantAxis(t *testing.T) {
 	if align < 0.999 {
 		t.Fatalf("first component %v misaligned: |cos| = %v", c0, align)
 	}
-	vars := p.ExplainedVariance()
+	vars := projectedVariances(p, data)
 	if vars[0] < 50 || vars[1] > 1 {
 		t.Fatalf("variances %v do not reflect the dominant axis", vars)
 	}
@@ -64,7 +64,7 @@ func TestPCAVariancesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := p.ExplainedVariance()
+	vars := projectedVariances(p, data)
 	for i := 1; i < len(vars); i++ {
 		if vars[i] > vars[i-1]+1e-9 {
 			t.Fatalf("variances not sorted: %v", vars)
@@ -81,13 +81,8 @@ func TestPCATransformDimensions(t *testing.T) {
 	if p.Dim() != 3 || p.Components() != 2 {
 		t.Fatalf("Dim=%d Components=%d", p.Dim(), p.Components())
 	}
-	out := p.Transform(data[0])
-	if len(out) != 2 {
-		t.Fatalf("Transform len = %d", len(out))
-	}
-	all := p.TransformAll(data)
-	if len(all) != len(data) {
-		t.Fatalf("TransformAll len = %d", len(all))
+	if out := p.Project(data[0]); len(out) != 2 {
+		t.Fatalf("Project len = %d", len(out))
 	}
 }
 
@@ -122,17 +117,38 @@ func TestPCAPreservesVariance(t *testing.T) {
 	mean := Mean(data)
 	var orig float64
 	for _, r := range data {
-		d := Sub(r, mean)
-		orig += Dot(d, d)
+		for j, x := range r {
+			orig += (x - mean[j]) * (x - mean[j])
+		}
 	}
 	orig /= float64(len(data))
 	var kept float64
-	for _, v := range p.ExplainedVariance() {
+	for _, v := range projectedVariances(p, data) {
 		kept += v
 	}
 	if !almostEqual(orig, kept, 1e-6*orig) {
-		t.Fatalf("variance not preserved: orig %v vs eigensum %v", orig, kept)
+		t.Fatalf("variance not preserved: orig %v vs projected %v", orig, kept)
 	}
+}
+
+// projectedVariances returns the variance of data along each of p's
+// components, in component order.
+func projectedVariances(p *PCA, data [][]float64) []float64 {
+	proj := make([][]float64, len(data))
+	for i, r := range data {
+		proj[i] = p.Project(r)
+	}
+	mean := Mean(proj)
+	vars := make([]float64, p.Components())
+	for _, r := range proj {
+		for i, x := range r {
+			vars[i] += (x - mean[i]) * (x - mean[i])
+		}
+	}
+	for i := range vars {
+		vars[i] /= float64(len(data))
+	}
+	return vars
 }
 
 func TestPCATransformPanicsOnDimMismatch(t *testing.T) {
@@ -145,7 +161,7 @@ func TestPCATransformPanicsOnDimMismatch(t *testing.T) {
 			t.Fatal("no panic on dimension mismatch")
 		}
 	}()
-	p.Transform([]float64{1, 2, 3})
+	p.Project([]float64{1, 2, 3})
 }
 
 // TestFitPCAMatchesNaiveCovariance pins FitPCA's row-centering buffer
@@ -194,7 +210,6 @@ func TestFitPCAMatchesNaiveCovariance(t *testing.T) {
 			return out
 		}
 		if !slices.Equal(bits(got.mean), bits(want.mean)) ||
-			!slices.Equal(bits(got.variances), bits(want.variances)) ||
 			!slices.Equal(bits(got.components...), bits(want.components...)) {
 			t.Fatalf("%+v: FitPCA differs from the naive covariance fit", shape)
 		}

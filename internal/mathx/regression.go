@@ -122,16 +122,6 @@ func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 	return LeastSquares(phi, ys)
 }
 
-// PolyEval evaluates the polynomial with coefficients c (constant term
-// first) at x.
-func PolyEval(c []float64, x float64) float64 {
-	var y float64
-	for i := len(c) - 1; i >= 0; i-- {
-		y = y*x + c[i]
-	}
-	return y
-}
-
 // PowerLaw is the fitted model y = A·x^B. The scheduler uses it as the
 // non-linear regression that scales a profiled latency when the GPU
 // space allocated to a task changes (§3.3): latency falls as a power of
@@ -169,98 +159,3 @@ func FitPowerLaw(xs, ys []float64) (PowerLaw, error) {
 
 // At evaluates the power law at x.
 func (p PowerLaw) At(x float64) float64 { return p.A * math.Pow(x, p.B) }
-
-// InverseAt returns the x at which the power law equals y. It panics if
-// B == 0 (a constant law has no inverse).
-func (p PowerLaw) InverseAt(y float64) float64 {
-	if p.B == 0 {
-		panic("mathx: PowerLaw.InverseAt on constant law")
-	}
-	return math.Pow(y/p.A, 1/p.B)
-}
-
-// Saturating is the fitted model y = Ymax·(1 − exp(−x/κ)): the
-// learning-curve shape used to relate retraining effort to recovered
-// accuracy.
-type Saturating struct {
-	Ymax  float64
-	Kappa float64
-}
-
-// At evaluates the saturating curve at x ≥ 0.
-func (s Saturating) At(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return s.Ymax * (1 - math.Exp(-x/s.Kappa))
-}
-
-// InverseAt returns the x at which the curve reaches y < Ymax. It
-// returns +Inf for y ≥ Ymax and 0 for y ≤ 0.
-func (s Saturating) InverseAt(y float64) float64 {
-	if y <= 0 {
-		return 0
-	}
-	if y >= s.Ymax {
-		return math.Inf(1)
-	}
-	return -s.Kappa * math.Log(1-y/s.Ymax)
-}
-
-// FitSaturating fits the saturating model to (x, y) points with a
-// one-dimensional golden-section search over κ (Ymax is solved in
-// closed form for each κ). All xs must be positive.
-func FitSaturating(xs, ys []float64) (Saturating, error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return Saturating{}, fmt.Errorf("mathx: FitSaturating needs ≥2 matched points, have %d/%d", len(xs), len(ys))
-	}
-	var xmax float64
-	for _, x := range xs {
-		if x <= 0 {
-			return Saturating{}, fmt.Errorf("mathx: FitSaturating non-positive x %g", x)
-		}
-		if x > xmax {
-			xmax = x
-		}
-	}
-	// For fixed κ the optimal Ymax is Σ f·y / Σ f² with f = 1−exp(−x/κ).
-	sse := func(kappa float64) (float64, float64) {
-		var sfy, sff float64
-		for i := range xs {
-			f := 1 - math.Exp(-xs[i]/kappa)
-			sfy += f * ys[i]
-			sff += f * f
-		}
-		if sff == 0 {
-			return math.Inf(1), 0
-		}
-		ymax := sfy / sff
-		var e float64
-		for i := range xs {
-			r := ys[i] - ymax*(1-math.Exp(-xs[i]/kappa))
-			e += r * r
-		}
-		return e, ymax
-	}
-	lo, hi := xmax/1000, xmax*10
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	c1 := b - phi*(b-a)
-	c2 := a + phi*(b-a)
-	e1, _ := sse(c1)
-	e2, _ := sse(c2)
-	for i := 0; i < 80; i++ {
-		if e1 < e2 {
-			b, c2, e2 = c2, c1, e1
-			c1 = b - phi*(b-a)
-			e1, _ = sse(c1)
-		} else {
-			a, c1, e1 = c1, c2, e2
-			c2 = a + phi*(b-a)
-			e2, _ = sse(c2)
-		}
-	}
-	kappa := (a + b) / 2
-	_, ymax := sse(kappa)
-	return Saturating{Ymax: ymax, Kappa: kappa}, nil
-}

@@ -6,44 +6,6 @@ import (
 	"sort"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Std    float64 // population standard deviation
-	Median float64
-}
-
-// Summarize computes descriptive statistics of xs. A nil or empty input
-// returns a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Std = math.Sqrt(ss / float64(len(xs)))
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
 // MeanOf returns the arithmetic mean of xs, or 0 for an empty slice.
 func MeanOf(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -76,31 +38,6 @@ func MeanWhere(xs []float64, mask []bool) float64 {
 	return sum / float64(n)
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It panics on empty input or p
-// outside [0, 100].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("mathx: Percentile of empty sample")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("mathx: Percentile p=%g out of [0,100]", p))
-	}
-	sorted := Clone(xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // CDF is an empirical cumulative distribution function built from
 // observed samples. The simulator uses it to report the reuse-time
 // distributions of Figs. 12–13.
@@ -117,16 +54,6 @@ func NewCDF(samples []float64) *CDF {
 
 // N returns the number of samples behind the CDF.
 func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X ≤ x), or 0 for an empty CDF.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Index of first element > x.
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
 
 // Quantile returns the smallest sample x with P(X ≤ x) ≥ q, for
 // q ∈ (0, 1]. It panics on an empty CDF or q out of range.

@@ -1,8 +1,8 @@
 // Package mathx provides the numerical primitives used by the AdaInf
 // simulator: dense vector operations, principal component analysis,
-// cosine distance, Jensen–Shannon divergence, descriptive statistics,
-// empirical CDFs, and the least-squares fits behind the scheduler's
-// latency-scaling regressions.
+// Jensen–Shannon divergence, means, empirical CDFs, and the
+// least-squares fits behind the scheduler's latency-scaling
+// regressions.
 //
 // Everything is implemented on float64 slices with no external
 // dependencies. The routines favour clarity and numerical robustness
@@ -48,49 +48,6 @@ func Norm(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Add returns a new vector a+b. It panics if the lengths differ.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mathx: Add length mismatch %d != %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a new vector a−b. It panics if the lengths differ.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mathx: Sub length mismatch %d != %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Scale returns a new vector k·v.
-func Scale(v []float64, k float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = v[i] * k
-	}
-	return out
-}
-
-// AXPY performs dst += k·v in place. It panics if the lengths differ.
-func AXPY(dst []float64, k float64, v []float64) {
-	if len(dst) != len(v) {
-		panic(fmt.Sprintf("mathx: AXPY length mismatch %d != %d", len(dst), len(v)))
-	}
-	for i := range dst {
-		dst[i] += k * v[i]
-	}
-}
-
 // Mean returns the element-wise mean of the rows. It panics on an empty
 // input or ragged rows.
 func Mean(rows [][]float64) []float64 {
@@ -112,25 +69,6 @@ func Mean(rows [][]float64) []float64 {
 		out[i] *= inv
 	}
 	return out
-}
-
-// CosineSimilarity returns the cosine of the angle between a and b, in
-// [−1, 1]. A zero vector yields similarity 0.
-func CosineSimilarity(a, b []float64) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	c := Dot(a, b) / (na * nb)
-	// Clamp tiny numerical excursions outside [-1, 1].
-	return math.Max(-1, math.Min(1, c))
-}
-
-// CosineDistance returns 1 − CosineSimilarity(a, b), in [0, 2]. AdaInf
-// uses it to rank new training samples by divergence from the old
-// training data's mean feature vector (§3.2).
-func CosineDistance(a, b []float64) float64 {
-	return 1 - CosineSimilarity(a, b)
 }
 
 // Clone returns a copy of v.

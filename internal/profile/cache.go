@@ -215,25 +215,14 @@ func CleanCache(dir string, maxBytes int64) (int, error) {
 	return removed, nil
 }
 
-// LoadCached returns the cached profile for (a, cfg) from dir, or
-// (nil, false) when no valid entry exists. Any corruption, key
-// mismatch, or model/structure drift is treated as a miss — the caller
-// rebuilds and overwrites. An undecodable file is deleted on the spot
-// (it can never become valid again) and counted via the telemetry
-// cache-corrupt counter.
-func LoadCached(dir string, a *app.App, cfg Config) (*AppProfile, bool) {
-	ap, ok, corrupt := loadCached(dir, a, cfg)
-	if corrupt {
-		cfg.Telemetry.CacheCorrupt(a.Name)
-	}
-	return ap, ok
-}
-
-// loadCached is LoadCached with the corruption outcome surfaced.
-// corrupt is true only when the file existed but gob could not decode
-// it — in that case the file has already been removed. Structural
-// mismatches (stale key, model drift) are plain misses: the rename on
-// the next store overwrites them.
+// loadCached returns the cached profile for (a, cfg) from dir, or
+// ok == false when no valid entry exists. Any corruption, key mismatch,
+// or model/structure drift is a miss — the caller rebuilds and
+// overwrites. corrupt is true only when the file existed but gob could
+// not decode it — in that case the file has already been removed (it
+// can never become valid again). Structural mismatches (stale key,
+// model drift) are plain misses: the rename on the next store
+// overwrites them.
 func loadCached(dir string, a *app.App, cfg Config) (ap *AppProfile, ok, corrupt bool) {
 	key := CacheKey(a, cfg)
 	path := cachePath(dir, key)

@@ -94,13 +94,13 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := LoadCached(dir, a, cfg); ok {
+	if _, ok, _ := loadCached(dir, a, cfg); ok {
 		t.Fatal("cache hit before any store")
 	}
 	if err := StoreCached(dir, a, cfg, built); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok := LoadCached(dir, a, cfg)
+	loaded, ok, _ := loadCached(dir, a, cfg)
 	if !ok {
 		t.Fatal("cache miss after store")
 	}
@@ -149,7 +149,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	// A config change must miss even with the entry on disk.
 	miss := cfg
 	miss.Strategy = gpu.Strategy{MaximizeUsage: true}
-	if _, ok := LoadCached(dir, a, miss); ok {
+	if _, ok, _ := loadCached(dir, a, miss); ok {
 		t.Error("strategy change hit the cache")
 	}
 
@@ -161,7 +161,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err := os.WriteFile(entries[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := LoadCached(dir, a, cfg); ok {
+	if _, ok, _ := loadCached(dir, a, cfg); ok {
 		t.Error("corrupt entry hit the cache")
 	}
 }

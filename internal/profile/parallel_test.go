@@ -327,14 +327,11 @@ func TestCorruptCacheRecovery(t *testing.T) {
 
 	tel := telemetry.New(telemetry.Options{Hist: true})
 	cfg.Telemetry = tel
-	if _, ok := LoadCached(dir, a, cfg); ok {
-		t.Fatal("corrupt entry hit the cache")
+	if _, ok, corrupt := loadCached(dir, a, cfg); ok || !corrupt {
+		t.Fatalf("corrupt entry: hit=%v corrupt=%v, want a corrupt miss", ok, corrupt)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("corrupt entry left on disk after the failed load")
-	}
-	if n := tel.CacheCorruptCount(); n != 1 {
-		t.Errorf("cache-corrupt counter = %d, want 1", n)
 	}
 
 	// The cached build after the eviction is a plain miss + rebuild.
@@ -367,8 +364,8 @@ func TestCorruptCacheRecovery(t *testing.T) {
 	if !info.CorruptEvicted || info.CacheHit {
 		t.Errorf("info = %+v, want CorruptEvicted and a miss", info)
 	}
-	if n := tel.CacheCorruptCount(); n != 2 {
-		t.Errorf("cache-corrupt counter = %d, want 2", n)
+	if n := tel.CacheCorruptCount(); n != 1 {
+		t.Errorf("cache-corrupt counter = %d, want 1", n)
 	}
 }
 

@@ -204,15 +204,10 @@ func (rp *RetrainProfile) Latency(samples int, fraction float64) (simtime.Durati
 	return simtime.Duration(per * float64(samples)), nil
 }
 
-// SamplesWithin returns how many whole samples can be retrained within
-// the budget at the fraction — the inverse profile lookup behind
-// AdaInf's retraining-setting choice (§3.3.2).
-func (rp *RetrainProfile) SamplesWithin(budget simtime.Duration, fraction float64) int {
-	return int(rp.SamplesWithinF(budget, fraction))
-}
-
-// SamplesWithinF is SamplesWithin without integer truncation. A job's
-// incremental retraining slice may cover only part of a sample's
+// SamplesWithinF returns how many samples, fractional ones included,
+// can be retrained within the budget at the fraction — the inverse
+// profile lookup behind AdaInf's retraining-setting choice (§3.3.2). A
+// job's incremental retraining slice may cover only part of a sample's
 // training step at a small GPU fraction; the fractional progress
 // carries over to the application's next job rather than being lost.
 func (rp *RetrainProfile) SamplesWithinF(budget simtime.Duration, fraction float64) float64 {
@@ -269,17 +264,6 @@ type NodeProfiles struct {
 	Full *StructureProfile
 	// Retrain is the node's retraining profile.
 	Retrain *RetrainProfile
-}
-
-// ForStructure returns the profile of the structure by exit depth.
-func (np *NodeProfiles) ForStructure(st dnn.Structure) (*StructureProfile, error) {
-	exit := st.ExitAfter()
-	for _, sp := range np.Structures {
-		if sp.Structure.ExitAfter() == exit {
-			return sp, nil
-		}
-	}
-	return nil, fmt.Errorf("profile: node %q has no profile for %v", np.Node, st)
 }
 
 // Index returns the per-node profiles in App.Nodes order (the order of

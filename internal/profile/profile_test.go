@@ -192,12 +192,12 @@ func TestRetrainProfile(t *testing.T) {
 		t.Fatal("less GPU not slower for retraining")
 	}
 	// Inverse lookup agrees with the forward model.
-	n := rp.SamplesWithin(lat100, 1.0)
+	n := rp.SamplesWithinF(lat100, 1.0)
 	if n < 95 || n > 105 {
-		t.Fatalf("SamplesWithin inverse = %d, want ~100", n)
+		t.Fatalf("SamplesWithinF inverse = %v, want ~100", n)
 	}
-	if rp.SamplesWithin(0, 1.0) != 0 || rp.SamplesWithin(time.Second, 0) != 0 {
-		t.Fatal("degenerate SamplesWithin not zero")
+	if rp.SamplesWithinF(0, 1.0) != 0 || rp.SamplesWithinF(time.Second, 0) != 0 {
+		t.Fatal("degenerate SamplesWithinF not zero")
 	}
 	if _, err := rp.Latency(-1, 1.0); err == nil {
 		t.Error("negative samples accepted")

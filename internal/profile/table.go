@@ -66,7 +66,7 @@ func (t *Table) FullIdx() int { return len(t.structures) - 1 }
 func (t *Table) Batches() []int { return t.bestBatches }
 
 // StructIdx returns the index of the structure with the same exit
-// depth, mirroring NodeProfiles.ForStructure.
+// depth.
 func (t *Table) StructIdx(st dnn.Structure) (int, error) {
 	exit := st.ExitAfter()
 	for i, e := range t.exits {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,13 +10,24 @@ import (
 	"adainf/internal/simtime"
 )
 
-// referenceJobWorstCase recomputes JobWorstCase through the original
-// map-walk API (NodeProfiles.ForStructure → StructureProfile.WorstCase)
+// structureProfile returns np's profile of the structure with st's exit
+// depth, found by walking np.Structures.
+func structureProfile(np *profile.NodeProfiles, st dnn.Structure) (*profile.StructureProfile, error) {
+	for _, sp := range np.Structures {
+		if sp.Structure.ExitAfter() == st.ExitAfter() {
+			return sp, nil
+		}
+	}
+	return nil, fmt.Errorf("node %q has no profile for %v", np.Node, st)
+}
+
+// referenceJobWorstCase recomputes JobWorstCase through the profiles'
+// structure list (structureProfile → StructureProfile.WorstCase)
 // instead of the flattened tables, as an independent oracle.
 func referenceJobWorstCase(jr *JobRequest, structs []dnn.Structure, batch int, fraction float64) (simtime.Duration, error) {
 	var total simtime.Duration
 	for n, np := range jr.Profile.Index() {
-		sp, err := np.ForStructure(structs[n])
+		sp, err := structureProfile(np, structs[n])
 		if err != nil {
 			return 0, err
 		}
@@ -100,7 +112,7 @@ func TestAppendNodePlansMatchesReference(t *testing.T) {
 						t.Fatalf("req=%d b=%d f=%g: prefix or length lost: %+v", req, b, f, got)
 					}
 					for n, np := range jr.Profile.Index() {
-						sp, err := np.ForStructure(structs[n])
+						sp, err := structureProfile(np, structs[n])
 						if err != nil {
 							t.Fatal(err)
 						}

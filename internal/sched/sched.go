@@ -168,9 +168,6 @@ type JobPlan struct {
 	RetrainTime simtime.Duration
 }
 
-// TotalTime returns the job's planned occupancy.
-func (p *JobPlan) TotalTime() simtime.Duration { return p.InferTime + p.RetrainTime }
-
 // SessionPlan is a scheduler's output for one session.
 type SessionPlan struct {
 	Session int

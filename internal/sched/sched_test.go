@@ -280,10 +280,3 @@ func TestSessionPlanValidateLargeShareSlack(t *testing.T) {
 		t.Fatal("overshoot at sub-GPU share accepted")
 	}
 }
-
-func TestJobPlanTotalTime(t *testing.T) {
-	p := JobPlan{InferTime: 100 * time.Millisecond, RetrainTime: 50 * time.Millisecond}
-	if p.TotalTime() != 150*time.Millisecond {
-		t.Fatal("TotalTime broken")
-	}
-}

@@ -164,11 +164,14 @@ func (c *Config) fillDefaults() error {
 		c.PredictAlpha = 0.4
 	}
 	// Defaulting only replaces zeros: reject what is left out of range
-	// before it can hang the arrival generator (NaN rate) or size the
-	// metric series negatively (negative horizon).
+	// before it can hang the arrival generator (NaN rate), size the
+	// metric series negatively (negative horizon) or run no session at
+	// all (a horizon shorter than one session).
 	switch {
 	case c.Horizon <= 0:
 		return fmt.Errorf("serving: horizon %v not positive", c.Horizon)
+	case c.Horizon < c.Clock.Session:
+		return fmt.Errorf("serving: horizon %v shorter than one %v session", c.Horizon, c.Clock.Session)
 	case !(c.RatePerApp > 0) || math.IsInf(c.RatePerApp, 0):
 		return fmt.Errorf("serving: rate %g req/s not finite and positive", c.RatePerApp)
 	case c.PoolSamples < 0 || c.BootstrapSamples < 0:

@@ -15,6 +15,7 @@ import (
 	"adainf/internal/mathx"
 	"adainf/internal/profile"
 	"adainf/internal/sched"
+	"adainf/internal/simtime"
 )
 
 // Shared fixtures: profiles are the expensive part, build once.
@@ -233,6 +234,8 @@ func TestConfigValidation(t *testing.T) {
 		{"infinite GPUs", func(c *Config) { c.GPUs = inf }},
 		{"-infinite GPUs", func(c *Config) { c.GPUs = -inf }},
 		{"negative horizon", func(c *Config) { c.Horizon = -100 * time.Second }},
+		{"horizon under one session", func(c *Config) { c.Horizon = time.Millisecond }},
+		{"horizon just under one session", func(c *Config) { c.Horizon = simtime.DefaultSession - 1 }},
 		{"negative rate", func(c *Config) { c.RatePerApp = -5 }},
 		{"NaN rate", func(c *Config) { c.RatePerApp = nan }},
 		{"infinite rate", func(c *Config) { c.RatePerApp = inf }},
@@ -252,10 +255,15 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
-	// The edge of the alpha range is valid: defaulting must not reject it.
+	// The edges of the alpha and horizon ranges are valid: defaulting
+	// must not reject them.
 	cfg := Config{Method: core.New(core.Options{}), PredictAlpha: 1}
 	if err := cfg.fillDefaults(); err != nil {
 		t.Errorf("alpha 1 rejected: %v", err)
+	}
+	cfg = Config{Method: core.New(core.Options{}), Horizon: simtime.DefaultSession}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Errorf("one-session horizon rejected: %v", err)
 	}
 }
 

@@ -48,14 +48,6 @@ func (t Instant) After(u Instant) bool { return t > u }
 // Duration reports t as a span from simulation start.
 func (t Instant) Duration() Duration { return Duration(t) }
 
-// Seconds reports t in seconds from simulation start.
-func (t Instant) Seconds() float64 { return Duration(t).Seconds() }
-
-// Milliseconds reports t in (fractional) milliseconds from simulation start.
-func (t Instant) Milliseconds() float64 {
-	return float64(Duration(t)) / float64(time.Millisecond)
-}
-
 // String formats the instant as a duration offset, e.g. "1m23.456s".
 func (t Instant) String() string { return Duration(t).String() }
 
@@ -68,22 +60,6 @@ type Clock struct {
 // NewClock returns a Clock with the paper's default granularities.
 func NewClock() Clock {
 	return Clock{Session: DefaultSession, Period: DefaultPeriod}
-}
-
-// SessionIndex returns the zero-based index of the session containing t.
-func (c Clock) SessionIndex(t Instant) int {
-	if c.Session <= 0 {
-		panic("simtime: non-positive session length")
-	}
-	return int(Duration(t) / c.Session)
-}
-
-// PeriodIndex returns the zero-based index of the period containing t.
-func (c Clock) PeriodIndex(t Instant) int {
-	if c.Period <= 0 {
-		panic("simtime: non-positive period length")
-	}
-	return int(Duration(t) / c.Period)
 }
 
 // SessionStart returns the start instant of session i.

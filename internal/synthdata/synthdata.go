@@ -176,23 +176,11 @@ func NewStream(spec TaskSpec, seed int64) (*Stream, error) {
 	return s, nil
 }
 
-// Spec returns the task specification.
-func (s *Stream) Spec() TaskSpec { return s.spec }
-
 // Period returns the current period index.
 func (s *Stream) Period() int { return s.period }
 
 // LabelDist returns the current class-mix distribution (copy).
 func (s *Stream) LabelDist() *dist.Categorical { return s.labelDist.Clone() }
-
-// LabelDistAt returns the class mix at a past period. It panics if the
-// period has not been reached yet.
-func (s *Stream) LabelDistAt(period int) *dist.Categorical {
-	if period < 0 || period >= len(s.history) {
-		panic(fmt.Sprintf("synthdata: period %d not in recorded history [0,%d)", period, len(s.history)))
-	}
-	return s.history[period].Clone()
-}
 
 // ClassMean returns a copy of the current feature mean of class c.
 func (s *Stream) ClassMean(c int) []float64 { return mathx.Clone(s.classMeans[c]) }
@@ -273,11 +261,6 @@ func (s *Stream) Shock(rng *rand.Rand, intensity float64) {
 	s.history[len(s.history)-1] = s.labelDist.Clone()
 }
 
-// Sample draws n labelled samples from the current period's process.
-func (s *Stream) Sample(n int) []Sample {
-	return Recollect(s, n, nil).Samples
-}
-
 // PeriodDivergence returns the Jensen–Shannon divergence between the
 // class mixes of periods p−1 and p (Fig. 6's series). It panics if
 // either period is outside the recorded history.
@@ -297,21 +280,6 @@ type Dataset struct {
 	// block backs every sample's Features when the dataset was drawn
 	// by Recollect; a later Recollect may take it over.
 	block []float64
-}
-
-// FeatureMatrix returns the samples' feature vectors as rows.
-func (d *Dataset) FeatureMatrix() [][]float64 {
-	out := make([][]float64, len(d.Samples))
-	for i := range d.Samples {
-		out[i] = d.Samples[i].Features
-	}
-	return out
-}
-
-// MeanFeature returns the mean feature vector of the dataset. It panics
-// on an empty dataset.
-func (d *Dataset) MeanFeature() []float64 {
-	return mathx.Mean(d.FeatureMatrix())
 }
 
 // LabelDistribution returns the empirical class distribution over k

@@ -2,10 +2,10 @@ package synthdata
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"adainf/internal/dist"
-	"adainf/internal/mathx"
 )
 
 func vehicleSpec() TaskSpec {
@@ -36,7 +36,7 @@ func TestStreamSampleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := s.Sample(100)
+	samples := Collect(s, 100).Samples
 	if len(samples) != 100 {
 		t.Fatalf("len = %d", len(samples))
 	}
@@ -56,8 +56,8 @@ func TestStreamSampleShape(t *testing.T) {
 func TestStreamDeterministicForSeed(t *testing.T) {
 	a, _ := NewStream(vehicleSpec(), 42)
 	b, _ := NewStream(vehicleSpec(), 42)
-	sa := a.Sample(10)
-	sb := b.Sample(10)
+	sa := Collect(a, 10).Samples
+	sb := Collect(b, 10).Samples
 	for i := range sa {
 		if sa[i].Class != sb[i].Class {
 			t.Fatal("same seed diverged on classes")
@@ -105,25 +105,9 @@ func TestZeroDriftTaskStaysPut(t *testing.T) {
 		}
 	}
 	m1 := s.ClassMean(0)
-	if mathx.Norm(mathx.Sub(m0, m1)) != 0 {
+	if !slices.Equal(m0, m1) {
 		t.Fatal("drift-free class mean moved")
 	}
-}
-
-func TestLabelDistAtHistory(t *testing.T) {
-	s, _ := NewStream(vehicleSpec(), 3)
-	p0 := s.LabelDist()
-	s.AdvancePeriod()
-	s.AdvancePeriod()
-	if got := s.LabelDistAt(0); got.JSDivergence(p0) != 0 {
-		t.Fatal("history at period 0 does not match original")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unrecorded period")
-		}
-	}()
-	s.LabelDistAt(99)
 }
 
 func TestSamplesSeparableByClass(t *testing.T) {
@@ -131,12 +115,15 @@ func TestSamplesSeparableByClass(t *testing.T) {
 	// should get most samples right — the features must carry class
 	// signal for the drift detector to work with.
 	s, _ := NewStream(vehicleSpec(), 11)
-	samples := s.Sample(500)
+	samples := Collect(s, 500).Samples
 	correct := 0
 	for _, smp := range samples {
 		best, bestD := -1, math.Inf(1)
 		for c := 0; c < 4; c++ {
-			d := mathx.Norm(mathx.Sub(smp.Features, s.ClassMean(c)))
+			var d float64
+			for j, m := range s.classMeans[c] {
+				d += (smp.Features[j] - m) * (smp.Features[j] - m)
+			}
 			if d < bestD {
 				best, bestD = c, d
 			}
@@ -156,9 +143,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if d.Task != "vehicle-type" || len(d.Samples) != 200 {
 		t.Fatalf("dataset = %q/%d", d.Task, len(d.Samples))
 	}
-	if got := len(d.MeanFeature()); got != 8 {
-		t.Fatalf("MeanFeature dim = %d", got)
-	}
 	ld := d.LabelDistribution(4)
 	var sum float64
 	for _, p := range ld {
@@ -166,9 +150,6 @@ func TestDatasetHelpers(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("label distribution sums to %v", sum)
-	}
-	if rows := d.FeatureMatrix(); len(rows) != 200 {
-		t.Fatalf("FeatureMatrix rows = %d", len(rows))
 	}
 }
 

@@ -107,15 +107,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Overflow returns the number of observations that exceeded the top
-// bucket's range (clamped into it for quantile purposes).
-func (h *Histogram) Overflow() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.overflow
-}
-
 // Quantile returns the q-quantile (q ∈ [0, 1]) in milliseconds,
 // linearly interpolated within the containing bucket. An empty
 // histogram reports 0.

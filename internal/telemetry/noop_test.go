@@ -17,7 +17,6 @@ func noopHotPath(c *Collector) {
 	c.SessionPlan(ts, 1, 0.5, 0, 8)
 	c.JobPlan(ts, 1, "app", 0.25, 16, time.Millisecond, 0)
 	c.Job(ts, 1, "app", 10, 0, time.Millisecond, 0, 2*time.Millisecond, true, false)
-	c.FF(true)
 	c.Cache("app", true)
 	c.CacheCorrupt("app")
 	c.ProfileBuild("app", time.Millisecond, 4, 13, false)

@@ -640,24 +640,10 @@ func (c *Collector) PlanningObserve(d time.Duration) {
 	c.Planning.ObserveMs(float64(d.Nanoseconds()) * 1e-6)
 }
 
-// FF counts one fast-forward memo lookup outcome.
-//
-// Deprecated: serving no longer has a fast-forward memo and never calls
-// FF, so the ff_hits and ff_misses counters stay zero.
-func (c *Collector) FF(hit bool) {
-	if c == nil {
-		return
-	}
-	if hit {
-		c.ffHits++
-	} else {
-		c.ffMisses++
-	}
-}
-
 // FFCounts returns the fast-forward hit/miss counters.
 //
-// Deprecated: both are always zero (see FF).
+// Deprecated: serving no longer has a fast-forward memo and nothing
+// writes these counters, so both are always zero.
 func (c *Collector) FFCounts() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0

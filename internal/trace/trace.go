@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"adainf/internal/dist"
@@ -24,12 +23,6 @@ import (
 type RateCurve interface {
 	Rate(t simtime.Instant) float64
 }
-
-// Constant is a fixed-rate curve.
-type Constant float64
-
-// Rate implements RateCurve.
-func (c Constant) Rate(simtime.Instant) float64 { return float64(c) }
 
 // Burst is a transient rate spike: rate is multiplied by (1 + Amplitude
 // · envelope) where the envelope is a triangular pulse of the given
@@ -135,23 +128,6 @@ func (g *Generator) CountInWindow(from, to simtime.Instant) int {
 	mid := from.Add(to.Sub(from) / 2)
 	mean := g.curve.Rate(mid) * to.Sub(from).Seconds()
 	return poisson(g.rng, mean)
-}
-
-// Arrivals draws arrival instants in [from, to), sorted ascending. The
-// count is Poisson and the instants are uniform within the window
-// (order statistics of a Poisson process).
-func (g *Generator) Arrivals(from, to simtime.Instant) []simtime.Instant {
-	n := g.CountInWindow(from, to)
-	if n == 0 {
-		return nil
-	}
-	span := to.Sub(from)
-	out := make([]simtime.Instant, n)
-	for i := range out {
-		out[i] = from.Add(time.Duration(g.rng.Int63n(int64(span))))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }
 
 // poisson draws a Poisson variate. Knuth's method for small means, a

@@ -12,13 +12,6 @@ func sec(s float64) simtime.Instant {
 	return simtime.Instant(time.Duration(s * float64(time.Second)))
 }
 
-func TestConstantRate(t *testing.T) {
-	c := Constant(50)
-	if c.Rate(sec(0)) != 50 || c.Rate(sec(1000)) != 50 {
-		t.Fatal("constant rate varies")
-	}
-}
-
 func TestBurstEnvelope(t *testing.T) {
 	b := Burst{Center: sec(100), Width: 20 * time.Second, Amplitude: 1}
 	if got := b.factorAt(sec(100)); got != 1 {
@@ -76,7 +69,7 @@ func TestDefaultTwitterLikeDeterministic(t *testing.T) {
 }
 
 func TestGeneratorMeanCount(t *testing.T) {
-	g := NewGenerator(Constant(1000), 1)
+	g := NewGenerator(TwitterLike{Base: 1000}, 1)
 	// 10,000 sessions of 5 ms at 1000 req/s → mean 5 per session.
 	total := 0
 	for i := 0; i < 10000; i++ {
@@ -90,7 +83,7 @@ func TestGeneratorMeanCount(t *testing.T) {
 }
 
 func TestGeneratorLargeMeanUsesNormalApprox(t *testing.T) {
-	g := NewGenerator(Constant(1e6), 2)
+	g := NewGenerator(TwitterLike{Base: 1e6}, 2)
 	n := g.CountInWindow(sec(0), sec(1))
 	if math.Abs(float64(n)-1e6) > 5000 {
 		t.Fatalf("large-mean draw = %d, want ~1e6", n)
@@ -98,32 +91,12 @@ func TestGeneratorLargeMeanUsesNormalApprox(t *testing.T) {
 }
 
 func TestGeneratorEmptyWindow(t *testing.T) {
-	g := NewGenerator(Constant(100), 3)
+	g := NewGenerator(TwitterLike{Base: 100}, 3)
 	if got := g.CountInWindow(sec(5), sec(5)); got != 0 {
 		t.Fatalf("empty window count = %d", got)
 	}
 	if got := g.CountInWindow(sec(5), sec(4)); got != 0 {
 		t.Fatalf("inverted window count = %d", got)
-	}
-	if got := g.Arrivals(sec(5), sec(5)); got != nil {
-		t.Fatalf("empty window arrivals = %v", got)
-	}
-}
-
-func TestArrivalsSortedAndInWindow(t *testing.T) {
-	g := NewGenerator(Constant(2000), 4)
-	from, to := sec(10), sec(11)
-	arr := g.Arrivals(from, to)
-	if len(arr) == 0 {
-		t.Fatal("no arrivals at 2000 req/s over 1 s")
-	}
-	for i, a := range arr {
-		if a.Before(from) || !a.Before(to) {
-			t.Fatalf("arrival %v outside [%v, %v)", a, from, to)
-		}
-		if i > 0 && a.Before(arr[i-1]) {
-			t.Fatal("arrivals not sorted")
-		}
 	}
 }
 

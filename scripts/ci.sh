@@ -32,6 +32,14 @@ if [ -n "$owners" ]; then
     exit 1
 fi
 
+# Every function under internal/ must be linked by some program
+# (cmd/*, examples/*, the bench binary or its test binary), or named
+# with a reason in the checker's allowlist. The check builds with
+# inlining off and reads the binaries' symbols, so it follows calls,
+# not text matches.
+echo "== reachable internal code =="
+go run ./scripts/deadcode
+
 # The internal packages run under a coverage floor: the threshold is
 # recorded below the 83.7% measured when the gate landed, so honest
 # refactoring has headroom but a suite losing tests fails loudly.
