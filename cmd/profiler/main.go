@@ -72,24 +72,29 @@ func main() {
 	fmt.Printf("profiled %q in %v (%s, %d units, %d workers)\n\n",
 		target.Name, info.Wall.Round(time.Millisecond), cache, info.Units, info.Workers)
 
-	for _, node := range target.Nodes {
-		fmt.Printf("## %s (%s)\n", node.Name, node.Model)
-		for _, sp := range ap.Structures[node.Name] {
-			fmt.Printf("  %-28s", sp.Structure.String())
-			for _, b := range sp.Batches() {
-				cell := sp.Points[b][1.0]
-				fmt.Printf("  b%-2d=%6.2fms", b, cell.PerBatch.Seconds()*1e3)
+	for i, t := range ap.Tables() {
+		fmt.Printf("## %s (%s)\n", t.Node(), target.Nodes[i].Model)
+		full, quarter := t.FracIdx(1.0), t.FracIdx(0.25)
+		for si := 0; si < t.NumStructs(); si++ {
+			fmt.Printf("  %-28s", t.Structure(si).String())
+			for bi, b := range t.Batches() {
+				per, _ := t.Cell(si, bi, full)
+				fmt.Printf("  b%-2d=%6.2fms", b, per.Seconds()*1e3)
 			}
-			law := sp.Scaling[sp.Batches()[0]]
-			fmt.Printf("   scaling latency∝f^%.2f\n", law.B)
+			fmt.Printf("   scaling latency∝f^%.2f\n", t.Law(si, 0).B)
 		}
-		rp := ap.Retrain[node.Name]
+		rp := t.Retrain()
 		fmt.Printf("  retraining: %.2f ms/sample at full GPU, %.2f ms/sample at 25%%\n\n",
-			rp.PerSample[1.0].Seconds()*1e3, rp.PerSample[0.25].Seconds()*1e3)
+			rp.PerSample[full].Seconds()*1e3, rp.PerSample[quarter].Seconds()*1e3)
 	}
 
 	fmt.Println("## per-data-type reuse time means (ms), seeds for S_c = (1-α)·R_c + α·L_s")
-	for class, mean := range ap.TypeReuse {
-		fmt.Printf("  %-26s %8.3f\n", class.String(), mean)
+	for _, kind := range []gpumem.Kind{gpumem.KindParam, gpumem.KindIntermediate} {
+		for _, phase := range []gpumem.Phase{gpumem.PhaseInference, gpumem.PhaseRetraining} {
+			class := gpumem.ReuseClass{Kind: kind, Phase: phase}
+			if mean, ok := ap.TypeReuse[class]; ok {
+				fmt.Printf("  %-26s %8.3f\n", class.String(), mean)
+			}
+		}
 	}
 }

@@ -848,6 +848,28 @@ func (a *Auditor) OnRetrainCharge(app string, lane int) error {
 	})
 }
 
+// profiledLatency is the profiled per-batch latency of the node plan's
+// structure at the batch size and fraction, read from the job
+// profile's table at the plan's node position. A position out of range
+// or naming another node, a structure the node lacks and an unprofiled
+// batch are errors.
+func profiledLatency(jr *sched.JobRequest, np *sched.NodePlan, batch int, fraction float64) (simtime.Duration, error) {
+	tables := jr.Profile.Tables()
+	if np.Index < 0 || np.Index >= len(tables) || tables[np.Index].Node() != np.Node {
+		return 0, fmt.Errorf("node plan index %d does not name node %q", np.Index, np.Node)
+	}
+	t := tables[np.Index]
+	si, err := t.StructIdx(np.Structure)
+	if err != nil {
+		return 0, err
+	}
+	bi := t.BatchIdx(batch)
+	if bi < 0 {
+		return 0, fmt.Errorf("batch %d not profiled", batch)
+	}
+	return t.PerBatch(si, bi, fraction)
+}
+
 // auditJob validates one active job plan: profiled batches, inference
 // and retraining time accounting, and the §3.3.2 retraining split.
 func (a *Auditor) auditJob(ctx *sched.SessionContext, plan *sched.SessionPlan,
@@ -857,10 +879,7 @@ func (a *Auditor) auditJob(ctx *sched.SessionContext, plan *sched.SessionPlan,
 	var inferSum, retrainSum simtime.Duration
 	for n := range jp.Nodes {
 		np := &jp.Nodes[n]
-		sp, err := jr.Profile.StructureProfileFor(np.Node, np.Structure)
-		if err == nil {
-			_, err = sp.PerBatch(jp.Batch, jp.Fraction)
-		}
+		_, err := profiledLatency(jr, np, jp.Batch, jp.Fraction)
 		if cerr := a.check(err == nil, func() Violation {
 			return Violation{
 				Rule: RuleBatchProfiled, Period: a.period, Session: sess, App: jp.App, Node: np.Node,
@@ -1054,10 +1073,8 @@ func (a *Auditor) OnFaultDegrade(ctx *sched.SessionContext, job int,
 		origLat = make(map[string]simtime.Duration, len(orig.Nodes))
 		for n := range orig.Nodes {
 			np := &orig.Nodes[n]
-			if sp, err := jr.Profile.StructureProfileFor(np.Node, np.Structure); err == nil {
-				if d, err := sp.PerBatch(orig.Batch, orig.Fraction); err == nil {
-					origLat[np.Node] = d
-				}
+			if d, err := profiledLatency(jr, np, orig.Batch, orig.Fraction); err == nil {
+				origLat[np.Node] = d
 			}
 		}
 	}
@@ -1072,11 +1089,7 @@ func (a *Auditor) OnFaultDegrade(ctx *sched.SessionContext, job int,
 		}); err != nil {
 			return err
 		}
-		sp, err := jr.Profile.StructureProfileFor(np.Node, np.Structure)
-		var lat simtime.Duration
-		if err == nil {
-			lat, err = sp.PerBatch(degraded.Batch, degraded.Fraction)
-		}
+		lat, err := profiledLatency(jr, np, degraded.Batch, degraded.Fraction)
 		if cerr := a.check(err == nil, func() Violation {
 			return Violation{
 				Rule: RuleFaultDegrade, Period: a.period, Session: sess, App: app, Node: np.Node,

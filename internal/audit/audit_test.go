@@ -207,9 +207,9 @@ func (f *planFixture) context(t *testing.T, share float64) *sched.SessionContext
 // profiled batch and consistent time accounting, no retraining.
 func (f *planFixture) plan(t *testing.T) *sched.SessionPlan {
 	t.Helper()
-	sp := f.prof.Structures[f.node][0]
-	batch := sp.Batches()[0]
-	infer, err := sp.PerBatch(batch, 0.5)
+	tb := f.prof.Tables()[0] // f.node
+	batch := tb.Batches()[0]
+	infer, err := tb.PerBatch(0, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func (f *planFixture) plan(t *testing.T) *sched.SessionPlan {
 		Jobs: []sched.JobPlan{{
 			App: f.app.Name, Fraction: 0.5, Batch: batch,
 			Nodes: []sched.NodePlan{{
-				Node: f.node, Structure: sp.Structure, InferTime: infer,
+				Node: f.node, Index: 0, Structure: tb.Structure(0), InferTime: infer,
 			}},
 			InferTime: infer,
 		}},
@@ -233,6 +233,35 @@ func TestSessionPlanClean(t *testing.T) {
 	}
 	if a.Checks() == 0 {
 		t.Fatal("no checks counted")
+	}
+}
+
+// TestFaultDegradeRejectsBadNodeIndex checks that a degraded plan whose
+// node position is out of range or names another node is reported as a
+// violation, not a panic, and that the fixture's own position passes.
+func TestFaultDegradeRejectsBadNodeIndex(t *testing.T) {
+	f := newPlanFixture(t)
+	for _, tc := range []struct {
+		name  string
+		index int
+		ok    bool
+	}{{"own node", 0, true}, {"out of range", 99, false}, {"negative", -1, false}, {"other node", 1, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := f.plan(t).Jobs[0]
+			degraded := f.plan(t).Jobs[0]
+			degraded.Nodes[0].Index = tc.index
+			a := New(nil, Params{GPUs: 1, StrictShare: true})
+			err := a.OnFaultDegrade(f.context(t, 1), 0, &orig, &degraded)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("valid degraded plan rejected: %v", err)
+				}
+				return
+			}
+			if got := ruleOf(t, err); got != RuleFaultDegrade {
+				t.Fatalf("rule = %q, want %q", got, RuleFaultDegrade)
+			}
+		})
 	}
 }
 
@@ -264,6 +293,15 @@ func TestSessionPlanViolations(t *testing.T) {
 		}, RuleFraction},
 		{"unprofiled batch", 1, func(p *sched.SessionPlan) {
 			p.Jobs[0].Batch = 9999
+		}, RuleBatchProfiled},
+		{"node index out of range", 1, func(p *sched.SessionPlan) {
+			p.Jobs[0].Nodes[0].Index = 99
+		}, RuleBatchProfiled},
+		{"negative node index", 1, func(p *sched.SessionPlan) {
+			p.Jobs[0].Nodes[0].Index = -1
+		}, RuleBatchProfiled},
+		{"node index names another node", 1, func(p *sched.SessionPlan) {
+			p.Jobs[0].Nodes[0].Index = 1
 		}, RuleBatchProfiled},
 		{"infer sum mismatch", 1, func(p *sched.SessionPlan) {
 			p.Jobs[0].InferTime += time.Millisecond
@@ -320,14 +358,14 @@ func TestRetrainSplitBound(t *testing.T) {
 	n0, n1 := f.app.Nodes[0].Name, f.app.Nodes[1].Name
 	f.dag = &sched.RIDag{App: f.app, Impact: map[string]float64{n0: 3, n1: 1}}
 	plan = f.plan(t)
-	sp1 := f.prof.Structures[n1][0]
-	infer1, err := sp1.PerBatch(plan.Jobs[0].Batch, 0.5)
+	tb1 := f.prof.Tables()[1] // n1
+	infer1, err := tb1.PerBatch(0, tb1.BatchIdx(plan.Jobs[0].Batch), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j = &plan.Jobs[0]
 	j.Nodes = append(j.Nodes, sched.NodePlan{
-		Node: n1, Structure: sp1.Structure, InferTime: infer1,
+		Node: n1, Index: 1, Structure: tb1.Structure(0), InferTime: infer1,
 	})
 	j.InferTime += infer1
 	spare = f.app.SLO - j.InferTime

@@ -85,16 +85,17 @@ func (e *Ekya) SteadyStatePlanning() {}
 func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error) {
 	type task struct {
 		app, node string
+		idx       int // the node's position in the app
 		samples   int
 		jr        *sched.JobRequest
 	}
 	var tasks []task
 	for i := range ctx.Jobs {
 		jr := &ctx.Jobs[i]
-		for _, ni := range jr.Instance.Nodes() {
+		for k, ni := range jr.Instance.Nodes() {
 			// Ekya retrains every model on the full pool (§3.2).
 			tasks = append(tasks, task{
-				app: jr.Instance.App.Name, node: ni.Node.Name,
+				app: jr.Instance.App.Name, node: ni.Node.Name, idx: k,
 				samples: ni.RemainingSamples(), jr: jr,
 			})
 		}
@@ -123,7 +124,7 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 		}
 		entries := make([]entry, len(tasks))
 		for i, t := range tasks {
-			rp := t.jr.Profile.Retrain[t.node]
+			rp := t.jr.Profile.Tables()[t.idx].Retrain()
 			d, err := rp.Latency(t.samples, frac)
 			if err != nil {
 				d = 0
@@ -158,7 +159,7 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 		completions, _, _, _ := schedule(share)
 		var sum float64
 		for i, t := range tasks {
-			ni := t.jr.Instance.ByName[t.node]
+			ni := t.jr.Instance.Nodes()[t.idx]
 			poolDist, err := ni.PoolDist()
 			if err != nil {
 				continue

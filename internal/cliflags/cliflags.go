@@ -11,6 +11,7 @@ import (
 
 	"adainf/internal/cluster"
 	"adainf/internal/faults"
+	"adainf/internal/simtime"
 )
 
 // Workers validates a worker-count flag whose zero value means "one
@@ -74,15 +75,20 @@ func Rate(name string, v float64, zeroDefault bool) error {
 }
 
 // Horizon validates a simulated-duration flag (-horizon) under the same
-// zeroDefault convention as Rate.
+// zeroDefault convention as Rate: a horizon must hold at least one
+// simtime.DefaultSession, since a shorter one serves nothing.
 func Horizon(name string, v time.Duration, zeroDefault bool) error {
-	if !(v > 0 || zeroDefault && v == 0) {
-		return fmt.Errorf("%s must be %s, got %v", name, positiveBound(zeroDefault), v)
+	if !(v >= simtime.DefaultSession || zeroDefault && v == 0) {
+		bound := fmt.Sprintf(">= one %v session", simtime.DefaultSession)
+		if zeroDefault {
+			bound += " (0 = default)"
+		}
+		return fmt.Errorf("%s must be %s, got %v", name, bound, v)
 	}
 	return nil
 }
 
-// positiveBound phrases the range Rate and Horizon accept.
+// positiveBound phrases the range Rate accepts.
 func positiveBound(zeroDefault bool) string {
 	if zeroDefault {
 		return ">= 0 (0 = default)"

@@ -6,15 +6,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"adainf/internal/simtime"
 )
 
 // TestValidators is the table-driven flag-validation suite the CLIs
 // rely on: worker flags accept zero (auto) and reject negatives, counts
 // must be at least one, the eviction weight α must lie in [0, 1] (NaN
 // rejected), lane counts must be at least one, fractional GPU amounts must be strictly
-// positive (NaN included in the rejections), and rates and horizons
-// must be finite and positive, with 0 accepted only where it selects
-// the default.
+// positive (NaN included in the rejections), rates must be finite and
+// positive and horizons at least one session long, with 0 accepted only
+// where it selects the default.
 func TestValidators(t *testing.T) {
 	tests := []struct {
 		name string
@@ -72,6 +74,11 @@ func TestValidators(t *testing.T) {
 		{"horizon zero default", Horizon("-horizon", 0, true), true},
 		{"horizon positive zero-default", Horizon("-horizon", time.Second, true), true},
 		{"horizon negative zero-default", Horizon("-horizon", -time.Nanosecond, true), false},
+		{"horizon one session", Horizon("-horizon", simtime.DefaultSession, false), true},
+		{"horizon 1ms", Horizon("-horizon", time.Millisecond, false), false},
+		{"horizon one session minus 1ns", Horizon("-horizon", simtime.DefaultSession-1, false), false},
+		{"horizon 1ms zero-default", Horizon("-horizon", time.Millisecond, true), false},
+		{"horizon one session zero-default", Horizon("-horizon", simtime.DefaultSession, true), true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -415,7 +415,7 @@ func (s *Scheduler) assignRetraining(jr *sched.JobRequest, nodePlans []sched.Nod
 		} else {
 			budget = simtime.Duration(float64(spare) * impact / totalImpact)
 		}
-		rp := jr.Profile.Index()[np.Index].Retrain
+		rp := jr.Profile.Tables()[np.Index].Retrain()
 		remaining := jr.Instance.Nodes()[np.Index].RemainingSamples()
 		if remaining <= 0 || budget <= 0 {
 			continue
@@ -443,7 +443,7 @@ func (s *Scheduler) assignRetraining(jr *sched.JobRequest, nodePlans []sched.Nod
 // node order): the full structure when the node does not retrain this
 // period (or under /E), otherwise the fastest structure whose accuracy
 // clears the node threshold A_m. Latency comparisons go through the
-// job's flattened tables and its probe memo, when supplied.
+// job's profile tables and its probe memo, when supplied.
 func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out []dnn.Structure) error {
 	tables := jr.Tables()
 	for i, ni := range jr.Instance.Nodes() {

@@ -156,15 +156,32 @@ func vsFullProfiles() (*profile.AppProfile, error) {
 // all three models.
 func appWorstCase(ap *profile.AppProfile, batch, requests int, fraction float64) (time.Duration, error) {
 	var total time.Duration
-	for _, node := range []string{"object-detection", "vehicle-type", "person-activity"} {
-		sps := ap.Structures[node]
-		wc, err := sps[len(sps)-1].WorstCase(batch, requests, fraction)
+	for _, t := range ap.Tables() {
+		wc, err := worstCase(t, t.FullIdx(), batch, requests, fraction)
 		if err != nil {
 			return 0, err
 		}
 		total += wc
 	}
 	return total, nil
+}
+
+// worstCase is the worst-case latency of running the requests through
+// structure si in batches of the given size, each at the per-batch
+// latency for the fraction (§3.3.1).
+func worstCase(t *profile.Table, si, batch, requests int, fraction float64) (time.Duration, error) {
+	per, err := perBatch(t, si, batch, fraction)
+	return per * time.Duration((requests+batch-1)/batch), err
+}
+
+// perBatch is structure si's per-batch latency at the batch size and
+// fraction.
+func perBatch(t *profile.Table, si, batch int, fraction float64) (time.Duration, error) {
+	bi := t.BatchIdx(batch)
+	if bi < 0 {
+		return 0, fmt.Errorf("batch %d not profiled for %s", batch, t.Node())
+	}
+	return t.PerBatch(si, bi, fraction)
 }
 
 // Fig8 reproduces Fig. 8: average per-batch latency and worst-case
@@ -179,9 +196,8 @@ func Fig8(Options) (*Result, error) {
 	bestBatch, bestWC := 0, time.Duration(0)
 	for _, b := range profile.DefaultBatchSizes {
 		var per time.Duration
-		for _, node := range []string{"object-detection", "vehicle-type", "person-activity"} {
-			sps := ap.Structures[node]
-			p, err := sps[len(sps)-1].PerBatch(b, 1.0)
+		for _, t := range ap.Tables() {
+			p, err := perBatch(t, t.FullIdx(), b, 1.0)
 			if err != nil {
 				return nil, err
 			}
@@ -248,19 +264,19 @@ func Fig10(Options) (*Result, error) {
 	// The application structure is fixed by the detector's structure;
 	// the recognizers scale proportionally. We follow the paper and
 	// pick the full structure plus three exits of the detection model.
-	detProfiles := ap.Structures["object-detection"]
-	picks := []*profile.StructureProfile{
-		detProfiles[len(detProfiles)-1], // full
-		detProfiles[1],                  // exit@6
-		detProfiles[3],                  // exit@12
-		detProfiles[5],                  // exit@18
+	det := ap.Tables()[0] // object-detection
+	picks := []int{
+		det.FullIdx(), // full
+		1,             // exit@6
+		3,             // exit@12
+		5,             // exit@18
 	}
 	tb := Table{Header: append([]string{"structure"}, intHeaders(profile.DefaultBatchSizes)...)}
-	for _, sp := range picks {
-		row := []string{sp.Structure.String()}
+	for _, si := range picks {
+		row := []string{det.Structure(si).String()}
 		bestBatch, bestWC := 0, time.Duration(0)
 		for _, b := range profile.DefaultBatchSizes {
-			wc, err := sp.WorstCase(b, 32, 1.0)
+			wc, err := worstCase(det, si, b, 32, 1.0)
 			if err != nil {
 				return nil, err
 			}
@@ -287,23 +303,38 @@ func Fig11(Options) (*Result, error) {
 	}
 	res := &Result{ID: "fig11", Title: "Per-batch latency decomposition (communication vs computation)"}
 	tb := Table{Header: []string{"batch", "total (ms)", "comm (ms)", "comm share"}}
-	detProfiles := ap.Structures["object-detection"]
-	full := detProfiles[len(detProfiles)-1]
+	det := ap.Tables()[0] // object-detection
+	full, fi := det.FullIdx(), det.FracIdx(1.0)
+	if fi < 0 {
+		return nil, fmt.Errorf("fig11: no full-GPU cells profiled")
+	}
+	// commShare is the communication share of per-batch latency at the
+	// full structure's measured full-GPU cell for the batch size.
+	commShare := func(b int) (per, comm time.Duration, share float64, err error) {
+		bi := det.BatchIdx(b)
+		if bi < 0 {
+			return 0, 0, 0, fmt.Errorf("fig11: batch %d not profiled", b)
+		}
+		per, comm = det.Cell(full, bi, fi)
+		if per > 0 {
+			share = float64(comm) / float64(per)
+		}
+		return per, comm, share, nil
+	}
 	for _, b := range profile.DefaultBatchSizes {
-		cell := full.Points[b][1.0]
-		cf, err := full.CommFraction(b)
+		per, comm, cf, err := commShare(b)
 		if err != nil {
 			return nil, err
 		}
 		tb.Rows = append(tb.Rows, []string{
 			fmt.Sprintf("%d", b),
-			fmt.Sprintf("%.1f", cell.PerBatch.Seconds()*1e3),
-			fmt.Sprintf("%.1f", cell.Comm.Seconds()*1e3),
+			fmt.Sprintf("%.1f", per.Seconds()*1e3),
+			fmt.Sprintf("%.1f", comm.Seconds()*1e3),
 			fmt.Sprintf("%.0f%%", cf*100),
 		})
 	}
 	res.Tables = append(res.Tables, tb)
-	cf16, _ := full.CommFraction(16)
+	_, _, cf16, _ := commShare(16)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("communication is %.0f%% of per-batch latency at the optimal batch (paper: ~24%%)", cf16*100))
 	return res, nil

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzFitScaling fuzzes the power-law regression the profiler fits
-// over measured latency grids (profile.StructureProfile.Scaling). The
+// over measured latency grids (one law per profile.Table cell). The
 // x grid mirrors the profiled GPU fractions; the ys are fuzzed.
 // Properties:
 //

@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -64,11 +63,12 @@ func (c *CDF) Quantile(q float64) float64 {
 	if q <= 0 || q > 1 {
 		panic(fmt.Sprintf("mathx: Quantile q=%g out of (0,1]", q))
 	}
-	i := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return c.sorted[i]
+	// The k-th smallest sample has P(X ≤ x) ≥ k/n, so search the counts
+	// k for the first with k/n ≥ q. Computing ceil(q·n) instead rounds
+	// up whenever q·n lands just above an integer (q = 0.28, n = 25).
+	n := len(c.sorted)
+	k := sort.Search(n, func(i int) bool { return float64(i+1)/float64(n) >= q })
+	return c.sorted[k]
 }
 
 // Min returns the smallest sample. It panics on an empty CDF.

@@ -61,8 +61,7 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-// Property: Quantile(q) is the smallest sample x with P(X ≤ x) ≥ q,
-// up to rounding in q·n.
+// Property: Quantile(q) is the smallest sample x with P(X ≤ x) ≥ q.
 func TestCDFProperties(t *testing.T) {
 	f := func(raw []int16, qRaw uint8) bool {
 		if len(raw) == 0 {
@@ -85,10 +84,18 @@ func TestCDFProperties(t *testing.T) {
 			}
 		}
 		n := float64(len(xs))
-		return float64(le)/n >= q-1e-12 && float64(lt)/n < q+1e-12
+		return float64(le)/n >= q && float64(lt)/n < q
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	// q·n = 7.000000000000001 here, so ceil(q·n) would pick the 8th.
+	xs := make([]float64, 25)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	if got := NewCDF(xs).Quantile(0.28); got != 7 {
+		t.Fatalf("Quantile(0.28) of 1..25 = %v, want 7", got)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -30,7 +31,7 @@ import (
 // CacheVersion invalidates every cached profile when the profiler's
 // measurement semantics change. Bump it whenever BuildAppProfile's
 // output for an unchanged config can differ from a previous release.
-const CacheVersion = 1
+const CacheVersion = 2
 
 // CacheKey returns the canonical, human-readable identity of the
 // profile BuildAppProfile(a, cfg) would produce. Two (app, config)
@@ -75,11 +76,12 @@ func cachePath(dir, key string) string {
 }
 
 // The on-disk representation shadows AppProfile with only exported,
-// gob-encodable state. dnn.Structure carries unexported fields, so
+// gob-encodable state: each node's flat table arrays, in table order.
+// The axes are not stored — the key names the grid, and the config
+// rebuilds them. dnn.Structure carries unexported fields, so
 // structures are stored by exit depth and reconstructed through
-// dnn.EarlyExitStructures on load; the measured values themselves
-// (durations, power laws) round-trip exactly — gob encodes float64 by
-// bit pattern, so a loaded profile is bit-identical to the built one.
+// dnn.EarlyExitStructures on load. Gob encodes float64 by bit pattern,
+// so a loaded profile is bit-identical to the built one.
 type cachedProfile struct {
 	Key       string
 	MemDigest uint64
@@ -88,20 +90,12 @@ type cachedProfile struct {
 }
 
 type cachedNode struct {
-	Name       string
-	Structures []cachedStructure
-	Retrain    cachedRetrain
-}
-
-type cachedStructure struct {
-	ExitAfter int
-	Points    map[int]map[float64]Point
-	Scaling   map[int]mathx.PowerLaw
-}
-
-type cachedRetrain struct {
-	PerSample map[float64]simtime.Duration
-	Scaling   mathx.PowerLaw
+	Name             string
+	Exits            []int
+	Laws             []mathx.PowerLaw
+	PerBatch, Comm   []simtime.Duration
+	RetrainPerSample []simtime.Duration
+	RetrainLaw       mathx.PowerLaw
 }
 
 // StoreCached writes the profile to dir under its cache key,
@@ -114,21 +108,18 @@ func StoreCached(dir string, a *app.App, cfg Config, ap *AppProfile) error {
 		MemDigest: ap.MemDigest,
 		TypeReuse: ap.TypeReuse,
 	}
-	for i := range a.Nodes {
-		name := a.Nodes[i].Name
-		cn := cachedNode{Name: name}
-		for _, sp := range ap.Structures[name] {
-			cn.Structures = append(cn.Structures, cachedStructure{
-				ExitAfter: sp.Structure.ExitAfter(),
-				Points:    sp.Points,
-				Scaling:   sp.Scaling,
-			})
+	for _, t := range ap.tables {
+		cn := cachedNode{
+			Name:             t.node,
+			Laws:             t.laws,
+			PerBatch:         t.perBatch,
+			Comm:             t.comm,
+			RetrainPerSample: t.retrain.PerSample,
+			RetrainLaw:       t.retrain.Scaling,
 		}
-		rp := ap.Retrain[name]
-		if rp == nil {
-			return fmt.Errorf("profile: cache store: node %q has no retraining profile", name)
+		for _, st := range t.structures {
+			cn.Exits = append(cn.Exits, st.ExitAfter())
 		}
-		cn.Retrain = cachedRetrain{PerSample: rp.PerSample, Scaling: rp.Scaling}
 		c.Nodes = append(c.Nodes, cn)
 	}
 
@@ -217,12 +208,12 @@ func CleanCache(dir string, maxBytes int64) (int, error) {
 
 // loadCached returns the cached profile for (a, cfg) from dir, or
 // ok == false when no valid entry exists. Any corruption, key mismatch,
-// or model/structure drift is a miss — the caller rebuilds and
-// overwrites. corrupt is true only when the file existed but gob could
-// not decode it — in that case the file has already been removed (it
-// can never become valid again). Structural mismatches (stale key,
-// model drift) are plain misses: the rename on the next store
-// overwrites them.
+// model/structure drift or array whose length does not fit the grid is
+// a miss — the caller rebuilds and overwrites. corrupt is true only
+// when the file existed but gob could not decode it — in that case the
+// file has already been removed (it can never become valid again).
+// Structural mismatches (stale key, model drift, wrong shape) are plain
+// misses: the rename on the next store overwrites them.
 func loadCached(dir string, a *app.App, cfg Config) (ap *AppProfile, ok, corrupt bool) {
 	key := CacheKey(a, cfg)
 	path := cachePath(dir, key)
@@ -235,16 +226,17 @@ func loadCached(dir string, a *app.App, cfg Config) (ap *AppProfile, ok, corrupt
 		_ = os.Remove(path)
 		return nil, false, true
 	}
-	if c.Key != key || len(c.Nodes) != len(a.Nodes) {
+	cfg.fillDefaults()
+	batches, fracs, err := cfg.axes()
+	if err != nil || c.Key != key || len(c.Nodes) != len(a.Nodes) {
 		return nil, false, false
 	}
 
 	ap = &AppProfile{
-		App:        a,
-		Structures: make(map[string][]*StructureProfile, len(a.Nodes)),
-		Retrain:    make(map[string]*RetrainProfile, len(a.Nodes)),
-		TypeReuse:  c.TypeReuse,
-		MemDigest:  c.MemDigest,
+		App:       a,
+		tables:    make([]*Table, len(a.Nodes)),
+		TypeReuse: c.TypeReuse,
+		MemDigest: c.MemDigest,
 	}
 	if ap.TypeReuse == nil {
 		ap.TypeReuse = make(map[gpumem.ReuseClass]float64)
@@ -252,38 +244,22 @@ func loadCached(dir string, a *app.App, cfg Config) (ap *AppProfile, ok, corrupt
 	for i := range a.Nodes {
 		node := &a.Nodes[i]
 		cn := &c.Nodes[i]
-		if cn.Name != node.Name {
-			return nil, false, false
-		}
 		arch, known := dnn.ByName(node.Model)
-		if !known {
+		if cn.Name != node.Name || !known {
 			return nil, false, false
 		}
 		structures := dnn.EarlyExitStructures(arch, 3)
-		if len(structures) != len(cn.Structures) {
+		if !slices.EqualFunc(structures, cn.Exits, func(st dnn.Structure, exit int) bool { return st.ExitAfter() == exit }) {
 			return nil, false, false
 		}
-		for j, cs := range cn.Structures {
-			st := structures[j]
-			if st.ExitAfter() != cs.ExitAfter {
-				return nil, false, false
-			}
-			sp := &StructureProfile{
-				Structure: st,
-				Points:    cs.Points,
-				Scaling:   cs.Scaling,
-			}
-			for batch := range cs.Scaling {
-				sp.batches = append(sp.batches, batch)
-			}
-			sort.Ints(sp.batches)
-			ap.Structures[node.Name] = append(ap.Structures[node.Name], sp)
+		t := newTable(node.Name, structures, batches, fracs)
+		if len(cn.Laws) != len(t.laws) || len(cn.PerBatch) != len(t.perBatch) ||
+			len(cn.Comm) != len(t.comm) || len(cn.RetrainPerSample) != len(fracs) {
+			return nil, false, false
 		}
-		ap.Retrain[node.Name] = &RetrainProfile{
-			Arch:      arch,
-			PerSample: cn.Retrain.PerSample,
-			Scaling:   cn.Retrain.Scaling,
-		}
+		t.laws, t.perBatch, t.comm = cn.Laws, cn.PerBatch, cn.Comm
+		t.retrain = RetrainProfile{PerSample: cn.RetrainPerSample, Scaling: cn.RetrainLaw}
+		ap.tables[i] = t
 	}
 	return ap, true, false
 }

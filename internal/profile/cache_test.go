@@ -4,9 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adainf/internal/app"
+	"adainf/internal/dnn"
 	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
 )
@@ -20,7 +22,7 @@ func fastConfig() Config {
 	}
 }
 
-func testApp(t *testing.T) *app.App {
+func testApp(t testing.TB) *app.App {
 	t.Helper()
 	apps, err := app.CatalogN(1)
 	if err != nil {
@@ -111,35 +113,21 @@ func TestCacheRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(loaded.TypeReuse, built.TypeReuse) {
 		t.Errorf("TypeReuse differs: got %v, want %v", loaded.TypeReuse, built.TypeReuse)
 	}
-	for _, node := range a.Nodes {
-		bs, ls := built.Structures[node.Name], loaded.Structures[node.Name]
-		if len(bs) != len(ls) {
-			t.Fatalf("node %s: %d structures loaded, want %d", node.Name, len(ls), len(bs))
+	if len(loaded.Tables()) != len(built.Tables()) {
+		t.Fatalf("%d tables loaded, want %d", len(loaded.Tables()), len(built.Tables()))
+	}
+	for i, bt := range built.Tables() {
+		lt := loaded.Tables()[i]
+		// Arch pointers are never canonical (dnn.ByName constructs a
+		// fresh Arch per call, and profiles already hold different
+		// pointers than instances in the build path); structures are
+		// identified by exit depth everywhere.
+		if !slices.EqualFunc(bt.structures, lt.structures, func(x, y dnn.Structure) bool { return x.ExitAfter() == y.ExitAfter() }) {
+			t.Errorf("node %s: structures %v != %v", bt.node, lt.structures, bt.structures)
 		}
-		for i := range bs {
-			// Arch pointers are never canonical (dnn.ByName constructs a
-			// fresh Arch per call, and profiles already hold different
-			// pointers than instances in the build path); structures are
-			// identified by exit depth everywhere.
-			if bs[i].Structure.ExitAfter() != ls[i].Structure.ExitAfter() {
-				t.Errorf("node %s structure %d: %v != %v", node.Name, i, ls[i].Structure, bs[i].Structure)
-			}
-			if !reflect.DeepEqual(bs[i].Points, ls[i].Points) {
-				t.Errorf("node %s structure %d: points differ", node.Name, i)
-			}
-			if !reflect.DeepEqual(bs[i].Scaling, ls[i].Scaling) {
-				t.Errorf("node %s structure %d: scaling differs", node.Name, i)
-			}
-			if !reflect.DeepEqual(bs[i].Batches(), ls[i].Batches()) {
-				t.Errorf("node %s structure %d: batches %v != %v", node.Name, i, ls[i].Batches(), bs[i].Batches())
-			}
-		}
-		br, lr := built.Retrain[node.Name], loaded.Retrain[node.Name]
-		if !reflect.DeepEqual(br.Arch, lr.Arch) {
-			t.Errorf("node %s: retrain arch differs after reload", node.Name)
-		}
-		if !reflect.DeepEqual(br.PerSample, lr.PerSample) || br.Scaling != lr.Scaling {
-			t.Errorf("node %s: retrain profile differs", node.Name)
+		lt.structures = bt.structures
+		if !reflect.DeepEqual(bt, lt) {
+			t.Errorf("node %s: loaded table differs from the built one", bt.node)
 		}
 	}
 	if loaded.App != a {
@@ -182,9 +170,9 @@ func TestBuildAppProfileCached(t *testing.T) {
 	if first.MemDigest != second.MemDigest {
 		t.Error("cached rebuild produced a different memory digest")
 	}
-	full := a.Nodes[0].Name
-	p1, err1 := first.Structures[full][0].PerBatch(4, 0.7)
-	p2, err2 := second.Structures[full][0].PerBatch(4, 0.7)
+	bi := first.Tables()[0].BatchIdx(4)
+	p1, err1 := first.Tables()[0].PerBatch(0, bi, 0.7)
+	p2, err2 := second.Tables()[0].PerBatch(0, bi, 0.7)
 	if err1 != nil || err2 != nil || p1 != p2 {
 		t.Errorf("cached profile diverges: %v/%v (%v/%v)", p1, p2, err1, err2)
 	}

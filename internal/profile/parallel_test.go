@@ -19,7 +19,7 @@ import (
 )
 
 // canonicalDump is a deterministic, gob-encodable projection of an
-// AppProfile: every map is flattened into a slice in a canonical sort
+// AppProfile: every cell in axis order and the reuse means in class
 // order, so two profiles encode to the same bytes iff every measured
 // value (gob encodes float64 by bit pattern), the digest, and the
 // reuse means are bit-identical. Raw gob of the profile itself cannot
@@ -81,44 +81,30 @@ type dumpReuse struct {
 func dumpProfile(t *testing.T, a *app.App, ap *AppProfile) []byte {
 	t.Helper()
 	d := canonicalDump{MemDigest: ap.MemDigest}
-	for i := range a.Nodes {
-		name := a.Nodes[i].Name
-		dn := dumpNode{Name: name}
-		for _, sp := range ap.Structures[name] {
+	if len(ap.Tables()) != len(a.Nodes) {
+		t.Fatalf("%d tables for %d nodes", len(ap.Tables()), len(a.Nodes))
+	}
+	for _, tb := range ap.Tables() {
+		dn := dumpNode{Name: tb.Node()}
+		for si := range tb.structures {
 			ds := dumpStructure{
-				Exit:    sp.Structure.ExitAfter(),
-				Batches: sp.Batches(),
+				Exit:    tb.structures[si].ExitAfter(),
+				Batches: tb.batches,
 			}
-			for _, batch := range sp.Batches() {
-				var fractions []float64
-				for f := range sp.Points[batch] {
-					fractions = append(fractions, f)
-				}
-				sort.Float64s(fractions)
-				for _, f := range fractions {
-					cell := sp.Points[batch][f]
+			for bi, batch := range tb.batches {
+				for fi, f := range tb.fracs {
+					per, comm := tb.Cell(si, bi, fi)
 					ds.Points = append(ds.Points, dumpPoint{
-						Batch: batch, Fraction: f, PerBatch: cell.PerBatch, Comm: cell.Comm,
+						Batch: batch, Fraction: f, PerBatch: per, Comm: comm,
 					})
 				}
-				law := sp.Scaling[batch]
+				law := tb.Law(si, bi)
 				ds.Laws = append(ds.Laws, dumpLaw{Batch: batch, A: law.A, B: law.B})
 			}
 			dn.Structures = append(dn.Structures, ds)
 		}
-		rp := ap.Retrain[name]
-		if rp == nil {
-			t.Fatalf("node %s: no retraining profile", name)
-		}
-		dr := dumpRetrain{A: rp.Scaling.A, B: rp.Scaling.B}
-		for f := range rp.PerSample {
-			dr.Fractions = append(dr.Fractions, f)
-		}
-		sort.Float64s(dr.Fractions)
-		for _, f := range dr.Fractions {
-			dr.PerSample = append(dr.PerSample, rp.PerSample[f])
-		}
-		dn.Retrain = dr
+		rp := tb.Retrain()
+		dn.Retrain = dumpRetrain{Fractions: tb.fracs, PerSample: rp.PerSample, A: rp.Scaling.A, B: rp.Scaling.B}
 		d.Nodes = append(d.Nodes, dn)
 	}
 	for class := range ap.TypeReuse {

@@ -12,10 +12,11 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +100,29 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// axes returns the sorted batch and fraction axes every node table
+// shares. A repeated value is an error naming its field, since each
+// value is one position on a table axis.
+func (c *Config) axes() ([]int, []float64, error) {
+	batches, err := axis("BatchSizes", c.BatchSizes)
+	if err != nil {
+		return nil, nil, err
+	}
+	fracs, err := axis("Fractions", c.Fractions)
+	return batches, fracs, err
+}
+
+func axis[T cmp.Ordered](field string, xs []T) ([]T, error) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return nil, fmt.Errorf("profile: %s repeats %v", field, s[i])
+		}
+	}
+	return s, nil
+}
+
 func (c *Config) policy() gpumem.Policy {
 	if c.NewPolicy == nil {
 		return gpumem.LRUPolicy{}
@@ -117,73 +141,11 @@ func (c *Config) partition() gpu.PartitionConfig {
 	}
 }
 
-// Point is one measured (batch, fraction) cell.
-type Point struct {
-	Batch    int
-	Fraction float64
-	// PerBatch is the steady-state latency of one request batch
-	// through the structure (compute + communication).
-	PerBatch simtime.Duration
-	// Comm is the communication component of PerBatch.
-	Comm simtime.Duration
-}
-
-// StructureProfile holds the measured grid and fitted scaling laws for
-// one deployable structure.
-type StructureProfile struct {
-	Structure dnn.Structure
-	// Points holds the measured grid, indexed [batch][fraction].
-	Points map[int]map[float64]Point
-	// Scaling maps batch size → fitted latency(f) = A·f^B power law
-	// (the paper's "non-linear regression model as described in [3]").
-	Scaling map[int]mathx.PowerLaw
-	batches []int
-}
-
-// Batches returns the profiled batch sizes in increasing order.
-func (sp *StructureProfile) Batches() []int { return sp.batches }
-
-// PerBatch returns the per-batch latency at the batch size and GPU
-// fraction. A fraction that was measured directly returns the measured
-// point; any other fraction is evaluated from the fitted power law
-// (the on-line "non-linear regression model"). It returns an error for
-// an unprofiled batch size or non-positive fraction.
-func (sp *StructureProfile) PerBatch(batch int, fraction float64) (simtime.Duration, error) {
-	law, ok := sp.Scaling[batch]
-	if !ok {
-		return 0, fmt.Errorf("profile: batch %d not profiled for %v", batch, sp.Structure)
-	}
-	if fraction <= 0 {
-		return 0, fmt.Errorf("profile: fraction %g", fraction)
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	if cell, ok := sp.Points[batch][fraction]; ok {
-		return cell.PerBatch, nil
-	}
-	return simtime.Duration(law.At(fraction)), nil
-}
-
-// CommFraction returns the communication share of per-batch latency at
-// the profiled full-GPU cell.
-func (sp *StructureProfile) CommFraction(batch int) (float64, error) {
-	cell, ok := sp.Points[batch][1.0]
-	if !ok {
-		return 0, fmt.Errorf("profile: full-GPU cell for batch %d missing", batch)
-	}
-	if cell.PerBatch == 0 {
-		return 0, nil
-	}
-	return float64(cell.Comm) / float64(cell.PerBatch), nil
-}
-
-// RetrainProfile holds per-sample training cost for one architecture.
+// RetrainProfile holds one node's per-sample training cost.
 type RetrainProfile struct {
-	Arch *dnn.Arch
-	// PerSample maps GPU fraction → amortized per-sample training
-	// latency.
-	PerSample map[float64]simtime.Duration
+	// PerSample is the amortized per-sample training latency measured
+	// at each fraction of the node table's fraction axis.
+	PerSample []simtime.Duration
 	// Scaling is the fitted per-sample latency(f) power law.
 	Scaling mathx.PowerLaw
 }
@@ -227,11 +189,8 @@ func (rp *RetrainProfile) SamplesWithinF(budget simtime.Duration, fraction float
 // AppProfile aggregates profiles for every node of an application.
 type AppProfile struct {
 	App *app.App
-	// Structures maps node name → profiles, shallowest exit first,
-	// full structure last (same order as NodeInstance.Structures).
-	Structures map[string][]*StructureProfile
-	// Retrain maps node name → retraining profile.
-	Retrain map[string]*RetrainProfile
+	// tables holds one latency table per node, in App.Nodes order.
+	tables []*Table
 	// TypeReuse holds the mean reuse latency (ms) per data type
 	// observed during profiling, used to seed the priority eviction
 	// policy (§3.4.2).
@@ -243,62 +202,12 @@ type AppProfile struct {
 	// memoization keyed on it cannot conflate profiles built under
 	// different memory systems.
 	MemDigest uint64
-
-	indexOnce sync.Once
-	index     []*NodeProfiles
-
-	tablesOnce sync.Once
-	tables     []*Table
 }
 
-// NodeProfiles is the positional per-node view of an AppProfile used on
-// scheduler hot paths: the node's structure and retraining profiles,
-// addressable without a string-keyed map lookup.
-type NodeProfiles struct {
-	// Node is the application DAG node name.
-	Node string
-	// Structures are the node's profiles, shallowest exit first, full
-	// structure last.
-	Structures []*StructureProfile
-	// Full is the full structure's profile (last of Structures).
-	Full *StructureProfile
-	// Retrain is the node's retraining profile.
-	Retrain *RetrainProfile
-}
-
-// Index returns the per-node profiles in App.Nodes order (the order of
-// Instance.Nodes). It is built once and read-only afterwards, so it is
+// Tables returns the per-node latency tables in App.Nodes order (the
+// order of Instance.Nodes). They are read-only once built, so they are
 // safe to share across goroutines.
-func (ap *AppProfile) Index() []*NodeProfiles {
-	ap.indexOnce.Do(func() {
-		ap.index = make([]*NodeProfiles, len(ap.App.Nodes))
-		for i := range ap.App.Nodes {
-			name := ap.App.Nodes[i].Name
-			sps := ap.Structures[name]
-			np := &NodeProfiles{
-				Node:       name,
-				Structures: sps,
-				Retrain:    ap.Retrain[name],
-			}
-			if len(sps) > 0 {
-				np.Full = sps[len(sps)-1]
-			}
-			ap.index[i] = np
-		}
-	})
-	return ap.index
-}
-
-// StructureProfileFor returns the profile of a node's structure by exit
-// depth.
-func (ap *AppProfile) StructureProfileFor(node string, st dnn.Structure) (*StructureProfile, error) {
-	for _, sp := range ap.Structures[node] {
-		if sp.Structure.ExitAfter() == st.ExitAfter() {
-			return sp, nil
-		}
-	}
-	return nil, fmt.Errorf("profile: app %q node %q has no profile for %v", ap.App.Name, node, st)
-}
+func (ap *AppProfile) Tables() []*Table { return ap.tables }
 
 // SetDefaultWorkers does nothing: a build always runs its work units on
 // one worker per CPU (runtime.GOMAXPROCS), or serially when tracing.
@@ -321,31 +230,22 @@ func (c *Config) workerCount() int {
 // buildUnit is one independent measurement task of an app build: the
 // full batch × fraction grid of one (node, structure) pair, or — with
 // structIdx == -1 — one node's retraining sweep. Units share only
-// immutable inputs (the app, the resolved architectures, the config);
-// a unit profiles on the partition of the worker running it.
+// immutable inputs (the app, the resolved architectures, the config)
+// and write disjoint cells of their node's table; a unit profiles on
+// the partition of the worker running it.
 type buildUnit struct {
 	nodeIdx   int
 	structIdx int
-	st        dnn.Structure
 	arch      *dnn.Arch
 }
 
-func (u *buildUnit) label() string {
-	if u.structIdx < 0 {
-		return "retrain"
-	}
-	return u.st.String()
-}
-
-// unitResult is a unit's staged output: its profile plus, in exact
-// measurement order, its contributions to the shared accumulators.
-// Float sums are not associative and the MemDigest fold is
-// order-sensitive, so contributions are replayed serially in canonical
-// unit order rather than merged as per-unit partials — that replay is
-// what makes a parallel build bit-identical to the serial one.
+// unitResult is a unit's staged output: in exact measurement order,
+// its contributions to the shared accumulators. Float sums are not
+// associative and the MemDigest fold is order-sensitive, so
+// contributions are replayed serially in canonical unit order rather
+// than merged as per-unit partials — that replay is what makes a
+// parallel build bit-identical to the serial one.
 type unitResult struct {
-	sp    *StructureProfile
-	rp    *RetrainProfile
 	stage unitStage
 	wall  time.Duration
 	err   error
@@ -367,14 +267,13 @@ type reuseObs struct {
 // by node in App.Nodes order, each node's structures shallowest exit
 // first, then the node's retraining unit — exactly the serial
 // profiler's measurement order.
-func appUnits(a *app.App, arches []*dnn.Arch) []buildUnit {
+func appUnits(tables []*Table, arches []*dnn.Arch) []buildUnit {
 	var units []buildUnit
-	for i := range a.Nodes {
-		arch := arches[i]
-		for j, st := range dnn.EarlyExitStructures(arch, 3) {
-			units = append(units, buildUnit{nodeIdx: i, structIdx: j, st: st, arch: arch})
+	for i, t := range tables {
+		for j := range t.structures {
+			units = append(units, buildUnit{nodeIdx: i, structIdx: j, arch: arches[i]})
 		}
-		units = append(units, buildUnit{nodeIdx: i, structIdx: -1, arch: arch})
+		units = append(units, buildUnit{nodeIdx: i, structIdx: -1, arch: arches[i]})
 	}
 	return units
 }
@@ -433,11 +332,11 @@ func parallelUnits(workers, n int, fn func(w, k int)) {
 // application under the config by executing them on simulated
 // partitions, each cell on one reset to a fresh state. It returns an
 // error for an invalid app or config. The independent work units run
-// on one worker per CPU,
-// or serially under a tracing collector; results are staged per unit
-// and merged serially in canonical node/structure order, so the output
-// is byte-identical to a serial build (gob bytes, MemDigest, and
-// TypeReuse alike).
+// on one worker per CPU, or serially under a tracing collector; each
+// unit fills its own cells of its node's table and stages its
+// shared-accumulator contributions, which are merged serially in
+// canonical node/structure order, so the output is byte-identical to a
+// serial build (cells, laws, MemDigest and TypeReuse alike).
 func BuildAppProfile(a *app.App, cfg Config) (*AppProfile, error) {
 	return buildAppProfile(a, cfg, cfg.workerCount())
 }
@@ -448,19 +347,29 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
+	batches, fracs, err := cfg.axes()
+	if err != nil {
+		return nil, err
+	}
 	// Resolve every node's architecture up front, serially in node
 	// order, so unknown-model errors surface exactly as they always
 	// have. Arch values are immutable during profiling, so units may
 	// share them.
 	arches := make([]*dnn.Arch, len(a.Nodes))
+	ap := &AppProfile{
+		App:       a,
+		tables:    make([]*Table, len(a.Nodes)),
+		TypeReuse: make(map[gpumem.ReuseClass]float64),
+	}
 	for i := range a.Nodes {
 		arch, ok := dnn.ByName(a.Nodes[i].Model)
 		if !ok {
 			return nil, fmt.Errorf("profile: unknown model %q", a.Nodes[i].Model)
 		}
 		arches[i] = arch
+		ap.tables[i] = newTable(a.Nodes[i].Name, dnn.EarlyExitStructures(arch, 3), batches, fracs)
 	}
-	units := appUnits(a, arches)
+	units := appUnits(ap.tables, arches)
 	results := make([]unitResult, len(units))
 	// One partition per worker, reset for every measured cell.
 	parts := make([]gpu.Partition, max(workers, 1))
@@ -468,20 +377,15 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 		u := &units[k]
 		r := &results[k]
 		start := time.Now()
+		node, t := &a.Nodes[u.nodeIdx], ap.tables[u.nodeIdx]
 		if u.structIdx < 0 {
-			r.rp, r.err = profileRetraining(a, &a.Nodes[u.nodeIdx], u.arch, cfg, &parts[w], &r.stage)
+			r.err = profileRetraining(a, node, t, u.arch, cfg, &parts[w], &r.stage)
 		} else {
-			r.sp, r.err = profileStructure(a, &a.Nodes[u.nodeIdx], u.st, cfg, &parts[w], &r.stage)
+			r.err = profileStructure(a, node, t, u.structIdx, cfg, &parts[w], &r.stage)
 		}
 		r.wall = time.Since(start)
 	})
 
-	ap := &AppProfile{
-		App:        a,
-		Structures: make(map[string][]*StructureProfile, len(a.Nodes)),
-		Retrain:    make(map[string]*RetrainProfile, len(a.Nodes)),
-		TypeReuse:  make(map[gpumem.ReuseClass]float64),
-	}
 	reuseSum := make(map[gpumem.ReuseClass]float64)
 	reuseN := make(map[gpumem.ReuseClass]int)
 	for k := range units {
@@ -492,12 +396,6 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 			// one a serial build would have returned.
 			return nil, r.err
 		}
-		node := &a.Nodes[u.nodeIdx]
-		if u.structIdx < 0 {
-			ap.Retrain[node.Name] = r.rp
-		} else {
-			ap.Structures[node.Name] = append(ap.Structures[node.Name], r.sp)
-		}
 		for _, d := range r.stage.digests {
 			ap.MemDigest = ap.MemDigest*1099511628211 ^ d
 		}
@@ -505,7 +403,11 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 			reuseSum[o.class] += o.mean
 			reuseN[o.class]++
 		}
-		cfg.Telemetry.ProfileUnit(a.Name, node.Name, u.label(), r.wall)
+		label := "retrain"
+		if u.structIdx >= 0 {
+			label = ap.tables[u.nodeIdx].structures[u.structIdx].String()
+		}
+		cfg.Telemetry.ProfileUnit(a.Name, a.Nodes[u.nodeIdx].Name, label, r.wall)
 	}
 	for class, sum := range reuseSum {
 		ap.TypeReuse[class] = sum / float64(reuseN[class])
@@ -513,22 +415,18 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	return ap, nil
 }
 
-func profileStructure(a *app.App, node *app.Node, st dnn.Structure, cfg Config,
-	part *gpu.Partition, stage *unitStage) (*StructureProfile, error) {
+// profileStructure measures structure si of the node's table over the
+// config's grid, in config order, and fills its cells and laws.
+func profileStructure(a *app.App, node *app.Node, t *Table, si int, cfg Config,
+	part *gpu.Partition, stage *unitStage) error {
 
-	sp := &StructureProfile{
-		Structure: st,
-		Points:    make(map[int]map[float64]Point),
-		Scaling:   make(map[int]mathx.PowerLaw),
-		batches:   append([]int(nil), cfg.BatchSizes...),
-	}
-	sort.Ints(sp.batches)
+	st := t.structures[si]
 	for _, batch := range cfg.BatchSizes {
-		sp.Points[batch] = make(map[float64]Point, len(cfg.Fractions))
+		cell := si*t.nB + t.BatchIdx(batch)
 		var fr, lat []float64
 		for _, f := range cfg.Fractions {
 			if err := part.Reset(cfg.Spec, f, cfg.partition()); err != nil {
-				return nil, fmt.Errorf("profile: %s/%v: %w", node.Name, st, err)
+				return fmt.Errorf("profile: %s/%v: %w", node.Name, st, err)
 			}
 			ex := gpu.NewExecutor(part, cfg.Strategy)
 			task := gpu.InferenceTask{
@@ -538,42 +436,46 @@ func profileStructure(a *app.App, node *app.Node, st dnn.Structure, cfg Config,
 			// steady state.
 			warm, err := ex.RunInference(0, task)
 			if err != nil {
-				return nil, fmt.Errorf("profile: %s/%v warm-up: %w", node.Name, st, err)
+				return fmt.Errorf("profile: %s/%v warm-up: %w", node.Name, st, err)
 			}
 			ex.FinishJob(a.Name)
 			task.JobID = 2
 			res, err := ex.RunInference(warm.End, task)
 			if err != nil {
-				return nil, fmt.Errorf("profile: %s/%v measure: %w", node.Name, st, err)
+				return fmt.Errorf("profile: %s/%v measure: %w", node.Name, st, err)
 			}
 			ex.FinishJob(a.Name)
-			sp.Points[batch][f] = Point{Batch: batch, Fraction: f, PerBatch: res.Total(), Comm: res.Comm}
+			// Reset accepted f, so it lies in (0, 1] and is on the axis.
+			at := cell*len(t.fracs) + t.FracIdx(f)
+			t.perBatch[at], t.comm[at] = res.Total(), res.Comm
 			fr = append(fr, f)
 			lat = append(lat, math.Max(float64(res.Total()), 1))
 			stage.harvest(part.Mem())
 			if cfg.Audit {
 				if err := part.Mem().CheckInvariants(); err != nil {
-					return nil, fmt.Errorf("profile: %s/%v b=%d f=%g: %w", node.Name, st, batch, f, err)
+					return fmt.Errorf("profile: %s/%v b=%d f=%g: %w", node.Name, st, batch, f, err)
 				}
 			}
 		}
 		law, err := mathx.FitPowerLaw(fr, lat)
 		if err != nil {
-			return nil, fmt.Errorf("profile: %s/%v scaling fit: %w", node.Name, st, err)
+			return fmt.Errorf("profile: %s/%v scaling fit: %w", node.Name, st, err)
 		}
-		sp.Scaling[batch] = law
+		t.laws[cell] = law
 	}
-	return sp, nil
+	return nil
 }
 
-func profileRetraining(a *app.App, node *app.Node, arch *dnn.Arch, cfg Config,
-	part *gpu.Partition, stage *unitStage) (*RetrainProfile, error) {
+// profileRetraining measures the node's per-sample retraining cost at
+// every fraction, in config order, into the table's retraining profile.
+func profileRetraining(a *app.App, node *app.Node, t *Table, arch *dnn.Arch, cfg Config,
+	part *gpu.Partition, stage *unitStage) error {
 
-	rp := &RetrainProfile{Arch: arch, PerSample: make(map[float64]simtime.Duration, len(cfg.Fractions))}
+	rp := &t.retrain
 	var fr, lat []float64
 	for _, f := range cfg.Fractions {
 		if err := part.Reset(cfg.Spec, f, cfg.partition()); err != nil {
-			return nil, fmt.Errorf("profile: %s retraining: %w", node.Name, err)
+			return fmt.Errorf("profile: %s retraining: %w", node.Name, err)
 		}
 		ex := gpu.NewExecutor(part, cfg.Strategy)
 		res, _, err := ex.RunRetraining(0, gpu.RetrainTask{
@@ -581,25 +483,25 @@ func profileRetraining(a *app.App, node *app.Node, arch *dnn.Arch, cfg Config,
 			Samples: cfg.RetrainSamples, BatchSize: cfg.RetrainBatch, SLOms: a.SLOms(),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("profile: %s retraining: %w", node.Name, err)
+			return fmt.Errorf("profile: %s retraining: %w", node.Name, err)
 		}
 		per := res.Total() / simtime.Duration(cfg.RetrainSamples)
-		rp.PerSample[f] = per
+		rp.PerSample[t.FracIdx(f)] = per
 		fr = append(fr, f)
 		lat = append(lat, math.Max(float64(per), 1))
 		stage.harvest(part.Mem())
 		if cfg.Audit {
 			if err := part.Mem().CheckInvariants(); err != nil {
-				return nil, fmt.Errorf("profile: %s retraining f=%g: %w", node.Name, f, err)
+				return fmt.Errorf("profile: %s retraining f=%g: %w", node.Name, f, err)
 			}
 		}
 	}
 	law, err := mathx.FitPowerLaw(fr, lat)
 	if err != nil {
-		return nil, fmt.Errorf("profile: %s retraining scaling fit: %w", node.Name, err)
+		return fmt.Errorf("profile: %s retraining scaling fit: %w", node.Name, err)
 	}
 	rp.Scaling = law
-	return rp, nil
+	return nil
 }
 
 // harvest stages one profiled partition's reuse-time means and memory
@@ -617,19 +519,4 @@ func (st *unitStage) harvest(m *gpumem.Manager) {
 		}
 	}
 	st.digests = append(st.digests, m.StateDigest())
-}
-
-// WorstCase returns the worst-case inference latency of running
-// nRequests through the structure: batches of the given size, each at
-// the per-batch latency for the fraction (§3.3.1).
-func (sp *StructureProfile) WorstCase(batch, nRequests int, fraction float64) (simtime.Duration, error) {
-	if nRequests <= 0 {
-		return 0, nil
-	}
-	per, err := sp.PerBatch(batch, fraction)
-	if err != nil {
-		return 0, err
-	}
-	nBatches := (nRequests + batch - 1) / batch
-	return per * simtime.Duration(nBatches), nil
 }

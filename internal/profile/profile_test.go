@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,29 +31,56 @@ func vs(t testing.TB) *AppProfile {
 	return vsProfile
 }
 
-func fullOf(t *testing.T, ap *AppProfile, node string) *StructureProfile {
+// tableOf returns the named node's table.
+func tableOf(t *testing.T, ap *AppProfile, node string) *Table {
 	t.Helper()
-	sps := ap.Structures[node]
-	if len(sps) == 0 {
-		t.Fatalf("no profiles for %s", node)
+	for _, tb := range ap.Tables() {
+		if tb.Node() == node {
+			return tb
+		}
 	}
-	return sps[len(sps)-1]
+	t.Fatalf("no table for %s", node)
+	return nil
+}
+
+// fullPerBatch is the per-batch latency of the node's full structure.
+func fullPerBatch(t *testing.T, ap *AppProfile, node string, batch int, frac float64) time.Duration {
+	t.Helper()
+	tb := tableOf(t, ap, node)
+	per, err := tb.PerBatch(tb.FullIdx(), tb.BatchIdx(batch), frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return per
+}
+
+// fullWorstCase is the worst-case latency of n requests through the
+// node's full structure in batches of the given size (§3.3.1).
+func fullWorstCase(t *testing.T, ap *AppProfile, node string, batch, n int, frac float64) time.Duration {
+	t.Helper()
+	return fullPerBatch(t, ap, node, batch, frac) * time.Duration((n+batch-1)/batch)
 }
 
 func TestBuildAppProfileCoversAllStructures(t *testing.T) {
 	ap := vs(t)
-	if len(ap.Structures) != 3 || len(ap.Retrain) != 3 {
-		t.Fatalf("profiles cover %d/%d nodes", len(ap.Structures), len(ap.Retrain))
+	if len(ap.Tables()) != 3 {
+		t.Fatalf("profiles cover %d nodes", len(ap.Tables()))
 	}
 	// TinyYOLOv3 has 24 layers → 7 exits + full = 8 structures.
-	if got := len(ap.Structures["object-detection"]); got != 8 {
+	if got := tableOf(t, ap, "object-detection").NumStructs(); got != 8 {
 		t.Fatalf("detection structures = %d, want 8", got)
 	}
-	for node, sps := range ap.Structures {
-		for _, sp := range sps {
-			for _, b := range DefaultBatchSizes {
-				if _, ok := sp.Points[b][1.0]; !ok {
-					t.Fatalf("%s/%v missing full-GPU cell for batch %d", node, sp.Structure, b)
+	for i, tb := range ap.Tables() {
+		if tb.Node() != ap.App.Nodes[i].Name {
+			t.Fatalf("table %d is node %s, want %s", i, tb.Node(), ap.App.Nodes[i].Name)
+		}
+		if !slices.Equal(tb.Batches(), DefaultBatchSizes) || !slices.Equal(tb.fracs, DefaultFractions) {
+			t.Fatalf("%s axes %v × %v", tb.Node(), tb.Batches(), tb.fracs)
+		}
+		for si := 0; si < tb.NumStructs(); si++ {
+			for bi := range tb.Batches() {
+				if per, _ := tb.Cell(si, bi, tb.FracIdx(1)); per <= 0 {
+					t.Fatalf("%s/%v missing full-GPU cell for batch %d", tb.Node(), tb.Structure(si), tb.Batches()[bi])
 				}
 			}
 		}
@@ -65,11 +93,7 @@ func TestOptimalBatchShiftsWithGPUSpace(t *testing.T) {
 	wcApp := func(batch int, frac float64) time.Duration {
 		var tot time.Duration
 		for _, node := range []string{"object-detection", "vehicle-type", "person-activity"} {
-			wc, err := fullOf(t, ap, node).WorstCase(batch, 32, frac)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tot += wc
+			tot += fullWorstCase(t, ap, node, batch, 32, frac)
 		}
 		return tot
 	}
@@ -97,10 +121,9 @@ func TestOptimalBatchShiftsWithGPUSpace(t *testing.T) {
 func TestWorstCaseUShape(t *testing.T) {
 	// Fig. 8: worst-case latency falls then rises across batch sizes.
 	ap := vs(t)
-	sp := fullOf(t, ap, "object-detection")
-	wc1, _ := sp.WorstCase(1, 32, 1.0)
-	wc16, _ := sp.WorstCase(16, 32, 1.0)
-	wc64, _ := sp.WorstCase(64, 32, 1.0)
+	wc1 := fullWorstCase(t, ap, "object-detection", 1, 32, 1.0)
+	wc16 := fullWorstCase(t, ap, "object-detection", 16, 32, 1.0)
+	wc64 := fullWorstCase(t, ap, "object-detection", 64, 32, 1.0)
 	if !(wc16 < wc1 && wc16 < wc64) {
 		t.Fatalf("no U-shape: wc(1)=%v wc(16)=%v wc(64)=%v", wc1, wc16, wc64)
 	}
@@ -108,25 +131,18 @@ func TestWorstCaseUShape(t *testing.T) {
 
 func TestCommFractionAtOptimum(t *testing.T) {
 	// Fig. 11: communication ≈24% of per-batch latency at the optimum.
-	ap := vs(t)
-	cf, err := fullOf(t, ap, "object-detection").CommFraction(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cf < 0.15 || cf > 0.35 {
+	tb := tableOf(t, vs(t), "object-detection")
+	per, comm := tb.Cell(tb.FullIdx(), tb.BatchIdx(16), tb.FracIdx(1))
+	if cf := float64(comm) / float64(per); cf < 0.15 || cf > 0.35 {
 		t.Fatalf("comm fraction at batch 16 = %.0f%%, want ~24%%", cf*100)
 	}
 }
 
 func TestPerBatchMonotoneInBatch(t *testing.T) {
 	ap := vs(t)
-	sp := fullOf(t, ap, "vehicle-type")
 	var prev time.Duration
-	for _, b := range sp.Batches() {
-		cur, err := sp.PerBatch(b, 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, b := range tableOf(t, ap, "vehicle-type").Batches() {
+		cur := fullPerBatch(t, ap, "vehicle-type", b, 1.0)
 		if cur <= prev {
 			t.Fatalf("per-batch latency not increasing at batch %d", b)
 		}
@@ -136,49 +152,42 @@ func TestPerBatchMonotoneInBatch(t *testing.T) {
 
 func TestPerBatchScalingAcrossFractions(t *testing.T) {
 	ap := vs(t)
-	sp := fullOf(t, ap, "object-detection")
-	atFull, _ := sp.PerBatch(8, 1.0)
-	atQuarter, _ := sp.PerBatch(8, 0.25)
+	perBatch := func(frac float64) time.Duration { return fullPerBatch(t, ap, "object-detection", 8, frac) }
+	atFull, atQuarter := perBatch(1.0), perBatch(0.25)
 	if atQuarter <= atFull {
 		t.Fatalf("less GPU not slower: %v vs %v", atQuarter, atFull)
 	}
 	// Unprofiled fractions interpolate via the power law.
-	mid, err := sp.PerBatch(8, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	atHalf, _ := sp.PerBatch(8, 0.5)
-	at75, _ := sp.PerBatch(8, 0.75)
+	mid, atHalf, at75 := perBatch(0.6), perBatch(0.5), perBatch(0.75)
 	if !(mid <= atHalf && mid >= at75) {
 		t.Fatalf("interpolated latency %v not between %v and %v", mid, atHalf, at75)
+	}
+	tb := tableOf(t, ap, "object-detection")
+	law := tb.Law(tb.FullIdx(), tb.BatchIdx(8))
+	if mid != time.Duration(law.At(0.6)) {
+		t.Fatalf("off-grid latency %v, law gives %v", mid, time.Duration(law.At(0.6)))
+	}
+	if per, _ := tb.Cell(tb.FullIdx(), tb.BatchIdx(8), tb.FracIdx(0.5)); atHalf != per {
+		t.Fatalf("on-grid latency %v, measured cell %v", atHalf, per)
 	}
 }
 
 func TestPerBatchErrors(t *testing.T) {
-	ap := vs(t)
-	sp := fullOf(t, ap, "object-detection")
-	if _, err := sp.PerBatch(3, 1.0); err == nil {
+	tb := tableOf(t, vs(t), "object-detection")
+	full := tb.FullIdx()
+	if _, err := tb.PerBatch(full, tb.BatchIdx(3), 1.0); err == nil {
 		t.Error("unprofiled batch accepted")
 	}
-	if _, err := sp.PerBatch(8, 0); err == nil {
+	if _, err := tb.PerBatch(full, tb.BatchIdx(8), 0); err == nil {
 		t.Error("zero fraction accepted")
 	}
-	if _, err := sp.PerBatch(8, 1.5); err != nil {
+	if _, err := tb.PerBatch(full, tb.BatchIdx(8), 1.5); err != nil {
 		t.Error("fraction >1 should clamp, not error")
 	}
 }
 
-func TestWorstCaseZeroRequests(t *testing.T) {
-	ap := vs(t)
-	sp := fullOf(t, ap, "object-detection")
-	if wc, err := sp.WorstCase(8, 0, 1.0); err != nil || wc != 0 {
-		t.Fatalf("WorstCase(0 requests) = %v, %v", wc, err)
-	}
-}
-
 func TestRetrainProfile(t *testing.T) {
-	ap := vs(t)
-	rp := ap.Retrain["vehicle-type"]
+	rp := tableOf(t, vs(t), "vehicle-type").Retrain()
 	lat100, err := rp.Latency(100, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -210,22 +219,26 @@ func TestRetrainProfile(t *testing.T) {
 func TestRetrainCostOrdering(t *testing.T) {
 	// Heavier models retrain slower per sample.
 	ap := vs(t)
-	det, _ := ap.Retrain["object-detection"].Latency(100, 1.0)
-	veh, _ := ap.Retrain["vehicle-type"].Latency(100, 1.0)
-	act, _ := ap.Retrain["person-activity"].Latency(100, 1.0)
+	det, _ := tableOf(t, ap, "object-detection").Retrain().Latency(100, 1.0)
+	veh, _ := tableOf(t, ap, "vehicle-type").Retrain().Latency(100, 1.0)
+	act, _ := tableOf(t, ap, "person-activity").Retrain().Latency(100, 1.0)
 	if !(det > veh && veh > act) {
 		t.Fatalf("retraining cost ordering broken: det=%v veh=%v act=%v", det, veh, act)
 	}
 }
 
-func TestStructureProfileFor(t *testing.T) {
+// TestStructIdx checks that a table finds each of its node's
+// structures by exit depth and rejects another node's.
+func TestStructIdx(t *testing.T) {
 	ap := vs(t)
-	sps := ap.Structures["vehicle-type"]
-	got, err := ap.StructureProfileFor("vehicle-type", sps[0].Structure)
-	if err != nil || got != sps[0] {
-		t.Fatalf("StructureProfileFor = %v, %v", got, err)
+	tb := tableOf(t, ap, "vehicle-type")
+	for si := 0; si < tb.NumStructs(); si++ {
+		if got, err := tb.StructIdx(tb.Structure(si)); err != nil || got != si {
+			t.Fatalf("StructIdx(%v) = %d, %v, want %d", tb.Structure(si), got, err, si)
+		}
 	}
-	if _, err := ap.StructureProfileFor("vehicle-type", fullOf(t, ap, "object-detection").Structure); err == nil {
+	det := tableOf(t, ap, "object-detection")
+	if _, err := tb.StructIdx(det.Structure(det.FullIdx())); err == nil {
 		t.Error("cross-node structure lookup accepted")
 	}
 }
@@ -260,6 +273,8 @@ func TestBuildAppProfileRejectsBadConfig(t *testing.T) {
 		{"fraction 0", Config{Fractions: []float64{0}}, "fraction"},
 		{"fraction NaN", Config{Fractions: []float64{math.NaN()}}, "fraction"},
 		{"negative MemShare", Config{MemShare: -0.1}, "MemShare"},
+		{"fractions repeated", Config{Fractions: []float64{0.5, 0.5}}, "Fractions"},
+		{"batch sizes repeated", Config{BatchSizes: []int{4, 4}}, "BatchSizes"},
 		{"MemShare above 1", Config{MemShare: 2}, "MemShare"},
 		{"MemShare NaN", Config{MemShare: math.NaN()}, "MemShare"},
 		{"MemShare +Inf", Config{MemShare: math.Inf(1)}, "MemShare"},
@@ -270,7 +285,9 @@ func TestBuildAppProfileRejectsBadConfig(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			r.cfg.BatchSizes = []int{1}
+			if r.cfg.BatchSizes == nil {
+				r.cfg.BatchSizes = []int{1}
+			}
 			_, err := buildAppProfile(app.BikeRackOccupancy(), r.cfg, 2)
 			if err == nil {
 				t.Fatal("invalid config accepted")

@@ -1,54 +1,61 @@
-// Flattened per-node latency tables. The scheduler's candidate search
-// (GPU fractions × structures × batches, re-run per job per session)
-// previously walked StructureProfile's nested maps — a string of map
-// lookups and interface indirections per probe. A Table lays the same
-// data out once per profile as contiguous arrays indexed by
-// structure×batch×fraction, so the hot path is two integer index
-// computations plus either a measured-point read or one power-law
-// evaluation. Tables are built lazily once per AppProfile and are
-// read-only afterwards, so they are safe to share across goroutines.
+// Per-node latency tables: the profile itself. §3.3.1 measures every
+// structure of a node over one batch × GPU-fraction grid and fits a
+// power law per batch, so a node's profile is a set of flat arrays
+// indexed by structure × batch × fraction. The scheduler's candidate
+// search (GPU fractions × structures × batches, re-run per job per
+// session) costs two integer index computations plus either a measured
+// cell read or one power-law evaluation per probe. Tables are built
+// once per AppProfile and read-only afterwards, so they are safe to
+// share across goroutines.
 package profile
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"adainf/internal/dnn"
 	"adainf/internal/mathx"
 	"adainf/internal/simtime"
 )
 
-// Table is the flattened latency view of one node's structure profiles.
-// Cells are addressed by (structure index, batch index) pairs obtained
-// from StructIdx and BatchIdx; the fraction axis holds the measured
-// grid, with the fitted power law covering every other fraction —
-// exactly the lookup StructureProfile.PerBatch performs, minus the map
-// walks.
+// Table is one node's profile. Cells are addressed by (structure index,
+// batch index) pairs obtained from StructIdx and BatchIdx; the fraction
+// axis holds the measured grid, with the fitted power law covering
+// every other fraction.
 type Table struct {
-	node       string
-	structures []*StructureProfile
-	exits      []int
-	// batchAxis is the sorted union of batch sizes profiled across the
-	// node's structures.
-	batchAxis []int
-	// bestBatches is the batch grid of the node's first (shallowest)
-	// structure, verbatim — the slice sched.BestBatch historically
-	// scanned.
-	bestBatches []int
-	nB, nF      int
-	// laws/lawOK hold the fitted power law per [si*nB+bi] cell; lawOK
-	// is false for batch sizes a structure did not profile.
-	laws  []mathx.PowerLaw
-	lawOK []bool
-	// fracs is the sorted union of directly measured fractions;
-	// points/hasPoint hold the measured latency per
-	// [(si*nB+bi)*nF+fi] cell.
-	fracs    []float64
-	points   []simtime.Duration
-	hasPoint []bool
+	node string
+	// structures are the node's structures, shallowest exit first, full
+	// structure last (same order as NodeInstance.Structures).
+	structures []dnn.Structure
+	// batches and fracs are the sorted, distinct batch and fraction
+	// axes every structure was measured over.
+	batches []int
+	fracs   []float64
+	nB      int
+	// laws holds the fitted latency(f) = A·f^B per [si*nB+bi] cell (the
+	// paper's "non-linear regression model as described in [3]").
+	laws []mathx.PowerLaw
+	// perBatch and comm hold the measured per-batch latency and its
+	// communication component per [(si*nB+bi)*len(fracs)+fi] cell.
+	perBatch, comm []simtime.Duration
+	retrain        RetrainProfile
+}
+
+// newTable returns an unfilled table over the axes.
+func newTable(node string, structures []dnn.Structure, batches []int, fracs []float64) *Table {
+	nCells := len(structures) * len(batches)
+	return &Table{
+		node:       node,
+		structures: structures,
+		batches:    batches,
+		fracs:      fracs,
+		nB:         len(batches),
+		laws:       make([]mathx.PowerLaw, nCells),
+		perBatch:   make([]simtime.Duration, nCells*len(fracs)),
+		comm:       make([]simtime.Duration, nCells*len(fracs)),
+		retrain:    RetrainProfile{PerSample: make([]simtime.Duration, len(fracs))},
+	}
 }
 
 // Node returns the node name the table was built for.
@@ -61,16 +68,18 @@ func (t *Table) NumStructs() int { return len(t.structures) }
 // for a node with no profiled structures.
 func (t *Table) FullIdx() int { return len(t.structures) - 1 }
 
-// Batches returns the batch grid of the node's first structure in
-// increasing order — the candidate set BestBatch searches.
-func (t *Table) Batches() []int { return t.bestBatches }
+// Structure returns structure si.
+func (t *Table) Structure(si int) dnn.Structure { return t.structures[si] }
+
+// Batches returns the profiled batch sizes in increasing order — the
+// candidate set BestBatch searches.
+func (t *Table) Batches() []int { return t.batches }
 
 // StructIdx returns the index of the structure with the same exit
 // depth.
 func (t *Table) StructIdx(st dnn.Structure) (int, error) {
-	exit := st.ExitAfter()
-	for i, e := range t.exits {
-		if e == exit {
+	for i, s := range t.structures {
+		if s.ExitAfter() == st.ExitAfter() {
 			return i, nil
 		}
 	}
@@ -78,9 +87,9 @@ func (t *Table) StructIdx(st dnn.Structure) (int, error) {
 }
 
 // BatchIdx returns the index of the batch size on the table's batch
-// axis, or -1 if no structure profiled it.
+// axis, or -1 if it was not profiled.
 func (t *Table) BatchIdx(batch int) int {
-	for i, b := range t.batchAxis {
+	for i, b := range t.batches {
 		if b == batch {
 			return i
 		}
@@ -88,109 +97,64 @@ func (t *Table) BatchIdx(batch int) int {
 	return -1
 }
 
+// FracIdx returns the index of the fraction on the table's fraction
+// axis, or -1 if it was not measured directly.
+func (t *Table) FracIdx(fraction float64) int {
+	for i, f := range t.fracs {
+		if f == fraction {
+			return i
+		}
+	}
+	return -1
+}
+
+// Cell returns the measured per-batch latency of structure si at batch
+// index bi and fraction index fi, and its communication component.
+// Every index must be in range.
+func (t *Table) Cell(si, bi, fi int) (perBatch, comm simtime.Duration) {
+	if bi < 0 || bi >= t.nB || fi < 0 || fi >= len(t.fracs) {
+		panic(fmt.Sprintf("profile: cell (%d, %d, %d) out of range", si, bi, fi))
+	}
+	at := (si*t.nB+bi)*len(t.fracs) + fi
+	return t.perBatch[at], t.comm[at]
+}
+
+// Law returns the fitted latency(f) power law of structure si at batch
+// index bi. Both indexes must be in range.
+func (t *Table) Law(si, bi int) mathx.PowerLaw {
+	if bi < 0 || bi >= t.nB {
+		panic(fmt.Sprintf("profile: law (%d, %d) out of range", si, bi))
+	}
+	return t.laws[si*t.nB+bi]
+}
+
+// Retrain returns the node's retraining profile.
+func (t *Table) Retrain() *RetrainProfile { return &t.retrain }
+
 // PerBatch returns the per-batch latency of structure si at batch index
-// bi and the GPU fraction: the measured point when the fraction lies on
-// the profiled grid, the fitted power law otherwise. Errors (unprofiled
-// batch, non-positive fraction) match StructureProfile.PerBatch; a
-// structure index out of range is an error too, and a batch index out
-// of range reports batch -1.
+// bi and the GPU fraction: the measured cell when the fraction lies on
+// the profiled grid, the fitted power law otherwise. A structure or
+// batch index out of range (a batch index out of range reports batch
+// -1) and a non-positive fraction are errors; a fraction above 1 is
+// clamped to 1.
 func (t *Table) PerBatch(si, bi int, fraction float64) (simtime.Duration, error) {
 	if si < 0 || si >= len(t.structures) {
 		return 0, fmt.Errorf("profile: node %q has no structure index %d", t.node, si)
 	}
-	if bi < 0 || bi >= t.nB || !t.lawOK[si*t.nB+bi] {
-		batch := -1
-		if bi >= 0 && bi < t.nB {
-			batch = t.batchAxis[bi]
-		}
-		return 0, fmt.Errorf("profile: batch %d not profiled for %v", batch, t.structures[si].Structure)
+	if bi < 0 || bi >= t.nB {
+		return 0, fmt.Errorf("profile: batch -1 not profiled for %v", t.structures[si])
 	}
-	cell := si*t.nB + bi
 	if fraction <= 0 {
 		return 0, fmt.Errorf("profile: fraction %g", fraction)
 	}
 	if fraction > 1 {
 		fraction = 1
 	}
-	base := cell * t.nF
-	for fi, f := range t.fracs {
-		if f == fraction {
-			if t.hasPoint[base+fi] {
-				return t.points[base+fi], nil
-			}
-			break
-		}
+	cell := si*t.nB + bi
+	if fi := t.FracIdx(fraction); fi >= 0 {
+		return t.perBatch[cell*len(t.fracs)+fi], nil
 	}
 	return simtime.Duration(t.laws[cell].At(fraction)), nil
-}
-
-// newTable flattens one node's profiles.
-func newTable(np *NodeProfiles) *Table {
-	t := &Table{node: np.Node, structures: np.Structures}
-	t.exits = make([]int, len(np.Structures))
-	batchSet := make(map[int]bool)
-	fracSet := make(map[float64]bool)
-	for i, sp := range np.Structures {
-		t.exits[i] = sp.Structure.ExitAfter()
-		for _, b := range sp.batches {
-			batchSet[b] = true
-		}
-		for _, cells := range sp.Points {
-			for f := range cells {
-				fracSet[f] = true
-			}
-		}
-	}
-	if len(np.Structures) > 0 {
-		t.bestBatches = np.Structures[0].Batches()
-	}
-	t.batchAxis = sortedKeys(batchSet)
-	t.fracs = sortedKeys(fracSet)
-	t.nB = len(t.batchAxis)
-	t.nF = len(t.fracs)
-	nCells := len(np.Structures) * t.nB
-	t.laws = make([]mathx.PowerLaw, nCells)
-	t.lawOK = make([]bool, nCells)
-	t.points = make([]simtime.Duration, nCells*t.nF)
-	t.hasPoint = make([]bool, nCells*t.nF)
-	for si, sp := range np.Structures {
-		for bi, batch := range t.batchAxis {
-			cell := si*t.nB + bi
-			if law, ok := sp.Scaling[batch]; ok {
-				t.laws[cell] = law
-				t.lawOK[cell] = true
-			}
-			for fi, f := range t.fracs {
-				if pt, ok := sp.Points[batch][f]; ok {
-					t.points[cell*t.nF+fi] = pt.PerBatch
-					t.hasPoint[cell*t.nF+fi] = true
-				}
-			}
-		}
-	}
-	return t
-}
-
-func sortedKeys[K cmp.Ordered](set map[K]bool) []K {
-	out := make([]K, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Tables returns the flattened latency tables in Index() order (one per
-// node, App.Nodes order). Built once, read-only afterwards.
-func (ap *AppProfile) Tables() []*Table {
-	ap.tablesOnce.Do(func() {
-		idx := ap.Index()
-		ap.tables = make([]*Table, len(idx))
-		for i, np := range idx {
-			ap.tables[i] = newTable(np)
-		}
-	})
-	return ap.tables
 }
 
 // LatencyCache memoizes Table.PerBatch evaluations across sessions and

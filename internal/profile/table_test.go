@@ -50,7 +50,7 @@ func TestPerBatchRejectsIndexesOutOfRange(t *testing.T) {
 		{"structure -1", 0, -1, 0},
 		{"structure past the last", 0, tb.NumStructs(), 0},
 		{"batch index -1", 0, 0, -1},
-		{"batch index past the axis", 0, 0, len(tb.batchAxis)},
+		{"batch index past the axis", 0, 0, len(tb.batches)},
 		{"node -1", -1, 0, 0},
 		{"node past the last", len(ap.Tables()), 0, 0},
 	}
@@ -76,7 +76,7 @@ func TestLatencyCacheMatchesTable(t *testing.T) {
 	var probes []latProbe
 	for node, tb := range ap.Tables() {
 		for si := -1; si <= tb.NumStructs(); si++ {
-			for bi := -1; bi <= len(tb.batchAxis); bi++ {
+			for bi := -1; bi <= len(tb.batches); bi++ {
 				for _, f := range edgeFractions {
 					probes = append(probes, latProbe{node, si, bi, f})
 				}

@@ -25,7 +25,7 @@ func PadRequests(predicted int) int {
 
 // AppendFullStructures appends every node's full structure to dst,
 // positionally aligned with Instance.Nodes() (= App.Nodes =
-// Profile.Index() order), reusing dst's capacity.
+// Profile.Tables() order), reusing dst's capacity.
 func AppendFullStructures(dst []dnn.Structure, jr *JobRequest) []dnn.Structure {
 	for _, ni := range jr.Instance.Nodes() {
 		dst = append(dst, ni.FullStructure())
@@ -34,13 +34,13 @@ func AppendFullStructures(dst []dnn.Structure, jr *JobRequest) []dnn.Structure {
 }
 
 // FullStructures returns every node's full structure, positionally
-// aligned with Instance.Nodes() (= App.Nodes = Profile.Index() order).
+// aligned with Instance.Nodes() (= App.Nodes = Profile.Tables() order).
 func FullStructures(jr *JobRequest) []dnn.Structure {
 	return AppendFullStructures(make([]dnn.Structure, 0, len(jr.Instance.Nodes())), jr)
 }
 
-// Tables returns the job's flattened latency tables in node order
-// (Instance.Nodes() = Profile.Index() order), through its Costs memo
+// Tables returns the job's profile tables in node order
+// (Instance.Nodes() = Profile.Tables() order), through its Costs memo
 // when one is supplied.
 func (jr *JobRequest) Tables() []*profile.Table {
 	if jr.Costs != nil {

@@ -10,28 +10,39 @@ import (
 	"adainf/internal/simtime"
 )
 
-// structureProfile returns np's profile of the structure with st's exit
-// depth, found by walking np.Structures.
-func structureProfile(np *profile.NodeProfiles, st dnn.Structure) (*profile.StructureProfile, error) {
-	for _, sp := range np.Structures {
-		if sp.Structure.ExitAfter() == st.ExitAfter() {
-			return sp, nil
+// referenceWorstCase recomputes one node's worst-case latency off the
+// table's grid, without Table.PerBatch: the structure found by exit
+// depth, the batch found on the batch axis, then the measured cell when
+// the clamped fraction lies on the fraction axis and the fitted law
+// otherwise, times ceil(requests/batch).
+func referenceWorstCase(t *profile.Table, st dnn.Structure, batch, requests int, fraction float64) (simtime.Duration, error) {
+	if requests <= 0 {
+		return 0, nil
+	}
+	si := -1
+	for i := 0; i < t.NumStructs(); i++ {
+		if t.Structure(i).ExitAfter() == st.ExitAfter() {
+			si = i
 		}
 	}
-	return nil, fmt.Errorf("node %q has no profile for %v", np.Node, st)
+	bi := slices.Index(t.Batches(), batch)
+	if si < 0 || bi < 0 || fraction <= 0 {
+		return 0, fmt.Errorf("node %q: no profile for %v at batch %d fraction %g", t.Node(), st, batch, fraction)
+	}
+	fraction = min(fraction, 1)
+	per := simtime.Duration(t.Law(si, bi).At(fraction))
+	if fi := t.FracIdx(fraction); fi >= 0 {
+		per, _ = t.Cell(si, bi, fi)
+	}
+	return per * simtime.Duration((requests+batch-1)/batch), nil
 }
 
-// referenceJobWorstCase recomputes JobWorstCase through the profiles'
-// structure list (structureProfile → StructureProfile.WorstCase)
-// instead of the flattened tables, as an independent oracle.
+// referenceJobWorstCase recomputes JobWorstCase off the tables' grids
+// (referenceWorstCase), as an independent oracle.
 func referenceJobWorstCase(jr *JobRequest, structs []dnn.Structure, batch int, fraction float64) (simtime.Duration, error) {
 	var total simtime.Duration
-	for n, np := range jr.Profile.Index() {
-		sp, err := structureProfile(np, structs[n])
-		if err != nil {
-			return 0, err
-		}
-		wc, err := sp.WorstCase(batch, jr.Requests, fraction)
+	for n, t := range jr.Profile.Tables() {
+		wc, err := referenceWorstCase(t, structs[n], batch, jr.Requests, fraction)
 		if err != nil {
 			return 0, err
 		}
@@ -53,7 +64,7 @@ func structVariants(jr *JobRequest) [][]dnn.Structure {
 
 // TestJobWorstCaseMatchesReference cross-checks the table-backed
 // JobWorstCase — with and without a LatencyCache installed — against
-// the map-walk oracle over a requests × fraction × structures grid.
+// the grid oracle over a requests × fraction × structures grid.
 func TestJobWorstCaseMatchesReference(t *testing.T) {
 	_, prof := fixture(t)
 	requests := []int{1, 3, 8, 17, 40, 100, 240}
@@ -91,8 +102,8 @@ func TestJobWorstCaseMatchesReference(t *testing.T) {
 }
 
 // TestAppendNodePlansMatchesReference checks the one per-node loop
-// against the map-walk oracle: each appended node plan carries the
-// node's name, position, structure and StructureProfile.WorstCase time,
+// against the grid oracle: each appended node plan carries the
+// node's name, position, structure and reference worst-case time,
 // the returned total is JobWorstCase's, the slice's existing prefix is
 // kept, and a supplied memo changes nothing.
 func TestAppendNodePlansMatchesReference(t *testing.T) {
@@ -111,17 +122,13 @@ func TestAppendNodePlansMatchesReference(t *testing.T) {
 					if len(got) != len(prefix)+len(structs) || got[0] != prefix[0] {
 						t.Fatalf("req=%d b=%d f=%g: prefix or length lost: %+v", req, b, f, got)
 					}
-					for n, np := range jr.Profile.Index() {
-						sp, err := structureProfile(np, structs[n])
+					for n, tb := range jr.Profile.Tables() {
+						want, err := referenceWorstCase(tb, structs[n], b, req, f)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := sp.WorstCase(b, req, f)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got[1+n] != (NodePlan{Node: np.Node, Index: n, Structure: structs[n], InferTime: want}) {
-							t.Fatalf("req=%d b=%d f=%g node %d: %+v, want %v at %v", req, b, f, n, got[1+n], np.Node, want)
+						if got[1+n] != (NodePlan{Node: tb.Node(), Index: n, Structure: structs[n], InferTime: want}) {
+							t.Fatalf("req=%d b=%d f=%g node %d: %+v, want %v at %v", req, b, f, n, got[1+n], tb.Node(), want)
 						}
 					}
 					wc, err := JobWorstCase(jr, structs, b, f)

@@ -338,7 +338,7 @@ type appState struct {
 	// job of the app.
 	dag *sched.RIDag
 	// costs memoizes (node, structure, batch, fraction) latency probes
-	// behind the profile's flattened tables. It is the run's one memo
+	// behind the profile's tables. It is the run's one memo
 	// for the profile, shared by every app with that profile: runJob's
 	// inference latencies and the method's planning probes (as
 	// JobRequest.Costs) both go through it.
@@ -477,7 +477,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Per-node state is positional: the profile must list the app's
 		// nodes in order.
-		if !slices.EqualFunc(prof.Index(), a.Nodes, func(np *profile.NodeProfiles, n app.Node) bool { return np.Node == n.Name }) {
+		if !slices.EqualFunc(prof.Tables(), a.Nodes, func(t *profile.Table, n app.Node) bool { return t.Node() == n.Name }) {
 			return nil, fmt.Errorf("serving: profile for app %q does not list its nodes in order", a.Name)
 		}
 		curve := trace.DefaultTwitterLike(cfg.RatePerApp, cfg.Horizon, cfg.Seed+int64(i)*31)
@@ -610,8 +610,8 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		// sample progress carried to the app's next job.
 		if cfg.Retraining && np.RetrainTime > 0 {
 			remaining := ni.RemainingSamples()
-			rp := st.prof.Index()[k].Retrain
-			if remaining > 0 && rp != nil {
+			rp := st.prof.Tables()[k].Retrain()
+			if remaining > 0 {
 				samplesF := rp.SamplesWithinF(np.RetrainTime, fraction)
 				lat := np.RetrainTime
 				if samplesF > float64(remaining) {
@@ -723,8 +723,8 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 
 // perBatch is one node's per-batch inference latency under the node
 // plan's structure at the given batch size and GPU fraction, through the
-// flattened-table probe memo (same fitted laws as the map-walk profile
-// API, so latencies are bit-identical). np.Index must be in range.
+// profile's probe memo (bit-identical to Table.PerBatch). np.Index must
+// be in range.
 func (st *appState) perBatch(np sched.NodePlan, batch int, fraction float64) (simtime.Duration, error) {
 	tb := st.costs.Tables()[np.Index]
 	si, err := tb.StructIdx(np.Structure)

@@ -341,16 +341,16 @@ func TestMemoryVariantProfilesDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaSp := ada["video-surveillance"].Structures["object-detection"]
-	m1Sp := m1["video-surveillance"].Structures["object-detection"]
-	adaLat, err := adaSp[len(adaSp)-1].PerBatch(16, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	// Object detection is the app's first node; batch 16 on a full GPU.
+	perBatch := func(ap *profile.AppProfile) time.Duration {
+		tb := ap.Tables()[0]
+		lat, err := tb.PerBatch(tb.FullIdx(), tb.BatchIdx(16), 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lat
 	}
-	m1Lat, err := m1Sp[len(m1Sp)-1].PerBatch(16, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adaLat, m1Lat := perBatch(ada["video-surveillance"]), perBatch(m1["video-surveillance"])
 	if m1Lat <= adaLat {
 		t.Fatalf("/M1 per-batch %v not slower than AdaInf %v", m1Lat, adaLat)
 	}

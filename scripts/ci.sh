@@ -89,8 +89,10 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 # rejecting bad configs and finishing good ones audit-clean, the
 # GPU-memory eviction index matching a full sort under any stream of
 # acquires, releases, clock steps, end-of-job releases of two apps and
-# resets, and the latency memo answering every probe as the profile
-# table does).
+# resets, the latency memo answering every probe as the profile
+# table does, and a profile-cache entry of arbitrary bytes either
+# missing or loading a profile that answers every probe without a
+# panic).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzFitScaling -fuzztime=5s ./internal/mathx
@@ -102,6 +104,7 @@ go test -run='^$' -fuzz=FuzzDetectNodeRanking -fuzztime=5s ./internal/drift
 go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
 go test -run='^$' -fuzz=FuzzEvictionIndex -fuzztime=5s ./internal/gpumem
 go test -run='^$' -fuzz=FuzzLatencyCache -fuzztime=5s ./internal/profile
+go test -run='^$' -fuzz=FuzzLoadCached -fuzztime=5s ./internal/profile
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
 # loop, a serial profile build under /M1 and under AdaInf's memory
