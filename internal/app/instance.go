@@ -2,7 +2,6 @@ package app
 
 import (
 	"fmt"
-	"math"
 
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
@@ -122,56 +121,14 @@ type Instance struct {
 type InstanceConfig struct {
 	// Seed derives the per-node stream seeds.
 	Seed int64
-	// BootstrapSamples sizes the initial training set per node
-	// (default 2000) — the "first 40% of the dataset" in §2.
-	BootstrapSamples int
 	// PoolSamples sizes each period's retraining pool per node
 	// (default 1000).
 	PoolSamples int
-	// ExitStride is the early-exit layer stride (default 3, as [22]).
-	ExitStride int
-	// Kappa is the models' learning-curve constant (samples to close
-	// ~63% of a knowledge gap). Default 3200: adapting fully to a
-	// period's drift takes a few thousand samples, so retraining GPU
-	// time — not the sample pool — is the binding resource, as in the
-	// paper's testbed.
-	Kappa float64
 }
 
-// validate rejects negative sizes and strides and a negative or
-// non-finite Kappa; zero fields take their defaults.
-func (c *InstanceConfig) validate() error {
-	if c.BootstrapSamples < 0 {
-		return fmt.Errorf("app: InstanceConfig.BootstrapSamples = %d, want >= 0", c.BootstrapSamples)
-	}
-	if c.PoolSamples < 0 {
-		return fmt.Errorf("app: InstanceConfig.PoolSamples = %d, want >= 0", c.PoolSamples)
-	}
-	if c.ExitStride < 0 {
-		return fmt.Errorf("app: InstanceConfig.ExitStride = %d, want >= 0", c.ExitStride)
-	}
-	// The negated comparison also rejects NaN; +Inf would turn every
-	// learning curve into a step that never moves.
-	if !(c.Kappa >= 0) || math.IsInf(c.Kappa, 1) {
-		return fmt.Errorf("app: InstanceConfig.Kappa = %v, want a finite value >= 0", c.Kappa)
-	}
-	return nil
-}
-
-func (c *InstanceConfig) fillDefaults() {
-	if c.BootstrapSamples == 0 {
-		c.BootstrapSamples = 2000
-	}
-	if c.PoolSamples == 0 {
-		c.PoolSamples = 1000
-	}
-	if c.ExitStride == 0 {
-		c.ExitStride = 3
-	}
-	if c.Kappa == 0 {
-		c.Kappa = 3200
-	}
-}
+// bootstrapSamples sizes each node's initial training set — the "first
+// 40% of the dataset" in §2.
+const bootstrapSamples = 2000
 
 // NewInstance builds a live instance of the application: streams are
 // created, models are bootstrapped on initial data, and the first
@@ -180,10 +137,12 @@ func NewInstance(a *App, cfg InstanceConfig) (*Instance, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if cfg.PoolSamples < 0 {
+		return nil, fmt.Errorf("app: InstanceConfig.PoolSamples = %d, want >= 0", cfg.PoolSamples)
 	}
-	cfg.fillDefaults()
+	if cfg.PoolSamples == 0 {
+		cfg.PoolSamples = 1000
+	}
 	inst := &Instance{App: a, ByName: make(map[string]*NodeInstance, len(a.Nodes))}
 	for i := range a.Nodes {
 		n := &a.Nodes[i]
@@ -195,19 +154,18 @@ func NewInstance(a *App, cfg InstanceConfig) (*Instance, error) {
 		if err != nil {
 			return nil, fmt.Errorf("app %q: node %q: %w", a.Name, n.Name, err)
 		}
-		boot := synthdata.Collect(stream, cfg.BootstrapSamples)
+		boot := synthdata.Collect(stream, bootstrapSamples)
 		bootDist, err := dist.NewCategorical(n.Task.Classes, boot.LabelDistribution(len(n.Task.Classes)))
 		if err != nil {
 			return nil, fmt.Errorf("app %q: node %q bootstrap: %w", a.Name, n.Name, err)
 		}
 		state := dnn.NewState(arch, bootDist)
-		state.SetKappa(cfg.Kappa)
 		ni := &NodeInstance{
 			Node:            n,
 			Arch:            arch,
 			Stream:          stream,
 			State:           state,
-			Structures:      dnn.EarlyExitStructures(arch, cfg.ExitStride),
+			Structures:      dnn.EarlyExitStructures(arch, dnn.ExitStride),
 			InitialAccuracy: state.Accuracy(stream.LabelDist()),
 			OldData:         boot,
 			// Period 0 serves with fresh models; the first pool is the

@@ -188,11 +188,6 @@ type Params struct {
 	// GPUs is the server's physical GPU count: the capacity bound on a
 	// session plan's fraction sum when StrictShare is off.
 	GPUs float64
-	// MinFraction is the per-job GPU-space floor (the MPS minimum;
-	// zero defaults to cluster.MinFraction). The floor may legitimately
-	// oversubscribe a small share by up to MinFraction per active job,
-	// which the share-sum bound tolerates.
-	MinFraction float64
 	// StrictShare tightens the share-sum bound to the current
 	// session's GPUShare. Sound only for sched.SteadyStatePlanner
 	// methods, whose plans are pure functions of the current inputs —
@@ -200,12 +195,6 @@ type Params struct {
 	// solve window) may carry a sum computed against an earlier,
 	// larger share.
 	StrictShare bool
-	// UtilSlack is the per-overlap tolerance of the OnUtilization
-	// bound max ≤ overlap × (1 + UtilSlack): it absorbs the
-	// min-fraction floor's oversubscription (floor × jobs per
-	// overlapping session) and the EWMA concurrency estimate's lag.
-	// Zero defaults to 0.25.
-	UtilSlack float64
 	// NGPUs is the number of discrete GPU lanes (0 or 1 = the
 	// single-GPU server). With NGPUs > 1 each session plan covers one
 	// lane, so the non-strict share-sum bound tightens to the lane's
@@ -219,6 +208,12 @@ type Params struct {
 
 // eps absorbs floating-point rounding in fraction comparisons.
 const eps = 1e-9
+
+// utilSlack is the per-overlap tolerance of the OnUtilization bound
+// max ≤ overlap × (1 + utilSlack): it absorbs the min-fraction floor's
+// oversubscription (floor × jobs per overlapping session) and the EWMA
+// concurrency estimate's lag.
+const utilSlack = 0.25
 
 // tally tracks one app's request conservation within a period.
 type tally struct {
@@ -267,12 +262,6 @@ type Auditor struct {
 // (an internal report still counts checks). A non-nil report selects
 // accumulate mode: hooks record violations and return nil.
 func New(report *Report, p Params) *Auditor {
-	if p.MinFraction == 0 {
-		p.MinFraction = cluster.MinFraction
-	}
-	if p.UtilSlack == 0 {
-		p.UtilSlack = 0.25
-	}
 	a := &Auditor{
 		p: p, report: report, period: -1,
 		apps:      make(map[string]*tally),
@@ -425,7 +414,7 @@ func (a *Auditor) Finish() error {
 // most `overlap` session spans are active (the caller derives it from
 // the longest observed job span), and each contributes at most the
 // audited per-session share sum. The sound invariant is therefore
-// max ≤ overlap × (1 + UtilSlack): tight (1 + UtilSlack) for runs
+// max ≤ overlap × (1 + utilSlack): tight (1 + utilSlack) for runs
 // whose sessions never overlap, degrading exactly in proportion to the
 // mechanism that produces legitimate overshoot. Busy-time
 // double-counting breaks it in the common, underloaded case.
@@ -433,12 +422,12 @@ func (a *Auditor) OnUtilization(max float64, windows, overlap int) error {
 	if overlap < 1 {
 		overlap = 1
 	}
-	bound := float64(overlap) * (1 + a.p.UtilSlack)
+	bound := float64(overlap) * (1 + utilSlack)
 	return a.check(max <= bound+eps, func() Violation {
 		return Violation{
 			Rule: RuleUtilization, Period: a.period, Session: -1,
 			Detail: fmt.Sprintf("max raw utilization %g (%d window(s) over 1) exceeds %d overlapping spans × (1+%g) = %g",
-				max, windows, overlap, a.p.UtilSlack, bound),
+				max, windows, overlap, utilSlack, bound),
 		}
 	})
 }
@@ -591,7 +580,7 @@ func (a *Auditor) OnSessionPlan(ctx *sched.SessionContext, plan *sched.SessionPl
 	if a.p.NGPUs > 1 {
 		capacity = a.p.GPUs / float64(a.p.NGPUs)
 	}
-	slack := a.p.MinFraction * float64(nActive)
+	slack := cluster.MinFraction * float64(nActive)
 	bound := capacity + slack
 	if a.p.StrictShare {
 		bound = ctx.GPUShare
@@ -603,7 +592,7 @@ func (a *Auditor) OnSessionPlan(ctx *sched.SessionContext, plan *sched.SessionPl
 		return Violation{
 			Rule: RuleShareSum, Period: a.period, Session: sess,
 			Detail: fmt.Sprintf("fractions sum to %g, bound %g (share %g, %d active, floor %g)",
-				totalFraction, bound, ctx.GPUShare, nActive, a.p.MinFraction),
+				totalFraction, bound, ctx.GPUShare, nActive, cluster.MinFraction),
 			Plan: snapshotPlan(plan),
 		}
 	})

@@ -30,8 +30,6 @@ const EkyaOverhead = 8400 * time.Millisecond
 // session is divided evenly among jobs — Ekya maximizes accuracy, not
 // SLO fulfillment.
 type Ekya struct {
-	minFraction float64
-
 	// sessionCache memoizes the per-job session decision. Ekya serves
 	// every request through the full structure and never retrains
 	// within a session, so the decision depends only on the static
@@ -61,7 +59,7 @@ type ekyaBase struct {
 
 // NewEkya returns an Ekya baseline.
 func NewEkya() *Ekya {
-	return &Ekya{minFraction: cluster.MinFraction, sessionCache: make(map[ekyaKey]*ekyaBase)}
+	return &Ekya{sessionCache: make(map[ekyaKey]*ekyaBase)}
 }
 
 // Name implements sched.Scheduler.
@@ -114,8 +112,8 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 		if lanes < 1 {
 			lanes = 1
 			frac = gpus
-			if frac < e.minFraction {
-				frac = e.minFraction
+			if frac < cluster.MinFraction {
+				frac = cluster.MinFraction
 			}
 		}
 		type entry struct {
@@ -245,8 +243,8 @@ func (e *Ekya) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error
 		if f > 1 {
 			f = 1
 		}
-		if f < e.minFraction {
-			f = e.minFraction
+		if f < cluster.MinFraction {
+			f = cluster.MinFraction
 		}
 		base, err := e.jobBaseFor(jr, f)
 		if err != nil {

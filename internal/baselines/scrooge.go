@@ -23,9 +23,7 @@ const ScroogeOverhead = 100 * time.Millisecond
 // Star selects Scrooge*: after solving, the GPU amounts are scaled
 // proportionally into the edge capacity instead of greedily capped.
 type Scrooge struct {
-	Star        bool
-	Trainer     cloud.Trainer
-	minFraction float64
+	Star bool
 
 	// slots[g] is GPU lane g's solve cache, reused for the sessions
 	// inside one solve window. On a sharded server the same Scrooge
@@ -57,7 +55,7 @@ type scroogeSlot struct {
 
 // NewScrooge returns the Scrooge baseline (set star for Scrooge*).
 func NewScrooge(star bool) *Scrooge {
-	return &Scrooge{Star: star, Trainer: cloud.DefaultTrainer(), minFraction: cluster.MinFraction}
+	return &Scrooge{Star: star}
 }
 
 // Name implements sched.Scheduler.
@@ -82,7 +80,7 @@ func (s *Scrooge) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, er
 			})
 		}
 	}
-	results, transfer, bytes, err := s.Trainer.Retrain(ctx.Start, jobs)
+	results, transfer, bytes, err := cloud.Retrain(ctx.Start, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: scrooge cloud retrain: %w", err)
 	}
@@ -155,7 +153,7 @@ func (s *Scrooge) solve(ctx *sched.SessionContext, slot *scroogeSlot) error {
 			continue
 		}
 		s.structs = sched.AppendFullStructures(s.structs[:0], jr)
-		f, err := sched.RequiredFraction(jr, s.structs, s.minFraction)
+		f, err := sched.RequiredFraction(jr, s.structs, cluster.MinFraction)
 		if err != nil {
 			return err
 		}
@@ -191,8 +189,8 @@ func (s *Scrooge) solve(ctx *sched.SessionContext, slot *scroogeSlot) error {
 			continue
 		}
 		f := sol[i]
-		if f < s.minFraction {
-			f = s.minFraction
+		if f < cluster.MinFraction {
+			f = cluster.MinFraction
 		}
 		s.structs = sched.AppendFullStructures(s.structs[:0], jr)
 		// Re-adjust batch for the actually granted space.

@@ -13,26 +13,23 @@ import (
 	"adainf/internal/simtime"
 )
 
-// Link models the edge↔cloud WAN.
-type Link struct {
-	// BandwidthBps is the usable bandwidth in bytes/second (20 Gbps ≈
-	// 2.5 GB/s in the paper's testbed).
-	BandwidthBps float64
-	// RTT is the round-trip latency.
-	RTT simtime.Duration
-}
+// The edge↔cloud WAN of §4 and the wire size of its payloads.
+const (
+	// linkBps is the usable bandwidth in bytes/second: 20 Gbps ≈
+	// 2.5 GB/s in the paper's testbed.
+	linkBps = 2.5e9
+	// linkRTT is the round-trip latency.
+	linkRTT = 20 * time.Millisecond
+	// sampleBytes is the wire size of one retraining sample, a
+	// compressed frame plus metadata (~0.45 MB): with the default eight
+	// applications' pools this reproduces Table 1's 85.7 GB / 34.1 s
+	// edge-cloud transfer.
+	sampleBytes = 450 << 10
+)
 
-// DefaultLink returns the paper's 20 Gbps edge-cloud link.
-func DefaultLink() Link {
-	return Link{BandwidthBps: 2.5e9, RTT: 20 * time.Millisecond}
-}
-
-// TransferTime returns the one-way transfer time for the payload.
-func (l Link) TransferTime(bytes int64) simtime.Duration {
-	if l.BandwidthBps <= 0 {
-		panic(fmt.Sprintf("cloud: link bandwidth %g", l.BandwidthBps))
-	}
-	return l.RTT/2 + simtime.Duration(float64(bytes)/l.BandwidthBps*float64(time.Second))
+// transferTime returns the one-way transfer time for the payload.
+func transferTime(bytes int64) simtime.Duration {
+	return linkRTT/2 + simtime.Duration(float64(bytes)/linkBps*float64(time.Second))
 }
 
 // RetrainJob is one model's remote retraining payload.
@@ -50,47 +47,20 @@ type RetrainResult struct {
 	Completion simtime.Instant
 }
 
-// Trainer retrains models in the cloud: upload samples, train on the
-// cloud GPUs, download updated weights.
-type Trainer struct {
-	Link Link
-	// Spec is the cloud GPU type; GPUs the count (8 on p3.16xlarge).
-	Spec gpu.Spec
-	GPUs float64
-	// SampleBytes is the wire size of one retraining sample (a frame
-	// plus metadata).
-	SampleBytes int64
-}
-
-// DefaultTrainer returns the Scrooge configuration of §4.
-func DefaultTrainer() Trainer {
-	return Trainer{
-		Link: DefaultLink(),
-		Spec: gpu.V100(),
-		GPUs: 8,
-		// ~0.45 MB per compressed frame sample: with the default eight
-		// applications' pools this reproduces Table 1's 85.7 GB /
-		// 34.1 s edge-cloud transfer.
-		SampleBytes: 450 << 10,
-	}
-}
-
-// Retrain runs the jobs remotely starting at start. All samples upload
-// first (they share the link), training runs concurrently across the
-// cloud GPUs, and each model downloads when trained. It returns per-job
-// results plus the total transfer time and bytes for Table 1.
-func (t Trainer) Retrain(start simtime.Instant, jobs []RetrainJob) ([]RetrainResult, simtime.Duration, int64, error) {
-	if t.GPUs <= 0 {
-		return nil, 0, 0, fmt.Errorf("cloud: trainer with %g GPUs", t.GPUs)
-	}
+// Retrain runs the jobs remotely starting at start, on the cloud
+// V100s of §4's p3.16xlarge. All samples upload first (they share the
+// link), training runs concurrently across the cloud GPUs, and each
+// model downloads when trained. It returns per-job results plus the
+// total transfer time and bytes for Table 1.
+func Retrain(start simtime.Instant, jobs []RetrainJob) ([]RetrainResult, simtime.Duration, int64, error) {
 	var upBytes int64
 	for _, j := range jobs {
 		if j.Samples < 0 {
 			return nil, 0, 0, fmt.Errorf("cloud: job %s/%s with %d samples", j.App, j.Node, j.Samples)
 		}
-		upBytes += int64(j.Samples) * t.SampleBytes
+		upBytes += int64(j.Samples) * sampleBytes
 	}
-	upTime := t.Link.TransferTime(upBytes)
+	upTime := transferTime(upBytes)
 	ready := start.Add(upTime)
 
 	results := make([]RetrainResult, 0, len(jobs))
@@ -100,9 +70,9 @@ func (t Trainer) Retrain(start simtime.Instant, jobs []RetrainJob) ([]RetrainRes
 		// Cloud training: each model gets one whole cloud GPU; the
 		// fleet is large enough that jobs do not queue.
 		trainFLOPs := j.Arch.TrainFLOPs() * float64(j.Samples)
-		trainTime := simtime.Duration(trainFLOPs / t.Spec.FLOPS * float64(time.Second))
+		trainTime := simtime.Duration(trainFLOPs / gpu.V100().FLOPS * float64(time.Second))
 		downBytes := j.Arch.TotalParamBytes()
-		downTime := t.Link.TransferTime(downBytes)
+		downTime := transferTime(downBytes)
 		results = append(results, RetrainResult{
 			Job:        j,
 			Completion: ready.Add(trainTime + downTime),

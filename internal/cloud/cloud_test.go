@@ -8,31 +8,20 @@ import (
 )
 
 func TestLinkTransferTime(t *testing.T) {
-	l := Link{BandwidthBps: 1e9, RTT: 10 * time.Millisecond}
-	// 1 GB at 1 GB/s + half RTT.
-	got := l.TransferTime(1e9)
-	want := time.Second + 5*time.Millisecond
+	// 2.5 GB at 2.5 GB/s + half the 20 ms RTT.
+	got := transferTime(2.5e9)
+	want := time.Second + 10*time.Millisecond
 	if got != want {
-		t.Fatalf("TransferTime = %v, want %v", got, want)
+		t.Fatalf("transferTime = %v, want %v", got, want)
 	}
-	if got := l.TransferTime(0); got != 5*time.Millisecond {
+	if got := transferTime(0); got != 10*time.Millisecond {
 		t.Fatalf("zero-byte transfer = %v", got)
 	}
-}
-
-func TestLinkPanicsOnZeroBandwidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Link{}.TransferTime(1)
 }
 
 func TestDefaultTrainerTransferMatchesTable1(t *testing.T) {
 	// §4's default: eight applications, 24 models, 8000-sample pools.
 	// The edge-cloud transfer must land near Table 1's 85.7 GB / 34.1 s.
-	tr := DefaultTrainer()
 	var jobs []RetrainJob
 	archs := []*dnn.Arch{dnn.TinyYOLOv3(), dnn.MobileNetV2(), dnn.ShuffleNet()}
 	for app := 0; app < 8; app++ {
@@ -40,7 +29,7 @@ func TestDefaultTrainerTransferMatchesTable1(t *testing.T) {
 			jobs = append(jobs, RetrainJob{App: "a", Node: "n", Arch: a, Samples: 8000})
 		}
 	}
-	_, transfer, bytes, err := tr.Retrain(0, jobs)
+	_, transfer, bytes, err := Retrain(0, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +44,11 @@ func TestDefaultTrainerTransferMatchesTable1(t *testing.T) {
 }
 
 func TestRetrainCompletionsOrdered(t *testing.T) {
-	tr := DefaultTrainer()
 	jobs := []RetrainJob{
 		{App: "a", Node: "big", Arch: dnn.TinyYOLOv3(), Samples: 4000},
 		{App: "a", Node: "small", Arch: dnn.ShuffleNet(), Samples: 4000},
 	}
-	results, _, _, err := tr.Retrain(0, jobs)
+	results, _, _, err := Retrain(0, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +61,7 @@ func TestRetrainCompletionsOrdered(t *testing.T) {
 			results[0].Completion, results[1].Completion)
 	}
 	// Everything completes after the shared upload.
-	upload := tr.Link.TransferTime(int64(8000) * tr.SampleBytes)
+	upload := transferTime(int64(8000) * sampleBytes)
 	for _, r := range results {
 		if r.Completion.Duration() < upload {
 			t.Fatalf("completion %v before upload %v finished", r.Completion, upload)
@@ -82,19 +70,13 @@ func TestRetrainCompletionsOrdered(t *testing.T) {
 }
 
 func TestRetrainValidation(t *testing.T) {
-	tr := DefaultTrainer()
-	if _, _, _, err := tr.Retrain(0, []RetrainJob{{Arch: dnn.ShuffleNet(), Samples: -1}}); err == nil {
+	if _, _, _, err := Retrain(0, []RetrainJob{{Arch: dnn.ShuffleNet(), Samples: -1}}); err == nil {
 		t.Fatal("negative samples accepted")
-	}
-	tr.GPUs = 0
-	if _, _, _, err := tr.Retrain(0, nil); err == nil {
-		t.Fatal("zero GPUs accepted")
 	}
 }
 
 func TestRetrainEmptyJobs(t *testing.T) {
-	tr := DefaultTrainer()
-	results, transfer, bytes, err := tr.Retrain(0, nil)
+	results, transfer, bytes, err := Retrain(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,6 @@ import (
 	"adainf/internal/simtime"
 )
 
-// DefaultMinFraction is the smallest GPU-space slice a job can be
-// handed (see cluster.MinFraction).
-const DefaultMinFraction = cluster.MinFraction
-
 // DefaultOverhead is the scheduling lead the paper measures for AdaInf
 // (Table 1): plans made at τ apply to [τ+2, τ+7) ms.
 const DefaultOverhead = 2 * time.Millisecond
@@ -61,11 +57,6 @@ type Options struct {
 	// above its threshold even when the node is not retraining — the
 	// Early-w/o comparison arm of Fig. 7.
 	PreferEarlyExit bool
-	// MinFraction floors per-job GPU space; zero takes the default.
-	MinFraction float64
-	// Overhead is the simulated scheduling latency; zero takes the
-	// default 2 ms.
-	Overhead simtime.Duration
 	// Label overrides Name() for variant reporting.
 	Label string
 }
@@ -167,12 +158,6 @@ type jobBase struct {
 
 // New returns an AdaInf scheduler with the options.
 func New(opts Options) *Scheduler {
-	if opts.MinFraction == 0 {
-		opts.MinFraction = DefaultMinFraction
-	}
-	if opts.Overhead == 0 {
-		opts.Overhead = DefaultOverhead
-	}
 	return &Scheduler{
 		opts:         opts,
 		dags:         make(map[string]*sched.RIDag),
@@ -203,7 +188,7 @@ func (s *Scheduler) SteadyStatePlanning() {}
 func (s *Scheduler) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
 	s.plan = sched.SessionPlan{
 		Session:  ctx.Session,
-		Overhead: s.opts.Overhead,
+		Overhead: DefaultOverhead,
 		Jobs:     s.plan.Jobs[:0],
 	}
 	if len(ctx.Jobs) == 0 {
@@ -256,7 +241,7 @@ func (s *Scheduler) planFull(jobs []sched.JobRequest, share float64, totalNodes 
 		if !ok {
 			var err error
 			s.structs = sched.AppendFullStructures(s.structs[:0], jr)
-			if req, err = sched.RequiredFraction(jr, s.structs, s.opts.MinFraction); err != nil {
+			if req, err = sched.RequiredFraction(jr, s.structs, cluster.MinFraction); err != nil {
 				return nil, err
 			}
 			s.reqFracCache[key] = req
@@ -283,8 +268,8 @@ func (s *Scheduler) planFull(jobs []sched.JobRequest, share float64, totalNodes 
 		if f > 1 {
 			f = 1
 		}
-		if f < s.opts.MinFraction {
-			f = s.opts.MinFraction
+		if f < cluster.MinFraction {
+			f = cluster.MinFraction
 		}
 		fractions[i] = f
 		totalAllocated += f
@@ -295,7 +280,7 @@ func (s *Scheduler) planFull(jobs []sched.JobRequest, share float64, totalNodes 
 	// even the floors alone oversubscribe, fall back to an equal split
 	// of the share (the floor is unsatisfiable this session).
 	if share > 0 && totalAllocated > share {
-		floorTotal := float64(active) * s.opts.MinFraction
+		floorTotal := float64(active) * cluster.MinFraction
 		if floorTotal >= share {
 			f := share / float64(active)
 			for i := range jobs {
@@ -307,7 +292,7 @@ func (s *Scheduler) planFull(jobs []sched.JobRequest, share float64, totalNodes 
 			scale := (share - floorTotal) / (totalAllocated - floorTotal)
 			for i := range jobs {
 				if jobs[i].Requests > 0 {
-					fractions[i] = s.opts.MinFraction + (fractions[i]-s.opts.MinFraction)*scale
+					fractions[i] = cluster.MinFraction + (fractions[i]-cluster.MinFraction)*scale
 				}
 			}
 		}
@@ -357,7 +342,7 @@ func (s *Scheduler) finishJob(jr *sched.JobRequest, fraction float64, base *jobB
 	// T_r = L_s − Σ l_k − scheduling lead, with a small safety margin
 	// held back so bursts beyond the planning quantile do not push the
 	// job past its SLO.
-	spare := simtime.Duration(float64(jr.Instance.App.SLO-base.inferTotal-s.opts.Overhead) * 0.9)
+	spare := simtime.Duration(float64(jr.Instance.App.SLO-base.inferTotal-DefaultOverhead) * 0.9)
 	if spare < 0 {
 		spare = 0
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adainf/internal/app"
+	"adainf/internal/cluster"
 	"adainf/internal/dist"
 	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
@@ -402,7 +403,7 @@ func TestOversubscriptionPreservesFloors(t *testing.T) {
 	if total > ctx.GPUShare+1e-9 {
 		t.Fatalf("fractions sum to %g, share %g", total, ctx.GPUShare)
 	}
-	if plan.Jobs[1].Fraction < s.opts.MinFraction-1e-12 {
+	if plan.Jobs[1].Fraction < cluster.MinFraction-1e-12 {
 		t.Fatalf("light job pushed below the floor: %g", plan.Jobs[1].Fraction)
 	}
 	if plan.Jobs[0].Fraction <= plan.Jobs[1].Fraction {

@@ -65,7 +65,7 @@ func TestTrainingRecoversAccuracy(t *testing.T) {
 	live := mustDist(t, vehicleLabels, []float64{2, 1, 4, 3})
 	s := NewState(MobileNetV2(), initial)
 	before := s.Accuracy(live)
-	s.Train(live, 1000) // generous budget: ≈ full recovery
+	s.Train(live, 5*KappaSamples) // generous budget: ≈ full recovery
 	after := s.Accuracy(live)
 	if after <= before {
 		t.Fatalf("training did not help: %v → %v", before, after)
@@ -80,9 +80,9 @@ func TestIncrementalTrainingMatchesContinualInTheLimit(t *testing.T) {
 	live := mustDist(t, vehicleLabels, []float64{1, 1, 4, 4})
 	continual := NewState(MobileNetV2(), initial)
 	incremental := NewState(MobileNetV2(), initial)
-	continual.Train(live, 800)
+	continual.Train(live, 4*KappaSamples)
 	for i := 0; i < 8; i++ { // same total exposure, split in 8 steps
-		incremental.Train(live, 100)
+		incremental.Train(live, KappaSamples/2)
 	}
 	ca := continual.Accuracy(live)
 	ia := incremental.Accuracy(live)
@@ -92,7 +92,7 @@ func TestIncrementalTrainingMatchesContinualInTheLimit(t *testing.T) {
 	// But incremental had non-trivial accuracy at every intermediate
 	// step — the paper's Observation 4. Spot check after one step.
 	mid := NewState(MobileNetV2(), initial)
-	mid.Train(live, 100)
+	mid.Train(live, KappaSamples/2)
 	if mid.Accuracy(live) <= NewState(MobileNetV2(), initial).Accuracy(live) {
 		t.Fatal("first incremental step gave no benefit")
 	}
@@ -107,12 +107,8 @@ func TestLearningFraction(t *testing.T) {
 		t.Fatalf("LearningFraction(neg) = %v", got)
 	}
 	// κ samples → 1−1/e.
-	if got := s.LearningFraction(DefaultKappaSamples); math.Abs(got-(1-1/math.E)) > 1e-9 {
+	if got := s.LearningFraction(KappaSamples); math.Abs(got-(1-1/math.E)) > 1e-9 {
 		t.Fatalf("LearningFraction(κ) = %v", got)
-	}
-	s.SetKappa(50)
-	if got := s.LearningFraction(50); math.Abs(got-(1-1/math.E)) > 1e-9 {
-		t.Fatalf("after SetKappa: %v", got)
 	}
 }
 
@@ -161,7 +157,7 @@ func TestCloneIndependence(t *testing.T) {
 	live := mustDist(t, vehicleLabels, []float64{4, 1, 1, 1})
 	s := NewState(MobileNetV2(), initial)
 	c := s.Clone()
-	c.Train(live, 10000)
+	c.Train(live, 50*KappaSamples)
 	if s.knowledge.JSDivergence(initial) != 0 {
 		t.Fatal("training a clone mutated the original")
 	}
@@ -174,10 +170,10 @@ func TestTrainLeavesSnapshotsUnchanged(t *testing.T) {
 	initial := mustDist(t, vehicleLabels, []float64{8, 1, 0.5, 0.5})
 	live := mustDist(t, vehicleLabels, []float64{1, 1, 4, 4})
 	s := NewState(MobileNetV2(), initial)
-	s.Train(live, 50)
+	s.Train(live, KappaSamples/4)
 	clone := s.Clone()
 	want, initialWant, liveWant := s.knowledge.Probs(), initial.Probs(), live.Probs()
-	s.Train(live, 200)
+	s.Train(live, KappaSamples)
 	if s.knowledge.JSDivergence(clone.knowledge) == 0 {
 		t.Fatal("Train did not move the knowledge")
 	}
@@ -199,9 +195,8 @@ func TestTrainLeavesSnapshotsUnchanged(t *testing.T) {
 func TestStatePanicsOnBadInputs(t *testing.T) {
 	live := mustDist(t, vehicleLabels, []float64{1, 1, 1, 1})
 	for name, fn := range map[string]func(){
-		"nil arch":  func() { NewState(nil, live) },
-		"nil dist":  func() { NewState(MobileNetV2(), nil) },
-		"bad kappa": func() { NewState(MobileNetV2(), live).SetKappa(0) },
+		"nil arch": func() { NewState(nil, live) },
+		"nil dist": func() { NewState(MobileNetV2(), nil) },
 	} {
 		func() {
 			defer func() {

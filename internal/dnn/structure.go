@@ -25,6 +25,9 @@ func FullStructure(arch *Arch) Structure {
 	return Structure{arch: arch, exitAfter: arch.NumLayers(), accFactor: 1}
 }
 
+// ExitStride is the paper's early-exit layer stride (after [22]).
+const ExitStride = 3
+
 // EarlyExitStructures returns the early-exit variants of arch built the
 // way the paper does (after [22], SPINN): an exit point after every
 // `stride` layers of the full structure. The returned slice is ordered
@@ -33,10 +36,10 @@ func FullStructure(arch *Arch) Structure {
 // The accuracy factor of an exit retaining fraction r of the total
 // forward work follows a smooth profit curve: shallow exits lose
 // substantially, exits near the top lose little. stride ≤ 0 defaults
-// to 3 (the paper's choice).
+// to ExitStride.
 func EarlyExitStructures(arch *Arch, stride int) []Structure {
 	if stride <= 0 {
-		stride = 3
+		stride = ExitStride
 	}
 	n := arch.NumLayers()
 	total := arch.ForwardFLOPs(n)

@@ -29,20 +29,24 @@ import (
 
 // Config parameterizes the detector. Zero values take the paper's
 // defaults (§4): S starts at 3% of the pool and grows by 3% per round,
-// the decision must hold for 4 consecutive rounds, and features are
-// reduced to 4 principal components.
+// and the decision must hold for 4 consecutive rounds.
 type Config struct {
-	InitialS      float64 // initial S as a fraction of the pool
-	StepS         float64 // per-round S increment (fraction)
-	StableRounds  int     // n: consecutive identical results to stop
-	PCAComponents int
-	// ImpactMargin guards the I'_m < I_m comparison against sampling
-	// noise on small probes; a model is impacted when
-	// I'_m < I_m − ImpactMargin. Default 0.01 — above the empirical
-	// class-mix sampling noise of period pools, far below real shock
-	// impact degrees (~0.1–0.4).
-	ImpactMargin float64
+	InitialS     float64 // initial S as a fraction of the pool
+	StepS        float64 // per-round S increment (fraction)
+	StableRounds int     // n: consecutive identical results to stop
 }
+
+const (
+	// pcaComponents is the number of principal components features are
+	// reduced to before ranking.
+	pcaComponents = 4
+	// impactMargin guards the I'_m < I_m comparison against sampling
+	// noise on small probes; a model is impacted when
+	// I'_m < I_m − impactMargin. 0.01 is above the empirical class-mix
+	// sampling noise of period pools, far below real shock impact
+	// degrees (~0.1–0.4).
+	impactMargin = 0.01
+)
 
 // fillDefaults rejects out-of-range fields and replaces zero fields by
 // the defaults.
@@ -57,12 +61,6 @@ func (c *Config) fillDefaults() error {
 	if c.StableRounds < 0 {
 		return fmt.Errorf("drift: Config.StableRounds = %d, want >= 0", c.StableRounds)
 	}
-	if c.PCAComponents < 0 {
-		return fmt.Errorf("drift: Config.PCAComponents = %d, want >= 0", c.PCAComponents)
-	}
-	if !(c.ImpactMargin >= 0) {
-		return fmt.Errorf("drift: Config.ImpactMargin = %v, want >= 0", c.ImpactMargin)
-	}
 	if c.InitialS == 0 {
 		c.InitialS = 0.03
 	}
@@ -71,12 +69,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.StableRounds == 0 {
 		c.StableRounds = 4
-	}
-	if c.PCAComponents == 0 {
-		c.PCAComponents = 4
-	}
-	if c.ImpactMargin == 0 {
-		c.ImpactMargin = 0.01
 	}
 	return nil
 }
@@ -257,7 +249,7 @@ func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) 
 	if err := cfg.fillDefaults(); err != nil {
 		return rep, err
 	}
-	xs, err := sc.scorePool(ni.OldData, ni.Pool, cfg.PCAComponents)
+	xs, err := sc.scorePool(ni.OldData, ni.Pool, pcaComponents)
 	if err != nil {
 		return rep, err
 	}
@@ -303,7 +295,7 @@ func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) 
 			sum += probByClass[ni.Pool.Samples[ranked.pop().idx].Class]
 		}
 		acc := sum / float64(n)
-		impacted := acc < rep.InitialAccuracy-cfg.ImpactMargin
+		impacted := acc < rep.InitialAccuracy-impactMargin
 		rep.Rounds = append(rep.Rounds, Round{
 			SFraction: s, SampleCount: n, ProbeAccuracy: acc, Impacted: impacted,
 		})

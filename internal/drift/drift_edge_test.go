@@ -220,9 +220,6 @@ func TestConfigValidation(t *testing.T) {
 		"negative StepS":        {StepS: -0.03, StableRounds: 1 << 40},
 		"StepS above 1":         {StepS: math.Inf(1)},
 		"negative StableRounds": {StableRounds: -1},
-		"negative PCA":          {PCAComponents: -2},
-		"NaN ImpactMargin":      {ImpactMargin: math.NaN()},
-		"negative ImpactMargin": {ImpactMargin: -0.01},
 	}
 	inst := surveillanceInstance(t, 19, 1)
 	ni := inst.ByName["vehicle-type"]
@@ -234,7 +231,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: DetectApp accepted %+v", name, cfg)
 		}
 	}
-	for _, cfg := range []Config{{}, {InitialS: 1, StepS: 1, StableRounds: 1}, {ImpactMargin: 0.2, PCAComponents: 2}} {
+	for _, cfg := range []Config{{}, {InitialS: 1, StepS: 1, StableRounds: 1}, {InitialS: 0.5, StepS: 0.25, StableRounds: 2}} {
 		if _, err := DetectNode(ni, cfg, nil); err != nil {
 			t.Errorf("valid %+v rejected: %v", cfg, err)
 		}

@@ -66,7 +66,7 @@ func referenceDetectNode(t testing.TB, ni *app.NodeInstance, cfg Config) Report 
 		t.Fatal(err)
 	}
 	rep := Report{Node: ni.Node.Name, InitialAccuracy: ni.InitialAccuracy}
-	ranked := referenceRank(t, ni.OldData, ni.Pool, cfg.PCAComponents)
+	ranked := referenceRank(t, ni.OldData, ni.Pool, pcaComponents)
 	poolDist, err := ni.PoolDist()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func referenceDetectNode(t testing.TB, ni *app.NodeInstance, cfg Config) Report 
 			sum += ni.State.CorrectProb(ni.Pool.Samples[idx].Class, poolDist, full)
 		}
 		acc := sum / float64(n)
-		impacted := acc < rep.InitialAccuracy-cfg.ImpactMargin
+		impacted := acc < rep.InitialAccuracy-impactMargin
 		rep.Rounds = append(rep.Rounds, Round{SFraction: s, SampleCount: n, ProbeAccuracy: acc, Impacted: impacted})
 		rep.ProbeAccuracy, rep.FinalS = acc, s
 		if len(rep.Rounds) > 1 && impacted == last {
@@ -130,12 +130,14 @@ func checkMatchesReference(t testing.TB, ni *app.NodeInstance, cfg Config) {
 			t.Fatalf("%s %+v: round %d = %+v, reference %+v", ni.Node.Name, cfg, i, r, w)
 		}
 	}
-	ranked, err := RankByDivergence(ni.OldData, ni.Pool, cfg.PCAComponents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(ranked, referenceRank(t, ni.OldData, ni.Pool, cfg.PCAComponents)) {
-		t.Fatalf("%s: RankByDivergence differs from the stable full sort", ni.Node.Name)
+	for _, k := range []int{pcaComponents, 2} {
+		ranked, err := RankByDivergence(ni.OldData, ni.Pool, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ranked, referenceRank(t, ni.OldData, ni.Pool, k)) {
+			t.Fatalf("%s: RankByDivergence(%d) differs from the stable full sort", ni.Node.Name, k)
+		}
 	}
 }
 
@@ -163,7 +165,7 @@ func duplicatedPool(ni *app.NodeInstance, seed int64, n, distinct int) *synthdat
 var equivalenceConfigs = []Config{
 	{},
 	{InitialS: 1, StepS: 1, StableRounds: 1}, // the whole pool is popped
-	{InitialS: 0.01, StepS: 0.07, StableRounds: 6, PCAComponents: 2},
+	{InitialS: 0.01, StepS: 0.07, StableRounds: 6},
 }
 
 // TestDetectNodeMatchesFullSortReference pins the top-k heap to the

@@ -39,8 +39,6 @@ type Options struct {
 	Horizon simtime.Duration
 	// Rate is the mean request rate per application; zero → 250 req/s.
 	Rate float64
-	// Pool is the per-node retraining pool; zero → 8000.
-	Pool int
 	// Quick shrinks runs for benchmarks (3 periods, lower rate).
 	Quick bool
 	// Workers bounds the experiment engine's worker pool: 0 uses one
@@ -82,6 +80,9 @@ type Options struct {
 	// partition. The Scaling artifact sweeps it per arm.
 	NGPUs int
 
+	// pool is the per-node retraining pool, set by fill: 2000 when
+	// Quick, else 8000.
+	pool int
 	// tracePath is the resolved per-arm trace file, set by runArms.
 	tracePath string
 }
@@ -109,9 +110,6 @@ func (o *Options) fill() {
 		if o.Rate == 0 {
 			o.Rate = 150
 		}
-		if o.Pool == 0 {
-			o.Pool = 2000
-		}
 	}
 	if o.Horizon == 0 {
 		o.Horizon = 500 * time.Second
@@ -119,8 +117,9 @@ func (o *Options) fill() {
 	if o.Rate == 0 {
 		o.Rate = 250
 	}
-	if o.Pool == 0 {
-		o.Pool = 8000
+	o.pool = 8000
+	if o.Quick {
+		o.pool = 2000
 	}
 }
 
@@ -303,7 +302,7 @@ func run(o Options, apps []*app.App, m sched.Method, gpus float64,
 		DivergentSelection: divergent,
 		MemStrategy:        mem.strategy,
 		NewPolicy:          mem.policy,
-		PoolSamples:        o.Pool,
+		PoolSamples:        o.pool,
 		Profiles:           profs,
 		Audit:              o.Audit,
 		Telemetry:          tel,

@@ -20,7 +20,7 @@ import (
 // model-level analyses of §2.
 func vsInstance(o Options) (*app.Instance, error) {
 	return app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{
-		Seed: o.Seed, PoolSamples: o.Pool,
+		Seed: o.Seed, PoolSamples: o.pool,
 	})
 }
 

@@ -85,9 +85,6 @@ type PartitionConfig struct {
 	// by the other concurrently running sessions' jobs on the same
 	// partition. Zero defaults to 1.
 	MemShare float64
-	// PinBytes is the PIN memory available to this partition's
-	// evictions.
-	PinBytes int64
 	// Policy is the eviction policy; nil defaults to LRU.
 	Policy gpumem.Policy
 	// Audit enables the memory manager's eviction-order audit
@@ -151,7 +148,6 @@ func memConfig(spec Spec, fraction float64, cfg PartitionConfig) (gpumem.Config,
 	}
 	mcfg := gpumem.Config{
 		GPUBytes: memBytes,
-		PinBytes: cfg.PinBytes,
 		Policy:   cfg.Policy,
 		Audit:    cfg.Audit,
 		Trace:    cfg.Trace,

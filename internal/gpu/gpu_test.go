@@ -58,7 +58,6 @@ func TestPartitionValidation(t *testing.T) {
 		{V100(), 1, PartitionConfig{MemShare: -0.1}},
 		{V100(), 1, PartitionConfig{MemShare: 1.5}},
 		{V100(), 1, PartitionConfig{MemShare: math.NaN()}},
-		{V100(), 1, PartitionConfig{PinBytes: -1}},
 		{V100(), 1, PartitionConfig{Policy: gpumem.PriorityPolicy{Alpha: 2}}},
 		{Spec{Name: "broken", FLOPS: math.NaN(), MemBytes: 1 << 30, BatchHalf: 1}, 1, PartitionConfig{}},
 	}
@@ -87,7 +86,7 @@ func TestPartitionResetMatchesNew(t *testing.T) {
 	if _, err := e.RunInference(0, InferenceTask{App: "a", JobID: 1, Structure: dnn.FullStructure(dnn.MobileNetV2()), Batch: 8, SLOms: 400}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := PartitionConfig{MemShare: 0.04, PinBytes: 1 << 20, Policy: gpumem.PriorityPolicy{Alpha: 0.4}}
+	cfg := PartitionConfig{MemShare: 0.04, Policy: gpumem.PriorityPolicy{Alpha: 0.4}}
 	if err := p.Reset(V100(), 0.25, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,6 @@ type Config struct {
 	GPUBytes int64
 	// PinBytes is the PIN (page-locked) portion of CPU memory.
 	PinBytes int64
-	// Transfer rates in bytes/second; zero values take the defaults.
-	H2DPageableBps float64
-	H2DPinnedBps   float64
-	D2HBps         float64
 	// Policy chooses eviction victims; nil defaults to LRU.
 	Policy Policy
 	// Audit verifies every makeRoom call's eviction order (victims
@@ -45,15 +41,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.H2DPageableBps == 0 {
-		c.H2DPageableBps = DefaultH2DPageableBps
-	}
-	if c.H2DPinnedBps == 0 {
-		c.H2DPinnedBps = DefaultH2DPinnedBps
-	}
-	if c.D2HBps == 0 {
-		c.D2HBps = DefaultD2HBps
-	}
 	if c.Policy == nil {
 		c.Policy = LRUPolicy{}
 	}
@@ -336,7 +323,7 @@ func (m *Manager) acquireOne(now simtime.Instant, a *Access) simtime.Duration {
 			// Out-of-core: stream the content through GPU memory for
 			// this access only. Born-on-GPU contents stream out, CPU
 			// contents stream in; either way the bus is crossed once.
-			t := bytesTime(a.Content.Bytes, m.cfg.H2DPageableBps)
+			t := bytesTime(a.Content.Bytes, DefaultH2DPageableBps)
 			comm += t
 			m.stats.StreamedTime += t
 			m.stats.StreamedBytes += a.Content.Bytes
@@ -351,14 +338,14 @@ func (m *Manager) acquireOne(now simtime.Instant, a *Access) simtime.Duration {
 		case !e.everLoaded && a.Content.ProducedOnGPU:
 			m.stats.ColdLoads++
 		case e.loc == locPinned:
-			t := bytesTime(a.Content.Bytes, m.cfg.H2DPinnedBps)
+			t := bytesTime(a.Content.Bytes, DefaultH2DPinnedBps)
 			comm += t
 			m.stats.H2DTime += t
 			m.stats.H2DBytes += a.Content.Bytes
 			m.stats.PinRefills++
 			m.pinUsed -= a.Content.Bytes
 		default: // pageable, or cold load of CPU-born content
-			t := bytesTime(a.Content.Bytes, m.cfg.H2DPageableBps)
+			t := bytesTime(a.Content.Bytes, DefaultH2DPageableBps)
 			comm += t
 			m.stats.H2DTime += t
 			m.stats.H2DBytes += a.Content.Bytes
@@ -491,7 +478,7 @@ func (m *Manager) makeRoom(now simtime.Instant, bytes int64) (simtime.Duration, 
 	for i := len(victims) - 1; i >= 0; i-- {
 		c := victims[i]
 		v := c.e
-		t := bytesTime(v.content.Bytes, m.cfg.D2HBps)
+		t := bytesTime(v.content.Bytes, DefaultD2HBps)
 		comm += t
 		m.stats.D2HTime += t
 		m.stats.D2HBytes += v.content.Bytes

@@ -37,23 +37,23 @@ const CacheVersion = 2
 // profile BuildAppProfile(a, cfg) would produce. Two (app, config)
 // pairs with equal keys build byte-identical profiles: the key covers
 // the GPU spec, the measurement grids, the execution strategy, the
-// eviction policy (including its parameters), the PIN/retraining
-// configuration, the app's SLO, and every node's name and full
-// architecture. It deliberately excludes the app name and accuracy
+// eviction policy (including its parameters), the per-job memory share,
+// the retraining measurement, the app's SLO, and every node's name and
+// full architecture. It deliberately excludes the app name and accuracy
 // thresholds, which do not influence profiling.
 func CacheKey(a *app.App, cfg Config) string {
 	cfg.fillDefaults()
 	var b strings.Builder
 	fmt.Fprintf(&b, "adainf-profile-cache v%d\n", CacheVersion)
-	fmt.Fprintf(&b, "gpu: %+v\n", cfg.Spec)
+	fmt.Fprintf(&b, "gpu: %+v\n", spec)
 	fmt.Fprintf(&b, "batches: %v\n", cfg.BatchSizes)
 	fmt.Fprintf(&b, "fractions: %v\n", cfg.Fractions)
-	fmt.Fprintf(&b, "memshare: %v\n", cfg.MemShare)
+	fmt.Fprintf(&b, "memshare: %v\n", DefaultMemShare)
 	fmt.Fprintf(&b, "strategy: %+v\n", cfg.Strategy)
 	pol := cfg.policy()
 	fmt.Fprintf(&b, "policy: %s %+v\n", pol.Name(), pol)
-	fmt.Fprintf(&b, "pin: %d\n", cfg.PinBytes)
-	fmt.Fprintf(&b, "retrain: batch=%d samples=%d\n", cfg.RetrainBatch, cfg.RetrainSamples)
+	b.WriteString("pin: 0\n") // no partition is given PIN memory
+	fmt.Fprintf(&b, "retrain: batch=%d samples=%d\n", retrainBatch, retrainSamples)
 	fmt.Fprintf(&b, "slo: %v\n", a.SLO)
 	for i := range a.Nodes {
 		node := &a.Nodes[i]
@@ -248,7 +248,7 @@ func loadCached(dir string, a *app.App, cfg Config) (ap *AppProfile, ok, corrupt
 		if cn.Name != node.Name || !known {
 			return nil, false, false
 		}
-		structures := dnn.EarlyExitStructures(arch, 3)
+		structures := dnn.EarlyExitStructures(arch, dnn.ExitStride)
 		if !slices.EqualFunc(structures, cn.Exits, func(st dnn.Structure, exit int) bool { return st.ExitAfter() == exit }) {
 			return nil, false, false
 		}

@@ -51,11 +51,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 			c.BatchSizes = []int{1, 8}
 			return c
 		}(),
-		"pin": func() Config {
-			c := fastConfig()
-			c.PinBytes = 1 << 20
-			return c
-		}(),
 	}
 	for name, cfg := range variants {
 		if CacheKey(a, cfg) == base {

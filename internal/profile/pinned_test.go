@@ -75,3 +75,41 @@ func TestPinnedProfileDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestPinnedCacheKeys freezes the FNV-64a of CacheKey for every catalog
+// application under the AdaInf, /M1 and /M2 memory configurations the
+// programs profile with. The hash names an entry's file under
+// results/profiles, so a change to a profiler constant or to the key's
+// format fails here instead of silently cold-starting every cached
+// profile. Update the constants only together with CacheVersion or a
+// deliberate change of what the profiler measures.
+func TestPinnedCacheKeys(t *testing.T) {
+	pinned := map[string][3]uint64{
+		"video-surveillance": {0xd9cac9384d8c11e4, 0x099defec3d9e7ddf, 0x4d682292524172e5},
+		"social-media":       {0x3406e87854c4a809, 0x5f92c485d5fe0d0c, 0x83bf5225a6693eb2},
+		"game-analysis":      {0x9a9519f77d9453c1, 0x0fca7e34b79cdb3e, 0x47dd968735624c78},
+		"dance-rating":       {0xeba168eeb3109f4d, 0x22724f56df58cb78, 0x3e41eba64cc71b8e},
+		"billboard-response": {0x6628c0c098c7fc14, 0xed89c7abca32b6eb, 0x53e7b2f0d7a31e29},
+		"bikerack-occupancy": {0x226608f744cb35a2, 0x8833edd3fc5b1425, 0x3912858ca9da2ae7},
+		"amber-alert":        {0x8da7fa2e2c8c4d51, 0xe1e83e2044fc92ec, 0xef65f2464c7d8a3e},
+		"logo-placement":     {0xd47163f79ae06623, 0x8b1d0cc36cfeaa04, 0xaf5363df8be2548e},
+	}
+	catalog := app.Catalog()
+	if len(catalog) != len(pinned) {
+		t.Fatalf("catalog has %d apps, %d pinned", len(catalog), len(pinned))
+	}
+	for _, a := range catalog {
+		want, ok := pinned[a.Name]
+		if !ok {
+			t.Errorf("app %q has no pinned keys", a.Name)
+			continue
+		}
+		for i, m := range []pinnedMem{pinnedAda, pinnedM1, pinnedM2} {
+			h := fnv.New64a()
+			h.Write([]byte(CacheKey(a, Config{Strategy: m.strategy, NewPolicy: m.newPolicy})))
+			if got := h.Sum64(); got != want[i] {
+				t.Errorf("%s/%s: CacheKey FNV-64a %#016x, pinned %#016x", a.Name, m.name, got, want[i])
+			}
+		}
+	}
+}

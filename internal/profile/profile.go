@@ -44,14 +44,20 @@ var DefaultFractions = []float64{0.25, 0.5, 0.75, 1.0}
 // around a quarter of per-batch latency at the optimum (Fig. 11).
 const DefaultMemShare = 0.04
 
+// retrainBatch is the training batch size and retrainSamples the
+// sample count of each retraining measurement.
+const (
+	retrainBatch   = 32
+	retrainSamples = 64
+)
+
+// spec is the profiled GPU: the paper's V100.
+var spec = gpu.V100()
+
 // Config parameterizes profiling.
 type Config struct {
-	Spec       gpu.Spec
 	BatchSizes []int
 	Fractions  []float64
-	// MemShare is the per-job share of partition memory (see
-	// DefaultMemShare).
-	MemShare float64
 	// Strategy is the execution strategy to profile under (§3.4
 	// strategies change the profiles, so each variant profiles its
 	// own).
@@ -59,13 +65,6 @@ type Config struct {
 	// NewPolicy creates a fresh eviction policy per profiled cell;
 	// nil profiles under LRU.
 	NewPolicy func() gpumem.Policy
-	// PinBytes is the PIN memory per partition.
-	PinBytes int64
-	// RetrainBatch is the training batch size (default 32).
-	RetrainBatch int
-	// RetrainSamples is the sample count per retraining measurement
-	// (default 64).
-	RetrainSamples int
 	// Audit validates every profiled partition's memory accounting and
 	// eviction order after each measurement (gpumem CheckInvariants).
 	// Auditing never changes the built profile, and does not enter the
@@ -80,23 +79,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Spec.Name == "" {
-		c.Spec = gpu.V100()
-	}
 	if len(c.BatchSizes) == 0 {
 		c.BatchSizes = DefaultBatchSizes
 	}
 	if len(c.Fractions) == 0 {
 		c.Fractions = DefaultFractions
-	}
-	if c.MemShare == 0 {
-		c.MemShare = DefaultMemShare
-	}
-	if c.RetrainBatch == 0 {
-		c.RetrainBatch = 32
-	}
-	if c.RetrainSamples == 0 {
-		c.RetrainSamples = 64
 	}
 }
 
@@ -133,8 +120,7 @@ func (c *Config) policy() gpumem.Policy {
 // partition returns the partition config every profiled cell uses.
 func (c *Config) partition() gpu.PartitionConfig {
 	return gpu.PartitionConfig{
-		MemShare: c.MemShare,
-		PinBytes: c.PinBytes,
+		MemShare: DefaultMemShare,
 		Policy:   c.policy(),
 		Audit:    c.Audit,
 		Trace:    c.Telemetry,
@@ -287,7 +273,7 @@ func UnitCount(a *app.App) int {
 		if !ok {
 			return 0
 		}
-		n += len(dnn.EarlyExitStructures(arch, 3)) + 1
+		n += len(dnn.EarlyExitStructures(arch, dnn.ExitStride)) + 1
 	}
 	return n
 }
@@ -367,7 +353,7 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 			return nil, fmt.Errorf("profile: unknown model %q", a.Nodes[i].Model)
 		}
 		arches[i] = arch
-		ap.tables[i] = newTable(a.Nodes[i].Name, dnn.EarlyExitStructures(arch, 3), batches, fracs)
+		ap.tables[i] = newTable(a.Nodes[i].Name, dnn.EarlyExitStructures(arch, dnn.ExitStride), batches, fracs)
 	}
 	units := appUnits(ap.tables, arches)
 	results := make([]unitResult, len(units))
@@ -425,7 +411,7 @@ func profileStructure(a *app.App, node *app.Node, t *Table, si int, cfg Config,
 		cell := si*t.nB + t.BatchIdx(batch)
 		var fr, lat []float64
 		for _, f := range cfg.Fractions {
-			if err := part.Reset(cfg.Spec, f, cfg.partition()); err != nil {
+			if err := part.Reset(spec, f, cfg.partition()); err != nil {
 				return fmt.Errorf("profile: %s/%v: %w", node.Name, st, err)
 			}
 			ex := gpu.NewExecutor(part, cfg.Strategy)
@@ -474,18 +460,18 @@ func profileRetraining(a *app.App, node *app.Node, t *Table, arch *dnn.Arch, cfg
 	rp := &t.retrain
 	var fr, lat []float64
 	for _, f := range cfg.Fractions {
-		if err := part.Reset(cfg.Spec, f, cfg.partition()); err != nil {
+		if err := part.Reset(spec, f, cfg.partition()); err != nil {
 			return fmt.Errorf("profile: %s retraining: %w", node.Name, err)
 		}
 		ex := gpu.NewExecutor(part, cfg.Strategy)
 		res, _, err := ex.RunRetraining(0, gpu.RetrainTask{
 			App: a.Name, JobID: 1, Arch: arch,
-			Samples: cfg.RetrainSamples, BatchSize: cfg.RetrainBatch, SLOms: a.SLOms(),
+			Samples: retrainSamples, BatchSize: retrainBatch, SLOms: a.SLOms(),
 		})
 		if err != nil {
 			return fmt.Errorf("profile: %s retraining: %w", node.Name, err)
 		}
-		per := res.Total() / simtime.Duration(cfg.RetrainSamples)
+		per := res.Total() / retrainSamples
 		rp.PerSample[t.FracIdx(f)] = per
 		fr = append(fr, f)
 		lat = append(lat, math.Max(float64(per), 1))

@@ -272,14 +272,8 @@ func TestBuildAppProfileRejectsBadConfig(t *testing.T) {
 		{"fraction above 1", Config{Fractions: []float64{0.5, 1.5}}, "fraction"},
 		{"fraction 0", Config{Fractions: []float64{0}}, "fraction"},
 		{"fraction NaN", Config{Fractions: []float64{math.NaN()}}, "fraction"},
-		{"negative MemShare", Config{MemShare: -0.1}, "MemShare"},
 		{"fractions repeated", Config{Fractions: []float64{0.5, 0.5}}, "Fractions"},
 		{"batch sizes repeated", Config{BatchSizes: []int{4, 4}}, "BatchSizes"},
-		{"MemShare above 1", Config{MemShare: 2}, "MemShare"},
-		{"MemShare NaN", Config{MemShare: math.NaN()}, "MemShare"},
-		{"MemShare +Inf", Config{MemShare: math.Inf(1)}, "MemShare"},
-		{"negative PinBytes", Config{PinBytes: -1}, "PinBytes"},
-		{"bad Spec", Config{Spec: gpu.Spec{Name: "broken"}}, "spec"},
 		{"alpha above 1", Config{NewPolicy: alpha(1.5)}, "Alpha"},
 		{"alpha NaN", Config{NewPolicy: alpha(math.NaN())}, "Alpha"},
 	}

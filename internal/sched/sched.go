@@ -80,11 +80,14 @@ func (d *RIDag) NeedsRetrain(node string) bool {
 }
 
 // TotalImpact returns the sum of impact degrees, the denominator of the
-// §3.3.2 retraining-time split.
+// §3.3.2 retraining-time split. It sums in vertex (node) order, so the
+// rounding of the sum is the same on every call.
 func (d *RIDag) TotalImpact() float64 {
 	var t float64
-	for _, v := range d.Impact {
-		t += v
+	for _, v := range d.Vertices {
+		if v.Phase == PhaseRetrain {
+			t += v.ImpactDegree
+		}
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -37,6 +38,31 @@ func fixture(t *testing.T) (*app.Instance, *profile.AppProfile) {
 func jobReq(t *testing.T, requests int) *JobRequest {
 	inst, prof := fixture(t)
 	return &JobRequest{Instance: inst, Profile: prof, Requests: requests}
+}
+
+// TestTotalImpactSumsInNodeOrder pins TotalImpact to the node-order
+// sum bit for bit. With three impacted nodes the float sum depends on
+// the order of the additions: 0.1, 0.2 and 0.3 sum to
+// 0.6000000000000001 in node order and to 0.6 in some others, so a sum
+// over the impact map would vary from call to call.
+func TestTotalImpactSumsInNodeOrder(t *testing.T) {
+	a := app.VideoSurveillance()
+	if len(a.Nodes) != 3 {
+		t.Fatalf("video surveillance has %d nodes, want 3", len(a.Nodes))
+	}
+	degrees := []float64{0.1, 0.2, 0.3}
+	reports := map[string]drift.Report{}
+	var want float64
+	for i, n := range a.Nodes {
+		reports[n.Name] = drift.Report{Node: n.Name, Impacted: true, ImpactDegree: degrees[i]}
+		want += degrees[i]
+	}
+	d := BuildRIDag(a, reports)
+	for i := 0; i < 100; i++ {
+		if got := d.TotalImpact(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalImpact = %v, node-order sum %v", i, got, want)
+		}
+	}
 }
 
 func TestBuildRIDag(t *testing.T) {

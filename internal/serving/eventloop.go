@@ -129,8 +129,8 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		rec:               rec,
 		res:               res,
 		rng:               rng,
-		nSessions:         int(cfg.Horizon / cfg.Clock.Session),
-		sessionsPerPeriod: cfg.Clock.SessionsPerPeriod(),
+		nSessions:         int(cfg.Horizon / clock.Session),
+		sessionsPerPeriod: clock.SessionsPerPeriod(),
 		ewmaTa:            50 * time.Millisecond,
 		tel:               cfg.Telemetry,
 		ctx: &sched.SessionContext{
@@ -227,7 +227,7 @@ func (l *runLoop) run() error {
 			return err
 		}
 		over, windows := l.rec.UtilizationOvershoot()
-		overlap := int(l.maxSpan/l.cfg.Clock.Session) + 1
+		overlap := int(l.maxSpan/clock.Session) + 1
 		if err := l.aud.OnUtilization(over, windows, overlap); err != nil {
 			return err
 		}
@@ -242,7 +242,7 @@ func (l *runLoop) run() error {
 			}
 		}
 	}
-	l.tel.Counters(l.cfg.Clock.SessionStart(l.nSessions))
+	l.tel.Counters(clock.SessionStart(l.nSessions))
 	return nil
 }
 
@@ -258,7 +258,7 @@ func (l *runLoop) periodStart(period int) error {
 		last = l.nSessions - 1
 	}
 	if l.aud != nil {
-		if err := l.aud.OnEvent(cfg.Clock.PeriodStart(period)); err != nil {
+		if err := l.aud.OnEvent(clock.PeriodStart(period)); err != nil {
 			return err
 		}
 		// The old period's retrains are settled and its last work
@@ -267,7 +267,7 @@ func (l *runLoop) periodStart(period int) error {
 			return err
 		}
 	}
-	start := cfg.Clock.SessionStart(first)
+	start := clock.SessionStart(first)
 	if l.tel.Tracing() {
 		// Retrains still pending at the boundary would have applied
 		// after their period's last session: they are discarded.
@@ -339,8 +339,8 @@ func (l *runLoop) periodStart(period int) error {
 			}
 		}
 		for s := 0; s < n; s++ {
-			ws := cfg.Clock.SessionStart(first + s)
-			we := ws.Add(cfg.Clock.Session)
+			ws := clock.SessionStart(first + s)
+			we := ws.Add(clock.Session)
 			a := st.gen.CountInWindow(ws, we)
 			if burstOK && s >= burst.Start && s < burst.End {
 				// The burst multiplies arrivals before the predictor
@@ -382,7 +382,7 @@ func (l *runLoop) periodStart(period int) error {
 	pctx := &sched.PeriodContext{
 		Period: period,
 		Start:  start,
-		Length: cfg.Clock.Period,
+		Length: clock.Period,
 		GPUs:   cfg.GPUs,
 		Rand:   l.rng,
 	}
@@ -438,7 +438,7 @@ func (l *runLoop) periodStart(period int) error {
 		// retries are only started when they can meet this window
 		// (§3.3); otherwise the job is abandoned and the stale model
 		// keeps serving.
-		windowEnd := cfg.Clock.SessionStart(last)
+		windowEnd := clock.SessionStart(last)
 		for i := range pplan.Retrains {
 			r := pplan.Retrains[i]
 			ai, ok := l.appIdx[r.App]
@@ -511,7 +511,7 @@ func (l *runLoop) periodStart(period int) error {
 			if pr.abandoned {
 				continue // never completes; the stale model keeps serving
 			}
-			as := max(applySessionOf(pr.Completion, cfg.Clock.Session), first)
+			as := max(applySessionOf(pr.Completion, clock.Session), first)
 			if as > last {
 				continue // never applies; discarded at the next boundary
 			}
@@ -800,7 +800,7 @@ func (l *runLoop) workSession(sess int) error {
 	if err := l.drainRetrains(sess); err != nil {
 		return err
 	}
-	start := cfg.Clock.SessionStart(sess)
+	start := clock.SessionStart(sess)
 	si := sess - l.periodFirst
 	if l.aud != nil {
 		if err := l.aud.OnEvent(start); err != nil {
@@ -826,7 +826,7 @@ func (l *runLoop) workSession(sess int) error {
 			l.laneBusy[fb.lane] += fb.fraction
 		}
 	}
-	concurrency := math.Ceil(float64(l.ewmaTa) / float64(cfg.Clock.Session))
+	concurrency := math.Ceil(float64(l.ewmaTa) / float64(clock.Session))
 	if concurrency < 1 {
 		concurrency = 1
 	}

@@ -14,30 +14,28 @@ import (
 )
 
 // FuzzConfig drives Run over tiny horizons (at most three periods), 1–4
-// GPU lanes, random rates, pool sizes, seeds, predictor factors and
-// fault specs, for AdaInf, Ekya and Scrooge, under the fail-fast
+// GPU lanes, random rates, pool sizes, seeds and fault specs, for AdaInf, Ekya and Scrooge, under the fail-fast
 // auditor. Inputs outside the documented ranges must be rejected with
 // an error; every other case must finish audit-clean. No case may
 // panic or hang.
 func FuzzConfig(f *testing.F) {
 	apps, profs := fixtures(f)
-	clock := simtime.NewClock()
 	spp := clock.SessionsPerPeriod()
 
-	// sessions, lanes, rate, pool, seed, method, alpha, fault spec.
-	f.Add(uint32(600), 1, 50.0, 500, int64(1), uint8(0), 0.0, "")
-	f.Add(uint32(2*spp+300), 2, 80.0, 300, int64(2), uint8(1), 0.4, "default")
-	f.Add(uint32(spp+1), 4, 30.0, 200, int64(3), uint8(2), 1.0, "gpu-crash=1,gpu-recover=0.5,mem-fail=0.2")
-	f.Add(uint32(900), 3, 100.0, 0, int64(4), uint8(0), 0.1, "retrain-fail=0.5,retries=1,burst=1")
+	// sessions, lanes, rate, pool, seed, method, fault spec.
+	f.Add(uint32(600), 1, 50.0, 500, int64(1), uint8(0), "")
+	f.Add(uint32(2*spp+300), 2, 80.0, 300, int64(2), uint8(1), "default")
+	f.Add(uint32(spp+1), 4, 30.0, 200, int64(3), uint8(2), "gpu-crash=1,gpu-recover=0.5,mem-fail=0.2")
+	f.Add(uint32(900), 3, 100.0, 0, int64(4), uint8(0), "retrain-fail=0.5,retries=1,burst=1")
 	// fillDefaults must reject each of these.
-	f.Add(uint32(600), 1, math.NaN(), 500, int64(1), uint8(0), 0.0, "")
-	f.Add(uint32(600), 1, 50.0, 500, int64(1), uint8(1), math.NaN(), "")
-	f.Add(uint32(600), 0, 50.0, 500, int64(1), uint8(2), 0.0, "") // 0 lanes defaults to 1
-	f.Add(uint32(600), -1, 50.0, 500, int64(1), uint8(0), 0.0, "")
-	f.Add(uint32(600), cluster.MaxGPUs+1, 50.0, 500, int64(1), uint8(0), 0.0, "")
-	f.Add(uint32(600), 2, 50.0, 500, int64(1), uint8(0), 0.0, "mem-fail")
+	f.Add(uint32(600), 1, math.NaN(), 500, int64(1), uint8(0), "")
+	f.Add(uint32(600), 1, 50.0, -1, int64(1), uint8(1), "")
+	f.Add(uint32(600), 0, 50.0, 500, int64(1), uint8(2), "") // 0 lanes defaults to 1
+	f.Add(uint32(600), -1, 50.0, 500, int64(1), uint8(0), "")
+	f.Add(uint32(600), cluster.MaxGPUs+1, 50.0, 500, int64(1), uint8(0), "")
+	f.Add(uint32(600), 2, 50.0, 500, int64(1), uint8(0), "mem-fail")
 
-	f.Fuzz(func(t *testing.T, sessions uint32, lanes int, rate float64, pool int, seed int64, method uint8, alpha float64, spec string) {
+	f.Fuzz(func(t *testing.T, sessions uint32, lanes int, rate float64, pool int, seed int64, method uint8, spec string) {
 		fc, err := faults.Parse(spec)
 		if err != nil {
 			return // a malformed spec never reaches Run
@@ -70,13 +68,11 @@ func FuzzConfig(f *testing.F) {
 			DivergentSelection: true,
 			PoolSamples:        pool,
 			Profiles:           profs,
-			PredictAlpha:       alpha,
 			Faults:             &fc,
 			Audit:              true,
 		}
 		invalid := lanes < 0 || lanes > cluster.MaxGPUs ||
-			math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 || pool < 0 ||
-			math.IsNaN(alpha) || alpha < 0 || alpha > 1
+			math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 || pool < 0
 
 		done := make(chan error, 1)
 		go func() {
@@ -90,10 +86,10 @@ func FuzzConfig(f *testing.F) {
 		}
 		switch {
 		case invalid && err == nil:
-			t.Fatalf("invalid config accepted: lanes %d, rate %g, pool %d, alpha %g", lanes, rate, pool, alpha)
+			t.Fatalf("invalid config accepted: lanes %d, rate %g, pool %d", lanes, rate, pool)
 		case !invalid && err != nil:
-			t.Fatalf("valid config failed: %v (lanes %d, rate %g, pool %d, alpha %g, seed %d, method %d, faults %q)",
-				err, lanes, rate, pool, alpha, seed, method, spec)
+			t.Fatalf("valid config failed: %v (lanes %d, rate %g, pool %d, seed %d, method %d, faults %q)",
+				err, lanes, rate, pool, seed, method, spec)
 		}
 	})
 }

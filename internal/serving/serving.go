@@ -36,6 +36,12 @@ import (
 	"adainf/internal/trace"
 )
 
+// clock is every run's session and period granularity (5 ms / 50 s).
+var clock = simtime.NewClock()
+
+// predictAlpha is the request predictor's EWMA factor.
+const predictAlpha = 0.4
+
 // Config parameterizes one serving run.
 type Config struct {
 	// Apps are the concurrent applications (default: the §4 catalog).
@@ -54,8 +60,6 @@ type Config struct {
 	NGPUs int
 	// Horizon is the simulated duration (default 1000 s as §2).
 	Horizon simtime.Duration
-	// Clock sets session/period granularity (default 5 ms / 50 s).
-	Clock simtime.Clock
 	// Seed drives all randomness.
 	Seed int64
 	// RatePerApp is the mean request rate per application in req/s.
@@ -73,15 +77,11 @@ type Config struct {
 	// policy).
 	MemStrategy gpu.Strategy
 	NewPolicy   func() gpumem.Policy
-	// PoolSamples and BootstrapSamples size the per-period retraining
-	// pool and initial training set.
-	PoolSamples      int
-	BootstrapSamples int
+	// PoolSamples sizes the per-period retraining pool.
+	PoolSamples int
 	// Profiles, when non-nil, supplies pre-built app profiles keyed by
 	// app name (reuse across runs of an experiment sweep).
 	Profiles map[string]*profile.AppProfile
-	// PredictAlpha is the request predictor's EWMA factor (default 0.4).
-	PredictAlpha float64
 	// Audit enables the runtime invariant auditor (internal/audit):
 	// every session plan, retrain application, and period's request
 	// accounting is validated against the §3.3/§3.4 invariants. The
@@ -145,23 +145,11 @@ func (c *Config) fillDefaults() error {
 	if c.Horizon == 0 {
 		c.Horizon = 1000 * time.Second
 	}
-	if c.Clock == (simtime.Clock{}) {
-		c.Clock = simtime.NewClock()
-	}
-	if err := c.Clock.Validate(); err != nil {
-		return err
-	}
 	if c.RatePerApp == 0 {
 		c.RatePerApp = 250
 	}
 	if c.PoolSamples == 0 {
 		c.PoolSamples = 8000
-	}
-	if c.BootstrapSamples == 0 {
-		c.BootstrapSamples = 2000
-	}
-	if c.PredictAlpha == 0 {
-		c.PredictAlpha = 0.4
 	}
 	// Defaulting only replaces zeros: reject what is left out of range
 	// before it can hang the arrival generator (NaN rate), size the
@@ -170,14 +158,12 @@ func (c *Config) fillDefaults() error {
 	switch {
 	case c.Horizon <= 0:
 		return fmt.Errorf("serving: horizon %v not positive", c.Horizon)
-	case c.Horizon < c.Clock.Session:
-		return fmt.Errorf("serving: horizon %v shorter than one %v session", c.Horizon, c.Clock.Session)
+	case c.Horizon < clock.Session:
+		return fmt.Errorf("serving: horizon %v shorter than one %v session", c.Horizon, clock.Session)
 	case !(c.RatePerApp > 0) || math.IsInf(c.RatePerApp, 0):
 		return fmt.Errorf("serving: rate %g req/s not finite and positive", c.RatePerApp)
-	case c.PoolSamples < 0 || c.BootstrapSamples < 0:
-		return fmt.Errorf("serving: negative sample count (pool %d, bootstrap %d)", c.PoolSamples, c.BootstrapSamples)
-	case !(c.PredictAlpha > 0 && c.PredictAlpha <= 1):
-		return fmt.Errorf("serving: predictor alpha %g outside (0, 1]", c.PredictAlpha)
+	case c.PoolSamples < 0:
+		return fmt.Errorf("serving: negative pool sample count %d", c.PoolSamples)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -464,9 +450,8 @@ func Run(cfg Config) (*Result, error) {
 	costs := make(map[*profile.AppProfile]*profile.LatencyCache)
 	for i, a := range cfg.Apps {
 		inst, err := app.NewInstance(a, app.InstanceConfig{
-			Seed:             cfg.Seed + int64(i)*104729,
-			PoolSamples:      cfg.PoolSamples,
-			BootstrapSamples: cfg.BootstrapSamples,
+			Seed:        cfg.Seed + int64(i)*104729,
+			PoolSamples: cfg.PoolSamples,
 		})
 		if err != nil {
 			return nil, err
@@ -481,7 +466,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("serving: profile for app %q does not list its nodes in order", a.Name)
 		}
 		curve := trace.DefaultTwitterLike(cfg.RatePerApp, cfg.Horizon, cfg.Seed+int64(i)*31)
-		pred, err := trace.NewPredictor(cfg.PredictAlpha)
+		pred, err := trace.NewPredictor(predictAlpha)
 		if err != nil {
 			return nil, err
 		}
@@ -516,7 +501,7 @@ func Run(cfg Config) (*Result, error) {
 		states[i] = st
 	}
 
-	rec, err := metrics.NewRecorder(cfg.Horizon, cfg.Clock.Period, cfg.GPUs)
+	rec, err := metrics.NewRecorder(cfg.Horizon, clock.Period, cfg.GPUs)
 	if err != nil {
 		return nil, err
 	}

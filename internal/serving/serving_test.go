@@ -240,10 +240,6 @@ func TestConfigValidation(t *testing.T) {
 		{"NaN rate", func(c *Config) { c.RatePerApp = nan }},
 		{"infinite rate", func(c *Config) { c.RatePerApp = inf }},
 		{"negative pool samples", func(c *Config) { c.PoolSamples = -1 }},
-		{"negative bootstrap samples", func(c *Config) { c.BootstrapSamples = -1 }},
-		{"negative alpha", func(c *Config) { c.PredictAlpha = -0.1 }},
-		{"alpha above one", func(c *Config) { c.PredictAlpha = 1.5 }},
-		{"NaN alpha", func(c *Config) { c.PredictAlpha = nan }},
 		{"negative lanes", func(c *Config) { c.NGPUs = -1 }},
 		{"lanes beyond the mask", func(c *Config) { c.NGPUs = 65 }},
 		{"nil app", func(c *Config) { c.Apps = []*app.App{app.VideoSurveillance(), nil} }},
@@ -255,13 +251,9 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
-	// The edges of the alpha and horizon ranges are valid: defaulting
-	// must not reject them.
-	cfg := Config{Method: core.New(core.Options{}), PredictAlpha: 1}
-	if err := cfg.fillDefaults(); err != nil {
-		t.Errorf("alpha 1 rejected: %v", err)
-	}
-	cfg = Config{Method: core.New(core.Options{}), Horizon: simtime.DefaultSession}
+	// The edge of the horizon range is valid: defaulting must not
+	// reject it.
+	cfg := Config{Method: core.New(core.Options{}), Horizon: simtime.DefaultSession}
 	if err := cfg.fillDefaults(); err != nil {
 		t.Errorf("one-session horizon rejected: %v", err)
 	}

@@ -11,10 +11,7 @@
 //     is regenerated and drift impact is re-evaluated (§3.2).
 package simtime
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Instant is a point in simulated time, measured from simulation start.
 type Instant time.Duration
@@ -74,19 +71,4 @@ func (c Clock) SessionsPerPeriod() int {
 		panic("simtime: non-positive clock granularity")
 	}
 	return int(c.Period / c.Session)
-}
-
-// Validate reports an error if the clock granularities are not positive
-// or the session does not evenly divide the period.
-func (c Clock) Validate() error {
-	if c.Session <= 0 {
-		return fmt.Errorf("simtime: session length %v is not positive", c.Session)
-	}
-	if c.Period <= 0 {
-		return fmt.Errorf("simtime: period length %v is not positive", c.Period)
-	}
-	if c.Period%c.Session != 0 {
-		return fmt.Errorf("simtime: session %v does not divide period %v", c.Session, c.Period)
-	}
-	return nil
 }

@@ -36,7 +36,9 @@ fi
 # (cmd/*, examples/*, the bench binary or its test binary), or named
 # with a reason in the checker's allowlist. The check builds with
 # inlining off and reads the binaries' symbols, so it follows calls,
-# not text matches.
+# not text matches. Its settings pass also requires every exported
+# field of an internal/ *Config, *Options or *Params struct to be set
+# by some program outside its package, or allowlisted with a reason.
 echo "== reachable internal code =="
 go run ./scripts/deadcode
 

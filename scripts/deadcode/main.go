@@ -1,5 +1,5 @@
 // Command deadcode lists the functions declared under internal/ that no
-// program of the module links.
+// program of the module links, and the settings fields no program sets.
 //
 // It builds every program with inlining off (-gcflags=all=-l): each
 // main package of the root module, the bench/ binary and the bench/
@@ -11,6 +11,9 @@
 // and the command exits 1, unless the allowlist below names it with a
 // reason. An allowlist entry that names a reachable or undeclared
 // function is reported too, so the list cannot go stale.
+//
+// A second pass reports each settings field no program sets, unless
+// its own allowlist names it with a reason (see settings).
 //
 // Run it from the module root:
 //
@@ -66,6 +69,11 @@ var allow = map[string]string{
 
 func main() {
 	dead, stale, err := run()
+	if err == nil {
+		var unset, staleSettings []string
+		unset, staleSettings, err = settings()
+		dead, stale = append(dead, unset...), append(stale, staleSettings...)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
@@ -77,7 +85,7 @@ func main() {
 		fmt.Println("stale allowlist entry:", s)
 	}
 	if len(dead) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "deadcode: %d unreachable function(s), %d stale allowlist entr(ies)\n", len(dead), len(stale))
+		fmt.Fprintf(os.Stderr, "deadcode: %d unreachable function(s) or unset setting(s), %d stale allowlist entr(ies)\n", len(dead), len(stale))
 		os.Exit(1)
 	}
 }
