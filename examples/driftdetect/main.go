@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"adainf/internal/app"
-	"adainf/internal/dist"
 	"adainf/internal/drift"
 )
 
@@ -24,11 +23,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := dist.NewRNG(21)
-
 	for period := 0; period < 6; period++ {
 		fmt.Printf("== period %d ==\n", period)
-		reports, err := drift.DetectApp(inst, drift.Config{}, rng)
+		reports, err := drift.DetectApp(inst, drift.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +49,7 @@ func main() {
 					n = len(ranked)
 				}
 				for _, idx := range ranked[:n] {
-					top[ni.Pool.Samples[idx].Class]++
+					top[ni.Pool.Classes[idx]]++
 				}
 				fmt.Printf("    top-%d divergent samples by class:", n)
 				for c, cnt := range top {

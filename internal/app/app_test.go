@@ -2,6 +2,7 @@ package app
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -150,7 +151,7 @@ func TestCatalogN(t *testing.T) {
 }
 
 func TestNewInstance(t *testing.T) {
-	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 1})
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 1, PoolSamples: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestNewInstance(t *testing.T) {
 func TestNewInstanceUnknownModel(t *testing.T) {
 	a := VideoSurveillance()
 	a.Nodes[0].Model = "NoSuchNet"
-	if _, err := NewInstance(a, InstanceConfig{Seed: 1}); err == nil {
+	if _, err := NewInstance(a, InstanceConfig{Seed: 1, PoolSamples: 1000}); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 }
@@ -188,11 +189,11 @@ func TestInstanceAdvancePeriod(t *testing.T) {
 	}
 	ni := inst.ByName["vehicle-type"]
 	firstPool := ni.Pool
-	firstSamples := cloneSamples(firstPool.Samples)
+	firstClasses, firstRows := cloneSamples(firstPool)
 	bootstrap := ni.OldData
 	det := inst.ByName["object-detection"]
 	detPool, detOld := det.Pool, det.OldData
-	bootStorage, detStorage := &bootstrap.Samples[0], &detPool.Samples[0]
+	bootStorage, detStorage := &bootstrap.Classes[0], &detPool.Classes[0]
 	ni.ConsumeSamples(100)
 	ni.NoteTrained()
 	inst.AdvancePeriod(0)
@@ -202,16 +203,16 @@ func TestInstanceAdvancePeriod(t *testing.T) {
 	if ni.OldData != firstPool {
 		t.Fatal("retrained node's pool did not become OldData")
 	}
-	if !sameSamples(ni.OldData.Samples, firstSamples) {
+	if !sameSamples(ni.OldData, firstClasses, firstRows) {
 		t.Fatal("retrained node's old pool changed on becoming OldData")
 	}
 	// Each node drops one dataset per boundary: a retrained node its
 	// old reference, any other node its old pool. The dropped dataset's
 	// storage backs the new pool, and the dataset itself is left empty.
-	if len(bootstrap.Samples) != 0 {
-		t.Fatalf("retrained node's dropped reference still holds %d samples", len(bootstrap.Samples))
+	if bootstrap.Len() != 0 {
+		t.Fatalf("retrained node's dropped reference still holds %d samples", bootstrap.Len())
 	}
-	if &ni.Pool.Samples[0] != bootStorage || &det.Pool.Samples[0] != detStorage {
+	if &ni.Pool.Classes[0] != bootStorage || &det.Pool.Classes[0] != detStorage {
 		t.Fatal("new pools do not reuse the dropped datasets' storage")
 	}
 	if ni.TrainedThisPeriod() {
@@ -219,17 +220,17 @@ func TestInstanceAdvancePeriod(t *testing.T) {
 	}
 	// An un-retrained node keeps its old reference, so accumulated
 	// drift stays visible to the detector.
-	if det.OldData != detOld || len(detOld.Samples) != 2000 {
+	if det.OldData != detOld || detOld.Len() != 2000 {
 		t.Fatal("un-retrained node advanced or emptied its OldData")
 	}
-	if det.Pool == detPool || len(detPool.Samples) != 0 {
-		t.Fatalf("un-retrained node's dropped pool still holds %d samples", len(detPool.Samples))
+	if det.Pool == detPool || detPool.Len() != 0 {
+		t.Fatalf("un-retrained node's dropped pool still holds %d samples", detPool.Len())
 	}
 	if ni.UsedSamples != 0 {
 		t.Fatal("UsedSamples not reset")
 	}
-	if len(ni.Pool.Samples) != 500 {
-		t.Fatalf("new pool size = %d", len(ni.Pool.Samples))
+	if ni.Pool.Len() != 500 {
+		t.Fatalf("new pool size = %d", ni.Pool.Len())
 	}
 	if ni.Stream.Period() != 1 {
 		t.Fatalf("stream period = %d", ni.Stream.Period())
@@ -251,7 +252,7 @@ func TestConsumeSamples(t *testing.T) {
 }
 
 func TestPoolDist(t *testing.T) {
-	inst, _ := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 4})
+	inst, _ := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 4, PoolSamples: 1000})
 	ni := inst.ByName["vehicle-type"]
 	d, err := ni.PoolDist()
 	if err != nil {
@@ -270,7 +271,7 @@ func TestDriftAccumulatesAccuracyLoss(t *testing.T) {
 	// After several periods without retraining, the strongly drifting
 	// vehicle-type node must lose accuracy while the drift-free
 	// detector holds — Observation 2 in miniature.
-	inst, _ := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 5})
+	inst, _ := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 5, PoolSamples: 1000})
 	for p := 0; p < 12; p++ {
 		inst.AdvancePeriod(0)
 	}
@@ -287,25 +288,28 @@ func TestDriftAccumulatesAccuracyLoss(t *testing.T) {
 	}
 }
 
-func cloneSamples(xs []synthdata.Sample) []synthdata.Sample {
-	out := make([]synthdata.Sample, len(xs))
-	for i, x := range xs {
-		out[i] = x
-		out[i].Features = append([]float64(nil), x.Features...)
+// cloneSamples copies d's classes and feature rows.
+func cloneSamples(d *synthdata.Dataset) ([]int, [][]float64) {
+	rows := make([][]float64, d.Len())
+	for i := range rows {
+		rows[i] = slices.Clone(d.Features(i))
 	}
-	return out
+	return slices.Clone(d.Classes), rows
 }
 
-func sameSamples(a, b []synthdata.Sample) bool {
-	if len(a) != len(b) {
+// sameSamples reports whether d holds exactly the given classes and
+// feature rows, bit for bit.
+func sameSamples(d *synthdata.Dataset, classes []int, rows [][]float64) bool {
+	if !slices.Equal(d.Classes, classes) || d.Len() != len(rows) {
 		return false
 	}
-	for i := range a {
-		if a[i].Class != b[i].Class || a[i].Period != b[i].Period || len(a[i].Features) != len(b[i].Features) {
+	for i, want := range rows {
+		got := d.Features(i)
+		if len(got) != len(want) {
 			return false
 		}
-		for j, x := range a[i].Features {
-			if math.Float64bits(x) != math.Float64bits(b[i].Features[j]) {
+		for j, x := range got {
+			if math.Float64bits(x) != math.Float64bits(want[j]) {
 				return false
 			}
 		}
@@ -319,15 +323,15 @@ func TestNewInstanceRejectsBadConfig(t *testing.T) {
 		field string
 	}{
 		{InstanceConfig{PoolSamples: -5}, "PoolSamples"},
+		{InstanceConfig{}, "PoolSamples"}, // the pool size has no default
 	} {
 		_, err := NewInstance(VideoSurveillance(), c.cfg)
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, c.field)
 		}
 	}
-	// Zero fields still take their defaults.
-	if _, err := NewInstance(VideoSurveillance(), InstanceConfig{}); err != nil {
-		t.Fatalf("zero config: %v", err)
+	if _, err := NewInstance(VideoSurveillance(), InstanceConfig{PoolSamples: 1}); err != nil {
+		t.Fatalf("one-sample pool: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func (ni *NodeInstance) LiveDist() *dist.Categorical { return ni.Stream.LabelDis
 // pool — the target the golden-model-labelled retraining drives the
 // knowledge toward.
 func (ni *NodeInstance) PoolDist() (*dist.Categorical, error) {
-	if ni.Pool == nil || len(ni.Pool.Samples) == 0 {
+	if ni.Pool == nil || ni.Pool.Len() == 0 {
 		return nil, fmt.Errorf("app: node %q has no retraining pool", ni.Node.Name)
 	}
 	return dist.NewCategorical(ni.Node.Task.Classes, ni.Pool.LabelDistribution(len(ni.Node.Task.Classes)))
@@ -77,7 +77,7 @@ func (ni *NodeInstance) RemainingSamples() int {
 	if ni.Pool == nil {
 		return 0
 	}
-	n := len(ni.Pool.Samples) - ni.UsedSamples
+	n := ni.Pool.Len() - ni.UsedSamples
 	if n < 0 {
 		return 0
 	}
@@ -121,8 +121,8 @@ type Instance struct {
 type InstanceConfig struct {
 	// Seed derives the per-node stream seeds.
 	Seed int64
-	// PoolSamples sizes each period's retraining pool per node
-	// (default 1000).
+	// PoolSamples sizes each period's retraining pool per node; it
+	// must be positive.
 	PoolSamples int
 }
 
@@ -137,11 +137,8 @@ func NewInstance(a *App, cfg InstanceConfig) (*Instance, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PoolSamples < 0 {
-		return nil, fmt.Errorf("app: InstanceConfig.PoolSamples = %d, want >= 0", cfg.PoolSamples)
-	}
-	if cfg.PoolSamples == 0 {
-		cfg.PoolSamples = 1000
+	if cfg.PoolSamples <= 0 {
+		return nil, fmt.Errorf("app: InstanceConfig.PoolSamples = %d, want > 0", cfg.PoolSamples)
 	}
 	inst := &Instance{App: a, ByName: make(map[string]*NodeInstance, len(a.Nodes))}
 	for i := range a.Nodes {
@@ -207,7 +204,7 @@ func (i *Instance) AdvancePeriod(poolSamples int) {
 	for _, ni := range i.ordered {
 		n := poolSamples
 		if n <= 0 {
-			n = len(ni.Pool.Samples)
+			n = ni.Pool.Len()
 		}
 		dropped := ni.Pool
 		if ni.trainedThisPeriod {

@@ -189,7 +189,7 @@ func newPlanFixture(t *testing.T) *planFixture {
 // context returns a one-job session context for the fixture app.
 func (f *planFixture) context(t *testing.T, share float64) *sched.SessionContext {
 	t.Helper()
-	inst, err := app.NewInstance(f.app, app.InstanceConfig{Seed: 1})
+	inst, err := app.NewInstance(f.app, app.InstanceConfig{Seed: 1, PoolSamples: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 				continue // /U: keep the first period's DAG
 			}
 		}
-		reports, err := s.detect.DetectApp(jr.Instance, drift.Config{}, ctx.Rand)
+		reports, err := s.detect.DetectApp(jr.Instance, drift.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("core: drift detection for %q: %w", name, err)
 		}

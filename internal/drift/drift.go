@@ -130,20 +130,21 @@ type Scratch struct {
 // training data: cosine distance of the PCA-reduced feature vector to
 // the old data's mean reduced feature vector, with the PCA basis
 // fitted on the old samples. The scores live in the scratch's buffer,
-// valid until its next use; nothing is allocated per sample. A sample
-// whose feature length differs from the old data's, or whose distance
-// is not finite (a NaN or Inf feature), is an error naming its pool
-// index.
+// valid until its next use; nothing is allocated per sample. A pool
+// whose feature length differs from the old data's is an error, and so
+// is a sample whose distance is not finite (a NaN or Inf feature),
+// named by its pool index. The feature vectors are read through Dataset.Features, so a
+// dataset that draws them on first access draws them here.
 func (sc *Scratch) scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
-	if old == nil || len(old.Samples) == 0 {
+	if old == nil || old.Len() == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")
 	}
-	if pool == nil || len(pool.Samples) == 0 {
+	if pool == nil || pool.Len() == 0 {
 		return nil, fmt.Errorf("drift: empty pool")
 	}
 	sc.rows = sc.rows[:0]
-	for i := range old.Samples {
-		sc.rows = append(sc.rows, old.Samples[i].Features)
+	for i := range old.Len() {
+		sc.rows = append(sc.rows, old.Features(i))
 	}
 	pca, err := mathx.FitPCA(sc.rows, pcaComponents)
 	clear(sc.rows) // drop the references to the old samples
@@ -158,14 +159,15 @@ func (sc *Scratch) scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([
 	// same expression, zero-norm rule and clamp, so the same bits.
 	nb := mathx.Norm(oldMean)
 	proj := make([]float64, pca.Components())
-	xs := slices.Grow(sc.scores[:0], len(pool.Samples))[:len(pool.Samples)]
+	xs := slices.Grow(sc.scores[:0], pool.Len())[:pool.Len()]
 	sc.scores = xs
-	for i, s := range pool.Samples {
-		if len(s.Features) != pca.Dim() {
-			return nil, fmt.Errorf("drift: pool sample %d has %d features, old samples have %d",
-				i, len(s.Features), pca.Dim())
-		}
-		pca.ProjectInto(proj, s.Features)
+	// A dataset's rows share one length, so checking the first checks
+	// them all.
+	if dim := len(pool.Features(0)); dim != pca.Dim() {
+		return nil, fmt.Errorf("drift: pool samples have %d features, old samples have %d", dim, pca.Dim())
+	}
+	for i := range xs {
+		pca.ProjectInto(proj, pool.Features(i))
 		var sim float64
 		if na := mathx.Norm(proj); na != 0 && nb != 0 {
 			sim = math.Max(-1, math.Min(1, mathx.Dot(proj, oldMean)/(na*nb)))
@@ -236,15 +238,16 @@ func (h *rankHeap) pop() scored {
 }
 
 // DetectNode runs the S-growth detection loop for one node with fresh
-// buffers. The rng parameter is kept for API stability; the probe
-// itself is deterministic given the pool.
+// buffers. The probe is deterministic given the pool and reads no
+// random numbers: rng is unused, and stays only because the benchmark
+// module's layer benchmark calls DetectNode with it.
 func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error) {
-	return new(Scratch).DetectNode(ni, cfg, rng)
+	return new(Scratch).DetectNode(ni, cfg)
 }
 
 // DetectNode is the package-level DetectNode reusing the scratch's
 // buffers.
-func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error) {
+func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config) (Report, error) {
 	rep := Report{Node: ni.Node.Name, InitialAccuracy: ni.InitialAccuracy}
 	if err := cfg.fillDefaults(); err != nil {
 		return rep, err
@@ -292,7 +295,7 @@ func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) 
 		// given the samples, so the Bernoulli abstraction would only
 		// add artificial noise here.
 		for ; covered < n; covered++ {
-			sum += probByClass[ni.Pool.Samples[ranked.pop().idx].Class]
+			sum += probByClass[ni.Pool.Classes[ranked.pop().idx]]
 		}
 		acc := sum / float64(n)
 		impacted := acc < rep.InitialAccuracy-impactMargin
@@ -323,16 +326,16 @@ func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) 
 
 // DetectApp runs detection for every node of an instance, returning
 // reports keyed by node name.
-func DetectApp(inst *app.Instance, cfg Config, rng *rand.Rand) (map[string]Report, error) {
-	return new(Scratch).DetectApp(inst, cfg, rng)
+func DetectApp(inst *app.Instance, cfg Config) (map[string]Report, error) {
+	return new(Scratch).DetectApp(inst, cfg)
 }
 
 // DetectApp is the package-level DetectApp reusing the scratch's
 // buffers across the instance's nodes.
-func (sc *Scratch) DetectApp(inst *app.Instance, cfg Config, rng *rand.Rand) (map[string]Report, error) {
+func (sc *Scratch) DetectApp(inst *app.Instance, cfg Config) (map[string]Report, error) {
 	out := make(map[string]Report, len(inst.Nodes()))
 	for _, ni := range inst.Nodes() {
-		rep, err := sc.DetectNode(ni, cfg, rng)
+		rep, err := sc.DetectNode(ni, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("drift: app %q node %q: %w", inst.App.Name, ni.Node.Name, err)
 		}

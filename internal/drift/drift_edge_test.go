@@ -16,11 +16,11 @@ func identicalDataset(task string, n, dim int) *synthdata.Dataset {
 	for i := range feat {
 		feat[i] = 1.5
 	}
-	ds := &synthdata.Dataset{Task: task}
-	for i := 0; i < n; i++ {
-		ds.Samples = append(ds.Samples, synthdata.Sample{Class: 0, Features: feat})
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = feat
 	}
-	return ds
+	return synthdata.FromRows(task, make([]int, n), rows)
 }
 
 // singleClassWindow collects n samples and keeps only class 0, so the
@@ -34,28 +34,49 @@ func singleClassWindow(t *testing.T, seed int64, n int) *synthdata.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := &synthdata.Dataset{Task: "mono"}
-	for len(out.Samples) < n {
-		for _, smp := range synthdata.Collect(s, n).Samples {
-			if smp.Class == 0 && len(out.Samples) < n {
-				out.Samples = append(out.Samples, smp)
+	var rows [][]float64
+	for len(rows) < n {
+		d := synthdata.Collect(s, n)
+		for i, c := range d.Classes {
+			if c == 0 && len(rows) < n {
+				rows = append(rows, d.Features(i))
 			}
 		}
 	}
-	return out
+	return synthdata.FromRows("mono", make([]int, n), rows)
+}
+
+// rowsOf returns the feature rows of ds's first n samples.
+func rowsOf(ds *synthdata.Dataset, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = ds.Features(i)
+	}
+	return rows
 }
 
 // withFeatures returns a copy of ds whose sample i has the given
 // feature vector.
 func withFeatures(ds *synthdata.Dataset, i int, feat []float64) *synthdata.Dataset {
-	out := &synthdata.Dataset{Task: ds.Task, Samples: append([]synthdata.Sample(nil), ds.Samples...)}
-	out.Samples[i].Features = feat
-	return out
+	rows := rowsOf(ds, ds.Len())
+	rows[i] = feat
+	return synthdata.FromRows(ds.Task, ds.Classes, rows)
+}
+
+// withDim returns a copy of ds with every feature vector cut to its
+// first dim entries.
+func withDim(ds *synthdata.Dataset, dim int) *synthdata.Dataset {
+	rows := rowsOf(ds, ds.Len())
+	for i := range rows {
+		rows[i] = rows[i][:dim]
+	}
+	return synthdata.FromRows(ds.Task, ds.Classes, rows)
 }
 
 // TestRankByDivergenceEdgeCases covers the degenerate windows the
 // period-start ranking must survive: empty windows and malformed
-// samples (wrong feature length, NaN or Inf features) error cleanly,
+// samples (a pool of another feature length, NaN or Inf features)
+// error cleanly,
 // single-class and all-identical windows rank every sample exactly
 // once, and equal divergence keeps pool order (ties rank by index).
 func TestRankByDivergenceEdgeCases(t *testing.T) {
@@ -73,14 +94,14 @@ func TestRankByDivergenceEdgeCases(t *testing.T) {
 		{name: "empty old window", old: &synthdata.Dataset{}, pool: monoPool, wantErr: true},
 		{name: "nil pool window", old: monoOld, pool: nil, wantErr: true},
 		{name: "empty pool window", old: monoOld, pool: &synthdata.Dataset{}, wantErr: true},
-		{name: "ragged pool sample", old: monoOld, pool: withFeatures(monoPool, 7, []float64{1, 2}), wantErr: true},
+		{name: "pool of another feature length", old: monoOld, pool: withDim(monoPool, 2), wantErr: true},
 		{name: "NaN pool feature", old: monoOld,
 			pool: withFeatures(monoPool, 3, []float64{1, 2, math.NaN(), 4, 5, 6}), wantErr: true},
 		{name: "Inf pool feature", old: monoOld,
 			pool: withFeatures(monoPool, 5, []float64{1, math.Inf(-1), 3, 4, 5, 6}), wantErr: true},
 		{name: "single class", old: monoOld, pool: monoPool, wantLen: 40},
-		{name: "single-sample pool", old: monoOld, pool: &synthdata.Dataset{
-			Task: "mono", Samples: monoPool.Samples[:1]}, wantLen: 1, identity: true},
+		{name: "single-sample pool", old: monoOld, pool: synthdata.FromRows(
+			"mono", monoPool.Classes[:1], rowsOf(monoPool, 1)), wantLen: 1, identity: true},
 		{name: "all-identical distributions", old: identicalDataset("mono", 30, 6),
 			pool: identicalDataset("mono", 25, 6), wantLen: 25, identity: true},
 	}
@@ -91,7 +112,7 @@ func TestRankByDivergenceEdgeCases(t *testing.T) {
 				if err == nil {
 					t.Fatal("degenerate window accepted")
 				}
-				if tc.pool != nil && len(tc.pool.Samples) > 0 && tc.old != nil && len(tc.old.Samples) > 0 {
+				if tc.pool != nil && tc.pool.Len() > 0 && tc.old != nil && tc.old.Len() > 0 {
 					// A malformed sample fails detection and retrain
 					// selection the same way, without panicking.
 					ni := &app.NodeInstance{Node: &app.Node{Name: "n"}, OldData: tc.old, Pool: tc.pool}
@@ -150,24 +171,22 @@ func TestDetectNodeEdgeCases(t *testing.T) {
 		{
 			name: "single-class pool",
 			mutate: func(t *testing.T, ni *app.NodeInstance) {
-				ds := &synthdata.Dataset{Task: ni.Node.Task.Name}
 				rng := dist.NewRNG(31)
-				for i := 0; i < 300; i++ {
-					feat := ni.Stream.ClassMean(0)
-					for j := range feat {
-						feat[j] += rng.NormFloat64()
+				rows := make([][]float64, 300)
+				for i := range rows {
+					rows[i] = ni.Stream.ClassMean(0)
+					for j := range rows[i] {
+						rows[i][j] += rng.NormFloat64()
 					}
-					ds.Samples = append(ds.Samples, synthdata.Sample{Class: 0, Features: feat})
 				}
-				ni.Pool = ds
+				ni.Pool = synthdata.FromRows(ni.Node.Task.Name, make([]int, len(rows)), rows)
 			},
 		},
 		{
 			name: "identical training and pool distributions",
 			mutate: func(t *testing.T, ni *app.NodeInstance) {
-				clone := &synthdata.Dataset{Task: ni.Node.Task.Name}
-				clone.Samples = append(clone.Samples, ni.OldData.Samples...)
-				ni.Pool = clone
+				old := ni.OldData
+				ni.Pool = synthdata.FromRows(old.Task, old.Classes, rowsOf(old, old.Len()))
 			},
 			check: true, impacted: false,
 		},
@@ -227,7 +246,7 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := DetectNode(ni, cfg, nil); err == nil {
 			t.Errorf("%s: DetectNode accepted %+v", name, cfg)
 		}
-		if _, err := DetectApp(inst, cfg, nil); err == nil {
+		if _, err := DetectApp(inst, cfg); err == nil {
 			t.Errorf("%s: DetectApp accepted %+v", name, cfg)
 		}
 	}

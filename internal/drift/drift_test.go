@@ -11,7 +11,7 @@ import (
 
 func surveillanceInstance(t testing.TB, seed int64, periods int) *app.Instance {
 	t.Helper()
-	inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: seed})
+	inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: seed, PoolSamples: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +48,17 @@ func TestRankByDivergenceOrdersShiftedSamplesFirst(t *testing.T) {
 	}
 	old := synthdata.Collect(s, 400)
 	// Build a pool with an even mix by resampling until balanced.
-	pool := &synthdata.Dataset{Task: "t"}
-	var n0, n1 int
-	for n0 < 100 || n1 < 100 {
-		smp := synthdata.Collect(s, 1).Samples[0]
-		if smp.Class == 0 && n0 < 100 {
-			pool.Samples = append(pool.Samples, smp)
-			n0++
-		}
-		if smp.Class == 1 && n1 < 100 {
-			pool.Samples = append(pool.Samples, smp)
-			n1++
+	var classes []int
+	var rows [][]float64
+	var count [2]int
+	for count[0] < 100 || count[1] < 100 {
+		smp := synthdata.Collect(s, 1)
+		if c := smp.Classes[0]; count[c] < 100 {
+			classes, rows = append(classes, c), append(rows, smp.Features(0))
+			count[c]++
 		}
 	}
+	pool := synthdata.FromRows("t", classes, rows)
 	ranked, err := RankByDivergence(old, pool, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +68,7 @@ func TestRankByDivergenceOrdersShiftedSamplesFirst(t *testing.T) {
 	}
 	rareOnTop := 0
 	for _, idx := range ranked[:50] {
-		if pool.Samples[idx].Class == 1 {
+		if pool.Classes[idx] == 1 {
 			rareOnTop++
 		}
 	}
@@ -137,21 +135,21 @@ func rebindKnowledge(t *testing.T, ni *app.NodeInstance, weights []float64) *dnn
 func poolFromDist(t *testing.T, ni *app.NodeInstance, target *dist.Categorical, n int) *synthdata.Dataset {
 	t.Helper()
 	rng := dist.NewRNG(99)
-	ds := &synthdata.Dataset{Task: ni.Node.Task.Name}
-	for i := 0; i < n; i++ {
+	classes, rows := make([]int, n), make([][]float64, n)
+	for i := range classes {
 		c := target.Sample(rng)
 		feat := ni.Stream.ClassMean(c)
 		for j := range feat {
 			feat[j] += rng.NormFloat64()
 		}
-		ds.Samples = append(ds.Samples, synthdata.Sample{Class: c, Features: feat})
+		classes[i], rows[i] = c, feat
 	}
-	return ds
+	return synthdata.FromRows(ni.Node.Task.Name, classes, rows)
 }
 
 func TestDetectAppAllNodes(t *testing.T) {
 	inst := surveillanceInstance(t, 11, 4)
-	reps, err := DetectApp(inst, Config{}, dist.NewRNG(3))
+	reps, err := DetectApp(inst, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +191,7 @@ func TestSelectRetrainSamples(t *testing.T) {
 		}
 	}
 	// Budget exhaustion caps the selection.
-	veh.UsedSamples = len(veh.Pool.Samples) - 5
+	veh.UsedSamples = veh.Pool.Len() - 5
 	rest, err := SelectRetrainSamples(veh, 100, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +210,11 @@ func TestSelectRetrainSamples(t *testing.T) {
 func TestDetectionDeterministicForSeed(t *testing.T) {
 	a := surveillanceInstance(t, 17, 3)
 	b := surveillanceInstance(t, 17, 3)
-	ra, err := DetectApp(a, Config{}, dist.NewRNG(5))
+	ra, err := DetectApp(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := DetectApp(b, Config{}, dist.NewRNG(5))
+	rb, err := DetectApp(b, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

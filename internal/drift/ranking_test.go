@@ -2,7 +2,6 @@ package drift
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -19,18 +18,18 @@ import (
 // scratch, and a stable sort on decreasing distance alone.
 func referenceRank(t testing.TB, old, pool *synthdata.Dataset, pcaComponents int) []int {
 	t.Helper()
-	rows := make([][]float64, len(old.Samples))
-	for i, s := range old.Samples {
-		rows[i] = s.Features
+	rows := make([][]float64, old.Len())
+	for i := range rows {
+		rows[i] = old.Features(i)
 	}
 	pca, err := mathx.FitPCA(rows, pcaComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldMean := pca.Project(mathx.Mean(rows))
-	xs := make([]scored, len(pool.Samples))
-	for i, s := range pool.Samples {
-		xs[i] = scored{idx: i, dist: cosineDistance(pca.Project(s.Features), oldMean)}
+	xs := make([]scored, pool.Len())
+	for i := range xs {
+		xs[i] = scored{idx: i, dist: cosineDistance(pca.Project(pool.Features(i)), oldMean)}
 	}
 	slices.SortStableFunc(xs, func(a, b scored) int {
 		switch {
@@ -81,7 +80,7 @@ func referenceDetectNode(t testing.TB, ni *app.NodeInstance, cfg Config) Report 
 		n := max(int(s*float64(len(ranked))), 1)
 		var sum float64
 		for _, idx := range ranked[:n] {
-			sum += ni.State.CorrectProb(ni.Pool.Samples[idx].Class, poolDist, full)
+			sum += ni.State.CorrectProb(ni.Pool.Classes[idx], poolDist, full)
 		}
 		acc := sum / float64(n)
 		impacted := acc < rep.InitialAccuracy-impactMargin
@@ -155,11 +154,11 @@ func duplicatedPool(ni *app.NodeInstance, seed int64, n, distinct int) *synthdat
 			protos[i][j] += rng.NormFloat64()
 		}
 	}
-	ds := &synthdata.Dataset{Task: ni.Node.Task.Name}
-	for i := 0; i < n; i++ {
-		ds.Samples = append(ds.Samples, synthdata.Sample{Class: rng.Intn(k), Features: protos[rng.Intn(distinct)]})
+	classes, rows := make([]int, n), make([][]float64, n)
+	for i := range classes {
+		classes[i], rows[i] = rng.Intn(k), protos[rng.Intn(distinct)]
 	}
-	return ds
+	return synthdata.FromRows(ni.Node.Task.Name, classes, rows)
 }
 
 var equivalenceConfigs = []Config{
@@ -243,7 +242,11 @@ func TestDetectNodeAllocsIndependentOfPoolSize(t *testing.T) {
 			}
 		})
 	}
-	small := allocs(&synthdata.Dataset{Task: big.Task, Samples: big.Samples[:2000]})
+	head := make([][]float64, 2000)
+	for i := range head {
+		head[i] = big.Features(i)
+	}
+	small := allocs(synthdata.FromRows(big.Task, big.Classes[:2000], head))
 	large := allocs(big)
 	if small != large {
 		t.Fatalf("DetectNode allocs: %v on 2000 samples, %v on 8000", small, large)
@@ -266,9 +269,9 @@ func TestScratchDetectAppAllocsIndependentOfPoolSize(t *testing.T) {
 		inst.AdvancePeriod(0)
 		return inst
 	}
-	allocs := func(inst *app.Instance, detect func(*app.Instance, Config, *rand.Rand) (map[string]Report, error)) float64 {
+	allocs := func(inst *app.Instance, detect func(*app.Instance, Config) (map[string]Report, error)) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := detect(inst, cfg, nil); err != nil {
+			if _, err := detect(inst, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -297,11 +300,11 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			inst.AdvancePeriod(0)
-			got, err := sc.DetectApp(inst, Config{}, nil)
+			got, err := sc.DetectApp(inst, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := DetectApp(inst, Config{}, nil)
+			want, err := DetectApp(inst, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,12 +327,11 @@ func BenchmarkDetectApp(b *testing.B) {
 		inst.AdvancePeriod(0)
 		insts = append(insts, inst)
 	}
-	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, inst := range insts {
-			if _, err := DetectApp(inst, Config{}, rng); err != nil {
+			if _, err := DetectApp(inst, Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"adainf/internal/app"
-	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/drift"
 	"adainf/internal/gpu"
@@ -38,12 +37,11 @@ func Fig5(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := dist.NewRNG(o.Seed + 99)
 		series := make(map[string][]float64, len(nodes))
 		for p := 0; p < periods; p++ {
 			// Drift detection and incremental retraining run at the start
 			// of the period, before its requests are served (§3.2).
-			reports, err := drift.DetectApp(inst, drift.Config{}, rng)
+			reports, err := drift.DetectApp(inst, drift.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -54,7 +52,7 @@ func Fig5(o Options) (*Result, error) {
 					if err != nil {
 						return nil, err
 					}
-					ni.State.Train(pd, float64(len(ni.Pool.Samples))*dnn.DivergentSelectionBoost)
+					ni.State.Train(pd, float64(ni.Pool.Len())*dnn.DivergentSelectionBoost)
 					ni.NoteTrained()
 				}
 			}
@@ -486,11 +484,11 @@ func Table2(o Options) (*Result, error) {
 	// Reach the second time period, as the paper does.
 	inst.AdvancePeriod(0)
 	inst.AdvancePeriod(0)
-	rng := dist.NewRNG(o.Seed + 7)
+	var sc drift.Scratch
 	res := &Result{ID: "table2", Title: "Determination of parameter S"}
 	tb := Table{Header: []string{"model", "rounds (S: impacted?)", "stopped at", "full-scan agrees"}}
 	for _, ni := range inst.Nodes() {
-		rep, err := drift.DetectNode(ni, drift.Config{}, rng)
+		rep, err := sc.DetectNode(ni, drift.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -499,7 +497,7 @@ func Table2(o Options) (*Result, error) {
 			steps = append(steps, fmt.Sprintf("%.0f%%:%v", r.SFraction*100, r.Impacted))
 		}
 		// Verify against a full scan (S = 100%).
-		fullRep, err := drift.DetectNode(ni, drift.Config{InitialS: 1, StepS: 1, StableRounds: 1}, rng)
+		fullRep, err := sc.DetectNode(ni, drift.Config{InitialS: 1, StepS: 1, StableRounds: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ func fixture(t *testing.T) (*app.Instance, *profile.AppProfile) {
 			t.Fatal(err)
 		}
 		vsProfile = p
-		inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 1})
+		inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 1, PoolSamples: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestBestBatchSingleBatchProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 1})
+	inst, err := app.NewInstance(app.VideoSurveillance(), app.InstanceConfig{Seed: 1, PoolSamples: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

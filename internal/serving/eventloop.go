@@ -314,7 +314,7 @@ func (l *runLoop) periodStart(period int) error {
 				return err
 			}
 			st.poolDists[k] = pd
-			l.rec.SetPoolSize(period, len(ni.Pool.Samples))
+			l.rec.SetPoolSize(period, ni.Pool.Len())
 		}
 	}
 

@@ -18,20 +18,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"adainf/internal/dist"
 	"adainf/internal/mathx"
 )
-
-// Sample is one labelled data point.
-type Sample struct {
-	// Class is the true class index (the golden-model label).
-	Class int
-	// Features is the feature vector observed by the models.
-	Features []float64
-	// Period is the period index the sample was generated in.
-	Period int
-}
 
 // TaskSpec describes one classification task's data process.
 type TaskSpec struct {
@@ -273,21 +264,54 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 
 // Dataset is a fixed labelled sample set, e.g. the initial training
 // data (first 40% of the paper's dataset) or one period's retraining
-// pool.
+// pool. Sample i has the true class Classes[i] (the golden-model
+// label) and the feature vector Features(i).
 type Dataset struct {
 	Task    string
-	Samples []Sample
-	// block backs every sample's Features when the dataset was drawn
-	// by Recollect; a later Recollect may take it over.
+	Classes []int
+	// block holds the feature rows back to back, dim values each; a
+	// later Recollect may take it over.
 	block []float64
+	dim   int
+}
+
+// Len returns the number of samples.
+func (d *Dataset) Len() int { return len(d.Classes) }
+
+// Features returns sample i's feature vector: a view into the
+// dataset's storage, capped at its end so that appending to it cannot
+// overwrite the next sample. Callers must not modify it.
+func (d *Dataset) Features(i int) []float64 {
+	return d.block[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
+}
+
+// FromRows builds a dataset from explicit samples: classes[i] and
+// rows[i] are sample i's class and feature vector. The rows are copied
+// and must all have the same length.
+func FromRows(task string, classes []int, rows [][]float64) *Dataset {
+	if len(classes) != len(rows) {
+		panic(fmt.Sprintf("synthdata: FromRows with %d classes and %d rows", len(classes), len(rows)))
+	}
+	d := &Dataset{Task: task, Classes: slices.Clone(classes)}
+	if len(rows) > 0 {
+		d.dim = len(rows[0])
+	}
+	d.block = make([]float64, 0, len(rows)*d.dim)
+	for i, r := range rows {
+		if len(r) != d.dim {
+			panic(fmt.Sprintf("synthdata: FromRows row %d has %d features, row 0 has %d", i, len(r), d.dim))
+		}
+		d.block = append(d.block, r...)
+	}
+	return d
 }
 
 // LabelDistribution returns the empirical class distribution over k
 // classes.
 func (d *Dataset) LabelDistribution(k int) []float64 {
 	counts := make([]float64, k)
-	for _, s := range d.Samples {
-		counts[s.Class]++
+	for _, c := range d.Classes {
+		counts[c]++
 	}
 	return mathx.Normalize(counts)
 }
@@ -296,37 +320,35 @@ func (d *Dataset) LabelDistribution(k int) []float64 {
 func Collect(s *Stream, n int) *Dataset { return Recollect(s, n, nil) }
 
 // Recollect is Collect reusing the storage of spare, a dataset its
-// caller no longer reads: the new dataset takes over spare's sample
+// caller no longer reads: the new dataset takes over spare's class
 // slice and feature block when their capacity suffices and allocates
 // them once otherwise. spare (which may be nil) is left empty, so a
 // stale holder of it sees no samples rather than another period's.
 // The draws, and therefore the samples, are exactly Collect's.
 func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
-	var samples []Sample
+	var classes []int
 	var block []float64
 	if spare != nil {
-		samples, block = spare.Samples, spare.block
-		spare.Samples, spare.block = nil, nil
+		classes, block = spare.Classes, spare.block
+		*spare = Dataset{}
 	}
-	if cap(samples) < n {
-		samples = make([]Sample, n)
+	if cap(classes) < n {
+		classes = make([]int, n)
 	}
 	dim := s.spec.FeatureDim
 	if cap(block) < n*dim {
 		block = make([]float64, n*dim)
 	}
-	samples, block = samples[:n], block[:n*dim]
-	// One class then FeatureDim noise draws per sample. Sample i's
-	// features are the row view block[i*dim:(i+1)*dim] capped at its
-	// end, so appending to one sample cannot overwrite the next.
-	for i := range samples {
+	classes, block = classes[:n], block[:n*dim]
+	// One class then FeatureDim noise draws per sample.
+	for i := range classes {
 		c := s.labelDist.Sample(s.rng)
-		f := block[i*dim : (i+1)*dim : (i+1)*dim]
+		f := block[i*dim : (i+1)*dim]
 		mean := s.classMeans[c]
 		for j := range f {
 			f[j] = mean[j] + s.rng.NormFloat64()*s.noise
 		}
-		samples[i] = Sample{Class: c, Features: f, Period: s.period}
+		classes[i] = c
 	}
-	return &Dataset{Task: s.spec.Name, Samples: samples, block: block}
+	return &Dataset{Task: s.spec.Name, Classes: classes, block: block, dim: dim}
 }

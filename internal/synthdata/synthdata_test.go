@@ -36,19 +36,16 @@ func TestStreamSampleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := Collect(s, 100).Samples
-	if len(samples) != 100 {
-		t.Fatalf("len = %d", len(samples))
+	d := Collect(s, 100)
+	if d.Len() != 100 || len(d.Classes) != 100 {
+		t.Fatalf("len = %d", d.Len())
 	}
-	for _, smp := range samples {
-		if smp.Class < 0 || smp.Class >= 4 {
-			t.Fatalf("class out of range: %d", smp.Class)
+	for i, c := range d.Classes {
+		if c < 0 || c >= 4 {
+			t.Fatalf("class out of range: %d", c)
 		}
-		if len(smp.Features) != 8 {
-			t.Fatalf("feature dim = %d", len(smp.Features))
-		}
-		if smp.Period != 0 {
-			t.Fatalf("period = %d, want 0", smp.Period)
+		if f := d.Features(i); len(f) != 8 || cap(f) != 8 {
+			t.Fatalf("feature dim = %d, capacity %d", len(f), cap(f))
 		}
 	}
 }
@@ -56,16 +53,13 @@ func TestStreamSampleShape(t *testing.T) {
 func TestStreamDeterministicForSeed(t *testing.T) {
 	a, _ := NewStream(vehicleSpec(), 42)
 	b, _ := NewStream(vehicleSpec(), 42)
-	sa := Collect(a, 10).Samples
-	sb := Collect(b, 10).Samples
-	for i := range sa {
-		if sa[i].Class != sb[i].Class {
+	da, db := Collect(a, 10), Collect(b, 10)
+	for i := range da.Classes {
+		if da.Classes[i] != db.Classes[i] {
 			t.Fatal("same seed diverged on classes")
 		}
-		for j := range sa[i].Features {
-			if sa[i].Features[j] != sb[i].Features[j] {
-				t.Fatal("same seed diverged on features")
-			}
+		if !slices.Equal(da.Features(i), db.Features(i)) {
+			t.Fatal("same seed diverged on features")
 		}
 	}
 }
@@ -115,24 +109,25 @@ func TestSamplesSeparableByClass(t *testing.T) {
 	// should get most samples right — the features must carry class
 	// signal for the drift detector to work with.
 	s, _ := NewStream(vehicleSpec(), 11)
-	samples := Collect(s, 500).Samples
+	samples := Collect(s, 500)
 	correct := 0
-	for _, smp := range samples {
+	for i, class := range samples.Classes {
+		f := samples.Features(i)
 		best, bestD := -1, math.Inf(1)
 		for c := 0; c < 4; c++ {
 			var d float64
 			for j, m := range s.classMeans[c] {
-				d += (smp.Features[j] - m) * (smp.Features[j] - m)
+				d += (f[j] - m) * (f[j] - m)
 			}
 			if d < bestD {
 				best, bestD = c, d
 			}
 		}
-		if best == smp.Class {
+		if best == class {
 			correct++
 		}
 	}
-	if acc := float64(correct) / float64(len(samples)); acc < 0.9 {
+	if acc := float64(correct) / float64(samples.Len()); acc < 0.9 {
 		t.Fatalf("nearest-mean accuracy %v, want ≥0.9 (classes not separable)", acc)
 	}
 }
@@ -140,8 +135,8 @@ func TestSamplesSeparableByClass(t *testing.T) {
 func TestDatasetHelpers(t *testing.T) {
 	s, _ := NewStream(vehicleSpec(), 5)
 	d := Collect(s, 200)
-	if d.Task != "vehicle-type" || len(d.Samples) != 200 {
-		t.Fatalf("dataset = %q/%d", d.Task, len(d.Samples))
+	if d.Task != "vehicle-type" || d.Len() != 200 {
+		t.Fatalf("dataset = %q/%d", d.Task, d.Len())
 	}
 	ld := d.LabelDistribution(4)
 	var sum float64
@@ -181,17 +176,37 @@ func TestPeriodDivergencePanicsOutOfRange(t *testing.T) {
 // collectReference draws n samples the way Collect does, but with one
 // freshly allocated feature slice per sample: the draw order Recollect
 // must reproduce bit for bit.
-func collectReference(s *Stream, n int) []Sample {
-	out := make([]Sample, n)
-	for i := range out {
+func collectReference(s *Stream, n int) ([]int, [][]float64) {
+	classes, rows := make([]int, n), make([][]float64, n)
+	for i := range classes {
 		c := s.labelDist.Sample(s.rng)
 		f := make([]float64, s.spec.FeatureDim)
 		for j := range f {
 			f[j] = s.classMeans[c][j] + s.rng.NormFloat64()*s.noise
 		}
-		out[i] = Sample{Class: c, Features: f, Period: s.period}
+		classes[i], rows[i] = c, f
 	}
-	return out
+	return classes, rows
+}
+
+// sameDataset reports whether d holds exactly the given classes and
+// feature rows, bit for bit.
+func sameDataset(d *Dataset, classes []int, rows [][]float64) bool {
+	if !slices.Equal(d.Classes, classes) || d.Len() != len(rows) {
+		return false
+	}
+	for i, want := range rows {
+		got := d.Features(i)
+		if len(got) != len(want) || cap(got) != len(got) {
+			return false
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestRecollectMatchesCollect recycles datasets over several periods,
@@ -209,46 +224,62 @@ func TestRecollectMatchesCollect(t *testing.T) {
 		{"nil", func() *Dataset { return nil }},
 		{"smaller", func() *Dataset { return Collect(other, n/2) }},
 		{"larger", func() *Dataset { return Collect(other, 2*n) }},
-		{"no-block", func() *Dataset { return &Dataset{Samples: make([]Sample, n)} }},
+		{"no-block", func() *Dataset { return &Dataset{Classes: make([]int, n)} }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, _ := NewStream(vehicleSpec(), 11)
 			twin, _ := NewStream(vehicleSpec(), 11)
 			spare := c.spare()
 			for p := 0; p < 4; p++ {
-				var reused *Sample
-				if spare != nil && cap(spare.Samples) >= n && cap(spare.block) >= n*8 {
-					reused = &spare.Samples[:1][0]
+				var reused *int
+				if spare != nil && cap(spare.Classes) >= n && cap(spare.block) >= n*8 {
+					reused = &spare.Classes[:1][0]
 				}
 				got := Recollect(s, n, spare)
-				want := collectReference(twin, n)
-				if spare != nil && (spare.Samples != nil || spare.block != nil) {
-					t.Fatalf("period %d: spare not emptied: %d samples", p, len(spare.Samples))
+				classes, rows := collectReference(twin, n)
+				if spare != nil && (spare.Classes != nil || spare.block != nil) {
+					t.Fatalf("period %d: spare not emptied: %d samples", p, spare.Len())
 				}
-				if reused != nil && &got.Samples[0] != reused {
-					t.Fatalf("period %d: a spare of capacity %d was not reused", p, cap(got.Samples))
+				if reused != nil && &got.Classes[0] != reused {
+					t.Fatalf("period %d: a spare of capacity %d was not reused", p, cap(got.Classes))
 				}
-				if got.Task != "vehicle-type" || len(got.Samples) != n {
-					t.Fatalf("period %d: dataset %q/%d", p, got.Task, len(got.Samples))
+				if got.Task != "vehicle-type" || got.Len() != n {
+					t.Fatalf("period %d: dataset %q/%d", p, got.Task, got.Len())
 				}
-				for i, g := range got.Samples {
-					w := want[i]
-					if g.Class != w.Class || g.Period != w.Period || len(g.Features) != len(w.Features) {
-						t.Fatalf("period %d sample %d: %+v, want %+v", p, i, g, w)
-					}
-					if cap(g.Features) != len(g.Features) {
-						t.Fatalf("period %d sample %d: feature row has spare capacity %d", p, i, cap(g.Features))
-					}
-					for j := range g.Features {
-						if math.Float64bits(g.Features[j]) != math.Float64bits(w.Features[j]) {
-							t.Fatalf("period %d sample %d feature %d: %v, want %v", p, i, j, g.Features[j], w.Features[j])
-						}
-					}
+				if !sameDataset(got, classes, rows) {
+					t.Fatalf("period %d: recollected samples differ from fresh draws", p)
 				}
 				spare = got
 				s.AdvancePeriod()
 				twin.AdvancePeriod()
 			}
 		})
+	}
+}
+
+// TestFromRows checks that explicit rows are copied in and read back,
+// and that ragged rows or a class/row count mismatch panic.
+func TestFromRows(t *testing.T) {
+	rows := [][]float64{{1, 2}, {3, 4}, {5, math.NaN()}}
+	d := FromRows("t", []int{0, 1, 0}, rows)
+	rows[0][0] = 9
+	if !sameDataset(d, []int{0, 1, 0}, [][]float64{{1, 2}, {3, 4}, {5, math.NaN()}}) {
+		t.Fatal("FromRows did not keep a copy of its rows")
+	}
+	if e := FromRows("t", nil, nil); e.Len() != 0 {
+		t.Fatalf("empty FromRows has %d samples", e.Len())
+	}
+	for name, f := range map[string]func(){
+		"ragged":   func() { FromRows("t", []int{0, 1}, [][]float64{{1, 2}, {3}}) },
+		"mismatch": func() { FromRows("t", []int{0}, [][]float64{{1}, {2}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -57,6 +57,7 @@ var allow = map[string]string{
 	"gpumem.(*Manager).Resident":               "gpumem and gpu tests read where a content lives",
 	"gpumem.(*Manager).Stats":                  "gpumem tests compare communication counters",
 	"synthdata.(*Stream).ClassMean":            "drift tests build drifted samples from class means",
+	"synthdata.FromRows":                       "drift tests build pools with hand-placed features (ties, NaN, another length)",
 	"synthdata.(*Stream).Period":               "app tests read that a boundary advanced every stream",
 	"telemetry.(*Collector).CacheCorruptCount": "profile tests count evicted corrupt cache entries",
 	"telemetry.(*Collector).CacheCounts":       "telemetry tests read profile-cache hits and misses",
