@@ -82,27 +82,37 @@ func TestFig6DriftAsymmetry(t *testing.T) {
 	}
 }
 
+// TestFig4RetrainingHelps checks that the final (most drifted) period
+// favours retraining on average over seeds 1–5. One seed is not
+// enough: retraining on the previous period's data loses to the stale
+// model whenever the drift turns back, at about one seed in six.
 func TestFig4RetrainingHelps(t *testing.T) {
-	res, err := Fig4(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var withR, withoutR []float64
-	for _, s := range res.Series {
-		if strings.Contains(s.Label, "w/ retraining") {
-			withR = s.Y
+	var withSum, withoutSum float64
+	for seed := int64(1); seed <= 5; seed++ {
+		o := quick()
+		o.Seed = seed
+		res, err := Fig4(o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(s.Label, "w/o retraining") {
-			withoutR = s.Y
+		var withR, withoutR []float64
+		for _, s := range res.Series {
+			if strings.Contains(s.Label, "w/ retraining") {
+				withR = s.Y
+			}
+			if strings.Contains(s.Label, "w/o retraining") {
+				withoutR = s.Y
+			}
 		}
+		if len(withR) == 0 || len(withoutR) == 0 {
+			t.Fatal("missing series")
+		}
+		last := len(withR) - 1
+		withSum += withR[last]
+		withoutSum += withoutR[last]
 	}
-	if len(withR) == 0 || len(withoutR) == 0 {
-		t.Fatal("missing series")
-	}
-	// The final (most drifted) period must favour retraining.
-	last := len(withR) - 1
-	if withR[last] <= withoutR[last] {
-		t.Fatalf("retraining did not help by the last period: %v vs %v", withR[last], withoutR[last])
+	if withSum <= withoutSum {
+		t.Fatalf("retraining did not help by the last period: mean %v vs %v over seeds 1-5", withSum/5, withoutSum/5)
 	}
 }
 

@@ -11,7 +11,9 @@
 //
 // The streams exercise the real drift-detection code path: the PCA,
 // cosine-distance, and Jensen–Shannon computations all run on actual
-// generated vectors, not on oracle flags.
+// generated vectors, not on oracle flags. Only that path reads feature
+// vectors, so a dataset draws its classes when it is collected and its
+// feature vectors on first read (see Dataset).
 package synthdata
 
 import (
@@ -78,10 +80,18 @@ func (s TaskSpec) validate() error {
 }
 
 // Stream is the evolving data process for one task. It is not safe for
-// concurrent use.
+// concurrent use, and neither are the datasets collected from it.
 type Stream struct {
-	spec       TaskSpec
-	rng        *rand.Rand
+	spec TaskSpec
+	// rng draws the classes and the drift steps.
+	rng *rand.Rand
+	// seed is NewStream's seed; collected counts the datasets drawn so
+	// far. Together they derive each dataset's feature seed.
+	seed      int64
+	collected int64
+	// featureRNG draws feature vectors, reseeded for each dataset; nil
+	// until the first dataset's features are read.
+	featureRNG *rand.Rand
 	labelDist  *dist.Categorical
 	classMeans [][]float64
 	// noveltyDirs are fixed per-class unit vectors along which coupled
@@ -158,6 +168,7 @@ func NewStream(spec TaskSpec, seed int64) (*Stream, error) {
 	s := &Stream{
 		spec:        spec,
 		rng:         rng,
+		seed:        seed,
 		labelDist:   ld,
 		classMeans:  means,
 		noveltyDirs: dirs,
@@ -266,13 +277,26 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 // data (first 40% of the paper's dataset) or one period's retraining
 // pool. Sample i has the true class Classes[i] (the golden-model
 // label) and the feature vector Features(i).
+//
+// A collected dataset draws its classes at once from the stream's RNG
+// and its feature vectors only when Features is first called: the
+// whole block in one pass, from the class means in force at collection
+// and a feature seed of its own. The vectors are therefore the same
+// whenever, and in whatever order, datasets are first read, and class
+// draws never depend on whether features were drawn.
 type Dataset struct {
 	Task    string
 	Classes []int
-	// block holds the feature rows back to back, dim values each; a
-	// later Recollect may take it over.
+	// block holds the feature rows back to back, dim values each, once
+	// drawn; a later Recollect may take it over.
 	block []float64
 	dim   int
+	// src is the stream to draw the features from, nil once they are
+	// drawn. means holds the class means at collection, class c's at
+	// means[c*dim:(c+1)*dim], and seed seeds the feature draws.
+	src   *Stream
+	means []float64
+	seed  int64
 }
 
 // Len returns the number of samples.
@@ -280,9 +304,37 @@ func (d *Dataset) Len() int { return len(d.Classes) }
 
 // Features returns sample i's feature vector: a view into the
 // dataset's storage, capped at its end so that appending to it cannot
-// overwrite the next sample. Callers must not modify it.
+// overwrite the next sample. Callers must not modify it. The first
+// call on a collected dataset draws every sample's features.
 func (d *Dataset) Features(i int) []float64 {
+	if d.src != nil {
+		d.draw()
+	}
 	return d.block[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
+}
+
+// draw fills the feature block: row by row, each sample's class mean
+// plus FeatureDim noise draws from the stream's feature RNG reseeded
+// with the dataset's seed.
+func (d *Dataset) draw() {
+	s, dim := d.src, d.dim
+	if cap(d.block) < len(d.Classes)*dim {
+		d.block = make([]float64, len(d.Classes)*dim)
+	}
+	d.block = d.block[:len(d.Classes)*dim]
+	if s.featureRNG == nil {
+		s.featureRNG = rand.New(rand.NewSource(d.seed))
+	} else {
+		s.featureRNG.Seed(d.seed)
+	}
+	for i, c := range d.Classes {
+		mean := d.means[c*dim : (c+1)*dim]
+		f := d.block[i*dim : (i+1)*dim]
+		for j := range f {
+			f[j] = mean[j] + s.featureRNG.NormFloat64()*s.noise
+		}
+	}
+	d.src = nil
 }
 
 // FromRows builds a dataset from explicit samples: classes[i] and
@@ -321,34 +373,45 @@ func Collect(s *Stream, n int) *Dataset { return Recollect(s, n, nil) }
 
 // Recollect is Collect reusing the storage of spare, a dataset its
 // caller no longer reads: the new dataset takes over spare's class
-// slice and feature block when their capacity suffices and allocates
-// them once otherwise. spare (which may be nil) is left empty, so a
-// stale holder of it sees no samples rather than another period's.
-// The draws, and therefore the samples, are exactly Collect's.
+// slice, feature block and means buffer when their capacity suffices
+// and allocates them once otherwise. spare (which may be nil) is left
+// empty, so a stale holder of it sees no samples rather than another
+// period's. The draws, and therefore the samples, are exactly
+// Collect's.
 func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
 	var classes []int
-	var block []float64
+	var block, means []float64
 	if spare != nil {
-		classes, block = spare.Classes, spare.block
+		classes, block, means = spare.Classes, spare.block, spare.means
 		*spare = Dataset{}
 	}
 	if cap(classes) < n {
 		classes = make([]int, n)
 	}
-	dim := s.spec.FeatureDim
-	if cap(block) < n*dim {
-		block = make([]float64, n*dim)
-	}
-	classes, block = classes[:n], block[:n*dim]
-	// One class then FeatureDim noise draws per sample.
+	classes = classes[:n]
 	for i := range classes {
-		c := s.labelDist.Sample(s.rng)
-		f := block[i*dim : (i+1)*dim]
-		mean := s.classMeans[c]
-		for j := range f {
-			f[j] = mean[j] + s.rng.NormFloat64()*s.noise
-		}
-		classes[i] = c
+		classes[i] = s.labelDist.Sample(s.rng)
 	}
-	return &Dataset{Task: s.spec.Name, Classes: classes, block: block, dim: dim}
+	// Snapshot the means: AdvancePeriod and Shock move them, partly in
+	// place, before the features may be drawn.
+	dim := s.spec.FeatureDim
+	means = slices.Grow(means[:0], len(s.classMeans)*dim)
+	for _, m := range s.classMeans {
+		means = append(means, m...)
+	}
+	s.collected++
+	return &Dataset{
+		Task: s.spec.Name, Classes: classes, block: block[:0], dim: dim,
+		src: s, means: means, seed: featureSeed(s.seed, s.collected),
+	}
+}
+
+// featureSeed derives the feature seed of a stream's k-th dataset with
+// the SplitMix64 finalizer, so that feature seeds do not follow the
+// arithmetic progressions the callers step stream seeds by.
+func featureSeed(seed, k int64) int64 {
+	z := uint64(seed) + uint64(k)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return int64(z ^ z>>31)
 }

@@ -173,18 +173,22 @@ func TestPeriodDivergencePanicsOutOfRange(t *testing.T) {
 	s.PeriodDivergence(1) // period 1 not yet advanced
 }
 
-// collectReference draws n samples the way Collect does, but with one
-// freshly allocated feature slice per sample: the draw order Recollect
-// must reproduce bit for bit.
+// collectReference draws n samples the way Collect does, eagerly and
+// with a fresh feature RNG and one freshly allocated feature slice per
+// sample: the draws Recollect must reproduce bit for bit.
 func collectReference(s *Stream, n int) ([]int, [][]float64) {
-	classes, rows := make([]int, n), make([][]float64, n)
+	classes := make([]int, n)
 	for i := range classes {
-		c := s.labelDist.Sample(s.rng)
-		f := make([]float64, s.spec.FeatureDim)
-		for j := range f {
-			f[j] = s.classMeans[c][j] + s.rng.NormFloat64()*s.noise
+		classes[i] = s.labelDist.Sample(s.rng)
+	}
+	s.collected++
+	rng := dist.NewRNG(featureSeed(s.seed, s.collected))
+	rows := make([][]float64, n)
+	for i, c := range classes {
+		rows[i] = make([]float64, s.spec.FeatureDim)
+		for j := range rows[i] {
+			rows[i][j] = s.classMeans[c][j] + rng.NormFloat64()*s.noise
 		}
-		classes[i], rows[i] = c, f
 	}
 	return classes, rows
 }
