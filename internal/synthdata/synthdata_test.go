@@ -287,3 +287,110 @@ func TestFromRows(t *testing.T) {
 		}()
 	}
 }
+
+// checkLazyDraws collects one dataset per period from two twin streams,
+// shocking both in the periods whose bit is set in shocks. The eager
+// twin reads every dataset's features at collection and recycles its
+// previous dataset; the lazy twin reads a random earlier dataset's
+// features now and then and every remaining one only after the last
+// period, datasets and samples in a random order. Both must draw the
+// same classes, the lazy datasets must hold no feature block until
+// read, and every feature must match the eager twin's bit for bit.
+func checkLazyDraws(t *testing.T, seed int64, n, periods int, shocks uint64, order int64) {
+	t.Helper()
+	eager, _ := NewStream(vehicleSpec(), seed)
+	lazy, _ := NewStream(vehicleSpec(), seed)
+	rng := dist.NewRNG(order)
+	var spare *Dataset
+	want := make([][][]float64, periods)
+	got := make([]*Dataset, periods)
+	for p := range periods {
+		e := Recollect(eager, n, spare)
+		want[p] = make([][]float64, n)
+		for i := range want[p] {
+			want[p][i] = slices.Clone(e.Features(i))
+		}
+		spare = e
+		got[p] = Collect(lazy, n)
+		if got[p].block != nil {
+			t.Fatalf("period %d: an undrawn dataset holds a feature block of %d", p, cap(got[p].block))
+		}
+		if !slices.Equal(got[p].Classes, e.Classes) {
+			t.Fatalf("period %d: classes depend on whether features were drawn", p)
+		}
+		if k := rng.Intn(p + 2); k <= p {
+			got[k].Features(rng.Intn(n)) // draw an earlier dataset mid-run
+		}
+		if shocks>>(p%64)&1 == 1 {
+			eager.Shock(dist.NewRNG(seed+int64(p)), 0.6)
+			lazy.Shock(dist.NewRNG(seed+int64(p)), 0.6)
+		}
+		eager.AdvancePeriod()
+		lazy.AdvancePeriod()
+	}
+	for _, p := range rng.Perm(periods) {
+		for _, i := range rng.Perm(n) {
+			g, w := got[p].Features(i), want[p][i]
+			if len(g) != len(w) {
+				t.Fatalf("period %d sample %d: %d features, want %d", p, i, len(g), len(w))
+			}
+			for j := range g {
+				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+					t.Fatalf("period %d sample %d feature %d: lazy %v, eager %v", p, i, j, g[j], w[j])
+				}
+			}
+		}
+	}
+}
+
+// TestLazyFeaturesMatchEagerDraws runs checkLazyDraws over a few seeds,
+// pool sizes and shock patterns.
+func TestLazyFeaturesMatchEagerDraws(t *testing.T) {
+	for _, c := range []struct {
+		seed       int64
+		n, periods int
+		shocks     uint64
+	}{
+		{1, 200, 6, 0},
+		{2, 50, 8, 0b10110},
+		{3, 1, 5, ^uint64(0)},
+		{4, 500, 3, 0b1},
+	} {
+		checkLazyDraws(t, c.seed, c.n, c.periods, c.shocks, c.seed*31)
+	}
+}
+
+// FuzzLazyFeatures checks the same properties on random seeds, pool
+// sizes, horizons, shock patterns and read orders.
+func FuzzLazyFeatures(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint8(6), uint64(0), int64(7))
+	f.Add(int64(-5), uint16(1), uint8(1), uint64(1), int64(0))
+	f.Add(int64(99), uint16(37), uint8(12), uint64(0xaaaa), int64(3))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, periods uint8, shocks uint64, order int64) {
+		checkLazyDraws(t, seed, 1+int(n)%1000, 1+int(periods)%16, shocks, order)
+	})
+}
+
+// BenchmarkRecollect times one recycled 8000-sample pool of a
+// 12-feature task: drawing its classes only, as a method without a
+// drift probe does, and drawing its features as well.
+func BenchmarkRecollect(b *testing.B) {
+	spec := vehicleSpec()
+	spec.FeatureDim = 12
+	for _, c := range []struct {
+		name     string
+		features bool
+	}{{"classes", false}, {"features", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, _ := NewStream(spec, 1)
+			var d *Dataset
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d = Recollect(s, 8000, d)
+				if c.features {
+					d.Features(0)
+				}
+			}
+		})
+	}
+}

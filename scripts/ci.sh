@@ -92,9 +92,10 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 # GPU-memory eviction index matching a full sort under any stream of
 # acquires, releases, clock steps, end-of-job releases of two apps and
 # resets, the latency memo answering every probe as the profile
-# table does, and a profile-cache entry of arbitrary bytes either
+# table does, a profile-cache entry of arbitrary bytes either
 # missing or loading a profile that answers every probe without a
-# panic).
+# panic, and lazily drawn feature vectors matching eager draws bit for
+# bit without moving any class draw).
 # One target per invocation, as go test requires.
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzFitScaling -fuzztime=5s ./internal/mathx
@@ -107,6 +108,7 @@ go test -run='^$' -fuzz=FuzzConfig -fuzztime=5s ./internal/serving
 go test -run='^$' -fuzz=FuzzEvictionIndex -fuzztime=5s ./internal/gpumem
 go test -run='^$' -fuzz=FuzzLatencyCache -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz=FuzzLoadCached -fuzztime=5s ./internal/profile
+go test -run='^$' -fuzz=FuzzLazyFeatures -fuzztime=5s ./internal/synthdata
 
 # Microbenchmark smoke: one iteration each of the GPU-memory eviction
 # loop, a serial profile build under /M1 and under AdaInf's memory
