@@ -190,24 +190,6 @@ func softmax(logits []float64) []float64 {
 	return out
 }
 
-// FeatureDrift is a Gaussian random walk applied to per-class feature
-// means, modelling gradual covariate shift (lighting, camera angle).
-type FeatureDrift struct {
-	Sigma float64
-}
-
-// Evolve returns a drifted copy of the mean vector.
-func (d FeatureDrift) Evolve(rng *rand.Rand, mean []float64) []float64 {
-	out := mathx.Clone(mean)
-	if d.Sigma == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] += rng.NormFloat64() * d.Sigma
-	}
-	return out
-}
-
 // NewRNG returns a seeded *rand.Rand. All simulator randomness flows
 // through explicitly seeded generators so every experiment is
 // reproducible.

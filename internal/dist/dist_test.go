@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -294,23 +293,5 @@ func TestLabelDriftDeterministicForSeed(t *testing.T) {
 	b := d.Evolve(NewRNG(99), c)
 	if a.JSDivergence(b) != 0 {
 		t.Fatal("same seed produced different drift")
-	}
-}
-
-func TestFeatureDrift(t *testing.T) {
-	mean := []float64{1, 2, 3}
-	rng := NewRNG(5)
-	same := FeatureDrift{}.Evolve(rng, mean)
-	for i := range mean {
-		if same[i] != mean[i] {
-			t.Fatal("zero feature drift changed the mean")
-		}
-	}
-	moved := FeatureDrift{Sigma: 1}.Evolve(rng, mean)
-	if slices.Equal(moved, mean) {
-		t.Fatal("feature drift did not move the mean")
-	}
-	if mean[0] != 1 {
-		t.Fatal("Evolve mutated its input")
 	}
 }

@@ -133,8 +133,8 @@ type Scratch struct {
 // valid until its next use; nothing is allocated per sample. A pool
 // whose feature length differs from the old data's is an error, and so
 // is a sample whose distance is not finite (a NaN or Inf feature),
-// named by its pool index. The feature vectors are read through Dataset.Features, so a
-// dataset that draws them on first access draws them here.
+// named by its pool index. Reading the features through
+// Dataset.Features draws them if nothing has read them yet.
 func (sc *Scratch) scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
 	if old == nil || old.Len() == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")

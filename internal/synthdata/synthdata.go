@@ -4,9 +4,9 @@
 //
 // Each classification task (vehicle-type recognition, person-activity
 // recognition, …) gets a Stream: a per-class Gaussian feature generator
-// whose class mix evolves under a dist.LabelDrift process and whose
-// class feature means evolve under a dist.FeatureDrift process, one
-// step per 50 s period. Samples carry their true class, which plays the
+// whose class mix evolves under a dist.LabelDrift process, one step
+// per 50 s period, and whose class feature means shift when a class
+// surges (TaskSpec.FeatureCoupling). Samples carry their true class, which plays the
 // role of the cloud "golden model" label in the paper.
 //
 // The streams exercise the real drift-detection code path: the PCA,
@@ -39,8 +39,6 @@ type TaskSpec struct {
 	InitialWeights []float64
 	// LabelDrift evolves the class mix each period.
 	LabelDrift dist.LabelDrift
-	// FeatureDrift evolves each class's feature mean each period.
-	FeatureDrift dist.FeatureDrift
 	// NoiseSigma is the within-class feature standard deviation.
 	// Zero defaults to 1.
 	NoiseSigma float64
@@ -197,7 +195,6 @@ func (s *Stream) AdvancePeriod() int {
 		coupling = 50
 	}
 	for c := range s.classMeans {
-		s.classMeans[c] = s.spec.FeatureDrift.Evolve(s.rng, s.classMeans[c])
 		if coupling > 0 {
 			// Covariate shift coupled to the class-mix change: a class
 			// that SURGES brings novel-looking instances (new vehicle
@@ -392,8 +389,8 @@ func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
 	for i := range classes {
 		classes[i] = s.labelDist.Sample(s.rng)
 	}
-	// Snapshot the means: AdvancePeriod and Shock move them, partly in
-	// place, before the features may be drawn.
+	// Snapshot the means: AdvancePeriod and Shock move them in place
+	// before the features may be drawn.
 	dim := s.spec.FeatureDim
 	means = slices.Grow(means[:0], len(s.classMeans)*dim)
 	for _, m := range s.classMeans {
