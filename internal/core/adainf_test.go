@@ -49,6 +49,13 @@ func fixture(t *testing.T) (*app.Instance, *profile.AppProfile) {
 func sessionCtx(t *testing.T, s *Scheduler, requests int) *sched.SessionContext {
 	t.Helper()
 	inst, prof := fixture(t)
+	return sessionCtxFor(t, s, inst, prof, requests)
+}
+
+// sessionCtxFor starts inst's current period on s and returns a session
+// context serving requests for it.
+func sessionCtxFor(t *testing.T, s *Scheduler, inst *app.Instance, prof *profile.AppProfile, requests int) *sched.SessionContext {
+	t.Helper()
 	pctx := &sched.PeriodContext{
 		Period: inst.Period(),
 		Length: 50 * time.Second,
@@ -150,11 +157,23 @@ func TestRetrainingOnlyForImpactedNodes(t *testing.T) {
 }
 
 func TestImpactProportionalSplit(t *testing.T) {
-	s := New(Options{})
-	ctx := sessionCtx(t, s, 8)
-	dag := s.DagFor("video-surveillance")
-	if len(dag.Impact) < 2 {
-		t.Skip("need ≥2 impacted nodes in this fixture period")
+	// Drift on until at least two nodes are impacted, so there are two
+	// impact degrees to compare.
+	inst, prof := fixture(t)
+	var s *Scheduler
+	var ctx *sched.SessionContext
+	var dag *sched.RIDag
+	for p := 0; ; p++ {
+		s = New(Options{})
+		ctx = sessionCtxFor(t, s, inst, prof, 8)
+		dag = s.DagFor("video-surveillance")
+		if len(dag.Impact) >= 2 {
+			break
+		}
+		if p == 10 {
+			t.Fatalf("no period up to %d impacts two nodes", inst.Period())
+		}
+		inst.AdvancePeriod(0)
 	}
 	plan, err := s.PlanSession(ctx)
 	if err != nil {
