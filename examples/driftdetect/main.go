@@ -23,9 +23,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The scratch keeps each node's PCA fit until the node is
+	// retrained, so detection and sample selection share it.
+	var sc drift.Scratch
 	for period := 0; period < 6; period++ {
 		fmt.Printf("== period %d ==\n", period)
-		reports, err := drift.DetectApp(inst, drift.Config{})
+		reports, err := sc.DetectApp(inst, drift.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +63,7 @@ func main() {
 				fmt.Println()
 
 				// Retrain on the most divergent samples, as AdaInf does.
-				picked, err := drift.SelectRetrainSamples(ni, 1000, 4)
+				picked, err := sc.SelectRetrainSamples(ni, 1000)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -111,8 +111,8 @@ type Scheduler struct {
 	// allocations).
 	spareBases []*jobBase
 
-	// detect holds the period-start drift detection's PCA rows and
-	// score buffer; each run builds its own scheduler, so it is never
+	// detect holds the period-start drift detection's fit memo and
+	// worker buffers; each run builds its own scheduler, so it is never
 	// shared across goroutines.
 	detect drift.Scratch
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"adainf/internal/app"
 	"adainf/internal/drift"
 	"adainf/internal/sched"
 )
@@ -38,19 +39,24 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 	}
 	clear(s.jobBaseCache)
 	clear(s.poolDists)
+	// Every app's nodes are probed together, in parallel (see
+	// drift.Scratch.DetectApps), and the DAGs built in job order.
+	var insts []*app.Instance
 	for i := range ctx.Jobs {
-		jr := &ctx.Jobs[i]
-		name := jr.Instance.App.Name
+		inst := ctx.Jobs[i].Instance
 		if s.opts.NoDAGUpdate {
-			if _, ok := s.dags[name]; ok {
+			if _, ok := s.dags[inst.App.Name]; ok {
 				continue // /U: keep the first period's DAG
 			}
 		}
-		reports, err := s.detect.DetectApp(jr.Instance, drift.Config{})
-		if err != nil {
-			return nil, fmt.Errorf("core: drift detection for %q: %w", name, err)
-		}
-		s.dags[name] = sched.BuildRIDag(jr.Instance.App, reports)
+		insts = append(insts, inst)
+	}
+	reports, err := s.detect.DetectApps(insts, drift.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("core: drift detection: %w", err)
+	}
+	for i, inst := range insts {
+		s.dags[inst.App.Name] = sched.BuildRIDag(inst.App, reports[i])
 	}
 	return &sched.PeriodPlan{
 		Overhead:          DAGUpdateOverhead,

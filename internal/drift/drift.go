@@ -16,14 +16,15 @@
 package drift
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"adainf/internal/app"
 	"adainf/internal/mathx"
+	"adainf/internal/par"
 	"adainf/internal/synthdata"
 )
 
@@ -105,72 +106,104 @@ type scored struct {
 	dist float64
 }
 
-// rankCmp is the divergence order: distance descending, then pool
-// index ascending. scorePool admits only finite distances and indices
-// are unique, so the order is total, and it is exactly the order a
-// stable sort on decreasing distance alone produces. Any correct sort
-// or selection on it therefore yields the same ranking.
-func rankCmp(a, b scored) int {
-	if c := cmp.Compare(b.dist, a.dist); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.idx, b.idx)
+// before is the divergence order: distance descending, then pool index
+// ascending. scorePool admits only finite distances and indices are
+// unique, so the order is total, and it is exactly the order a stable
+// sort on decreasing distance alone produces. Any correct sort or
+// selection on it therefore yields the same ranking.
+func before(a, b scored) bool {
+	return a.dist > b.dist || a.dist == b.dist && a.idx < b.idx
 }
 
-// Scratch holds the buffers period-start detection reuses across
-// nodes and periods: the old samples' feature rows the PCA is fitted
-// on and the pool's scores. Its zero value is ready to use. It is not
-// safe for concurrent use, and nothing a detection returns aliases it.
-type Scratch struct {
-	rows   [][]float64
+// fit is one node's PCA fit, memoised against the reference set it was
+// fitted on: the principal axes, flattened, and the old data's mean
+// projected onto them with its norm. The key is the reference set's
+// pointer together with the component count. The pointer is a sound
+// key: a dataset's features never change once drawn, and
+// synthdata.Recollect always returns a new *Dataset and empties the
+// one it recycles, so a node's reference changes exactly when its
+// OldData pointer does (the model was retrained). The fit holds the
+// pointer it keys on, so no later dataset can reuse its address.
+type fit struct {
+	old  *synthdata.Dataset // the fitted reference set; nil when none is
+	k    int                // the requested component count
+	dim  int                // the feature dimension
+	axes []float64          // the principal axes, dim values each
+	mean []float64          // the old data's mean projected onto the axes
+	norm float64            // mathx.Norm(mean)
+}
+
+// buffers are one worker's scratch: the pool's scores and one
+// projected vector.
+type buffers struct {
 	scores []scored
+	proj   []float64
+}
+
+// refit fits f to old with k components unless it already holds that
+// fit. A failed fit leaves f empty, so the next call fits again.
+func (f *fit) refit(old *synthdata.Dataset, k int) error {
+	if f.old == old && f.k == k {
+		return nil
+	}
+	f.old = nil
+	pca, err := mathx.FitPCA(old, k)
+	if err != nil {
+		return fmt.Errorf("drift: PCA fit: %w", err)
+	}
+	// Project without centering: cosine distance is origin-sensitive,
+	// and centering on the old data's mean would map that mean to the
+	// zero vector.
+	f.mean = pca.Project(pca.Mean())
+	f.old, f.k, f.dim = old, k, pca.Dim()
+	f.axes = pca.AppendAxes(f.axes[:0])
+	f.norm = mathx.Norm(f.mean)
+	return nil
 }
 
 // scorePool computes every pool sample's divergence from the old
 // training data: cosine distance of the PCA-reduced feature vector to
 // the old data's mean reduced feature vector, with the PCA basis
-// fitted on the old samples. The scores live in the scratch's buffer,
-// valid until its next use; nothing is allocated per sample. A pool
-// whose feature length differs from the old data's is an error, and so
-// is a sample whose distance is not finite (a NaN or Inf feature),
-// named by its pool index. Reading the features through
-// Dataset.Features draws them if nothing has read them yet.
-func (sc *Scratch) scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
+// fitted on the old samples (f, refitted unless it holds that fit).
+// The scores live in the buffers, valid until their next use; nothing
+// is allocated per sample. A pool whose feature length differs from
+// the old data's is an error, and so is a sample whose distance is not
+// finite (a NaN or Inf feature), named by its pool index. Reading the
+// features through Dataset.Features draws them if nothing has read
+// them yet.
+func (b *buffers) scorePool(f *fit, old, pool *synthdata.Dataset, k int) ([]scored, error) {
 	if old == nil || old.Len() == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")
 	}
 	if pool == nil || pool.Len() == 0 {
 		return nil, fmt.Errorf("drift: empty pool")
 	}
-	sc.rows = sc.rows[:0]
-	for i := range old.Len() {
-		sc.rows = append(sc.rows, old.Features(i))
+	if err := f.refit(old, k); err != nil {
+		return nil, err
 	}
-	pca, err := mathx.FitPCA(sc.rows, pcaComponents)
-	clear(sc.rows) // drop the references to the old samples
-	if err != nil {
-		return nil, fmt.Errorf("drift: PCA fit: %w", err)
-	}
-	// Project without centering: cosine distance is origin-sensitive,
-	// and centering on the old data's mean would map that mean to the
-	// zero vector.
-	oldMean := pca.Project(pca.Mean())
-	// mathx.CosineDistance with the old mean's norm taken once: the
-	// same expression, zero-norm rule and clamp, so the same bits.
-	nb := mathx.Norm(oldMean)
-	proj := make([]float64, pca.Components())
-	xs := slices.Grow(sc.scores[:0], pool.Len())[:pool.Len()]
-	sc.scores = xs
 	// A dataset's rows share one length, so checking the first checks
 	// them all.
-	if dim := len(pool.Features(0)); dim != pca.Dim() {
-		return nil, fmt.Errorf("drift: pool samples have %d features, old samples have %d", dim, pca.Dim())
+	if dim := len(pool.Features(0)); dim != f.dim {
+		return nil, fmt.Errorf("drift: pool samples have %d features, old samples have %d", dim, f.dim)
 	}
+	proj := slices.Grow(b.proj[:0], len(f.mean))[:len(f.mean)]
+	b.proj = proj
+	xs := slices.Grow(b.scores[:0], pool.Len())[:pool.Len()]
+	b.scores = xs
 	for i := range xs {
-		pca.ProjectInto(proj, pool.Features(i))
+		project(proj, f.axes, pool.Features(i))
+		// mathx.CosineDistance with the old mean's norm taken once: the
+		// same expression, zero-norm rule and clamp, so the same bits.
+		// The comparisons clamp as math.Max(-1, math.Min(1, sim)) does,
+		// ±0 and NaN included.
 		var sim float64
-		if na := mathx.Norm(proj); na != 0 && nb != 0 {
-			sim = math.Max(-1, math.Min(1, mathx.Dot(proj, oldMean)/(na*nb)))
+		if na := mathx.Norm(proj); na != 0 && f.norm != 0 {
+			sim = mathx.Dot(proj, f.mean) / (na * f.norm)
+			if sim > 1 {
+				sim = 1
+			} else if sim < -1 {
+				sim = -1
+			}
 		}
 		d := 1 - sim
 		if math.IsNaN(d) || math.IsInf(d, 0) {
@@ -181,26 +214,63 @@ func (sc *Scratch) scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([
 	return xs, nil
 }
 
+// project sets proj[c] to mathx.Dot(v, axis c) for every axis of the
+// flattened axes, in one pass over v. Each sum adds its products in
+// Dot's order, so the bits are Dot's. The four components the detector
+// keeps get their accumulators in registers.
+func project(proj, axes, v []float64) {
+	d := len(v)
+	if len(proj) == 4 {
+		a0, a1, a2, a3 := axes[:d], axes[d:2*d], axes[2*d:3*d], axes[3*d:4*d]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += x * a0[j]
+			s1 += x * a1[j]
+			s2 += x * a2[j]
+			s3 += x * a3[j]
+		}
+		proj[0], proj[1], proj[2], proj[3] = s0, s1, s2, s3
+		return
+	}
+	clear(proj)
+	for j, x := range v {
+		for c := range proj {
+			proj[c] += x * axes[c*d+j]
+		}
+	}
+}
+
 // RankByDivergence orders pool sample indices by decreasing divergence
 // from the old training data (see scorePool), ties broken by pool
 // index.
 func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
-	xs, err := new(Scratch).scorePool(old, pool, pcaComponents)
+	xs, err := new(buffers).scorePool(new(fit), old, pool, pcaComponents)
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(xs, rankCmp)
-	out := make([]int, len(xs))
-	for i, s := range xs {
-		out[i] = s.idx
-	}
-	return out, nil
+	return appendRanked(make([]int, 0, len(xs)), xs, 0, len(xs)), nil
 }
 
-// rankHeap is a binary heap whose root is the first sample in rankCmp
-// order. Building it is O(n) and each pop O(log n), so reading the top
-// k of n samples costs O(n + k log n) instead of a full sort. It is
-// typed rather than a container/heap so that pops do not box.
+// appendRanked appends to dst the pool indices of the samples ranked
+// skip+1 to skip+n in divergence order. It orders only those
+// skip+n samples, in O(len(xs) + (skip+n) log len(xs)), and reorders
+// xs.
+func appendRanked(dst []int, xs []scored, skip, n int) []int {
+	h := newRankHeap(xs)
+	for range skip {
+		h.pop()
+	}
+	for range n {
+		dst = append(dst, h.pop().idx)
+	}
+	return dst
+}
+
+// rankHeap is a binary heap whose root is the first sample in
+// divergence order. Building it is O(n) and each pop O(log n), so
+// reading the top k of n samples costs O(n + k log n) instead of a
+// full sort. It is typed rather than a container/heap so that pops do
+// not box.
 type rankHeap []scored
 
 func newRankHeap(xs []scored) rankHeap {
@@ -214,10 +284,10 @@ func newRankHeap(xs []scored) rankHeap {
 func (h rankHeap) siftDown(i int) {
 	for {
 		first, l := i, 2*i+1
-		if l < len(h) && rankCmp(h[l], h[first]) < 0 {
+		if l < len(h) && before(h[l], h[first]) {
 			first = l
 		}
-		if r := l + 1; r < len(h) && rankCmp(h[r], h[first]) < 0 {
+		if r := l + 1; r < len(h) && before(h[r], h[first]) {
 			first = r
 		}
 		if first == i {
@@ -237,6 +307,37 @@ func (h *rankHeap) pop() scored {
 	return top
 }
 
+// Scratch is the state period-start detection reuses across nodes and
+// periods: one memoised PCA fit per node (see fit) and one set of
+// buffers per worker. Its zero value is ready to use. It is not safe
+// for concurrent use; DetectApps runs its own workers. Nothing a
+// detection returns aliases it.
+type Scratch struct {
+	fits    map[*app.NodeInstance]*fit
+	workers []buffers
+}
+
+// fitFor returns the node's memoised fit, empty on first use.
+func (sc *Scratch) fitFor(ni *app.NodeInstance) *fit {
+	f := sc.fits[ni]
+	if f == nil {
+		if sc.fits == nil {
+			sc.fits = make(map[*app.NodeInstance]*fit)
+		}
+		f = new(fit)
+		sc.fits[ni] = f
+	}
+	return f
+}
+
+// buffers returns the first n workers' buffers, growing the set.
+func (sc *Scratch) buffers(n int) []buffers {
+	if len(sc.workers) < n {
+		sc.workers = append(sc.workers, make([]buffers, n-len(sc.workers))...)
+	}
+	return sc.workers[:n]
+}
+
 // DetectNode runs the S-growth detection loop for one node with fresh
 // buffers. The probe is deterministic given the pool and reads no
 // random numbers: rng is unused, and stays only because the benchmark
@@ -246,13 +347,18 @@ func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error
 }
 
 // DetectNode is the package-level DetectNode reusing the scratch's
-// buffers.
+// buffers and the node's memoised fit.
 func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config) (Report, error) {
+	return sc.buffers(1)[0].detect(ni, sc.fitFor(ni), cfg)
+}
+
+// detect is DetectNode on one worker's buffers and the node's fit.
+func (b *buffers) detect(ni *app.NodeInstance, f *fit, cfg Config) (Report, error) {
 	rep := Report{Node: ni.Node.Name, InitialAccuracy: ni.InitialAccuracy}
 	if err := cfg.fillDefaults(); err != nil {
 		return rep, err
 	}
-	xs, err := sc.scorePool(ni.OldData, ni.Pool, pcaComponents)
+	xs, err := b.scorePool(f, ni.OldData, ni.Pool, pcaComponents)
 	if err != nil {
 		return rep, err
 	}
@@ -325,21 +431,59 @@ func (sc *Scratch) DetectNode(ni *app.NodeInstance, cfg Config) (Report, error) 
 }
 
 // DetectApp runs detection for every node of an instance, returning
-// reports keyed by node name.
-func DetectApp(inst *app.Instance, cfg Config) (map[string]Report, error) {
-	return new(Scratch).DetectApp(inst, cfg)
+// reports keyed by node name (see DetectApps).
+func (sc *Scratch) DetectApp(inst *app.Instance, cfg Config) (map[string]Report, error) {
+	out, err := sc.DetectApps([]*app.Instance{inst}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// DetectApp is the package-level DetectApp reusing the scratch's
-// buffers across the instance's nodes.
-func (sc *Scratch) DetectApp(inst *app.Instance, cfg Config) (map[string]Report, error) {
-	out := make(map[string]Report, len(inst.Nodes()))
-	for _, ni := range inst.Nodes() {
-		rep, err := sc.DetectNode(ni, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("drift: app %q node %q: %w", inst.App.Name, ni.Node.Name, err)
+// DetectApps runs DetectApp for each instance and returns the reports
+// in instance order. The nodes of all the instances run on up to
+// GOMAXPROCS workers: a node's probe reads only its own stream,
+// datasets, model state and memoised fit, and each worker scores in
+// its own buffers, so the reports are those of a serial pass. The
+// error is the one a serial pass would meet first. An instance listed
+// twice is detected once, and both entries share its reports.
+func (sc *Scratch) DetectApps(insts []*app.Instance, cfg Config) ([]map[string]Report, error) {
+	type unit struct {
+		ni  *app.NodeInstance
+		f   *fit
+		rep Report
+		err error
+	}
+	var units []unit
+	for i, inst := range insts {
+		if slices.Index(insts[:i], inst) >= 0 {
+			continue
 		}
-		out[ni.Node.Name] = rep
+		for _, ni := range inst.Nodes() {
+			units = append(units, unit{ni: ni, f: sc.fitFor(ni)})
+		}
+	}
+	workers := sc.buffers(max(min(runtime.GOMAXPROCS(0), len(units)), 1))
+	par.Units(len(workers), len(units), func(w, k int) {
+		u := &units[k]
+		u.rep, u.err = workers[w].detect(u.ni, u.f, cfg)
+	})
+	out := make([]map[string]Report, len(insts))
+	next := 0
+	for i, inst := range insts {
+		if j := slices.Index(insts[:i], inst); j >= 0 {
+			out[i] = out[j]
+			continue
+		}
+		reps := make(map[string]Report, len(inst.Nodes()))
+		for _, u := range units[next : next+len(inst.Nodes())] {
+			if u.err != nil {
+				return nil, fmt.Errorf("drift: app %q node %q: %w", inst.App.Name, u.ni.Node.Name, u.err)
+			}
+			reps[u.ni.Node.Name] = u.rep
+		}
+		next += len(inst.Nodes())
+		out[i] = reps
 	}
 	return out, nil
 }
@@ -347,11 +491,14 @@ func (sc *Scratch) DetectApp(inst *app.Instance, cfg Config) (map[string]Report,
 // SelectRetrainSamples picks the n most divergent unused pool samples
 // for a retraining task (§3.3.2) and marks them consumed. It returns
 // the selected sample indices (at most the node's remaining budget).
-func SelectRetrainSamples(ni *app.NodeInstance, n int, pcaComponents int) ([]int, error) {
+// It ranks through the node's memoised fit and orders only the first
+// UsedSamples+n samples, so successive jobs of a period fit the PCA
+// once.
+func (sc *Scratch) SelectRetrainSamples(ni *app.NodeInstance, n int) ([]int, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	ranked, err := RankByDivergence(ni.OldData, ni.Pool, pcaComponents)
+	xs, err := sc.buffers(1)[0].scorePool(sc.fitFor(ni), ni.OldData, ni.Pool, pcaComponents)
 	if err != nil {
 		return nil, err
 	}
@@ -359,14 +506,11 @@ func SelectRetrainSamples(ni *app.NodeInstance, n int, pcaComponents int) ([]int
 	// deterministic within a period, so the first UsedSamples entries
 	// are exactly the ones taken before.
 	start := ni.UsedSamples
-	if start >= len(ranked) {
+	if start >= len(xs) {
 		return nil, nil
 	}
-	avail := len(ranked) - start
-	if n > avail {
-		n = avail
-	}
-	picked := ranked[start : start+n]
+	n = min(n, len(xs)-start)
+	picked := appendRanked(make([]int, 0, n), xs, start, n)
 	ni.ConsumeSamples(n)
-	return append([]int(nil), picked...), nil
+	return picked, nil
 }

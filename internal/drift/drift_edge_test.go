@@ -119,7 +119,7 @@ func TestRankByDivergenceEdgeCases(t *testing.T) {
 					if _, err := DetectNode(ni, Config{}, nil); err == nil {
 						t.Fatal("DetectNode accepted the window")
 					}
-					if _, err := SelectRetrainSamples(ni, 5, 4); err == nil {
+					if _, err := new(Scratch).SelectRetrainSamples(ni, 5); err == nil {
 						t.Fatal("SelectRetrainSamples accepted the window")
 					}
 				}
@@ -246,7 +246,7 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := DetectNode(ni, cfg, nil); err == nil {
 			t.Errorf("%s: DetectNode accepted %+v", name, cfg)
 		}
-		if _, err := DetectApp(inst, cfg); err == nil {
+		if _, err := new(Scratch).DetectApp(inst, cfg); err == nil {
 			t.Errorf("%s: DetectApp accepted %+v", name, cfg)
 		}
 	}

@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"slices"
 	"testing"
 
 	"adainf/internal/app"
@@ -149,7 +150,7 @@ func poolFromDist(t *testing.T, ni *app.NodeInstance, target *dist.Categorical, 
 
 func TestDetectAppAllNodes(t *testing.T) {
 	inst := surveillanceInstance(t, 11, 4)
-	reps, err := DetectApp(inst, Config{})
+	reps, err := new(Scratch).DetectApp(inst, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,8 @@ func TestDetectAppAllNodes(t *testing.T) {
 func TestSelectRetrainSamples(t *testing.T) {
 	inst := surveillanceInstance(t, 13, 2)
 	veh := inst.ByName["vehicle-type"]
-	first, err := SelectRetrainSamples(veh, 100, 4)
+	var sc Scratch
+	first, err := sc.SelectRetrainSamples(veh, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestSelectRetrainSamples(t *testing.T) {
 		t.Fatalf("selected %d", len(first))
 	}
 	// A second job must not reuse the same samples (§3.3.2).
-	second, err := SelectRetrainSamples(veh, 100, 4)
+	second, err := sc.SelectRetrainSamples(veh, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,29 +194,69 @@ func TestSelectRetrainSamples(t *testing.T) {
 	}
 	// Budget exhaustion caps the selection.
 	veh.UsedSamples = veh.Pool.Len() - 5
-	rest, err := SelectRetrainSamples(veh, 100, 4)
+	rest, err := sc.SelectRetrainSamples(veh, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 5 {
 		t.Fatalf("over-budget selection = %d, want 5", len(rest))
 	}
-	if got, _ := SelectRetrainSamples(veh, 100, 4); got != nil {
+	if got, _ := sc.SelectRetrainSamples(veh, 100); got != nil {
 		t.Fatalf("exhausted pool returned %d samples", len(got))
 	}
-	if got, _ := SelectRetrainSamples(veh, 0, 4); got != nil {
+	if got, _ := sc.SelectRetrainSamples(veh, 0); got != nil {
 		t.Fatal("n=0 returned samples")
+	}
+}
+
+// TestSelectRetrainSamplesSlicesOneRanking takes a period's samples in
+// jobs of uneven sizes that exhaust it, on a scratch that also detects
+// in between, and across retrainings that move the node's reference:
+// each period's selections must be consecutive slices of one
+// RankByDivergence ranking of that period's pool.
+func TestSelectRetrainSamplesSlicesOneRanking(t *testing.T) {
+	inst := surveillanceInstance(t, 19, 1)
+	ni := inst.ByName["vehicle-type"]
+	var sc Scratch
+	for period := 0; period < 3; period++ {
+		want, err := RankByDivergence(ni.OldData, ni.Pool, pcaComponents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for job, n := range []int{1, 250, 7, 1000, 3} {
+			if job == 2 {
+				if _, err := sc.DetectNode(ni, Config{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			picked, err := sc.SelectRetrainSamples(ni, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := min(len(got)+n, len(want))
+			if !slices.Equal(picked, want[len(got):end]) {
+				t.Fatalf("period %d job %d: selected %v, want ranks %d..%d of the full ranking",
+					period, job, picked, len(got), end)
+			}
+			got = append(got, picked...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("period %d: the jobs selected %d of %d samples", period, len(got), len(want))
+		}
+		ni.NoteTrained()
+		inst.AdvancePeriod(0)
 	}
 }
 
 func TestDetectionDeterministicForSeed(t *testing.T) {
 	a := surveillanceInstance(t, 17, 3)
 	b := surveillanceInstance(t, 17, 3)
-	ra, err := DetectApp(a, Config{})
+	ra, err := new(Scratch).DetectApp(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := DetectApp(b, Config{})
+	rb, err := new(Scratch).DetectApp(b, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

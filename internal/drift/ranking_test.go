@@ -18,15 +18,11 @@ import (
 // scratch, and a stable sort on decreasing distance alone.
 func referenceRank(t testing.TB, old, pool *synthdata.Dataset, pcaComponents int) []int {
 	t.Helper()
-	rows := make([][]float64, old.Len())
-	for i := range rows {
-		rows[i] = old.Features(i)
-	}
-	pca, err := mathx.FitPCA(rows, pcaComponents)
+	pca, err := mathx.FitPCA(old, pcaComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldMean := pca.Project(mathx.Mean(rows))
+	oldMean := pca.Project(mathx.Mean(old))
 	xs := make([]scored, pool.Len())
 	for i := range xs {
 		xs[i] = scored{idx: i, dist: cosineDistance(pca.Project(pool.Features(i)), oldMean)}
@@ -282,8 +278,11 @@ func TestScratchDetectAppAllocsIndependentOfPoolSize(t *testing.T) {
 	if warmSmall != warmLarge {
 		t.Fatalf("warm Scratch.DetectApp allocs: %v on 1000-sample pools, %v on 8000", warmSmall, warmLarge)
 	}
-	if fresh := allocs(large, DetectApp); warmLarge >= fresh {
-		t.Fatalf("warm Scratch.DetectApp allocs %v, fresh DetectApp %v", warmLarge, fresh)
+	fresh := allocs(large, func(inst *app.Instance, cfg Config) (map[string]Report, error) {
+		return new(Scratch).DetectApp(inst, cfg)
+	})
+	if warmLarge >= fresh {
+		t.Fatalf("warm Scratch.DetectApp allocs %v, fresh %v", warmLarge, fresh)
 	}
 }
 
@@ -304,7 +303,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := DetectApp(inst, Config{})
+			want, err := new(Scratch).DetectApp(inst, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +315,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 }
 
 // BenchmarkDetectApp runs period-start drift detection over the catalog
-// applications with 8000-sample pools, the serving workloads' pool size.
+// applications with 8000-sample pools, the serving workloads' pool
+// size, on a fresh Scratch for each application.
 func BenchmarkDetectApp(b *testing.B) {
 	var insts []*app.Instance
 	for i, a := range app.Catalog() {
@@ -331,9 +331,49 @@ func BenchmarkDetectApp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, inst := range insts {
-			if _, err := DetectApp(inst, Config{}); err != nil {
+			if _, err := new(Scratch).DetectApp(inst, Config{}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkDetectAppsWarm times period-start detection as serving runs
+// it: one Scratch detects the catalog applications (8000-sample pools)
+// at every period boundary, so the nodes that were not retrained keep
+// their fits, and the new pools draw their features inside the timed
+// probe. Every third node is retrained each period; the boundary
+// itself is not timed.
+func BenchmarkDetectAppsWarm(b *testing.B) {
+	var insts []*app.Instance
+	for i, a := range app.Catalog() {
+		inst, err := app.NewInstance(a, app.InstanceConfig{Seed: int64(i + 1), PoolSamples: 8000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	var sc Scratch
+	if _, err := sc.DetectApps(insts, Config{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k := i
+		for _, inst := range insts {
+			for _, ni := range inst.Nodes() {
+				if k%3 == 0 {
+					ni.NoteTrained()
+				}
+				k++
+			}
+			inst.AdvancePeriod(0)
+		}
+		b.StartTimer()
+		if _, err := sc.DetectApps(insts, Config{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -38,10 +38,11 @@ func Fig5(o Options) (*Result, error) {
 			return nil, err
 		}
 		series := make(map[string][]float64, len(nodes))
+		var sc drift.Scratch
 		for p := 0; p < periods; p++ {
 			// Drift detection and incremental retraining run at the start
 			// of the period, before its requests are served (§3.2).
-			reports, err := drift.DetectApp(inst, drift.Config{})
+			reports, err := sc.DetectApp(inst, drift.Config{})
 			if err != nil {
 				return nil, err
 			}

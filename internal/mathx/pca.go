@@ -18,16 +18,17 @@ type PCA struct {
 // covariance method with Jacobi eigendecomposition. k is capped at the
 // feature dimension. It returns an error on empty or ragged input or
 // non-positive k.
-func FitPCA(data [][]float64, k int) (*PCA, error) {
-	if len(data) == 0 {
+func FitPCA(data Rows, k int) (*PCA, error) {
+	n := data.Len()
+	if n == 0 {
 		return nil, fmt.Errorf("mathx: FitPCA on zero samples")
 	}
-	d := len(data[0])
+	d := len(data.Features(0))
 	if d == 0 {
 		return nil, fmt.Errorf("mathx: FitPCA on zero-dimensional samples")
 	}
-	for i, r := range data {
-		if len(r) != d {
+	for i := range n {
+		if r := data.Features(i); len(r) != d {
 			return nil, fmt.Errorf("mathx: FitPCA ragged row %d: len %d != %d", i, len(r), d)
 		}
 	}
@@ -48,8 +49,8 @@ func FitPCA(data [][]float64, k int) (*PCA, error) {
 		cov[i] = make([]float64, d)
 	}
 	centered := make([]float64, d)
-	for _, r := range data {
-		for i, x := range r {
+	for r := range n {
+		for i, x := range data.Features(r) {
 			centered[i] = x - mean[i]
 		}
 		for i, ci := range centered {
@@ -59,7 +60,7 @@ func FitPCA(data [][]float64, k int) (*PCA, error) {
 			}
 		}
 	}
-	invN := 1 / float64(len(data))
+	invN := 1 / float64(n)
 	for i := 0; i < d; i++ {
 		for j := i; j < d; j++ {
 			cov[i][j] *= invN
@@ -98,33 +99,31 @@ func (p *PCA) Dim() int { return len(p.mean) }
 // Mean returns the per-feature mean of the data the PCA was fitted on.
 func (p *PCA) Mean() []float64 { return Clone(p.mean) }
 
-// Components returns the number of principal components retained.
-func (p *PCA) Components() int { return len(p.components) }
-
 // Project projects v onto the principal axes WITHOUT mean-centering.
 // Use this when downstream math is origin-sensitive — e.g. cosine
 // distances between reduced vectors, where centering on the fitted
 // data's mean would collapse that mean to the zero vector and destroy
 // the angles. It panics on a dimension mismatch.
 func (p *PCA) Project(v []float64) []float64 {
-	out := make([]float64, len(p.components))
-	p.ProjectInto(out, v)
-	return out
-}
-
-// ProjectInto is Project writing into dst, which must have length
-// Components(); it lets a caller projecting many vectors reuse one
-// buffer. It panics on a dimension mismatch.
-func (p *PCA) ProjectInto(dst, v []float64) {
 	if len(v) != len(p.mean) {
 		panic(fmt.Sprintf("mathx: PCA.Project dim %d != fitted %d", len(v), len(p.mean)))
 	}
-	if len(dst) != len(p.components) {
-		panic(fmt.Sprintf("mathx: PCA.ProjectInto dst len %d != %d components", len(dst), len(p.components)))
-	}
+	out := make([]float64, len(p.components))
 	for i, c := range p.components {
-		dst[i] = Dot(v, c)
+		out[i] = Dot(v, c)
 	}
+	return out
+}
+
+// AppendAxes appends the principal axes to dst, one after the other in
+// component order, Dim() values each, and returns the extended slice.
+// Projecting onto the flat copy in Dot's summation order gives
+// Project's bits.
+func (p *PCA) AppendAxes(dst []float64) []float64 {
+	for _, c := range p.components {
+		dst = append(dst, c...)
+	}
+	return dst
 }
 
 // jacobiEigen computes eigenvalues and eigenvectors of the symmetric

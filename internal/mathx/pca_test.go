@@ -7,17 +7,23 @@ import (
 	"testing"
 )
 
+// matrix reads a [][]float64 as Rows.
+type matrix [][]float64
+
+func (m matrix) Len() int                 { return len(m) }
+func (m matrix) Features(i int) []float64 { return m[i] }
+
 func TestFitPCAErrors(t *testing.T) {
-	if _, err := FitPCA(nil, 2); err == nil {
+	if _, err := FitPCA(matrix(nil), 2); err == nil {
 		t.Error("no error on empty data")
 	}
-	if _, err := FitPCA([][]float64{{}}, 2); err == nil {
+	if _, err := FitPCA(matrix([][]float64{{}}), 2); err == nil {
 		t.Error("no error on zero-dimensional data")
 	}
-	if _, err := FitPCA([][]float64{{1, 2}, {1}}, 1); err == nil {
+	if _, err := FitPCA(matrix([][]float64{{1, 2}, {1}}), 1); err == nil {
 		t.Error("no error on ragged data")
 	}
-	if _, err := FitPCA([][]float64{{1, 2}}, 0); err == nil {
+	if _, err := FitPCA(matrix([][]float64{{1, 2}}), 0); err == nil {
 		t.Error("no error on k=0")
 	}
 }
@@ -35,7 +41,7 @@ func TestPCARecoverDominantAxis(t *testing.T) {
 			rng.NormFloat64() * 0.01,
 		}
 	}
-	p, err := FitPCA(data, 3)
+	p, err := FitPCA(matrix(data), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +66,7 @@ func TestPCAVariancesSorted(t *testing.T) {
 		}
 		data[i] = row
 	}
-	p, err := FitPCA(data, 6)
+	p, err := FitPCA(matrix(data), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +80,12 @@ func TestPCAVariancesSorted(t *testing.T) {
 
 func TestPCATransformDimensions(t *testing.T) {
 	data := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}, {0, 1, 0}}
-	p, err := FitPCA(data, 2)
+	p, err := FitPCA(matrix(data), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Dim() != 3 || p.Components() != 2 {
-		t.Fatalf("Dim=%d Components=%d", p.Dim(), p.Components())
+	if p.Dim() != 3 {
+		t.Fatalf("Dim = %d", p.Dim())
 	}
 	if out := p.Project(data[0]); len(out) != 2 {
 		t.Fatalf("Project len = %d", len(out))
@@ -88,12 +94,12 @@ func TestPCATransformDimensions(t *testing.T) {
 
 func TestPCAKCappedAtDim(t *testing.T) {
 	data := [][]float64{{1, 2}, {3, 4}, {5, 7}}
-	p, err := FitPCA(data, 10)
+	p, err := FitPCA(matrix(data), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Components() != 2 {
-		t.Fatalf("Components = %d, want capped at 2", p.Components())
+	if n := len(p.Project(data[0])); n != 2 {
+		t.Fatalf("%d components, want capped at 2", n)
 	}
 }
 
@@ -109,12 +115,12 @@ func TestPCAPreservesVariance(t *testing.T) {
 		}
 		data[i] = row
 	}
-	p, err := FitPCA(data, 5)
+	p, err := FitPCA(matrix(data), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Total variance in the original space.
-	mean := Mean(data)
+	mean := Mean(matrix(data))
 	var orig float64
 	for _, r := range data {
 		for j, x := range r {
@@ -138,8 +144,8 @@ func projectedVariances(p *PCA, data [][]float64) []float64 {
 	for i, r := range data {
 		proj[i] = p.Project(r)
 	}
-	mean := Mean(proj)
-	vars := make([]float64, p.Components())
+	mean := Mean(matrix(proj))
+	vars := make([]float64, len(mean))
 	for _, r := range proj {
 		for i, x := range r {
 			vars[i] += (x - mean[i]) * (x - mean[i])
@@ -152,7 +158,7 @@ func projectedVariances(p *PCA, data [][]float64) []float64 {
 }
 
 func TestPCATransformPanicsOnDimMismatch(t *testing.T) {
-	p, err := FitPCA([][]float64{{1, 2}, {3, 4}, {4, 6}}, 1)
+	p, err := FitPCA(matrix([][]float64{{1, 2}, {3, 4}, {4, 6}}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestFitPCAMatchesNaiveCovariance(t *testing.T) {
 				data[i][j] = rng.NormFloat64()*float64(j+1) + rng.ExpFloat64()*1e3
 			}
 		}
-		mean := Mean(data)
+		mean := Mean(matrix(data))
 		cov := make([][]float64, shape.d)
 		for i := range cov {
 			cov[i] = make([]float64, shape.d)
@@ -197,7 +203,7 @@ func TestFitPCAMatchesNaiveCovariance(t *testing.T) {
 			}
 		}
 		want := fromCovariance(mean, cov, shape.k)
-		got, err := FitPCA(data, shape.k)
+		got, err := FitPCA(matrix(data), shape.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,31 +222,36 @@ func TestFitPCAMatchesNaiveCovariance(t *testing.T) {
 	}
 }
 
-func TestPCAProjectIntoAndMean(t *testing.T) {
+func TestPCAAxesAndMean(t *testing.T) {
 	data := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}, {0, 1, 0}}
-	p, err := FitPCA(data, 2)
+	p, err := FitPCA(matrix(data), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float64, p.Components())
+	axes := p.AppendAxes([]float64{-1})
+	k := len(p.Project(data[0]))
+	if len(axes) != 1+k*p.Dim() || axes[0] != -1 {
+		t.Fatalf("AppendAxes = %v, want the prefix then %d×%d values", axes, k, p.Dim())
+	}
+	axes = axes[1:]
 	for _, r := range data {
-		p.ProjectInto(dst, r)
-		if !slices.Equal(dst, p.Project(r)) {
-			t.Fatalf("ProjectInto %v != Project %v", dst, p.Project(r))
+		want := p.Project(r)
+		for i := range want {
+			if got := Dot(r, axes[i*p.Dim():(i+1)*p.Dim()]); got != want[i] {
+				t.Fatalf("axis %d: Dot %v != Project %v", i, got, want[i])
+			}
 		}
 	}
 	m := p.Mean()
-	if !slices.Equal(m, Mean(data)) {
-		t.Fatalf("Mean() = %v, want %v", m, Mean(data))
+	if !slices.Equal(m, Mean(matrix(data))) {
+		t.Fatalf("Mean() = %v, want %v", m, Mean(matrix(data)))
 	}
 	m[0] = 99
 	if p.Mean()[0] == 99 {
 		t.Fatal("Mean() aliases the fitted mean")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on a short destination")
-		}
-	}()
-	p.ProjectInto(dst[:1], data[0])
+	axes[0] = 99
+	if p.AppendAxes(nil)[0] == 99 {
+		t.Fatal("AppendAxes aliases the fitted axes")
+	}
 }

@@ -48,15 +48,24 @@ func Norm(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
+// Rows is a read-only sequence of vectors, row i being Features(i),
+// such as a synthdata.Dataset's feature vectors. Reading rows through
+// it spares a caller building a [][]float64 of them.
+type Rows interface {
+	Len() int
+	Features(i int) []float64
+}
+
 // Mean returns the element-wise mean of the rows. It panics on an empty
 // input or ragged rows.
-func Mean(rows [][]float64) []float64 {
-	if len(rows) == 0 {
+func Mean(rows Rows) []float64 {
+	if rows.Len() == 0 {
 		panic("mathx: Mean of zero rows")
 	}
-	n := len(rows[0])
+	n := len(rows.Features(0))
 	out := make([]float64, n)
-	for _, r := range rows {
+	for k := range rows.Len() {
+		r := rows.Features(k)
 		if len(r) != n {
 			panic("mathx: Mean over ragged rows")
 		}
@@ -64,7 +73,7 @@ func Mean(rows [][]float64) []float64 {
 			out[i] += x
 		}
 	}
-	inv := 1 / float64(len(rows))
+	inv := 1 / float64(rows.Len())
 	for i := range out {
 		out[i] *= inv
 	}

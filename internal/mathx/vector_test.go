@@ -43,7 +43,7 @@ func TestNorm(t *testing.T) {
 }
 
 func TestMean(t *testing.T) {
-	m := Mean([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := Mean(matrix{{1, 2}, {3, 4}, {5, 6}})
 	if m[0] != 3 || m[1] != 4 {
 		t.Fatalf("Mean = %v", m)
 	}

@@ -17,8 +17,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"adainf/internal/app"
@@ -26,6 +24,7 @@ import (
 	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
 	"adainf/internal/mathx"
+	"adainf/internal/par"
 	"adainf/internal/simtime"
 	"adainf/internal/telemetry"
 )
@@ -278,42 +277,6 @@ func UnitCount(a *app.App) int {
 	return n
 }
 
-// parallelUnits runs fn(w, 0..n-1) over a bounded pool of workers
-// w ∈ [0, workers), the calling goroutine being worker 0. Iterations
-// must be independent: they may only write state owned by their index
-// k or by their worker w. Serial when workers ≤ 1.
-func parallelUnits(workers, n int, fn func(w, k int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			fn(0, k)
-		}
-		return
-	}
-	var next atomic.Int64
-	run := func(w int) {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= n {
-				return
-			}
-			fn(w, k)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			run(w)
-		}(w)
-	}
-	run(0)
-	wg.Wait()
-}
-
 // BuildAppProfile profiles every structure of every node of the
 // application under the config by executing them on simulated
 // partitions, each cell on one reset to a fresh state. It returns an
@@ -359,7 +322,7 @@ func buildAppProfile(a *app.App, cfg Config, workers int) (*AppProfile, error) {
 	results := make([]unitResult, len(units))
 	// One partition per worker, reset for every measured cell.
 	parts := make([]gpu.Partition, max(workers, 1))
-	parallelUnits(workers, len(units), func(w, k int) {
+	par.Units(workers, len(units), func(w, k int) {
 		u := &units[k]
 		r := &results[k]
 		start := time.Now()

@@ -6,8 +6,8 @@
 // recognition, …) gets a Stream: a per-class Gaussian feature generator
 // whose class mix evolves under a dist.LabelDrift process, one step
 // per 50 s period, and whose class feature means shift when a class
-// surges (TaskSpec.FeatureCoupling). Samples carry their true class, which plays the
-// role of the cloud "golden model" label in the paper.
+// surges (featureCoupling). Samples carry their true class, which plays
+// the role of the cloud "golden model" label in the paper.
 //
 // The streams exercise the real drift-detection code path: the PCA,
 // cosine-distance, and Jensen–Shannon computations all run on actual
@@ -39,26 +39,28 @@ type TaskSpec struct {
 	InitialWeights []float64
 	// LabelDrift evolves the class mix each period.
 	LabelDrift dist.LabelDrift
-	// NoiseSigma is the within-class feature standard deviation.
-	// Zero defaults to 1.
-	NoiseSigma float64
-	// MeanSeparation scales how far apart class means start. Zero
-	// defaults to 4 (well-separated classes).
-	MeanSeparation float64
-	// FeatureCoupling shifts a class's feature mean when its share of
+}
+
+const (
+	// noiseSigma is the within-class feature standard deviation.
+	noiseSigma = 1.0
+	// meanSeparation scales how far apart class means start: 4 keeps
+	// the classes well separated.
+	meanSeparation = 4.0
+	// featureCoupling shifts a class's feature mean when its share of
 	// the mix changes: a class that surges does so under new
 	// conditions (an accident fills the street with ambulances at
 	// night), so its new samples also LOOK different from the old
 	// training data. This covariate shift is what makes the paper's
 	// cosine-distance divergence ranking surface the drifted samples.
-	// The mean moves by FeatureCoupling · max(0, Δp_c) in a random
+	// The mean moves by featureCoupling · max(0, Δp_c) in a random
 	// direction each period (an influx brings novel-looking samples; a
 	// decline leaves the remaining samples looking as they always
-	// did). Zero defaults to 50 — the shift must clear the within-class
-	// noise projected through the detector's PCA (≈ 2σ·√FeatureDim)
-	// before the cosine ranking can see it. Negative disables.
-	FeatureCoupling float64
-}
+	// did). The shift must clear the within-class noise projected
+	// through the detector's PCA (≈ 2σ·√FeatureDim) before the cosine
+	// ranking can see it.
+	featureCoupling = 50.0
+)
 
 func (s TaskSpec) validate() error {
 	if s.Name == "" {
@@ -98,7 +100,6 @@ type Stream struct {
 	// compound instead of cancelling.
 	noveltyDirs [][]float64
 	period      int
-	noise       float64
 	history     []*dist.Categorical // label distribution at each period
 }
 
@@ -119,20 +120,12 @@ func NewStream(spec TaskSpec, seed int64) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	sep := spec.MeanSeparation
-	if sep == 0 {
-		sep = 4
-	}
-	noise := spec.NoiseSigma
-	if noise == 0 {
-		noise = 1
-	}
 	// Class means share a strong common component — every frame of one
 	// camera feed looks broadly alike — plus a class-specific offset
 	// that makes classes separable. The common component keeps the
 	// static between-class angles small, so the cosine-divergence the
 	// drift detector measures is dominated by actual covariate shift
-	// (FeatureCoupling) rather than by fixed class geometry.
+	// (featureCoupling) rather than by fixed class geometry.
 	base := make([]float64, spec.FeatureDim)
 	var baseNorm float64
 	for j := range base {
@@ -140,12 +133,12 @@ func NewStream(spec TaskSpec, seed int64) (*Stream, error) {
 		baseNorm += base[j] * base[j]
 	}
 	baseNorm = math.Sqrt(baseNorm)
-	baseScale := 10 * sep
+	baseScale := 10 * meanSeparation
 	means := make([][]float64, len(spec.Classes))
 	for c := range means {
 		m := make([]float64, spec.FeatureDim)
 		for j := range m {
-			m[j] = base[j]/baseNorm*baseScale + rng.NormFloat64()*sep
+			m[j] = base[j]/baseNorm*baseScale + rng.NormFloat64()*meanSeparation
 		}
 		means[c] = m
 	}
@@ -170,7 +163,6 @@ func NewStream(spec TaskSpec, seed int64) (*Stream, error) {
 		labelDist:   ld,
 		classMeans:  means,
 		noveltyDirs: dirs,
-		noise:       noise,
 	}
 	s.history = append(s.history, ld.Clone())
 	return s, nil
@@ -190,23 +182,16 @@ func (s *Stream) ClassMean(c int) []float64 { return mathx.Clone(s.classMeans[c]
 func (s *Stream) AdvancePeriod() int {
 	prev := s.labelDist
 	s.labelDist = s.spec.LabelDrift.Evolve(s.rng, s.labelDist)
-	coupling := s.spec.FeatureCoupling
-	if coupling == 0 {
-		coupling = 50
-	}
 	for c := range s.classMeans {
-		if coupling > 0 {
-			// Covariate shift coupled to the class-mix change: a class
-			// that SURGES brings novel-looking instances (new vehicle
-			// types, new lighting), so its mean moves proportionally to
-			// the increase. A declining class's remaining samples still
-			// look like they always did, so declines shift nothing.
-			delta := s.labelDist.Prob(c) - prev.Prob(c)
-			if delta > 0 {
-				dir := s.noveltyDirs[c]
-				for j := range dir {
-					s.classMeans[c][j] += dir[j] * coupling * delta
-				}
+		// Covariate shift coupled to the class-mix change: a class that
+		// SURGES brings novel-looking instances (new vehicle types, new
+		// lighting), so its mean moves proportionally to the increase.
+		// A declining class's remaining samples still look like they
+		// always did, so declines shift nothing.
+		if delta := s.labelDist.Prob(c) - prev.Prob(c); delta > 0 {
+			dir := s.noveltyDirs[c]
+			for j := range dir {
+				s.classMeans[c][j] += dir[j] * featureCoupling * delta
 			}
 		}
 	}
@@ -247,14 +232,10 @@ func (s *Stream) Shock(rng *rand.Rand, intensity float64) {
 		panic(fmt.Sprintf("synthdata: shock produced invalid mix: %v", err))
 	}
 	s.labelDist = ld
-	coupling := s.spec.FeatureCoupling
-	if coupling == 0 {
-		coupling = 50
-	}
-	if delta := s.labelDist.Prob(surge) - prev.Prob(surge); coupling > 0 && delta > 0 {
+	if delta := s.labelDist.Prob(surge) - prev.Prob(surge); delta > 0 {
 		dir := s.noveltyDirs[surge]
 		for j := range dir {
-			s.classMeans[surge][j] += dir[j] * coupling * delta
+			s.classMeans[surge][j] += dir[j] * featureCoupling * delta
 		}
 	}
 	s.history[len(s.history)-1] = s.labelDist.Clone()
@@ -328,7 +309,7 @@ func (d *Dataset) draw() {
 		mean := d.means[c*dim : (c+1)*dim]
 		f := d.block[i*dim : (i+1)*dim]
 		for j := range f {
-			f[j] = mean[j] + s.featureRNG.NormFloat64()*s.noise
+			f[j] = mean[j] + s.featureRNG.NormFloat64()*noiseSigma
 		}
 	}
 	d.src = nil

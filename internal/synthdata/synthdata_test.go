@@ -187,7 +187,7 @@ func collectReference(s *Stream, n int) ([]int, [][]float64) {
 	for i, c := range classes {
 		rows[i] = make([]float64, s.spec.FeatureDim)
 		for j := range rows[i] {
-			rows[i][j] = s.classMeans[c][j] + rng.NormFloat64()*s.noise
+			rows[i][j] = s.classMeans[c][j] + rng.NormFloat64()*noiseSigma
 		}
 	}
 	return classes, rows

@@ -37,8 +37,9 @@ fi
 # with a reason in the checker's allowlist. The check builds with
 # inlining off and reads the binaries' symbols, so it follows calls,
 # not text matches. Its settings pass also requires every exported
-# field of an internal/ *Config, *Options or *Params struct to be set
-# by some program outside its package, or allowlisted with a reason.
+# field of an internal/ *Config, *Options, *Params or *Spec struct to
+# be set by some program outside its package, or allowlisted with a
+# reason.
 echo "== reachable internal code =="
 go run ./scripts/deadcode
 
@@ -71,17 +72,24 @@ done
 # the discrete-event engine the bench module still measures, the fault
 # injector's pure-hash decisions, the cluster placer behind sharded
 # lanes, the admission gate that sheds load after lane crashes, the
-# memory manager and auditor those runs exercise, and the period
-# boundary's recycled sample pools and drift buffers. -short skips
-# the multi-minute determinism sweeps; the full suite above already
-# runs them race-free.
-echo "== go test -race (experiments, serving, faults, profile, eventsim, core, sched, gpumem, audit, cluster, admit, drift, app, synthdata) =="
-go test -race -short ./internal/experiments/... ./internal/serving/... ./internal/faults/... ./internal/profile/... ./internal/eventsim/... ./internal/core/... ./internal/sched/... ./internal/gpumem/... ./internal/audit/... ./internal/cluster/... ./internal/admit/... ./internal/drift/... ./internal/app/... ./internal/synthdata/...
+# memory manager and auditor those runs exercise, the period
+# boundary's recycled sample pools and drift buffers, and the worker
+# pool the profiler and the drift probe share. -short skips the
+# multi-minute determinism sweeps; the full suite above already runs
+# them race-free.
+echo "== go test -race (experiments, serving, faults, profile, eventsim, core, sched, gpumem, audit, cluster, admit, drift, app, synthdata, par) =="
+go test -race -short ./internal/experiments/... ./internal/serving/... ./internal/faults/... ./internal/profile/... ./internal/eventsim/... ./internal/core/... ./internal/sched/... ./internal/gpumem/... ./internal/audit/... ./internal/cluster/... ./internal/admit/... ./internal/drift/... ./internal/app/... ./internal/synthdata/... ./internal/par/...
 
 # The profiler's work-unit pool runs in every build (one worker per
 # CPU), so its staged merge gets repeated race runs of its own.
 echo "== profiler pool race =="
 go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
+
+# AdaInf's period-start drift probe runs every app's nodes on one
+# worker per CPU against per-node memoised PCA fits, so it gets
+# repeated race runs of its own too.
+echo "== drift probe race =="
+go test -race -count=10 -run 'TestPeriodStartDetectionMatchesFresh$' ./internal/core
 
 # Fuzz smoke: a few seconds per target catches regressions in the
 # properties the fuzz corpora pin (regression-fit robustness, profile
@@ -115,8 +123,9 @@ go test -run='^$' -fuzz=FuzzLazyFeatures -fuzztime=5s ./internal/synthdata
 # configuration (between them, both kinds of request group the
 # executor's layer loop runs), a latency-memo hit, Scrooge
 # planning four lanes, drift detection over the catalog's 8000-sample
-# pools, one period boundary resampling those pools and one 50 s
-# single-app serving run each of AdaInf, Ekya and Scrooge, so all of
+# pools (fresh, and warm over advancing periods), one period boundary
+# resampling those pools and one 50 s single-app serving run each of
+# AdaInf, Ekya and Scrooge, so all of
 # them keep compiling and running and every method's session path
 # reports its allocations. There is no timing gate, since wall time on
 # shared machines is noise (compare with -count and benchstat on one

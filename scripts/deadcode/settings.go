@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,15 +23,21 @@ var allowSettings = map[string]string{
 	"profile.Config.Fractions":  "tests build 1x2 and 2x2 profile grids",
 	"gpumem.Config.PinBytes":    "the bench/ layer benchmark sizes PIN memory in a test file",
 	"faults.Config.*":           "faults.Parse fills it from the -faults spec",
+	"gpu.Spec.*":                "gpu.V100 fills the one device the simulator models; tests build malformed specs for Validate",
 }
+
+// settingsSuffixes name the struct types whose exported fields are
+// settings: a type's name ends in one of them.
+var settingsSuffixes = []string{"Config", "Options", "Params", "Spec"}
 
 // settings returns the settings fields no program sets and the stale
 // settings allowlist entries. A settings field is an exported field of
-// a struct type named *Config, *Options or *Params under internal/. It
-// is set when a non-test file of the root module or of bench/, outside
-// the field's package, writes it: as a key of a composite literal (go
-// vet rejects unkeyed literals of imported structs), on the left of an
-// assignment or increment, or by taking its address. Fields are
+// a struct type named *Config, *Options, *Params or *Spec under
+// internal/. It is set when a non-test file of the root module or of
+// bench/, outside the field's package, writes it: as a key of a
+// composite literal (go vet rejects unkeyed literals of imported
+// structs), on the left of an assignment or increment, or by taking its
+// address. Fields are
 // resolved with go/types over the packages' export data, so writes are
 // found through import names, elided literal types and promoted
 // selectors.
@@ -73,7 +80,7 @@ func settings() (unset, stale []string, err error) {
 		}
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Params")) {
+			if !ok || !slices.ContainsFunc(settingsSuffixes, func(suf string) bool { return strings.HasSuffix(name, suf) }) {
 				continue
 			}
 			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
