@@ -118,15 +118,15 @@ func before(a, b scored) bool {
 // fit is one node's PCA fit, memoised against the reference set it was
 // fitted on: the principal axes, flattened, and the old data's mean
 // projected onto them with its norm. The key is the reference set's
-// pointer together with the component count. The pointer is a sound
-// key: a dataset's features never change once drawn, and
-// synthdata.Recollect always returns a new *Dataset and empties the
-// one it recycles, so a node's reference changes exactly when its
-// OldData pointer does (the model was retrained). The fit holds the
-// pointer it keys on, so no later dataset can reuse its address.
+// pointer alone. The pointer is a sound key: a dataset's features never
+// change once drawn, and synthdata.Recollect always returns a new
+// *Dataset and empties the one it recycles, so a node's reference
+// changes exactly when its OldData pointer does (the model was
+// retrained). The fit holds the pointer it keys on, so no later dataset
+// can reuse its address. Every memoised fit has pcaComponents axes;
+// only RankByDivergence asks for another count, on a fresh fit.
 type fit struct {
 	old  *synthdata.Dataset // the fitted reference set; nil when none is
-	k    int                // the requested component count
 	dim  int                // the feature dimension
 	axes []float64          // the principal axes, dim values each
 	mean []float64          // the old data's mean projected onto the axes
@@ -140,10 +140,10 @@ type buffers struct {
 	proj   []float64
 }
 
-// refit fits f to old with k components unless it already holds that
-// fit. A failed fit leaves f empty, so the next call fits again.
+// refit fits f to old with k components unless it already holds a fit
+// of old. A failed fit leaves f empty, so the next call fits again.
 func (f *fit) refit(old *synthdata.Dataset, k int) error {
-	if f.old == old && f.k == k {
+	if f.old == old {
 		return nil
 	}
 	f.old = nil
@@ -155,7 +155,7 @@ func (f *fit) refit(old *synthdata.Dataset, k int) error {
 	// and centering on the old data's mean would map that mean to the
 	// zero vector.
 	f.mean = pca.Project(pca.Mean())
-	f.old, f.k, f.dim = old, k, pca.Dim()
+	f.old, f.dim = old, pca.Dim()
 	f.axes = pca.AppendAxes(f.axes[:0])
 	f.norm = mathx.Norm(f.mean)
 	return nil
@@ -216,22 +216,9 @@ func (b *buffers) scorePool(f *fit, old, pool *synthdata.Dataset, k int) ([]scor
 
 // project sets proj[c] to mathx.Dot(v, axis c) for every axis of the
 // flattened axes, in one pass over v. Each sum adds its products in
-// Dot's order, so the bits are Dot's. The four components the detector
-// keeps get their accumulators in registers.
+// Dot's order, so the bits are Dot's.
 func project(proj, axes, v []float64) {
 	d := len(v)
-	if len(proj) == 4 {
-		a0, a1, a2, a3 := axes[:d], axes[d:2*d], axes[2*d:3*d], axes[3*d:4*d]
-		var s0, s1, s2, s3 float64
-		for j, x := range v {
-			s0 += x * a0[j]
-			s1 += x * a1[j]
-			s2 += x * a2[j]
-			s3 += x * a3[j]
-		}
-		proj[0], proj[1], proj[2], proj[3] = s0, s1, s2, s3
-		return
-	}
 	clear(proj)
 	for j, x := range v {
 		for c := range proj {
