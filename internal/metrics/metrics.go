@@ -12,7 +12,8 @@ import (
 )
 
 // Recorder accumulates metrics during one serving run. It is not safe
-// for concurrent use.
+// for concurrent use, except that RecordCorrect may run on a goroutine
+// of its own.
 type Recorder struct {
 	period  simtime.Duration
 	horizon simtime.Duration
@@ -114,22 +115,36 @@ func (r *Recorder) secondIndex(t simtime.Instant) int {
 	return i
 }
 
-// RecordPredictions records n leaf-model predictions made at t, correct
-// of them correct (0 ≤ correct ≤ n), all by an updated model or none:
-// exactly what n one-prediction records would count. n ≤ 0 records
-// nothing.
-func (r *Recorder) RecordPredictions(t simtime.Instant, n, correct int, usedUpdatedModel bool) {
+// RecordPredictions records n leaf-model predictions made at t, all by
+// an updated model or none: exactly the totals n one-prediction records
+// would count. Their correct count is recorded by RecordCorrect. n ≤ 0
+// records nothing.
+func (r *Recorder) RecordPredictions(t simtime.Instant, n int, usedUpdatedModel bool) {
 	if n <= 0 {
 		return
 	}
-	total, corr, upd := &r.overflow.Predictions, &r.overflow.Correct, &r.overflow.Updated
+	total, upd := &r.overflow.Predictions, &r.overflow.Updated
 	if p := r.periodIndex(t); p >= 0 {
-		total, corr, upd = &r.total[p], &r.correct[p], &r.updated[p]
+		total, upd = &r.total[p], &r.updated[p]
 	}
 	*total += n
-	*corr += correct
 	if usedUpdatedModel {
 		*upd += n
+	}
+}
+
+// RecordCorrect records that correct of the predictions made at t were
+// correct. It writes only the correct counts, so one goroutine may call
+// it while another calls the other Record methods; read the results
+// after both are done.
+func (r *Recorder) RecordCorrect(t simtime.Instant, correct int) {
+	if correct <= 0 {
+		return
+	}
+	if p := r.periodIndex(t); p >= 0 {
+		r.correct[p] += correct
+	} else {
+		r.overflow.Correct += correct
 	}
 }
 

@@ -47,9 +47,9 @@ func TestNewRecorderValidation(t *testing.T) {
 func TestAccuracyPerPeriod(t *testing.T) {
 	r := newRec(t)
 	// Period 0: 3 correct of 4. Period 1: 1 of 2.
-	r.RecordPredictions(sec(10), 4, 3, false)
-	r.RecordPredictions(sec(60), 1, 1, true)
-	r.RecordPredictions(sec(60), 1, 0, false)
+	recordScored(r, sec(10), 4, 3, false)
+	recordScored(r, sec(60), 1, 1, true)
+	recordScored(r, sec(60), 1, 0, false)
 	acc := r.PeriodAccuracy()
 	if len(acc) != 2 {
 		t.Fatalf("periods = %d", len(acc))
@@ -96,14 +96,14 @@ func TestBatchedRecordsEqualSingleRecords(t *testing.T) {
 			correct = rng.Intn(n + 1)
 		}
 		batched.RecordRequests(at, met, n)
-		batched.RecordPredictions(at, n, correct, upd)
+		recordScored(batched, at, n, correct, upd)
 		for k := 0; k < n; k++ {
 			single.RecordRequests(at, met, 1)
 			c := 0
 			if k < correct {
 				c = 1
 			}
-			single.RecordPredictions(at, 1, c, upd)
+			recordScored(single, at, 1, c, upd)
 		}
 	}
 	if !reflect.DeepEqual(batched, single) {
@@ -195,7 +195,7 @@ func TestOutOfHorizonGoesToOverflow(t *testing.T) {
 	r := newRec(t)
 	// Events beyond the horizon land in the overflow bucket; they must
 	// not pollute the last period/window of the series.
-	r.RecordPredictions(sec(500), 1, 1, true)
+	recordScored(r, sec(500), 1, 1, true)
 	r.RecordRequests(sec(500), true, 1)
 	acc := r.PeriodAccuracy()
 	if acc[len(acc)-1] != 0 {
@@ -240,7 +240,7 @@ func TestRetrainEffortPastHorizon(t *testing.T) {
 
 func TestValidityMasks(t *testing.T) {
 	r := newRec(t)
-	r.RecordPredictions(sec(10), 1, 1, false)
+	recordScored(r, sec(10), 1, 1, false)
 	r.RecordRequests(sec(10), true, 1)
 	pm := r.PeriodsWithPredictions()
 	if !pm[0] || pm[1] {
@@ -320,4 +320,11 @@ func TestUtilizationOvershoot(t *testing.T) {
 	if max, n := r.UtilizationOvershoot(); max != 1.5 || n != 2 {
 		t.Fatalf("overshoot = %v/%d, want 1.5/2", max, n)
 	}
+}
+
+// recordScored records n predictions at t, correct of them correct, as
+// serving's loop and scorer do between them.
+func recordScored(r *Recorder, t simtime.Instant, n, correct int, upd bool) {
+	r.RecordPredictions(t, n, upd)
+	r.RecordCorrect(t, correct)
 }

@@ -20,6 +20,8 @@ type PeriodContext struct {
 	// count for the whole period (used by period-level planners).
 	Jobs []JobRequest
 	// Rand drives any stochastic decisions, seeded by the experiment.
+	// serving leaves it nil: its run RNG belongs to the goroutine that
+	// scores predictions, and no method in this module reads the field.
 	Rand *rand.Rand
 }
 

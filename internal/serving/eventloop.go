@@ -19,18 +19,24 @@ import (
 
 // runLoop drives one serving simulation: for each period, the boundary,
 // then every session that carries work, then the period's remaining
-// retrains. Empty sessions are skipped, because the boundary precomputes
-// the period's arrivals and predictions per app. Whole-pool retrains
-// apply in (applySession, planIdx) order (see retrainItem).
+// retrains. Empty sessions are skipped, because the filler draws each
+// period's arrivals and predictions per app ahead of its boundary.
+// Whole-pool retrains apply in (applySession, planIdx) order (see
+// retrainItem).
 type runLoop struct {
 	cfg    *Config
 	states []*appState
 	rec    *metrics.Recorder
 	res    *Result
-	rng    *rand.Rand
 
 	nSessions         int
 	sessionsPerPeriod int
+	nPeriods          int
+
+	// fill draws the next period's rows into spare while the loop serves
+	// rows; score draws every served prediction (see pipeline.go).
+	fill  filler
+	score *scorer
 
 	// ewmaTa is the run-wide EWMA of the session makespan (the slowest
 	// job across every lane); it sets the concurrency each lane's share
@@ -74,11 +80,8 @@ type runLoop struct {
 	retrains    []pendingRetrain // the period plan's retrains, plan order
 	applies     []retrainItem    // the ones that apply this period, apply order
 	nextApply   int              // cursor: applies[:nextApply] have applied
-	// actual/predicted hold the whole period's arrivals per app
-	// ([app][session-in-period]); work marks sessions with any work.
-	actual    [][]int
-	predicted [][]int
-	work      []bool
+	// rows holds the period's arrivals and predictions per app.
+	rows, spare *periodRows
 
 	// flt, when non-nil, is the deterministic fault injector
 	// (Config.Faults). Every decision it hands out is a pure hash of
@@ -122,15 +125,15 @@ type runLoop struct {
 	tel *telemetry.Collector
 }
 
-func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Result, rng *rand.Rand) *runLoop {
+func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Result) *runLoop {
 	l := &runLoop{
 		cfg:               cfg,
 		states:            states,
 		rec:               rec,
 		res:               res,
-		rng:               rng,
 		nSessions:         int(cfg.Horizon / clock.Session),
 		sessionsPerPeriod: clock.SessionsPerPeriod(),
+		fill:              filler{states: states, done: make(chan error, 1)},
 		ewmaTa:            50 * time.Millisecond,
 		tel:               cfg.Telemetry,
 		ctx: &sched.SessionContext{
@@ -169,14 +172,11 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		}
 		l.tel.EnableGPUCounters(cfg.NGPUs)
 	}
-	l.actual = make([][]int, len(states))
-	l.predicted = make([][]int, len(states))
-	for i := range states {
-		l.actual[i] = make([]int, l.sessionsPerPeriod)
-		l.predicted[i] = make([]int, l.sessionsPerPeriod)
-	}
-	l.work = make([]bool, l.sessionsPerPeriod)
+	l.nPeriods = (l.nSessions + l.sessionsPerPeriod - 1) / l.sessionsPerPeriod
+	l.rows = newPeriodRows(len(states), l.sessionsPerPeriod)
+	l.spare = newPeriodRows(len(states), l.sessionsPerPeriod)
 	if l.flt = faults.New(cfg.Faults); l.flt != nil {
+		l.fill.flt = l.flt
 		l.memFault = make([]bool, len(states))
 		if cfg.NGPUs > 1 && l.flt.Config().GPUCrash > 0 {
 			l.admitCap = make([]int, len(states))
@@ -202,14 +202,25 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 	return l
 }
 
-func (l *runLoop) run() error {
-	nPeriods := (l.nSessions + l.sessionsPerPeriod - 1) / l.sessionsPerPeriod
-	for p := 0; p < nPeriods; p++ {
+// run serves every period, scoring predictions with rng. The filler
+// and the scorer it starts have both returned when it does, on success
+// and on error.
+func (l *runLoop) run(rng *rand.Rand) error {
+	l.score = newScorer(rng, l.rec)
+	defer func() {
+		// A fill is in flight only when an error cut the period short,
+		// and that error is the one to return.
+		_ = l.fill.join()
+		l.score.stop()
+	}()
+	first, last := l.periodBounds(0)
+	l.fill.start(0, first, last, l.spare)
+	for p := 0; p < l.nPeriods; p++ {
 		if err := l.periodStart(p); err != nil {
 			return err
 		}
 		for sess := l.periodFirst; sess <= l.periodLast; sess++ {
-			if !l.work[sess-l.periodFirst] {
+			if !l.rows.work[sess-l.periodFirst] {
 				continue
 			}
 			if err := l.workSession(sess); err != nil {
@@ -246,17 +257,20 @@ func (l *runLoop) run() error {
 	return nil
 }
 
+// periodBounds returns the first and last session of the period.
+func (l *runLoop) periodBounds(period int) (first, last int) {
+	first = period * l.sessionsPerPeriod
+	return first, min(first+l.sessionsPerPeriod, l.nSessions) - 1
+}
+
 // periodStart handles one period boundary: it advances pools, rebuilds
-// the per-period distribution maps, precomputes the period's arrivals
-// and predictions app by app, runs the method's period planning, and
-// sorts the period's retrains into apply order.
+// the per-period distribution maps, takes the period's arrivals and
+// predictions from the filler and starts it on the next period, runs
+// the method's period planning, and sorts the period's retrains into
+// apply order.
 func (l *runLoop) periodStart(period int) error {
 	cfg := l.cfg
-	first := period * l.sessionsPerPeriod
-	last := first + l.sessionsPerPeriod - 1
-	if last > l.nSessions-1 {
-		last = l.nSessions - 1
-	}
+	first, last := l.periodBounds(period)
 	if l.aud != nil {
 		if err := l.aud.OnEvent(clock.PeriodStart(period)); err != nil {
 			return err
@@ -318,48 +332,26 @@ func (l *runLoop) periodStart(period int) error {
 		}
 	}
 
-	// Arrivals and predictions for the whole period, one app at a time.
-	// Each app's generator and predictor is independent of the others
-	// and of the shared RNG, and the predictor observes every session
-	// (including empty ones), so batching per app reproduces exactly
-	// the per-session call sequences.
-	n := last - first + 1
-	for s := 0; s < n; s++ {
-		l.work[s] = false
+	// The filler drew this period's rows while the last one ran: swap
+	// them in and start it on the next period.
+	if err := l.fill.join(); err != nil {
+		return err
 	}
+	l.rows, l.spare = l.spare, l.rows
+	if period+1 < l.nPeriods {
+		nf, nl := l.periodBounds(period + 1)
+		l.fill.start(period+1, nf, nl, l.spare)
+	}
+	n := last - first + 1
 	for i, st := range l.states {
-		arow, prow := l.actual[i], l.predicted[i]
-		var burst faults.Burst
-		burstOK := false
-		if l.flt != nil {
-			if b, ok := l.flt.BurstFor(period, st.inst.App.Name, n); ok {
-				burst, burstOK = b, true
-				l.res.FaultBursts++
-				l.tel.Burst(start, period, st.inst.App.Name, b.Start, b.End-b.Start, b.Factor)
-			}
-		}
-		for s := 0; s < n; s++ {
-			ws := clock.SessionStart(first + s)
-			we := ws.Add(clock.Session)
-			a := st.gen.CountInWindow(ws, we)
-			if burstOK && s >= burst.Start && s < burst.End {
-				// The burst multiplies arrivals before the predictor
-				// observes them: predictions lag the surge, so plans are
-				// undersized exactly as a real flash crowd undersizes
-				// them.
-				a *= burst.Factor
-			}
-			p := st.pred.Predict()
-			st.pred.Observe(a)
-			arow[s], prow[s] = a, p
-			if a > 0 || p > 0 {
-				l.work[s] = true
-			}
+		if br := l.rows.bursts[i]; br.ok {
+			l.res.FaultBursts++
+			l.tel.Burst(start, period, st.inst.App.Name, br.b.Start, br.b.End-br.b.Start, br.b.Factor)
 		}
 		if l.aud != nil {
 			sum := 0
-			for s := 0; s < n; s++ {
-				sum += arow[s]
+			for _, a := range l.rows.actual[i][:n] {
+				sum += int(a)
 			}
 			l.aud.ExpectArrivals(st.inst.App.Name, sum)
 		}
@@ -384,7 +376,6 @@ func (l *runLoop) periodStart(period int) error {
 		Start:  start,
 		Length: clock.Period,
 		GPUs:   cfg.GPUs,
-		Rand:   l.rng,
 	}
 	for _, st := range l.states {
 		pctx.Jobs = append(pctx.Jobs, sched.JobRequest{Instance: st.inst, Profile: st.prof, Costs: st.costs})
@@ -581,8 +572,8 @@ func (l *runLoop) laneEvents(period int, start simtime.Instant) error {
 func (l *runLoop) placeApps(period int, start simtime.Instant, n int) error {
 	for i := range l.states {
 		sum := 0
-		for s := 0; s < n; s++ {
-			sum += l.predicted[i][s]
+		for _, p := range l.rows.predicted[i][:n] {
+			sum += int(p)
 		}
 		l.loadBuf[i] = float64(sum)
 	}
@@ -690,10 +681,8 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 		for _, i := range l.laneApps[g] {
 			st := l.states[i]
 			peak := 0
-			for s := 0; s < n; s++ {
-				if l.predicted[i][s] > peak {
-					peak = l.predicted[i][s]
-				}
+			for _, p := range l.rows.predicted[i][:n] {
+				peak = max(peak, int(p))
 			}
 			apps = append(apps, admit.App{
 				Name:     st.inst.App.Name,
@@ -855,7 +844,7 @@ func (l *runLoop) workSession(sess int) error {
 		// here, before any lane plans.
 		for i, st := range l.states {
 			l.memFault[i] = l.flt.MemFail(sess, st.inst.App.Name, l.laneOf[i])
-			if l.memFault[i] && l.actual[i][si] > 0 {
+			if l.memFault[i] && l.rows.actual[i][si] > 0 {
 				l.res.FaultDegradedJobs++
 				l.tel.Degrade(start, sess, st.inst.App.Name)
 			}
@@ -866,7 +855,7 @@ func (l *runLoop) workSession(sess int) error {
 	// Apps the failover re-pack could not place shed every arrival:
 	// no lane can hold their working set until one recovers.
 	for _, i := range l.unplacedIdx {
-		if a := l.actual[i][si]; a > 0 {
+		if a := int(l.rows.actual[i][si]); a > 0 {
 			if err := l.shedRequests(start, sess, l.states[i], a); err != nil {
 				return err
 			}
@@ -888,7 +877,7 @@ func (l *runLoop) workSession(sess int) error {
 				Instance: l.states[i].inst,
 				Profile:  l.states[i].prof,
 				Dag:      l.states[i].dag,
-				Requests: l.predicted[i][si],
+				Requests: int(l.rows.predicted[i][si]),
 				Costs:    l.states[i].costs,
 			})
 		}
@@ -918,7 +907,7 @@ func (l *runLoop) workSession(sess int) error {
 		}
 		l.curLane = g
 		for li, i := range apps {
-			actual := l.actual[i][si]
+			actual := int(l.rows.actual[i][si])
 			if actual == 0 {
 				continue
 			}

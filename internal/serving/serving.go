@@ -332,12 +332,17 @@ type appState struct {
 }
 
 // leafProbs is one probMemo entry: the cached correctness vector and
-// the inputs it was computed from.
+// the inputs it was computed from. The *Seq and *Off fields locate the
+// snapshots of the vector and of the live CDF in the scorer's current
+// batch (see scorer.add): a miss clears probsSeq, a new period cdfSeq.
 type leafProbs struct {
 	live    *dist.Categorical
 	version uint64
 	stct    dnn.Structure
 	probs   []float64
+
+	cdfSeq, probsSeq uint64
+	cdfOff, probsOff int32
 }
 
 // pendingRetrain is a scheduled whole-pool retraining awaiting its
@@ -509,7 +514,7 @@ func Run(cfg Config) (*Result, error) {
 	rng := dist.NewRNG(cfg.Seed ^ 0x5eed)
 
 	cfg.Telemetry.Run(cfg.Method.Name(), cfg.GPUs, cfg.Horizon, len(cfg.Apps))
-	if err := newRunLoop(&cfg, states, rec, res, rng).run(); err != nil {
+	if err := newRunLoop(&cfg, states, rec, res).run(rng); err != nil {
 		return nil, err
 	}
 
@@ -559,7 +564,6 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 
 	cfg := l.cfg
 	rec := l.rec
-	rng := l.rng
 	res := l.res
 	a := st.inst.App
 	fraction := 0.0
@@ -666,13 +670,13 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 	res.Jobs++
 
 	// Score every request: one SLO outcome per request and one
-	// prediction per leaf model. Each prediction draws its class from
-	// the live distribution's CDF, then its correctness.
+	// prediction per leaf model. The scorer draws each prediction's
+	// class from the live distribution's CDF, then its correctness.
 	rec.RecordRequests(start, met, actual)
 	res.Requests += actual
 	for _, leaf := range st.leaves {
 		ni := insts[leaf]
-		live, cdf := st.liveDists[leaf], st.liveCDFs[leaf]
+		live := st.liveDists[leaf]
 		stct := ni.FullStructure()
 		for i := range nodes {
 			if nodes[i].Index == leaf {
@@ -684,7 +688,10 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		if pm.probs == nil || pm.live != live || pm.version != ni.State.Version() || pm.stct != stct {
 			// Overwrite the entry in place: a retrained leaf misses on
 			// every job, so the vector is reused rather than reallocated.
-			pm.live, pm.version, pm.stct = live, ni.State.Version(), stct
+			if pm.live != live {
+				pm.cdfSeq = 0 // a new period's CDF
+			}
+			pm.live, pm.version, pm.stct, pm.probsSeq = live, ni.State.Version(), stct, 0
 			if cap(pm.probs) < live.K() {
 				pm.probs = make([]float64, live.K())
 			}
@@ -693,15 +700,8 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 				pm.probs[c] = ni.State.CorrectProb(c, live, stct)
 			}
 		}
-		probs := pm.probs
-		correct := 0
-		for r := 0; r < actual; r++ {
-			class := dist.SampleCDF(rng, cdf)
-			if rng.Float64() < probs[class] {
-				correct++
-			}
-		}
-		rec.RecordPredictions(start, actual, correct, st.updated[leaf])
+		rec.RecordPredictions(start, actual, st.updated[leaf])
+		l.score.add(start, actual, st.liveCDFs[leaf], pm)
 	}
 	return latency, nil
 }

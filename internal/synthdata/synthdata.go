@@ -93,6 +93,8 @@ type Stream struct {
 	// until the first dataset's features are read.
 	featureRNG *rand.Rand
 	labelDist  *dist.Categorical
+	// cdf is labelDist's cumulative vector, rebuilt by each collection.
+	cdf        []float64
 	classMeans [][]float64
 	// noveltyDirs are fixed per-class unit vectors along which coupled
 	// covariate shift accumulates: a class's novel instances keep
@@ -263,8 +265,12 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 // whenever, and in whatever order, datasets are first read, and class
 // draws never depend on whether features were drawn.
 type Dataset struct {
-	Task    string
+	Task string
+	// Classes must not be modified: counts was taken from it.
 	Classes []int
+	// counts[c] is the number of samples of class c, counted as the
+	// dataset was built.
+	counts []int
 	// block holds the feature rows back to back, dim values each, once
 	// drawn; a later Recollect may take it over.
 	block []float64
@@ -323,6 +329,12 @@ func FromRows(task string, classes []int, rows [][]float64) *Dataset {
 		panic(fmt.Sprintf("synthdata: FromRows with %d classes and %d rows", len(classes), len(rows)))
 	}
 	d := &Dataset{Task: task, Classes: slices.Clone(classes)}
+	for _, c := range classes {
+		if c >= len(d.counts) {
+			d.counts = append(d.counts, make([]int, c+1-len(d.counts))...)
+		}
+		d.counts[c]++
+	}
 	if len(rows) > 0 {
 		d.dim = len(rows[0])
 	}
@@ -337,11 +349,11 @@ func FromRows(task string, classes []int, rows [][]float64) *Dataset {
 }
 
 // LabelDistribution returns the empirical class distribution over k
-// classes.
+// classes, from the counts taken when the dataset was built.
 func (d *Dataset) LabelDistribution(k int) []float64 {
 	counts := make([]float64, k)
-	for _, c := range d.Classes {
-		counts[c]++
+	for c, n := range d.counts {
+		counts[c] = float64(n)
 	}
 	return mathx.Normalize(counts)
 }
@@ -351,24 +363,31 @@ func Collect(s *Stream, n int) *Dataset { return Recollect(s, n, nil) }
 
 // Recollect is Collect reusing the storage of spare, a dataset its
 // caller no longer reads: the new dataset takes over spare's class
-// slice, feature block and means buffer when their capacity suffices
-// and allocates them once otherwise. spare (which may be nil) is left
-// empty, so a stale holder of it sees no samples rather than another
-// period's. The draws, and therefore the samples, are exactly
-// Collect's.
+// slice, class counts, feature block and means buffer when their
+// capacity suffices and allocates them once otherwise. spare (which may
+// be nil) is left empty, so a stale holder of it sees no samples rather
+// than another period's. The draws, and therefore the samples, are
+// exactly Collect's.
 func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
-	var classes []int
+	var classes, counts []int
 	var block, means []float64
 	if spare != nil {
-		classes, block, means = spare.Classes, spare.block, spare.means
+		classes, counts, block, means = spare.Classes, spare.counts, spare.block, spare.means
 		*spare = Dataset{}
 	}
 	if cap(classes) < n {
 		classes = make([]int, n)
 	}
 	classes = classes[:n]
+	// SampleCDF over the mix's CDF draws exactly the classes
+	// labelDist.Sample would.
+	s.cdf = s.labelDist.AppendCDF(s.cdf[:0])
+	counts = slices.Grow(counts[:0], len(s.cdf))[:len(s.cdf)]
+	clear(counts)
 	for i := range classes {
-		classes[i] = s.labelDist.Sample(s.rng)
+		c := dist.SampleCDF(s.rng, s.cdf)
+		classes[i] = c
+		counts[c]++
 	}
 	// Snapshot the means: AdvancePeriod and Shock move them in place
 	// before the features may be drawn.
@@ -379,7 +398,7 @@ func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
 	}
 	s.collected++
 	return &Dataset{
-		Task: s.spec.Name, Classes: classes, block: block[:0], dim: dim,
+		Task: s.spec.Name, Classes: classes, counts: counts, block: block[:0], dim: dim,
 		src: s, means: means, seed: featureSeed(s.seed, s.collected),
 	}
 }

@@ -1,11 +1,13 @@
 package synthdata
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"adainf/internal/dist"
+	"adainf/internal/mathx"
 )
 
 func vehicleSpec() TaskSpec {
@@ -259,6 +261,49 @@ func TestRecollectMatchesCollect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClassCountsMatchRescan checks the class counts a dataset takes
+// as it is built against a rescan of its classes, for Collect, for
+// Recollect over drifting and shocked periods with spares of every kind,
+// and for FromRows; LabelDistribution must equal the rescan's
+// distribution bit for bit.
+func TestClassCountsMatchRescan(t *testing.T) {
+	check := func(name string, d *Dataset, k int) {
+		t.Helper()
+		rescan := make([]float64, k) // the scan LabelDistribution once ran
+		for _, c := range d.Classes {
+			rescan[c]++
+		}
+		counts := make([]float64, k)
+		for c, n := range d.counts {
+			counts[c] = float64(n)
+		}
+		if !slices.Equal(counts, rescan) {
+			t.Fatalf("%s: counted %v, rescan finds %v", name, counts, rescan)
+		}
+		want, got := mathx.Normalize(rescan), d.LabelDistribution(k)
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("%s: LabelDistribution %v, rescan %v", name, got, want)
+			}
+		}
+	}
+	s, _ := NewStream(vehicleSpec(), 21)
+	check("collect", Collect(s, 500), 4)
+	other, _ := NewStream(vehicleSpec(), 22)
+	for _, spare := range []*Dataset{nil, Collect(other, 50), Collect(other, 5000), {Classes: make([]int, 500)}} {
+		for p := 0; p < 4; p++ {
+			if p == 2 {
+				s.Shock(dist.NewRNG(int64(p)), 0.8)
+			}
+			spare = Recollect(s, 500, spare)
+			check(fmt.Sprintf("recollect period %d", p), spare, 4)
+			s.AdvancePeriod()
+		}
+	}
+	check("from rows", FromRows("t", []int{2, 0, 2, 3}, [][]float64{{1}, {2}, {3}, {4}}), 4)
+	check("from rows, empty", FromRows("t", nil, nil), 4)
 }
 
 // TestFromRows checks that explicit rows are copied in and read back,

@@ -91,6 +91,14 @@ go test -race -count=10 -run 'TestParallelBuildBitIdentity$' ./internal/profile
 echo "== drift probe race =="
 go test -race -count=10 -run 'TestPeriodStartDetectionMatchesFresh$' ./internal/core
 
+# The serving loop runs its arrival filler and prediction scorer on
+# goroutines of their own, so the pinned single-GPU runs and the
+# pipeline's error-path and overflow tests get repeated race runs too.
+# (TestServingGoldens lives in internal/experiments, where one race run
+# takes minutes; the full suite above runs it race-free.)
+echo "== serving pipeline race =="
+go test -race -count=5 -run 'TestPinnedSingleGPU$|TestPipelineStopsOnMethodError$|TestRunRejectsArrivalsBeyondInt32$' ./internal/serving
+
 # Fuzz smoke: a few seconds per target catches regressions in the
 # properties the fuzz corpora pin (regression-fit robustness, profile
 # cache-key identity, fault-schedule decode/encode round trips, the

@@ -45,6 +45,7 @@ var allow = map[string]string{
 
 	// Checkers.
 	"sched.(*SessionPlan).Validate": "checker: tests validate every plan they build with it",
+	"dist.(*Categorical).Sample":    "reference: tests check dist.SampleCDF's and synthdata.Recollect's class draws against it",
 
 	// Observers: tests read live state through them.
 	"app.(*NodeInstance).TrainedThisPeriod":    "app tests read the per-period retrain flag",
