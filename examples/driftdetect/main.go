@@ -40,7 +40,9 @@ func main() {
 
 			if rep.Impacted {
 				// Show what the divergence ranking surfaced: the top
-				// samples over-represent the surged classes.
+				// samples over-represent the surged classes. It fits
+				// afresh, so it re-draws the reference set's features
+				// and then the pool's (they share one block).
 				ranked, err := drift.RankByDivergence(ni.OldData, ni.Pool, 4)
 				if err != nil {
 					log.Fatal(err)

@@ -237,6 +237,51 @@ func TestInstanceAdvancePeriod(t *testing.T) {
 	}
 }
 
+// TestPoolRowsShareOneBlock reads a node's datasets in the drift
+// probe's order across 20 boundaries that retrain the node every other
+// period: the reference set's rows whenever it changed, then every pool
+// row. Each dataset read must sit in the same backing array, its
+// stream's one feature block, and a retrained node's adopted pool must
+// keep the rows it was read with.
+func TestPoolRowsShareOneBlock(t *testing.T) {
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 4, PoolSamples: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ni := inst.ByName["vehicle-type"]
+	var block *float64
+	var old *synthdata.Dataset
+	var poolClasses []int
+	var poolRows [][]float64
+	inBlock := func(p int, what string, d *synthdata.Dataset) {
+		t.Helper()
+		for i := range d.Len() {
+			d.Features(i)
+		}
+		if block == nil {
+			block = &d.Features(0)[0]
+		}
+		if &d.Features(0)[0] != block {
+			t.Fatalf("period %d: the %s's rows left the stream's block", p, what)
+		}
+	}
+	for p := range 20 {
+		if ni.OldData != old {
+			old = ni.OldData
+			if p > 0 && !sameSamples(old, poolClasses, poolRows) {
+				t.Fatalf("period %d: the adopted pool changed", p)
+			}
+			inBlock(p, "reference set", old)
+		}
+		inBlock(p, "pool", ni.Pool)
+		poolClasses, poolRows = cloneSamples(ni.Pool)
+		if p%2 == 0 {
+			ni.NoteTrained()
+		}
+		inst.AdvancePeriod(0)
+	}
+}
+
 func TestConsumeSamples(t *testing.T) {
 	inst, _ := NewInstance(BikeRackOccupancy(), InstanceConfig{Seed: 3, PoolSamples: 100})
 	ni := inst.Nodes()[0]

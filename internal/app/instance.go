@@ -38,8 +38,12 @@ type NodeInstance struct {
 	//
 	// Pool and OldData are owned by the instance: a dataset read from
 	// either stays valid until the AdvancePeriod that drops it, which
-	// empties it and reuses its storage for the next pool. Keep what
-	// must outlive that boundary as a copy, not as the dataset.
+	// empties it and reuses its storage for the next pool. Both share
+	// Stream's one feature block, so a row view from Features stays
+	// valid only until the other dataset (or any other of the stream)
+	// draws its features, and reading the two in alternation re-draws
+	// on every switch. Keep what must outlive either as a copy, not as
+	// the dataset or the view.
 	Pool *synthdata.Dataset
 	// UsedSamples counts retraining samples consumed this period so
 	// concurrent jobs do not retrain on the same samples (§3.3.2).

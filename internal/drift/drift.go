@@ -118,13 +118,21 @@ func before(a, b scored) bool {
 // fit is one node's PCA fit, memoised against the reference set it was
 // fitted on: the principal axes, flattened, and the old data's mean
 // projected onto them with its norm. The key is the reference set's
-// pointer alone. The pointer is a sound key: a dataset's features never
-// change once drawn, and synthdata.Recollect always returns a new
-// *Dataset and empties the one it recycles, so a node's reference
+// pointer alone. The pointer is a sound key: a dataset's features are a
+// pure function of its seed, class-means snapshot and classes, so they
+// read the same bits whether or not the stream's one feature block was
+// taken over and re-drawn since, and synthdata.Recollect always returns
+// a new *Dataset and empties the one it recycles, so a node's reference
 // changes exactly when its OldData pointer does (the model was
 // retrained). The fit holds the pointer it keys on, so no later dataset
 // can reuse its address. Every memoised fit has pcaComponents axes;
 // only RankByDivergence asks for another count, on a fresh fit.
+//
+// Because the fit is memoised, a serving run reads a reference set's
+// rows only when it refits, and scorePool refits before it reads the
+// pool: a retrained node's reference, last period's pool, still holds
+// its stream's block then (or was never read), and nothing is drawn
+// twice.
 type fit struct {
 	old  *synthdata.Dataset // the fitted reference set; nil when none is
 	dim  int                // the feature dimension
@@ -169,8 +177,8 @@ func (f *fit) refit(old *synthdata.Dataset, k int) error {
 // is allocated per sample. A pool whose feature length differs from
 // the old data's is an error, and so is a sample whose distance is not
 // finite (a NaN or Inf feature), named by its pool index. Reading the
-// features through Dataset.Features draws them if nothing has read
-// them yet.
+// features through Dataset.Features draws them unless the dataset holds
+// its stream's feature block.
 func (b *buffers) scorePool(f *fit, old, pool *synthdata.Dataset, k int) ([]scored, error) {
 	if old == nil || old.Len() == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")
@@ -215,21 +223,23 @@ func (b *buffers) scorePool(f *fit, old, pool *synthdata.Dataset, k int) ([]scor
 }
 
 // project sets proj[c] to mathx.Dot(v, axis c) for every axis of the
-// flattened axes, in one pass over v. Each sum adds its products in
-// Dot's order, so the bits are Dot's.
+// flattened axes. Each sum adds its products in Dot's order, so the
+// bits are Dot's.
 func project(proj, axes, v []float64) {
-	d := len(v)
-	clear(proj)
-	for j, x := range v {
-		for c := range proj {
-			proj[c] += x * axes[c*d+j]
+	for c := range proj {
+		axis := axes[c*len(v) : (c+1)*len(v)]
+		var s float64
+		for j, x := range v {
+			s += x * axis[j]
 		}
+		proj[c] = s
 	}
 }
 
 // RankByDivergence orders pool sample indices by decreasing divergence
 // from the old training data (see scorePool), ties broken by pool
-// index.
+// index. It fits afresh, so when old and pool come from one stream it
+// draws old's features and then re-draws pool's, which old displaced.
 func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
 	xs, err := new(buffers).scorePool(new(fit), old, pool, pcaComponents)
 	if err != nil {

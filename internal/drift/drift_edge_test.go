@@ -2,6 +2,7 @@ package drift
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"adainf/internal/app"
@@ -39,7 +40,7 @@ func singleClassWindow(t *testing.T, seed int64, n int) *synthdata.Dataset {
 		d := synthdata.Collect(s, n)
 		for i, c := range d.Classes {
 			if c == 0 && len(rows) < n {
-				rows = append(rows, d.Features(i))
+				rows = append(rows, slices.Clone(d.Features(i)))
 			}
 		}
 	}

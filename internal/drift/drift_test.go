@@ -55,7 +55,9 @@ func TestRankByDivergenceOrdersShiftedSamplesFirst(t *testing.T) {
 	for count[0] < 100 || count[1] < 100 {
 		smp := synthdata.Collect(s, 1)
 		if c := smp.Classes[0]; count[c] < 100 {
-			classes, rows = append(classes, c), append(rows, smp.Features(0))
+			// The next Collect's draw takes over the stream's feature
+			// block, so keep a copy of the row.
+			classes, rows = append(classes, c), append(rows, slices.Clone(smp.Features(0)))
 			count[c]++
 		}
 	}

@@ -179,3 +179,41 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestRunArmsParallelMatchesSerial runs the quick fig18 two-app arms,
+// one per method, for two periods through
+// runArms on two workers and compares them with a serial run. It is
+// short enough for a race-detector CI step, which checks the serving
+// loop's filler and scorer goroutines inside the runner's parallel arms.
+func TestRunArmsParallelMatchesSerial(t *testing.T) {
+	var arms []arm
+	for _, a := range fig18QuickArms(t) {
+		if len(a.apps) == 2 {
+			arms = append(arms, a)
+		}
+	}
+	if len(arms) != 4 {
+		t.Fatalf("quick fig18 has %d two-app arms, want one per method", len(arms))
+	}
+	run := func(workers int) []goldenMetrics {
+		o := Options{Quick: true, Seed: 3, Horizon: 100 * time.Second, Workers: workers, Audit: true}
+		rs, err := runArms(o, "fig18", arms)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		out := make([]goldenMetrics, len(rs))
+		for i, r := range rs {
+			if r.Requests == 0 {
+				t.Fatalf("workers=%d: %s served no requests", workers, armLabel(&arms[i]))
+			}
+			out[i] = goldenOf(r)
+		}
+		return out
+	}
+	want, got := run(1), run(2)
+	for i := range arms {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("%s: parallel run differs from serial\n got: %+v\nwant: %+v", armLabel(&arms[i]), got[i], want[i])
+		}
+	}
+}

@@ -70,7 +70,8 @@ type Config struct {
 
 	// Burst is the per-(period, app) probability of an arrival burst:
 	// a hash-placed window of BurstSessions sessions whose arrivals are
-	// multiplied by BurstFactor (defaults 200 sessions, 3×).
+	// multiplied by BurstFactor (defaults 200 sessions, 3×; at most
+	// MaxBurstFactor).
 	Burst         float64
 	BurstFactor   int
 	BurstSessions int
@@ -136,6 +137,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxBurstFactor bounds Config.BurstFactor: a flash crowd a thousand
+// times the base rate is far past the paper-scale 3× and still keeps a
+// burst session's arrivals countable.
+const MaxBurstFactor = 1000
+
 // Validate rejects out-of-range parameters.
 func (c *Config) Validate() error {
 	check := func(name string, p float64) error {
@@ -169,8 +175,8 @@ func (c *Config) Validate() error {
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("faults: backoff %v negative", c.RetryBackoff)
 	}
-	if c.BurstFactor < 0 {
-		return fmt.Errorf("faults: burst-factor %d negative", c.BurstFactor)
+	if c.BurstFactor < 0 || c.BurstFactor > MaxBurstFactor {
+		return fmt.Errorf("faults: burst-factor %d out of [0,%d]", c.BurstFactor, MaxBurstFactor)
 	}
 	if c.BurstSessions < 0 {
 		return fmt.Errorf("faults: burst-sessions %d negative", c.BurstSessions)

@@ -69,6 +69,7 @@ func TestParseErrors(t *testing.T) {
 		"backoff=-2s",         // negative backoff
 		"backoff=xyz",         // unparsable duration
 		"burst-factor=-3",     // negative factor
+		"burst-factor=1001",   // above MaxBurstFactor
 		"spike-intensity=1.5", // out of [0,1]
 		"gpu-crash=1.5",       // probability out of range
 		"gpu-recover=-0.1",    // negative probability

@@ -132,6 +132,8 @@ type SessionContext struct {
 	// lane, each carrying only the applications placed there.
 	GPU int
 	// Jobs are the applications with predicted requests this session.
+	// The runtime reuses them across sessions, so methods must not write
+	// them: copy what a plan adjusts.
 	Jobs []JobRequest
 }
 

@@ -43,6 +43,10 @@ type runLoop struct {
 	// is divided by.
 	ewmaTa time.Duration
 	ctx    *sched.SessionContext
+	// laneJobs are each lane's session jobs, in laneApps order. They
+	// change only with the placement and the DAGs, so periodStart
+	// rebuilds them and a session writes only their Requests.
+	laneJobs [][]sched.JobRequest
 
 	// GPU lane state. Every server is a cluster of NGPUs lanes; NGPUs=1
 	// is the degenerate one-lane cluster: laneApps[0] holds every app in
@@ -136,15 +140,14 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		fill:              filler{states: states, done: make(chan error, 1)},
 		ewmaTa:            50 * time.Millisecond,
 		tel:               cfg.Telemetry,
-		ctx: &sched.SessionContext{
-			Jobs: make([]sched.JobRequest, 0, len(states)),
-		},
+		ctx:               &sched.SessionContext{},
 	}
 	l.alive = cluster.AllAlive(cfg.NGPUs)
 	l.appNames = make([]string, len(states))
 	l.appIdx = make(map[string]int, len(states))
 	l.laneOf = make([]int, len(states))
 	l.laneApps = make([][]int, cfg.NGPUs)
+	l.laneJobs = make([][]sched.JobRequest, cfg.NGPUs)
 	l.laneBusy = make([]float64, cfg.NGPUs)
 	l.laneShare = make([]float64, cfg.NGPUs)
 	for i, st := range states {
@@ -265,9 +268,9 @@ func (l *runLoop) periodBounds(period int) (first, last int) {
 
 // periodStart handles one period boundary: it advances pools, rebuilds
 // the per-period distribution maps, takes the period's arrivals and
-// predictions from the filler and starts it on the next period, runs
-// the method's period planning, and sorts the period's retrains into
-// apply order.
+// predictions from the filler, runs the method's period planning,
+// starts the filler on the next period, and sorts the period's retrains
+// into apply order.
 func (l *runLoop) periodStart(period int) error {
 	cfg := l.cfg
 	first, last := l.periodBounds(period)
@@ -333,15 +336,12 @@ func (l *runLoop) periodStart(period int) error {
 	}
 
 	// The filler drew this period's rows while the last one ran: swap
-	// them in and start it on the next period.
+	// them in. It starts on the next period once the method has planned
+	// this one, so the period planning's drift probe has every CPU.
 	if err := l.fill.join(); err != nil {
 		return err
 	}
 	l.rows, l.spare = l.spare, l.rows
-	if period+1 < l.nPeriods {
-		nf, nl := l.periodBounds(period + 1)
-		l.fill.start(period+1, nf, nl, l.spare)
-	}
 	n := last - first + 1
 	for i, st := range l.states {
 		if br := l.rows.bursts[i]; br.ok {
@@ -386,6 +386,10 @@ func (l *runLoop) periodStart(period int) error {
 	if err != nil {
 		return err
 	}
+	if period+1 < l.nPeriods {
+		nf, nl := l.periodBounds(period + 1)
+		l.fill.start(period+1, nf, nl, l.spare)
+	}
 	l.res.PeriodOverhead = pplan.Overhead
 	l.res.EdgeCloudTransfer = pplan.EdgeCloudTransfer
 	l.res.EdgeCloudBytes = pplan.EdgeCloudBytes
@@ -403,6 +407,14 @@ func (l *runLoop) periodStart(period int) error {
 		if hasDags {
 			st.dag = dp.DagFor(st.inst.App.Name)
 		}
+	}
+	for g, apps := range l.laneApps {
+		jobs := l.laneJobs[g][:0]
+		for _, i := range apps {
+			st := l.states[i]
+			jobs = append(jobs, sched.JobRequest{Instance: st.inst, Profile: st.prof, Dag: st.dag, Costs: st.costs})
+		}
+		l.laneJobs[g] = jobs
 	}
 	if l.tel.Tracing() {
 		l.tel.PeriodPlan(start, period, len(pplan.Retrains), pplan.Overhead, pplan.EdgeCloudBytes)
@@ -871,15 +883,9 @@ func (l *runLoop) workSession(sess int) error {
 		ctx.Start = start
 		ctx.GPUShare = l.laneShare[g]
 		ctx.GPU = g
-		ctx.Jobs = ctx.Jobs[:0]
-		for _, i := range apps {
-			ctx.Jobs = append(ctx.Jobs, sched.JobRequest{
-				Instance: l.states[i].inst,
-				Profile:  l.states[i].prof,
-				Dag:      l.states[i].dag,
-				Requests: int(l.rows.predicted[i][si]),
-				Costs:    l.states[i].costs,
-			})
+		ctx.Jobs = l.laneJobs[g]
+		for k, i := range apps {
+			ctx.Jobs[k].Requests = int(l.rows.predicted[i][si])
 		}
 		wall := time.Now()
 		plan, err := cfg.Method.PlanSession(ctx)

@@ -34,11 +34,17 @@ func FuzzConfig(f *testing.F) {
 	f.Add(uint32(600), -1, 50.0, 500, int64(1), uint8(0), "")
 	f.Add(uint32(600), cluster.MaxGPUs+1, 50.0, 500, int64(1), uint8(0), "")
 	f.Add(uint32(600), 2, 50.0, 500, int64(1), uint8(0), "mem-fail")
+	// faults.Parse must reject a burst factor past MaxBurstFactor, which
+	// would push a burst session past an int32 arrival row.
+	f.Add(uint32(600), 1, 50.0, 500, int64(1), uint8(0), "burst=1,burst-factor=1099511627776")
 
 	f.Fuzz(func(t *testing.T, sessions uint32, lanes int, rate float64, pool int, seed int64, method uint8, spec string) {
 		fc, err := faults.Parse(spec)
 		if err != nil {
 			return // a malformed spec never reaches Run
+		}
+		if fc.BurstFactor > faults.MaxBurstFactor {
+			t.Fatalf("faults.Parse accepted burst-factor %d", fc.BurstFactor)
 		}
 		// Keep every accepted case small: fold in-range values into the
 		// fuzzed ranges and pass out-of-range ones through unchanged.

@@ -97,9 +97,9 @@ func TestPipelineStopsOnMethodError(t *testing.T) {
 }
 
 // TestRunRejectsArrivalsBeyondInt32 drives the arrival rows past int32,
-// once with an absurd request rate and once with an absurd burst
-// factor: Run must fail with an error rather than wrap, and leave no
-// goroutine of its own running.
+// once with an absurd request rate and once with the largest burst
+// factor over a rate whose plain sessions still fit: Run must fail with
+// an error rather than wrap, and leave no goroutine of its own running.
 func TestRunRejectsArrivalsBeyondInt32(t *testing.T) {
 	apps, profs := fixtures(t)
 	for _, c := range []struct {
@@ -108,7 +108,7 @@ func TestRunRejectsArrivalsBeyondInt32(t *testing.T) {
 		fc   *faults.Config
 	}{
 		{"rate", 1e12, nil},
-		{"burst factor", 50, &faults.Config{Burst: 1, BurstFactor: 1 << 40}},
+		{"burst factor", 1e11, &faults.Config{Burst: 1, BurstFactor: faults.MaxBurstFactor}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

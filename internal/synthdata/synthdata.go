@@ -89,10 +89,17 @@ type Stream struct {
 	// far. Together they derive each dataset's feature seed.
 	seed      int64
 	collected int64
-	// featureRNG draws feature vectors, reseeded for each dataset; nil
+	// featureRNG draws feature vectors, reseeded for each draw; nil
 	// until the first dataset's features are read.
 	featureRNG *rand.Rand
-	labelDist  *dist.Categorical
+	// block is the one feature block the stream's datasets share, and
+	// holder the dataset whose rows it holds (nil before any draw).
+	// maxLen is the largest dataset collected so far, which sizes the
+	// block.
+	block     []float64
+	holder    *Dataset
+	maxLen    int
+	labelDist *dist.Categorical
 	// cdf is labelDist's cumulative vector, rebuilt by each collection.
 	cdf        []float64
 	classMeans [][]float64
@@ -259,11 +266,17 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 // label) and the feature vector Features(i).
 //
 // A collected dataset draws its classes at once from the stream's RNG
-// and its feature vectors only when Features is first called: the
-// whole block in one pass, from the class means in force at collection
+// and its feature vectors only when Features is called: the whole
+// block in one pass, from the class means in force at collection
 // and a feature seed of its own. The vectors are therefore the same
-// whenever, and in whatever order, datasets are first read, and class
-// draws never depend on whether features were drawn.
+// whenever, and in whatever order, datasets are read, and class draws
+// never depend on whether features were drawn.
+//
+// A stream keeps one feature block for all its datasets: a dataset
+// draws into it and holds it until another dataset of the same stream
+// draws, and a dataset so displaced draws again on its next read,
+// getting the same bits. Reading two datasets of one stream in
+// alternation therefore re-draws on every switch.
 type Dataset struct {
 	Task string
 	// Classes must not be modified: counts was taken from it.
@@ -271,13 +284,14 @@ type Dataset struct {
 	// counts[c] is the number of samples of class c, counted as the
 	// dataset was built.
 	counts []int
-	// block holds the feature rows back to back, dim values each, once
-	// drawn; a later Recollect may take it over.
+	// block holds the feature rows back to back, dim values each: the
+	// rows FromRows copied in, or a view of src's block while this
+	// dataset holds it, nil otherwise.
 	block []float64
 	dim   int
-	// src is the stream to draw the features from, nil once they are
-	// drawn. means holds the class means at collection, class c's at
-	// means[c*dim:(c+1)*dim], and seed seeds the feature draws.
+	// src is the stream a collected dataset draws its features from, nil
+	// for FromRows. means holds the class means at collection, class c's
+	// at means[c*dim:(c+1)*dim], and seed seeds the feature draws.
 	src   *Stream
 	means []float64
 	seed  int64
@@ -288,24 +302,30 @@ func (d *Dataset) Len() int { return len(d.Classes) }
 
 // Features returns sample i's feature vector: a view into the
 // dataset's storage, capped at its end so that appending to it cannot
-// overwrite the next sample. Callers must not modify it. The first
-// call on a collected dataset draws every sample's features.
+// overwrite the next sample. Callers must not modify it. On a collected
+// dataset the view is valid until another dataset of the same stream
+// draws its features; keep a copy of what must outlive that. A read of
+// a collected dataset that does not hold its stream's block draws every
+// sample's features into it.
 func (d *Dataset) Features(i int) []float64 {
-	if d.src != nil {
+	if d.block == nil && d.src != nil {
 		d.draw()
 	}
 	return d.block[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
 }
 
-// draw fills the feature block: row by row, each sample's class mean
-// plus FeatureDim noise draws from the stream's feature RNG reseeded
-// with the dataset's seed.
+// draw takes the stream's block from its holder and fills it: row by
+// row, each sample's class mean plus FeatureDim noise draws from the
+// stream's feature RNG reseeded with the dataset's seed.
 func (d *Dataset) draw() {
 	s, dim := d.src, d.dim
-	if cap(d.block) < len(d.Classes)*dim {
-		d.block = make([]float64, len(d.Classes)*dim)
+	if s.holder != nil {
+		s.holder.block = nil
 	}
-	d.block = d.block[:len(d.Classes)*dim]
+	if cap(s.block) < len(d.Classes)*dim {
+		s.block = make([]float64, s.maxLen*dim)
+	}
+	d.block, s.holder = s.block[:len(d.Classes)*dim], d
 	if s.featureRNG == nil {
 		s.featureRNG = rand.New(rand.NewSource(d.seed))
 	} else {
@@ -318,7 +338,6 @@ func (d *Dataset) draw() {
 			f[j] = mean[j] + s.featureRNG.NormFloat64()*noiseSigma
 		}
 	}
-	d.src = nil
 }
 
 // FromRows builds a dataset from explicit samples: classes[i] and
@@ -363,16 +382,17 @@ func Collect(s *Stream, n int) *Dataset { return Recollect(s, n, nil) }
 
 // Recollect is Collect reusing the storage of spare, a dataset its
 // caller no longer reads: the new dataset takes over spare's class
-// slice, class counts, feature block and means buffer when their
-// capacity suffices and allocates them once otherwise. spare (which may
+// slice, class counts and means buffer when their capacity suffices and
+// allocates them once otherwise. The feature rows need no recycling:
+// they live in the stream's one block (see Dataset). spare (which may
 // be nil) is left empty, so a stale holder of it sees no samples rather
 // than another period's. The draws, and therefore the samples, are
 // exactly Collect's.
 func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
 	var classes, counts []int
-	var block, means []float64
+	var means []float64
 	if spare != nil {
-		classes, counts, block, means = spare.Classes, spare.counts, spare.block, spare.means
+		classes, counts, means = spare.Classes, spare.counts, spare.means
 		*spare = Dataset{}
 	}
 	if cap(classes) < n {
@@ -397,8 +417,9 @@ func Recollect(s *Stream, n int, spare *Dataset) *Dataset {
 		means = append(means, m...)
 	}
 	s.collected++
+	s.maxLen = max(s.maxLen, n)
 	return &Dataset{
-		Task: s.spec.Name, Classes: classes, counts: counts, block: block[:0], dim: dim,
+		Task: s.spec.Name, Classes: classes, counts: counts, dim: dim,
 		src: s, means: means, seed: featureSeed(s.seed, s.collected),
 	}
 }

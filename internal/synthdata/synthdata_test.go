@@ -219,7 +219,7 @@ func sameDataset(d *Dataset, classes []int, rows [][]float64) bool {
 // starting from a nil spare, a smaller one, a larger one and a
 // hand-built one without a feature block. Every dataset must equal a
 // twin stream's fresh draws bit for bit, every spare must be left
-// empty, and a large enough spare's storage must be the one reused.
+// empty, and a large enough spare's class slice must be the one reused.
 func TestRecollectMatchesCollect(t *testing.T) {
 	const n = 100
 	other, _ := NewStream(vehicleSpec(), 99)
@@ -238,7 +238,7 @@ func TestRecollectMatchesCollect(t *testing.T) {
 			spare := c.spare()
 			for p := 0; p < 4; p++ {
 				var reused *int
-				if spare != nil && cap(spare.Classes) >= n && cap(spare.block) >= n*8 {
+				if spare != nil && cap(spare.Classes) >= n {
 					reused = &spare.Classes[:1][0]
 				}
 				got := Recollect(s, n, spare)
@@ -337,10 +337,13 @@ func TestFromRows(t *testing.T) {
 // shocking both in the periods whose bit is set in shocks. The eager
 // twin reads every dataset's features at collection and recycles its
 // previous dataset; the lazy twin reads a random earlier dataset's
-// features now and then and every remaining one only after the last
-// period, datasets and samples in a random order. Both must draw the
+// features now and then, and after the last period reads every dataset
+// in a random order, up to three at a time, switching between the
+// window's datasets after random runs of samples. Both must draw the
 // same classes, the lazy datasets must hold no feature block until
-// read, and every feature must match the eager twin's bit for bit.
+// read, and every feature must match the eager twin's bit for bit, so
+// a dataset displaced from its stream's block must re-draw the same
+// bits.
 func checkLazyDraws(t *testing.T, seed int64, n, periods int, shocks uint64, order int64) {
 	t.Helper()
 	eager, _ := NewStream(vehicleSpec(), seed)
@@ -373,17 +376,71 @@ func checkLazyDraws(t *testing.T, seed int64, n, periods int, shocks uint64, ord
 		eager.AdvancePeriod()
 		lazy.AdvancePeriod()
 	}
-	for _, p := range rng.Perm(periods) {
-		for _, i := range rng.Perm(n) {
-			g, w := got[p].Features(i), want[p][i]
-			if len(g) != len(w) {
-				t.Fatalf("period %d sample %d: %d features, want %d", p, i, len(g), len(w))
-			}
-			for j := range g {
-				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
-					t.Fatalf("period %d sample %d feature %d: lazy %v, eager %v", p, i, j, g[j], w[j])
+	// Runs of up to n/16 samples keep the re-draws, n·FeatureDim values
+	// each, to a few dozen per window.
+	maxRun := max(1, n/16)
+	for perm := rng.Perm(periods); len(perm) > 0; {
+		window := perm[:min(len(perm), 1+rng.Intn(3))]
+		perm = perm[len(window):]
+		unread := make([][]int, len(window))
+		for k := range window {
+			unread[k] = rng.Perm(n)
+		}
+		for left := len(window) * n; left > 0; {
+			k := rng.Intn(len(window))
+			run := min(len(unread[k]), 1+rng.Intn(maxRun))
+			for _, i := range unread[k][:run] {
+				p := window[k]
+				g, w := got[p].Features(i), want[p][i]
+				if len(g) != len(w) {
+					t.Fatalf("period %d sample %d: %d features, want %d", p, i, len(g), len(w))
+				}
+				for j := range g {
+					if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+						t.Fatalf("period %d sample %d feature %d: lazy %v, eager %v", p, i, j, g[j], w[j])
+					}
 				}
 			}
+			unread[k] = unread[k][run:]
+			left -= run
+		}
+	}
+}
+
+// TestDisplacedDatasetRedraws reads two datasets of one stream in turn:
+// each draw takes over the stream's one feature block, and the dataset
+// it displaces holds no rows until its next read, which re-draws the
+// bits of its first.
+func TestDisplacedDatasetRedraws(t *testing.T) {
+	s, _ := NewStream(vehicleSpec(), 17)
+	a := Collect(s, 300)
+	s.AdvancePeriod()
+	b := Collect(s, 200)
+	snapshot := func(d *Dataset) [][]float64 {
+		rows := make([][]float64, d.Len())
+		for i := range rows {
+			rows[i] = slices.Clone(d.Features(i))
+		}
+		return rows
+	}
+	wantA := snapshot(a)
+	block := &a.Features(0)[0]
+	wantB := snapshot(b)
+	if &b.Features(0)[0] != block {
+		t.Fatal("the second dataset drew outside the stream's block")
+	}
+	if a.block != nil {
+		t.Fatal("a displaced dataset still holds the stream's block")
+	}
+	for round := 0; round < 3; round++ {
+		if !sameDataset(a, a.Classes, wantA) {
+			t.Fatalf("round %d: the first dataset re-drew other bits", round)
+		}
+		if !sameDataset(b, b.Classes, wantB) {
+			t.Fatalf("round %d: the second dataset re-drew other bits", round)
+		}
+		if &a.Features(0)[0] != block {
+			t.Fatalf("round %d: a re-draw left the stream's block", round)
 		}
 	}
 }
@@ -406,11 +463,13 @@ func TestLazyFeaturesMatchEagerDraws(t *testing.T) {
 }
 
 // FuzzLazyFeatures checks the same properties on random seeds, pool
-// sizes, horizons, shock patterns and read orders.
+// sizes, horizons, shock patterns and read orders, interleaving the
+// reads of up to three datasets of the lazy stream.
 func FuzzLazyFeatures(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(6), uint64(0), int64(7))
 	f.Add(int64(-5), uint16(1), uint8(1), uint64(1), int64(0))
 	f.Add(int64(99), uint16(37), uint8(12), uint64(0xaaaa), int64(3))
+	f.Add(int64(8), uint16(999), uint8(3), uint64(0), int64(11))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, periods uint8, shocks uint64, order int64) {
 		checkLazyDraws(t, seed, 1+int(n)%1000, 1+int(periods)%16, shocks, order)
 	})

@@ -99,6 +99,13 @@ go test -race -count=10 -run 'TestPeriodStartDetectionMatchesFresh$' ./internal/
 echo "== serving pipeline race =="
 go test -race -count=5 -run 'TestPinnedSingleGPU$|TestPipelineStopsOnMethodError$|TestRunRejectsArrivalsBeyondInt32$' ./internal/serving
 
+# The experiment runner runs serving arms in parallel, each with its
+# own filler and scorer; TestServingGoldens skips under -short, so a
+# two-period run of the quick fig18 two-app arms, parallel against
+# serial, gets repeated race runs.
+echo "== experiment runner race =="
+go test -race -count=3 -run 'TestRunArmsParallelMatchesSerial$' ./internal/experiments
+
 # Fuzz smoke: a few seconds per target catches regressions in the
 # properties the fuzz corpora pin (regression-fit robustness, profile
 # cache-key identity, fault-schedule decode/encode round trips, the
