@@ -29,10 +29,6 @@ import (
 // grid, matching the serving loop's share quantization.
 const FractionStep = 0.01
 
-// MinFraction is the smallest schedulable GPU fraction, the serving
-// loop's floor.
-const MinFraction = cluster.MinFraction
-
 // App is one application's admission inputs for a lane-period.
 type App struct {
 	// Name identifies the application.
@@ -159,7 +155,7 @@ func Evaluate(capacity float64, apps []App) (Outcome, error) {
 		switch {
 		case a.Requests == 0:
 			// Nothing predicted, nothing to admit or shed.
-		case remaining >= MinFraction:
+		case remaining >= cluster.MinFraction:
 			f, err := minFraction(a, a.Requests, remaining)
 			if err != nil {
 				return Outcome{}, err
@@ -192,9 +188,9 @@ func slack(capacity float64) float64 {
 }
 
 // minFraction finds the smallest fraction on the quantized grid within
-// [MinFraction, min(1, limit)] whose latency meets the SLO, or -1 when
-// none does. Latency is nonincreasing in the fraction, so the grid is
-// scanned by bisection.
+// [cluster.MinFraction, min(1, limit)] whose latency meets the SLO, or
+// -1 when none does. Latency is nonincreasing in the fraction, so the
+// grid is scanned by bisection.
 func minFraction(a *App, n int, limit float64) (float64, error) {
 	if n == 0 {
 		return 0, nil
@@ -205,7 +201,7 @@ func minFraction(a *App, n int, limit float64) (float64, error) {
 	}
 	steps := int(hi/FractionStep + 1e-9)
 	hiF := float64(steps) * FractionStep
-	if hiF < MinFraction {
+	if hiF < cluster.MinFraction {
 		return -1, nil
 	}
 	ok := func(f float64) (bool, error) {
@@ -220,7 +216,7 @@ func minFraction(a *App, n int, limit float64) (float64, error) {
 	} else if !fits {
 		return -1, nil
 	}
-	lo := int(MinFraction / FractionStep) // 0.02 / 0.01: the grid's floor index
+	lo := int(cluster.MinFraction / FractionStep) // 0.02 / 0.01: the grid's floor index
 	hiI := steps
 	for lo < hiI {
 		mid := (lo + hiI) / 2

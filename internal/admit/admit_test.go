@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"adainf/internal/cluster"
 	"adainf/internal/simtime"
 )
 
@@ -49,7 +50,7 @@ func TestEvaluateFeasible(t *testing.T) {
 			t.Fatalf("feasible decision capped load: %+v", d)
 		}
 		// 20 req × 10ms = 200ms at f=1; 1s SLO needs f ≥ 0.20.
-		if d.Fraction < MinFraction || d.Fraction > 1 {
+		if d.Fraction < cluster.MinFraction || d.Fraction > 1 {
 			t.Fatalf("fraction %g off the grid", d.Fraction)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"adainf/internal/cluster"
+	"adainf/internal/dnn"
 	"adainf/internal/sched"
 	"adainf/internal/simtime"
 )
@@ -36,8 +37,9 @@ type Ekya struct {
 	// profiles — it is valid for the whole run, not just one period.
 	sessionCache map[ekyaKey]*ekyaBase
 	// Reusable plan storage (see sched.Scheduler: a plan is valid only
-	// until the next PlanSession call).
-	plan sched.SessionPlan
+	// until the next PlanSession call), and jobBaseFor's scratch.
+	plan    sched.SessionPlan
+	structs []dnn.Structure
 }
 
 // ekyaKey keys the session memo on the exact fraction's bits: the
@@ -275,13 +277,13 @@ func (e *Ekya) jobBaseFor(jr *sched.JobRequest, f float64) (*ekyaBase, error) {
 	if base, ok := e.sessionCache[key]; ok {
 		return base, nil
 	}
-	structs := sched.FullStructures(jr)
-	batch, _, err := sched.BestBatch(jr, structs, f)
+	e.structs = sched.AppendFullStructures(e.structs[:0], jr)
+	batch, _, err := sched.BestBatch(jr, e.structs, f)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: ekya batch: %w", err)
 	}
 	base := &ekyaBase{batch: batch}
-	if base.nodes, base.inferTotal, err = sched.AppendNodePlans(nil, jr, structs, batch, f); err != nil {
+	if base.nodes, base.inferTotal, err = sched.AppendNodePlans(nil, jr, e.structs, batch, f); err != nil {
 		return nil, err
 	}
 	e.sessionCache[key] = base

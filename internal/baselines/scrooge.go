@@ -153,7 +153,7 @@ func (s *Scrooge) solve(ctx *sched.SessionContext, slot *scroogeSlot) error {
 			continue
 		}
 		s.structs = sched.AppendFullStructures(s.structs[:0], jr)
-		f, err := sched.RequiredFraction(jr, s.structs, cluster.MinFraction)
+		f, err := sched.RequiredFraction(jr, s.structs)
 		if err != nil {
 			return err
 		}

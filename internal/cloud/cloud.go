@@ -70,7 +70,7 @@ func Retrain(start simtime.Instant, jobs []RetrainJob) ([]RetrainResult, simtime
 		// Cloud training: each model gets one whole cloud GPU; the
 		// fleet is large enough that jobs do not queue.
 		trainFLOPs := j.Arch.TrainFLOPs() * float64(j.Samples)
-		trainTime := simtime.Duration(trainFLOPs / gpu.V100().FLOPS * float64(time.Second))
+		trainTime := simtime.Duration(trainFLOPs / gpu.FLOPS * float64(time.Second))
 		downBytes := j.Arch.TotalParamBytes()
 		downTime := transferTime(downBytes)
 		results = append(results, RetrainResult{

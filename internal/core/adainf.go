@@ -241,7 +241,7 @@ func (s *Scheduler) planFull(jobs []sched.JobRequest, share float64, totalNodes 
 		if !ok {
 			var err error
 			s.structs = sched.AppendFullStructures(s.structs[:0], jr)
-			if req, err = sched.RequiredFraction(jr, s.structs, cluster.MinFraction); err != nil {
+			if req, err = sched.RequiredFraction(jr, s.structs); err != nil {
 				return nil, err
 			}
 			s.reqFracCache[key] = req

@@ -348,7 +348,7 @@ func Fig11(Options) (*Result, error) {
 var memTrace = sync.OnceValues(buildMemTrace)
 
 func buildMemTrace() (*gpumem.Manager, error) {
-	part := gpu.NewPartition(gpu.V100(), 1.0, gpu.PartitionConfig{
+	part := gpu.NewPartition(1.0, gpu.PartitionConfig{
 		MemShare: profile.DefaultMemShare,
 		Policy:   gpumem.PriorityPolicy{Alpha: 0.4},
 	})

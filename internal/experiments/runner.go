@@ -1,9 +1,9 @@
 // The parallel experiment engine. Every macro artifact is a set of
 // independent simulation arms (method variants × app-count sweep points
 // × GPU-count sweep points × parameter sweep points); the engine fans
-// them out over a bounded worker pool and collects results in arm
-// order, so the rendered artifact is bit-identical whether the arms ran
-// sequentially or on every core of the machine.
+// them out over internal/par's bounded worker pool and collects results
+// in arm order, so the rendered artifact is bit-identical whether the
+// arms ran sequentially or on every core of the machine.
 //
 // Determinism comes from construction, not from luck:
 //
@@ -30,10 +30,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"adainf/internal/app"
+	"adainf/internal/par"
 	"adainf/internal/serving"
 )
 
@@ -135,46 +135,22 @@ func workerCount(requested, jobs int) int {
 	return w
 }
 
-// collect runs the jobs over a pool of workers and returns their
-// results in job order. A job that fails cancels the jobs that have not
-// started yet; the error of the lowest-indexed failed job is returned,
-// matching what a sequential pass would report.
+// collect runs the jobs on par.Units workers and returns their results
+// in job order. Once a job has failed no further job starts, and the
+// error of the lowest-indexed failed job is returned, matching what a
+// sequential pass would report.
 func collect[T any](workers int, jobs []func() (T, error)) ([]T, error) {
 	out := make([]T, len(jobs))
-	if len(jobs) == 0 {
-		return out, nil
-	}
 	errs := make([]error, len(jobs))
-	workers = workerCount(workers, len(jobs))
-	if workers == 1 {
-		for i, job := range jobs {
-			if out[i], errs[i] = job(); errs[i] != nil {
-				return nil, errs[i]
-			}
+	var failed atomic.Bool
+	par.Units(workerCount(workers, len(jobs)), len(jobs), func(_, i int) {
+		if failed.Load() {
+			return
 		}
-		return out, nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || failed.Load() {
-					return
-				}
-				if out[i], errs[i] = jobs[i](); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		if out[i], errs[i] = jobs[i](); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

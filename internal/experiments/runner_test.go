@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,6 +65,40 @@ func TestCollectOrderAndErrors(t *testing.T) {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
+		}
+	}
+
+	// Jobs 5 and 20 fail. Serially, job 5's error stops the run before
+	// job 6 starts; in parallel either failure may be seen first, and
+	// no results come back.
+	errAt := map[int]error{5: errors.New("job 5"), 20: errors.New("job 20")}
+	for _, workers := range []int{1, 2, 8} {
+		var ran [50]atomic.Bool
+		jobs := make([]func() (int, error), len(ran))
+		for i := range jobs {
+			i := i
+			jobs[i] = func() (int, error) {
+				ran[i].Store(true)
+				return i, errAt[i]
+			}
+		}
+		out, err := collect(workers, jobs)
+		if out != nil {
+			t.Fatalf("workers=%d: results %v returned with an error", workers, out)
+		}
+		if workers == 1 {
+			if err != errAt[5] {
+				t.Fatalf("serial: error %v, want job 5's", err)
+			}
+			for i := range ran {
+				if ran[i].Load() != (i <= 5) {
+					t.Fatalf("serial: job %d ran = %v", i, ran[i].Load())
+				}
+			}
+			continue
+		}
+		if err != errAt[5] && err != errAt[20] {
+			t.Fatalf("workers=%d: error %v, want job 5's or job 20's", workers, err)
 		}
 	}
 }

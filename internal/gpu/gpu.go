@@ -24,56 +24,36 @@ import (
 	"adainf/internal/telemetry"
 )
 
-// Spec describes one physical GPU.
-type Spec struct {
+// The simulated device is the paper's testbed GPU, an Nvidia V100
+// (16 GB).
+const (
 	// Name identifies the device model.
-	Name string
+	Name = "V100"
 	// FLOPS is the effective sustained compute rate (FLOP/s) at full
-	// batching efficiency.
-	FLOPS float64
+	// batching efficiency, well below the 14 TFLOP/s peak, reflecting
+	// real-kernel utilization.
+	FLOPS float64 = 6e12
 	// MemBytes is the device memory capacity.
-	MemBytes int64
+	MemBytes int64 = 16 << 30
 	// Launch is the fixed per-kernel launch overhead.
-	Launch simtime.Duration
+	Launch simtime.Duration = 60 * time.Microsecond
 	// BatchHalf is the batch size at which batching efficiency reaches
 	// 50% (u(n) = n/(n+BatchHalf)).
-	BatchHalf float64
-}
+	BatchHalf float64 = 3
+)
 
-// V100 returns the paper's testbed GPU: an Nvidia V100 (16 GB). The
-// effective FLOPS is well below the 14 TFLOP/s peak, reflecting
-// real-kernel utilization.
-func V100() Spec {
-	return Spec{
-		Name:      "V100",
-		FLOPS:     6e12,
-		MemBytes:  16 << 30,
-		Launch:    60 * time.Microsecond,
-		BatchHalf: 3,
-	}
-}
-
-// Validate reports an error on a malformed spec.
-func (s Spec) Validate() error {
-	if !(s.FLOPS > 0) || s.MemBytes <= 0 || s.Launch < 0 || !(s.BatchHalf > 0) {
-		return fmt.Errorf("gpu: invalid spec %+v", s)
-	}
-	return nil
-}
-
-// Efficiency returns the batching-efficiency factor u(n) ∈ (0, 1).
-func (s Spec) Efficiency(batch int) float64 {
+// efficiency returns the batching-efficiency factor u(n) ∈ (0, 1).
+func efficiency(batch int) float64 {
 	if batch < 1 {
 		batch = 1
 	}
 	n := float64(batch)
-	return n / (n + s.BatchHalf)
+	return n / (n + BatchHalf)
 }
 
 // Partition is an MPS-style share of a device: a compute fraction and a
 // proportional slice of device memory with its own gpumem manager.
 type Partition struct {
-	spec     Spec
 	fraction float64
 	mem      *gpumem.Manager
 }
@@ -97,22 +77,22 @@ type PartitionConfig struct {
 
 // NewPartition carves fraction ∈ (0, 1] of the device. It panics on a
 // combination Reset rejects.
-func NewPartition(spec Spec, fraction float64, cfg PartitionConfig) *Partition {
+func NewPartition(fraction float64, cfg PartitionConfig) *Partition {
 	p := new(Partition)
-	if err := p.Reset(spec, fraction, cfg); err != nil {
+	if err := p.Reset(fraction, cfg); err != nil {
 		panic(err)
 	}
 	return p
 }
 
-// Reset re-carves the partition as NewPartition(spec, fraction, cfg)
-// would, keeping its memory manager's storage (gpumem.Manager.Reset);
-// a zero Partition is ready for it. It returns an error, leaving the
-// partition unchanged, for an invalid spec, a fraction or MemShare
-// outside (0, 1] (MemShare 0 takes the default 1), or a memory-manager
-// config gpumem.Config.Validate rejects.
-func (p *Partition) Reset(spec Spec, fraction float64, cfg PartitionConfig) error {
-	mcfg, err := memConfig(spec, fraction, cfg)
+// Reset re-carves the partition as NewPartition(fraction, cfg) would,
+// keeping its memory manager's storage (gpumem.Manager.Reset); a zero
+// Partition is ready for it. It returns an error, leaving the partition
+// unchanged, for a fraction or MemShare outside (0, 1] (MemShare 0
+// takes the default 1), or a memory-manager config
+// gpumem.Config.Validate rejects.
+func (p *Partition) Reset(fraction float64, cfg PartitionConfig) error {
+	mcfg, err := memConfig(fraction, cfg)
 	if err != nil {
 		return err
 	}
@@ -122,16 +102,13 @@ func (p *Partition) Reset(spec Spec, fraction float64, cfg PartitionConfig) erro
 	if err := p.mem.Reset(mcfg); err != nil {
 		return err
 	}
-	p.spec, p.fraction = spec, fraction
+	p.fraction = fraction
 	return nil
 }
 
 // memConfig validates a partition and returns its memory manager's
 // config.
-func memConfig(spec Spec, fraction float64, cfg PartitionConfig) (gpumem.Config, error) {
-	if err := spec.Validate(); err != nil {
-		return gpumem.Config{}, err
-	}
+func memConfig(fraction float64, cfg PartitionConfig) (gpumem.Config, error) {
 	if !(fraction > 0 && fraction <= 1) {
 		return gpumem.Config{}, fmt.Errorf("gpu: partition fraction %g out of (0,1]", fraction)
 	}
@@ -142,7 +119,7 @@ func memConfig(spec Spec, fraction float64, cfg PartitionConfig) (gpumem.Config,
 	if !(share > 0 && share <= 1) {
 		return gpumem.Config{}, fmt.Errorf("gpu: MemShare %g out of (0,1]", share)
 	}
-	memBytes := int64(float64(spec.MemBytes) * fraction * share)
+	memBytes := int64(float64(MemBytes) * fraction * share)
 	if memBytes < 1<<20 {
 		memBytes = 1 << 20
 	}
@@ -172,6 +149,6 @@ func (p *Partition) KernelTime(flopsPerSample float64, batch int) simtime.Durati
 		batch = 1
 	}
 	work := flopsPerSample * float64(batch)
-	rate := p.spec.FLOPS * p.fraction * p.spec.Efficiency(batch)
-	return p.spec.Launch + simtime.Duration(work/rate*float64(time.Second))
+	rate := FLOPS * p.fraction * efficiency(batch)
+	return Launch + simtime.Duration(work/rate*float64(time.Second))
 }

@@ -10,56 +10,33 @@ import (
 	"adainf/internal/simtime"
 )
 
-func TestV100SpecValid(t *testing.T) {
-	if err := V100().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSpecValidateRejects(t *testing.T) {
-	bad := []Spec{
-		{FLOPS: 0, MemBytes: 1, BatchHalf: 1},
-		{FLOPS: 1, MemBytes: 0, BatchHalf: 1},
-		{FLOPS: 1, MemBytes: 1, BatchHalf: 0},
-		{FLOPS: 1, MemBytes: 1, BatchHalf: 1, Launch: -time.Second},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("case %d: invalid spec accepted", i)
-		}
-	}
-}
-
 func TestEfficiencyMonotone(t *testing.T) {
-	s := V100()
 	prev := 0.0
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
-		u := s.Efficiency(n)
+		u := efficiency(n)
 		if u <= prev || u >= 1 {
-			t.Fatalf("Efficiency(%d) = %v not in (prev, 1)", n, u)
+			t.Fatalf("efficiency(%d) = %v not in (prev, 1)", n, u)
 		}
 		prev = u
 	}
-	if s.Efficiency(0) != s.Efficiency(1) {
+	if efficiency(0) != efficiency(1) {
 		t.Fatal("batch<1 not clamped")
 	}
 }
 
 func TestPartitionValidation(t *testing.T) {
 	bad := []struct {
-		spec     Spec
 		fraction float64
 		cfg      PartitionConfig
 	}{
-		{V100(), 0, PartitionConfig{}},
-		{V100(), -0.5, PartitionConfig{}},
-		{V100(), 1.5, PartitionConfig{}},
-		{V100(), math.NaN(), PartitionConfig{}},
-		{V100(), 1, PartitionConfig{MemShare: -0.1}},
-		{V100(), 1, PartitionConfig{MemShare: 1.5}},
-		{V100(), 1, PartitionConfig{MemShare: math.NaN()}},
-		{V100(), 1, PartitionConfig{Policy: gpumem.PriorityPolicy{Alpha: 2}}},
-		{Spec{Name: "broken", FLOPS: math.NaN(), MemBytes: 1 << 30, BatchHalf: 1}, 1, PartitionConfig{}},
+		{0, PartitionConfig{}},
+		{-0.5, PartitionConfig{}},
+		{1.5, PartitionConfig{}},
+		{math.NaN(), PartitionConfig{}},
+		{1, PartitionConfig{MemShare: -0.1}},
+		{1, PartitionConfig{MemShare: 1.5}},
+		{1, PartitionConfig{MemShare: math.NaN()}},
+		{1, PartitionConfig{Policy: gpumem.PriorityPolicy{Alpha: 2}}},
 	}
 	for _, c := range bad {
 		func() {
@@ -68,29 +45,29 @@ func TestPartitionValidation(t *testing.T) {
 					t.Errorf("no panic for fraction %v config %+v", c.fraction, c.cfg)
 				}
 			}()
-			NewPartition(c.spec, c.fraction, c.cfg)
+			NewPartition(c.fraction, c.cfg)
 		}()
-		p := NewPartition(V100(), 0.5, PartitionConfig{})
-		if err := p.Reset(c.spec, c.fraction, c.cfg); err == nil {
+		p := NewPartition(0.5, PartitionConfig{})
+		if err := p.Reset(c.fraction, c.cfg); err == nil {
 			t.Errorf("Reset accepted fraction %v config %+v", c.fraction, c.cfg)
 		}
-		if p.Fraction() != 0.5 || p.Mem().Capacity() != V100().MemBytes/2 {
+		if p.Fraction() != 0.5 || p.Mem().Capacity() != MemBytes/2 {
 			t.Errorf("rejected Reset changed the partition")
 		}
 	}
 }
 
 func TestPartitionResetMatchesNew(t *testing.T) {
-	p := NewPartition(V100(), 1, PartitionConfig{MemShare: 0.5})
+	p := NewPartition(1, PartitionConfig{MemShare: 0.5})
 	e := NewExecutor(p, Strategy{})
 	if _, err := e.RunInference(0, InferenceTask{App: "a", JobID: 1, Structure: dnn.FullStructure(dnn.MobileNetV2()), Batch: 8, SLOms: 400}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := PartitionConfig{MemShare: 0.04, Policy: gpumem.PriorityPolicy{Alpha: 0.4}}
-	if err := p.Reset(V100(), 0.25, cfg); err != nil {
+	if err := p.Reset(0.25, cfg); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewPartition(V100(), 0.25, cfg)
+	fresh := NewPartition(0.25, cfg)
 	task := InferenceTask{App: "a", JobID: 1, Structure: dnn.FullStructure(dnn.MobileNetV2()), Batch: 16, SLOms: 400}
 	got, err := NewExecutor(p, Strategy{}).RunInference(0, task)
 	if err != nil {
@@ -106,11 +83,11 @@ func TestPartitionResetMatchesNew(t *testing.T) {
 }
 
 func TestKernelTimeScalesInverselyWithFraction(t *testing.T) {
-	full := NewPartition(V100(), 1, PartitionConfig{})
-	quarter := NewPartition(V100(), 0.25, PartitionConfig{})
+	full := NewPartition(1, PartitionConfig{})
+	quarter := NewPartition(0.25, PartitionConfig{})
 	flops := 1e9
-	tf := full.KernelTime(flops, 16) - V100().Launch
-	tq := quarter.KernelTime(flops, 16) - V100().Launch
+	tf := full.KernelTime(flops, 16) - Launch
+	tq := quarter.KernelTime(flops, 16) - Launch
 	ratio := float64(tq) / float64(tf)
 	if ratio < 3.9 || ratio > 4.1 {
 		t.Fatalf("quarter/full kernel ratio = %v, want ~4", ratio)
@@ -118,7 +95,7 @@ func TestKernelTimeScalesInverselyWithFraction(t *testing.T) {
 }
 
 func TestKernelTimePerSampleDropsWithBatch(t *testing.T) {
-	p := NewPartition(V100(), 1, PartitionConfig{})
+	p := NewPartition(1, PartitionConfig{})
 	flops := 1e9
 	perSample1 := float64(p.KernelTime(flops, 1))
 	perSample32 := float64(p.KernelTime(flops, 32)) / 32
@@ -128,22 +105,22 @@ func TestKernelTimePerSampleDropsWithBatch(t *testing.T) {
 }
 
 func TestPartitionMemoryScalesWithFraction(t *testing.T) {
-	full := NewPartition(V100(), 1, PartitionConfig{})
-	quarter := NewPartition(V100(), 0.25, PartitionConfig{})
+	full := NewPartition(1, PartitionConfig{})
+	quarter := NewPartition(0.25, PartitionConfig{})
 	if quarter.Mem().Capacity() >= full.Mem().Capacity() {
 		t.Fatal("smaller fraction did not get smaller memory slice")
 	}
-	if full.Mem().Capacity() != V100().MemBytes {
+	if full.Mem().Capacity() != MemBytes {
 		t.Fatalf("full partition capacity = %d", full.Mem().Capacity())
 	}
-	shared := NewPartition(V100(), 1, PartitionConfig{MemShare: 0.1})
+	shared := NewPartition(1, PartitionConfig{MemShare: 0.1})
 	if shared.Mem().Capacity() >= full.Mem().Capacity()/5 {
 		t.Fatal("MemShare did not shrink the slice")
 	}
 }
 
 func TestKernelTimeNegativeWorkPanics(t *testing.T) {
-	p := NewPartition(V100(), 1, PartitionConfig{})
+	p := NewPartition(1, PartitionConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative work")
@@ -153,7 +130,7 @@ func TestKernelTimeNegativeWorkPanics(t *testing.T) {
 }
 
 func newTestExecutor(memShare float64, strat Strategy) *Executor {
-	p := NewPartition(V100(), 1, PartitionConfig{MemShare: memShare, Policy: gpumem.PriorityPolicy{Alpha: 0.4}})
+	p := NewPartition(1, PartitionConfig{MemShare: memShare, Policy: gpumem.PriorityPolicy{Alpha: 0.4}})
 	return NewExecutor(p, strat)
 }
 

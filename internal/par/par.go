@@ -1,6 +1,6 @@
 // Package par runs independent work units over a bounded pool of
-// goroutines. The offline profiler's builds and AdaInf's period-start
-// drift probe share it.
+// goroutines. The offline profiler's builds, AdaInf's period-start
+// drift probe and the experiment runner's arms share it.
 package par
 
 import (

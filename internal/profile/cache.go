@@ -23,6 +23,7 @@ import (
 
 	"adainf/internal/app"
 	"adainf/internal/dnn"
+	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
 	"adainf/internal/mathx"
 	"adainf/internal/simtime"
@@ -36,7 +37,7 @@ const CacheVersion = 2
 // CacheKey returns the canonical, human-readable identity of the
 // profile BuildAppProfile(a, cfg) would produce. Two (app, config)
 // pairs with equal keys build byte-identical profiles: the key covers
-// the GPU spec, the measurement grids, the execution strategy, the
+// the GPU constants, the measurement grids, the execution strategy, the
 // eviction policy (including its parameters), the per-job memory share,
 // the retraining measurement, the app's SLO, and every node's name and
 // full architecture. It deliberately excludes the app name and accuracy
@@ -45,7 +46,10 @@ func CacheKey(a *app.App, cfg Config) string {
 	cfg.fillDefaults()
 	var b strings.Builder
 	fmt.Fprintf(&b, "adainf-profile-cache v%d\n", CacheVersion)
-	fmt.Fprintf(&b, "gpu: %+v\n", spec)
+	// Every cached entry's file name hashes this line's text
+	// (TestPinnedCacheKeys), so its format stays fixed.
+	fmt.Fprintf(&b, "gpu: {Name:%s FLOPS:%v MemBytes:%d Launch:%v BatchHalf:%v}\n",
+		gpu.Name, gpu.FLOPS, gpu.MemBytes, gpu.Launch, gpu.BatchHalf)
 	fmt.Fprintf(&b, "batches: %v\n", cfg.BatchSizes)
 	fmt.Fprintf(&b, "fractions: %v\n", cfg.Fractions)
 	fmt.Fprintf(&b, "memshare: %v\n", DefaultMemShare)

@@ -50,9 +50,6 @@ const (
 	retrainSamples = 64
 )
 
-// spec is the profiled GPU: the paper's V100.
-var spec = gpu.V100()
-
 // Config parameterizes profiling.
 type Config struct {
 	BatchSizes []int
@@ -374,7 +371,7 @@ func profileStructure(a *app.App, node *app.Node, t *Table, si int, cfg Config,
 		cell := si*t.nB + t.BatchIdx(batch)
 		var fr, lat []float64
 		for _, f := range cfg.Fractions {
-			if err := part.Reset(spec, f, cfg.partition()); err != nil {
+			if err := part.Reset(f, cfg.partition()); err != nil {
 				return fmt.Errorf("profile: %s/%v: %w", node.Name, st, err)
 			}
 			ex := gpu.NewExecutor(part, cfg.Strategy)
@@ -423,7 +420,7 @@ func profileRetraining(a *app.App, node *app.Node, t *Table, arch *dnn.Arch, cfg
 	rp := &t.retrain
 	var fr, lat []float64
 	for _, f := range cfg.Fractions {
-		if err := part.Reset(spec, f, cfg.partition()); err != nil {
+		if err := part.Reset(f, cfg.partition()); err != nil {
 			return fmt.Errorf("profile: %s retraining: %w", node.Name, err)
 		}
 		ex := gpu.NewExecutor(part, cfg.Strategy)

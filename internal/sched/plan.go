@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"adainf/internal/cluster"
 	"adainf/internal/dnn"
 	"adainf/internal/profile"
 	"adainf/internal/simtime"
@@ -31,12 +32,6 @@ func AppendFullStructures(dst []dnn.Structure, jr *JobRequest) []dnn.Structure {
 		dst = append(dst, ni.FullStructure())
 	}
 	return dst
-}
-
-// FullStructures returns every node's full structure, positionally
-// aligned with Instance.Nodes() (= App.Nodes = Profile.Tables() order).
-func FullStructures(jr *JobRequest) []dnn.Structure {
-	return AppendFullStructures(make([]dnn.Structure, 0, len(jr.Instance.Nodes())), jr)
 }
 
 // Tables returns the job's profile tables in node order
@@ -164,9 +159,9 @@ func BestBatch(jr *JobRequest, structs []dnn.Structure, fraction float64) (int, 
 // latency meets its SLO, by bisection over the fitted scaling laws
 // (the §3.3.1 "non-linear regression model" inversion), at the batch
 // size that is best on a whole GPU for the structures (positional,
-// node order; the callers pass the full structures). minFraction
-// floors the answer.
-func RequiredFraction(jr *JobRequest, structs []dnn.Structure, minFraction float64) (float64, error) {
+// node order; the callers pass the full structures).
+// cluster.MinFraction floors the answer.
+func RequiredFraction(jr *JobRequest, structs []dnn.Structure) (float64, error) {
 	slo := simtime.Duration(jr.Instance.App.SLO)
 	batch, atFull, err := BestBatch(jr, structs, 1.0)
 	if err != nil {
@@ -175,7 +170,7 @@ func RequiredFraction(jr *JobRequest, structs []dnn.Structure, minFraction float
 	if atFull >= slo {
 		return 1, nil // even a whole GPU cannot meet the SLO
 	}
-	lo, hi := minFraction, 1.0
+	lo, hi := cluster.MinFraction, 1.0
 	if atLo, err := JobWorstCase(jr, structs, batch, lo); err != nil {
 		return 0, err
 	} else if atLo <= slo {

@@ -54,7 +54,7 @@ func referenceJobWorstCase(jr *JobRequest, structs []dnn.Structure, batch int, f
 // structVariants returns structure selections to cross-check: every
 // node at its full structure, and every node at its smallest one.
 func structVariants(jr *JobRequest) [][]dnn.Structure {
-	full := FullStructures(jr)
+	full := AppendFullStructures(nil, jr)
 	small := make([]dnn.Structure, 0, len(full))
 	for _, ni := range jr.Instance.Nodes() {
 		small = append(small, ni.Structures[0])
@@ -147,7 +147,7 @@ func TestAppendNodePlansMatchesReference(t *testing.T) {
 	}
 	// An unprofiled batch is an error that leaves dst unextended.
 	jr := jobReq(t, 8)
-	got, _, err := AppendNodePlans(prefix, jr, FullStructures(jr), 3, 0.5)
+	got, _, err := AppendNodePlans(prefix, jr, AppendFullStructures(nil, jr), 3, 0.5)
 	if err == nil || len(got) != len(prefix) {
 		t.Fatalf("unprofiled batch: %d plans, err %v", len(got), err)
 	}
@@ -159,7 +159,7 @@ func TestAppendNodePlansMatchesReference(t *testing.T) {
 func TestAppendNodePlansSetsIndex(t *testing.T) {
 	jr := jobReq(t, 17)
 	prefix := []NodePlan{{Node: "a", Index: 7}, {Node: "b", Index: 9}}
-	got, _, err := AppendNodePlans(prefix, jr, FullStructures(jr), jr.Tables()[0].Batches()[0], 0.5)
+	got, _, err := AppendNodePlans(prefix, jr, AppendFullStructures(nil, jr), jr.Tables()[0].Batches()[0], 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

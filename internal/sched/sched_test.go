@@ -126,7 +126,7 @@ func TestPadRequests(t *testing.T) {
 
 func TestBestBatchPrefersProfiledOptimum(t *testing.T) {
 	jr := jobReq(t, 32)
-	structs := FullStructures(jr)
+	structs := AppendFullStructures(nil, jr)
 	batch, lat, err := BestBatch(jr, structs, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestBestBatchSingleBatchProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	jr := &JobRequest{Instance: inst, Profile: p, Requests: 16}
-	structs := FullStructures(jr)
+	structs := AppendFullStructures(nil, jr)
 	batch, lat, err := BestBatch(jr, structs, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestBestBatchZeroRequests(t *testing.T) {
 	// guard on Requests > 0, but the primitive must not fail or pick
 	// an unprofiled size).
 	jr := jobReq(t, 0)
-	structs := FullStructures(jr)
+	structs := AppendFullStructures(nil, jr)
 	batch, lat, err := BestBatch(jr, structs, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestBestBatchZeroRequests(t *testing.T) {
 }
 
 func TestJobWorstCaseMonotoneInRequests(t *testing.T) {
-	structs := FullStructures(jobReq(t, 1))
+	structs := AppendFullStructures(nil, jobReq(t, 1))
 	prev := time.Duration(0)
 	for _, n := range []int{1, 8, 32, 64} {
 		jr := jobReq(t, n)
@@ -213,8 +213,8 @@ func TestJobWorstCaseMonotoneInRequests(t *testing.T) {
 
 func TestRequiredFraction(t *testing.T) {
 	jr := jobReq(t, 16)
-	structs := FullStructures(jr)
-	f, err := RequiredFraction(jr, structs, 0.02)
+	structs := AppendFullStructures(nil, jr)
+	f, err := RequiredFraction(jr, structs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRequiredFraction(t *testing.T) {
 	}
 	// A heavier job needs more space.
 	heavy := jobReq(t, 200)
-	fh, err := RequiredFraction(heavy, structs, 0.02)
+	fh, err := RequiredFraction(heavy, structs)
 	if err != nil {
 		t.Fatal(err)
 	}

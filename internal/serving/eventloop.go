@@ -102,21 +102,16 @@ type runLoop struct {
 
 	// Lane-liveness and admission state. alive is the current liveness
 	// mask (all lanes alive unless gpu-crash faults strike a sharded
-	// server; admitCap is nil without them and every path below stays
-	// byte-identical to a build without lane faults), maskDirty forces a failover re-pack at the
-	// boundary that changed it, unplacedIdx lists the state indexes the
-	// re-pack could not fit on any surviving lane (ascending), and the
-	// admit* slices carry the period's SLO-feasibility gate decisions:
-	// per-app per-session request caps (-1 = uncapped), the admitted GPU
-	// fraction, the degraded-serving flag (smallest structures, no
-	// retraining slice) and suspended whole-pool retraining.
-	alive          uint64
-	maskDirty      bool
-	unplacedIdx    []int
-	admitCap       []int
-	admitFrac      []float64
-	admitDegraded  []bool
-	suspendRetrain []bool
+	// server; admits is nil without them and every path below stays
+	// byte-identical to a build without lane faults), maskDirty forces a
+	// failover re-pack at the boundary that changed it, unplacedIdx lists
+	// the state indexes the re-pack could not fit on any surviving lane
+	// (ascending), and admits holds each app's admission record for the
+	// period (states order).
+	alive       uint64
+	maskDirty   bool
+	unplacedIdx []int
+	admits      []admission
 
 	// aud, when non-nil, validates every event against the invariant
 	// catalog (see internal/audit). It is read-only: it never touches
@@ -160,7 +155,7 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 			l.laneApps[0] = append(l.laneApps[0], i)
 		}
 	} else {
-		l.topo = cluster.Topology{NGPUs: cfg.NGPUs, PerGPUBytes: gpu.V100().MemBytes}
+		l.topo = cluster.Topology{NGPUs: cfg.NGPUs, PerGPUBytes: gpu.MemBytes}
 		l.wsBytes = make([]int64, len(states))
 		l.loadBuf = make([]float64, len(states))
 		l.gpuBusySec = make([]float64, cfg.NGPUs)
@@ -182,12 +177,9 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		l.fill.flt = l.flt
 		l.memFault = make([]bool, len(states))
 		if cfg.NGPUs > 1 && l.flt.Config().GPUCrash > 0 {
-			l.admitCap = make([]int, len(states))
-			l.admitFrac = make([]float64, len(states))
-			l.admitDegraded = make([]bool, len(states))
-			l.suspendRetrain = make([]bool, len(states))
-			for i := range l.admitCap {
-				l.admitCap[i] = -1
+			l.admits = make([]admission, len(states))
+			for i := range l.admits {
+				l.admits[i] = admission{cap: -1}
 			}
 		}
 	}
@@ -452,7 +444,7 @@ func (l *runLoop) periodStart(period int) error {
 			if node < 0 {
 				return fmt.Errorf("serving: period %d plan retrains unknown node %q of %q", period, r.Node, r.App)
 			}
-			if l.suspendRetrain != nil && l.suspendRetrain[ai] {
+			if l.admits != nil && l.admits[ai].degraded {
 				// The admission gate suspended this app's retraining: the
 				// job never starts, charges no GPU time, and the stale
 				// model keeps serving (the abandoned-job mechanics).
@@ -499,7 +491,7 @@ func (l *runLoop) periodStart(period int) error {
 					r.Busy = fate.Busy
 				}
 			}
-			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned, lane: lane, app: ai, node: node})
+			l.retrains = append(l.retrains, pendingRetrain{PeriodRetrain: r, abandoned: abandoned, app: ai, node: node})
 			if !abandoned && r.GPUFraction > 0 && r.Busy > 0 {
 				if err := l.chargeRetrain(r.App, lane, r.Completion.Add(-r.Busy), r.Completion, r.GPUFraction); err != nil {
 					return err
@@ -527,20 +519,27 @@ func (l *runLoop) periodStart(period int) error {
 }
 
 // chargeRetrain books one whole-pool retraining window [from, to) at
-// the given GPU fraction: the recorder's busy time, the auditor's charge
-// check (under lane faults), and the owning lane's per-GPU counter.
+// the given GPU fraction on the owning lane, after the auditor's charge
+// check (under lane faults).
 func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, fraction float64) error {
-	l.rec.RecordBusy(from, to, fraction)
-	if l.aud != nil && l.admitCap != nil {
+	if l.aud != nil && l.admits != nil {
 		if err := l.aud.OnRetrainCharge(app, lane); err != nil {
 			return err
 		}
 	}
+	l.book(lane, from, to, fraction)
+	return nil
+}
+
+// book records GPU time [from, to) at the given fraction on a lane: the
+// recorder's busy time and, on a sharded server, the lane's per-GPU
+// counter and its telemetry series.
+func (l *runLoop) book(lane int, from, to simtime.Instant, fraction float64) {
+	l.rec.RecordBusy(from, to, fraction)
 	if l.gpuBusySec != nil {
 		l.gpuBusySec[lane] += fraction * to.Sub(from).Seconds()
 		l.tel.GPUBusy(lane, to.Sub(from), fraction)
 	}
-	return nil
 }
 
 // laneEvents evolves the lane-liveness mask at a period boundary:
@@ -550,7 +549,7 @@ func (l *runLoop) chargeRetrain(app string, lane int, from, to simtime.Instant, 
 // re-pack placeApps performs before any session plans against the new
 // mask.
 func (l *runLoop) laneEvents(period int, start simtime.Instant) error {
-	if l.admitCap == nil {
+	if l.admits == nil {
 		return nil
 	}
 	alive, crashed, recovered := l.flt.LaneEvents(period, l.topo.NGPUs, l.alive)
@@ -663,14 +662,11 @@ func (l *runLoop) placeApps(period int, start simtime.Instant, n int) error {
 // lane is down (its inputs are the period's predictions, so decisions
 // are deterministic and constant within the period).
 func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
-	if l.admitCap == nil {
+	if l.admits == nil {
 		return nil
 	}
-	for i := range l.admitCap {
-		l.admitCap[i] = -1
-		l.admitFrac[i] = 0
-		l.admitDegraded[i] = false
-		l.suspendRetrain[i] = false
+	for i := range l.admits {
+		l.admits[i] = admission{cap: -1}
 	}
 	if l.alive == cluster.AllAlive(l.topo.NGPUs) && len(l.unplacedIdx) == 0 {
 		return nil
@@ -678,9 +674,7 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 	cfg := l.cfg
 	var unplacedNames []string
 	for _, i := range l.unplacedIdx {
-		l.admitCap[i] = 0
-		l.admitDegraded[i] = true
-		l.suspendRetrain[i] = true
+		l.admits[i] = admission{cap: 0, degraded: true}
 		unplacedNames = append(unplacedNames, l.appNames[i])
 	}
 	laneAmount := cfg.GPUs / float64(cfg.NGPUs)
@@ -712,11 +706,7 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 		if !out.Feasible {
 			for di := range out.Decisions {
 				d := &out.Decisions[di]
-				i := l.appIdx[d.Name]
-				l.admitCap[i] = d.Admitted
-				l.admitFrac[i] = d.Fraction
-				l.admitDegraded[i] = true
-				l.suspendRetrain[i] = true
+				l.admits[l.appIdx[d.Name]] = admission{cap: d.Admitted, frac: d.Fraction, degraded: true}
 			}
 		}
 		if l.aud != nil {
@@ -729,8 +719,8 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) error {
 			return err
 		}
 	}
-	for _, suspended := range l.suspendRetrain {
-		if suspended {
+	for _, a := range l.admits {
+		if a.degraded {
 			l.res.FaultSuspendedRetrainPeriods++
 		}
 	}
@@ -815,10 +805,13 @@ func (l *runLoop) workSession(sess int) error {
 	for g := range l.laneBusy {
 		l.laneBusy[g] = 0
 	}
+	// Placement changes only at boundaries, so a retrain's lane is its
+	// app's current one. An unplaced app (lane -1) has every retrain
+	// suspended, hence abandoned, which is tested before the lane is.
 	for i := range l.retrains {
 		pr := &l.retrains[i]
 		if !pr.applied && !pr.abandoned && pr.GPUFraction > 0 && !start.Before(pr.Completion.Add(-pr.Busy)) {
-			l.laneBusy[pr.lane] += pr.GPUFraction
+			l.laneBusy[l.laneOf[pr.app]] += pr.GPUFraction
 		}
 	}
 	for i := range l.faultBusy {
@@ -919,8 +912,8 @@ func (l *runLoop) workSession(sess int) error {
 			}
 			st := l.states[i]
 			served, shed := actual, 0
-			if l.admitCap != nil {
-				if cap := l.admitCap[i]; cap >= 0 && actual > cap {
+			if l.admits != nil {
+				if cap := l.admits[i].cap; cap >= 0 && actual > cap {
 					served, shed = cap, actual-cap
 				}
 			}
@@ -937,11 +930,11 @@ func (l *runLoop) workSession(sess int) error {
 			}
 			jp := jobPlanFor(plan, li, st.inst.App.Name)
 			var degraded sched.JobPlan
-			if l.admitDegraded != nil && l.admitDegraded[i] {
+			if l.admits != nil && l.admits[i].degraded {
 				// Degraded admission serves at the smallest profiled
 				// structures, within the fraction the gate admitted, with
 				// no retraining slice.
-				frac := l.admitFrac[i]
+				frac := l.admits[i].frac
 				if frac < cluster.MinFraction {
 					frac = cluster.MinFraction
 				}
@@ -1023,6 +1016,17 @@ func (l *runLoop) noteMakespan(d simtime.Duration) {
 	if d > l.maxSpan {
 		l.maxSpan = d
 	}
+}
+
+// admission is one app's admission-gate decision for the period
+// (admitPeriod). A degraded app has its whole-pool retraining
+// suspended and serves at its smallest profiled structures within frac,
+// with no retraining slice; cap bounds its per-session requests (-1 =
+// uncapped), the excess shed.
+type admission struct {
+	cap      int
+	frac     float64
+	degraded bool
 }
 
 // busyWindow is one failed retraining attempt's GPU occupancy.

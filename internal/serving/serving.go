@@ -355,9 +355,6 @@ type pendingRetrain struct {
 	// applies, claims no GPU beyond its failed attempts, and the stale
 	// model keeps serving.
 	abandoned bool
-	// lane is the GPU lane the owning app was placed on when the period
-	// plan was built; its GPU claim is charged there.
-	lane int
 	// app and node are the retrain's app (states order) and node
 	// positions.
 	app, node int
@@ -661,11 +658,7 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 	latency := jobEnd.Sub(start)
 	met := latency <= a.SLO
 	rec.RecordJob(inferTotal, retrainTotal)
-	rec.RecordBusy(jobStart, jobEnd, fraction)
-	if l.gpuBusySec != nil {
-		l.gpuBusySec[l.curLane] += fraction * jobEnd.Sub(jobStart).Seconds()
-		l.tel.GPUBusy(l.curLane, jobEnd.Sub(jobStart), fraction)
-	}
+	l.book(l.curLane, jobStart, jobEnd, fraction)
 	l.tel.Job(start, l.ctx.Session, a.Name, actual, lead, inferTotal, retrainTotal, latency, met, false)
 	res.Jobs++
 

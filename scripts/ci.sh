@@ -32,6 +32,19 @@ if [ -n "$owners" ]; then
     exit 1
 fi
 
+# Goroutines have two owners: internal/par's worker pool (the profiler,
+# the drift probe and the experiment runner share it) and the serving
+# loop's filler and scorer. Any other goroutine start would be a second
+# pool to keep race-free and bounded.
+echo "== one worker pool =="
+starters=$(grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]' internal cmd examples |
+    grep -v -e '^internal/par/par\.go:' -e '^internal/serving/pipeline\.go:' || true)
+if [ -n "$starters" ]; then
+    echo "goroutine started outside internal/par and the serving pipeline:" >&2
+    echo "$starters" >&2
+    exit 1
+fi
+
 # Every function under internal/ must be linked by some program
 # (cmd/*, examples/*, the bench binary or its test binary), or named
 # with a reason in the checker's allowlist. The check builds with

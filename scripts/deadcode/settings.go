@@ -23,7 +23,6 @@ var allowSettings = map[string]string{
 	"profile.Config.Fractions":  "tests build 1x2 and 2x2 profile grids",
 	"gpumem.Config.PinBytes":    "the bench/ layer benchmark sizes PIN memory in a test file",
 	"faults.Config.*":           "faults.Parse fills it from the -faults spec",
-	"gpu.Spec.*":                "gpu.V100 fills the one device the simulator models; tests build malformed specs for Validate",
 }
 
 // settingsSuffixes name the struct types whose exported fields are
